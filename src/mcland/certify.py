@@ -7,8 +7,6 @@ endpoint, optionally across a thread pool; results are deterministic in the
 base seed regardless of thread count.
 """
 
-import csv
-import io
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -18,6 +16,7 @@ import numpy as np
 
 from . import objective as obj
 from . import solvers
+from .csvio import write_csv
 from .linalg import procrustes_align, singular_extremes
 from .rng import derive_seed
 
@@ -309,27 +308,20 @@ def _cell(v):
 
 def scan_to_csv(summary, stream=None):
     """Scan rows as CSV in start order; returns text when no stream given."""
-    own = stream is None
-    if own:
-        stream = io.StringIO()
-    w = csv.writer(stream, lineterminator="\n")
-    w.writerow(SCAN_COLUMNS)
-    for row in summary.rows:
-        w.writerow(
-            [
-                row.start_seed,
-                row.status,
-                _cell(row.f_final),
-                _cell(row.grad_norm),
-                _cell(row.lambda_min),
-                _cell(row.recovery_fro),
-                _cell(row.procrustes),
-                _cell(row.incoherence_ok),
-                _cell(row.sigma_min_ok),
-                _cell(row.rank1_norm_ok),
-                _cell(row.classification),
-            ]
-        )
-    if own:
-        return stream.getvalue()
-    return None
+    rows = (
+        [
+            row.start_seed,
+            row.status,
+            _cell(row.f_final),
+            _cell(row.grad_norm),
+            _cell(row.lambda_min),
+            _cell(row.recovery_fro),
+            _cell(row.procrustes),
+            _cell(row.incoherence_ok),
+            _cell(row.sigma_min_ok),
+            _cell(row.rank1_norm_ok),
+            _cell(row.classification),
+        ]
+        for row in summary.rows
+    )
+    return write_csv(SCAN_COLUMNS, rows, stream)

@@ -12,14 +12,18 @@ error.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
+import typing
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import MISSING
+from enum import Enum
 from pathlib import Path
 
 from . import solvers
 from .certify import CertTolerances, PointClass, certify_point, landscape_scan, scan_to_csv
-from .concentration import ConcentrationTrial, Kind, fit_scaling, run_concentration, trials_to_csv
+from .concentration import ConcentrationTrial, fit_scaling, run_concentration, trials_to_csv
 from .instance import InstanceSpec, default_hyperparams, HyperParams
 from .objective import ObjectiveConfig
 
@@ -28,26 +32,41 @@ class ConfigError(Exception):
     pass
 
 
-_MISSING = object()
-
-
 def _type_name(spec):
     return " or ".join(t.__name__ for t in spec)
 
 
-def _get(block, path, key, types, default=_MISSING, allow_none=False):
+def _get(block, path, key, tp, default=MISSING):
+    """Pop `key` from a JSON object and check it against the type annotation `tp`.
+
+    Ints are accepted for float, booleans only for bool, null only for
+    `T | None`; enums take their values and dataclasses recurse.  An absent
+    key gives `default`, or an error when there is none.
+    """
     if key not in block:
-        if default is _MISSING:
+        if default is MISSING:
             raise ConfigError(f"missing required key '{path}.{key}'")
         return default
     val = block.pop(key)
-    if val is None and allow_none:
-        return None
-    if isinstance(val, bool) and bool not in types:
-        raise ConfigError(f"'{path}.{key}' must be {_type_name(types)}, got a boolean")
-    if not isinstance(val, tuple(types)):
-        raise ConfigError(f"'{path}.{key}' must be {_type_name(types)}, got {type(val).__name__}")
-    return val
+    path = f"{path}.{key}"
+    args = typing.get_args(tp)
+    if type(None) in args:
+        if val is None:
+            return None
+        (tp,) = [a for a in args if a is not type(None)]
+    if dataclasses.is_dataclass(tp):
+        return _construct(tp, path, _fields(tp, val, path))
+    if issubclass(tp, Enum):
+        names = [m.value for m in tp]
+        if val not in names:
+            raise ConfigError(f"'{path}' must be one of: {', '.join(names)}")
+        return tp(val)
+    allowed = (int, float) if tp is float else (tp,)
+    if isinstance(val, bool) and tp is not bool:
+        raise ConfigError(f"'{path}' must be {_type_name(allowed)}, got a boolean")
+    if not isinstance(val, allowed):
+        raise ConfigError(f"'{path}' must be {_type_name(allowed)}, got {type(val).__name__}")
+    return float(val) if tp is float else val
 
 
 def _check_empty(block, path):
@@ -56,9 +75,44 @@ def _check_empty(block, path):
         raise ConfigError(f"unknown key '{path}.{key}'")
 
 
-def _number(block, path, key, default=_MISSING, allow_none=False):
-    v = _get(block, path, key, (int, float), default=default, allow_none=allow_none)
-    return float(v) if isinstance(v, (int, float)) and not isinstance(v, bool) else v
+def _fields(cls, block, path, required=(), skip=()):
+    """Keyword arguments for dataclass `cls` from a JSON object.
+
+    Every field not in `skip` is read with `_get` against its annotation and
+    defaults to the field's own default unless it is `required`; unknown
+    keys are errors.
+    """
+    if not isinstance(block, dict):
+        raise ConfigError(f"'{path}' must be an object")
+    block = dict(block)
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        if f.name in skip:
+            continue
+        default = f.default if f.default_factory is MISSING else f.default_factory()
+        if f.name in required:
+            default = MISSING
+        kwargs[f.name] = _get(block, path, f.name, hints[f.name], default)
+    _check_empty(block, path)
+    return kwargs
+
+
+def _construct(cls, path, kwargs):
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"invalid {path} block: {exc}") from exc
+
+
+def _block(cfg, name):
+    """A required top-level block, as a copy."""
+    block = cfg.pop(name, MISSING)
+    if block is MISSING:
+        raise ConfigError(f"missing required block '{name}'")
+    if not isinstance(block, dict):
+        raise ConfigError(f"'{name}' must be an object")
+    return dict(block)
 
 
 def _load_config(path):
@@ -76,112 +130,44 @@ def _load_config(path):
 
 
 def _parse_instance(cfg):
-    block = cfg.pop("instance", _MISSING)
-    if block is _MISSING:
-        raise ConfigError("missing required block 'instance'")
-    if not isinstance(block, dict):
-        raise ConfigError("'instance' must be an object")
-    block = dict(block)
+    block = _block(cfg, "instance")
+    return _construct(InstanceSpec, "instance", _fields(InstanceSpec, block, "instance", required=("p",)))
+
+
+def _default_hyper(gt, p):
     try:
-        spec = InstanceSpec(
-            d=_get(block, "instance", "d", (int,)),
-            r=_get(block, "instance", "r", (int,)),
-            seed=_get(block, "instance", "seed", (int,)),
-            scale=_number(block, "instance", "scale", default=1.0),
-            p=_number(block, "instance", "p"),
-            sigma=_number(block, "instance", "sigma", default=0.0),
-            include_diagonal=_get(block, "instance", "include_diagonal", (bool,), default=True),
-        )
+        return default_hyperparams(gt, p)
     except ValueError as exc:
         raise ConfigError(f"invalid instance block: {exc}") from exc
-    _check_empty(block, "instance")
-    return spec
 
 
 def _parse_hyper(cfg, gt, p):
     block = cfg.pop("hyper", None)
-    base = default_hyperparams(gt, p)
+    base = _default_hyper(gt, p)
     if block is None:
         return base
     if not isinstance(block, dict):
         raise ConfigError("'hyper' must be an object")
     block = dict(block)
-    alpha = _number(block, "hyper", "alpha", default=base.alpha)
-    weight = _number(block, "hyper", "lambda", default=base.reg_weight)
-    tau = _number(block, "hyper", "tau", default=base.tau)
+    alpha = _get(block, "hyper", "alpha", float, default=base.alpha)
+    weight = _get(block, "hyper", "lambda", float, default=base.reg_weight)
+    tau = _get(block, "hyper", "tau", float, default=base.tau)
     _check_empty(block, "hyper")
-    try:
-        return HyperParams(alpha=alpha, reg_weight=weight, tau=tau)
-    except ValueError as exc:
-        raise ConfigError(f"invalid hyper block: {exc}") from exc
+    return _construct(HyperParams, "hyper", dict(alpha=alpha, reg_weight=weight, tau=tau))
 
 
 def _parse_solver(cfg):
     block = cfg.pop("solver", None)
     if block is None:
         return solvers.SolverConfig()
-    if not isinstance(block, dict):
-        raise ConfigError("'solver' must be an object")
-    block = dict(block)
-    method = _get(block, "solver", "method", (str,), default="gd")
-    try:
-        method = solvers.Method(method)
-    except ValueError as exc:
-        names = ", ".join(m.value for m in solvers.Method)
-        raise ConfigError(f"'solver.method' must be one of: {names}") from exc
-
-    kwargs = dict(
-        method=method,
-        max_iters=_get(block, "solver", "max_iters", (int,), default=20000),
-        grad_tol=_number(block, "solver", "grad_tol", default=None, allow_none=True),
-        seed=_get(block, "solver", "seed", (int,), default=0),
-    )
-    sub = _get(block, "solver", "armijo", (dict,), default=None, allow_none=True)
-    if sub is not None:
-        sub = dict(sub)
-        kwargs["armijo"] = solvers.ArmijoParams(
-            c1=_number(sub, "solver.armijo", "c1", default=1e-4),
-            backtrack=_number(sub, "solver.armijo", "backtrack", default=0.5),
-            step0=_number(sub, "solver.armijo", "step0", default=None, allow_none=True),
-        )
-        _check_empty(sub, "solver.armijo")
-    sub = _get(block, "solver", "sgd", (dict,), default=None, allow_none=True)
-    if sub is not None:
-        sub = dict(sub)
-        kwargs["sgd"] = solvers.SgdParams(
-            batch=_get(sub, "solver.sgd", "batch", (int,), default=64),
-            step_base=_number(sub, "solver.sgd", "step_base", default=None, allow_none=True),
-            step_decay=_number(sub, "solver.sgd", "step_decay", default=1e-3),
-        )
-        _check_empty(sub, "solver.sgd")
-    sub = _get(block, "solver", "perturb", (dict,), default=None, allow_none=True)
-    if sub is not None:
-        sub = dict(sub)
-        kwargs["perturb"] = solvers.PerturbParams(
-            radius=_number(sub, "solver.perturb", "radius", default=None, allow_none=True),
-            trigger_grad_norm=_number(
-                sub, "solver.perturb", "trigger_grad_norm", default=None, allow_none=True
-            ),
-            cooldown_iters=_get(sub, "solver.perturb", "cooldown_iters", (int,), default=100),
-        )
-        _check_empty(sub, "solver.perturb")
-    _check_empty(block, "solver")
-    try:
-        return solvers.SolverConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"invalid solver block: {exc}") from exc
+    return _construct(solvers.SolverConfig, "solver", _fields(solvers.SolverConfig, block, "solver"))
 
 
 def _parse_scan(cfg):
-    block = cfg.pop("scan", _MISSING)
-    if block is _MISSING:
-        raise ConfigError("missing required block 'scan'")
-    if not isinstance(block, dict):
-        raise ConfigError("'scan' must be an object")
-    block = dict(block)
-    n_starts = _get(block, "scan", "n_starts", (int,))
-    base_seed = _get(block, "scan", "base_seed", (int,))
-    global_rel = _number(block, "scan", "global_rel", default=1e-2)
+    block = _block(cfg, "scan")
+    n_starts = _get(block, "scan", "n_starts", int)
+    base_seed = _get(block, "scan", "base_seed", int)
+    global_rel = _get(block, "scan", "global_rel", float, default=1e-2)
     _check_empty(block, "scan")
     if n_starts < 1:
         raise ConfigError("'scan.n_starts' must be >= 1")
@@ -189,36 +175,12 @@ def _parse_scan(cfg):
 
 
 def _parse_concentration(cfg):
-    block = cfg.pop("concentration", _MISSING)
-    if block is _MISSING:
-        raise ConfigError("missing required block 'concentration'")
-    if not isinstance(block, dict):
-        raise ConfigError("'concentration' must be an object")
-    block = dict(block)
-    kind = _get(block, "concentration", "kind", (str,))
-    try:
-        kind = Kind(kind)
-    except ValueError as exc:
-        names = ", ".join(k.value for k in Kind)
-        raise ConfigError(f"'concentration.kind' must be one of: {names}") from exc
-    d = _get(block, "concentration", "d", (int,))
-    r = _get(block, "concentration", "r", (int,), default=1)
-    p_grid = _get(block, "concentration", "p_grid", (list,))
-    sigma = _number(block, "concentration", "sigma", default=1.0)
-    trials = _get(block, "concentration", "trials", (int,), default=50)
-    seed = _get(block, "concentration", "seed", (int,), default=0)
-    _check_empty(block, "concentration")
+    block = _block(cfg, "concentration")
+    p_grid = _get(block, "concentration", "p_grid", list)
     if not p_grid or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in p_grid):
         raise ConfigError("'concentration.p_grid' must be a non-empty list of numbers")
-    specs = []
-    for p in p_grid:
-        try:
-            specs.append(
-                ConcentrationTrial(kind=kind, d=d, p=float(p), r=r, sigma=sigma, trials=trials, seed=seed)
-            )
-        except ValueError as exc:
-            raise ConfigError(f"invalid concentration block: {exc}") from exc
-    return specs
+    base = _fields(ConcentrationTrial, block, "concentration", skip=("p",))
+    return [_construct(ConcentrationTrial, "concentration", {**base, "p": float(p)}) for p in p_grid]
 
 
 def _fmt(x):
@@ -232,7 +194,7 @@ def cmd_gen(cfg, out_dir, threads):
         gt, obs = spec.regenerate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    hyper = default_hyperparams(gt, spec.p)
+    hyper = _default_hyper(gt, spec.p)
     (out_dir / "instance.json").write_text(spec.to_json())
     print(f"mu={_fmt(gt.incoherence)}")
     print(f"kappa={_fmt(gt.condition_number)}")
@@ -287,8 +249,12 @@ def cmd_scan(cfg, out_dir, threads, assert_clean=False):
         print(f"{cls.value}={summary.counts[cls]}")
     print(f"worst_recovery={_fmt(summary.worst_recovery)}")
     spurious = summary.counts[PointClass.SPURIOUS_LOCAL_MIN]
-    if assert_clean and spurious > 0:
-        print(f"assert-clean failed: {spurious} spurious endpoint(s)", file=sys.stderr)
+    crashed = sum(row.status == "solver_error" for row in summary.rows)
+    if assert_clean and (spurious or crashed):
+        print(
+            f"assert-clean failed: {spurious} spurious endpoint(s), {crashed} crashed start(s)",
+            file=sys.stderr,
+        )
         return 1
     return 0
 
@@ -332,7 +298,7 @@ def _build_parser():
             p.add_argument(
                 "--assert-clean",
                 action="store_true",
-                help="exit nonzero if any endpoint classifies as a spurious local minimum",
+                help="exit nonzero if any endpoint is a spurious local minimum or any start crashed",
             )
     return parser
 

@@ -16,14 +16,13 @@ stored ordered pairs):
   noise_spectral: ||P(N)||_2
 """
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from .csvio import write_csv
 from .instance import sample_mask
 from .linalg import spectral_norm
 from .rng import derive_seed, substream
@@ -85,14 +84,6 @@ class TrialResult:
         devs = self.deviations()
         q25, q50, q75 = np.quantile(devs, [0.25, 0.5, 0.75])
         return float(q25), float(q50), float(q75), float(devs.max())
-
-    @property
-    def median_deviation(self):
-        return float(np.median(self.deviations()))
-
-    @property
-    def median_predicted(self):
-        return float(np.median([rec.predicted_scale for rec in self.records]))
 
     @property
     def median_normalized(self):
@@ -261,27 +252,19 @@ def fit_scaling(points):
 
 def trials_to_csv(results, stream=None):
     """Per-trial rows for a list of TrialResult, in given order."""
-    own = stream is None
-    if own:
-        stream = io.StringIO()
-    w = csv.writer(stream, lineterminator="\n")
-    w.writerow(CONC_COLUMNS)
-    for res in results:
-        s = res.spec
-        for rec in res.records:
-            w.writerow(
-                [
-                    Kind(s.kind).value,
-                    s.d,
-                    s.r,
-                    repr(float(s.p)),
-                    "" if math.isnan(rec.nu) else repr(rec.nu),
-                    repr(float(s.sigma)),
-                    rec.trial,
-                    repr(rec.deviation),
-                    repr(rec.predicted_scale),
-                ]
-            )
-    if own:
-        return stream.getvalue()
-    return None
+    rows = (
+        [
+            Kind(res.spec.kind).value,
+            res.spec.d,
+            res.spec.r,
+            repr(float(res.spec.p)),
+            "" if math.isnan(rec.nu) else repr(rec.nu),
+            repr(float(res.spec.sigma)),
+            rec.trial,
+            repr(rec.deviation),
+            repr(rec.predicted_scale),
+        ]
+        for res in results
+        for rec in res.records
+    )
+    return write_csv(CONC_COLUMNS, rows, stream)

@@ -105,12 +105,6 @@ class Observation:
     def d(self):
         return self.mask.d
 
-    def masked_matrix(self):
-        """Dense d x d matrix holding the observed values, zero elsewhere."""
-        M = np.zeros((self.d, self.d))
-        M[self.mask.rows, self.mask.cols] = self.values
-        return M
-
 
 def sample_factor(d, r, scale, seed):
     """Ground-truth factor with iid N(0, scale^2/d) entries.

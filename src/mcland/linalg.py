@@ -1,9 +1,9 @@
 """Dense matrix primitives shared by the rest of the package.
 
-Masked projection, the handful of matrix norms we report, extreme singular
-values of factor matrices, and orthogonal (Procrustes) alignment.  Everything
-operates on plain float64 numpy arrays; `ObservationMask` is the one shared
-container, holding the symmetric set of observed index pairs.
+The spectral norm, extreme singular values of factor matrices, and
+orthogonal (Procrustes) alignment.  Everything operates on plain float64
+numpy arrays; `ObservationMask` is the one shared container, holding the
+symmetric set of observed index pairs.
 """
 
 from dataclasses import dataclass
@@ -63,16 +63,6 @@ class ObservationMask:
         """Number of stored ordered pairs."""
         return self.rows.size
 
-    @property
-    def n_unordered(self):
-        """Number of distinct unordered pairs {i, j}."""
-        n_diag = int(np.count_nonzero(self.rows == self.cols))
-        return n_diag + (self.n_pairs - n_diag) // 2
-
-    @property
-    def has_diagonal(self):
-        return bool(np.any(self.rows == self.cols))
-
     def indicator(self):
         """Dense 0/1 float64 indicator matrix of the mask."""
         ind = np.zeros((self.d, self.d))
@@ -85,22 +75,6 @@ def full_mask(d, include_diagonal=True):
     ii, jj = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
     keep = np.ones((d, d), dtype=bool) if include_diagonal else ~np.eye(d, dtype=bool)
     return ObservationMask(d=d, rows=ii[keep], cols=jj[keep], p=1.0)
-
-
-def empty_mask(d):
-    return ObservationMask(d=d, rows=np.empty(0, dtype=np.int64), cols=np.empty(0, dtype=np.int64), p=0.0)
-
-
-def project_mask(A, mask):
-    """Zero out the entries of a d x d matrix outside the mask.
-
-    Exactly linear and idempotent: implemented as an elementwise product with
-    the 0/1 indicator, so no entry is ever recomputed or rounded.
-    """
-    A = np.asarray(A, dtype=float)
-    if A.shape != (mask.d, mask.d):
-        raise ValueError(f"dimension mismatch: matrix is {A.shape}, mask expects ({mask.d}, {mask.d})")
-    return A * mask.indicator()
 
 
 def spectral_norm(A, rel_tol=1e-10, max_iters=10000):
@@ -134,25 +108,6 @@ def spectral_norm(A, rel_tol=1e-10, max_iters=10000):
             break
         v = u / nu
     return float(np.sqrt(est))
-
-
-@dataclass(frozen=True)
-class MatrixNorms:
-    fro: float
-    spectral: float
-    two_to_inf: float  # max row 2-norm
-    elem_inf: float    # max |entry|
-
-
-def matrix_norms(A):
-    """Frobenius, spectral, max-row, and max-entry norms of a matrix."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2:
-        raise ValueError(f"matrix_norms expects a 2-d array, got shape {A.shape}")
-    fro = float(np.linalg.norm(A))
-    two_to_inf = float(np.sqrt((A * A).sum(axis=1).max())) if A.size else 0.0
-    elem_inf = float(np.abs(A).max()) if A.size else 0.0
-    return MatrixNorms(fro=fro, spectral=spectral_norm(A), two_to_inf=two_to_inf, elem_inf=elem_inf)
 
 
 class SingularExtremes(NamedTuple):

@@ -67,25 +67,6 @@ class ObjectiveConfig:
         return A @ Y
 
 
-@dataclass(frozen=True)
-class RegRow:
-    value: float
-    d1: float
-    d2: float
-
-
-def reg_row(t, alpha):
-    """Penalty rho(t) = (t - alpha)^4 * 1[t >= alpha] with first two derivatives."""
-    if t < 0:
-        raise ValueError(f"row norm must be non-negative, got {t}")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if t < alpha:
-        return RegRow(0.0, 0.0, 0.0)
-    e = t - alpha
-    return RegRow(e**4, 4.0 * e**3, 12.0 * e**2)
-
-
 def _row_norms(X):
     return np.sqrt((X * X).sum(axis=1))
 
@@ -113,32 +94,37 @@ def reg_gradient(X, alpha):
     return G
 
 
-def _reg_hess_apply(X, V, alpha):
-    """(d^2 R)[V] rowwise: d2 on the radial component, d1/t on the tangential."""
+def _reg_hess_terms(X, V, alpha):
+    """Setup shared by the penalty curvature terms: None when no row is active,
+    else (active rows, unit rows u, <V_i, u_i>, d1/t, d2) on the active rows."""
     t = _row_norms(X)
     e = _hinge(t, alpha)
-    out = np.zeros_like(V)
     act = e > 0.0
-    if np.any(act):
-        u = X[act] / t[act][:, None]
-        proj = np.einsum("ij,ij->i", V[act], u)
-        d1_over_t = 4.0 * e[act] ** 3 / t[act]
-        d2 = 12.0 * e[act] ** 2
+    if not np.any(act):
+        return None
+    u = X[act] / t[act][:, None]
+    proj = np.einsum("ij,ij->i", V[act], u)
+    d1_over_t = 4.0 * e[act] ** 3 / t[act]
+    d2 = 12.0 * e[act] ** 2
+    return act, u, proj, d1_over_t, d2
+
+
+def _reg_hess_apply(X, V, alpha):
+    """(d^2 R)[V] rowwise: d2 on the radial component, d1/t on the tangential."""
+    out = np.zeros_like(V)
+    terms = _reg_hess_terms(X, V, alpha)
+    if terms is not None:
+        act, u, proj, d1_over_t, d2 = terms
         out[act] = (d2 * proj)[:, None] * u + d1_over_t[:, None] * (V[act] - proj[:, None] * u)
     return out
 
 
 def _reg_hess_quad(X, V, alpha):
-    t = _row_norms(X)
-    e = _hinge(t, alpha)
-    act = e > 0.0
-    if not np.any(act):
+    terms = _reg_hess_terms(X, V, alpha)
+    if terms is None:
         return 0.0
-    u = X[act] / t[act][:, None]
-    proj = np.einsum("ij,ij->i", V[act], u)
+    act, u, proj, d1_over_t, d2 = terms
     vsq = (V[act] * V[act]).sum(axis=1)
-    d1_over_t = 4.0 * e[act] ** 3 / t[act]
-    d2 = 12.0 * e[act] ** 2
     return float(np.sum(d2 * proj**2 + d1_over_t * (vsq - proj**2)))
 
 

@@ -7,15 +7,15 @@ gradient and `batch` per stochastic step; trace diagnostics (objective and
 gradient norms recorded for inspection) are not charged to the budget.
 """
 
-import csv
-import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
 from . import objective as obj
+from .csvio import write_csv
 from .rng import substream
 
 _STEP_UNDERFLOW = 1e-16
@@ -136,33 +136,26 @@ class SolveResult:
     f: float
     grad_norm: float
     status: Status
-    iterations: int
+    iterations: int  # iteration number of the last trace row
     trace: Trace
     entry_grads: int
 
 
 def trace_to_csv(trace, stream=None):
     """Write the trace as CSV; returns the text when no stream is given."""
-    own = stream is None
-    if own:
-        stream = io.StringIO()
-    w = csv.writer(stream, lineterminator="\n")
-    w.writerow(TRACE_COLUMNS)
-    for k in range(len(trace)):
-        w.writerow(
-            [
-                trace.iters[k],
-                repr(trace.f[k]),
-                repr(trace.data_term[k]),
-                repr(trace.reg_term[k]),
-                repr(trace.grad_norm[k]),
-                repr(trace.step[k]),
-                trace.cum_entry_grads[k],
-            ]
-        )
-    if own:
-        return stream.getvalue()
-    return None
+    rows = (
+        [
+            trace.iters[k],
+            repr(trace.f[k]),
+            repr(trace.data_term[k]),
+            repr(trace.reg_term[k]),
+            repr(trace.grad_norm[k]),
+            repr(trace.step[k]),
+            trace.cum_entry_grads[k],
+        ]
+        for k in range(len(trace))
+    )
+    return write_csv(TRACE_COLUMNS, rows, stream)
 
 
 def random_init(d, r, obs, seed):
@@ -184,13 +177,6 @@ def random_init(d, r, obs, seed):
     s2 = max(s2, 0.0)
     rng = substream(seed, "init")
     return rng.standard_normal((d, r)) * np.sqrt(s2 / (d * r))
-
-
-def _auto_grad_tol(cfg, X0, scfg):
-    if scfg.grad_tol is not None:
-        return scfg.grad_tol
-    f0 = obj.objective(X0, cfg).total
-    return 1e-8 * (1.0 + f0)
 
 
 def _auto_step0(cfg, X0, explicit):
@@ -217,47 +203,136 @@ def _armijo_step(cfg, X, bdown, G, gn2, t_init, params):
     return None
 
 
+def _start(cfg, scfg, X0, cum):
+    """Set-up shared by all solvers.
+
+    Copies X0, evaluates f and the full gradient there once, derives grad_tol
+    (default 1e-8 * (1 + f(X0))) and writes trace row 0 charged with `cum`
+    entry gradients.  Returns (X, bdown, G, grad_norm, grad_tol, trace).
+    """
+    X = np.array(X0, dtype=float)
+    bdown = obj.objective(X, cfg)
+    grad_tol = scfg.grad_tol if scfg.grad_tol is not None else 1e-8 * (1.0 + bdown.total)
+    G = obj.gradient(X, cfg)
+    gn = float(np.linalg.norm(G))
+    trace = Trace()
+    trace.append(0, bdown, cfg.hyper.reg_weight, gn, 0.0, cum)
+    return X, bdown, G, gn, grad_tol, trace
+
+
+def _result(X, bdown, gn, grad_tol, trace, cum, stalled=False, probing=False):
+    """SolveResult at the final iterate, with the status rules all solvers share.
+
+    grad_tol reached wins unless a perturbation probe is still open; else a
+    run that ended in a stalled line search is stalled, any other ran out of
+    iterations.
+    """
+    if gn <= grad_tol and not probing:
+        status = Status.GRAD_TOL
+    elif stalled:
+        status = Status.LINE_SEARCH_STALLED
+    else:
+        status = Status.MAX_ITERS
+    return SolveResult(
+        X=X,
+        f=bdown.total,
+        grad_norm=gn,
+        status=status,
+        iterations=trace.iters[-1],
+        trace=trace,
+        entry_grads=cum,
+    )
+
+
+class _Probe(NamedTuple):
+    """An open perturbation probe and the point it left, restored on rollback."""
+
+    X: np.ndarray
+    bdown: obj.EvalBreakdown
+    G: np.ndarray
+    grad_norm: float
+    step: float  # last accepted step at the point; seeds the next line search
+    start: int  # iteration of the perturbation
+    final: bool  # the point met grad_tol, so a rollback to it ends the run
+
+
+def _descend(cfg, scfg, X0, perturb):
+    """Armijo gradient descent, perturbed when a PerturbParams policy is given.
+
+    Without a policy the run stops once the gradient norm reaches grad_tol.
+    With one, a point whose gradient norm is at most the trigger, at least
+    `cooldown_iters` iterations after the last probe ended, is saved and
+    kicked by a uniform ball perturbation; the probe then descends for the
+    rest of a window of `cooldown_iters` iterations.  A probe that has not
+    improved on the saved point when its window runs out or its line search
+    stalls is rolled back, with a trace row for the restored point; if the
+    saved point already met grad_tol the rollback ends the run.
+    """
+    n_pairs = cfg.n_pairs
+    weight = cfg.hyper.reg_weight
+    X, bdown, G, gn, grad_tol, trace = _start(cfg, scfg, X0, n_pairs)
+    cum = n_pairs
+    t_prev = _auto_step0(cfg, X, scfg.armijo.step0)
+    if perturb is not None:
+        radius = perturb.radius if perturb.radius is not None else 10.0 * grad_tol
+        trigger = perturb.trigger_grad_norm
+        trigger = max(trigger if trigger is not None else 10.0 * grad_tol, grad_tol)
+        cooldown = perturb.cooldown_iters
+        rng = substream(scfg.seed, "perturb")
+    probe = None
+    last_end = -math.inf  # iteration the last probe ended
+    stalled = False
+    it = 0
+    while it < scfg.max_iters:
+        it += 1
+        if perturb is None and gn <= grad_tol:
+            break
+        window_over = probe is not None and it - probe.start >= cooldown
+        if window_over and _escaped(probe.bdown.total, bdown.total):
+            probe, window_over = None, False  # escaped to a lower basin
+        if not window_over:
+            if perturb is not None and probe is None and gn <= trigger and it - last_end >= cooldown:
+                probe = _Probe(X, bdown, G, gn, t_prev, it, gn <= grad_tol)
+                X = X + _ball_perturbation(rng, X.shape, radius)
+                bdown = obj.objective(X, cfg)
+                G = obj.gradient(X, cfg)
+                cum += n_pairs
+                gn = float(np.linalg.norm(G))
+                trace.append(it, bdown, weight, gn, 0.0, cum)
+                continue
+            hit = _armijo_step(cfg, X, bdown, G, gn * gn, 2.0 * t_prev, scfg.armijo)
+            if hit is not None:
+                t_prev, X, bdown = hit
+                G = obj.gradient(X, cfg)
+                cum += n_pairs
+                gn = float(np.linalg.norm(G))
+                trace.append(it, bdown, weight, gn, t_prev, cum)
+                continue
+            if probe is None or _escaped(probe.bdown.total, bdown.total):
+                # nothing to roll back to, or the probe found a lower basin and
+                # bottomed out there, where a rollback would discard the escape
+                stalled, probe = True, None
+                break
+        # roll back: the probe's window ran out, or its line search stalled
+        X, bdown, G, gn, t_prev = probe.X, probe.bdown, probe.G, probe.grad_norm, probe.step
+        trace.append(it, bdown, weight, gn, 0.0, cum)
+        last_end = it
+        final, probe = probe.final, None
+        if final:
+            break
+        if window_over:
+            it -= 1  # this rollback takes no iteration: descend from the restored point now
+    return _result(X, bdown, gn, grad_tol, trace, cum, stalled, probe is not None)
+
+
 def gradient_descent(cfg, scfg, X0):
     """Armijo-backtracked gradient descent to the gradient-norm tolerance."""
-    X = np.array(X0, dtype=float)
-    grad_tol = _auto_grad_tol(cfg, X, scfg)
-    step_init = _auto_step0(cfg, X, scfg.armijo.step0)
-    n_pairs = cfg.n_pairs
+    return _descend(cfg, scfg, X0, None)
 
-    trace = Trace()
-    weight = cfg.hyper.reg_weight
-    bdown = obj.objective(X, cfg)
-    cum = 0
-    G = obj.gradient(X, cfg)
-    cum += n_pairs
-    gn = float(np.linalg.norm(G))
-    trace.append(0, bdown, weight, gn, 0.0, cum)
 
-    status = Status.MAX_ITERS
-    it = 0
-    t_prev = step_init
-    for it in range(1, scfg.max_iters + 1):
-        if gn <= grad_tol:
-            status = Status.GRAD_TOL
-            it -= 1
-            break
-        hit = _armijo_step(cfg, X, bdown, G, gn * gn, 2.0 * t_prev, scfg.armijo)
-        if hit is None:
-            status = Status.LINE_SEARCH_STALLED
-            it -= 1
-            break
-        t_prev, X, bdown = hit
-        G = obj.gradient(X, cfg)
-        cum += n_pairs
-        gn = float(np.linalg.norm(G))
-        trace.append(it, bdown, weight, gn, t_prev, cum)
-    else:
-        if gn <= grad_tol:
-            status = Status.GRAD_TOL
-
-    return SolveResult(
-        X=X, f=bdown.total, grad_norm=gn, status=status, iterations=it, trace=trace, entry_grads=cum
-    )
+def perturbed_gd(cfg, scfg, X0):
+    """Gradient descent with saddle-escaping random perturbations (`scfg.perturb`)."""
+    return _descend(cfg, scfg, X0, scfg.perturb)
 
 
 def pair_gradient_sum(X, cfg, pair_indices):
@@ -285,13 +360,8 @@ def stochastic_gradient(X, cfg, rng, batch):
     idx = rng.integers(0, n, size=batch)
     G = pair_gradient_sum(X, cfg, idx) * (n / batch)
     if cfg.hyper.reg_weight > 0:
-        G += cfg.hyper.reg_weight * reg_grad_cached(X, cfg)
+        G += cfg.hyper.reg_weight * obj.reg_gradient(X, cfg.hyper.alpha)
     return G
-
-
-def reg_grad_cached(X, cfg):
-    # thin alias; kept separate so the estimator reads as data-part + penalty
-    return obj.reg_gradient(X, cfg.hyper.alpha)
 
 
 def sgd(cfg, scfg, X0):
@@ -301,8 +371,7 @@ def sgd(cfg, scfg, X0):
     iteration for diagnostics; only the sampled batch counts toward
     `cum_entry_grads`.
     """
-    X = np.array(X0, dtype=float)
-    grad_tol = _auto_grad_tol(cfg, X, scfg)
+    X, bdown, _, gn, grad_tol, trace = _start(cfg, scfg, X0, 0)
     batch = min(scfg.sgd.batch, cfg.n_pairs) if cfg.n_pairs else scfg.sgd.batch
     base = scfg.sgd.step_base
     if base is None:
@@ -316,35 +385,18 @@ def sgd(cfg, scfg, X0):
     rng = substream(scfg.seed, "sgd")
     weight = cfg.hyper.reg_weight
 
-    trace = Trace()
-    bdown = obj.objective(X, cfg)
-    G_full = obj.gradient(X, cfg)
-    gn = float(np.linalg.norm(G_full))
     cum = 0
-    trace.append(0, bdown, weight, gn, 0.0, cum)
-
-    status = Status.MAX_ITERS
-    it = 0
     for it in range(1, scfg.max_iters + 1):
         if gn <= grad_tol:
-            status = Status.GRAD_TOL
-            it -= 1
             break
         step = base / (1.0 + decay * (it - 1))
         G = stochastic_gradient(X, cfg, rng, batch)
         cum += batch
         X = X - step * G
         bdown = obj.objective(X, cfg)
-        G_full = obj.gradient(X, cfg)
-        gn = float(np.linalg.norm(G_full))
+        gn = float(np.linalg.norm(obj.gradient(X, cfg)))
         trace.append(it, bdown, weight, gn, step, cum)
-    else:
-        if gn <= grad_tol:
-            status = Status.GRAD_TOL
-
-    return SolveResult(
-        X=X, f=bdown.total, grad_norm=gn, status=status, iterations=it, trace=trace, entry_grads=cum
-    )
+    return _result(X, bdown, gn, grad_tol, trace, cum)
 
 
 def _ball_perturbation(rng, shape, radius):
@@ -355,121 +407,6 @@ def _ball_perturbation(rng, shape, radius):
         return np.zeros(shape)
     u = rng.random() ** (1.0 / (shape[0] * shape[1]))
     return (radius * u / nrm) * G
-
-
-def perturbed_gd(cfg, scfg, X0):
-    """Gradient descent with saddle-escaping random perturbations.
-
-    Runs Armijo GD; when the gradient norm falls to the trigger (and the
-    cooldown has elapsed) it snapshots the iterate, kicks it by a uniform
-    ball perturbation, and descends for a cooldown window.  A window that
-    fails to improve on the snapshot is rolled back; if the snapshot already
-    met grad_tol the rollback is final and the snapshot is returned.
-    """
-    X = np.array(X0, dtype=float)
-    grad_tol = _auto_grad_tol(cfg, X, scfg)
-    radius = scfg.perturb.radius if scfg.perturb.radius is not None else 10.0 * grad_tol
-    trigger = (
-        scfg.perturb.trigger_grad_norm
-        if scfg.perturb.trigger_grad_norm is not None
-        else 10.0 * grad_tol
-    )
-    trigger = max(trigger, grad_tol)
-    cooldown = scfg.perturb.cooldown_iters
-    step_init = _auto_step0(cfg, X, scfg.armijo.step0)
-    n_pairs = cfg.n_pairs
-    rng = substream(scfg.seed, "perturb")
-    weight = cfg.hyper.reg_weight
-
-    trace = Trace()
-    bdown = obj.objective(X, cfg)
-    cum = 0
-    G = obj.gradient(X, cfg)
-    cum += n_pairs
-    gn = float(np.linalg.norm(G))
-    trace.append(0, bdown, weight, gn, 0.0, cum)
-
-    snapshot = None  # (X, bdown, final: bool, probe_start_iter)
-    last_attempt_end = -(10**9)
-    status = Status.MAX_ITERS
-    it = 0
-    t_prev = step_init
-    final_X, final_bdown, final_gn = X, bdown, gn
-
-    for it in range(1, scfg.max_iters + 1):
-        if snapshot is not None and it - snapshot[4] >= cooldown:
-            snap_X, snap_bdown, final, snap_t, _ = snapshot
-            if _escaped(snap_bdown.total, bdown.total):
-                snapshot = None  # escaped to a lower basin
-            else:
-                X, bdown, t_prev = snap_X, snap_bdown, snap_t
-                G = obj.gradient(X, cfg)
-                cum += n_pairs
-                gn = float(np.linalg.norm(G))
-                snapshot = None
-                last_attempt_end = it
-                if final:
-                    status = Status.GRAD_TOL
-                    final_X, final_bdown, final_gn = X, bdown, gn
-                    break
-
-        if snapshot is None and gn <= trigger and it - last_attempt_end >= cooldown:
-            is_final = gn <= grad_tol
-            snapshot = (X.copy(), bdown, is_final, t_prev, it)
-            X = X + _ball_perturbation(rng, X.shape, radius)
-            bdown = obj.objective(X, cfg)
-            G = obj.gradient(X, cfg)
-            cum += n_pairs
-            gn = float(np.linalg.norm(G))
-            trace.append(it, bdown, weight, gn, 0.0, cum)
-            final_X, final_bdown, final_gn = X, bdown, gn
-            continue
-
-        hit = _armijo_step(cfg, X, bdown, G, gn * gn, 2.0 * t_prev, scfg.armijo)
-        if hit is None:
-            if snapshot is not None:
-                snap_X, snap_bdown, final, snap_t, _ = snapshot
-                if _escaped(snap_bdown.total, bdown.total):
-                    # the probe already found a lower basin and bottomed out
-                    # there; a rollback would discard the escape
-                    status = Status.GRAD_TOL if gn <= grad_tol else Status.LINE_SEARCH_STALLED
-                    final_X, final_bdown, final_gn = X, bdown, gn
-                    break
-                # a perturbed iterate that cannot descend: roll back and decide
-                X, bdown, t_prev = snap_X, snap_bdown, snap_t
-                G = obj.gradient(X, cfg)
-                cum += n_pairs
-                gn = float(np.linalg.norm(G))
-                snapshot = None
-                last_attempt_end = it
-                if final:
-                    status = Status.GRAD_TOL
-                    final_X, final_bdown, final_gn = X, bdown, gn
-                    break
-                continue
-            status = Status.GRAD_TOL if gn <= grad_tol else Status.LINE_SEARCH_STALLED
-            final_X, final_bdown, final_gn = X, bdown, gn
-            break
-        t_prev, X, bdown = hit
-        G = obj.gradient(X, cfg)
-        cum += n_pairs
-        gn = float(np.linalg.norm(G))
-        trace.append(it, bdown, weight, gn, t_prev, cum)
-        final_X, final_bdown, final_gn = X, bdown, gn
-    else:
-        if gn <= grad_tol and snapshot is None:
-            status = Status.GRAD_TOL
-        final_X, final_bdown, final_gn = X, bdown, gn
-
-    return SolveResult(
-        X=final_X,
-        f=final_bdown.total,
-        grad_norm=final_gn,
-        status=status,
-        iterations=it,
-        trace=trace,
-        entry_grads=cum,
-    )
 
 
 _SOLVERS = {

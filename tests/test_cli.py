@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from mcland import cli
+from mcland import cli, solvers
 from mcland.instance import InstanceSpec
 
 
@@ -157,6 +157,27 @@ def test_solve_rejects_unknown_solver_method(tmp_path, capsys):
     assert "solver.method" in err
 
 
+def test_solver_block_parses_from_dataclass_fields(tmp_path, capsys):
+    parsed = cli._parse_solver({"solver": {"armijo": {}, "sgd": {}, "perturb": {}}})
+    assert parsed == solvers.SolverConfig()
+    for perturb, key in (({"cooldown_iters": True}, "cooldown_iters"), ({"bogus": 1}, "bogus")):
+        cfgp = _write(tmp_path, {"instance": _instance_block(), "solver": {"perturb": perturb}})
+        code, out, err = _run(capsys, ["solve", "--config", cfgp, "--out", str(tmp_path)])
+        assert code == 2
+        assert f"solver.perturb.{key}" in err
+
+
+@pytest.mark.parametrize("command", ["gen", "solve", "scan"])
+def test_zero_observation_probability_is_config_error(tmp_path, capsys, command):
+    payload = {"instance": _instance_block(p=0.0)}
+    if command == "scan":
+        payload["scan"] = {"n_starts": 1, "base_seed": 0}
+    cfgp = _write(tmp_path, payload)
+    code, out, err = _run(capsys, [command, "--config", cfgp, "--out", str(tmp_path)])
+    assert code == 2
+    assert "p must lie in (0, 1]" in err
+
+
 # ---------------------------------------------------------------------------
 # scan
 
@@ -212,6 +233,21 @@ def test_scan_assert_clean_fails_on_spurious_report(tmp_path, capsys):
     assert "spurious" in err
     kv = dict(line.split("=", 1) for line in out.strip().split("\n"))
     assert int(kv["SpuriousLocalMin"]) >= 1
+
+
+def test_scan_assert_clean_fails_on_crashed_starts(tmp_path, capsys, monkeypatch):
+    def boom(cfg, scfg, X0):
+        raise RuntimeError("synthetic solver failure")
+
+    monkeypatch.setattr(solvers, "solve", boom)
+    cfgp = _write(tmp_path, _scan_payload())
+    code, out, err = _run(
+        capsys, ["scan", "--config", cfgp, "--out", str(tmp_path), "--assert-clean"]
+    )
+    assert code == 1
+    assert "2 crashed start(s)" in err
+    rows = (tmp_path / "scan.csv").read_text().strip().split("\n")[1:]
+    assert len(rows) == 2 and all(row.split(",")[1] == "solver_error" for row in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -104,7 +104,8 @@ def test_mask_count_binomial_bound():
         mean = p * n_off + p * d
         # diagonal and off-diagonal are independent Bernoulli families
         sd = np.sqrt(p * (1 - p) * n_off + p * (1 - p) * d)
-        assert abs(m.n_unordered - mean) <= 4.0 * sd
+        n_unordered = (m.n_pairs + np.count_nonzero(m.rows == m.cols)) // 2
+        assert abs(n_unordered - mean) <= 4.0 * sd
 
 
 def test_mask_excludes_diagonal_when_asked():
@@ -128,7 +129,8 @@ def test_observe_values_symmetric():
     gt = sample_factor(20, 2, 1.0, 3)
     mask = sample_mask(20, 0.5, True, seed=5)
     obs = observe(gt, mask, 0.3, seed=6)
-    dense = obs.masked_matrix()
+    dense = np.zeros((20, 20))
+    dense[mask.rows, mask.cols] = obs.values
     assert np.array_equal(dense, dense.T)
 
 

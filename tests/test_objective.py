@@ -12,9 +12,9 @@ from mcland.objective import (
     min_hessian_eig,
     objective,
     reg_gradient,
-    reg_row,
     regularizer,
 )
+from mcland.objective import _reg_hess_quad
 
 from conftest import (
     brute_objective,
@@ -31,22 +31,23 @@ from conftest import (
 # row penalty
 
 
+def _row_penalty(t, alpha):
+    """rho(t) with its first two derivatives, read off a one-row factor [[t]]."""
+    X = np.array([[t]])
+    V = np.ones((1, 1))
+    return regularizer(X, alpha), float(reg_gradient(X, alpha)[0, 0]), _reg_hess_quad(X, V, alpha)
+
+
 def test_reg_row_inactive_below_threshold():
     for t in (0.0, 0.3, 0.999, 1.0):
-        row = reg_row(t, 1.0)
-        assert (row.value, row.d1, row.d2) == (0.0, 0.0, 0.0)
+        assert _row_penalty(t, 1.0) == (0.0, 0.0, 0.0)
 
 
 def test_reg_row_unit_overshoot():
-    row = reg_row(2.0, 1.0)
-    assert row.value == pytest.approx(1.0, abs=1e-14)
-    assert row.d1 == pytest.approx(4.0, abs=1e-14)
-    assert row.d2 == pytest.approx(12.0, abs=1e-14)
-
-
-def test_reg_row_rejects_negative_norm():
-    with pytest.raises(ValueError):
-        reg_row(-0.1, 1.0)
+    value, d1, d2 = _row_penalty(2.0, 1.0)
+    assert value == pytest.approx(1.0, abs=1e-14)
+    assert d1 == pytest.approx(4.0, abs=1e-14)
+    assert d2 == pytest.approx(12.0, abs=1e-14)
 
 
 @given(
@@ -56,11 +57,11 @@ def test_reg_row_rejects_negative_norm():
 @settings(max_examples=50, deadline=None)
 def test_reg_row_first_derivative_matches_fd(t, alpha):
     h = 1e-5
-    row = reg_row(t, alpha)
-    fd = (reg_row(t + h, alpha).value - reg_row(max(t - h, 0.0), alpha).value) / (
+    _, d1, _ = _row_penalty(t, alpha)
+    fd = (_row_penalty(t + h, alpha)[0] - _row_penalty(max(t - h, 0.0), alpha)[0]) / (
         h + min(t, h)
     )
-    assert row.d1 == pytest.approx(fd, abs=5e-4)
+    assert d1 == pytest.approx(fd, abs=5e-4)
 
 
 def test_regularizer_zero_inside_ball(rng):
@@ -189,7 +190,7 @@ def test_rank1_stationary_points_are_eigenvectors(rng):
     cfg = ObjectiveConfig(
         HyperParams(alpha=cfg0.hyper.alpha, reg_weight=0.0, tau=0.0), obs
     )
-    M = obs.masked_matrix()
+    M = gt.gram()  # the mask is full and noiseless
     for _ in range(4):
         x = rng.normal(size=(10, 1))
         lhs = float(np.linalg.norm(M @ x - float(x[:, 0] @ x[:, 0]) * x))
@@ -322,9 +323,10 @@ def test_min_eig_matches_dense_at_random_points(rng):
 
 def test_min_eig_zero_operator():
     from mcland.instance import Observation
-    from mcland.linalg import empty_mask
+    from mcland.linalg import ObservationMask
 
-    obs = Observation(mask=empty_mask(5), values=np.zeros(0), sigma=0.0, p=0.0)
+    mask = ObservationMask(d=5, rows=[], cols=[], p=0.0)
+    obs = Observation(mask=mask, values=np.zeros(0), sigma=0.0, p=0.0)
     cfg = ObjectiveConfig(HyperParams(alpha=10.0, reg_weight=1.0, tau=0.0), obs)
     eig = min_hessian_eig(np.zeros((5, 1)), cfg)
     assert eig.lambda_min == 0.0

@@ -235,6 +235,30 @@ def test_perturbed_gd_deterministic_given_seed():
     assert a.iterations == b.iterations
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_perturbed_gd_last_trace_row_is_the_result(seed):
+    # every one of these runs ends in a rollback to its saved point
+    gt, obs, cfg = make_problem(30, 2, seed=seed, p=0.5)
+    scfg = SolverConfig(method=Method.PERTURBED_GD, seed=seed)
+    res = perturbed_gd(cfg, scfg, random_init(30, 2, obs, seed))
+    trace = res.trace
+    assert trace.f[-1] == res.f
+    assert trace.grad_norm[-1] == res.grad_norm
+    assert trace.cum_entry_grads[-1] == res.entry_grads
+
+
+def test_perturbed_gd_rollback_restores_saved_point():
+    gt, obs, cfg = make_problem(20, 2, seed=13, p=0.8)
+    res = perturbed_gd(cfg, SolverConfig(method=Method.PERTURBED_GD, seed=1), random_init(20, 2, obs, 3))
+    t = res.trace
+    # the run ends on a rollback row (step 0) that repeats an earlier point
+    # exactly, without a new gradient evaluation
+    assert t.step[-1] == 0.0
+    assert t.cum_entry_grads[-1] == t.cum_entry_grads[-2]
+    earlier = [k for k in range(len(t) - 1) if (t.f[k], t.grad_norm[k]) == (t.f[-1], t.grad_norm[-1])]
+    assert earlier
+
+
 def test_solve_dispatches_by_method():
     gt, obs, cfg = make_problem(10, 1, seed=15, p=0.8)
     X0 = random_init(10, 1, obs, 7)
