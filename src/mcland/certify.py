@@ -57,6 +57,20 @@ class CertTolerances:
     global_rel: float = 1e-2
 
 
+def default_global_rel(gt, obs, noiseless):
+    """Relative recovery radius counted as global on this instance.
+
+    `noiseless` when sigma = 0; with noise the endpoint can only be as close
+    as the noise floor allows, so the radius is
+    max(1e-2, 2 sigma sqrt(d ln d / p) / ||Z Z^T||_F).
+    """
+    if obs.sigma == 0:
+        return noiseless
+    d = obs.d
+    gram_scale = float(np.linalg.norm(gt.factor.T @ gt.factor))  # = ||Z Z^T||_F
+    return max(1e-2, 2.0 * obs.sigma * math.sqrt(d * math.log(d) / obs.p) / gram_scale)
+
+
 @dataclass(frozen=True)
 class RecoveryError:
     gram_fro: float             # ||X X^T - Z Z^T||_F
@@ -148,8 +162,8 @@ def certify_point(X, cfg, gt=None, tols=None):
     """
     X = np.asarray(X, dtype=float)
     tols = tols or CertTolerances()
-    bdown = obj.objective(X, cfg)
-    gn = float(np.linalg.norm(obj.gradient(X, cfg)))
+    bdown, G = obj.value_and_gradient(X, cfg)
+    gn = float(np.linalg.norm(G))
     stat_tol = tols.stationary if tols.stationary is not None else 1e-6 * (1.0 + abs(bdown.total))
     eig = obj.min_hessian_eig(X, cfg)
     if tols.tau is not None:
@@ -211,6 +225,7 @@ class ScanRow:
     sigma_min_ok: bool | None
     rank1_norm_ok: bool | None
     classification: PointClass
+    error: str | None = None  # "<ExcType>: <message>" of a crashed start; not in scan.csv
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,7 +264,7 @@ def _scan_one(index, gt, obs, cfg, scfg, base_seed, tols, rank):
             rank1_norm_ok=rep.rank1_norm_ok,
             classification=rep.classification,
         )
-    except Exception:
+    except Exception as exc:
         # a failed start is reported, never allowed to abort the scan
         return ScanRow(
             start_seed=seed_k,
@@ -263,6 +278,7 @@ def _scan_one(index, gt, obs, cfg, scfg, base_seed, tols, rank):
             sigma_min_ok=None,
             rank1_norm_ok=None,
             classification=PointClass.NOT_STATIONARY,
+            error=f"{type(exc).__name__}: {exc}",
         )
 
 

@@ -22,7 +22,14 @@ from enum import Enum
 from pathlib import Path
 
 from . import solvers
-from .certify import CertTolerances, PointClass, certify_point, landscape_scan, scan_to_csv
+from .certify import (
+    CertTolerances,
+    PointClass,
+    certify_point,
+    default_global_rel,
+    landscape_scan,
+    scan_to_csv,
+)
 from .concentration import ConcentrationTrial, fit_scaling, run_concentration, trials_to_csv
 from .instance import InstanceSpec, default_hyperparams, HyperParams
 from .objective import ObjectiveConfig
@@ -167,11 +174,11 @@ def _parse_scan(cfg):
     block = _block(cfg, "scan")
     n_starts = _get(block, "scan", "n_starts", int)
     base_seed = _get(block, "scan", "base_seed", int)
-    global_rel = _get(block, "scan", "global_rel", float, default=1e-2)
+    global_rel = _get(block, "scan", "global_rel", float, default=None)
     _check_empty(block, "scan")
     if n_starts < 1:
         raise ConfigError("'scan.n_starts' must be >= 1")
-    return n_starts, base_seed, CertTolerances(global_rel=global_rel)
+    return n_starts, base_seed, global_rel
 
 
 def _parse_concentration(cfg):
@@ -217,7 +224,7 @@ def cmd_solve(cfg, out_dir, threads):
     ocfg = ObjectiveConfig(hyper, obs)
     X0 = solvers.random_init(spec.d, spec.r, obs, scfg.seed)
     res = solvers.solve(ocfg, scfg, X0)
-    tols = CertTolerances(global_rel=1e-3 if spec.sigma == 0 else 1e-2)
+    tols = CertTolerances(global_rel=default_global_rel(gt, obs, noiseless=1e-3))
     rep = certify_point(res.X, ocfg, gt, tols)
     with open(out_dir / "trace.csv", "w", newline="") as fh:
         solvers.trace_to_csv(res.trace, fh)
@@ -238,8 +245,11 @@ def cmd_scan(cfg, out_dir, threads, assert_clean=False):
         raise ConfigError(str(exc)) from exc
     hyper = _parse_hyper(cfg, gt, spec.p)
     scfg = _parse_solver(cfg)
-    n_starts, base_seed, tols = _parse_scan(cfg)
+    n_starts, base_seed, global_rel = _parse_scan(cfg)
     _check_empty(cfg, "config")
+    if global_rel is None:
+        global_rel = default_global_rel(gt, obs, noiseless=1e-2)
+    tols = CertTolerances(global_rel=global_rel)
     summary = landscape_scan(
         gt, obs, hyper, scfg, n_starts=n_starts, base_seed=base_seed, tols=tols, threads=threads
     )
@@ -248,11 +258,13 @@ def cmd_scan(cfg, out_dir, threads, assert_clean=False):
     for cls in PointClass:
         print(f"{cls.value}={summary.counts[cls]}")
     print(f"worst_recovery={_fmt(summary.worst_recovery)}")
+    crashed = [row for row in summary.rows if row.error is not None]
+    for row in crashed:
+        print(f"start {row.start_seed} crashed: {row.error}", file=sys.stderr)
     spurious = summary.counts[PointClass.SPURIOUS_LOCAL_MIN]
-    crashed = sum(row.status == "solver_error" for row in summary.rows)
     if assert_clean and (spurious or crashed):
         print(
-            f"assert-clean failed: {spurious} spurious endpoint(s), {crashed} crashed start(s)",
+            f"assert-clean failed: {spurious} spurious endpoint(s), {len(crashed)} crashed start(s)",
             file=sys.stderr,
         )
         return 1

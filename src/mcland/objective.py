@@ -6,12 +6,19 @@ The objective on a d x r factor X is
            + weight * sum_i rho(||X_i||)
 
 with rho(t) = (t - alpha)^4 for t >= alpha and 0 below: a quartic hinge on
-row norms that is twice continuously differentiable everywhere.  Sums run
-over stored ordered pairs, so an observed off-diagonal entry contributes
-twice and a diagonal entry once.
+row norms that is twice continuously differentiable everywhere.  The data
+sum runs over ordered pairs, so an observed off-diagonal entry counts twice
+and a diagonal entry once.  The kernels visit each observed entry once: they
+store the unordered pairs i <= j with a weight of 2 off the diagonal and 1 on
+it, and `pair_gram`, `residuals` and `masked_matmul` take or return one value
+per unordered pair, gathering X one column at a time.
 
-Evaluation touches only observed Gram entries (cost O(n_pairs * r + d * r));
-the masked residual is applied through a precomputed CSR layout.
+Evaluation touches only observed Gram entries (cost O(n_pairs * r + d * r)).
+Masked residuals are applied through the full symmetric CSR pattern of the
+mask, filled from the unordered values by a precomputed slot map.
+`value_and_gradient` shares one residual pass between value and gradient;
+`hessian_operator` computes the residuals, their CSR matrix and the gathered
+columns of X once per point and returns the Hessian-vector product at it.
 """
 
 from dataclasses import dataclass
@@ -35,36 +42,53 @@ class ObjectiveConfig:
         self.hyper = hyper
         self.obs = obs
         mask = obs.mask
-        self.d = mask.d
+        d = self.d = mask.d
+        # ordered pairs, lexicographically sorted by the mask: the CSR order
         self._rows = mask.rows
         self._cols = mask.cols
         self._vals = obs.values
-        # CSR layout of the mask: pair k lands at data slot _slot[k]
-        order = np.lexsort((self._cols, self._rows))
-        counts = np.bincount(self._rows, minlength=self.d)
-        self._indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        self._indices = self._cols[order].astype(np.int64)
-        self._order = order
+        upper = self._rows <= self._cols
+        self._iu = self._rows[upper]
+        self._ju = self._cols[upper]
+        self._uvals = self._vals[upper]
+        self._w = np.where(self._iu == self._ju, 1.0, 2.0)
+        # ordered pair k takes the value of unordered pair _slot[k]
+        lo = np.minimum(self._rows, self._cols)
+        hi = np.maximum(self._rows, self._cols)
+        self._slot = np.searchsorted(self._iu * d + self._ju, lo * d + hi)
+        # 32-bit indices where they fit: scipy would otherwise downcast a copy per call
+        idx = np.int32 if max(d, self._rows.size) < 2**31 else np.int64
+        counts = np.bincount(self._rows, minlength=d)
+        self._indptr = np.concatenate([[0], np.cumsum(counts)]).astype(idx)
+        self._indices = self._cols.astype(idx)
 
     @property
     def n_pairs(self):
+        """Number of stored ordered pairs."""
         return self._rows.size
 
     def pair_gram(self, X):
-        """<X_i, X_j> for every stored ordered pair (i, j)."""
-        return np.einsum("ij,ij->i", X[self._rows], X[self._cols])
+        """<X_i, X_j> for every observed unordered pair i <= j."""
+        iu, ju = self._iu, self._ju
+        cols = np.ascontiguousarray(X.T)
+        g = cols[0][iu] * cols[0][ju]
+        for x in cols[1:]:
+            g += x[iu] * x[ju]
+        return g
 
     def residuals(self, X):
-        """M_ij - <X_i, X_j> on the mask."""
-        return self._vals - self.pair_gram(X)
+        """M_ij - <X_i, X_j> on the observed unordered pairs."""
+        return self._uvals - self.pair_gram(X)
+
+    def _masked_matrix(self, pair_values):
+        # symmetric CSR matrix carrying `pair_values` (one per unordered pair) on the mask
+        return sparse.csr_matrix(
+            (pair_values[self._slot], self._indices, self._indptr), shape=(self.d, self.d)
+        )
 
     def masked_matmul(self, pair_values, Y):
-        """(P_Omega(A) @ Y) where A carries `pair_values` on the mask."""
-        A = sparse.csr_matrix(
-            (pair_values[self._order], self._indices, self._indptr),
-            shape=(self.d, self.d),
-        )
-        return A @ Y
+        """(P_Omega(A) @ Y) where symmetric A carries `pair_values` on the unordered pairs."""
+        return self._masked_matrix(pair_values) @ Y
 
 
 def _row_norms(X):
@@ -94,36 +118,37 @@ def reg_gradient(X, alpha):
     return G
 
 
-def _reg_hess_terms(X, V, alpha):
-    """Setup shared by the penalty curvature terms: None when no row is active,
-    else (active rows, unit rows u, <V_i, u_i>, d1/t, d2) on the active rows."""
+def _reg_hess_terms(X, alpha):
+    """Per-point setup of the penalty curvature: None when no row is active,
+    else (active rows, unit rows u, d1/t, d2) on the active rows."""
     t = _row_norms(X)
     e = _hinge(t, alpha)
     act = e > 0.0
     if not np.any(act):
         return None
     u = X[act] / t[act][:, None]
-    proj = np.einsum("ij,ij->i", V[act], u)
     d1_over_t = 4.0 * e[act] ** 3 / t[act]
     d2 = 12.0 * e[act] ** 2
-    return act, u, proj, d1_over_t, d2
+    return act, u, d1_over_t, d2
 
 
-def _reg_hess_apply(X, V, alpha):
-    """(d^2 R)[V] rowwise: d2 on the radial component, d1/t on the tangential."""
+def _reg_hess_apply(terms, V):
+    """(d^2 R)[V] rowwise from `_reg_hess_terms`: d2 on the radial component,
+    d1/t on the tangential."""
     out = np.zeros_like(V)
-    terms = _reg_hess_terms(X, V, alpha)
     if terms is not None:
-        act, u, proj, d1_over_t, d2 = terms
+        act, u, d1_over_t, d2 = terms
+        proj = np.einsum("ij,ij->i", V[act], u)
         out[act] = (d2 * proj)[:, None] * u + d1_over_t[:, None] * (V[act] - proj[:, None] * u)
     return out
 
 
 def _reg_hess_quad(X, V, alpha):
-    terms = _reg_hess_terms(X, V, alpha)
+    terms = _reg_hess_terms(X, alpha)
     if terms is None:
         return 0.0
-    act, u, proj, d1_over_t, d2 = terms
+    act, u, d1_over_t, d2 = terms
+    proj = np.einsum("ij,ij->i", V[act], u)
     vsq = (V[act] * V[act]).sum(axis=1)
     return float(np.sum(d2 * proj**2 + d1_over_t * (vsq - proj**2)))
 
@@ -137,80 +162,117 @@ class EvalBreakdown:
 
 def _check_factor(X, cfg):
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] != cfg.d:
+    if X.ndim != 2 or X.shape[0] != cfg.d or X.shape[1] < 1:
         raise ValueError(f"dimension mismatch: factor shape {X.shape}, instance has d={cfg.d}")
     return X
 
 
-def objective(X, cfg):
-    """Objective value split into data and penalty terms."""
-    X = _check_factor(X, cfg)
-    resid = cfg.residuals(X)
-    data = 0.5 * float(resid @ resid)
+def _check_direction(V, X):
+    V = np.asarray(V, dtype=float)
+    if V.shape != X.shape:
+        raise ValueError(f"dimension mismatch: V is {V.shape}, X is {X.shape}")
+    return V
+
+
+def _breakdown(X, resid, cfg):
+    data = 0.5 * float((cfg._w * resid) @ resid)
     reg = regularizer(X, cfg.hyper.alpha)
     return EvalBreakdown(data_term=data, reg_term=reg, total=data + cfg.hyper.reg_weight * reg)
 
 
-def gradient(X, cfg):
-    """d x r gradient: -2 P_Omega(residual) X plus the weighted penalty gradient."""
-    X = _check_factor(X, cfg)
-    resid = cfg.residuals(X)
+def _gradient(X, resid, cfg):
     G = -2.0 * cfg.masked_matmul(resid, X)
     if cfg.hyper.reg_weight > 0:
         G += cfg.hyper.reg_weight * reg_gradient(X, cfg.hyper.alpha)
     return G
 
 
+def objective(X, cfg):
+    """Objective value split into data and penalty terms."""
+    X = _check_factor(X, cfg)
+    return _breakdown(X, cfg.residuals(X), cfg)
+
+
+def gradient(X, cfg):
+    """d x r gradient: -2 P_Omega(residual) X plus the weighted penalty gradient."""
+    X = _check_factor(X, cfg)
+    return _gradient(X, cfg.residuals(X), cfg)
+
+
+def value_and_gradient(X, cfg):
+    """(objective(X, cfg), gradient(X, cfg)) from one residual pass; the same floats."""
+    X = _check_factor(X, cfg)
+    resid = cfg.residuals(X)
+    return _breakdown(X, resid, cfg), _gradient(X, resid, cfg)
+
+
 def hessian_quadratic(X, V, cfg):
     """Second directional derivative <V, d^2 f(X)[V]>, assembled from pair sums.
 
     Equals ||P_Omega(V X^T + X V^T)||_F^2 - 2 <P_Omega(residual), V V^T>
-    plus the penalty curvature; computed directly from per-pair scalars,
-    independently of `hessian_vecprod`.
+    plus the penalty curvature; computed directly from per-pair scalars over
+    the ordered pairs of the mask, independently of `hessian_operator`.
     """
     X = _check_factor(X, cfg)
-    V = np.asarray(V, dtype=float)
-    if V.shape != X.shape:
-        raise ValueError(f"dimension mismatch: V is {V.shape}, X is {X.shape}")
+    V = _check_direction(V, X)
     rows, cols = cfg._rows, cfg._cols
     s = np.einsum("ij,ij->i", V[rows], X[cols]) + np.einsum("ij,ij->i", X[rows], V[cols])
     vv = np.einsum("ij,ij->i", V[rows], V[cols])
-    resid = cfg.residuals(X)
+    resid = cfg._vals - np.einsum("ij,ij->i", X[rows], X[cols])
     quad = float(s @ s) - 2.0 * float(resid @ vv)
     if cfg.hyper.reg_weight > 0:
         quad += cfg.hyper.reg_weight * _reg_hess_quad(X, V, cfg.hyper.alpha)
     return quad
 
 
-def hessian_vecprod(X, V, cfg):
-    """Matrix-free Hessian application d^2 f(X)[V], a d x r array.
+def hessian_operator(X, cfg):
+    """The matrix-free Hessian at X, as a function V -> d^2 f(X)[V] (d x r).
 
     H[V] = 2 P_Omega(V X^T + X V^T) X - 2 P_Omega(residual) V + penalty part.
-    Self-adjoint, and <V, H[V]> agrees with `hessian_quadratic` to rounding.
+    The residuals, their CSR matrix, the gathered columns of X and the
+    penalty setup are computed once here and shared by every application;
+    nothing is stored on `cfg`.  Self-adjoint, and <V, H[V]> agrees with
+    `hessian_quadratic` to rounding.
     """
     X = _check_factor(X, cfg)
-    V = np.asarray(V, dtype=float)
-    if V.shape != X.shape:
-        raise ValueError(f"dimension mismatch: V is {V.shape}, X is {X.shape}")
-    rows, cols = cfg._rows, cfg._cols
-    s = np.einsum("ij,ij->i", V[rows], X[cols]) + np.einsum("ij,ij->i", X[rows], V[cols])
-    resid = cfg.residuals(X)
-    HV = 2.0 * cfg.masked_matmul(s, X) - 2.0 * cfg.masked_matmul(resid, V)
-    if cfg.hyper.reg_weight > 0:
-        HV += cfg.hyper.reg_weight * _reg_hess_apply(X, V, cfg.hyper.alpha)
-    return HV
+    iu, ju = cfg._iu, cfg._ju
+    R = cfg._masked_matrix(cfg.residuals(X))
+    cols = np.ascontiguousarray(X.T)
+    xi = [x[iu] for x in cols]
+    xj = [x[ju] for x in cols]
+    weight = cfg.hyper.reg_weight
+    reg_terms = _reg_hess_terms(X, cfg.hyper.alpha) if weight > 0 else None
+
+    def apply(V):
+        V = _check_direction(V, X)
+        vt = np.ascontiguousarray(V.T)
+        s = vt[0][iu] * xj[0] + xi[0] * vt[0][ju]
+        for v, a, b in zip(vt[1:], xi[1:], xj[1:]):
+            s += v[iu] * b + a * v[ju]
+        HV = 2.0 * cfg.masked_matmul(s, X) - 2.0 * (R @ V)
+        if weight > 0:
+            HV += weight * _reg_hess_apply(reg_terms, V)
+        return HV
+
+    return apply
+
+
+def hessian_vecprod(X, V, cfg):
+    """Matrix-free Hessian application d^2 f(X)[V]; see `hessian_operator`."""
+    return hessian_operator(X, cfg)(V)
 
 
 def operator_norm_estimate(X, cfg, iters=80, rel_tol=1e-3):
     """Power-iteration estimate of the Hessian operator norm at X."""
     X = _check_factor(X, cfg)
+    H = hessian_operator(X, cfg)
     d, r = X.shape
     rng = substream(_EIG_SEED, "opnorm", d, r)
     v = rng.standard_normal((d, r))
     v /= np.linalg.norm(v)
     est = 0.0
     for _ in range(iters):
-        w = hessian_vecprod(X, v, cfg)
+        w = H(v)
         nw = float(np.linalg.norm(w))
         if nw == 0.0:
             return 0.0
@@ -256,6 +318,7 @@ def min_hessian_eig(X, cfg, tol=None):
         witness[0, 0] = 1.0
         return EigResult(lambda_min=0.0, witness=witness, converged=True, iterations=0, op_norm=0.0)
 
+    H = hessian_operator(X, cfg)
     c = 1.1 * op + tol  # keep c above lambda_max even if the estimate is a bit low
     rng = substream(_EIG_SEED, "mineig", d, r)
     v = rng.standard_normal((d, r))
@@ -266,7 +329,7 @@ def min_hessian_eig(X, cfg, tol=None):
     converged = False
     used = 0
     for k in range(cap):
-        Hv = hessian_vecprod(X, v, cfg)
+        Hv = H(v)
         used = k + 1
         rayleigh = float(np.sum(v * Hv))
         resid = float(np.linalg.norm(Hv - rayleigh * v))

@@ -211,9 +211,8 @@ def _start(cfg, scfg, X0, cum):
     entry gradients.  Returns (X, bdown, G, grad_norm, grad_tol, trace).
     """
     X = np.array(X0, dtype=float)
-    bdown = obj.objective(X, cfg)
+    bdown, G = obj.value_and_gradient(X, cfg)
     grad_tol = scfg.grad_tol if scfg.grad_tol is not None else 1e-8 * (1.0 + bdown.total)
-    G = obj.gradient(X, cfg)
     gn = float(np.linalg.norm(G))
     trace = Trace()
     trace.append(0, bdown, cfg.hyper.reg_weight, gn, 0.0, cum)
@@ -294,8 +293,7 @@ def _descend(cfg, scfg, X0, perturb):
             if perturb is not None and probe is None and gn <= trigger and it - last_end >= cooldown:
                 probe = _Probe(X, bdown, G, gn, t_prev, it, gn <= grad_tol)
                 X = X + _ball_perturbation(rng, X.shape, radius)
-                bdown = obj.objective(X, cfg)
-                G = obj.gradient(X, cfg)
+                bdown, G = obj.value_and_gradient(X, cfg)
                 cum += n_pairs
                 gn = float(np.linalg.norm(G))
                 trace.append(it, bdown, weight, gn, 0.0, cum)
@@ -393,8 +391,8 @@ def sgd(cfg, scfg, X0):
         G = stochastic_gradient(X, cfg, rng, batch)
         cum += batch
         X = X - step * G
-        bdown = obj.objective(X, cfg)
-        gn = float(np.linalg.norm(obj.gradient(X, cfg)))
+        bdown, G = obj.value_and_gradient(X, cfg)
+        gn = float(np.linalg.norm(G))
         trace.append(it, bdown, weight, gn, step, cum)
     return _result(X, bdown, gn, grad_tol, trace, cum)
 

@@ -6,6 +6,7 @@ from mcland.certify import (
     PointClass,
     SCAN_COLUMNS,
     certify_point,
+    default_global_rel,
     incoherence_certificate,
     landscape_scan,
     norm_certificates,
@@ -140,6 +141,18 @@ def test_tight_radius_marks_noise_floor_spurious():
     assert loose.classification is PointClass.GLOBAL_MIN
 
 
+def test_default_radius_follows_the_noise_floor():
+    gt, obs, _ = make_problem(100, 3, seed=7, p=0.5)
+    assert default_global_rel(gt, obs, noiseless=1e-3) == 1e-3
+    scale = float(np.linalg.norm(gt.gram()))  # ||Z Z^T||_F
+    _, noisy, _ = make_problem(100, 3, seed=7, p=0.5, sigma=0.01)
+    floor = 2.0 * 0.01 * np.sqrt(100 * np.log(100) / 0.5) / scale
+    assert floor > 0.3
+    assert default_global_rel(gt, noisy, noiseless=1e-3) == pytest.approx(floor, rel=1e-12)
+    _, faint, _ = make_problem(100, 3, seed=7, p=0.5, sigma=1e-6)
+    assert default_global_rel(gt, faint, noiseless=1e-3) == 1e-2
+
+
 def test_stationary_tolerance_override():
     gt, obs, cfg = make_problem(15, 1, seed=15)
     rep = certify_point(gt.factor, cfg, gt, CertTolerances(stationary=1e300))
@@ -166,6 +179,7 @@ def test_scan_finds_only_global_minima():
     assert summary.counts[PointClass.SPURIOUS_LOCAL_MIN] == 0
     assert summary.worst_recovery <= 1e-6
     assert sum(summary.counts.values()) == summary.n_starts
+    assert all(row.error is None for row in summary.rows)
 
 
 def test_scan_partial_observations_stay_clean():
@@ -198,6 +212,7 @@ def test_scan_survives_failing_starts():
         gt, obs, cfg.hyper, SolverConfig(), n_starts=3, base_seed=1, rank=11
     )
     assert all(r.status == "solver_error" for r in summary.rows)
+    assert all(r.error.startswith("ValueError: need 1 <= r <= d") for r in summary.rows)
     assert summary.counts[PointClass.NOT_STATIONARY] == 3
     assert np.isnan(summary.worst_recovery)
 

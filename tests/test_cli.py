@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mcland import cli, solvers
+from mcland.certify import SCAN_COLUMNS
 from mcland.instance import InstanceSpec
 
 
@@ -178,6 +179,22 @@ def test_zero_observation_probability_is_config_error(tmp_path, capsys, command)
     assert "p must lie in (0, 1]" in err
 
 
+def test_solve_noisy_endpoint_at_noise_floor_is_global_min(tmp_path, capsys):
+    # the common minimum of a noisy instance sits ~0.19 ||ZZ^T||_F from the
+    # truth; the default radius scales with sigma, so it is not spurious
+    payload = {
+        "instance": {"d": 100, "r": 3, "seed": 7, "p": 0.5, "sigma": 0.01},
+        "solver": {"seed": 2},
+    }
+    cfgp = _write(tmp_path, payload)
+    code, out, err = _run(capsys, ["solve", "--config", cfgp, "--out", str(tmp_path)])
+    assert code == 0, err
+    kv = dict(line.split("=", 1) for line in out.strip().split("\n"))
+    assert kv["status"] == "grad_tol_reached"
+    assert float(kv["recovery_fro"]) > 0.1
+    assert kv["classification"] == "GlobalMin"
+
+
 # ---------------------------------------------------------------------------
 # scan
 
@@ -248,6 +265,22 @@ def test_scan_assert_clean_fails_on_crashed_starts(tmp_path, capsys, monkeypatch
     assert "2 crashed start(s)" in err
     rows = (tmp_path / "scan.csv").read_text().strip().split("\n")[1:]
     assert len(rows) == 2 and all(row.split(",")[1] == "solver_error" for row in rows)
+
+
+def test_scan_reports_crash_cause_on_stderr(tmp_path, capsys, monkeypatch):
+    def boom(cfg, scfg, X0):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(solvers, "solve", boom)
+    cfgp = _write(tmp_path, _scan_payload())
+    code, out, err = _run(capsys, ["scan", "--config", cfgp, "--out", str(tmp_path)])
+    assert code == 0
+    crash_lines = [line for line in err.splitlines() if "crashed" in line]
+    assert len(crash_lines) == 2
+    assert all("RuntimeError: boom" in line for line in crash_lines)
+    header = (tmp_path / "scan.csv").read_text().split("\n")[0]
+    assert header == ",".join(SCAN_COLUMNS)
+    assert "boom" not in (tmp_path / "scan.csv").read_text()
 
 
 # ---------------------------------------------------------------------------

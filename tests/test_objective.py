@@ -2,17 +2,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mcland.instance import GroundTruth, HyperParams, observe
+from mcland.instance import GroundTruth, HyperParams, InstanceSpec, observe
 from mcland.linalg import full_mask
 from mcland.objective import (
     ObjectiveConfig,
     gradient,
+    hessian_operator,
     hessian_quadratic,
     hessian_vecprod,
     min_hessian_eig,
     objective,
     reg_gradient,
     regularizer,
+    value_and_gradient,
 )
 from mcland.objective import _reg_hess_quad
 
@@ -331,3 +333,78 @@ def test_min_eig_zero_operator():
     eig = min_hessian_eig(np.zeros((5, 1)), cfg)
     assert eig.lambda_min == 0.0
     assert eig.converged
+
+
+# ---------------------------------------------------------------------------
+# pair kernels on unordered pairs, against oracles over every mask shape
+
+# (d, r, p, include_diagonal): partial masks with and without the diagonal,
+# full masks, an empty mask and d = 1
+KERNEL_CASES = [
+    (12, 1, 0.6, True),
+    (12, 3, 0.6, True),
+    (12, 3, 0.6, False),
+    (10, 3, 1.0, True),
+    (10, 1, 1.0, False),
+    (8, 3, 0.0, True),
+    (1, 1, 1.0, True),
+    (1, 1, 1.0, False),
+]
+
+
+def _kernel_problem(d, r, p, include_diagonal, seed=40):
+    spec = InstanceSpec(d=d, r=r, seed=seed, p=p, sigma=0.1, include_diagonal=include_diagonal)
+    _, obs = spec.regenerate()
+    rng = np.random.default_rng(seed + 13 * d + r)
+    X = rng.normal(size=(d, r))
+    V = rng.normal(size=(d, r))
+    # about half the rows above alpha, so the penalty terms are exercised
+    alpha = 0.9 * float(np.median(np.linalg.norm(X, axis=1)))
+    cfg = ObjectiveConfig(HyperParams(alpha=alpha, reg_weight=0.3, tau=0.0), obs)
+    return cfg, X, V
+
+
+def _dense_masked(cfg, X):
+    """Indicator matrix and the observed matrix (zero off the mask), both dense."""
+    mask = cfg.obs.mask
+    M = np.zeros((cfg.d, cfg.d))
+    M[mask.rows, mask.cols] = cfg.obs.values
+    return mask.indicator(), M
+
+
+@pytest.mark.parametrize("d,r,p,include_diagonal", KERNEL_CASES)
+def test_kernels_match_oracles(d, r, p, include_diagonal):
+    cfg, X, V = _kernel_problem(d, r, p, include_diagonal)
+    w = cfg.hyper.reg_weight
+    ind, M = _dense_masked(cfg, X)
+    assert objective(X, cfg).total == pytest.approx(brute_objective(X, cfg), rel=1e-12, abs=1e-14)
+
+    G = gradient(X, cfg)
+    R = ind * (M - X @ X.T)
+    scale = 1.0 + float(np.abs(G).max())
+    assert np.allclose(G, -2.0 * R @ X + w * reg_gradient(X, cfg.hyper.alpha), rtol=0, atol=1e-12 * scale)
+    fd = fd_gradient(lambda Y: objective(Y, cfg).total, X)
+    assert np.allclose(G, fd, rtol=0, atol=1e-5 * scale)
+
+    HV = hessian_operator(X, cfg)(V)
+    h = 1e-6
+    reg_part = (reg_gradient(X + h * V, cfg.hyper.alpha) - reg_gradient(X - h * V, cfg.hyper.alpha)) / (2 * h)
+    dense = 2.0 * (ind * (V @ X.T + X @ V.T)) @ X - 2.0 * R @ V + w * reg_part
+    assert np.allclose(HV, dense, rtol=0, atol=1e-6 * (1.0 + float(np.abs(dense).max())))
+
+
+@pytest.mark.parametrize("d,r,p,include_diagonal", KERNEL_CASES)
+def test_fused_and_per_point_kernels_are_bit_identical(d, r, p, include_diagonal):
+    cfg, X, V = _kernel_problem(d, r, p, include_diagonal)
+    bdown, G = value_and_gradient(X, cfg)
+    assert bdown == objective(X, cfg)
+    assert np.array_equal(G, gradient(X, cfg))
+    H = hessian_operator(X, cfg)
+    for U in (V, 2.0 * V + 1.0):
+        assert np.array_equal(H(U), hessian_vecprod(X, U, cfg))
+
+
+def test_hessian_operator_rejects_wrong_direction_shape():
+    cfg, X, V = _kernel_problem(12, 3, 0.6, True)
+    with pytest.raises(ValueError, match="dimension"):
+        hessian_operator(X, cfg)(V[:, :2])
