@@ -41,6 +41,7 @@ class PointClass(str, Enum):
     SPURIOUS_LOCAL_MIN = "SpuriousLocalMin"
     NOT_STATIONARY = "NotStationary"
     SECOND_ORDER_STATIONARY = "SecondOrderStationary"  # no ground truth available
+    UNCERTIFIED = "Uncertified"  # stationary, but the eigensolve did not converge
 
 
 @dataclass(frozen=True)
@@ -158,7 +159,10 @@ def certify_point(X, cfg, gt=None, tols=None):
 
     With ground truth: GlobalMin / StrictSaddle / SpuriousLocalMin /
     NotStationary.  Without it the positive classes collapse to
-    SecondOrderStationary and recovery fields are None.
+    SecondOrderStationary and recovery fields are None.  A stationary point
+    whose eigensolve did not converge is Uncertified instead of a positive
+    class, since its lambda_min is only an upper bound; StrictSaddle stands
+    either way, its witness direction proving the negative curvature.
     """
     X = np.asarray(X, dtype=float)
     tols = tols or CertTolerances()
@@ -186,6 +190,8 @@ def certify_point(X, cfg, gt=None, tols=None):
         cls = PointClass.NOT_STATIONARY
     elif eig.lambda_min < -tau:
         cls = PointClass.STRICT_SADDLE
+    elif not eig.converged:
+        cls = PointClass.UNCERTIFIED
     elif gt is None:
         cls = PointClass.SECOND_ORDER_STATIONARY
     else:

@@ -262,9 +262,11 @@ def cmd_scan(cfg, out_dir, threads, assert_clean=False):
     for row in crashed:
         print(f"start {row.start_seed} crashed: {row.error}", file=sys.stderr)
     spurious = summary.counts[PointClass.SPURIOUS_LOCAL_MIN]
-    if assert_clean and (spurious or crashed):
+    uncertified = summary.counts[PointClass.UNCERTIFIED]
+    if assert_clean and (spurious or uncertified or crashed):
         print(
-            f"assert-clean failed: {spurious} spurious endpoint(s), {len(crashed)} crashed start(s)",
+            f"assert-clean failed: {spurious} spurious endpoint(s), {uncertified} uncertified "
+            f"endpoint(s), {len(crashed)} crashed start(s)",
             file=sys.stderr,
         )
         return 1
@@ -310,7 +312,8 @@ def _build_parser():
             p.add_argument(
                 "--assert-clean",
                 action="store_true",
-                help="exit nonzero if any endpoint is a spurious local minimum or any start crashed",
+                help="exit nonzero if any endpoint is a spurious local minimum or uncertified, "
+                "or any start crashed",
             )
     return parser
 

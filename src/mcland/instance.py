@@ -1,9 +1,12 @@
 """Problem instances: ground-truth factors, observation masks, observed values.
 
 An instance is a symmetric PSD matrix M = Z Z^T (optionally plus symmetric
-Gaussian noise) observed on a symmetric random set of entries.  Everything is
-regenerable bit-exactly from a small JSON-compatible record; masks and values
-are never serialized.
+Gaussian noise) observed on a symmetric random set of entries.  The mask
+stores each observed pair once, as (i, j) with i <= j, and the observation
+holds one value per stored pair, so symmetry holds by construction; the
+mask's `n_pairs` still counts |Omega| with both orders.  Everything is
+regenerable bit-exactly from a small JSON-compatible record; masks and
+values are never serialized.
 """
 
 import json
@@ -62,23 +65,18 @@ class GroundTruth:
         return self.factor.shape[1]
 
     def gram(self):
-        """Dense M = Z Z^T, bitwise symmetric."""
-        return _symmetrize_upper(self.factor @ self.factor.T)
-
-
-def _symmetrize_upper(A):
-    # mirror the upper triangle so A[i, j] and A[j, i] are the same float
-    U = np.triu(A)
-    return U + np.triu(A, 1).T
+        """Dense M = Z Z^T, bitwise symmetric: the upper triangle is mirrored."""
+        G = self.factor @ self.factor.T
+        return np.triu(G) + np.triu(G, 1).T
 
 
 @dataclass(frozen=True, eq=False)
 class Observation:
-    """Observed values of M on a mask, one float per stored ordered pair.
+    """Observed values of M on a mask, one float per stored pair.
 
-    `values[k]` is the observation at (mask.rows[k], mask.cols[k]); the two
-    orders of a pair always carry the identical float.  `sigma` is the noise
-    level the values were drawn with, `p` the nominal sampling probability.
+    `values[k]` is the observation at (mask.i[k], mask.j[k]) and, the matrix
+    being symmetric, at (mask.j[k], mask.i[k]).  `sigma` is the noise level
+    the values were drawn with, `p` the nominal sampling probability.
     """
 
     mask: ObservationMask
@@ -88,16 +86,12 @@ class Observation:
 
     def __post_init__(self):
         vals = np.ascontiguousarray(self.values, dtype=float)
-        if vals.shape != (self.mask.n_pairs,):
+        if vals.shape != self.mask.i.shape:
             raise ValueError(
-                f"values length {vals.shape} does not match mask with {self.mask.n_pairs} pairs"
+                f"values length {vals.shape} does not match mask with {self.mask.i.size} stored pairs"
             )
         if self.sigma < 0:
             raise ValueError(f"sigma must be non-negative, got {self.sigma}")
-        rows, cols, d = self.mask.rows, self.mask.cols, self.mask.d
-        swap = np.lexsort((rows, cols))  # position of (j, i) for pair k
-        if not np.array_equal(vals, vals[swap]):
-            raise ValueError("observed values are not symmetric across mirrored pairs")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -127,40 +121,33 @@ def sample_factor(d, r, scale, seed):
 
 
 def sample_mask(d, p, include_diagonal=True, *, seed):
-    """Symmetric Bernoulli(p) mask: one coin per unordered pair, both orders stored."""
+    """Symmetric Bernoulli(p) mask from one d x d uniform draw U: pair (i, j),
+    i <= j, is observed when U_ij < p (i = j only with `include_diagonal`)."""
     if d <= 0:
         raise ValueError(f"d must be positive, got {d}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    rng = substream(seed, "mask")
-    U = rng.random((d, d))
-    iu, ju = np.triu_indices(d, k=1)
-    keep = U[iu, ju] < p
-    ii, jj = iu[keep], ju[keep]
-    rows = np.concatenate([ii, jj])
-    cols = np.concatenate([jj, ii])
-    if include_diagonal:
-        diag = np.flatnonzero(np.diag(U) < p)
-        rows = np.concatenate([rows, diag])
-        cols = np.concatenate([cols, diag])
-    return ObservationMask(d=d, rows=rows, cols=cols, p=float(p))
+    U = substream(seed, "mask").random((d, d))
+    i, j = np.nonzero(np.triu(U < p, 0 if include_diagonal else 1))
+    return ObservationMask(d=d, i=i, j=j, p=float(p))
 
 
 def observe(gt, mask, sigma, seed):
-    """Observed values of Z Z^T (+ symmetric Gaussian noise) on the mask.
+    """Observed values of Z Z^T (+ Gaussian noise) on the stored pairs.
 
-    Noise is drawn once per unordered pair, N(0, sigma^2), and mirrored, so
-    the observed matrix stays exactly symmetric.
+    Noise is N(0, sigma^2), one draw per pair: entry (i, j), i <= j, of a
+    d x d standard normal draw.
     """
     if gt.d != mask.d:
         raise ValueError(f"dimension mismatch: factor has d={gt.d}, mask has d={mask.d}")
     if sigma < 0:
         raise ValueError(f"sigma must be non-negative, got {sigma}")
-    M = gt.gram()
+    Z = gt.factor
+    values = (Z @ Z.T)[mask.i, mask.j]
     if sigma > 0:
         G = substream(seed, "noise").standard_normal((gt.d, gt.d))
-        M = M + sigma * _symmetrize_upper(G)
-    return Observation(mask=mask, values=M[mask.rows, mask.cols], sigma=float(sigma), p=mask.p)
+        values += sigma * G[mask.i, mask.j]
+    return Observation(mask=mask, values=values, sigma=float(sigma), p=mask.p)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 The spectral norm, extreme singular values of factor matrices, and
 orthogonal (Procrustes) alignment.  Everything operates on plain float64
 numpy arrays; `ObservationMask` is the one shared container, holding the
-symmetric set of observed index pairs.
+symmetric set of observed index pairs in the one pair format every module
+uses: each pair once, as (i, j) with i <= j in lexicographic order.  Its
+`n_pairs` counts |Omega| with both orders of an off-diagonal pair.
 """
 
 from dataclasses import dataclass
@@ -19,18 +21,20 @@ _POWER_SEED = 20210817
 
 @dataclass(frozen=True, eq=False)
 class ObservationMask:
-    """Symmetric set of observed index pairs of a d x d matrix.
+    """Symmetric set of observed index pairs of a d x d matrix, each pair once.
 
-    Ordered pairs are stored explicitly: (i, j) and (j, i) are both present
-    for every observed off-diagonal pair, a diagonal pair (i, i) once.  Pairs
-    are kept in lexicographic order so that every consumer sees one canonical
-    ordering.  `p` records the nominal sampling probability the mask was drawn
-    with (1.0 for a full mask).
+    An observed entry and its mirror are one pair, stored as (i, j) with
+    i <= j; the pairs are kept in lexicographic order, so every consumer sees
+    one canonical ordering.  A pair given as (j, i) is stored as (i, j), and
+    a pair given twice (in either order) is an error.  `n_pairs` counts the
+    observed entries |Omega| with both orders: 2 per off-diagonal pair, 1 per
+    diagonal pair.  `p` records the nominal sampling probability the mask
+    was drawn with (1.0 for a full mask).
     """
 
     d: int
-    rows: np.ndarray
-    cols: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
     p: float
 
     def __post_init__(self):
@@ -38,43 +42,41 @@ class ObservationMask:
             raise ValueError(f"mask dimension must be positive, got {self.d}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"mask probability must lie in [0, 1], got {self.p}")
-        rows = np.ascontiguousarray(self.rows, dtype=np.int64)
-        cols = np.ascontiguousarray(self.cols, dtype=np.int64)
-        if rows.shape != cols.shape or rows.ndim != 1:
-            raise ValueError("mask rows/cols must be 1-d arrays of equal length")
-        if rows.size and (rows.min() < 0 or rows.max() >= self.d or cols.min() < 0 or cols.max() >= self.d):
+        a = np.ascontiguousarray(self.i, dtype=np.int64)
+        b = np.ascontiguousarray(self.j, dtype=np.int64)
+        if a.shape != b.shape or a.ndim != 1:
+            raise ValueError("mask i/j must be 1-d arrays of equal length")
+        if a.size and (min(a.min(), b.min()) < 0 or max(a.max(), b.max()) >= self.d):
             raise ValueError("mask indices out of range")
-        order = np.lexsort((cols, rows))
-        rows, cols = rows[order], cols[order]
-        code = rows * self.d + cols
-        if np.any(np.diff(code) == 0):
-            raise ValueError("mask contains duplicate pairs")
-        # symmetry: the swapped pair set must be identical
-        swapped = np.sort(cols * self.d + rows)
-        if not np.array_equal(code, swapped):
-            raise ValueError("mask is not symmetric: some (i, j) lacks its mirror (j, i)")
-        rows.setflags(write=False)
-        cols.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
+        i, j = np.minimum(a, b), np.maximum(a, b)
+        code = i * self.d + j
+        if np.any(code[1:] <= code[:-1]):
+            order = np.argsort(code)
+            i, j, code = i[order], j[order], code[order]
+            if np.any(code[1:] == code[:-1]):
+                raise ValueError("mask contains duplicate pairs")
+        i.setflags(write=False)
+        j.setflags(write=False)
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
 
     @property
     def n_pairs(self):
-        """Number of stored ordered pairs."""
-        return self.rows.size
+        """|Omega|: observed entries, counting both orders of an off-diagonal pair."""
+        return 2 * self.i.size - int(np.count_nonzero(self.i == self.j))
 
     def indicator(self):
-        """Dense 0/1 float64 indicator matrix of the mask."""
+        """Dense 0/1 float64 indicator matrix of the mask (both orders)."""
         ind = np.zeros((self.d, self.d))
-        ind[self.rows, self.cols] = 1.0
+        ind[self.i, self.j] = 1.0
+        ind[self.j, self.i] = 1.0
         return ind
 
 
 def full_mask(d, include_diagonal=True):
     """Mask containing every pair (optionally without the diagonal)."""
-    ii, jj = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-    keep = np.ones((d, d), dtype=bool) if include_diagonal else ~np.eye(d, dtype=bool)
-    return ObservationMask(d=d, rows=ii[keep], cols=jj[keep], p=1.0)
+    i, j = np.triu_indices(d, k=0 if include_diagonal else 1)
+    return ObservationMask(d=d, i=i, j=j, p=1.0)
 
 
 def spectral_norm(A, rel_tol=1e-10, max_iters=10000):

@@ -7,15 +7,19 @@ The objective on a d x r factor X is
 
 with rho(t) = (t - alpha)^4 for t >= alpha and 0 below: a quartic hinge on
 row norms that is twice continuously differentiable everywhere.  The data
-sum runs over ordered pairs, so an observed off-diagonal entry counts twice
-and a diagonal entry once.  The kernels visit each observed entry once: they
-store the unordered pairs i <= j with a weight of 2 off the diagonal and 1 on
-it, and `pair_gram`, `residuals` and `masked_matmul` take or return one value
-per unordered pair, gathering X one column at a time.
+sum runs over both orders of every observed entry, so an observed
+off-diagonal entry counts twice and a diagonal entry once; `n_pairs` is that
+count, |Omega|.  The kernels use the mask's one pair format: each observed
+pair once, (i, j) with i <= j, with a weight of 2 off the diagonal and 1 on
+it; `pair_gram`, `residuals` and `masked_matmul` take or return one value
+per stored pair, gathering X one column at a time.
 
 Evaluation touches only observed Gram entries (cost O(n_pairs * r + d * r)).
 Masked residuals are applied through the full symmetric CSR pattern of the
-mask, filled from the unordered values by a precomputed slot map.
+mask, built from the stored pairs and filled from their values by a slot
+map.  Position k in [0, n_pairs) of that pattern, in row-major order, is one
+ordered entry: `pair_gradient_sum` takes such positions, so drawing them
+uniformly draws each stored pair in proportion to its weight.
 `value_and_gradient` shares one residual pass between value and gradient;
 `hessian_operator` computes the residuals, their CSR matrix and the gathered
 columns of X once per point and returns the Hessian-vector product at it.
@@ -43,51 +47,42 @@ class ObjectiveConfig:
         self.obs = obs
         mask = obs.mask
         d = self.d = mask.d
-        # ordered pairs, lexicographically sorted by the mask: the CSR order
-        self._rows = mask.rows
-        self._cols = mask.cols
-        self._vals = obs.values
-        upper = self._rows <= self._cols
-        self._iu = self._rows[upper]
-        self._ju = self._cols[upper]
-        self._uvals = self._vals[upper]
-        self._w = np.where(self._iu == self._ju, 1.0, 2.0)
-        # ordered pair k takes the value of unordered pair _slot[k]
-        lo = np.minimum(self._rows, self._cols)
-        hi = np.maximum(self._rows, self._cols)
-        self._slot = np.searchsorted(self._iu * d + self._ju, lo * d + hi)
+        i, j = self._i, self._j = mask.i, mask.j
+        self._w = np.where(i == j, 1.0, 2.0)
+        self.n_pairs = mask.n_pairs
+        # the symmetric pattern: every stored pair, then the mirror of every
+        # off-diagonal one, sorted row-major; position k holds pair _slot[k]
+        off = np.flatnonzero(i != j)
+        rows = np.concatenate([i, j[off]])
+        cols = np.concatenate([j, i[off]])
+        order = np.argsort(rows * d + cols)
+        self._slot = np.concatenate([np.arange(i.size), off])[order]
         # 32-bit indices where they fit: scipy would otherwise downcast a copy per call
-        idx = np.int32 if max(d, self._rows.size) < 2**31 else np.int64
-        counts = np.bincount(self._rows, minlength=d)
-        self._indptr = np.concatenate([[0], np.cumsum(counts)]).astype(idx)
-        self._indices = self._cols.astype(idx)
-
-    @property
-    def n_pairs(self):
-        """Number of stored ordered pairs."""
-        return self._rows.size
+        idx = np.int32 if max(d, rows.size) < 2**31 else np.int64
+        self._indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=d))]).astype(idx)
+        self._indices = cols[order].astype(idx)
 
     def pair_gram(self, X):
-        """<X_i, X_j> for every observed unordered pair i <= j."""
-        iu, ju = self._iu, self._ju
+        """<X_i, X_j> for every stored pair (i, j)."""
+        i, j = self._i, self._j
         cols = np.ascontiguousarray(X.T)
-        g = cols[0][iu] * cols[0][ju]
+        g = cols[0][i] * cols[0][j]
         for x in cols[1:]:
-            g += x[iu] * x[ju]
+            g += x[i] * x[j]
         return g
 
     def residuals(self, X):
-        """M_ij - <X_i, X_j> on the observed unordered pairs."""
-        return self._uvals - self.pair_gram(X)
+        """M_ij - <X_i, X_j> on the stored pairs."""
+        return self.obs.values - self.pair_gram(X)
 
     def _masked_matrix(self, pair_values):
-        # symmetric CSR matrix carrying `pair_values` (one per unordered pair) on the mask
+        # symmetric CSR matrix carrying `pair_values` (one per stored pair) on the mask
         return sparse.csr_matrix(
             (pair_values[self._slot], self._indices, self._indptr), shape=(self.d, self.d)
         )
 
     def masked_matmul(self, pair_values, Y):
-        """(P_Omega(A) @ Y) where symmetric A carries `pair_values` on the unordered pairs."""
+        """(P_Omega(A) @ Y) where symmetric A carries `pair_values` on the stored pairs."""
         return self._masked_matrix(pair_values) @ Y
 
 
@@ -206,20 +201,38 @@ def value_and_gradient(X, cfg):
     return _breakdown(X, resid, cfg), _gradient(X, resid, cfg)
 
 
+def pair_gradient_sum(X, cfg, positions):
+    """Sum of per-entry data gradients over positions of the symmetric pattern.
+
+    Position k in [0, n_pairs) is the ordered entry (i, j) in row-major
+    order, which contributes -(M_ij - <X_i, X_j>) * (e_i X_j^T + e_j X_i^T);
+    summing over every position reproduces the full data gradient.
+    """
+    pair = cfg._slot[positions]
+    j = cfg._indices[positions]  # the entry's column; its row is the pair's other index
+    i = cfg._i[pair] + cfg._j[pair] - j
+    resid = cfg.obs.values[pair] - np.einsum("ij,ij->i", X[i], X[j])
+    G = np.zeros_like(X)
+    np.add.at(G, i, -resid[:, None] * X[j])
+    np.add.at(G, j, -resid[:, None] * X[i])
+    return G
+
+
 def hessian_quadratic(X, V, cfg):
     """Second directional derivative <V, d^2 f(X)[V]>, assembled from pair sums.
 
     Equals ||P_Omega(V X^T + X V^T)||_F^2 - 2 <P_Omega(residual), V V^T>
     plus the penalty curvature; computed directly from per-pair scalars over
-    the ordered pairs of the mask, independently of `hessian_operator`.
+    the stored pairs, weighted 2 off the diagonal and 1 on it, independently
+    of `hessian_operator`.
     """
     X = _check_factor(X, cfg)
     V = _check_direction(V, X)
-    rows, cols = cfg._rows, cfg._cols
-    s = np.einsum("ij,ij->i", V[rows], X[cols]) + np.einsum("ij,ij->i", X[rows], V[cols])
-    vv = np.einsum("ij,ij->i", V[rows], V[cols])
-    resid = cfg._vals - np.einsum("ij,ij->i", X[rows], X[cols])
-    quad = float(s @ s) - 2.0 * float(resid @ vv)
+    i, j, w = cfg._i, cfg._j, cfg._w
+    s = np.einsum("ij,ij->i", V[i], X[j]) + np.einsum("ij,ij->i", X[i], V[j])
+    vv = np.einsum("ij,ij->i", V[i], V[j])
+    resid = cfg.obs.values - np.einsum("ij,ij->i", X[i], X[j])
+    quad = float((w * s) @ s) - 2.0 * float((w * resid) @ vv)
     if cfg.hyper.reg_weight > 0:
         quad += cfg.hyper.reg_weight * _reg_hess_quad(X, V, cfg.hyper.alpha)
     return quad
@@ -235,20 +248,20 @@ def hessian_operator(X, cfg):
     `hessian_quadratic` to rounding.
     """
     X = _check_factor(X, cfg)
-    iu, ju = cfg._iu, cfg._ju
+    i, j = cfg._i, cfg._j
     R = cfg._masked_matrix(cfg.residuals(X))
     cols = np.ascontiguousarray(X.T)
-    xi = [x[iu] for x in cols]
-    xj = [x[ju] for x in cols]
+    xi = [x[i] for x in cols]
+    xj = [x[j] for x in cols]
     weight = cfg.hyper.reg_weight
     reg_terms = _reg_hess_terms(X, cfg.hyper.alpha) if weight > 0 else None
 
     def apply(V):
         V = _check_direction(V, X)
         vt = np.ascontiguousarray(V.T)
-        s = vt[0][iu] * xj[0] + xi[0] * vt[0][ju]
+        s = vt[0][i] * xj[0] + xi[0] * vt[0][j]
         for v, a, b in zip(vt[1:], xi[1:], xj[1:]):
-            s += v[iu] * b + a * v[ju]
+            s += v[i] * b + a * v[j]
         HV = 2.0 * cfg.masked_matmul(s, X) - 2.0 * (R @ V)
         if weight > 0:
             HV += weight * _reg_hess_apply(reg_terms, V)

@@ -169,11 +169,11 @@ def random_init(d, r, obs, seed):
         raise ValueError(f"need 1 <= r <= d, got r={r}, d={d}")
     mask = obs.mask
     p = obs.p if obs.p > 0 else 1.0
-    diag = mask.rows == mask.cols
+    diag = mask.i == mask.j
     if np.any(diag):
         s2 = float(obs.values[diag].sum()) / p
     else:
-        s2 = float(obs.values @ obs.values) / p
+        s2 = 2.0 * float(obs.values @ obs.values) / p  # every pair off-diagonal: both orders
     s2 = max(s2, 0.0)
     rng = substream(seed, "init")
     return rng.standard_normal((d, r)) * np.sqrt(s2 / (d * r))
@@ -333,30 +333,17 @@ def perturbed_gd(cfg, scfg, X0):
     return _descend(cfg, scfg, X0, scfg.perturb)
 
 
-def pair_gradient_sum(X, cfg, pair_indices):
-    """Sum of per-entry data gradients over the given stored ordered pairs.
-
-    Pair (i, j) contributes -(M_ij - <X_i, X_j>) * (e_i X_j^T + e_j X_i^T);
-    summing over every stored pair reproduces the full data gradient.
-    """
-    rows = cfg._rows[pair_indices]
-    cols = cfg._cols[pair_indices]
-    resid = cfg._vals[pair_indices] - np.einsum("ij,ij->i", X[rows], X[cols])
-    G = np.zeros_like(X)
-    np.add.at(G, rows, -resid[:, None] * X[cols])
-    np.add.at(G, cols, -resid[:, None] * X[rows])
-    return G
-
-
 def stochastic_gradient(X, cfg, rng, batch):
-    """Unbiased gradient estimate from `batch` pairs drawn with replacement.
+    """Unbiased gradient estimate from `batch` entries drawn with replacement.
 
-    (|Omega| / batch) * sum of per-entry gradients, plus the exact weighted
-    penalty gradient.
+    The entries are uniform positions in [0, |Omega|) of the symmetric
+    pattern, so a stored pair is drawn in proportion to its weight (2 off
+    the diagonal, 1 on it); the estimate is (|Omega| / batch) * the sum of
+    their per-entry gradients, plus the exact weighted penalty gradient.
     """
     n = cfg.n_pairs
     idx = rng.integers(0, n, size=batch)
-    G = pair_gradient_sum(X, cfg, idx) * (n / batch)
+    G = obj.pair_gradient_sum(X, cfg, idx) * (n / batch)
     if cfg.hyper.reg_weight > 0:
         G += cfg.hyper.reg_weight * obj.reg_gradient(X, cfg.hyper.alpha)
     return G

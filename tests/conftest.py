@@ -6,6 +6,9 @@ and naive double loops for masked sums.  Tests compare the fast analytic
 implementations against these.
 """
 
+import importlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -73,14 +76,19 @@ def dense_min_eig(X, cfg):
 
 
 def brute_objective(X, cfg):
-    """Naive double loop over stored mask pairs; no vectorized paths."""
+    """Naive loop over stored mask pairs; no vectorized paths.
+
+    Adds the (i, j) term of each stored pair, and the (j, i) term too when
+    i != j, so the data sum runs over both orders of every observed entry.
+    """
     obs = cfg.obs
     total = 0.0
-    for k in range(obs.mask.n_pairs):
-        i = int(obs.mask.rows[k])
-        j = int(obs.mask.cols[k])
-        pred = float(np.dot(X[i], X[j]))
-        total += 0.5 * (obs.values[k] - pred) ** 2
+    for k in range(len(obs.values)):
+        i = int(obs.mask.i[k])
+        j = int(obs.mask.j[k])
+        total += 0.5 * (obs.values[k] - float(np.dot(X[i], X[j]))) ** 2
+        if i != j:
+            total += 0.5 * (obs.values[k] - float(np.dot(X[j], X[i]))) ** 2
     reg = 0.0
     alpha = cfg.hyper.alpha
     for i in range(X.shape[0]):
@@ -105,3 +113,13 @@ def make_problem(d, r, seed, p=1.0, sigma=0.0, rank_one=None):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260814)
+
+
+@pytest.fixture
+def unconverged_eigensolves(monkeypatch):
+    """Make every min_hessian_eig report that it did not converge."""
+    obj = importlib.import_module("mcland.objective")  # the package re-exports a function of that name
+    solve = obj.min_hessian_eig
+    monkeypatch.setattr(
+        obj, "min_hessian_eig", lambda X, cfg, tol=None: replace(solve(X, cfg, tol), converged=False)
+    )

@@ -114,6 +114,17 @@ def test_origin_is_strict_saddle():
     assert rep.lambda_min < -rep.tau
 
 
+def test_unconverged_eigensolve_does_not_certify(unconverged_eigensolves):
+    gt, obs, cfg = make_problem(20, 2, seed=10, p=0.8)
+    for truth in (gt, None):
+        rep = certify_point(gt.factor, cfg, truth)
+        assert rep.classification is PointClass.UNCERTIFIED
+        assert not rep.eig_converged
+    # a strict saddle stands: its witness proves the negative curvature
+    rep = certify_point(np.zeros((20, 2)), cfg, gt)
+    assert rep.classification is PointClass.STRICT_SADDLE
+
+
 def test_random_point_not_stationary(rng):
     gt, obs, cfg = make_problem(20, 2, seed=12)
     rep = certify_point(rng.normal(size=(20, 2)), cfg, gt)

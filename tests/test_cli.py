@@ -216,6 +216,7 @@ def test_scan_counts_and_csv(tmp_path, capsys):
     kv = dict(line.split("=", 1) for line in out.strip().split("\n"))
     assert kv["GlobalMin"] == "2"
     assert kv["SpuriousLocalMin"] == "0"
+    assert kv["Uncertified"] == "0"
     assert float(kv["worst_recovery"]) <= 1e-6
     rows = (tmp_path / "scan.csv").read_text().strip().split("\n")
     assert len(rows) == 3
@@ -265,6 +266,19 @@ def test_scan_assert_clean_fails_on_crashed_starts(tmp_path, capsys, monkeypatch
     assert "2 crashed start(s)" in err
     rows = (tmp_path / "scan.csv").read_text().strip().split("\n")[1:]
     assert len(rows) == 2 and all(row.split(",")[1] == "solver_error" for row in rows)
+
+
+def test_scan_assert_clean_fails_on_uncertified_endpoints(tmp_path, capsys, unconverged_eigensolves):
+    cfgp = _write(tmp_path, _scan_payload())
+    code, out, err = _run(
+        capsys, ["scan", "--config", cfgp, "--out", str(tmp_path), "--assert-clean"]
+    )
+    assert code == 1
+    assert "2 uncertified endpoint(s)" in err
+    kv = dict(line.split("=", 1) for line in out.strip().split("\n"))
+    assert kv["Uncertified"] == "2" and kv["GlobalMin"] == "0"
+    rows = (tmp_path / "scan.csv").read_text().strip().split("\n")[1:]
+    assert all(row.split(",")[-1] == "Uncertified" for row in rows)
 
 
 def test_scan_reports_crash_cause_on_stderr(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from mcland.instance import (
     sample_factor,
     sample_mask,
 )
-from mcland.linalg import full_mask
+from mcland.linalg import ObservationMask, full_mask
 
 
 # ---------------------------------------------------------------------------
@@ -84,16 +86,21 @@ def test_zero_probability_mask_empty():
 
 
 def test_mask_symmetric_every_seed():
+    # each pair once, i <= j in lexicographic order; the indicator is symmetric
     for seed in range(30):
         m = sample_mask(12, 0.3, bool(seed % 2), seed=seed)
-        pairs = set(zip(m.rows.tolist(), m.cols.tolist()))
-        assert all((j, i) in pairs for i, j in pairs)
+        assert np.all(m.i <= m.j)
+        code = m.i * 12 + m.j
+        assert np.all(np.diff(code) > 0)
+        ind = m.indicator()
+        assert np.array_equal(ind, ind.T)
+        assert ind.sum() == m.n_pairs
 
 
 def test_mask_deterministic():
     a = sample_mask(15, 0.4, True, seed=9)
     b = sample_mask(15, 0.4, True, seed=9)
-    assert np.array_equal(a.rows, b.rows) and np.array_equal(a.cols, b.cols)
+    assert np.array_equal(a.i, b.i) and np.array_equal(a.j, b.j)
 
 
 def test_mask_count_binomial_bound():
@@ -104,13 +111,12 @@ def test_mask_count_binomial_bound():
         mean = p * n_off + p * d
         # diagonal and off-diagonal are independent Bernoulli families
         sd = np.sqrt(p * (1 - p) * n_off + p * (1 - p) * d)
-        n_unordered = (m.n_pairs + np.count_nonzero(m.rows == m.cols)) // 2
-        assert abs(n_unordered - mean) <= 4.0 * sd
+        assert abs(m.i.size - mean) <= 4.0 * sd
 
 
 def test_mask_excludes_diagonal_when_asked():
     m = sample_mask(30, 0.8, False, seed=2)
-    assert not np.any(m.rows == m.cols)
+    assert not np.any(m.i == m.j)
 
 
 # ---------------------------------------------------------------------------
@@ -122,16 +128,19 @@ def test_observe_noiseless_full_mask_matches_gram(rng):
     mask = full_mask(10, include_diagonal=True)
     obs = observe(gt, mask, 0.0, seed=4)
     gram = gt.gram()
-    assert np.array_equal(obs.values, gram[mask.rows, mask.cols])
+    assert np.array_equal(obs.values, gram[mask.i, mask.j])
+    assert np.array_equal(obs.values, gram[mask.j, mask.i])
 
 
 def test_observe_values_symmetric():
+    # the observation of a pair does not depend on the order it was given in
     gt = sample_factor(20, 2, 1.0, 3)
     mask = sample_mask(20, 0.5, True, seed=5)
-    obs = observe(gt, mask, 0.3, seed=6)
-    dense = np.zeros((20, 20))
-    dense[mask.rows, mask.cols] = obs.values
-    assert np.array_equal(dense, dense.T)
+    mirrored = ObservationMask(d=20, i=mask.j, j=mask.i, p=mask.p)
+    a = observe(gt, mask, 0.3, seed=6)
+    b = observe(gt, mirrored, 0.3, seed=6)
+    assert np.array_equal(mirrored.i, mask.i) and np.array_equal(mirrored.j, mask.j)
+    assert np.array_equal(a.values, b.values)
 
 
 def test_observe_deterministic():
@@ -146,8 +155,8 @@ def test_observe_noise_variance():
     gt = sample_factor(200, 2, 1.0, 3)
     mask = full_mask(200, include_diagonal=True)
     obs = observe(gt, mask, 0.1, seed=11)
-    noise = obs.values - gt.gram()[mask.rows, mask.cols]
-    off = noise[mask.rows != mask.cols]
+    noise = obs.values - gt.gram()[mask.i, mask.j]
+    off = noise[mask.i != mask.j]
     assert float(np.var(off)) == pytest.approx(0.01, rel=0.1)
 
 
@@ -159,11 +168,11 @@ def test_noiseless_values_bounded_by_max_row_norm_sq():
     assert np.all(np.abs(obs.values) <= bound + 1e-12)
 
 
-def test_observation_rejects_asymmetric_values():
-    mask = full_mask(3, include_diagonal=False)
-    vals = np.arange(mask.n_pairs, dtype=float)  # not symmetric
-    with pytest.raises(ValueError):
-        Observation(mask=mask, values=vals, sigma=0.0, p=1.0)
+def test_observation_takes_one_value_per_stored_pair():
+    mask = full_mask(3, include_diagonal=False)  # 3 stored pairs, n_pairs 6
+    Observation(mask=mask, values=np.arange(3, dtype=float), sigma=0.0, p=1.0)
+    with pytest.raises(ValueError, match="stored pairs"):
+        Observation(mask=mask, values=np.arange(mask.n_pairs, dtype=float), sigma=0.0, p=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +249,51 @@ def test_spec_roundtrip_bit_exact():
     gt2, obs2 = again.regenerate()
     assert np.array_equal(gt1.factor, gt2.factor)
     assert np.array_equal(obs1.values, obs2.values)
-    assert np.array_equal(obs1.mask.rows, obs2.mask.rows)
+    assert np.array_equal(obs1.mask.i, obs2.mask.i)
+    assert np.array_equal(obs1.mask.j, obs2.mask.j)
+
+
+def _c3_spec(r, seed):
+    return InstanceSpec(d=100, r=r, seed=seed, p=min(1.0, max(0.2, 10.0 * r * math.log(100) / 100.0)))
+
+
+# SHA-256 of the (i, j, value) triples, i <= j in lexicographic order, as
+# little-endian int64 i, then int64 j, then float64 values; recorded when
+# the mask still stored both orders, from its pairs with row <= column.
+REGENERATION_DIGESTS = [
+    (_c3_spec(1, 101), 4599, "c5c02e793174369a9529c64dfb8236cb293b9a128bcd23bf67c79f1abcae14cc"),
+    (_c3_spec(2, 102), 9226, "9c8ae7a6d251afcd01d7902931a61d783c38f7d967bf3cb942b73a81bc867582"),
+    (_c3_spec(3, 103), 10000, "35fb21955c56a198ac47c2f82bcf9eec2544e6c1251b7d08349164bf8926124c"),
+    (_c3_spec(2, 104), 9201, "c433f0f062500cd12fdfd38eab8d850d63b878af0af29ea5aa2e5c55d8685a48"),
+    (_c3_spec(1, 105), 4642, "3389597ebe1948b74b34096eb48fe9dcc0dbd348479a1264f24f483f5e558e9c"),
+    (InstanceSpec(d=1000, r=2, seed=1, p=0.1), 99863,
+     "536a2d8fa59edb561e280c5e252ddf2d7e744a00143687aa77f8f31ecd6552d3"),
+    (InstanceSpec(d=30, r=2, seed=7, p=0.5, sigma=0.3), 426,
+     "6f8eaa5b61f499adc9a7386a520d06bb973b4999c9e893f697aeaef1fb8f43e9"),
+    (InstanceSpec(d=30, r=2, seed=8, p=0.5, include_diagonal=False), 448,
+     "dd1a2a076b54d2b87343ce6ed55aed7991aa5ae2bef8cbab4574570144e94de3"),
+    (InstanceSpec(d=30, r=2, seed=9, p=1.0), 900,
+     "e7a1ee2e05e4760bf6f74c753f966bcc24ee49eda7b77f6750d5f0be2ab8137a"),
+    (InstanceSpec(d=1, r=1, seed=3, p=1.0), 1,
+     "9bc03789d9c0a722128028a193c92dfa9404378305cdb396898c8e275bdee499"),
+]
+
+
+@pytest.mark.parametrize(
+    "spec,n_pairs,expected",
+    REGENERATION_DIGESTS,
+    ids=[f"d{s.d}-r{s.r}-seed{s.seed}" for s, _, _ in REGENERATION_DIGESTS],
+)
+def test_regenerate_is_bit_exact(spec, n_pairs, expected):
+    _, obs = spec.regenerate()
+    mask = obs.mask
+    payload = (
+        np.ascontiguousarray(mask.i, "<i8").tobytes()
+        + np.ascontiguousarray(mask.j, "<i8").tobytes()
+        + np.ascontiguousarray(obs.values, "<f8").tobytes()
+    )
+    assert mask.n_pairs == n_pairs
+    assert hashlib.sha256(payload).hexdigest() == expected
 
 
 def test_spec_json_is_canonical():

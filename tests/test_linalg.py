@@ -17,7 +17,7 @@ def random_orthonormal(n, rng):
 
 
 def _empty_mask(d):
-    return ObservationMask(d=d, rows=[], cols=[], p=0.0)
+    return ObservationMask(d=d, i=[], j=[], p=0.0)
 
 
 def _project(A, mask):
@@ -30,26 +30,36 @@ def _project(A, mask):
 # ObservationMask
 
 
-def test_mask_requires_symmetry():
-    with pytest.raises(ValueError):
-        ObservationMask(d=3, rows=np.array([0]), cols=np.array([1]), p=0.5)
+def test_mask_stores_each_pair_once_in_canonical_order():
+    mask = ObservationMask(d=4, i=np.array([3, 2, 0, 1]), j=np.array([1, 2, 3, 0]), p=0.5)
+    assert mask.i.tolist() == [0, 0, 1, 2]
+    assert mask.j.tolist() == [1, 3, 3, 2]
+    assert mask.n_pairs == 7  # three off-diagonal pairs count twice, (2, 2) once
+    expected = np.zeros((4, 4))
+    for a, b in [(0, 1), (0, 3), (1, 3), (2, 2)]:
+        expected[a, b] = expected[b, a] = 1.0
+    assert np.array_equal(mask.indicator(), expected)
 
 
 def test_mask_rejects_duplicates():
-    with pytest.raises(ValueError):
-        ObservationMask(
-            d=3, rows=np.array([0, 1, 0, 1]), cols=np.array([1, 0, 1, 0]), p=0.5
-        )
+    with pytest.raises(ValueError, match="duplicate"):
+        ObservationMask(d=3, i=np.array([0, 0]), j=np.array([1, 1]), p=0.5)
+    # a pair given in both orders is the same pair twice
+    with pytest.raises(ValueError, match="duplicate"):
+        ObservationMask(d=3, i=np.array([0, 1]), j=np.array([1, 0]), p=0.5)
 
 
 def test_mask_rejects_out_of_range():
     with pytest.raises(ValueError):
-        ObservationMask(d=3, rows=np.array([3]), cols=np.array([3]), p=0.5)
+        ObservationMask(d=3, i=np.array([3]), j=np.array([3]), p=0.5)
+    with pytest.raises(ValueError):
+        ObservationMask(d=3, i=np.array([0]), j=np.array([-1]), p=0.5)
 
 
 def test_mask_counts():
     assert full_mask(4, include_diagonal=True).n_pairs == 16
     assert full_mask(4, include_diagonal=False).n_pairs == 12
+    assert full_mask(4, include_diagonal=True).i.size == 10
     assert _empty_mask(4).n_pairs == 0
 
 
@@ -69,7 +79,7 @@ def test_project_empty_mask_annihilates(rng):
 
 def test_project_single_pair():
     A = np.arange(9, dtype=float).reshape(3, 3)
-    mask = ObservationMask(d=3, rows=np.array([0, 1]), cols=np.array([1, 0]), p=0.1)
+    mask = ObservationMask(d=3, i=np.array([1]), j=np.array([0]), p=0.1)
     out = _project(A, mask)
     expected = np.zeros((3, 3))
     expected[0, 1] = A[0, 1]

@@ -12,6 +12,7 @@ from mcland.objective import (
     hessian_vecprod,
     min_hessian_eig,
     objective,
+    pair_gradient_sum,
     reg_gradient,
     regularizer,
     value_and_gradient,
@@ -126,7 +127,10 @@ def test_objective_zero_at_truth():
 def test_objective_at_origin_is_half_masked_energy():
     gt, obs, cfg = make_problem(12, 2, seed=2, p=0.6)
     ev = objective(np.zeros((12, 2)), cfg)
-    assert ev.data_term == pytest.approx(0.5 * float(obs.values @ obs.values), rel=1e-14)
+    M = np.zeros((12, 12))  # P_Omega(M), both orders of every observed pair
+    M[obs.mask.i, obs.mask.j] = obs.values
+    M[obs.mask.j, obs.mask.i] = obs.values
+    assert ev.data_term == pytest.approx(0.5 * float(np.sum(M * M)), rel=1e-14)
     assert ev.reg_term == 0.0
 
 
@@ -158,7 +162,7 @@ def test_quartic_scaling_with_zero_target(rng):
     from mcland.instance import Observation
 
     mask = full_mask(7, include_diagonal=True)
-    obs = Observation(mask=mask, values=np.zeros(mask.n_pairs), sigma=0.0, p=1.0)
+    obs = Observation(mask=mask, values=np.zeros(mask.i.size), sigma=0.0, p=1.0)
     cfg = ObjectiveConfig(HyperParams(alpha=1.0, reg_weight=0.0, tau=0.0), obs)
     X = rng.normal(size=(7, 2))
     base = objective(X, cfg).total
@@ -327,7 +331,7 @@ def test_min_eig_zero_operator():
     from mcland.instance import Observation
     from mcland.linalg import ObservationMask
 
-    mask = ObservationMask(d=5, rows=[], cols=[], p=0.0)
+    mask = ObservationMask(d=5, i=[], j=[], p=0.0)
     obs = Observation(mask=mask, values=np.zeros(0), sigma=0.0, p=0.0)
     cfg = ObjectiveConfig(HyperParams(alpha=10.0, reg_weight=1.0, tau=0.0), obs)
     eig = min_hessian_eig(np.zeros((5, 1)), cfg)
@@ -368,7 +372,8 @@ def _dense_masked(cfg, X):
     """Indicator matrix and the observed matrix (zero off the mask), both dense."""
     mask = cfg.obs.mask
     M = np.zeros((cfg.d, cfg.d))
-    M[mask.rows, mask.cols] = cfg.obs.values
+    M[mask.i, mask.j] = cfg.obs.values
+    M[mask.j, mask.i] = cfg.obs.values
     return mask.indicator(), M
 
 
@@ -408,3 +413,20 @@ def test_hessian_operator_rejects_wrong_direction_shape():
     cfg, X, V = _kernel_problem(12, 3, 0.6, True)
     with pytest.raises(ValueError, match="dimension"):
         hessian_operator(X, cfg)(V[:, :2])
+
+
+@pytest.mark.parametrize("d,r,p,include_diagonal", KERNEL_CASES)
+def test_pair_gradient_positions_are_row_major_entries(d, r, p, include_diagonal):
+    # position k of [0, n_pairs) is the k-th observed entry (i, j) of the
+    # dense indicator in row-major order, both orders of a pair counted
+    cfg, X, _ = _kernel_problem(d, r, p, include_diagonal)
+    ind, M = _dense_masked(cfg, X)
+    entries = np.argwhere(ind == 1.0)
+    assert len(entries) == cfg.n_pairs
+    for k, (i, j) in enumerate(entries):
+        G = pair_gradient_sum(X, cfg, np.array([k]))
+        expected = np.zeros_like(X)
+        resid = M[i, j] - float(X[i] @ X[j])
+        expected[i] -= resid * X[j]
+        expected[j] -= resid * X[i]
+        assert np.allclose(G, expected, rtol=0, atol=1e-12 * (1.0 + np.abs(expected).max()))

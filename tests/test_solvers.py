@@ -6,7 +6,7 @@ import pytest
 
 from mcland.instance import GroundTruth, HyperParams, observe
 from mcland.linalg import full_mask
-from mcland.objective import ObjectiveConfig, gradient, objective
+from mcland.objective import ObjectiveConfig, gradient, objective, pair_gradient_sum
 from mcland.solvers import (
     ArmijoParams,
     Method,
@@ -16,7 +16,6 @@ from mcland.solvers import (
     Status,
     TRACE_COLUMNS,
     gradient_descent,
-    pair_gradient_sum,
     perturbed_gd,
     random_init,
     sgd,
