@@ -32,6 +32,8 @@ SCAN_COLUMNS = (
     "sigma_min_ok",
     "rank1_norm_ok",
     "classification",
+    "eig_converged",
+    "eig_iterations",
 )
 
 
@@ -145,6 +147,7 @@ class CertReport:
     grad_norm: float
     lambda_min: float
     eig_converged: bool
+    eig_iterations: int  # Hessian-vector products of the eigensolve
     stationary_tol: float
     tau: float
     recovery_fro: float | None
@@ -208,6 +211,7 @@ def certify_point(X, cfg, gt=None, tols=None):
         grad_norm=gn,
         lambda_min=eig.lambda_min,
         eig_converged=eig.converged,
+        eig_iterations=eig.iterations,
         stationary_tol=stat_tol,
         tau=tau,
         recovery_fro=rec,
@@ -231,6 +235,8 @@ class ScanRow:
     sigma_min_ok: bool | None
     rank1_norm_ok: bool | None
     classification: PointClass
+    eig_converged: bool | None = None  # None for a crashed start
+    eig_iterations: int | None = None
     error: str | None = None  # "<ExcType>: <message>" of a crashed start; not in scan.csv
 
 
@@ -269,6 +275,8 @@ def _scan_one(index, gt, obs, cfg, scfg, base_seed, tols, rank):
             sigma_min_ok=rep.sigma_min_ok,
             rank1_norm_ok=rep.rank1_norm_ok,
             classification=rep.classification,
+            eig_converged=rep.eig_converged,
+            eig_iterations=rep.eig_iterations,
         )
     except Exception as exc:
         # a failed start is reported, never allowed to abort the scan
@@ -343,6 +351,8 @@ def scan_to_csv(summary, stream=None):
             _cell(row.sigma_min_ok),
             _cell(row.rank1_norm_ok),
             _cell(row.classification),
+            _cell(row.eig_converged),
+            _cell(row.eig_iterations),
         ]
         for row in summary.rows
     )

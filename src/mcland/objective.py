@@ -22,7 +22,8 @@ ordered entry: `pair_gradient_sum` takes such positions, so drawing them
 uniformly draws each stored pair in proportion to its weight.
 `value_and_gradient` shares one residual pass between value and gradient;
 `hessian_operator` computes the residuals, their CSR matrix and the gathered
-columns of X once per point and returns the Hessian-vector product at it.
+columns of X once per point and returns the Hessian-vector product at it;
+`min_hessian_eig` and `operator_norm_estimate` run one Lanczos routine on it.
 """
 
 from dataclasses import dataclass
@@ -33,6 +34,7 @@ from scipy import sparse
 from .rng import substream
 
 _EIG_SEED = 31415001
+_BASIS = 20  # Lanczos steps per run of the eigensolver and of the norm estimate
 
 
 class ObjectiveConfig:
@@ -275,96 +277,81 @@ def hessian_vecprod(X, V, cfg):
     return hessian_operator(X, cfg)(V)
 
 
-def operator_norm_estimate(X, cfg, iters=80, rel_tol=1e-3):
-    """Power-iteration estimate of the Hessian operator norm at X."""
+def _lanczos(H, v, steps, tol):
+    """Fully reorthogonalized Lanczos on H from v, for at most `steps` HVPs.
+
+    Returns the Ritz values in ascending order and the unit Ritz vectors as
+    the (flattened) columns of Y, one per HVP used.  Stops early once the
+    residual estimate beta_k |s_k| of the smallest Ritz pair meets the
+    tolerance, which includes an invariant Krylov space (beta_k = 0).
+    """
+    steps = min(steps, v.size)  # the Krylov space cannot outgrow the space
+    Q = np.empty((steps, v.size))
+    T = np.zeros((steps, steps))
+    w = v.ravel()
+    beta = float(np.linalg.norm(w))
+    for k in range(steps):
+        Q[k] = w / beta
+        w = H(Q[k].reshape(v.shape)).ravel()
+        for _ in range(2):  # classical Gram-Schmidt twice: Q stays orthonormal to rounding
+            h = Q[: k + 1] @ w
+            w -= h @ Q[: k + 1]
+            T[k, k] += h[k]
+        beta = float(np.linalg.norm(w))
+        theta, S = np.linalg.eigh(T[: k + 1, : k + 1])
+        if k + 1 == steps or beta * abs(S[k, 0]) <= _tolerance(tol, np.abs(theta).max()):
+            return theta, Q[: k + 1].T @ S
+        T[k, k + 1] = T[k + 1, k] = beta
+
+
+def _tolerance(tol, op):
+    return tol if tol is not None else 1e-6 * (1.0 + op)
+
+
+def _start(X):
+    # the seeded start vector of both spectral probes at a point of this shape
+    return substream(_EIG_SEED, "lanczos", *X.shape).standard_normal(X.shape)
+
+
+def operator_norm_estimate(X, cfg):
+    """Lower bound on the Hessian operator norm ||H|| at X: the largest
+    |Ritz value| of a `_BASIS`-step Lanczos run, never below the |Rayleigh
+    quotient| of a power iteration of the same length from the same start."""
     X = _check_factor(X, cfg)
-    H = hessian_operator(X, cfg)
-    d, r = X.shape
-    rng = substream(_EIG_SEED, "opnorm", d, r)
-    v = rng.standard_normal((d, r))
-    v /= np.linalg.norm(v)
-    est = 0.0
-    for _ in range(iters):
-        w = H(v)
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0
-        new = abs(float(np.sum(v * w)))  # |Rayleigh|
-        if est > 0 and abs(new - est) <= rel_tol * est:
-            est = max(new, est)
-            break
-        est = max(new, est)
-        v = w / nw
-    return est
+    theta, _ = _lanczos(hessian_operator(X, cfg), _start(X), _BASIS, 0.0)
+    return float(np.abs(theta).max())
 
 
 @dataclass(frozen=True)
 class EigResult:
-    lambda_min: float
+    lambda_min: float  # Rayleigh quotient of the witness
     witness: np.ndarray  # d x r, unit Frobenius norm
-    converged: bool
-    iterations: int
-    op_norm: float  # operator norm estimate used for the shift
+    converged: bool  # ||H witness - lambda_min witness|| <= tol
+    iterations: int  # Hessian-vector products used
+    op_norm: float  # largest |Ritz value| seen: a lower bound on ||H||
 
 
 def min_hessian_eig(X, cfg, tol=None):
-    """Smallest Hessian eigenvalue at X by shifted power iteration.
+    """Smallest Hessian eigenvalue at X by restarted Lanczos.
 
-    First estimates ||H|| by power iteration on H, then power-iterates
-    c I - H with c slightly above the estimate; the dominant eigenvalue of
-    the shifted operator is c - lambda_min.  Stops once the eigen-residual
-    ||H v - theta v|| drops below `tol` (default 1e-6 * (1 + ||H||)); if the
-    iteration cap of 50 * d * r is hit first, the best Rayleigh bound seen is
-    returned with converged=False.  The witness satisfies
+    Runs `_lanczos` on one `hessian_operator`, restarting from the smallest
+    Ritz vector v until the explicit residual ||H v - theta v|| is at most
+    `tol` (default 1e-6 * (1 + op_norm)).  If the cap of 50 * d * r
+    Hessian-vector products is reached first, the last v is returned with
+    converged=False, and lambda_min is only an upper bound.  lambda_min is
+    the Rayleigh quotient of the unit witness v, so
     hessian_quadratic(X, witness) <= lambda_min + tol.
     """
     X = _check_factor(X, cfg)
-    d, r = X.shape
-    n = d * r
-    cap = 50 * n
-
-    op = operator_norm_estimate(X, cfg)
-    if tol is None:
-        tol = 1e-6 * (1.0 + op)
-    if op == 0.0:
-        witness = np.zeros((d, r))
-        witness[0, 0] = 1.0
-        return EigResult(lambda_min=0.0, witness=witness, converged=True, iterations=0, op_norm=0.0)
-
     H = hessian_operator(X, cfg)
-    c = 1.1 * op + tol  # keep c above lambda_max even if the estimate is a bit low
-    rng = substream(_EIG_SEED, "mineig", d, r)
-    v = rng.standard_normal((d, r))
-    v /= np.linalg.norm(v)
-
-    best_rayleigh = np.inf
-    best_v = v
-    converged = False
-    used = 0
-    for k in range(cap):
+    cap = 50 * X.size
+    v, used, op, converged = _start(X), 0, 0.0, False
+    while not converged and used < cap - 1:
+        theta, Y = _lanczos(H, v, min(_BASIS, cap - used - 1), tol)
+        op = max(op, float(np.abs(theta).max()))
+        v = Y[:, 0].reshape(X.shape)
         Hv = H(v)
-        used = k + 1
-        rayleigh = float(np.sum(v * Hv))
-        resid = float(np.linalg.norm(Hv - rayleigh * v))
-        if rayleigh < best_rayleigh:
-            best_rayleigh = rayleigh
-            best_v = v
-        if resid <= tol:
-            converged = True
-            break
-        Bv = c * v - Hv
-        nb = float(np.linalg.norm(Bv))
-        if nb == 0.0:
-            # v is an exact eigenvector of H with eigenvalue c; restart shifted
-            v = rng.standard_normal((d, r))
-            v /= np.linalg.norm(v)
-            continue
-        v = Bv / nb
-
-    return EigResult(
-        lambda_min=best_rayleigh,
-        witness=best_v,
-        converged=converged,
-        iterations=used,
-        op_norm=op,
-    )
+        used += Y.shape[1] + 1
+        lam = float(np.sum(v * Hv))
+        converged = float(np.linalg.norm(Hv - lam * v)) <= _tolerance(tol, op)
+    return EigResult(lambda_min=lam, witness=v, converged=converged, iterations=used, op_norm=op)

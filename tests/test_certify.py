@@ -226,6 +226,7 @@ def test_scan_survives_failing_starts():
     assert all(r.error.startswith("ValueError: need 1 <= r <= d") for r in summary.rows)
     assert summary.counts[PointClass.NOT_STATIONARY] == 3
     assert np.isnan(summary.worst_recovery)
+    assert all(line.endswith(",NotStationary,,") for line in scan_to_csv(summary).split("\n")[1:-1])
 
 
 def test_scan_rejects_zero_starts():
@@ -239,9 +240,12 @@ def test_scan_csv_schema():
     summary = _scan(gt, obs, cfg, n=3, seed=12)
     lines = scan_to_csv(summary).strip().split("\n")
     assert lines[0] == ",".join(SCAN_COLUMNS)
+    assert lines[0].endswith(",classification,eig_converged,eig_iterations")
     assert len(lines) == 4
     cells = lines[1].split(",")
     assert cells[1] == "grad_tol_reached"
-    assert cells[-1] == "GlobalMin"
+    assert cells[10] == "GlobalMin"
     assert cells[7] in ("true", "false")
     assert float(cells[2]) == summary.rows[0].f_final  # repr round-trip
+    assert cells[11] == "true"
+    assert int(cells[12]) == summary.rows[0].eig_iterations > 0

@@ -278,7 +278,7 @@ def test_scan_assert_clean_fails_on_uncertified_endpoints(tmp_path, capsys, unco
     kv = dict(line.split("=", 1) for line in out.strip().split("\n"))
     assert kv["Uncertified"] == "2" and kv["GlobalMin"] == "0"
     rows = (tmp_path / "scan.csv").read_text().strip().split("\n")[1:]
-    assert all(row.split(",")[-1] == "Uncertified" for row in rows)
+    assert all(row.split(",")[-3:-1] == ["Uncertified", "false"] for row in rows)
 
 
 def test_scan_reports_crash_cause_on_stderr(tmp_path, capsys, monkeypatch):

@@ -12,12 +12,13 @@ from mcland.objective import (
     hessian_vecprod,
     min_hessian_eig,
     objective,
+    operator_norm_estimate,
     pair_gradient_sum,
     reg_gradient,
     regularizer,
     value_and_gradient,
 )
-from mcland.objective import _reg_hess_quad
+from mcland.objective import _BASIS, _reg_hess_quad, _start
 
 from conftest import (
     brute_objective,
@@ -318,13 +319,45 @@ def test_min_eig_detects_saddle(rng_local=np.random.default_rng(5)):
     assert np.linalg.norm(eig.witness) == pytest.approx(1.0, rel=1e-10)
 
 
-def test_min_eig_matches_dense_at_random_points(rng):
+def test_min_eig_matches_dense_at_random_points():
     gt, obs, cfg = make_problem(10, 2, seed=18, p=0.6, sigma=0.1)
-    for _ in range(3):
+    rng = np.random.default_rng(0)
+    for _ in range(200):
         X = rng.normal(size=(10, 2)) * 1.5
         eig = min_hessian_eig(X, cfg)
         dense = dense_min_eig(X, cfg)
+        assert eig.converged
         assert eig.lambda_min == pytest.approx(dense, abs=1e-5 * (1.0 + abs(dense)))
+        assert hessian_quadratic(X, eig.witness, cfg) <= eig.lambda_min + 1e-6 * (1.0 + eig.op_norm)
+
+
+def test_min_eig_converges_near_truth_at_scale():
+    # d=1000, r=3 near the truth: shifted power iteration had not converged
+    # after 3,000 iterations here
+    gt, obs, cfg = make_problem(1000, 3, seed=1, p=0.1)
+    X = gt.factor + 1e-3 * np.random.default_rng(0).standard_normal(gt.factor.shape)
+    eig = min_hessian_eig(X, cfg)
+    assert eig.converged
+    assert eig.iterations <= 100
+    assert hessian_quadratic(X, eig.witness, cfg) <= eig.lambda_min + 1e-6 * (1.0 + eig.op_norm)
+
+
+def test_operator_norm_estimate_bounds():
+    d, r = 30, 2  # d * r > _BASIS: the run covers only part of the space
+    gt, obs, cfg = make_problem(d, r, seed=18, p=0.6, sigma=0.1)
+    rng = np.random.default_rng(1)
+    for _ in range(10):
+        X = rng.normal(size=(d, r)) * 1.5
+        est = operator_norm_estimate(X, cfg)
+        assert est <= np.linalg.norm(dense_hessian(X, cfg), 2) * (1.0 + 1e-12)
+        # never below a power iteration of the same length from the same start
+        H, v, power = hessian_operator(X, cfg), _start(X), 0.0
+        for _ in range(_BASIS):
+            v = v / np.linalg.norm(v)
+            Hv = H(v)
+            power = max(power, abs(float(np.sum(v * Hv))))
+            v = Hv
+        assert est >= power * (1.0 - 1e-12)
 
 
 def test_min_eig_zero_operator():
