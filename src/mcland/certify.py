@@ -9,7 +9,7 @@ base seed regardless of thread count.
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -20,22 +20,6 @@ from .csvio import write_csv
 from .linalg import procrustes_align, singular_extremes
 from .rng import derive_seed
 
-SCAN_COLUMNS = (
-    "start_seed",
-    "status",
-    "f_final",
-    "grad_norm",
-    "lambda_min",
-    "recovery_fro",
-    "procrustes",
-    "incoherence_ok",
-    "sigma_min_ok",
-    "rank1_norm_ok",
-    "classification",
-    "eig_converged",
-    "eig_iterations",
-)
-
 
 class PointClass(str, Enum):
     GLOBAL_MIN = "GlobalMin"
@@ -44,6 +28,7 @@ class PointClass(str, Enum):
     NOT_STATIONARY = "NotStationary"
     SECOND_ORDER_STATIONARY = "SecondOrderStationary"  # no ground truth available
     UNCERTIFIED = "Uncertified"  # stationary, but the eigensolve did not converge
+    CRASHED = "Crashed"  # the start raised; its row has status solver_error
 
 
 @dataclass(frozen=True)
@@ -146,15 +131,15 @@ class CertReport:
     f_value: float
     grad_norm: float
     lambda_min: float
-    eig_converged: bool
-    eig_iterations: int  # Hessian-vector products of the eigensolve
+    eig_converged: bool | None  # None when no eigensolve ran (a non-finite point)
+    eig_iterations: int | None  # Hessian-vector products of the eigensolve
     stationary_tol: float
     tau: float
-    recovery_fro: float | None
-    procrustes_residual: float | None
-    incoherence_ok: bool | None
-    sigma_min_ok: bool | None
-    rank1_norm_ok: bool | None
+    recovery_fro: float | None = None
+    procrustes_residual: float | None = None
+    incoherence_ok: bool | None = None
+    sigma_min_ok: bool | None = None
+    rank1_norm_ok: bool | None = None
 
 
 def certify_point(X, cfg, gt=None, tols=None):
@@ -165,13 +150,26 @@ def certify_point(X, cfg, gt=None, tols=None):
     SecondOrderStationary and recovery fields are None.  A stationary point
     whose eigensolve did not converge is Uncertified instead of a positive
     class, since its lambda_min is only an upper bound; StrictSaddle stands
-    either way, its witness direction proving the negative curvature.
+    either way, its witness direction proving the negative curvature.  A
+    point with a non-finite entry, value or gradient (a diverged run) is
+    NotStationary with lambda_min nan; no eigensolve or recovery check runs.
     """
     X = np.asarray(X, dtype=float)
     tols = tols or CertTolerances()
     bdown, G = obj.value_and_gradient(X, cfg)
     gn = float(np.linalg.norm(G))
     stat_tol = tols.stationary if tols.stationary is not None else 1e-6 * (1.0 + abs(bdown.total))
+    if not (np.isfinite(X).all() and math.isfinite(bdown.total) and math.isfinite(gn)):
+        return CertReport(
+            classification=PointClass.NOT_STATIONARY,
+            f_value=bdown.total,
+            grad_norm=gn,
+            lambda_min=math.nan,
+            eig_converged=None,
+            eig_iterations=None,
+            stationary_tol=stat_tol,
+            tau=math.nan,
+        )
     eig = obj.min_hessian_eig(X, cfg)
     if tols.tau is not None:
         tau = tols.tau
@@ -235,9 +233,13 @@ class ScanRow:
     sigma_min_ok: bool | None
     rank1_norm_ok: bool | None
     classification: PointClass
-    eig_converged: bool | None = None  # None for a crashed start
+    eig_converged: bool | None = None  # None for a crashed start or a non-finite endpoint
     eig_iterations: int | None = None
     error: str | None = None  # "<ExcType>: <message>" of a crashed start; not in scan.csv
+
+
+# the scan.csv header: the ScanRow fields in order, without the crash message
+SCAN_COLUMNS = tuple(f.name for f in fields(ScanRow) if f.name != "error")
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,6 +248,19 @@ class ScanSummary:
     counts: dict
     worst_recovery: float  # max recovery_fro over stationary endpoints (nan if none)
     rows: tuple
+
+
+def map_in_order(fn, items, threads):
+    """[fn(x) for x in items], computed by up to `threads` worker threads.
+
+    Results keep the order of `items`, so output never depends on the
+    thread count.  With one thread this is a plain loop on the calling
+    thread, where signal handlers (a timing probe's SIGALRM) still run.
+    """
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
 
 
 def _scan_one(index, gt, obs, cfg, scfg, base_seed, tols, rank):
@@ -291,7 +306,7 @@ def _scan_one(index, gt, obs, cfg, scfg, base_seed, tols, rank):
             incoherence_ok=None,
             sigma_min_ok=None,
             rank1_norm_ok=None,
-            classification=PointClass.NOT_STATIONARY,
+            classification=PointClass.CRASHED,
             error=f"{type(exc).__name__}: {exc}",
         )
 
@@ -308,12 +323,9 @@ def landscape_scan(gt, obs, hyper, scfg, n_starts, base_seed, tols=None, threads
     cfg = obj.ObjectiveConfig(hyper, obs)
     r = rank if rank is not None else gt.rank
     tols = tols or CertTolerances()
-    indices = range(n_starts)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda k: _scan_one(k, gt, obs, cfg, scfg, base_seed, tols, r), indices))
-    else:
-        rows = [_scan_one(k, gt, obs, cfg, scfg, base_seed, tols, r) for k in indices]
+    rows = map_in_order(
+        lambda k: _scan_one(k, gt, obs, cfg, scfg, base_seed, tols, r), range(n_starts), threads
+    )
 
     counts = {c: 0 for c in PointClass}
     worst = float("nan")
@@ -324,36 +336,7 @@ def landscape_scan(gt, obs, hyper, scfg, n_starts, base_seed, tols=None, threads
     return ScanSummary(n_starts=n_starts, counts=counts, worst_recovery=worst, rows=tuple(rows))
 
 
-def _cell(v):
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return str(v).lower()
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, PointClass):
-        return v.value
-    return str(v)
-
-
 def scan_to_csv(summary, stream=None):
     """Scan rows as CSV in start order; returns text when no stream given."""
-    rows = (
-        [
-            row.start_seed,
-            row.status,
-            _cell(row.f_final),
-            _cell(row.grad_norm),
-            _cell(row.lambda_min),
-            _cell(row.recovery_fro),
-            _cell(row.procrustes),
-            _cell(row.incoherence_ok),
-            _cell(row.sigma_min_ok),
-            _cell(row.rank1_norm_ok),
-            _cell(row.classification),
-            _cell(row.eig_converged),
-            _cell(row.eig_iterations),
-        ]
-        for row in summary.rows
-    )
+    rows = ([getattr(row, col) for col in SCAN_COLUMNS] for row in summary.rows)
     return write_csv(SCAN_COLUMNS, rows, stream)

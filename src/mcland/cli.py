@@ -16,7 +16,6 @@ import dataclasses
 import json
 import sys
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING
 from enum import Enum
 from pathlib import Path
@@ -28,9 +27,11 @@ from .certify import (
     certify_point,
     default_global_rel,
     landscape_scan,
+    map_in_order,
     scan_to_csv,
 )
 from .concentration import ConcentrationTrial, fit_scaling, run_concentration, trials_to_csv
+from .csvio import cell
 from .instance import InstanceSpec, default_hyperparams, HyperParams
 from .objective import ObjectiveConfig
 
@@ -190,10 +191,6 @@ def _parse_concentration(cfg):
     return [_construct(ConcentrationTrial, "concentration", {**base, "p": float(p)}) for p in p_grid]
 
 
-def _fmt(x):
-    return repr(float(x))
-
-
 def cmd_gen(cfg, out_dir, threads):
     spec = _parse_instance(cfg)
     _check_empty(cfg, "config")
@@ -203,11 +200,11 @@ def cmd_gen(cfg, out_dir, threads):
         raise ConfigError(str(exc)) from exc
     hyper = _default_hyper(gt, spec.p)
     (out_dir / "instance.json").write_text(spec.to_json())
-    print(f"mu={_fmt(gt.incoherence)}")
-    print(f"kappa={_fmt(gt.condition_number)}")
-    print(f"alpha={_fmt(hyper.alpha)}")
-    print(f"lambda={_fmt(hyper.reg_weight)}")
-    print(f"tau={_fmt(hyper.tau)}")
+    print(f"mu={cell(gt.incoherence)}")
+    print(f"kappa={cell(gt.condition_number)}")
+    print(f"alpha={cell(hyper.alpha)}")
+    print(f"lambda={cell(hyper.reg_weight)}")
+    print(f"tau={cell(hyper.tau)}")
     print(f"observed_pairs={obs.mask.n_pairs}")
     return 0
 
@@ -229,10 +226,10 @@ def cmd_solve(cfg, out_dir, threads):
     with open(out_dir / "trace.csv", "w", newline="") as fh:
         solvers.trace_to_csv(res.trace, fh)
     print(f"status={res.status.value}")
-    print(f"f={_fmt(res.f)}")
-    print(f"grad_norm={_fmt(res.grad_norm)}")
-    print(f"lambda_min={_fmt(rep.lambda_min)}")
-    print(f"recovery_fro={_fmt(rep.recovery_fro)}")
+    print(f"f={cell(res.f)}")
+    print(f"grad_norm={cell(res.grad_norm)}")
+    print(f"lambda_min={cell(rep.lambda_min)}")
+    print(f"recovery_fro={cell(rep.recovery_fro)}")
     print(f"classification={rep.classification.value}")
     return 0
 
@@ -257,16 +254,17 @@ def cmd_scan(cfg, out_dir, threads, assert_clean=False):
         scan_to_csv(summary, fh)
     for cls in PointClass:
         print(f"{cls.value}={summary.counts[cls]}")
-    print(f"worst_recovery={_fmt(summary.worst_recovery)}")
-    crashed = [row for row in summary.rows if row.error is not None]
-    for row in crashed:
-        print(f"start {row.start_seed} crashed: {row.error}", file=sys.stderr)
+    print(f"worst_recovery={cell(summary.worst_recovery)}")
+    for row in summary.rows:
+        if row.error is not None:
+            print(f"start {row.start_seed} crashed: {row.error}", file=sys.stderr)
     spurious = summary.counts[PointClass.SPURIOUS_LOCAL_MIN]
     uncertified = summary.counts[PointClass.UNCERTIFIED]
+    crashed = summary.counts[PointClass.CRASHED]
     if assert_clean and (spurious or uncertified or crashed):
         print(
             f"assert-clean failed: {spurious} spurious endpoint(s), {uncertified} uncertified "
-            f"endpoint(s), {len(crashed)} crashed start(s)",
+            f"endpoint(s), {crashed} crashed start(s)",
             file=sys.stderr,
         )
         return 1
@@ -276,11 +274,7 @@ def cmd_scan(cfg, out_dir, threads, assert_clean=False):
 def cmd_conc(cfg, out_dir, threads):
     specs = _parse_concentration(cfg)
     _check_empty(cfg, "config")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_concentration, specs))
-    else:
-        results = [run_concentration(s) for s in specs]
+    results = map_in_order(run_concentration, specs, threads)
     with open(out_dir / "conc.csv", "w", newline="") as fh:
         trials_to_csv(results, fh)
     points = [(res.spec.p * res.spec.d, res.median_normalized) for res in results]
@@ -292,8 +286,8 @@ def cmd_conc(cfg, out_dir, threads):
     if fit.degenerate:
         print("fit=degenerate")
     else:
-        print(f"slope={_fmt(fit.slope)}")
-        print(f"r2={_fmt(fit.r2)}")
+        print(f"slope={cell(fit.slope)}")
+        print(f"r2={cell(fit.r2)}")
     return 0
 
 

@@ -14,6 +14,8 @@ stored ordered pairs):
   spectral:       ||P(W) - p W||_2                   W random rank-r
   noise_inner:    |<P(N), P(W)>|                     N iid Gaussian(sigma)
   noise_spectral: ||P(N)||_2
+
+Spectral norms are exact dense 2-norms (`np.linalg.norm(A, 2)`, an SVD).
 """
 
 import math
@@ -24,7 +26,7 @@ import numpy as np
 
 from .csvio import write_csv
 from .instance import sample_mask
-from .linalg import spectral_norm
+from .linalg import row_incoherence
 from .rng import derive_seed, substream
 
 CONC_COLUMNS = ("kind", "d", "r", "p", "nu", "sigma", "trial", "deviation", "predicted_scale")
@@ -97,16 +99,6 @@ class TrialResult:
         return float(np.median(vals)) if vals else float("nan")
 
 
-def row_incoherence(A):
-    """nu such that max_i ||A_i|| = nu * sqrt(1/d) * ||A||_F."""
-    A = np.asarray(A, dtype=float)
-    fro = float(np.linalg.norm(A))
-    if fro == 0.0:
-        return 0.0
-    max_row = float(np.sqrt((A * A).sum(axis=1).max()))
-    return float(np.sqrt(A.shape[0]) * max_row / fro)
-
-
 def _sample_rank_r(d, r, rng):
     """Random rank-r d x d matrix, product of Gaussian factors, ||W||_F = 1."""
     W = (rng.standard_normal((d, r)) @ rng.standard_normal((r, d))) / d
@@ -129,7 +121,7 @@ def deviation_cubic(X, indicator, p):
 
 
 def deviation_spectral(W, indicator, p):
-    return spectral_norm(W * indicator - p * W)
+    return float(np.linalg.norm(W * indicator - p * W, 2))
 
 
 def deviation_noise_inner(N, W, indicator, p):
@@ -137,73 +129,56 @@ def deviation_noise_inner(N, W, indicator, p):
 
 
 def deviation_noise_spectral(N, indicator, p):
-    return spectral_norm(N * indicator)
+    return float(np.linalg.norm(N * indicator, 2))
 
 
-def _predicted(kind, d, r, p, sigma, nu, w_inf=None, z_inf=None, w_fro=None, z_fro=None):
-    """Bound right-hand side with absolute constants dropped."""
-    if p == 0.0:
-        return 0.0
-    logd = math.log(d)
-    if kind is Kind.INNER_PRODUCT:
-        return math.sqrt(p * d * r * w_inf * z_inf * w_fro * z_fro * logd)
-    if kind is Kind.CUBIC_TERM:
-        return p * math.sqrt(nu**6 * r / (p * d)) * w_fro**3
-    if kind is Kind.SPECTRAL:
-        return p * w_fro * nu * math.sqrt(logd / (p * d))
-    if kind is Kind.NOISE_INNER:
-        return sigma * d * math.sqrt(p * r * w_inf * w_fro * logd)
-    if kind is Kind.NOISE_SPECTRAL:
-        return p * sigma * d * math.sqrt(logd / (p * d))
-    raise ValueError(f"unknown kind: {kind}")
+def _sqrt_per_budget(x, p, d):
+    # sqrt(x / (p d)), the (pd)^(-1/2) factor of a bound; 0 when nothing is sampled
+    return math.sqrt(x / (p * d)) if p > 0 else 0.0
 
 
 def run_concentration(spec):
     """Run the Monte-Carlo cell; deterministic in spec.seed."""
     kind = Kind(spec.kind)
     d, r, p, sigma = spec.d, spec.r, spec.p, spec.sigma
+    logd = math.log(d)
     records = []
     for t in range(spec.trials):
         rng = substream(spec.seed, "trial", t)
         mask = sample_mask(d, p, include_diagonal=True, seed=derive_seed(spec.seed, "mask", t))
         ind = mask.indicator()
+        # deviation and the bound's right-hand side with absolute constants dropped
         if kind is Kind.INNER_PRODUCT:
             W = _sample_rank_r(d, r, rng)
             Z = _sample_rank_r(d, r, rng)
             nu = row_incoherence(W)
             dev = deviation_inner_product(W, Z, ind, p)
-            pred = _predicted(
-                kind, d, r, p, sigma, nu,
-                w_inf=float(np.abs(W).max()), z_inf=float(np.abs(Z).max()),
-                w_fro=float(np.linalg.norm(W)), z_fro=float(np.linalg.norm(Z)),
-            )
+            w_inf, z_inf = float(np.abs(W).max()), float(np.abs(Z).max())
+            w_fro, z_fro = float(np.linalg.norm(W)), float(np.linalg.norm(Z))
+            pred = math.sqrt(p * d * r * w_inf * z_inf * w_fro * z_fro * logd)
         elif kind is Kind.CUBIC_TERM:
             X = rng.standard_normal((d, r))
             X /= np.linalg.norm(X)
             nu = row_incoherence(X)
             dev = deviation_cubic(X, ind, p)
-            pred = _predicted(kind, d, r, p, sigma, nu, w_fro=float(np.linalg.norm(X)))
+            pred = p * _sqrt_per_budget(nu**6 * r, p, d) * float(np.linalg.norm(X)) ** 3
         elif kind is Kind.SPECTRAL:
             W = _sample_rank_r(d, r, rng)
             nu = row_incoherence(W)
             dev = deviation_spectral(W, ind, p)
-            pred = _predicted(kind, d, r, p, sigma, nu, w_fro=float(np.linalg.norm(W)))
+            pred = p * float(np.linalg.norm(W)) * nu * _sqrt_per_budget(logd, p, d)
         elif kind is Kind.NOISE_INNER:
             W = _sample_rank_r(d, r, rng)
             N = sigma * rng.standard_normal((d, d))
             nu = row_incoherence(W)
             dev = deviation_noise_inner(N, W, ind, p)
-            pred = _predicted(
-                kind, d, r, p, sigma, nu,
-                w_inf=float(np.abs(W).max()), w_fro=float(np.linalg.norm(W)),
-            )
-        elif kind is Kind.NOISE_SPECTRAL:
+            w_inf, w_fro = float(np.abs(W).max()), float(np.linalg.norm(W))
+            pred = sigma * d * math.sqrt(p * r * w_inf * w_fro * logd)
+        else:  # Kind.NOISE_SPECTRAL
             N = sigma * rng.standard_normal((d, d))
             nu = float("nan")
             dev = deviation_noise_spectral(N, ind, p)
-            pred = _predicted(kind, d, r, p, sigma, nu)
-        else:  # pragma: no cover
-            raise ValueError(f"unknown kind: {kind}")
+            pred = p * sigma * d * _sqrt_per_budget(logd, p, d)
         records.append(TrialRecord(trial=t, deviation=dev, nu=nu, predicted_scale=pred))
     return TrialResult(spec=spec, records=tuple(records))
 
@@ -254,15 +229,15 @@ def trials_to_csv(results, stream=None):
     """Per-trial rows for a list of TrialResult, in given order."""
     rows = (
         [
-            Kind(res.spec.kind).value,
+            Kind(res.spec.kind),
             res.spec.d,
             res.spec.r,
-            repr(float(res.spec.p)),
-            "" if math.isnan(rec.nu) else repr(rec.nu),
-            repr(float(res.spec.sigma)),
+            float(res.spec.p),
+            None if math.isnan(rec.nu) else rec.nu,
+            float(res.spec.sigma),
             rec.trial,
-            repr(rec.deviation),
-            repr(rec.predicted_scale),
+            rec.deviation,
+            rec.predicted_scale,
         ]
         for res in results
         for rec in res.records

@@ -14,7 +14,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .linalg import ObservationMask, singular_extremes
+from .linalg import ObservationMask, row_incoherence, singular_extremes
 from .rng import substream
 
 _FACTOR_RETRIES = 10
@@ -51,10 +51,7 @@ class GroundTruth:
         smax, smin = singular_extremes(Z)
         if smin <= 0.0:
             raise ValueError("factor is rank deficient (sigma_min = 0)")
-        fro = float(np.linalg.norm(Z))
-        max_row = float(np.sqrt((Z * Z).sum(axis=1).max()))
-        mu = float(np.sqrt(Z.shape[0]) * max_row / fro)
-        return cls(factor=Z, incoherence=mu, condition_number=float(smax / smin))
+        return cls(factor=Z, incoherence=row_incoherence(Z), condition_number=float(smax / smin))
 
     @property
     def d(self):

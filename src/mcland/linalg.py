@@ -1,6 +1,6 @@
 """Dense matrix primitives shared by the rest of the package.
 
-The spectral norm, extreme singular values of factor matrices, and
+Row incoherence, extreme singular values of factor matrices, and
 orthogonal (Procrustes) alignment.  Everything operates on plain float64
 numpy arrays; `ObservationMask` is the one shared container, holding the
 symmetric set of observed index pairs in the one pair format every module
@@ -12,11 +12,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-
-from .rng import substream
-
-# Fixed entropy for the deterministic start vectors of the power iterations.
-_POWER_SEED = 20210817
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,37 +74,14 @@ def full_mask(d, include_diagonal=True):
     return ObservationMask(d=d, i=i, j=j, p=1.0)
 
 
-def spectral_norm(A, rel_tol=1e-10, max_iters=10000):
-    """Largest singular value via power iteration on A^T A.
-
-    Matrix-free in spirit (only matvecs with A and A^T), deterministic seeded
-    start vector, stops when the squared-norm estimate stagnates to `rel_tol`.
-    """
+def row_incoherence(A):
+    """nu such that max_i ||A_i|| = nu * sqrt(1/d) * ||A||_F (0 for a zero matrix)."""
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2:
-        raise ValueError(f"spectral_norm expects a 2-d array, got shape {A.shape}")
-    m, n = A.shape
-    if m == 0 or n == 0:
+    fro = float(np.linalg.norm(A))
+    if fro == 0.0:
         return 0.0
-    rng = substream(_POWER_SEED, "spectral", m, n)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    est = 0.0
-    for _ in range(max_iters):
-        w = A @ v
-        s2 = float(w @ w)  # Rayleigh quotient of A^T A at unit v
-        if s2 == 0.0:
-            return 0.0
-        if abs(s2 - est) <= rel_tol * s2:
-            est = s2
-            break
-        est = s2
-        u = A.T @ w
-        nu = np.linalg.norm(u)
-        if nu == 0.0:
-            break
-        v = u / nu
-    return float(np.sqrt(est))
+    max_row = float(np.sqrt((A * A).sum(axis=1).max()))
+    return float(np.sqrt(A.shape[0]) * max_row / fro)
 
 
 class SingularExtremes(NamedTuple):

@@ -272,11 +272,6 @@ def hessian_operator(X, cfg):
     return apply
 
 
-def hessian_vecprod(X, V, cfg):
-    """Matrix-free Hessian application d^2 f(X)[V]; see `hessian_operator`."""
-    return hessian_operator(X, cfg)(V)
-
-
 def _lanczos(H, v, steps, tol):
     """Fully reorthogonalized Lanczos on H from v, for at most `steps` HVPs.
 

@@ -38,6 +38,7 @@ class Status(str, Enum):
     GRAD_TOL = "grad_tol_reached"
     MAX_ITERS = "max_iters_reached"
     LINE_SEARCH_STALLED = "line_search_stalled"
+    DIVERGED = "diverged"  # the last iterate's objective or gradient is not finite
 
 
 @dataclass(frozen=True)
@@ -143,19 +144,9 @@ class SolveResult:
 
 def trace_to_csv(trace, stream=None):
     """Write the trace as CSV; returns the text when no stream is given."""
-    rows = (
-        [
-            trace.iters[k],
-            repr(trace.f[k]),
-            repr(trace.data_term[k]),
-            repr(trace.reg_term[k]),
-            repr(trace.grad_norm[k]),
-            repr(trace.step[k]),
-            trace.cum_entry_grads[k],
-        ]
-        for k in range(len(trace))
-    )
-    return write_csv(TRACE_COLUMNS, rows, stream)
+    columns = (trace.iters, trace.f, trace.data_term, trace.reg_term, trace.grad_norm, trace.step,
+               trace.cum_entry_grads)
+    return write_csv(TRACE_COLUMNS, zip(*columns), stream)
 
 
 def random_init(d, r, obs, seed):
@@ -219,14 +210,21 @@ def _start(cfg, scfg, X0, cum):
     return X, bdown, G, gn, grad_tol, trace
 
 
+def _diverged(bdown, gn):
+    return not (math.isfinite(bdown.total) and math.isfinite(gn))
+
+
 def _result(X, bdown, gn, grad_tol, trace, cum, stalled=False, probing=False):
     """SolveResult at the final iterate, with the status rules all solvers share.
 
+    A non-finite objective or gradient norm means the run diverged.  Else
     grad_tol reached wins unless a perturbation probe is still open; else a
     run that ended in a stalled line search is stalled, any other ran out of
     iterations.
     """
-    if gn <= grad_tol and not probing:
+    if _diverged(bdown, gn):
+        status = Status.DIVERGED
+    elif gn <= grad_tol and not probing:
         status = Status.GRAD_TOL
     elif stalled:
         status = Status.LINE_SEARCH_STALLED
@@ -354,7 +352,8 @@ def sgd(cfg, scfg, X0):
 
     Trace rows record the full objective and full gradient norm each
     iteration for diagnostics; only the sampled batch counts toward
-    `cum_entry_grads`.
+    `cum_entry_grads`.  The run stops with status `diverged` at the first
+    iterate whose objective or gradient norm is not finite.
     """
     X, bdown, _, gn, grad_tol, trace = _start(cfg, scfg, X0, 0)
     batch = min(scfg.sgd.batch, cfg.n_pairs) if cfg.n_pairs else scfg.sgd.batch
@@ -381,6 +380,8 @@ def sgd(cfg, scfg, X0):
         bdown, G = obj.value_and_gradient(X, cfg)
         gn = float(np.linalg.norm(G))
         trace.append(it, bdown, weight, gn, step, cum)
+        if _diverged(bdown, gn):
+            break
     return _result(X, bdown, gn, grad_tol, trace, cum)
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from mcland.instance import InstanceSpec, default_hyperparams
-from mcland.objective import ObjectiveConfig, objective, gradient, hessian_vecprod
+from mcland.objective import ObjectiveConfig, objective, gradient, hessian_operator
 
 
 # ---------------------------------------------------------------------------
@@ -58,9 +58,10 @@ def dense_hessian(X, cfg):
     n = d * r
     H = np.zeros((n, n))
     E = np.zeros((d, r))
+    apply = hessian_operator(X, cfg)
     for k in range(n):
         E.flat[k] = 1.0
-        H[:, k] = hessian_vecprod(X, E, cfg).ravel()
+        H[:, k] = apply(E).ravel()
         E.flat[k] = 0.0
     return H
 

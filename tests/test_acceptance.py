@@ -33,8 +33,8 @@ from mcland.linalg import full_mask
 from mcland.objective import (
     ObjectiveConfig,
     gradient,
+    hessian_operator,
     hessian_quadratic,
-    hessian_vecprod,
     min_hessian_eig,
     objective,
 )
@@ -119,7 +119,7 @@ def test_c2_hessian_oracle():
             quad = hessian_quadratic(X, V, cfg)
             fd = fd_second_directional(lambda Y: objective(Y, cfg).total, X, V)
             worst_quad = max(worst_quad, abs(quad - fd) / (1.0 + abs(quad)))
-            via = float(np.sum(V * hessian_vecprod(X, V, cfg)))
+            via = float(np.sum(V * hessian_operator(X, cfg)(V)))
             worst_pair = max(worst_pair, abs(quad - via) / (1.0 + abs(quad)))
 
     worst_sym = worst_entry = 0.0

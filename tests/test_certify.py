@@ -224,9 +224,23 @@ def test_scan_survives_failing_starts():
     )
     assert all(r.status == "solver_error" for r in summary.rows)
     assert all(r.error.startswith("ValueError: need 1 <= r <= d") for r in summary.rows)
-    assert summary.counts[PointClass.NOT_STATIONARY] == 3
+    assert summary.counts[PointClass.CRASHED] == 3
+    assert summary.counts[PointClass.NOT_STATIONARY] == 0
     assert np.isnan(summary.worst_recovery)
-    assert all(line.endswith(",NotStationary,,") for line in scan_to_csv(summary).split("\n")[1:-1])
+    assert all(line.endswith(",Crashed,,") for line in scan_to_csv(summary).split("\n")[1:-1])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_point_is_not_stationary_without_eigensolve():
+    gt, obs, cfg = make_problem(10, 2, seed=22)
+    bad_entry = gt.factor.copy()
+    bad_entry[3, 1] = np.nan
+    for X in (bad_entry, 1e200 * gt.factor):  # the second overflows f
+        rep = certify_point(X, cfg, gt)
+        assert rep.classification is PointClass.NOT_STATIONARY
+        assert np.isnan(rep.lambda_min)
+        assert rep.eig_converged is None and rep.eig_iterations is None
+        assert rep.recovery_fro is None and rep.incoherence_ok is None
 
 
 def test_scan_rejects_zero_starts():

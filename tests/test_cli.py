@@ -195,6 +195,26 @@ def test_solve_noisy_endpoint_at_noise_floor_is_global_min(tmp_path, capsys):
     assert kv["classification"] == "GlobalMin"
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverged_sgd_is_reported_not_an_internal_error(tmp_path, capsys):
+    # a step base far above 1 / ||H|| makes SGD overflow within a few iterations
+    payload = {
+        "instance": {"d": 20, "r": 2, "seed": 3, "p": 0.8},
+        "solver": {"method": "sgd", "max_iters": 300, "sgd": {"step_base": 50.0}},
+    }
+    code, out, err = _run(capsys, ["solve", "--config", _write(tmp_path, payload), "--out", str(tmp_path)])
+    assert code == 0, err
+    kv = dict(line.split("=", 1) for line in out.strip().split("\n"))
+    assert kv["status"] == "diverged" and kv["classification"] == "NotStationary"
+    assert kv["lambda_min"] == "nan" and kv["recovery_fro"] == ""
+    payload["scan"] = {"n_starts": 2, "base_seed": 0}
+    code, out, err = _run(capsys, ["scan", "--config", _write(tmp_path, payload), "--out", str(tmp_path)])
+    assert code == 0, err
+    rows = [row.split(",") for row in (tmp_path / "scan.csv").read_text().strip().split("\n")[1:]]
+    assert [row[1] for row in rows] == ["diverged", "diverged"]
+    assert all(row[-3:] == ["NotStationary", "", ""] for row in rows)
+
+
 # ---------------------------------------------------------------------------
 # scan
 
@@ -264,6 +284,8 @@ def test_scan_assert_clean_fails_on_crashed_starts(tmp_path, capsys, monkeypatch
     )
     assert code == 1
     assert "2 crashed start(s)" in err
+    kv = dict(line.split("=", 1) for line in out.strip().split("\n"))
+    assert kv["Crashed"] == "2" and kv["NotStationary"] == "0"
     rows = (tmp_path / "scan.csv").read_text().strip().split("\n")[1:]
     assert len(rows) == 2 and all(row.split(",")[1] == "solver_error" for row in rows)
 

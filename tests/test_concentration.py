@@ -12,11 +12,10 @@ from mcland.concentration import (
     deviation_noise_spectral,
     deviation_spectral,
     fit_scaling,
-    row_incoherence,
     run_concentration,
     trials_to_csv,
 )
-from mcland.linalg import full_mask
+from mcland.linalg import full_mask, row_incoherence
 
 
 def _cell(kind, p, d=60, r=1, trials=10, seed=0, sigma=1.0):
@@ -48,9 +47,24 @@ def test_zero_inputs_give_zero_deviation():
 
 
 def test_empty_mask_deviations_and_predictions_vanish():
-    res = _cell(Kind.INNER_PRODUCT, p=0.0, trials=5)
-    assert all(rec.deviation == 0.0 for rec in res.records)
-    assert all(rec.predicted_scale == 0.0 for rec in res.records)
+    for kind in Kind:
+        res = _cell(kind, p=0.0, trials=5)
+        assert all(rec.deviation == 0.0 for rec in res.records)
+        assert all(rec.predicted_scale == 0.0 for rec in res.records)
+
+
+def test_spectral_deviations_match_dense_oracle(rng):
+    # oracle: the largest eigenvalue of D^T D, not an SVD of D
+    d = 30
+    ind = (rng.random((d, d)) < 0.4).astype(float)
+    ind = np.triu(ind) + np.triu(ind, 1).T
+    W = rng.normal(size=(d, d))
+    for dev, D in (
+        (deviation_spectral(W, ind, 0.4), W * ind - 0.4 * W),
+        (deviation_noise_spectral(W, ind, 0.4), W * ind),
+    ):
+        assert dev == pytest.approx(math.sqrt(np.linalg.eigvalsh(D.T @ D)[-1]), rel=1e-10)
+    assert deviation_spectral(2.0 * W, ind, 0.4) == 2.0 * deviation_spectral(W, ind, 0.4)
 
 
 def test_cubic_deviation_rotation_invariant(rng):

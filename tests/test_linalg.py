@@ -8,7 +8,6 @@ from mcland.linalg import (
     full_mask,
     procrustes_align,
     singular_extremes,
-    spectral_norm,
 )
 
 
@@ -119,37 +118,6 @@ def test_project_contracts_frobenius(seed):
     A = gen.normal(size=(7, 7))
     mask = sample_mask(7, 0.3, True, seed=seed)
     assert np.linalg.norm(_project(A, mask)) <= np.linalg.norm(A) + 1e-15
-
-
-# ---------------------------------------------------------------------------
-# norms
-
-
-def test_norms_identity():
-    assert spectral_norm(np.eye(3)) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_norms_all_ones():
-    assert spectral_norm(np.ones((2, 2))) == pytest.approx(2.0, abs=1e-10)
-
-
-def test_norms_zero_matrix():
-    assert spectral_norm(np.zeros((3, 4))) == 0.0
-
-
-def test_spectral_matches_dense_oracle(rng):
-    A = rng.normal(size=(20, 20))
-    dense = np.sqrt(np.max(np.linalg.eigvalsh(A.T @ A)))
-    assert spectral_norm(A) == pytest.approx(dense, abs=1e-8)
-
-
-def test_norm_ordering(rng):
-    # max row norm <= spectral norm <= Frobenius norm
-    for _ in range(10):
-        A = rng.normal(size=(8, 6)) * rng.uniform(0.1, 10)
-        two_to_inf = float(np.sqrt((A * A).sum(axis=1).max()))
-        assert two_to_inf <= spectral_norm(A) + 1e-9
-        assert spectral_norm(A) <= np.linalg.norm(A) + 1e-9
 
 
 # ---------------------------------------------------------------------------

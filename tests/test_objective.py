@@ -9,7 +9,6 @@ from mcland.objective import (
     gradient,
     hessian_operator,
     hessian_quadratic,
-    hessian_vecprod,
     min_hessian_eig,
     objective,
     operator_norm_estimate,
@@ -250,7 +249,7 @@ def test_vecprod_consistent_with_quadratic(rng):
     for _ in range(5):
         V = rng.normal(size=(9, 2))
         quad = hessian_quadratic(X, V, cfg)
-        via_prod = float(np.sum(V * hessian_vecprod(X, V, cfg)))
+        via_prod = float(np.sum(V * hessian_operator(X, cfg)(V)))
         assert via_prod == pytest.approx(quad, rel=1e-10, abs=1e-12)
 
 
@@ -260,8 +259,8 @@ def test_vecprod_self_adjoint(rng):
     for _ in range(3):
         U = rng.normal(size=(9, 2))
         V = rng.normal(size=(9, 2))
-        uhv = float(np.sum(U * hessian_vecprod(X, V, cfg)))
-        vhu = float(np.sum(V * hessian_vecprod(X, U, cfg)))
+        uhv = float(np.sum(U * hessian_operator(X, cfg)(V)))
+        vhu = float(np.sum(V * hessian_operator(X, cfg)(U)))
         assert uhv == pytest.approx(vhu, rel=1e-10, abs=1e-12)
 
 
@@ -285,7 +284,7 @@ def test_penalty_inactive_rows_do_not_change_derivatives(rng):
     V = rng.normal(size=(10, 2))
     assert objective(X, on).total == objective(X, off).total
     assert np.array_equal(gradient(X, on), gradient(X, off))
-    assert np.array_equal(hessian_vecprod(X, V, on), hessian_vecprod(X, V, off))
+    assert np.array_equal(hessian_operator(X, on)(V), hessian_operator(X, off)(V))
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +438,7 @@ def test_fused_and_per_point_kernels_are_bit_identical(d, r, p, include_diagonal
     assert np.array_equal(G, gradient(X, cfg))
     H = hessian_operator(X, cfg)
     for U in (V, 2.0 * V + 1.0):
-        assert np.array_equal(H(U), hessian_vecprod(X, U, cfg))
+        assert np.array_equal(H(U), hessian_operator(X, cfg)(U))
 
 
 def test_hessian_operator_rejects_wrong_direction_shape():

@@ -184,6 +184,18 @@ def test_sgd_matches_gd_on_equal_budget():
     assert gd_res.f <= 10.0 * sgd_res.f
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sgd_stops_at_first_non_finite_iterate():
+    gt, obs, cfg = make_problem(20, 2, seed=3, p=0.8)
+    scfg = SolverConfig(method=Method.SGD, max_iters=300, sgd=SgdParams(step_base=50.0))
+    res = sgd(cfg, scfg, random_init(20, 2, obs, 0))
+    assert res.status is Status.DIVERGED
+    assert res.iterations < scfg.max_iters and res.iterations == len(res.trace) - 1
+    finite = [math.isfinite(f) and math.isfinite(g) for f, g in zip(res.trace.f, res.trace.grad_norm)]
+    assert finite == [True] * (len(finite) - 1) + [False]
+    assert not math.isfinite(res.f) or not math.isfinite(res.grad_norm)
+
+
 # ---------------------------------------------------------------------------
 # perturbed gradient descent
 
