@@ -156,8 +156,9 @@ def certify_point(X, cfg, gt=None, tols=None):
     """
     X = np.asarray(X, dtype=float)
     tols = tols or CertTolerances()
-    bdown, G = obj.value_and_gradient(X, cfg)
-    gn = float(np.linalg.norm(G))
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged endpoint is NotStationary below
+        bdown, G = obj.value_and_gradient(X, cfg)
+        gn = float(np.linalg.norm(G))
     stat_tol = tols.stationary if tols.stationary is not None else 1e-6 * (1.0 + abs(bdown.total))
     if not (np.isfinite(X).all() and math.isfinite(bdown.total) and math.isfinite(gn)):
         return CertReport(

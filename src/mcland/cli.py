@@ -260,11 +260,12 @@ def cmd_scan(cfg, out_dir, threads, assert_clean=False):
             print(f"start {row.start_seed} crashed: {row.error}", file=sys.stderr)
     spurious = summary.counts[PointClass.SPURIOUS_LOCAL_MIN]
     uncertified = summary.counts[PointClass.UNCERTIFIED]
+    unstationary = summary.counts[PointClass.NOT_STATIONARY]
     crashed = summary.counts[PointClass.CRASHED]
-    if assert_clean and (spurious or uncertified or crashed):
+    if assert_clean and (spurious or uncertified or unstationary or crashed):
         print(
             f"assert-clean failed: {spurious} spurious endpoint(s), {uncertified} uncertified "
-            f"endpoint(s), {crashed} crashed start(s)",
+            f"endpoint(s), {unstationary} unstationary endpoint(s), {crashed} crashed start(s)",
             file=sys.stderr,
         )
         return 1
@@ -306,8 +307,8 @@ def _build_parser():
             p.add_argument(
                 "--assert-clean",
                 action="store_true",
-                help="exit nonzero if any endpoint is a spurious local minimum or uncertified, "
-                "or any start crashed",
+                help="exit nonzero if any endpoint is a spurious local minimum, uncertified "
+                "or not stationary, or any start crashed",
             )
     return parser
 

@@ -17,13 +17,21 @@ per stored pair, gathering X one column at a time.
 Evaluation touches only observed Gram entries (cost O(n_pairs * r + d * r)).
 Masked residuals are applied through the full symmetric CSR pattern of the
 mask, built from the stored pairs and filled from their values by a slot
-map.  Position k in [0, n_pairs) of that pattern, in row-major order, is one
+map; the same pattern with unit entries is the fixed 0/1 matrix P.
+Position k in [0, n_pairs) of the pattern, in row-major order, is one
 ordered entry: `pair_gradient_sum` takes such positions, so drawing them
 uniformly draws each stored pair in proportion to its weight.
-`value_and_gradient` shares one residual pass between value and gradient;
-`hessian_operator` computes the residuals, their CSR matrix and the gathered
-columns of X once per point and returns the Hessian-vector product at it;
-`min_hessian_eig` and `operator_norm_estimate` run one Lanczos routine on it.
+`value_and_gradient` shares one residual pass between value and gradient,
+and `breakdown` and `residual_gradient` let a caller that already holds the
+residuals of a point (an accepted line-search trial) reuse them.
+`hessian_operator` applies the data curvature through P:
+
+    sum_j Omega_ij (<V_i, X_j> + <X_i, V_j>) X_j = A_i V_i + B_i X_i,
+
+with the r x r blocks A = P [X_j X_j^T] once per point and B = P [X_j V_j^T]
+once per application, so an application gathers no pairs and builds no
+matrix.  `min_hessian_eig` and `operator_norm_estimate` run one Lanczos
+routine on it.
 """
 
 from dataclasses import dataclass
@@ -63,6 +71,7 @@ class ObjectiveConfig:
         idx = np.int32 if max(d, rows.size) < 2**31 else np.int64
         self._indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=d))]).astype(idx)
         self._indices = cols[order].astype(idx)
+        self._pattern = sparse.csr_matrix((np.ones(rows.size), self._indices, self._indptr), shape=(d, d))
 
     def pair_gram(self, X):
         """<X_i, X_j> for every stored pair (i, j)."""
@@ -171,13 +180,15 @@ def _check_direction(V, X):
     return V
 
 
-def _breakdown(X, resid, cfg):
+def breakdown(X, resid, cfg):
+    """Objective value split into data and penalty terms, from the residuals of X."""
     data = 0.5 * float((cfg._w * resid) @ resid)
     reg = regularizer(X, cfg.hyper.alpha)
     return EvalBreakdown(data_term=data, reg_term=reg, total=data + cfg.hyper.reg_weight * reg)
 
 
-def _gradient(X, resid, cfg):
+def residual_gradient(X, resid, cfg):
+    """The gradient of `gradient(X, cfg)`, from the residuals of X: the same floats."""
     G = -2.0 * cfg.masked_matmul(resid, X)
     if cfg.hyper.reg_weight > 0:
         G += cfg.hyper.reg_weight * reg_gradient(X, cfg.hyper.alpha)
@@ -187,20 +198,20 @@ def _gradient(X, resid, cfg):
 def objective(X, cfg):
     """Objective value split into data and penalty terms."""
     X = _check_factor(X, cfg)
-    return _breakdown(X, cfg.residuals(X), cfg)
+    return breakdown(X, cfg.residuals(X), cfg)
 
 
 def gradient(X, cfg):
     """d x r gradient: -2 P_Omega(residual) X plus the weighted penalty gradient."""
     X = _check_factor(X, cfg)
-    return _gradient(X, cfg.residuals(X), cfg)
+    return residual_gradient(X, cfg.residuals(X), cfg)
 
 
 def value_and_gradient(X, cfg):
     """(objective(X, cfg), gradient(X, cfg)) from one residual pass; the same floats."""
     X = _check_factor(X, cfg)
     resid = cfg.residuals(X)
-    return _breakdown(X, resid, cfg), _gradient(X, resid, cfg)
+    return breakdown(X, resid, cfg), residual_gradient(X, resid, cfg)
 
 
 def pair_gradient_sum(X, cfg, positions):
@@ -243,28 +254,28 @@ def hessian_quadratic(X, V, cfg):
 def hessian_operator(X, cfg):
     """The matrix-free Hessian at X, as a function V -> d^2 f(X)[V] (d x r).
 
-    H[V] = 2 P_Omega(V X^T + X V^T) X - 2 P_Omega(residual) V + penalty part.
-    The residuals, their CSR matrix, the gathered columns of X and the
-    penalty setup are computed once here and shared by every application;
-    nothing is stored on `cfg`.  Self-adjoint, and <V, H[V]> agrees with
-    `hessian_quadratic` to rounding.
+    H[V] = 2 P_Omega(V X^T + X V^T) X - 2 P_Omega(residual) V + penalty part,
+    with the first term applied rowwise as 2 (A_i V_i + B_i X_i) for the r x r
+    blocks A_i = sum_j Omega_ij X_j X_j^T and B_i = sum_j Omega_ij X_j V_j^T:
+    A, the residual CSR matrix and the penalty setup are computed once here,
+    B is one product of the 0/1 pattern with the rows X_j V_j^T per
+    application (O(n_pairs r^2)); nothing is stored on `cfg`.  Self-adjoint,
+    and <V, H[V]> agrees with `hessian_quadratic` to rounding.
     """
     X = _check_factor(X, cfg)
-    i, j = cfg._i, cfg._j
+    d, r = X.shape
+
+    def blocks(Y):  # the r x r blocks sum_j Omega_ij X_j Y_j^T
+        return (cfg._pattern @ (X[:, :, None] * Y[:, None, :]).reshape(d, r * r)).reshape(d, r, r)
+
     R = cfg._masked_matrix(cfg.residuals(X))
-    cols = np.ascontiguousarray(X.T)
-    xi = [x[i] for x in cols]
-    xj = [x[j] for x in cols]
+    A = blocks(X)
     weight = cfg.hyper.reg_weight
     reg_terms = _reg_hess_terms(X, cfg.hyper.alpha) if weight > 0 else None
 
     def apply(V):
         V = _check_direction(V, X)
-        vt = np.ascontiguousarray(V.T)
-        s = vt[0][i] * xj[0] + xi[0] * vt[0][j]
-        for v, a, b in zip(vt[1:], xi[1:], xj[1:]):
-            s += v[i] * b + a * v[j]
-        HV = 2.0 * cfg.masked_matmul(s, X) - 2.0 * (R @ V)
+        HV = 2.0 * (np.einsum("iab,ib->ia", A, V) + np.einsum("iab,ib->ia", blocks(V), X)) - 2.0 * (R @ V)
         if weight > 0:
             HV += weight * _reg_hess_apply(reg_terms, V)
         return HV
@@ -272,11 +283,12 @@ def hessian_operator(X, cfg):
     return apply
 
 
-def _lanczos(H, v, steps, tol):
-    """Fully reorthogonalized Lanczos on H from v, for at most `steps` HVPs.
+def _lanczos(H, v, steps, tol, Hv=None):
+    """Fully reorthogonalized Lanczos on H from v, for at most `steps` steps.
 
     Returns the Ritz values in ascending order and the unit Ritz vectors as
-    the (flattened) columns of Y, one per HVP used.  Stops early once the
+    the (flattened) columns of Y, one per step.  Each step costs one HVP,
+    except the first when `Hv` = H[v] is given.  Stops early once the
     residual estimate beta_k |s_k| of the smallest Ritz pair meets the
     tolerance, which includes an invariant Krylov space (beta_k = 0).
     """
@@ -287,7 +299,7 @@ def _lanczos(H, v, steps, tol):
     beta = float(np.linalg.norm(w))
     for k in range(steps):
         Q[k] = w / beta
-        w = H(Q[k].reshape(v.shape)).ravel()
+        w = Hv.ravel() / beta if k == 0 and Hv is not None else H(Q[k].reshape(v.shape)).ravel()
         for _ in range(2):  # classical Gram-Schmidt twice: Q stays orthonormal to rounding
             h = Q[: k + 1] @ w
             w -= h @ Q[: k + 1]
@@ -331,7 +343,8 @@ def min_hessian_eig(X, cfg, tol=None):
 
     Runs `_lanczos` on one `hessian_operator`, restarting from the smallest
     Ritz vector v until the explicit residual ||H v - theta v|| is at most
-    `tol` (default 1e-6 * (1 + op_norm)).  If the cap of 50 * d * r
+    `tol` (default 1e-6 * (1 + op_norm)); the H v of that check is the first
+    step of the restart.  If the cap of 50 * d * r
     Hessian-vector products is reached first, the last v is returned with
     converged=False, and lambda_min is only an upper bound.  lambda_min is
     the Rayleigh quotient of the unit witness v, so
@@ -340,13 +353,13 @@ def min_hessian_eig(X, cfg, tol=None):
     X = _check_factor(X, cfg)
     H = hessian_operator(X, cfg)
     cap = 50 * X.size
-    v, used, op, converged = _start(X), 0, 0.0, False
+    v, Hv, used, op, converged = _start(X), None, 0, 0.0, False
     while not converged and used < cap - 1:
-        theta, Y = _lanczos(H, v, min(_BASIS, cap - used - 1), tol)
+        theta, Y = _lanczos(H, v, min(_BASIS, cap - used - 1), tol, Hv)
         op = max(op, float(np.abs(theta).max()))
+        used += Y.shape[1] - (Hv is not None) + 1
         v = Y[:, 0].reshape(X.shape)
         Hv = H(v)
-        used += Y.shape[1] + 1
         lam = float(np.sum(v * Hv))
         converged = float(np.linalg.norm(Hv - lam * v)) <= _tolerance(tol, op)
     return EigResult(lambda_min=lam, witness=v, converged=converged, iterations=used, op_norm=op)

@@ -182,14 +182,18 @@ def _auto_step0(cfg, X0, explicit):
 def _armijo_step(cfg, X, bdown, G, gn2, t_init, params):
     """Backtrack from t_init until the sufficient-decrease test passes.
 
-    Returns (t, X_new, bdown_new) or None when the step underflows.
+    Returns (t, X_new, bdown_new, resid_new) or None when the step
+    underflows; resid_new, the residuals of the accepted trial, gives the
+    gradient at X_new without a second residual pass.
     """
     t = t_init
     while t >= _STEP_UNDERFLOW:
-        X_new = X - t * G
-        bdown_new = obj.objective(X_new, cfg)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing trial is rejected
+            X_new = X - t * G
+            resid = cfg.residuals(X_new)
+            bdown_new = obj.breakdown(X_new, resid, cfg)
         if bdown_new.total <= bdown.total - params.c1 * t * gn2:
-            return t, X_new, bdown_new
+            return t, X_new, bdown_new, resid
         t *= params.backtrack
     return None
 
@@ -298,8 +302,8 @@ def _descend(cfg, scfg, X0, perturb):
                 continue
             hit = _armijo_step(cfg, X, bdown, G, gn * gn, 2.0 * t_prev, scfg.armijo)
             if hit is not None:
-                t_prev, X, bdown = hit
-                G = obj.gradient(X, cfg)
+                t_prev, X, bdown, resid = hit
+                G = obj.residual_gradient(X, resid, cfg)
                 cum += n_pairs
                 gn = float(np.linalg.norm(G))
                 trace.append(it, bdown, weight, gn, t_prev, cum)
@@ -374,11 +378,12 @@ def sgd(cfg, scfg, X0):
         if gn <= grad_tol:
             break
         step = base / (1.0 + decay * (it - 1))
-        G = stochastic_gradient(X, cfg, rng, batch)
+        with np.errstate(over="ignore", invalid="ignore"):  # a diverging run ends with status diverged
+            G = stochastic_gradient(X, cfg, rng, batch)
+            X = X - step * G
+            bdown, G = obj.value_and_gradient(X, cfg)
+            gn = float(np.linalg.norm(G))
         cum += batch
-        X = X - step * G
-        bdown, G = obj.value_and_gradient(X, cfg)
-        gn = float(np.linalg.norm(G))
         trace.append(it, bdown, weight, gn, step, cum)
         if _diverged(bdown, gn):
             break

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,13 +199,17 @@ def test_solve_noisy_endpoint_at_noise_floor_is_global_min(tmp_path, capsys):
     assert kv["classification"] == "GlobalMin"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_diverged_sgd_is_reported_not_an_internal_error(tmp_path, capsys):
+def _diverging_payload():
     # a step base far above 1 / ||H|| makes SGD overflow within a few iterations
-    payload = {
+    return {
         "instance": {"d": 20, "r": 2, "seed": 3, "p": 0.8},
         "solver": {"method": "sgd", "max_iters": 300, "sgd": {"step_base": 50.0}},
     }
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_diverged_sgd_is_reported_not_an_internal_error(tmp_path, capsys):
+    payload = _diverging_payload()
     code, out, err = _run(capsys, ["solve", "--config", _write(tmp_path, payload), "--out", str(tmp_path)])
     assert code == 0, err
     kv = dict(line.split("=", 1) for line in out.strip().split("\n"))
@@ -213,6 +221,20 @@ def test_diverged_sgd_is_reported_not_an_internal_error(tmp_path, capsys):
     rows = [row.split(",") for row in (tmp_path / "scan.csv").read_text().strip().split("\n")[1:]]
     assert [row[1] for row in rows] == ["diverged", "diverged"]
     assert all(row[-3:] == ["NotStationary", "", ""] for row in rows)
+
+
+def test_diverged_solve_writes_no_overflow_warnings(tmp_path):
+    # a fresh interpreter, so stderr is what a user sees under the default warning filters
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cfgp = _write(tmp_path, _diverging_payload())
+    proc = subprocess.run(
+        [sys.executable, "-m", "mcland.cli", "solve", "--config", cfgp, "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert "status=diverged" in proc.stdout.splitlines()
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +323,19 @@ def test_scan_assert_clean_fails_on_uncertified_endpoints(tmp_path, capsys, unco
     assert kv["Uncertified"] == "2" and kv["GlobalMin"] == "0"
     rows = (tmp_path / "scan.csv").read_text().strip().split("\n")[1:]
     assert all(row.split(",")[-3:-1] == ["Uncertified", "false"] for row in rows)
+
+
+def test_scan_assert_clean_fails_on_unstationary_endpoints(tmp_path, capsys):
+    payload = _diverging_payload()
+    payload["scan"] = {"n_starts": 3, "base_seed": 0}
+    cfgp = _write(tmp_path, payload)
+    code, out, err = _run(
+        capsys, ["scan", "--config", cfgp, "--out", str(tmp_path), "--assert-clean"]
+    )
+    assert code == 1
+    assert "3 unstationary endpoint(s)" in err
+    kv = dict(line.split("=", 1) for line in out.strip().split("\n"))
+    assert kv["NotStationary"] == "3"
 
 
 def test_scan_reports_crash_cause_on_stderr(tmp_path, capsys, monkeypatch):

@@ -375,11 +375,14 @@ def test_min_eig_zero_operator():
 # pair kernels on unordered pairs, against oracles over every mask shape
 
 # (d, r, p, include_diagonal): partial masks with and without the diagonal,
-# full masks, an empty mask and d = 1
+# full masks, an empty mask and d = 1; r = 5 makes the r x r blocks of the
+# Hessian operator far larger than r, so a transposed block shows
 KERNEL_CASES = [
     (12, 1, 0.6, True),
     (12, 3, 0.6, True),
     (12, 3, 0.6, False),
+    (12, 5, 0.6, True),
+    (12, 5, 0.6, False),
     (10, 3, 1.0, True),
     (10, 1, 1.0, False),
     (8, 3, 0.0, True),

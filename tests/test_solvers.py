@@ -184,7 +184,7 @@ def test_sgd_matches_gd_on_equal_budget():
     assert gd_res.f <= 10.0 * sgd_res.f
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_sgd_stops_at_first_non_finite_iterate():
     gt, obs, cfg = make_problem(20, 2, seed=3, p=0.8)
     scfg = SolverConfig(method=Method.SGD, max_iters=300, sgd=SgdParams(step_base=50.0))
@@ -194,6 +194,19 @@ def test_sgd_stops_at_first_non_finite_iterate():
     finite = [math.isfinite(f) and math.isfinite(g) for f, g in zip(res.trace.f, res.trace.grad_norm)]
     assert finite == [True] * (len(finite) - 1) + [False]
     assert not math.isfinite(res.f) or not math.isfinite(res.grad_norm)
+
+
+@pytest.mark.parametrize("method", [Method.GD, Method.PERTURBED_GD])
+def test_reported_gradient_norm_is_that_of_the_endpoint(method):
+    # each accepted line-search trial hands its residuals to the gradient:
+    # the reported norm must be the gradient norm at the endpoint, bit for bit
+    gt, obs, cfg = make_problem(30, 2, seed=9, p=0.5)
+    X0 = random_init(30, 2, obs, 4)
+    for k in range(1, 11):
+        res = solve(cfg, SolverConfig(method=method, max_iters=k, seed=4), X0)
+        assert res.iterations == k
+        assert res.grad_norm == float(np.linalg.norm(gradient(res.X, cfg)))
+        assert res.f == objective(res.X, cfg).total
 
 
 # ---------------------------------------------------------------------------
