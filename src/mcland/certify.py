@@ -35,14 +35,24 @@ class PointClass(str, Enum):
 class CertTolerances:
     """Thresholds for classification; None fields fall back to defaults.
 
-    stationary: gradient-norm threshold, default 1e-6 * (1 + |f|).
-    tau: curvature slack, default hyper.tau (or 1e-4 * ||H|| without one).
-    global_rel: relative recovery radius counted as global, default 1e-2.
+    stationary: gradient-norm threshold, default 1e-6 * (1 + |f|); > 0.
+    tau: curvature slack, default hyper.tau (or 1e-4 * ||H|| without one); >= 0.
+    global_rel: relative recovery radius counted as global, default 1e-2;
+    positive and finite.  Any other value is a ValueError.
     """
 
     stationary: float | None = None
     tau: float | None = None
     global_rel: float = 1e-2
+
+    def __post_init__(self):
+        # a bad threshold would silently relabel endpoints; `not x > 0` also catches nan
+        if not (math.isfinite(self.global_rel) and self.global_rel > 0):
+            raise ValueError(f"global_rel must be positive and finite, got {self.global_rel}")
+        if self.stationary is not None and not self.stationary > 0:
+            raise ValueError(f"stationary must be positive, got {self.stationary}")
+        if self.tau is not None and not self.tau >= 0:
+            raise ValueError(f"tau must be non-negative, got {self.tau}")
 
 
 def default_global_rel(gt, obs, noiseless):

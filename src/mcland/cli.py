@@ -246,7 +246,10 @@ def cmd_scan(cfg, out_dir, threads, assert_clean=False):
     _check_empty(cfg, "config")
     if global_rel is None:
         global_rel = default_global_rel(gt, obs, noiseless=1e-2)
-    tols = CertTolerances(global_rel=global_rel)
+    try:
+        tols = CertTolerances(global_rel=global_rel)
+    except ValueError as exc:
+        raise ConfigError(f"invalid 'scan.global_rel': {exc}") from exc
     summary = landscape_scan(
         gt, obs, hyper, scfg, n_starts=n_starts, base_seed=base_seed, tols=tols, threads=threads
     )

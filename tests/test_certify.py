@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,28 @@ def test_stationary_tolerance_override():
     assert rep.classification is not PointClass.NOT_STATIONARY
     rep2 = certify_point(gt.factor + 1.0, cfg, gt, CertTolerances(stationary=1e-300))
     assert rep2.classification is PointClass.NOT_STATIONARY
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(global_rel=0.0),
+        dict(global_rel=-1.0),
+        dict(global_rel=math.inf),
+        dict(global_rel=math.nan),
+        dict(stationary=0.0),
+        dict(stationary=-1e-6),
+        dict(tau=-1e-9),
+        dict(tau=math.nan),
+    ],
+)
+def test_bad_tolerances_are_rejected(kwargs):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        CertTolerances(**kwargs)
+
+
+def test_edge_tolerances_are_accepted():
+    CertTolerances(stationary=1e300, tau=0.0, global_rel=1e-300)
 
 
 # ---------------------------------------------------------------------------

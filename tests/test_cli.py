@@ -295,6 +295,22 @@ def test_scan_assert_clean_fails_on_spurious_report(tmp_path, capsys):
     assert int(kv["SpuriousLocalMin"]) >= 1
 
 
+@pytest.mark.parametrize("global_rel", [-1, 0, 1e400])
+def test_scan_bad_global_rel_is_config_error(tmp_path, capsys, global_rel):
+    # a negative radius would label exact recoveries SpuriousLocalMin
+    payload = {
+        "instance": {"d": 20, "r": 1, "seed": 1, "p": 0.8},
+        "solver": {"method": "gd"},
+        "scan": {"n_starts": 2, "base_seed": 0, "global_rel": global_rel},
+    }
+    code, out, err = _run(
+        capsys, ["scan", "--config", _write(tmp_path, payload), "--out", str(tmp_path), "--assert-clean"]
+    )
+    assert code == 2, err
+    assert "scan.global_rel" in err
+    assert not (tmp_path / "scan.csv").exists()
+
+
 def test_scan_assert_clean_fails_on_crashed_starts(tmp_path, capsys, monkeypatch):
     def boom(cfg, scfg, X0):
         raise RuntimeError("synthetic solver failure")

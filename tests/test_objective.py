@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,7 @@ from mcland.objective import (
     pair_gradient_sum,
     reg_gradient,
     regularizer,
+    residual_gradient,
     value_and_gradient,
 )
 from mcland.objective import _BASIS, _reg_hess_quad, _start
@@ -465,3 +468,62 @@ def test_pair_gradient_positions_are_row_major_entries(d, r, p, include_diagonal
         expected[i] -= resid * X[j]
         expected[j] -= resid * X[i]
         assert np.allclose(G, expected, rtol=0, atol=1e-12 * (1.0 + np.abs(expected).max()))
+
+
+# ---------------------------------------------------------------------------
+# the fast pair kernels give the floats of the plain formulas, bit for bit
+
+
+def _add_at_pair_gradient_sum(X, cfg, positions):
+    """The np.add.at scatter the bincount kernel replaced, with entries read
+    off the dense indicator (position k is its k-th observed entry)."""
+    ind, M = _dense_masked(cfg, X)
+    entries = np.argwhere(ind == 1.0)[positions].reshape(-1, 2)
+    i, j = entries[:, 0], entries[:, 1]
+    resid = M[i, j] - np.einsum("ij,ij->i", X[i], X[j])
+    G = np.zeros_like(X)
+    np.add.at(G, i, -resid[:, None] * X[j])
+    np.add.at(G, j, -resid[:, None] * X[i])
+    return G
+
+
+@pytest.mark.parametrize("d,r,p,include_diagonal", KERNEL_CASES)
+def test_pair_gradient_scatter_is_bit_identical_to_add_at(d, r, p, include_diagonal):
+    cfg, X, _ = _kernel_problem(d, r, p, include_diagonal)
+    n = cfg.n_pairs
+    ind, _ = _dense_masked(cfg, X)
+    entries = np.argwhere(ind == 1.0)
+    every = np.arange(n)
+    # every position twice (so both orders of each pair and every diagonal
+    # entry), then random repeats
+    positions = np.concatenate([every, every[::-1], np.random.default_rng(d + r).integers(0, max(n, 1), 3 * n)])
+    if include_diagonal and n:
+        assert np.any(entries[positions, 0] == entries[positions, 1])
+    if d > 1 and n:
+        assert np.any(entries[positions, 0] != entries[positions, 1])
+    for pos in (positions, positions[:7], every[::3]):
+        assert np.array_equal(pair_gradient_sum(X, cfg, pos), _add_at_pair_gradient_sum(X, cfg, pos))
+
+
+@pytest.mark.parametrize("d,r,p,include_diagonal", KERNEL_CASES)
+def test_column_products_are_bit_identical_to_multivector(d, r, p, include_diagonal, monkeypatch):
+    cfg, X, V = _kernel_problem(d, r, p, include_diagonal)
+    mask = cfg.obs.mask
+    cols = X.T
+    gram = sum((x[mask.i] * x[mask.j] for x in cols[1:]), cols[0][mask.i] * cols[0][mask.j])
+    assert np.array_equal(cfg.pair_gram(X), gram)
+
+    resid = cfg.residuals(X)
+    for Y in (X, np.asfortranarray(V), V[:, :1]):
+        out = cfg.masked_matmul(resid, Y)
+        assert out.flags.c_contiguous
+        assert np.array_equal(out, cfg._masked_matrix(resid) @ Y)
+    alpha, w = cfg.hyper.alpha, cfg.hyper.reg_weight
+    expected = -2.0 * (cfg._masked_matrix(resid) @ X) + w * reg_gradient(X, alpha)
+    assert np.array_equal(residual_gradient(X, resid, cfg), expected)
+
+    HV = hessian_operator(X, cfg)(V)
+    # the module, not the function `mcland.objective` that the package re-exports
+    module = importlib.import_module("mcland.objective")
+    monkeypatch.setattr(module, "_matmul_columns", lambda A, Y: A @ Y)
+    assert np.array_equal(HV, hessian_operator(X, cfg)(V))
