@@ -7,9 +7,20 @@ holds one value per stored pair, so symmetry holds by construction; the
 mask's `n_pairs` still counts |Omega| with both orders.  Everything is
 regenerable bit-exactly from a small JSON-compatible record; masks and
 values are never serialized.
+
+Generation walks the d x d matrix in row blocks of at most `_BLOCK`
+elements, so it holds O(|Omega| + block) memory and takes O(d^2) time (the
+streams fix a d x d draw).  The blocks do not change the random bits:
+consecutive `(rows, d)` draws from one generator give the same numbers as
+one `(d, d)` draw, in the same row-major order, and each block keeps exactly
+the entries the whole matrix would.  Z Z^T is one BLAS product per block;
+up to d = 1024 that is the single whole-matrix product, and above it a BLAS
+may round a few entries differently by the shape of the call, as it already
+does by its thread count.
 """
 
 import json
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -18,6 +29,15 @@ from .linalg import ObservationMask, row_incoherence, singular_extremes
 from .rng import substream
 
 _FACTOR_RETRIES = 10
+_BLOCK = 1 << 20  # elements per row block of a d x d draw (8 MB of float64)
+
+
+def _row_blocks(d):
+    """Consecutive row ranges [a, b) covering 0..d, at most `_BLOCK` elements
+    (and at least one row) each; one block when d * d <= `_BLOCK`."""
+    rows = max(1, _BLOCK // d)
+    for a in range(0, d, rows):
+        yield a, min(a + rows, d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,11 +81,6 @@ class GroundTruth:
     def rank(self):
         return self.factor.shape[1]
 
-    def gram(self):
-        """Dense M = Z Z^T, bitwise symmetric: the upper triangle is mirrored."""
-        G = self.factor @ self.factor.T
-        return np.triu(G) + np.triu(G, 1).T
-
 
 @dataclass(frozen=True, eq=False)
 class Observation:
@@ -87,8 +102,10 @@ class Observation:
             raise ValueError(
                 f"values length {vals.shape} does not match mask with {self.mask.i.size} stored pairs"
             )
-        if self.sigma < 0:
+        if not self.sigma >= 0:
             raise ValueError(f"sigma must be non-negative, got {self.sigma}")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("observed values must be finite")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -106,12 +123,15 @@ def sample_factor(d, r, scale, seed):
     """
     if not 1 <= r <= d:
         raise ValueError(f"need 1 <= r <= d, got r={r}, d={d}")
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
+    if not 0 < scale < math.inf:
+        raise ValueError(f"scale must be positive and finite, got {scale}")
     for attempt in range(_FACTOR_RETRIES):
         rng = substream(seed, "factor", attempt)
-        Z = rng.standard_normal((d, r)) * (scale / np.sqrt(d))
-        _, smin = singular_extremes(Z)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+            Z = rng.standard_normal((d, r)) * (scale / np.sqrt(d))
+            smax, smin = singular_extremes(Z)
+        if not math.isfinite(smax):
+            raise ValueError(f"scale {scale} overflows the factor (d={d}, r={r})")
         if smin > 0.0:
             return GroundTruth.from_factor(Z)
     raise RuntimeError(f"sample_factor: rank-deficient draw {_FACTOR_RETRIES} times in a row (d={d}, r={r})")
@@ -119,31 +139,50 @@ def sample_factor(d, r, scale, seed):
 
 def sample_mask(d, p, include_diagonal=True, *, seed):
     """Symmetric Bernoulli(p) mask from one d x d uniform draw U: pair (i, j),
-    i <= j, is observed when U_ij < p (i = j only with `include_diagonal`)."""
+    i <= j, is observed when U_ij < p (i = j only with `include_diagonal`).
+
+    U is drawn in row blocks from the one "mask" substream; the blocks hold
+    the same doubles as a single (d, d) draw, and `np.nonzero` of each block's
+    upper triangle, shifted by its first row, lists the same pairs in the
+    same order.
+    """
     if d <= 0:
         raise ValueError(f"d must be positive, got {d}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    U = substream(seed, "mask").random((d, d))
-    i, j = np.nonzero(np.triu(U < p, 0 if include_diagonal else 1))
-    return ObservationMask(d=d, i=i, j=j, p=float(p))
+    rng = substream(seed, "mask")
+    k = 0 if include_diagonal else 1
+    i, j = [], []
+    for a, b in _row_blocks(d):
+        bi, bj = np.nonzero(np.triu(rng.random((b - a, d)) < p, a + k))
+        i.append(bi + a)
+        j.append(bj)
+    return ObservationMask(d=d, i=np.concatenate(i), j=np.concatenate(j), p=float(p))
 
 
 def observe(gt, mask, sigma, seed):
     """Observed values of Z Z^T (+ Gaussian noise) on the stored pairs.
 
     Noise is N(0, sigma^2), one draw per pair: entry (i, j), i <= j, of a
-    d x d standard normal draw.
+    d x d standard normal draw.  Both matrices are formed one row block at
+    a time: the pairs are sorted by i, so a block's pairs are one slice,
+    gathered from `Z[a:b] @ Z.T` and from that block's rows of the "noise"
+    substream, which are the rows a single (d, d) draw would hold.  With one
+    block (d * d <= `_BLOCK`) the product is the whole-matrix `Z @ Z.T`.
     """
     if gt.d != mask.d:
         raise ValueError(f"dimension mismatch: factor has d={gt.d}, mask has d={mask.d}")
-    if sigma < 0:
+    if not sigma >= 0:
         raise ValueError(f"sigma must be non-negative, got {sigma}")
     Z = gt.factor
-    values = (Z @ Z.T)[mask.i, mask.j]
-    if sigma > 0:
-        G = substream(seed, "noise").standard_normal((gt.d, gt.d))
-        values += sigma * G[mask.i, mask.j]
+    noise = substream(seed, "noise") if sigma > 0 else None
+    values = np.empty(mask.i.size)
+    for a, b in _row_blocks(gt.d):
+        lo, hi = np.searchsorted(mask.i, (a, b))
+        i, j = mask.i[lo:hi] - a, mask.j[lo:hi]
+        values[lo:hi] = (Z[a:b] @ Z.T)[i, j]
+        if noise is not None:
+            values[lo:hi] += sigma * noise.standard_normal((b - a, gt.d))[i, j]
     return Observation(mask=mask, values=values, sigma=float(sigma), p=mask.p)
 
 
@@ -212,6 +251,8 @@ class InstanceSpec:
             raise ValueError("need d >= 1 and 1 <= r <= d")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("observation probability must lie in [0, 1]")
+        if not (math.isfinite(self.sigma) and math.isfinite(self.scale)):
+            raise ValueError("need finite sigma and scale")
         if self.sigma < 0.0 or self.scale <= 0.0:
             raise ValueError("need sigma >= 0 and scale > 0")
 

@@ -73,6 +73,17 @@ def dense_min_eig(X, cfg):
 
 
 # ---------------------------------------------------------------------------
+# dense ground truth
+
+
+def dense_gram(Z):
+    """Dense M = Z Z^T from one product, bitwise symmetric (the upper triangle
+    mirrored); the library itself never forms a d x d matrix."""
+    G = Z @ Z.T
+    return np.triu(G) + np.triu(G, 1).T
+
+
+# ---------------------------------------------------------------------------
 # brute-force objective
 
 

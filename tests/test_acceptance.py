@@ -49,7 +49,7 @@ from mcland.solvers import (
     stochastic_gradient,
 )
 
-from conftest import dense_hessian, fd_gradient, fd_hessian, fd_second_directional
+from conftest import dense_gram, dense_hessian, fd_gradient, fd_hessian, fd_second_directional
 
 
 def _report(cid, name, ok, detail=""):
@@ -267,7 +267,7 @@ def test_c6_noise_robustness():
     d, r, p = 100, 2, 0.4
     gt = sample_factor(d, r, 1.0, 606)
     mask = sample_mask(d, p, include_diagonal=True, seed=606)
-    m_inf = float(np.abs(gt.gram()).max())
+    m_inf = float(np.abs(dense_gram(gt.factor)).max())
     scale = _gram_scale(gt)
     hyper = default_hyperparams(gt, p)
 

@@ -19,7 +19,7 @@ from mcland.instance import HyperParams
 from mcland.objective import ObjectiveConfig
 from mcland.solvers import Method, SolverConfig, gradient_descent, random_init
 
-from conftest import make_problem
+from conftest import dense_gram, make_problem
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +45,7 @@ def test_recovery_matches_dense_difference(rng):
     gt, obs, cfg = make_problem(30, 3, seed=3)
     for _ in range(4):
         X = rng.normal(size=(30, 3))
-        dense = float(np.linalg.norm(X @ X.T - gt.gram()))
+        dense = float(np.linalg.norm(X @ X.T - dense_gram(gt.factor)))
         assert recovery_error(X, gt).gram_fro == pytest.approx(dense, rel=1e-9, abs=1e-12)
 
 
@@ -157,7 +157,7 @@ def test_tight_radius_marks_noise_floor_spurious():
 def test_default_radius_follows_the_noise_floor():
     gt, obs, _ = make_problem(100, 3, seed=7, p=0.5)
     assert default_global_rel(gt, obs, noiseless=1e-3) == 1e-3
-    scale = float(np.linalg.norm(gt.gram()))  # ||Z Z^T||_F
+    scale = float(np.linalg.norm(dense_gram(gt.factor)))  # ||Z Z^T||_F
     _, noisy, _ = make_problem(100, 3, seed=7, p=0.5, sigma=0.01)
     floor = 2.0 * 0.01 * np.sqrt(100 * np.log(100) / 0.5) / scale
     assert floor > 0.3

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -105,6 +106,23 @@ def test_bad_thread_count_is_config_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_gen_at_scale_runs_in_bounded_memory(tmp_path):
+    # d = 16,000 at p = 10 r ln d / d: about 3.1 million observed entries; a
+    # dense d x d draw alone would take 2 GB
+    d, r = 16_000, 2
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cfgp = _write(tmp_path, {"instance": {"d": d, "r": r, "seed": 1, "p": 10.0 * r * math.log(d) / d}})
+    proc = subprocess.run(
+        [sys.executable, "-m", "mcland.cli", "gen", "--config", cfgp, "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(dict(line.split("=", 1) for line in proc.stdout.split())["observed_pairs"]) > 3_000_000
+    peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024  # KiB on Linux
+    assert peak_mb < 600
+
+
 # ---------------------------------------------------------------------------
 # solve
 
@@ -181,6 +199,23 @@ def test_zero_observation_probability_is_config_error(tmp_path, capsys, command)
     code, out, err = _run(capsys, [command, "--config", cfgp, "--out", str(tmp_path)])
     assert code == 2
     assert "p must lie in (0, 1]" in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["gen", "solve", "scan"])
+@pytest.mark.parametrize(
+    "field,value",
+    [("sigma", math.nan), ("sigma", math.inf), ("scale", math.nan), ("scale", math.inf), ("scale", 1e200)],
+)
+def test_non_finite_instance_is_config_error(tmp_path, capsys, command, field, value):
+    # 1e200 is finite, but the factor's Gram matrix (and Z Z^T) overflow
+    payload = {"instance": _instance_block(**{field: value})}
+    if command == "scan":
+        payload["scan"] = {"n_starts": 1, "base_seed": 0}
+    cfgp = _write(tmp_path, payload)
+    code, out, err = _run(capsys, [command, "--config", cfgp, "--out", str(tmp_path)])
+    assert code == 2, err
+    assert err.startswith("config error:")
 
 
 def test_solve_noisy_endpoint_at_noise_floor_is_global_min(tmp_path, capsys):

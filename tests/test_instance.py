@@ -1,10 +1,12 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from mcland import instance
 from mcland.instance import (
     GroundTruth,
     HyperParams,
@@ -16,6 +18,8 @@ from mcland.instance import (
     sample_mask,
 )
 from mcland.linalg import ObservationMask, full_mask
+
+from conftest import dense_gram
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +131,7 @@ def test_observe_noiseless_full_mask_matches_gram(rng):
     gt = sample_factor(10, 2, 1.0, 3)
     mask = full_mask(10, include_diagonal=True)
     obs = observe(gt, mask, 0.0, seed=4)
-    gram = gt.gram()
+    gram = dense_gram(gt.factor)
     assert np.array_equal(obs.values, gram[mask.i, mask.j])
     assert np.array_equal(obs.values, gram[mask.j, mask.i])
 
@@ -155,7 +159,7 @@ def test_observe_noise_variance():
     gt = sample_factor(200, 2, 1.0, 3)
     mask = full_mask(200, include_diagonal=True)
     obs = observe(gt, mask, 0.1, seed=11)
-    noise = obs.values - gt.gram()[mask.i, mask.j]
+    noise = obs.values - dense_gram(gt.factor)[mask.i, mask.j]
     off = noise[mask.i != mask.j]
     assert float(np.var(off)) == pytest.approx(0.01, rel=0.1)
 
@@ -173,6 +177,20 @@ def test_observation_takes_one_value_per_stored_pair():
     Observation(mask=mask, values=np.arange(3, dtype=float), sigma=0.0, p=1.0)
     with pytest.raises(ValueError, match="stored pairs"):
         Observation(mask=mask, values=np.arange(mask.n_pairs, dtype=float), sigma=0.0, p=1.0)
+
+
+def test_observation_rejects_non_finite_values():
+    mask = full_mask(3, include_diagonal=False)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Observation(mask=mask, values=np.array([1.0, bad, 0.0]), sigma=0.0, p=1.0)
+    with pytest.raises(ValueError, match="sigma"):
+        Observation(mask=mask, values=np.zeros(3), sigma=math.nan, p=1.0)
+
+
+def test_overflowing_factor_scale_is_rejected():
+    with pytest.raises(ValueError, match="overflows"):
+        sample_factor(40, 2, 1e200, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +275,14 @@ def _c3_spec(r, seed):
     return InstanceSpec(d=100, r=r, seed=seed, p=min(1.0, max(0.2, 10.0 * r * math.log(100) / 100.0)))
 
 
+def _payload(obs):
+    return (
+        np.ascontiguousarray(obs.mask.i, "<i8").tobytes()
+        + np.ascontiguousarray(obs.mask.j, "<i8").tobytes()
+        + np.ascontiguousarray(obs.values, "<f8").tobytes()
+    )
+
+
 # SHA-256 of the (i, j, value) triples, i <= j in lexicographic order, as
 # little-endian int64 i, then int64 j, then float64 values; recorded when
 # the mask still stored both orders, from its pairs with row <= column.
@@ -276,6 +302,9 @@ REGENERATION_DIGESTS = [
      "e7a1ee2e05e4760bf6f74c753f966bcc24ee49eda7b77f6750d5f0be2ab8137a"),
     (InstanceSpec(d=1, r=1, seed=3, p=1.0), 1,
      "9bc03789d9c0a722128028a193c92dfa9404378305cdb396898c8e275bdee499"),
+    # recorded from whole-matrix (d, d) mask and noise draws
+    (InstanceSpec(d=1000, r=1, seed=11, p=0.3, sigma=0.2, include_diagonal=False), 300550,
+     "7f7da0cc27b4a8a04c9a51e0a24d1aa96c33e6822f0b3cc0ce3b7f42118678ad"),
 ]
 
 
@@ -286,14 +315,52 @@ REGENERATION_DIGESTS = [
 )
 def test_regenerate_is_bit_exact(spec, n_pairs, expected):
     _, obs = spec.regenerate()
-    mask = obs.mask
-    payload = (
-        np.ascontiguousarray(mask.i, "<i8").tobytes()
-        + np.ascontiguousarray(mask.j, "<i8").tobytes()
-        + np.ascontiguousarray(obs.values, "<f8").tobytes()
-    )
-    assert mask.n_pairs == n_pairs
-    assert hashlib.sha256(payload).hexdigest() == expected
+    assert obs.mask.n_pairs == n_pairs
+    assert hashlib.sha256(_payload(obs)).hexdigest() == expected
+
+
+# Block sizes in elements: one row per block, and 70 rows at d=100 and 7 rows
+# at d=1000, so the last block is ragged (d=30 stays one block).
+_SMALL_BLOCKS = [1, 7000]
+
+
+@pytest.mark.parametrize("block", _SMALL_BLOCKS)
+@pytest.mark.parametrize(
+    "spec,n_pairs,expected",
+    REGENERATION_DIGESTS,
+    ids=[f"d{s.d}-r{s.r}-seed{s.seed}" for s, _, _ in REGENERATION_DIGESTS],
+)
+def test_block_size_keeps_mask_and_streams(monkeypatch, block, spec, n_pairs, expected):
+    gt, ref = spec.regenerate()
+    monkeypatch.setattr(instance, "_BLOCK", block)
+    _, obs = spec.regenerate()
+    assert np.array_equal(obs.mask.i, ref.mask.i) and np.array_equal(obs.mask.j, ref.mask.j)
+    if spec.r == 1:
+        # each value is one product, rounded once whatever the shape of the
+        # BLAS call, so the whole instance, noise included, keeps its digest
+        assert hashlib.sha256(_payload(obs)).hexdigest() == expected
+    else:
+        # a BLAS may round a length-r dot product differently by the shape
+        # of the call (edge kernels, gemv for one row); the values stay
+        # within that rounding, plus the rounding of the added noise, of the
+        # single-block ones
+        Z = gt.factor
+        size = np.abs(Z[obs.mask.i] * Z[obs.mask.j]).sum(axis=1)
+        tol = (2 * spec.r * size + np.abs(ref.values)) * np.finfo(float).eps
+        assert np.all(np.abs(obs.values - ref.values) <= tol)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.2])
+def test_generation_memory_is_bounded(sigma):
+    # a dense 6000 x 6000 draw alone is 288 MB; the row blocks need about 18 MB
+    spec = InstanceSpec(d=6000, r=2, seed=1, p=0.015, sigma=sigma)
+    tracemalloc.start()
+    try:
+        spec.regenerate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 def test_spec_json_is_canonical():
@@ -326,3 +393,10 @@ def test_spec_validation():
         InstanceSpec(d=4, r=1, seed=1, p=1.5)
     with pytest.raises(ValueError):
         InstanceSpec(d=4, r=1, seed=1, p=0.5, sigma=-1.0)
+
+
+@pytest.mark.parametrize("field", ["sigma", "scale"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_spec_rejects_non_finite_fields(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        InstanceSpec(d=4, r=1, seed=1, p=0.5, **{field: value})

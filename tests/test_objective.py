@@ -24,6 +24,7 @@ from mcland.objective import _BASIS, _reg_hess_quad, _start
 
 from conftest import (
     brute_objective,
+    dense_gram,
     dense_hessian,
     dense_min_eig,
     fd_gradient,
@@ -199,7 +200,7 @@ def test_rank1_stationary_points_are_eigenvectors(rng):
     cfg = ObjectiveConfig(
         HyperParams(alpha=cfg0.hyper.alpha, reg_weight=0.0, tau=0.0), obs
     )
-    M = gt.gram()  # the mask is full and noiseless
+    M = dense_gram(gt.factor)  # the mask is full and noiseless
     for _ in range(4):
         x = rng.normal(size=(10, 1))
         lhs = float(np.linalg.norm(M @ x - float(x[:, 0] @ x[:, 0]) * x))
