@@ -33,26 +33,19 @@ class PointClass(str, Enum):
 
 @dataclass(frozen=True)
 class CertTolerances:
-    """Thresholds for classification; None fields fall back to defaults.
+    """The recovery radius of a classification.
 
-    stationary: gradient-norm threshold, default 1e-6 * (1 + |f|); > 0.
-    tau: curvature slack, default hyper.tau (or 1e-4 * ||H|| without one); >= 0.
-    global_rel: relative recovery radius counted as global, default 1e-2;
-    positive and finite.  Any other value is a ValueError.
+    global_rel: an endpoint within global_rel * ||Z Z^T||_F of the truth
+    counts as global, default 1e-2; positive and finite, else a ValueError.
+    The stationarity and curvature thresholds come from `certify_point`.
     """
 
-    stationary: float | None = None
-    tau: float | None = None
     global_rel: float = 1e-2
 
     def __post_init__(self):
         # a bad threshold would silently relabel endpoints; `not x > 0` also catches nan
         if not (math.isfinite(self.global_rel) and self.global_rel > 0):
             raise ValueError(f"global_rel must be positive and finite, got {self.global_rel}")
-        if self.stationary is not None and not self.stationary > 0:
-            raise ValueError(f"stationary must be positive, got {self.stationary}")
-        if self.tau is not None and not self.tau >= 0:
-            raise ValueError(f"tau must be non-negative, got {self.tau}")
 
 
 def default_global_rel(gt, obs, noiseless):
@@ -163,13 +156,19 @@ def certify_point(X, cfg, gt=None, tols=None):
     either way, its witness direction proving the negative curvature.  A
     point with a non-finite entry, value or gradient (a diverged run) is
     NotStationary with lambda_min nan; no eigensolve or recovery check runs.
+
+    Thresholds: the point is stationary when its gradient norm is at most
+    1e-6 * (1 + |f|).  The curvature slack tau is cfg.hyper.tau, or
+    1e-4 * (1 + ||H||) when that is 0, with ||H|| the eigensolve's norm
+    estimate; lambda_min < -tau marks a strict saddle.  `tols.global_rel`
+    sets the recovery radius.
     """
     X = np.asarray(X, dtype=float)
     tols = tols or CertTolerances()
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged endpoint is NotStationary below
         bdown, G = obj.value_and_gradient(X, cfg)
         gn = float(np.linalg.norm(G))
-    stat_tol = tols.stationary if tols.stationary is not None else 1e-6 * (1.0 + abs(bdown.total))
+    stat_tol = 1e-6 * (1.0 + abs(bdown.total))
     if not (np.isfinite(X).all() and math.isfinite(bdown.total) and math.isfinite(gn)):
         return CertReport(
             classification=PointClass.NOT_STATIONARY,
@@ -182,12 +181,7 @@ def certify_point(X, cfg, gt=None, tols=None):
             tau=math.nan,
         )
     eig = obj.min_hessian_eig(X, cfg)
-    if tols.tau is not None:
-        tau = tols.tau
-    elif cfg.hyper.tau > 0:
-        tau = cfg.hyper.tau
-    else:
-        tau = 1e-4 * (1.0 + eig.op_norm)
+    tau = cfg.hyper.tau if cfg.hyper.tau > 0 else 1e-4 * (1.0 + eig.op_norm)
 
     rec = proc = None
     inc_ok = sig_ok = r1_ok = None
@@ -255,8 +249,7 @@ SCAN_COLUMNS = tuple(f.name for f in fields(ScanRow) if f.name != "error")
 
 @dataclass(frozen=True, eq=False)
 class ScanSummary:
-    n_starts: int
-    counts: dict
+    counts: dict  # PointClass -> number of rows; the counts sum to len(rows)
     worst_recovery: float  # max recovery_fro over stationary endpoints (nan if none)
     rows: tuple
 
@@ -274,10 +267,10 @@ def map_in_order(fn, items, threads):
     return [fn(x) for x in items]
 
 
-def _scan_one(index, gt, obs, cfg, scfg, base_seed, tols, rank):
+def _scan_one(index, gt, obs, cfg, scfg, base_seed, tols):
     seed_k = derive_seed(base_seed, "scan-start", index)
     try:
-        X0 = solvers.random_init(obs.d, rank, obs, seed_k)
+        X0 = solvers.random_init(obs.d, gt.rank, obs, seed_k)
         scfg_k = replace(scfg, seed=seed_k)
         res = solvers.solve(cfg, scfg_k, X0)
         rep = certify_point(res.X, cfg, gt, tols)
@@ -322,20 +315,19 @@ def _scan_one(index, gt, obs, cfg, scfg, base_seed, tols, rank):
         )
 
 
-def landscape_scan(gt, obs, hyper, scfg, n_starts, base_seed, tols=None, threads=1, rank=None):
-    """Solve from n_starts random inits and certify every endpoint.
+def landscape_scan(gt, obs, hyper, scfg, n_starts, base_seed, tols=None, threads=1):
+    """Solve from n_starts random inits of the ground-truth rank and certify
+    every endpoint.
 
     Start k uses a seed derived from (base_seed, k), so the outcome is a pure
     function of the arguments; the thread count only changes wall time.
-    `rank` defaults to the ground-truth rank.
     """
     if n_starts < 1:
         raise ValueError(f"n_starts must be >= 1, got {n_starts}")
     cfg = obj.ObjectiveConfig(hyper, obs)
-    r = rank if rank is not None else gt.rank
     tols = tols or CertTolerances()
     rows = map_in_order(
-        lambda k: _scan_one(k, gt, obs, cfg, scfg, base_seed, tols, r), range(n_starts), threads
+        lambda k: _scan_one(k, gt, obs, cfg, scfg, base_seed, tols), range(n_starts), threads
     )
 
     counts = {c: 0 for c in PointClass}
@@ -344,7 +336,7 @@ def landscape_scan(gt, obs, hyper, scfg, n_starts, base_seed, tols=None, threads
         counts[row.classification] += 1
         if row.classification is not PointClass.NOT_STATIONARY and row.recovery_fro is not None:
             worst = row.recovery_fro if math.isnan(worst) else max(worst, row.recovery_fro)
-    return ScanSummary(n_starts=n_starts, counts=counts, worst_recovery=worst, rows=tuple(rows))
+    return ScanSummary(counts=counts, worst_recovery=worst, rows=tuple(rows))
 
 
 def scan_to_csv(summary, stream=None):

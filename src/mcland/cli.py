@@ -4,8 +4,8 @@ Four subcommands: `gen` materializes an instance record, `solve` runs one
 solver and certifies the endpoint, `scan` certifies endpoints from many
 random starts, `conc` sweeps a concentration experiment over a p grid.
 Configs are strict JSON (unknown keys are errors); outputs are CSV files
-with deterministic bytes, so a rerun of the same config is byte-identical
-regardless of --threads.
+with deterministic bytes, so a rerun of the same config is byte-identical;
+`scan` and `conc` take --threads, which changes only their wall time.
 
 Exit codes: 0 success, 1 failed --assert-clean, 2 config error, 3 internal
 error.
@@ -191,7 +191,7 @@ def _parse_concentration(cfg):
     return [_construct(ConcentrationTrial, "concentration", {**base, "p": float(p)}) for p in p_grid]
 
 
-def cmd_gen(cfg, out_dir, threads):
+def cmd_gen(cfg, out_dir):
     spec = _parse_instance(cfg)
     _check_empty(cfg, "config")
     try:
@@ -209,7 +209,7 @@ def cmd_gen(cfg, out_dir, threads):
     return 0
 
 
-def cmd_solve(cfg, out_dir, threads):
+def cmd_solve(cfg, out_dir):
     spec = _parse_instance(cfg)
     try:
         gt, obs = spec.regenerate()
@@ -234,7 +234,7 @@ def cmd_solve(cfg, out_dir, threads):
     return 0
 
 
-def cmd_scan(cfg, out_dir, threads, assert_clean=False):
+def cmd_scan(cfg, out_dir, threads=1, assert_clean=False):
     spec = _parse_instance(cfg)
     try:
         gt, obs = spec.regenerate()
@@ -275,7 +275,7 @@ def cmd_scan(cfg, out_dir, threads, assert_clean=False):
     return 0
 
 
-def cmd_conc(cfg, out_dir, threads):
+def cmd_conc(cfg, out_dir, threads=1):
     specs = _parse_concentration(cfg)
     _check_empty(cfg, "config")
     results = map_in_order(run_concentration, specs, threads)
@@ -305,7 +305,8 @@ def _build_parser():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to a JSON config file")
         p.add_argument("--out", default=".", help="output directory (created if absent)")
-        p.add_argument("--threads", type=int, default=1, help="worker threads (results unchanged)")
+        if name in ("scan", "conc"):
+            p.add_argument("--threads", type=int, default=1, help="worker threads (results unchanged)")
         if name == "scan":
             p.add_argument(
                 "--assert-clean",
@@ -317,16 +318,15 @@ def _build_parser():
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    args = vars(_build_parser().parse_args(argv))
+    command, config, out = args.pop("command"), args.pop("config"), args.pop("out")
     try:
-        if args.threads < 1:
-            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-        cfg = _load_config(args.config)
-        out_dir = Path(args.out)
+        if args.get("threads", 1) < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args['threads']}")
+        cfg = _load_config(config)
+        out_dir = Path(out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        if args.command == "scan":
-            return cmd_scan(cfg, out_dir, args.threads, assert_clean=args.assert_clean)
-        return _COMMANDS[args.command](cfg, out_dir, args.threads)
+        return _COMMANDS[command](cfg, out_dir, **args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

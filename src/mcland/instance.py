@@ -21,7 +21,7 @@ does by its thread count.
 
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -42,7 +42,8 @@ def _row_blocks(d):
 
 @dataclass(frozen=True, eq=False)
 class GroundTruth:
-    """A d x r factor together with its measured conditioning constants.
+    """A d x r factor Z of full rank and its conditioning constants, both
+    computed from Z.
 
     `incoherence` is the tight row-spread constant sqrt(d) * max_i ||Z_i|| /
     ||Z||_F (always >= 1, equal to 1 iff all rows have equal norm);
@@ -50,8 +51,8 @@ class GroundTruth:
     """
 
     factor: np.ndarray
-    incoherence: float
-    condition_number: float
+    incoherence: float = field(init=False)
+    condition_number: float = field(init=False)
 
     def __post_init__(self):
         Z = np.ascontiguousarray(self.factor, dtype=float)
@@ -60,18 +61,13 @@ class GroundTruth:
         d, r = Z.shape
         if not 1 <= r <= d:
             raise ValueError(f"factor must satisfy 1 <= r <= d, got shape {Z.shape}")
+        smax, smin = singular_extremes(Z)
+        if not smin > 0.0:
+            raise ValueError("factor is rank deficient (sigma_min = 0)")
         Z.setflags(write=False)
         object.__setattr__(self, "factor", Z)
-
-    @classmethod
-    def from_factor(cls, Z):
-        Z = np.asarray(Z, dtype=float)
-        if Z.ndim != 2:
-            raise ValueError(f"factor must be 2-d, got shape {Z.shape}")
-        smax, smin = singular_extremes(Z)
-        if smin <= 0.0:
-            raise ValueError("factor is rank deficient (sigma_min = 0)")
-        return cls(factor=Z, incoherence=row_incoherence(Z), condition_number=float(smax / smin))
+        object.__setattr__(self, "incoherence", row_incoherence(Z))
+        object.__setattr__(self, "condition_number", float(smax / smin))
 
     @property
     def d(self):
@@ -88,13 +84,13 @@ class Observation:
 
     `values[k]` is the observation at (mask.i[k], mask.j[k]) and, the matrix
     being symmetric, at (mask.j[k], mask.i[k]).  `sigma` is the noise level
-    the values were drawn with, `p` the nominal sampling probability.
+    the values were drawn with; `p`, the nominal sampling probability, is
+    the mask's.
     """
 
     mask: ObservationMask
     values: np.ndarray
     sigma: float
-    p: float
 
     def __post_init__(self):
         vals = np.ascontiguousarray(self.values, dtype=float)
@@ -112,6 +108,10 @@ class Observation:
     @property
     def d(self):
         return self.mask.d
+
+    @property
+    def p(self):
+        return self.mask.p
 
 
 def sample_factor(d, r, scale, seed):
@@ -133,7 +133,7 @@ def sample_factor(d, r, scale, seed):
         if not math.isfinite(smax):
             raise ValueError(f"scale {scale} overflows the factor (d={d}, r={r})")
         if smin > 0.0:
-            return GroundTruth.from_factor(Z)
+            return GroundTruth(Z)
     raise RuntimeError(f"sample_factor: rank-deficient draw {_FACTOR_RETRIES} times in a row (d={d}, r={r})")
 
 
@@ -183,7 +183,7 @@ def observe(gt, mask, sigma, seed):
         values[lo:hi] = (Z[a:b] @ Z.T)[i, j]
         if noise is not None:
             values[lo:hi] += sigma * noise.standard_normal((b - a, gt.d))[i, j]
-    return Observation(mask=mask, values=values, sigma=float(sigma), p=mask.p)
+    return Observation(mask=mask, values=values, sigma=float(sigma))
 
 
 @dataclass(frozen=True)
@@ -208,21 +208,18 @@ class HyperParams:
             raise ValueError(f"tau must be non-negative, got {self.tau}")
 
 
-def default_hyperparams(gt, p, rank_one=None):
+def default_hyperparams(gt, p):
     """Hyperparameters matched to a ground truth and sampling probability.
 
-    rank-one setting:  alpha = 10 mu / sqrt(d),        weight = mu^2 p / alpha^2
-    general setting:   alpha = 4 mu kappa r / sqrt(d), weight = mu^2 r p / alpha^2
-    and in both cases tau = 0.01 p sigma_min(Z).  The flag defaults to
-    (rank == 1); passing it explicitly lets callers use either formula set.
+    rank one (r = 1):  alpha = 10 mu / sqrt(d),        weight = mu^2 p / alpha^2
+    rank r > 1:        alpha = 4 mu kappa r / sqrt(d), weight = mu^2 r p / alpha^2
+    and in both cases tau = 0.01 p sigma_min(Z).
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must lie in (0, 1], got {p}")
-    if rank_one is None:
-        rank_one = gt.rank == 1
     mu = gt.incoherence
     d = gt.d
-    if rank_one:
+    if gt.rank == 1:
         alpha = 10.0 * mu / np.sqrt(d)
         weight = mu**2 * p / alpha**2
     else:

@@ -49,6 +49,7 @@ from .rng import substream
 
 _EIG_SEED = 31415001
 _BASIS = 20  # Lanczos steps per run of the eigensolver and of the norm estimate
+_EIG_TOL = 1e-6  # min_hessian_eig converges at a residual of at most _EIG_TOL * (1 + ||H||)
 
 
 class ObjectiveConfig:
@@ -207,27 +208,16 @@ def breakdown(X, resid, cfg):
 
 
 def residual_gradient(X, resid, cfg):
-    """The gradient of `gradient(X, cfg)`, from the residuals of X: the same floats."""
+    """d x r gradient from the residuals of X: -2 P_Omega(residual) X plus the
+    weighted penalty gradient."""
     G = -2.0 * cfg.masked_matmul(resid, X)
     if cfg.hyper.reg_weight > 0:
         G += cfg.hyper.reg_weight * reg_gradient(X, cfg.hyper.alpha)
     return G
 
 
-def objective(X, cfg):
-    """Objective value split into data and penalty terms."""
-    X = _check_factor(X, cfg)
-    return breakdown(X, cfg.residuals(X), cfg)
-
-
-def gradient(X, cfg):
-    """d x r gradient: -2 P_Omega(residual) X plus the weighted penalty gradient."""
-    X = _check_factor(X, cfg)
-    return residual_gradient(X, cfg.residuals(X), cfg)
-
-
 def value_and_gradient(X, cfg):
-    """(objective(X, cfg), gradient(X, cfg)) from one residual pass; the same floats."""
+    """(EvalBreakdown, gradient) at X from one residual pass."""
     X = _check_factor(X, cfg)
     resid = cfg.residuals(X)
     return breakdown(X, resid, cfg), residual_gradient(X, resid, cfg)
@@ -310,14 +300,15 @@ def hessian_operator(X, cfg):
     return apply
 
 
-def _lanczos(H, v, steps, tol, Hv=None):
+def _lanczos(H, v, steps, rel_tol, Hv=None):
     """Fully reorthogonalized Lanczos on H from v, for at most `steps` steps.
 
     Returns the Ritz values in ascending order and the unit Ritz vectors as
     the (flattened) columns of Y, one per step.  Each step costs one HVP,
     except the first when `Hv` = H[v] is given.  Stops early once the
-    residual estimate beta_k |s_k| of the smallest Ritz pair meets the
-    tolerance, which includes an invariant Krylov space (beta_k = 0).
+    residual estimate beta_k |s_k| of the smallest Ritz pair is at most
+    rel_tol * (1 + max |Ritz value|), which includes an invariant Krylov
+    space (beta_k = 0).
     """
     steps = min(steps, v.size)  # the Krylov space cannot outgrow the space
     Q = np.empty((steps, v.size))
@@ -333,13 +324,9 @@ def _lanczos(H, v, steps, tol, Hv=None):
             T[k, k] += h[k]
         beta = float(np.linalg.norm(w))
         theta, S = np.linalg.eigh(T[: k + 1, : k + 1])
-        if k + 1 == steps or beta * abs(S[k, 0]) <= _tolerance(tol, np.abs(theta).max()):
+        if k + 1 == steps or beta * abs(S[k, 0]) <= rel_tol * (1.0 + np.abs(theta).max()):
             return theta, Q[: k + 1].T @ S
         T[k, k + 1] = T[k + 1, k] = beta
-
-
-def _tolerance(tol, op):
-    return tol if tol is not None else 1e-6 * (1.0 + op)
 
 
 def _start(X):
@@ -360,33 +347,32 @@ def operator_norm_estimate(X, cfg):
 class EigResult:
     lambda_min: float  # Rayleigh quotient of the witness
     witness: np.ndarray  # d x r, unit Frobenius norm
-    converged: bool  # ||H witness - lambda_min witness|| <= tol
+    converged: bool  # ||H witness - lambda_min witness|| <= _EIG_TOL * (1 + op_norm)
     iterations: int  # Hessian-vector products used
     op_norm: float  # largest |Ritz value| seen: a lower bound on ||H||
 
 
-def min_hessian_eig(X, cfg, tol=None):
+def min_hessian_eig(X, cfg):
     """Smallest Hessian eigenvalue at X by restarted Lanczos.
 
     Runs `_lanczos` on one `hessian_operator`, restarting from the smallest
     Ritz vector v until the explicit residual ||H v - theta v|| is at most
-    `tol` (default 1e-6 * (1 + op_norm)); the H v of that check is the first
-    step of the restart.  If the cap of 50 * d * r
-    Hessian-vector products is reached first, the last v is returned with
-    converged=False, and lambda_min is only an upper bound.  lambda_min is
-    the Rayleigh quotient of the unit witness v, so
-    hessian_quadratic(X, witness) <= lambda_min + tol.
+    tol = 1e-6 * (1 + op_norm); the H v of that check is the first step of
+    the restart.  If the cap of 50 * d * r Hessian-vector products is
+    reached first, the last v is returned with converged=False, and
+    lambda_min is only an upper bound.  lambda_min is the Rayleigh quotient
+    of the unit witness v, so hessian_quadratic(X, witness) <= lambda_min + tol.
     """
     X = _check_factor(X, cfg)
     H = hessian_operator(X, cfg)
     cap = 50 * X.size
     v, Hv, used, op, converged = _start(X), None, 0, 0.0, False
     while not converged and used < cap - 1:
-        theta, Y = _lanczos(H, v, min(_BASIS, cap - used - 1), tol, Hv)
+        theta, Y = _lanczos(H, v, min(_BASIS, cap - used - 1), _EIG_TOL, Hv)
         op = max(op, float(np.abs(theta).max()))
         used += Y.shape[1] - (Hv is not None) + 1
         v = Y[:, 0].reshape(X.shape)
         Hv = H(v)
         lam = float(np.sum(v * Hv))
-        converged = float(np.linalg.norm(Hv - lam * v)) <= _tolerance(tol, op)
+        converged = float(np.linalg.norm(Hv - lam * v)) <= _EIG_TOL * (1.0 + op)
     return EigResult(lambda_min=lam, witness=v, converged=converged, iterations=used, op_norm=op)

@@ -161,10 +161,11 @@ def random_init(d, r, obs, seed):
     mask = obs.mask
     p = obs.p if obs.p > 0 else 1.0
     diag = mask.i == mask.j
-    if np.any(diag):
-        s2 = float(obs.values[diag].sum()) / p
-    else:
-        s2 = 2.0 * float(obs.values @ obs.values) / p  # every pair off-diagonal: both orders
+    with np.errstate(over="ignore"):  # an infinite energy gives a start the solver reports diverged
+        if np.any(diag):
+            s2 = float(obs.values[diag].sum()) / p
+        else:
+            s2 = 2.0 * float(obs.values @ obs.values) / p  # every pair off-diagonal: both orders
     s2 = max(s2, 0.0)
     rng = substream(seed, "init")
     return rng.standard_normal((d, r)) * np.sqrt(s2 / (d * r))
@@ -203,12 +204,15 @@ def _start(cfg, scfg, X0, cum):
 
     Copies X0, evaluates f and the full gradient there once, derives grad_tol
     (default 1e-8 * (1 + f(X0))) and writes trace row 0 charged with `cum`
-    entry gradients.  Returns (X, bdown, G, grad_norm, grad_tol, trace).
+    entry gradients.  Returns (X, bdown, G, grad_norm, grad_tol, trace).  A
+    start whose f or gradient norm overflows is returned as it is, without
+    a warning; the caller ends the run there as diverged.
     """
     X = np.array(X0, dtype=float)
-    bdown, G = obj.value_and_gradient(X, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bdown, G = obj.value_and_gradient(X, cfg)
+        gn = float(np.linalg.norm(G))
     grad_tol = scfg.grad_tol if scfg.grad_tol is not None else 1e-8 * (1.0 + bdown.total)
-    gn = float(np.linalg.norm(G))
     trace = Trace()
     trace.append(0, bdown, cfg.hyper.reg_weight, gn, 0.0, cum)
     return X, bdown, G, gn, grad_tol, trace
@@ -273,6 +277,8 @@ def _descend(cfg, scfg, X0, perturb):
     weight = cfg.hyper.reg_weight
     X, bdown, G, gn, grad_tol, trace = _start(cfg, scfg, X0, n_pairs)
     cum = n_pairs
+    if _diverged(bdown, gn):  # no step size can be estimated at a non-finite start
+        return _result(X, bdown, gn, grad_tol, trace, cum)
     t_prev = _auto_step0(cfg, X, scfg.armijo.step0)
     if perturb is not None:
         radius = perturb.radius if perturb.radius is not None else 10.0 * grad_tol
@@ -357,9 +363,12 @@ def sgd(cfg, scfg, X0):
     Trace rows record the full objective and full gradient norm each
     iteration for diagnostics; only the sampled batch counts toward
     `cum_entry_grads`.  The run stops with status `diverged` at the first
-    iterate whose objective or gradient norm is not finite.
+    iterate, the start included, whose objective or gradient norm is not
+    finite.
     """
     X, bdown, _, gn, grad_tol, trace = _start(cfg, scfg, X0, 0)
+    if _diverged(bdown, gn):  # no step size can be estimated at a non-finite start
+        return _result(X, bdown, gn, grad_tol, trace, 0)
     batch = min(scfg.sgd.batch, cfg.n_pairs) if cfg.n_pairs else scfg.sgd.batch
     base = scfg.sgd.step_base
     if base is None:

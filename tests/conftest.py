@@ -6,14 +6,14 @@ and naive double loops for masked sums.  Tests compare the fast analytic
 implementations against these.
 """
 
-import importlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mcland.instance import InstanceSpec, default_hyperparams
-from mcland.objective import ObjectiveConfig, objective, gradient, hessian_operator
+from mcland import objective
+from mcland.objective import ObjectiveConfig, hessian_operator
 
 
 # ---------------------------------------------------------------------------
@@ -114,11 +114,11 @@ def brute_objective(X, cfg):
 # instance helpers
 
 
-def make_problem(d, r, seed, p=1.0, sigma=0.0, rank_one=None):
+def make_problem(d, r, seed, p=1.0, sigma=0.0):
     """Ground truth, observation, and objective config in one call."""
     spec = InstanceSpec(d=d, r=r, seed=seed, p=p, sigma=sigma)
     gt, obs = spec.regenerate()
-    hyper = default_hyperparams(gt, p, rank_one=rank_one)
+    hyper = default_hyperparams(gt, p)
     return gt, obs, ObjectiveConfig(hyper, obs)
 
 
@@ -130,8 +130,5 @@ def rng():
 @pytest.fixture
 def unconverged_eigensolves(monkeypatch):
     """Make every min_hessian_eig report that it did not converge."""
-    obj = importlib.import_module("mcland.objective")  # the package re-exports a function of that name
-    solve = obj.min_hessian_eig
-    monkeypatch.setattr(
-        obj, "min_hessian_eig", lambda X, cfg, tol=None: replace(solve(X, cfg, tol), converged=False)
-    )
+    solve = objective.min_hessian_eig
+    monkeypatch.setattr(objective, "min_hessian_eig", lambda X, cfg: replace(solve(X, cfg), converged=False))

@@ -32,11 +32,10 @@ from mcland.instance import (
 from mcland.linalg import full_mask
 from mcland.objective import (
     ObjectiveConfig,
-    gradient,
     hessian_operator,
     hessian_quadratic,
     min_hessian_eig,
-    objective,
+    value_and_gradient,
 )
 from mcland.rng import substream
 from mcland.solvers import (
@@ -87,8 +86,8 @@ def test_c1_gradient_oracle():
         )
         cfg = ObjectiveConfig(hyper, obs)
         X = gt.factor + 0.5 * rng.standard_normal((d, r))
-        G = gradient(X, cfg)
-        G_fd = fd_gradient(lambda Y: objective(Y, cfg).total, X)
+        G = value_and_gradient(X, cfg)[1]
+        G_fd = fd_gradient(lambda Y: value_and_gradient(Y, cfg)[0].total, X)
         rel = float(np.linalg.norm(G - G_fd)) / (1.0 + float(np.linalg.norm(G)))
         worst = max(worst, rel)
     elapsed = time.perf_counter() - t0
@@ -117,7 +116,7 @@ def test_c2_hessian_oracle():
         for _ in range(3):
             V = rng.standard_normal(X.shape)
             quad = hessian_quadratic(X, V, cfg)
-            fd = fd_second_directional(lambda Y: objective(Y, cfg).total, X, V)
+            fd = fd_second_directional(lambda Y: value_and_gradient(Y, cfg)[0].total, X, V)
             worst_quad = max(worst_quad, abs(quad - fd) / (1.0 + abs(quad)))
             via = float(np.sum(V * hessian_operator(X, cfg)(V)))
             worst_pair = max(worst_pair, abs(quad - via) / (1.0 + abs(quad)))
@@ -131,7 +130,7 @@ def test_c2_hessian_oracle():
         H = dense_hessian(X, cfg)
         scale = 1.0 + float(np.abs(H).max())
         worst_sym = max(worst_sym, float(np.abs(H - H.T).max()) / scale)
-        H_fd = fd_hessian(lambda Y: gradient(Y, cfg), X)
+        H_fd = fd_hessian(lambda Y: value_and_gradient(Y, cfg)[1], X)
         worst_entry = max(worst_entry, float(np.abs(H - H_fd).max()) / scale)
 
     elapsed = time.perf_counter() - t0
@@ -226,12 +225,12 @@ def test_c4_strict_saddle_escape():
     d, lam1, lam2 = 12, 1.0, 1e-4
     Q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(d, d)))
     Z = Q[:, :2] * np.sqrt([lam1, lam2])
-    gt = GroundTruth.from_factor(Z)
+    gt = GroundTruth(Z)
     obs = observe(gt, full_mask(d, include_diagonal=True), 0.0, seed=5)
     cfg = ObjectiveConfig(HyperParams(alpha=1e6, reg_weight=0.0, tau=0.0), obs)
 
     x_saddle = math.sqrt(lam2) * Q[:, 1:2]
-    gn = float(np.linalg.norm(gradient(x_saddle, cfg)))
+    gn = float(np.linalg.norm(value_and_gradient(x_saddle, cfg)[1]))
     eig = min_hessian_eig(x_saddle, cfg)
     H = dense_hessian(x_saddle, cfg)
     dense_min = float(np.linalg.eigvalsh(0.5 * (H + H.T))[0])
@@ -401,9 +400,9 @@ def test_c9_sgd_unbiased():
     for k, (d, r) in enumerate(dims):
         spec = InstanceSpec(d=d, r=r, seed=base * 100 + k, p=1.0)
         gt, obs = spec.regenerate()
-        cfg = ObjectiveConfig(default_hyperparams(gt, 1.0, rank_one=(r == 1)), obs)
+        cfg = ObjectiveConfig(default_hyperparams(gt, 1.0), obs)
         X = random_init(d, r, obs, base * 100 + 50 + k)
-        G = gradient(X, cfg)
+        G = value_and_gradient(X, cfg)[1]
         stream = substream(base, "unbiased", k)
         draws = np.stack(
             [stochastic_gradient(X, cfg, stream, 1) for _ in range(n_draws)]

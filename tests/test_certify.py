@@ -1,8 +1,10 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from mcland import solvers
 from mcland.certify import (
     CertTolerances,
     PointClass,
@@ -16,7 +18,7 @@ from mcland.certify import (
     scan_to_csv,
 )
 from mcland.instance import HyperParams
-from mcland.objective import ObjectiveConfig
+from mcland.objective import ObjectiveConfig, min_hessian_eig
 from mcland.solvers import Method, SolverConfig, gradient_descent, random_init
 
 from conftest import dense_gram, make_problem
@@ -166,12 +168,23 @@ def test_default_radius_follows_the_noise_floor():
     assert default_global_rel(gt, faint, noiseless=1e-3) == 1e-2
 
 
-def test_stationary_tolerance_override():
+def test_stationary_tolerance_follows_the_value(rng):
     gt, obs, cfg = make_problem(15, 1, seed=15)
-    rep = certify_point(gt.factor, cfg, gt, CertTolerances(stationary=1e300))
-    assert rep.classification is not PointClass.NOT_STATIONARY
-    rep2 = certify_point(gt.factor + 1.0, cfg, gt, CertTolerances(stationary=1e-300))
-    assert rep2.classification is PointClass.NOT_STATIONARY
+    for X in (gt.factor, gt.factor + 1.0, rng.normal(size=(15, 1))):
+        rep = certify_point(X, cfg, gt)
+        assert rep.stationary_tol == 1e-6 * (1.0 + abs(rep.f_value))
+        assert (rep.classification is PointClass.NOT_STATIONARY) == (rep.grad_norm > rep.stationary_tol)
+
+
+def test_certificate_takes_tau_from_the_hyperparameters():
+    gt, obs, cfg = make_problem(20, 2, seed=10, p=0.8)
+    assert cfg.hyper.tau > 0
+    for X in (gt.factor, np.zeros((20, 2))):
+        assert certify_point(X, cfg, gt).tau == cfg.hyper.tau
+    # tau = 0 falls back to 1e-4 (1 + ||H||), with the eigensolve's estimate of ||H||
+    flat = ObjectiveConfig(replace(cfg.hyper, tau=0.0), obs)
+    for X in (gt.factor, np.zeros((20, 2))):
+        assert certify_point(X, flat, gt).tau == 1e-4 * (1.0 + min_hessian_eig(X, flat).op_norm)
 
 
 @pytest.mark.parametrize(
@@ -181,6 +194,7 @@ def test_stationary_tolerance_override():
         dict(global_rel=-1.0),
         dict(global_rel=math.inf),
         dict(global_rel=math.nan),
+        # stationarity and curvature thresholds are certify_point's rules: no value is accepted
         dict(stationary=0.0),
         dict(stationary=-1e-6),
         dict(tau=-1e-9),
@@ -188,12 +202,14 @@ def test_stationary_tolerance_override():
     ],
 )
 def test_bad_tolerances_are_rejected(kwargs):
-    with pytest.raises(ValueError, match=next(iter(kwargs))):
+    key = next(iter(kwargs))
+    with pytest.raises(ValueError if key == "global_rel" else TypeError, match=key):
         CertTolerances(**kwargs)
 
 
 def test_edge_tolerances_are_accepted():
-    CertTolerances(stationary=1e300, tau=0.0, global_rel=1e-300)
+    CertTolerances(global_rel=1e-300)
+    assert [f.name for f in fields(CertTolerances)] == ["global_rel"]
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +229,7 @@ def test_scan_finds_only_global_minima():
     assert summary.counts[PointClass.GLOBAL_MIN] == 8
     assert summary.counts[PointClass.SPURIOUS_LOCAL_MIN] == 0
     assert summary.worst_recovery <= 1e-6
-    assert sum(summary.counts.values()) == summary.n_starts
+    assert sum(summary.counts.values()) == len(summary.rows) == 8
     assert all(row.error is None for row in summary.rows)
 
 
@@ -241,11 +257,14 @@ def test_scan_independent_of_thread_count():
     assert scan_to_csv(a) == scan_to_csv(b)
 
 
-def test_scan_survives_failing_starts():
+def test_scan_survives_failing_starts(monkeypatch):
     gt, obs, cfg = make_problem(10, 1, seed=20)
-    summary = landscape_scan(
-        gt, obs, cfg.hyper, SolverConfig(), n_starts=3, base_seed=1, rank=11
-    )
+
+    def failing_solve(cfg, scfg, X0):
+        raise ValueError(f"need 1 <= r <= d, got r=11, d={cfg.d}")
+
+    monkeypatch.setattr(solvers, "solve", failing_solve)
+    summary = landscape_scan(gt, obs, cfg.hyper, SolverConfig(), n_starts=3, base_seed=1)
     assert all(r.status == "solver_error" for r in summary.rows)
     assert all(r.error.startswith("ValueError: need 1 <= r <= d") for r in summary.rows)
     assert summary.counts[PointClass.CRASHED] == 3

@@ -99,11 +99,23 @@ def test_malformed_or_missing_config_is_config_error(tmp_path, capsys):
 
 
 def test_bad_thread_count_is_config_error(tmp_path, capsys):
+    for command in ("scan", "conc"):
+        cfgp = _write(tmp_path, {"instance": _instance_block()})
+        code, out, err = _run(
+            capsys, [command, "--config", cfgp, "--out", str(tmp_path), "--threads", "0"]
+        )
+        assert code == 2
+        assert "--threads must be >= 1" in err
+
+
+@pytest.mark.parametrize("command", ["gen", "solve"])
+def test_threads_only_where_they_are_used(tmp_path, capsys, command):
+    # gen and solve run on the calling thread: they take no --threads
     cfgp = _write(tmp_path, {"instance": _instance_block()})
-    code, out, err = _run(
-        capsys, ["gen", "--config", cfgp, "--out", str(tmp_path), "--threads", "0"]
-    )
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", cfgp, "--out", str(tmp_path), "--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
 
 def test_gen_at_scale_runs_in_bounded_memory(tmp_path):
@@ -270,6 +282,45 @@ def test_diverged_solve_writes_no_overflow_warnings(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "RuntimeWarning" not in proc.stderr
     assert "status=diverged" in proc.stdout.splitlines()
+
+
+# instances whose random start already overflows the objective
+OVERFLOWING_INSTANCES = [
+    {"d": 40, "r": 2, "seed": 3, "p": 1.0, "scale": 1e100},  # f(X0) = inf
+    {"d": 20, "r": 2, "seed": 3, "p": 1.0, "sigma": 1e200},
+    {"d": 20, "r": 2, "seed": 3, "p": 1.0, "sigma": 1e150},  # f(X0) finite, its gradient norm inf
+    {"d": 20, "r": 2, "seed": 3, "p": 0.9, "sigma": 1e200, "include_diagonal": False},  # X0 infinite
+]
+
+
+@pytest.mark.parametrize("instance", OVERFLOWING_INSTANCES)
+def test_overflowing_start_is_reported_diverged(tmp_path, instance):
+    # a fresh interpreter, so stderr is what a user sees under the default warning filters
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for method in ("gd", "perturbed_gd", "sgd"):
+        cfgp = _write(tmp_path, {"instance": instance, "solver": {"method": method}})
+        proc = subprocess.run(
+            [sys.executable, "-m", "mcland.cli", "solve", "--config", cfgp, "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert (proc.returncode, proc.stderr) == (0, ""), method
+        kv = dict(line.split("=", 1) for line in proc.stdout.strip().split("\n"))
+        assert kv["status"] == "diverged" and kv["classification"] == "NotStationary", method
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_scan_of_overflowing_instance_is_unclean_not_crashed(tmp_path, capsys):
+    payload = {"instance": OVERFLOWING_INSTANCES[0], "solver": {"method": "perturbed_gd"},
+               "scan": {"n_starts": 2, "base_seed": 0}}
+    code, out, err = _run(
+        capsys, ["scan", "--config", _write(tmp_path, payload), "--out", str(tmp_path), "--assert-clean"]
+    )
+    assert code == 1
+    assert "0 crashed start(s)" in err and "2 unstationary endpoint(s)" in err
+    rows = [row.split(",") for row in (tmp_path / "scan.csv").read_text().strip().split("\n")[1:]]
+    assert [row[1] for row in rows] == ["diverged", "diverged"]
+    assert all(row[-3:] == ["NotStationary", "", ""] for row in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -28,20 +28,20 @@ from conftest import dense_gram
 
 def test_uniform_rows_give_mu_one():
     Z = np.full((4, 1), 0.5)
-    gt = GroundTruth.from_factor(Z)
+    gt = GroundTruth(Z)
     assert gt.incoherence == pytest.approx(1.0, abs=1e-12)
 
 
 def test_single_spike_gives_mu_sqrt_d():
     Z = np.zeros((4, 1))
     Z[0, 0] = 1.0
-    gt = GroundTruth.from_factor(Z)
+    gt = GroundTruth(Z)
     assert gt.incoherence == pytest.approx(2.0, abs=1e-12)
 
 
 def test_mu_kappa_recompute_exactly(rng):
     Z = rng.normal(size=(30, 3))
-    gt = GroundTruth.from_factor(Z)
+    gt = GroundTruth(Z)
     mu = np.sqrt(30) * max(np.linalg.norm(Z, axis=1)) / np.linalg.norm(Z)
     sv = np.linalg.svd(Z, compute_uv=False)
     assert gt.incoherence == pytest.approx(mu, abs=1e-12)
@@ -52,7 +52,17 @@ def test_mu_kappa_recompute_exactly(rng):
 
 def test_zero_factor_rejected():
     with pytest.raises(ValueError):
-        GroundTruth.from_factor(np.zeros((4, 2)))
+        GroundTruth(np.zeros((4, 2)))
+
+
+def test_constants_are_computed_not_given():
+    Z = np.full((4, 1), 0.5)
+    with pytest.raises(TypeError):
+        GroundTruth(Z, incoherence=3.0, condition_number=1.0)
+    with pytest.raises(ValueError, match="2-d"):
+        GroundTruth(np.ones(4))
+    with pytest.raises(ValueError, match="rank deficient"):
+        GroundTruth(np.zeros((4, 2)))
 
 
 def test_sampled_mu_is_moderate():
@@ -174,18 +184,26 @@ def test_noiseless_values_bounded_by_max_row_norm_sq():
 
 def test_observation_takes_one_value_per_stored_pair():
     mask = full_mask(3, include_diagonal=False)  # 3 stored pairs, n_pairs 6
-    Observation(mask=mask, values=np.arange(3, dtype=float), sigma=0.0, p=1.0)
+    Observation(mask=mask, values=np.arange(3, dtype=float), sigma=0.0)
     with pytest.raises(ValueError, match="stored pairs"):
-        Observation(mask=mask, values=np.arange(mask.n_pairs, dtype=float), sigma=0.0, p=1.0)
+        Observation(mask=mask, values=np.arange(mask.n_pairs, dtype=float), sigma=0.0)
 
 
 def test_observation_rejects_non_finite_values():
     mask = full_mask(3, include_diagonal=False)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
-            Observation(mask=mask, values=np.array([1.0, bad, 0.0]), sigma=0.0, p=1.0)
+            Observation(mask=mask, values=np.array([1.0, bad, 0.0]), sigma=0.0)
     with pytest.raises(ValueError, match="sigma"):
-        Observation(mask=mask, values=np.zeros(3), sigma=math.nan, p=1.0)
+        Observation(mask=mask, values=np.zeros(3), sigma=math.nan)
+
+
+def test_observation_rate_is_the_masks():
+    mask = sample_mask(10, 0.3, seed=2)
+    obs = Observation(mask=mask, values=np.zeros(mask.i.size), sigma=0.0)
+    assert obs.p == mask.p == 0.3
+    with pytest.raises(TypeError):
+        Observation(mask=mask, values=np.zeros(mask.i.size), sigma=0.0, p=0.5)
 
 
 def test_overflowing_factor_scale_is_rejected():
@@ -199,17 +217,17 @@ def test_overflowing_factor_scale_is_rejected():
 
 def _mu_one_rank1_truth():
     # uniform rows: mu = 1 exactly, d = 100
-    return GroundTruth.from_factor(np.full((100, 1), 0.1))
+    return GroundTruth(np.full((100, 1), 0.1))
 
 
 def _mu_one_kappa_one_rank2_truth():
     theta = 2.0 * np.pi * np.arange(100) / 100
     Z = np.column_stack([np.cos(theta), np.sin(theta)])
-    return GroundTruth.from_factor(Z)
+    return GroundTruth(Z)
 
 
 def test_alpha_rank1_formula():
-    hp = default_hyperparams(_mu_one_rank1_truth(), 0.5, rank_one=True)
+    hp = default_hyperparams(_mu_one_rank1_truth(), 0.5)
     assert hp.alpha == pytest.approx(1.0, abs=1e-12)
 
 
@@ -222,27 +240,16 @@ def test_alpha_rank_r_formula():
 
 
 def test_lambda_equals_lower_bound():
-    hp = default_hyperparams(_mu_one_rank1_truth(), 0.5, rank_one=True)
+    hp = default_hyperparams(_mu_one_rank1_truth(), 0.5)
     # mu^2 p / alpha^2 with mu = 1, p = 0.5, alpha = 1
     assert hp.reg_weight == pytest.approx(0.5, abs=1e-12)
 
 
 def test_tau_formula():
     gt = _mu_one_rank1_truth()
-    hp = default_hyperparams(gt, 0.5, rank_one=True)
+    hp = default_hyperparams(gt, 0.5)
     smin = np.linalg.svd(gt.factor, compute_uv=False)[-1]
     assert hp.tau == pytest.approx(0.01 * 0.5 * smin, rel=1e-10)
-
-
-def test_rank_flag_defaults_to_factor_rank():
-    gt1 = _mu_one_rank1_truth()
-    assert default_hyperparams(gt1, 0.5).alpha == default_hyperparams(
-        gt1, 0.5, rank_one=True
-    ).alpha
-    gt2 = _mu_one_kappa_one_rank2_truth()
-    assert default_hyperparams(gt2, 0.5).alpha == default_hyperparams(
-        gt2, 0.5, rank_one=False
-    ).alpha
 
 
 def test_hyperparams_validation():

@@ -1,4 +1,4 @@
-import importlib
+import types
 
 import numpy as np
 import pytest
@@ -6,13 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from mcland.instance import GroundTruth, HyperParams, InstanceSpec, observe
 from mcland.linalg import full_mask
+from mcland import objective
 from mcland.objective import (
     ObjectiveConfig,
-    gradient,
+    breakdown,
     hessian_operator,
     hessian_quadratic,
     min_hessian_eig,
-    objective,
     operator_norm_estimate,
     pair_gradient_sum,
     reg_gradient,
@@ -117,20 +117,28 @@ def test_reg_gradient_matches_fd(rng):
     assert np.allclose(reg_gradient(X, 0.8), fd, atol=1e-6)
 
 
+def test_package_attribute_is_the_module():
+    # no function of the package shadows the submodule of the same name
+    import mcland.objective as m
+
+    assert isinstance(m, types.ModuleType)
+    assert m.hessian_operator is hessian_operator
+
+
 # ---------------------------------------------------------------------------
 # objective value
 
 
 def test_objective_zero_at_truth():
     gt, obs, cfg = make_problem(15, 2, seed=1)
-    ev = objective(gt.factor, cfg)
+    ev = value_and_gradient(gt.factor, cfg)[0]
     assert ev.data_term == pytest.approx(0.0, abs=1e-20)
     assert ev.total <= 1e-18
 
 
 def test_objective_at_origin_is_half_masked_energy():
     gt, obs, cfg = make_problem(12, 2, seed=2, p=0.6)
-    ev = objective(np.zeros((12, 2)), cfg)
+    ev = value_and_gradient(np.zeros((12, 2)), cfg)[0]
     M = np.zeros((12, 12))  # P_Omega(M), both orders of every observed pair
     M[obs.mask.i, obs.mask.j] = obs.values
     M[obs.mask.j, obs.mask.i] = obs.values
@@ -142,13 +150,13 @@ def test_objective_matches_brute_force(rng):
     gt, obs, cfg = make_problem(8, 2, seed=3, p=0.7, sigma=0.1)
     for _ in range(5):
         X = rng.normal(size=(8, 2)) * 1.5
-        assert objective(X, cfg).total == pytest.approx(brute_objective(X, cfg), rel=1e-12)
+        assert value_and_gradient(X, cfg)[0].total == pytest.approx(brute_objective(X, cfg), rel=1e-12)
 
 
 def test_breakdown_totals_consistently(rng):
     gt, obs, cfg = make_problem(10, 2, seed=4, p=0.5)
     X = rng.normal(size=(10, 2)) * 2.0
-    ev = objective(X, cfg)
+    ev = value_and_gradient(X, cfg)[0]
     assert ev.total == pytest.approx(
         ev.data_term + cfg.hyper.reg_weight * ev.reg_term, rel=1e-14
     )
@@ -158,7 +166,7 @@ def test_breakdown_totals_consistently(rng):
 def test_objective_rejects_wrong_shape():
     gt, obs, cfg = make_problem(10, 2, seed=4)
     with pytest.raises(ValueError, match="dimension"):
-        objective(np.zeros((9, 2)), cfg)
+        value_and_gradient(np.zeros((9, 2)), cfg)
 
 
 def test_quartic_scaling_with_zero_target(rng):
@@ -166,12 +174,12 @@ def test_quartic_scaling_with_zero_target(rng):
     from mcland.instance import Observation
 
     mask = full_mask(7, include_diagonal=True)
-    obs = Observation(mask=mask, values=np.zeros(mask.i.size), sigma=0.0, p=1.0)
+    obs = Observation(mask=mask, values=np.zeros(mask.i.size), sigma=0.0)
     cfg = ObjectiveConfig(HyperParams(alpha=1.0, reg_weight=0.0, tau=0.0), obs)
     X = rng.normal(size=(7, 2))
-    base = objective(X, cfg).total
+    base = value_and_gradient(X, cfg)[0].total
     for t in (2.0, 3.0):
-        assert objective(t * X, cfg).total == pytest.approx(t**4 * base, rel=1e-12)
+        assert value_and_gradient(t * X, cfg)[0].total == pytest.approx(t**4 * base, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +188,7 @@ def test_quartic_scaling_with_zero_target(rng):
 
 def test_gradient_zero_at_noiseless_truth():
     gt, obs, cfg = make_problem(15, 2, seed=5, p=0.8)
-    G = gradient(gt.factor, cfg)
+    G = value_and_gradient(gt.factor, cfg)[1]
     assert float(np.abs(G).max()) <= 1e-12
 
 
@@ -188,8 +196,8 @@ def test_gradient_matches_fd(rng):
     gt, obs, cfg = make_problem(9, 2, seed=6, p=0.7, sigma=0.05)
     for _ in range(3):
         X = rng.normal(size=(9, 2)) * 1.5
-        fd = fd_gradient(lambda Y: objective(Y, cfg).total, X)
-        G = gradient(X, cfg)
+        fd = fd_gradient(lambda Y: value_and_gradient(Y, cfg)[0].total, X)
+        G = value_and_gradient(X, cfg)[1]
         assert np.allclose(G, fd, atol=1e-5 * (1.0 + float(np.abs(G).max())))
 
 
@@ -204,7 +212,7 @@ def test_rank1_stationary_points_are_eigenvectors(rng):
     for _ in range(4):
         x = rng.normal(size=(10, 1))
         lhs = float(np.linalg.norm(M @ x - float(x[:, 0] @ x[:, 0]) * x))
-        rhs = 0.5 * float(np.linalg.norm(gradient(x, cfg)))
+        rhs = 0.5 * float(np.linalg.norm(value_and_gradient(x, cfg)[1]))
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
 
@@ -222,7 +230,7 @@ def test_hessian_quadratic_along_truth_direction(rng):
     # ||Z Z^T + Z Z^T||_F^2 = 4 ||z||^4 = 4 for a unit rank-1 factor
     z = rng.normal(size=(30, 1))
     z /= np.linalg.norm(z)
-    gt = GroundTruth.from_factor(z)
+    gt = GroundTruth(z)
     mask = full_mask(30, include_diagonal=True)
     obs = observe(gt, mask, 0.0, seed=9)
     cfg = ObjectiveConfig(HyperParams(alpha=10.0, reg_weight=0.0, tau=0.0), obs)
@@ -235,7 +243,7 @@ def test_hessian_quadratic_matches_fd(rng):
     for _ in range(3):
         V = rng.normal(size=(8, 2))
         quad = hessian_quadratic(X, V, cfg)
-        fd = fd_second_directional(lambda Y: objective(Y, cfg).total, X, V)
+        fd = fd_second_directional(lambda Y: value_and_gradient(Y, cfg)[0].total, X, V)
         assert quad == pytest.approx(fd, rel=1e-4, abs=1e-4)
 
 
@@ -273,7 +281,7 @@ def test_dense_hessian_matches_fd_oracle(rng):
     X = rng.normal(size=(6, 2)) * 1.5
     H = dense_hessian(X, cfg)
     assert np.allclose(H, H.T, atol=1e-10 * (1.0 + float(np.abs(H).max())))
-    H_fd = fd_hessian(lambda Y: gradient(Y, cfg), X)
+    H_fd = fd_hessian(lambda Y: value_and_gradient(Y, cfg)[1], X)
     assert np.allclose(H, H_fd, atol=1e-5 * (1.0 + float(np.abs(H).max())))
 
 
@@ -286,8 +294,8 @@ def test_penalty_inactive_rows_do_not_change_derivatives(rng):
     X = rng.normal(size=(10, 2))
     X *= 0.9 * alpha / max(np.linalg.norm(X, axis=1))  # every row inside the ball
     V = rng.normal(size=(10, 2))
-    assert objective(X, on).total == objective(X, off).total
-    assert np.array_equal(gradient(X, on), gradient(X, off))
+    assert value_and_gradient(X, on)[0].total == value_and_gradient(X, off)[0].total
+    assert np.array_equal(value_and_gradient(X, on)[1], value_and_gradient(X, off)[1])
     assert np.array_equal(hessian_operator(X, on)(V), hessian_operator(X, off)(V))
 
 
@@ -308,12 +316,12 @@ def test_min_eig_detects_saddle(rng_local=np.random.default_rng(5)):
     d = 12
     Q, _ = np.linalg.qr(rng_local.normal(size=(d, d)))
     Z = Q[:, :2] * np.sqrt([1.0, 0.5])
-    gt = GroundTruth.from_factor(Z)
+    gt = GroundTruth(Z)
     mask = full_mask(d, include_diagonal=True)
     obs = observe(gt, mask, 0.0, seed=17)
     cfg = ObjectiveConfig(HyperParams(alpha=1e6, reg_weight=0.0, tau=0.0), obs)
     x = np.sqrt(0.5) * Q[:, 1:2]
-    assert float(np.linalg.norm(gradient(x, cfg))) <= 1e-12
+    assert float(np.linalg.norm(value_and_gradient(x, cfg)[1])) <= 1e-12
     eig = min_hessian_eig(x, cfg)
     assert eig.lambda_min == pytest.approx(-1.0, abs=1e-4)
     assert eig.lambda_min == pytest.approx(dense_min_eig(x, cfg), abs=1e-6)
@@ -368,7 +376,7 @@ def test_min_eig_zero_operator():
     from mcland.linalg import ObservationMask
 
     mask = ObservationMask(d=5, i=[], j=[], p=0.0)
-    obs = Observation(mask=mask, values=np.zeros(0), sigma=0.0, p=0.0)
+    obs = Observation(mask=mask, values=np.zeros(0), sigma=0.0)
     cfg = ObjectiveConfig(HyperParams(alpha=10.0, reg_weight=1.0, tau=0.0), obs)
     eig = min_hessian_eig(np.zeros((5, 1)), cfg)
     assert eig.lambda_min == 0.0
@@ -421,13 +429,13 @@ def test_kernels_match_oracles(d, r, p, include_diagonal):
     cfg, X, V = _kernel_problem(d, r, p, include_diagonal)
     w = cfg.hyper.reg_weight
     ind, M = _dense_masked(cfg, X)
-    assert objective(X, cfg).total == pytest.approx(brute_objective(X, cfg), rel=1e-12, abs=1e-14)
+    assert value_and_gradient(X, cfg)[0].total == pytest.approx(brute_objective(X, cfg), rel=1e-12, abs=1e-14)
 
-    G = gradient(X, cfg)
+    G = value_and_gradient(X, cfg)[1]
     R = ind * (M - X @ X.T)
     scale = 1.0 + float(np.abs(G).max())
     assert np.allclose(G, -2.0 * R @ X + w * reg_gradient(X, cfg.hyper.alpha), rtol=0, atol=1e-12 * scale)
-    fd = fd_gradient(lambda Y: objective(Y, cfg).total, X)
+    fd = fd_gradient(lambda Y: value_and_gradient(Y, cfg)[0].total, X)
     assert np.allclose(G, fd, rtol=0, atol=1e-5 * scale)
 
     HV = hessian_operator(X, cfg)(V)
@@ -441,8 +449,9 @@ def test_kernels_match_oracles(d, r, p, include_diagonal):
 def test_fused_and_per_point_kernels_are_bit_identical(d, r, p, include_diagonal):
     cfg, X, V = _kernel_problem(d, r, p, include_diagonal)
     bdown, G = value_and_gradient(X, cfg)
-    assert bdown == objective(X, cfg)
-    assert np.array_equal(G, gradient(X, cfg))
+    resid = cfg.residuals(X)  # the per-point pieces an accepted line-search trial reuses
+    assert bdown == breakdown(X, resid, cfg)
+    assert np.array_equal(G, residual_gradient(X, resid, cfg))
     H = hessian_operator(X, cfg)
     for U in (V, 2.0 * V + 1.0):
         assert np.array_equal(H(U), hessian_operator(X, cfg)(U))
@@ -524,7 +533,5 @@ def test_column_products_are_bit_identical_to_multivector(d, r, p, include_diago
     assert np.array_equal(residual_gradient(X, resid, cfg), expected)
 
     HV = hessian_operator(X, cfg)(V)
-    # the module, not the function `mcland.objective` that the package re-exports
-    module = importlib.import_module("mcland.objective")
-    monkeypatch.setattr(module, "_matmul_columns", lambda A, Y: A @ Y)
+    monkeypatch.setattr(objective, "_matmul_columns", lambda A, Y: A @ Y)
     assert np.array_equal(HV, hessian_operator(X, cfg)(V))

@@ -6,7 +6,7 @@ import pytest
 
 from mcland.instance import GroundTruth, HyperParams, observe
 from mcland.linalg import full_mask
-from mcland.objective import ObjectiveConfig, gradient, objective, pair_gradient_sum
+from mcland.objective import ObjectiveConfig, pair_gradient_sum, value_and_gradient
 from mcland.solvers import (
     ArmijoParams,
     Method,
@@ -42,7 +42,7 @@ def _spiked_rank2_problem(lam2, d=12, seed=5):
     q_rng = np.random.default_rng(seed)
     Q, _ = np.linalg.qr(q_rng.normal(size=(d, d)))
     Z = Q[:, :2] * np.sqrt([1.0, lam2])
-    gt = GroundTruth.from_factor(Z)
+    gt = GroundTruth(Z)
     mask = full_mask(d, include_diagonal=True)
     obs = observe(gt, mask, 0.0, seed=seed)
     cfg = ObjectiveConfig(HyperParams(alpha=1e6, reg_weight=0.0, tau=0.0), obs)
@@ -133,14 +133,14 @@ def test_exhaustive_batch_equals_full_gradient(rng):
     gt, obs, cfg = make_problem(12, 2, seed=8, p=0.7)
     X = rng.normal(size=(12, 2)) * 1.5
     G_sum = pair_gradient_sum(X, cfg, np.arange(cfg.n_pairs))
-    data_only = gradient(X, cfg) - cfg.hyper.reg_weight * reg_gradient(X, cfg.hyper.alpha)
+    data_only = value_and_gradient(X, cfg)[1] - cfg.hyper.reg_weight * reg_gradient(X, cfg.hyper.alpha)
     assert np.allclose(G_sum, data_only, atol=1e-11 * (1 + np.abs(data_only).max()))
 
 
 def test_stochastic_gradient_unbiased_cheaply(rng):
     gt, obs, cfg = make_problem(8, 1, seed=9, p=1.0)
     X = rng.normal(size=(8, 1))
-    full = gradient(X, cfg)
+    full = value_and_gradient(X, cfg)[1]
     stream = substream(123, "sgdtest")
     draws = np.stack(
         [stochastic_gradient(X, cfg, stream, 4) for _ in range(4000)]
@@ -205,8 +205,8 @@ def test_reported_gradient_norm_is_that_of_the_endpoint(method):
     for k in range(1, 11):
         res = solve(cfg, SolverConfig(method=method, max_iters=k, seed=4), X0)
         assert res.iterations == k
-        assert res.grad_norm == float(np.linalg.norm(gradient(res.X, cfg)))
-        assert res.f == objective(res.X, cfg).total
+        assert res.grad_norm == float(np.linalg.norm(value_and_gradient(res.X, cfg)[1]))
+        assert res.f == value_and_gradient(res.X, cfg)[0].total
 
 
 # ---------------------------------------------------------------------------
@@ -217,11 +217,11 @@ def test_perturbed_gd_escapes_origin_where_gd_stays():
     lam2 = 1e-4
     Q, cfg = _spiked_rank2_problem(lam2)
     X0 = np.zeros((12, 1))
-    assert float(np.linalg.norm(gradient(X0, cfg))) == 0.0
+    assert float(np.linalg.norm(value_and_gradient(X0, cfg)[1])) == 0.0
 
     plain = gradient_descent(cfg, SolverConfig(), X0)
     assert plain.iterations == 0
-    assert plain.f == objective(X0, cfg).total  # stuck at the stationary origin
+    assert plain.f == value_and_gradient(X0, cfg)[0].total  # stuck at the stationary origin
 
     res = perturbed_gd(cfg, SolverConfig(method=Method.PERTURBED_GD, max_iters=4000, seed=9), X0)
     assert res.status == Status.GRAD_TOL
@@ -231,7 +231,7 @@ def test_perturbed_gd_escapes_origin_where_gd_stays():
 def test_perturbed_gd_escapes_strict_saddle():
     Q, cfg = _spiked_rank2_problem(0.5)
     x_saddle = np.sqrt(0.5) * Q[:, 1:2]
-    assert float(np.linalg.norm(gradient(x_saddle, cfg))) <= 1e-10
+    assert float(np.linalg.norm(value_and_gradient(x_saddle, cfg)[1])) <= 1e-10
     res = perturbed_gd(
         cfg, SolverConfig(method=Method.PERTURBED_GD, max_iters=4000, seed=2), x_saddle
     )
