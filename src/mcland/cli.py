@@ -262,13 +262,15 @@ def cmd_scan(cfg, out_dir, threads=1, assert_clean=False):
         if row.error is not None:
             print(f"start {row.start_seed} crashed: {row.error}", file=sys.stderr)
     spurious = summary.counts[PointClass.SPURIOUS_LOCAL_MIN]
+    saddles = summary.counts[PointClass.STRICT_SADDLE]
     uncertified = summary.counts[PointClass.UNCERTIFIED]
     unstationary = summary.counts[PointClass.NOT_STATIONARY]
     crashed = summary.counts[PointClass.CRASHED]
-    if assert_clean and (spurious or uncertified or unstationary or crashed):
+    if assert_clean and (spurious or saddles or uncertified or unstationary or crashed):
         print(
-            f"assert-clean failed: {spurious} spurious endpoint(s), {uncertified} uncertified "
-            f"endpoint(s), {unstationary} unstationary endpoint(s), {crashed} crashed start(s)",
+            f"assert-clean failed: {spurious} spurious endpoint(s), {saddles} strict saddle "
+            f"endpoint(s), {uncertified} uncertified endpoint(s), {unstationary} unstationary "
+            f"endpoint(s), {crashed} crashed start(s)",
             file=sys.stderr,
         )
         return 1
@@ -311,8 +313,9 @@ def _build_parser():
             p.add_argument(
                 "--assert-clean",
                 action="store_true",
-                help="exit nonzero if any endpoint is a spurious local minimum, uncertified "
-                "or not stationary, or any start crashed",
+                help="exit nonzero unless every start reached a certified global minimum: "
+                "fail on any spurious local minimum, strict saddle, uncertified or "
+                "unstationary endpoint, or crashed start",
             )
     return parser
 

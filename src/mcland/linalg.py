@@ -68,12 +68,6 @@ class ObservationMask:
         return ind
 
 
-def full_mask(d, include_diagonal=True):
-    """Mask containing every pair (optionally without the diagonal)."""
-    i, j = np.triu_indices(d, k=0 if include_diagonal else 1)
-    return ObservationMask(d=d, i=i, j=j, p=1.0)
-
-
 def row_incoherence(A):
     """nu such that max_i ||A_i|| = nu * sqrt(1/d) * ||A||_F (0 for a zero matrix)."""
     A = np.asarray(A, dtype=float)

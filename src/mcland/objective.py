@@ -48,7 +48,7 @@ from scipy import sparse
 from .rng import substream
 
 _EIG_SEED = 31415001
-_BASIS = 20  # Lanczos steps per run of the eigensolver and of the norm estimate
+_BASIS = 20  # Lanczos steps per run of the eigensolver; the norm estimate's default
 _EIG_TOL = 1e-6  # min_hessian_eig converges at a residual of at most _EIG_TOL * (1 + ||H||)
 
 
@@ -169,16 +169,6 @@ def _reg_hess_apply(terms, V):
     return out
 
 
-def _reg_hess_quad(X, V, alpha):
-    terms = _reg_hess_terms(X, alpha)
-    if terms is None:
-        return 0.0
-    act, u, d1_over_t, d2 = terms
-    proj = np.einsum("ij,ij->i", V[act], u)
-    vsq = (V[act] * V[act]).sum(axis=1)
-    return float(np.sum(d2 * proj**2 + d1_over_t * (vsq - proj**2)))
-
-
 @dataclass(frozen=True)
 class EvalBreakdown:
     data_term: float
@@ -245,26 +235,6 @@ def pair_gradient_sum(X, cfg, positions):
     return G
 
 
-def hessian_quadratic(X, V, cfg):
-    """Second directional derivative <V, d^2 f(X)[V]>, assembled from pair sums.
-
-    Equals ||P_Omega(V X^T + X V^T)||_F^2 - 2 <P_Omega(residual), V V^T>
-    plus the penalty curvature; computed directly from per-pair scalars over
-    the stored pairs, weighted 2 off the diagonal and 1 on it, independently
-    of `hessian_operator`.
-    """
-    X = _check_factor(X, cfg)
-    V = _check_direction(V, X)
-    i, j, w = cfg._i, cfg._j, cfg._w
-    s = np.einsum("ij,ij->i", V[i], X[j]) + np.einsum("ij,ij->i", X[i], V[j])
-    vv = np.einsum("ij,ij->i", V[i], V[j])
-    resid = cfg.obs.values - np.einsum("ij,ij->i", X[i], X[j])
-    quad = float((w * s) @ s) - 2.0 * float((w * resid) @ vv)
-    if cfg.hyper.reg_weight > 0:
-        quad += cfg.hyper.reg_weight * _reg_hess_quad(X, V, cfg.hyper.alpha)
-    return quad
-
-
 def hessian_operator(X, cfg):
     """The matrix-free Hessian at X, as a function V -> d^2 f(X)[V] (d x r).
 
@@ -275,8 +245,7 @@ def hessian_operator(X, cfg):
     B is one product of the 0/1 pattern with the rows X_j V_j^T per
     application (O(n_pairs r^2)); nothing is stored on `cfg`.  B takes its
     r^2 columns in one multi-vector product, no slower than r^2 single-vector
-    ones; the residual matrix takes V one column at a time.  Self-adjoint, and
-    <V, H[V]> agrees with `hessian_quadratic` to rounding.
+    ones; the residual matrix takes V one column at a time.  Self-adjoint.
     """
     X = _check_factor(X, cfg)
     d, r = X.shape
@@ -334,12 +303,13 @@ def _start(X):
     return substream(_EIG_SEED, "lanczos", *X.shape).standard_normal(X.shape)
 
 
-def operator_norm_estimate(X, cfg):
+def operator_norm_estimate(X, cfg, steps=_BASIS):
     """Lower bound on the Hessian operator norm ||H|| at X: the largest
-    |Ritz value| of a `_BASIS`-step Lanczos run, never below the |Rayleigh
-    quotient| of a power iteration of the same length from the same start."""
+    |Ritz value| of a Lanczos run of `steps` steps, never below the
+    |Rayleigh quotient| of a power iteration of the same length from the
+    same start."""
     X = _check_factor(X, cfg)
-    theta, _ = _lanczos(hessian_operator(X, cfg), _start(X), _BASIS, 0.0)
+    theta, _ = _lanczos(hessian_operator(X, cfg), _start(X), steps, 0.0)
     return float(np.abs(theta).max())
 
 
@@ -361,7 +331,7 @@ def min_hessian_eig(X, cfg):
     the restart.  If the cap of 50 * d * r Hessian-vector products is
     reached first, the last v is returned with converged=False, and
     lambda_min is only an upper bound.  lambda_min is the Rayleigh quotient
-    of the unit witness v, so hessian_quadratic(X, witness) <= lambda_min + tol.
+    <v, H[v]> of the unit witness v.
     """
     X = _check_factor(X, cfg)
     H = hessian_operator(X, cfg)

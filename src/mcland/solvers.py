@@ -5,6 +5,15 @@ accepted step, cumulative per-entry gradient work) and are deterministic
 given their config seed.  Entry-gradient accounting counts |Omega| per full
 gradient and `batch` per stochastic step; trace diagnostics (objective and
 gradient norms recorded for inspection) are not charged to the budget.
+
+GD and perturbed GD share one Armijo loop.  Each line search opens at the
+Barzilai-Borwein step <s, s> / <s, y> of the last accepted move, with
+s = X_{k+1} - X_k and y = grad f(X_{k+1}) - grad f(X_k), and backtracks
+from there until the sufficient-decrease test passes, so every accepted
+step still decreases f.  It opens at twice the last accepted step instead
+when <s, y> <= 0 or when there is no last accepted move: at the first
+iteration, and right after a perturbation kick or a rollback, across which
+s and y say nothing about the curvature.
 """
 
 import math
@@ -19,6 +28,7 @@ from .csvio import write_csv
 from .rng import substream
 
 _STEP_UNDERFLOW = 1e-16
+_STEP0_LANCZOS = 8  # Lanczos steps of GD's default step0: the line search needs only its scale
 _ESCAPE_REL = 1e-6
 
 
@@ -45,7 +55,9 @@ class Status(str, Enum):
 class ArmijoParams:
     c1: float = 1e-4
     backtrack: float = 0.5
-    step0: float | None = None  # default: 1 / (Hessian norm estimate at X0)
+    # seeds the first line search only, which opens at 2 * step0; later ones
+    # follow the last move.  Default: 1 / (Hessian norm estimate at X0)
+    step0: float | None = None
 
     def __post_init__(self):
         if not 0 < self.c1 < 1:
@@ -153,31 +165,36 @@ def random_init(d, r, obs, seed):
     """Gaussian start scaled to the observed energy.
 
     Entry variance is s^2 / (d r): s^2 is the diagonal-sum estimate
-    sum_{(i,i) observed} M_ii / p when the mask touches the diagonal, else
-    the Frobenius estimate ||P_Omega(M)||_F^2 / p.
+    sum_{(i,i) observed} M_ii / p when the mask touches the diagonal and
+    that sum is positive, else the Frobenius estimate ||P_Omega(M)||_F^2 / p.
+    Noise can make the observed diagonal sum negative; the Frobenius
+    estimate then keeps the start off the origin, a stationary point.
     """
     if not 1 <= r <= d:
         raise ValueError(f"need 1 <= r <= d, got r={r}, d={d}")
     mask = obs.mask
     p = obs.p if obs.p > 0 else 1.0
     diag = mask.i == mask.j
+    v, v_diag = obs.values, obs.values[diag]
     with np.errstate(over="ignore"):  # an infinite energy gives a start the solver reports diverged
-        if np.any(diag):
-            s2 = float(obs.values[diag].sum()) / p
-        else:
-            s2 = 2.0 * float(obs.values @ obs.values) / p  # every pair off-diagonal: both orders
-    s2 = max(s2, 0.0)
+        s2 = float(v_diag.sum()) / p if v_diag.size else 0.0
+        if not s2 > 0:
+            # both orders of every off-diagonal pair, one of a diagonal one
+            s2 = (2.0 * float(v @ v) - float(v_diag @ v_diag)) / p
     rng = substream(seed, "init")
     return rng.standard_normal((d, r)) * np.sqrt(s2 / (d * r))
 
 
-def _auto_step0(cfg, X0, explicit):
-    if explicit is not None:
-        return explicit
-    op = obj.operator_norm_estimate(X0, cfg)
-    if op <= 0:
-        return 1.0
-    return 1.0 / op
+def _inverse_norm(op):
+    # the step 1 / ||H|| from a norm estimate, 1 where the estimate is 0
+    return 1.0 / op if op > 0 else 1.0
+
+
+def _bb_step(s, y):
+    """The Barzilai-Borwein step <s, s> / <s, y> of a move s whose gradient
+    changed by y; None when <s, y> <= 0, where it gives no step."""
+    sy = float(np.vdot(s, y))
+    return float(np.vdot(s, s)) / sy if sy > 0 else None
 
 
 def _armijo_step(cfg, X, bdown, G, gn2, t_init, params):
@@ -264,6 +281,11 @@ class _Probe(NamedTuple):
 def _descend(cfg, scfg, X0, perturb):
     """Armijo gradient descent, perturbed when a PerturbParams policy is given.
 
+    Each line search opens at the Barzilai-Borwein step of the last accepted
+    move, or at twice the last accepted step when its <s, y> <= 0 or there
+    is none: at the first iteration (2 * step0), and right after a kick or
+    a rollback.
+
     Without a policy the run stops once the gradient norm reaches grad_tol.
     With one, a point whose gradient norm is at most the trigger, at least
     `cooldown_iters` iterations after the last probe ended, is saved and
@@ -279,7 +301,10 @@ def _descend(cfg, scfg, X0, perturb):
     cum = n_pairs
     if _diverged(bdown, gn):  # no step size can be estimated at a non-finite start
         return _result(X, bdown, gn, grad_tol, trace, cum)
-    t_prev = _auto_step0(cfg, X, scfg.armijo.step0)
+    t_prev = scfg.armijo.step0
+    if t_prev is None:
+        t_prev = _inverse_norm(obj.operator_norm_estimate(X, cfg, _STEP0_LANCZOS))
+    t_bb = None  # the BB step of the last accepted move, if it gives one
     if perturb is not None:
         radius = perturb.radius if perturb.radius is not None else 10.0 * grad_tol
         trigger = perturb.trigger_grad_norm
@@ -305,11 +330,15 @@ def _descend(cfg, scfg, X0, perturb):
                 cum += n_pairs
                 gn = float(np.linalg.norm(G))
                 trace.append(it, bdown, weight, gn, 0.0, cum)
+                t_bb = None
                 continue
-            hit = _armijo_step(cfg, X, bdown, G, gn * gn, 2.0 * t_prev, scfg.armijo)
+            t_init = t_bb if t_bb is not None else 2.0 * t_prev
+            hit = _armijo_step(cfg, X, bdown, G, gn * gn, t_init, scfg.armijo)
             if hit is not None:
-                t_prev, X, bdown, resid = hit
-                G = obj.residual_gradient(X, resid, cfg)
+                t_prev, X_new, bdown, resid = hit
+                G_new = obj.residual_gradient(X_new, resid, cfg)
+                t_bb = _bb_step(X_new - X, G_new - G)
+                X, G = X_new, G_new
                 cum += n_pairs
                 gn = float(np.linalg.norm(G))
                 trace.append(it, bdown, weight, gn, t_prev, cum)
@@ -321,6 +350,7 @@ def _descend(cfg, scfg, X0, perturb):
                 break
         # roll back: the probe's window ran out, or its line search stalled
         X, bdown, G, gn, t_prev = probe.X, probe.bdown, probe.G, probe.grad_norm, probe.step
+        t_bb = None
         trace.append(it, bdown, weight, gn, 0.0, cum)
         last_end = it
         final, probe = probe.final, None
@@ -375,7 +405,7 @@ def sgd(cfg, scfg, X0):
         # deterministic step damped by sqrt(batch fraction): the estimator is
         # the (n/batch)-scaled pair sum, so the full-gradient step diverges
         # on small batches; at batch == n this recovers the GD step
-        base = _auto_step0(cfg, X, None)
+        base = _inverse_norm(obj.operator_norm_estimate(X, cfg))
         if cfg.n_pairs:
             base *= math.sqrt(batch / cfg.n_pairs)
     decay = scfg.sgd.step_decay

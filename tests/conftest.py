@@ -13,6 +13,7 @@ import pytest
 
 from mcland.instance import InstanceSpec, default_hyperparams
 from mcland import objective
+from mcland.linalg import ObservationMask
 from mcland.objective import ObjectiveConfig, hessian_operator
 
 
@@ -73,7 +74,47 @@ def dense_min_eig(X, cfg):
 
 
 # ---------------------------------------------------------------------------
+# pair-sum second derivatives, independent of the matrix-free operator
+
+
+def reg_hess_quad(X, V, alpha):
+    """<V, d^2 R(X)[V]> for the unweighted row penalty, one row at a time:
+    rho''(t) on the radial part of V_i and rho'(t) / t on the rest."""
+    total = 0.0
+    for x, v in zip(np.asarray(X, dtype=float), np.asarray(V, dtype=float)):
+        t = float(np.linalg.norm(x))
+        if t <= alpha:
+            continue
+        e, radial = t - alpha, float(v @ x) / t
+        total += 12.0 * e**2 * radial**2 + 4.0 * e**3 / t * (float(v @ v) - radial**2)
+    return total
+
+
+def hessian_quadratic(X, V, cfg):
+    """Second directional derivative <V, d^2 f(X)[V]>, assembled from pair sums.
+
+    Equals ||P_Omega(V X^T + X V^T)||_F^2 - 2 <P_Omega(residual), V V^T>
+    plus the penalty curvature; summed over the stored pairs, weighted 2 off
+    the diagonal and 1 on it, without the library's Hessian code.
+    """
+    X, V = np.asarray(X, dtype=float), np.asarray(V, dtype=float)
+    i, j = cfg.obs.mask.i, cfg.obs.mask.j
+    w = np.where(i == j, 1.0, 2.0)
+    s = np.einsum("ij,ij->i", V[i], X[j]) + np.einsum("ij,ij->i", X[i], V[j])
+    vv = np.einsum("ij,ij->i", V[i], V[j])
+    resid = cfg.obs.values - np.einsum("ij,ij->i", X[i], X[j])
+    quad = float((w * s) @ s) - 2.0 * float((w * resid) @ vv)
+    return quad + cfg.hyper.reg_weight * reg_hess_quad(X, V, cfg.hyper.alpha)
+
+
+# ---------------------------------------------------------------------------
 # dense ground truth
+
+
+def full_mask(d, include_diagonal=True):
+    """Mask containing every pair (optionally without the diagonal)."""
+    i, j = np.triu_indices(d, k=0 if include_diagonal else 1)
+    return ObservationMask(d=d, i=i, j=j, p=1.0)
 
 
 def dense_gram(Z):

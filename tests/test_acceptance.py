@@ -29,11 +29,9 @@ from mcland.instance import (
     sample_factor,
     sample_mask,
 )
-from mcland.linalg import full_mask
 from mcland.objective import (
     ObjectiveConfig,
     hessian_operator,
-    hessian_quadratic,
     min_hessian_eig,
     value_and_gradient,
 )
@@ -48,7 +46,15 @@ from mcland.solvers import (
     stochastic_gradient,
 )
 
-from conftest import dense_gram, dense_hessian, fd_gradient, fd_hessian, fd_second_directional
+from conftest import (
+    dense_gram,
+    dense_hessian,
+    fd_gradient,
+    fd_hessian,
+    fd_second_directional,
+    full_mask,
+    hessian_quadratic,
+)
 
 
 def _report(cid, name, ok, detail=""):

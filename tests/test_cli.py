@@ -440,6 +440,24 @@ def test_scan_assert_clean_fails_on_unstationary_endpoints(tmp_path, capsys):
     assert kv["NotStationary"] == "3"
 
 
+def test_scan_assert_clean_fails_on_strict_saddle_endpoints(tmp_path, capsys, monkeypatch):
+    # plain GD started at the origin, a saddle where the gradient is exactly 0,
+    # ends there: no start reached a global minimum
+    monkeypatch.setattr(solvers, "random_init", lambda d, r, obs, seed: np.zeros((d, r)))
+    payload = _scan_payload()
+    payload["solver"] = {"method": "gd"}
+    cfgp = _write(tmp_path, payload)
+    code, out, err = _run(
+        capsys, ["scan", "--config", cfgp, "--out", str(tmp_path), "--assert-clean"]
+    )
+    assert code == 1
+    assert "2 strict saddle endpoint(s)" in err
+    kv = dict(line.split("=", 1) for line in out.strip().split("\n"))
+    assert kv["StrictSaddle"] == "2" and kv["GlobalMin"] == "0"
+    code, out, err = _run(capsys, ["scan", "--config", cfgp, "--out", str(tmp_path)])
+    assert code == 0, err
+
+
 def test_scan_reports_crash_cause_on_stderr(tmp_path, capsys, monkeypatch):
     def boom(cfg, scfg, X0):
         raise RuntimeError("boom")

@@ -15,7 +15,9 @@ from mcland.concentration import (
     run_concentration,
     trials_to_csv,
 )
-from mcland.linalg import full_mask, row_incoherence
+from mcland.linalg import row_incoherence
+
+from conftest import full_mask
 
 
 def _cell(kind, p, d=60, r=1, trials=10, seed=0, sigma=1.0):

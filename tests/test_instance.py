@@ -17,9 +17,9 @@ from mcland.instance import (
     sample_factor,
     sample_mask,
 )
-from mcland.linalg import ObservationMask, full_mask
+from mcland.linalg import ObservationMask
 
-from conftest import dense_gram
+from conftest import dense_gram, full_mask
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 
 from mcland.linalg import (
     ObservationMask,
-    full_mask,
     procrustes_align,
     singular_extremes,
 )
+
+from conftest import full_mask
 
 
 def random_orthonormal(n, rng):

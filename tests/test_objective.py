@@ -5,13 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mcland.instance import GroundTruth, HyperParams, InstanceSpec, observe
-from mcland.linalg import full_mask
 from mcland import objective
 from mcland.objective import (
     ObjectiveConfig,
     breakdown,
     hessian_operator,
-    hessian_quadratic,
     min_hessian_eig,
     operator_norm_estimate,
     pair_gradient_sum,
@@ -20,7 +18,7 @@ from mcland.objective import (
     residual_gradient,
     value_and_gradient,
 )
-from mcland.objective import _BASIS, _reg_hess_quad, _start
+from mcland.objective import _BASIS, _start
 
 from conftest import (
     brute_objective,
@@ -30,7 +28,10 @@ from conftest import (
     fd_gradient,
     fd_hessian,
     fd_second_directional,
+    full_mask,
+    hessian_quadratic,
     make_problem,
+    reg_hess_quad,
 )
 
 
@@ -42,7 +43,7 @@ def _row_penalty(t, alpha):
     """rho(t) with its first two derivatives, read off a one-row factor [[t]]."""
     X = np.array([[t]])
     V = np.ones((1, 1))
-    return regularizer(X, alpha), float(reg_gradient(X, alpha)[0, 0]), _reg_hess_quad(X, V, alpha)
+    return regularizer(X, alpha), float(reg_gradient(X, alpha)[0, 0]), reg_hess_quad(X, V, alpha)
 
 
 def test_reg_row_inactive_below_threshold():

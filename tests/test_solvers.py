@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from mcland.instance import GroundTruth, HyperParams, observe
-from mcland.linalg import full_mask
-from mcland.objective import ObjectiveConfig, pair_gradient_sum, value_and_gradient
+from mcland import solvers
+from mcland.objective import ObjectiveConfig, operator_norm_estimate, pair_gradient_sum, value_and_gradient
 from mcland.solvers import (
     ArmijoParams,
     Method,
@@ -25,7 +25,7 @@ from mcland.solvers import (
 )
 from mcland.rng import substream
 
-from conftest import dense_gram, make_problem
+from conftest import dense_gram, full_mask, make_problem
 
 
 def _recovery(X, gt):
@@ -68,6 +68,16 @@ def test_random_init_energy_matches_diagonal_estimate():
     assert np.mean(sq) == pytest.approx(s2, rel=0.2)
 
 
+@pytest.mark.parametrize("seed", [1, 2, 4, 5])
+def test_random_init_leaves_the_origin_when_noise_cancels_the_diagonal(seed):
+    # at sigma = 3 the observed diagonal of these instances sums to <= 0
+    gt, obs, cfg = make_problem(20, 1, seed=seed, p=1.0, sigma=3.0)
+    assert obs.values[obs.mask.i == obs.mask.j].sum() <= 0
+    X0 = random_init(20, 1, obs, 0)
+    assert np.isfinite(X0).all() and np.any(X0 != 0.0)
+    assert float(np.linalg.norm(value_and_gradient(X0, cfg)[1])) > 0.0
+
+
 def test_random_init_validates_rank():
     gt, obs, cfg = make_problem(5, 1, seed=3)
     with pytest.raises(ValueError):
@@ -99,12 +109,115 @@ def test_gd_trace_is_monotone_and_budgeted():
 
 def test_gd_recovers_across_starts():
     gt, obs, cfg = make_problem(50, 1, seed=21, p=0.5)
-    worst = 0.0
+    worst, worst_iters = 0.0, 0
     for s in range(20):
         res = gradient_descent(cfg, SolverConfig(seed=s), random_init(50, 1, obs, 1000 + s))
         assert res.status == Status.GRAD_TOL
         worst = max(worst, _recovery(res.X, gt))
+        worst_iters = max(worst_iters, res.iterations)
     assert worst <= 1e-3
+    assert worst_iters <= 100  # a line search opened at 2 * t_prev took 1,945 on one start
+
+
+@pytest.fixture
+def line_searches(monkeypatch):
+    """Record (X, G, t_init, accepted step or None) of every Armijo line search."""
+    calls = []
+    armijo = solvers._armijo_step
+
+    def record(cfg, X, bdown, G, gn2, t_init, params):
+        hit = armijo(cfg, X, bdown, G, gn2, t_init, params)
+        calls.append((X.copy(), G.copy(), t_init, None if hit is None else hit[0]))
+        return hit
+
+    monkeypatch.setattr(solvers, "_armijo_step", record)
+    return calls
+
+
+def _expected_trials(calls, trace, step0):
+    """Check each line search's first trial against the step rule, from the
+    recorded searches and the trace alone; returns how often each case ran.
+
+    A search that follows an accepted move opens at that move's BB step
+    <s, s> / <s, y>, or at twice its step when <s, y> <= 0.  One that
+    follows trace row 0, a kick (a step-0 row that evaluated a gradient) or
+    a rollback (a step-0 row that did not) opens at twice the last step
+    accepted before that point, step0 if none; a rollback restores the
+    point saved just before its kick.
+    """
+    assert all(c[3] is not None for c in calls)  # so search m made the m-th accepted row
+    rows = [k for k in range(len(trace)) if trace.step[k] > 0]
+    assert len(rows) == len(calls)
+
+    def last_step(before):
+        steps = [trace.step[k] for k in range(before) if trace.step[k] > 0]
+        return steps[-1] if steps else step0
+
+    cases = dict(bb=0, curvature=0, first=0, kick=0, rollback=0)
+    for m, row in enumerate(rows):
+        t_init, prev = calls[m][2], row - 1
+        if trace.step[prev] > 0:
+            s = calls[m][0] - calls[m - 1][0]
+            y = calls[m][1] - calls[m - 1][1]
+            sy = float(np.vdot(s, y))
+            if sy > 0:
+                assert t_init == pytest.approx(float(np.vdot(s, s)) / sy, rel=1e-12)
+                cases["bb"] += 1
+            else:
+                assert t_init == 2.0 * calls[m - 1][3]
+                cases["curvature"] += 1
+        elif prev == 0:
+            assert t_init == 2.0 * step0
+            cases["first"] += 1
+        elif trace.cum_entry_grads[prev] > trace.cum_entry_grads[prev - 1]:
+            assert t_init == 2.0 * last_step(prev)
+            cases["kick"] += 1
+        else:
+            kick = max(k for k in range(prev) if trace.step[k] == 0 and k > 0
+                       and trace.cum_entry_grads[k] > trace.cum_entry_grads[k - 1])
+            assert t_init == 2.0 * last_step(kick)
+            cases["rollback"] += 1
+    return cases
+
+
+def test_gd_trials_fall_back_where_curvature_is_negative(line_searches):
+    # descending from near the origin, a saddle, the first moves run along
+    # negative curvature, where <s, y> < 0
+    Q, cfg = _spiked_rank2_problem(0.5)
+    X0 = 1e-3 * Q[:, :1]
+    res = gradient_descent(cfg, SolverConfig(), X0)
+    assert res.status == Status.GRAD_TOL
+    step0 = 1.0 / operator_norm_estimate(X0, cfg, solvers._STEP0_LANCZOS)
+    cases = _expected_trials(line_searches, res.trace, step0)
+    assert cases["first"] == 1 and cases["curvature"] >= 1 and cases["bb"] >= 1
+
+
+def test_perturbed_gd_trials_fall_back_after_kicks_and_rollbacks(line_searches):
+    # a wide kick from every point within reach of the trigger, and windows
+    # too short to recover: kicks and rollbacks alternate with descent
+    gt, obs, cfg = make_problem(20, 2, seed=13, p=0.8)
+    perturb = PerturbParams(radius=0.5, trigger_grad_norm=1e3, cooldown_iters=4)
+    scfg = SolverConfig(method=Method.PERTURBED_GD, seed=1, max_iters=60, grad_tol=1e-12,
+                        armijo=ArmijoParams(step0=0.01), perturb=perturb)
+    res = perturbed_gd(cfg, scfg, random_init(20, 2, obs, 3))
+    cases = _expected_trials(line_searches, res.trace, 0.01)
+    assert cases["kick"] >= 2 and cases["rollback"] >= 2 and cases["bb"] >= 1
+
+
+def test_bb_step_needs_positive_curvature():
+    s = np.array([[1.0], [2.0]])
+    assert solvers._bb_step(s, 2.0 * s) == 0.5
+    assert solvers._bb_step(s, np.zeros_like(s)) is None
+    assert solvers._bb_step(s, -s) is None
+
+
+def test_gd_explicit_step0_sets_the_first_trial(line_searches):
+    gt, obs, cfg = make_problem(20, 2, seed=5, p=0.6)
+    step0 = 3e-6  # small enough to pass the Armijo test at once
+    res = gradient_descent(cfg, SolverConfig(armijo=ArmijoParams(step0=step0)), random_init(20, 2, obs, 1))
+    assert line_searches[0][2] == 2.0 * step0
+    assert res.trace.step[1] == 2.0 * step0
+    assert res.status == Status.GRAD_TOL
 
 
 def test_gd_reports_stall_on_underflowing_step():
