@@ -2,14 +2,16 @@
 
 `certify_point` classifies a candidate factor by gradient norm, smallest
 Hessian eigenvalue, and (when ground truth is available) recovery error.
-`landscape_scan` drives a solver from many random starts and certifies every
-endpoint, optionally across a thread pool; results are deterministic in the
-base seed regardless of thread count.
+`landscape_scan` runs one solve and one `certify_point` from each of many
+random starts, optionally across a thread pool; each row it returns is the
+certificate of that start's endpoint plus the start's seed and solver
+status.  Results are deterministic in the base seed regardless of thread
+count.
 """
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -128,16 +130,23 @@ def norm_certificates(X, gt):
     return NormCertificates(rank1_norm_ok=rank1_ok, sigma_min_ok=sigma_ok)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class CertReport:
+    """The certificate of one point.
+
+    A field with no value is nan or None: the eigensolve fields where no
+    eigensolve ran (a non-finite point), the recovery fields without ground
+    truth, and every field but the class for a start that crashed.
+    """
+
     classification: PointClass
-    f_value: float
-    grad_norm: float
-    lambda_min: float
-    eig_converged: bool | None  # None when no eigensolve ran (a non-finite point)
-    eig_iterations: int | None  # Hessian-vector products of the eigensolve
-    stationary_tol: float
-    tau: float
+    f_value: float = math.nan
+    grad_norm: float = math.nan
+    lambda_min: float = math.nan
+    eig_converged: bool | None = None
+    eig_iterations: int | None = None  # Hessian-vector products of the eigensolve
+    stationary_tol: float = math.nan
+    tau: float = math.nan
     recovery_fro: float | None = None
     procrustes_residual: float | None = None
     incoherence_ok: bool | None = None
@@ -168,31 +177,30 @@ def certify_point(X, cfg, gt=None, tols=None):
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged endpoint is NotStationary below
         bdown, G = obj.value_and_gradient(X, cfg)
         gn = float(np.linalg.norm(G))
-    stat_tol = 1e-6 * (1.0 + abs(bdown.total))
+    rep = CertReport(
+        classification=PointClass.NOT_STATIONARY,
+        f_value=bdown.total,
+        grad_norm=gn,
+        stationary_tol=1e-6 * (1.0 + abs(bdown.total)),
+    )
     if not (np.isfinite(X).all() and math.isfinite(bdown.total) and math.isfinite(gn)):
-        return CertReport(
-            classification=PointClass.NOT_STATIONARY,
-            f_value=bdown.total,
-            grad_norm=gn,
-            lambda_min=math.nan,
-            eig_converged=None,
-            eig_iterations=None,
-            stationary_tol=stat_tol,
-            tau=math.nan,
-        )
+        return rep
     eig = obj.min_hessian_eig(X, cfg)
     tau = cfg.hyper.tau if cfg.hyper.tau > 0 else 1e-4 * (1.0 + eig.op_norm)
 
-    rec = proc = None
-    inc_ok = sig_ok = r1_ok = None
+    recovery = {}
     if gt is not None:
         err = recovery_error(X, gt)
-        rec, proc = err.gram_fro, err.procrustes_residual
-        inc_ok = incoherence_certificate(X, cfg, gt)
         certs = norm_certificates(X, gt)
-        sig_ok, r1_ok = certs.sigma_min_ok, certs.rank1_norm_ok
+        recovery = dict(
+            recovery_fro=err.gram_fro,
+            procrustes_residual=err.procrustes_residual,
+            incoherence_ok=incoherence_certificate(X, cfg, gt),
+            sigma_min_ok=certs.sigma_min_ok,
+            rank1_norm_ok=certs.rank1_norm_ok,
+        )
 
-    if gn > stat_tol:
+    if gn > rep.stationary_tol:
         cls = PointClass.NOT_STATIONARY
     elif eig.lambda_min < -tau:
         cls = PointClass.STRICT_SADDLE
@@ -204,47 +212,49 @@ def certify_point(X, cfg, gt=None, tols=None):
         gram_scale = float(np.linalg.norm(gt.factor.T @ gt.factor))  # = ||Z Z^T||_F
         cls = (
             PointClass.GLOBAL_MIN
-            if rec <= tols.global_rel * gram_scale
+            if err.gram_fro <= tols.global_rel * gram_scale
             else PointClass.SPURIOUS_LOCAL_MIN
         )
 
-    return CertReport(
+    return replace(
+        rep,
         classification=cls,
-        f_value=bdown.total,
-        grad_norm=gn,
         lambda_min=eig.lambda_min,
         eig_converged=eig.converged,
         eig_iterations=eig.iterations,
-        stationary_tol=stat_tol,
         tau=tau,
-        recovery_fro=rec,
-        procrustes_residual=proc,
-        incoherence_ok=inc_ok,
-        sigma_min_ok=sig_ok,
-        rank1_norm_ok=r1_ok,
+        **recovery,
     )
 
 
-@dataclass(frozen=True, eq=False)
-class ScanRow:
+@dataclass(frozen=True, eq=False, kw_only=True)
+class ScanRow(CertReport):
+    """The certificate of one scan start's endpoint, plus the start.
+
+    `status` is the solver's, or "solver_error" for a start that raised;
+    `error` is then "<ExcType>: <message>", which scan.csv does not carry.
+    """
+
     start_seed: int
     status: str
-    f_final: float
-    grad_norm: float
-    lambda_min: float
-    recovery_fro: float | None
-    procrustes: float | None
-    incoherence_ok: bool | None
-    sigma_min_ok: bool | None
-    rank1_norm_ok: bool | None
-    classification: PointClass
-    eig_converged: bool | None = None  # None for a crashed start or a non-finite endpoint
-    eig_iterations: int | None = None
-    error: str | None = None  # "<ExcType>: <message>" of a crashed start; not in scan.csv
+    error: str | None = None
+
+    @property
+    def f_final(self):
+        return self.f_value
+
+    @property
+    def procrustes(self):
+        return self.procrustes_residual
 
 
-# the scan.csv header: the ScanRow fields in order, without the crash message
-SCAN_COLUMNS = tuple(f.name for f in fields(ScanRow) if f.name != "error")
+# the scan.csv header; f_final and procrustes are ScanRow's names for the
+# certificate's f_value and procrustes_residual
+SCAN_COLUMNS = (
+    "start_seed", "status", "f_final", "grad_norm", "lambda_min", "recovery_fro", "procrustes",
+    "incoherence_ok", "sigma_min_ok", "rank1_norm_ok", "classification", "eig_converged",
+    "eig_iterations",
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,48 +281,17 @@ def _scan_one(index, gt, obs, cfg, scfg, base_seed, tols):
     seed_k = derive_seed(base_seed, "scan-start", index)
     try:
         X0 = solvers.random_init(obs.d, gt.rank, obs, seed_k)
-        scfg_k = replace(scfg, seed=seed_k)
-        res = solvers.solve(cfg, scfg_k, X0)
+        res = solvers.solve(cfg, replace(scfg, seed=seed_k), X0)
         rep = certify_point(res.X, cfg, gt, tols)
-        if rep.classification is PointClass.SPURIOUS_LOCAL_MIN:
-            # re-polish before reporting: a 10x tighter descent can clear
-            # endpoints that merely stopped early
-            base_tol = scfg.grad_tol if scfg.grad_tol is not None else 1e-8 * (1.0 + res.f)
-            tight = replace(scfg_k, method=solvers.Method.GD, grad_tol=base_tol / 10.0)
-            res2 = solvers.gradient_descent(cfg, tight, res.X)
-            rep2 = certify_point(res2.X, cfg, gt, tols)
-            res, rep = res2, rep2
-        return ScanRow(
-            start_seed=seed_k,
-            status=res.status.value,
-            f_final=res.f,
-            grad_norm=rep.grad_norm,
-            lambda_min=rep.lambda_min,
-            recovery_fro=rep.recovery_fro,
-            procrustes=rep.procrustes_residual,
-            incoherence_ok=rep.incoherence_ok,
-            sigma_min_ok=rep.sigma_min_ok,
-            rank1_norm_ok=rep.rank1_norm_ok,
-            classification=rep.classification,
-            eig_converged=rep.eig_converged,
-            eig_iterations=rep.eig_iterations,
-        )
     except Exception as exc:
         # a failed start is reported, never allowed to abort the scan
         return ScanRow(
+            classification=PointClass.CRASHED,
             start_seed=seed_k,
             status="solver_error",
-            f_final=float("nan"),
-            grad_norm=float("nan"),
-            lambda_min=float("nan"),
-            recovery_fro=None,
-            procrustes=None,
-            incoherence_ok=None,
-            sigma_min_ok=None,
-            rank1_norm_ok=None,
-            classification=PointClass.CRASHED,
             error=f"{type(exc).__name__}: {exc}",
         )
+    return ScanRow(**vars(rep), start_seed=seed_k, status=res.status.value)
 
 
 def landscape_scan(gt, obs, hyper, scfg, n_starts, base_seed, tols=None, threads=1):

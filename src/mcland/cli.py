@@ -261,18 +261,11 @@ def cmd_scan(cfg, out_dir, threads=1, assert_clean=False):
     for row in summary.rows:
         if row.error is not None:
             print(f"start {row.start_seed} crashed: {row.error}", file=sys.stderr)
-    spurious = summary.counts[PointClass.SPURIOUS_LOCAL_MIN]
-    saddles = summary.counts[PointClass.STRICT_SADDLE]
-    uncertified = summary.counts[PointClass.UNCERTIFIED]
-    unstationary = summary.counts[PointClass.NOT_STATIONARY]
-    crashed = summary.counts[PointClass.CRASHED]
-    if assert_clean and (spurious or saddles or uncertified or unstationary or crashed):
-        print(
-            f"assert-clean failed: {spurious} spurious endpoint(s), {saddles} strict saddle "
-            f"endpoint(s), {uncertified} uncertified endpoint(s), {unstationary} unstationary "
-            f"endpoint(s), {crashed} crashed start(s)",
-            file=sys.stderr,
-        )
+    unclean = [
+        f"{n} {cls.value}" for cls, n in summary.counts.items() if n and cls is not PointClass.GLOBAL_MIN
+    ]
+    if assert_clean and unclean:
+        print(f"assert-clean failed: {', '.join(unclean)}", file=sys.stderr)
         return 1
     return 0
 
@@ -313,9 +306,8 @@ def _build_parser():
             p.add_argument(
                 "--assert-clean",
                 action="store_true",
-                help="exit nonzero unless every start reached a certified global minimum: "
-                "fail on any spurious local minimum, strict saddle, uncertified or "
-                "unstationary endpoint, or crashed start",
+                help="exit nonzero unless every start reached a certified global minimum; "
+                "print '<count> <class>' to stderr for every other class that occurs",
             )
     return parser
 

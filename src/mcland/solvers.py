@@ -71,7 +71,9 @@ class ArmijoParams:
 @dataclass(frozen=True)
 class SgdParams:
     batch: int = 64
-    step_base: float | None = None  # default: same spectral heuristic as GD
+    # default: sqrt(batch / pairs) / ||H||, ||H|| from a 20-step Lanczos
+    # estimate (GD's default step0 takes an 8-step one)
+    step_base: float | None = None
     step_decay: float = 1e-3
 
     def __post_init__(self):
@@ -164,11 +166,13 @@ def trace_to_csv(trace, stream=None):
 def random_init(d, r, obs, seed):
     """Gaussian start scaled to the observed energy.
 
-    Entry variance is s^2 / (d r): s^2 is the diagonal-sum estimate
-    sum_{(i,i) observed} M_ii / p when the mask touches the diagonal and
-    that sum is positive, else the Frobenius estimate ||P_Omega(M)||_F^2 / p.
-    Noise can make the observed diagonal sum negative; the Frobenius
-    estimate then keeps the start off the origin, a stationary point.
+    Entry variance is s^2 / (d r), so E ||X0||_F^2 = s^2: s^2 is the
+    diagonal-sum estimate sum_{(i,i) observed} M_ii / p of tr M when the
+    mask touches the diagonal and that sum is positive, else the Frobenius
+    estimate sqrt(||P_Omega(M)||_F^2 / p) of ||M||_F, in the same units.
+    Only two kinds of mask take the second: masks without diagonal pairs,
+    and masks whose observed diagonal sums to <= 0 (noise can do that),
+    whose start it keeps off the origin, a stationary point.
     """
     if not 1 <= r <= d:
         raise ValueError(f"need 1 <= r <= d, got r={r}, d={d}")
@@ -180,7 +184,7 @@ def random_init(d, r, obs, seed):
         s2 = float(v_diag.sum()) / p if v_diag.size else 0.0
         if not s2 > 0:
             # both orders of every off-diagonal pair, one of a diagonal one
-            s2 = (2.0 * float(v @ v) - float(v_diag @ v_diag)) / p
+            s2 = math.sqrt((2.0 * float(v @ v) - float(v_diag @ v_diag)) / p)
     rng = substream(seed, "init")
     return rng.standard_normal((d, r)) * np.sqrt(s2 / (d * r))
 

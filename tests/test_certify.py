@@ -1,10 +1,11 @@
 import math
+import pickle
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from mcland import solvers
+from mcland import certify, solvers
 from mcland.certify import (
     CertTolerances,
     PointClass,
@@ -17,8 +18,10 @@ from mcland.certify import (
     recovery_error,
     scan_to_csv,
 )
+from mcland.csvio import cell
 from mcland.instance import HyperParams
 from mcland.objective import ObjectiveConfig, min_hessian_eig
+from mcland.rng import derive_seed
 from mcland.solvers import Method, SolverConfig, gradient_descent, random_init
 
 from conftest import dense_gram, make_problem
@@ -284,6 +287,51 @@ def test_non_finite_point_is_not_stationary_without_eigensolve():
         assert np.isnan(rep.lambda_min)
         assert rep.eig_converged is None and rep.eig_iterations is None
         assert rep.recovery_fro is None and rep.incoherence_ok is None
+
+
+def test_scan_rows_pickle_round_trip(monkeypatch):
+    # a process pool ships rows between workers by pickle
+    gt, obs, cfg = make_problem(20, 1, seed=23, p=0.8)
+    (row,) = _scan(gt, obs, cfg, n=1, seed=3, method=Method.GD).rows
+    monkeypatch.setattr(solvers, "solve", lambda cfg, scfg, X0: 1 / 0)
+    (crashed,) = _scan(gt, obs, cfg, n=1, seed=3).rows
+    assert row.classification is PointClass.GLOBAL_MIN
+    assert crashed.classification is PointClass.CRASHED
+    for original in (row, crashed):
+        copy = pickle.loads(pickle.dumps(original))
+        assert type(copy) is type(original) and repr(copy) == repr(original)
+        assert cell(copy.f_final) == cell(original.f_value)
+        assert copy.procrustes == original.procrustes_residual
+        assert copy.error == original.error
+    assert crashed.error == "ZeroDivisionError: division by zero"
+
+
+def _recording(fn, log):
+    def wrapper(*args):
+        log.append(fn(*args))
+        return log[-1]
+
+    return wrapper
+
+
+def test_scan_csv_cells_are_the_certificate_fields(monkeypatch):
+    # every cell of a row is the certificate of the start's endpoint, except
+    # the start's seed and the solver's status
+    gt, obs, cfg = make_problem(25, 1, seed=24, p=0.7)
+    results, reports = [], []
+    monkeypatch.setattr(solvers, "solve", _recording(solvers.solve, results))
+    monkeypatch.setattr(certify, "certify_point", _recording(certify.certify_point, reports))
+    summary = _scan(gt, obs, cfg, n=3, seed=13)
+    lines = scan_to_csv(summary).strip().split("\n")[1:]
+    assert len(lines) == len(results) == len(reports) == 3
+    field = {"f_final": "f_value", "procrustes": "procrustes_residual"}
+    for k, (line, res, rep) in enumerate(zip(lines, results, reports)):
+        own = {"start_seed": derive_seed(13, "scan-start", k), "status": res.status}
+        expected = [
+            cell(own[col]) if col in own else cell(getattr(rep, field.get(col, col)))
+            for col in SCAN_COLUMNS
+        ]
+        assert line.split(",") == expected
 
 
 def test_scan_rejects_zero_starts():

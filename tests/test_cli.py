@@ -246,6 +246,23 @@ def test_solve_noisy_endpoint_at_noise_floor_is_global_min(tmp_path, capsys):
     assert kv["classification"] == "GlobalMin"
 
 
+@pytest.mark.parametrize("seed", [1, 2, 4, 5])
+def test_solve_from_the_frobenius_estimate_start_is_global_min(tmp_path, capsys, seed):
+    # noise drives the observed diagonal sum of these instances to <= 0, so
+    # the start is scaled by the Frobenius estimate; a start at the scale of
+    # M squared sets grad_tol = 1e-8 * (1 + f(X0)) above the certificate's
+    # stationarity tolerance, and GD stops short of it
+    payload = {
+        "instance": {"d": 20, "r": 1, "seed": seed, "p": 1.0, "sigma": 3.0},
+        "solver": {"method": "gd"},
+    }
+    code, out, err = _run(capsys, ["solve", "--config", _write(tmp_path, payload), "--out", str(tmp_path)])
+    assert code == 0, err
+    kv = dict(line.split("=", 1) for line in out.strip().split("\n"))
+    assert kv["status"] == "grad_tol_reached"
+    assert kv["classification"] == "GlobalMin"
+
+
 def _diverging_payload():
     # a step base far above 1 / ||H|| makes SGD overflow within a few iterations
     return {
@@ -317,7 +334,7 @@ def test_scan_of_overflowing_instance_is_unclean_not_crashed(tmp_path, capsys):
         capsys, ["scan", "--config", _write(tmp_path, payload), "--out", str(tmp_path), "--assert-clean"]
     )
     assert code == 1
-    assert "0 crashed start(s)" in err and "2 unstationary endpoint(s)" in err
+    assert err.strip() == "assert-clean failed: 2 NotStationary"
     rows = [row.split(",") for row in (tmp_path / "scan.csv").read_text().strip().split("\n")[1:]]
     assert [row[1] for row in rows] == ["diverged", "diverged"]
     assert all(row[-3:] == ["NotStationary", "", ""] for row in rows)
@@ -376,9 +393,35 @@ def test_scan_assert_clean_fails_on_spurious_report(tmp_path, capsys):
         capsys, ["scan", "--config", cfgp, "--out", str(tmp_path), "--assert-clean"]
     )
     assert code == 1
-    assert "spurious" in err
     kv = dict(line.split("=", 1) for line in out.strip().split("\n"))
     assert int(kv["SpuriousLocalMin"]) >= 1
+    assert f"{kv['SpuriousLocalMin']} SpuriousLocalMin" in err
+
+
+def test_scan_solves_each_start_once(tmp_path, capsys, monkeypatch):
+    # every endpoint of this config is SpuriousLocalMin; each start still
+    # runs one solve and no second descent
+    calls = []
+
+    def counted(name):
+        fn = getattr(solvers, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("solve", "gradient_descent"):
+        monkeypatch.setattr(solvers, name, counted(name))
+    payload = _scan_payload(global_rel=1e-12)
+    payload["instance"]["sigma"] = 0.05
+    code, out, err = _run(capsys, ["scan", "--config", _write(tmp_path, payload), "--out", str(tmp_path)])
+    assert code == 0, err
+    kv = dict(line.split("=", 1) for line in out.strip().split("\n"))
+    n_starts = payload["scan"]["n_starts"]
+    assert kv["SpuriousLocalMin"] == str(n_starts)
+    assert calls == ["solve"] * n_starts
 
 
 @pytest.mark.parametrize("global_rel", [-1, 0, 1e400])
@@ -407,7 +450,7 @@ def test_scan_assert_clean_fails_on_crashed_starts(tmp_path, capsys, monkeypatch
         capsys, ["scan", "--config", cfgp, "--out", str(tmp_path), "--assert-clean"]
     )
     assert code == 1
-    assert "2 crashed start(s)" in err
+    assert "assert-clean failed: 2 Crashed\n" in err
     kv = dict(line.split("=", 1) for line in out.strip().split("\n"))
     assert kv["Crashed"] == "2" and kv["NotStationary"] == "0"
     rows = (tmp_path / "scan.csv").read_text().strip().split("\n")[1:]
@@ -420,7 +463,7 @@ def test_scan_assert_clean_fails_on_uncertified_endpoints(tmp_path, capsys, unco
         capsys, ["scan", "--config", cfgp, "--out", str(tmp_path), "--assert-clean"]
     )
     assert code == 1
-    assert "2 uncertified endpoint(s)" in err
+    assert err == "assert-clean failed: 2 Uncertified\n"
     kv = dict(line.split("=", 1) for line in out.strip().split("\n"))
     assert kv["Uncertified"] == "2" and kv["GlobalMin"] == "0"
     rows = (tmp_path / "scan.csv").read_text().strip().split("\n")[1:]
@@ -435,7 +478,7 @@ def test_scan_assert_clean_fails_on_unstationary_endpoints(tmp_path, capsys):
         capsys, ["scan", "--config", cfgp, "--out", str(tmp_path), "--assert-clean"]
     )
     assert code == 1
-    assert "3 unstationary endpoint(s)" in err
+    assert err == "assert-clean failed: 3 NotStationary\n"
     kv = dict(line.split("=", 1) for line in out.strip().split("\n"))
     assert kv["NotStationary"] == "3"
 
@@ -451,7 +494,7 @@ def test_scan_assert_clean_fails_on_strict_saddle_endpoints(tmp_path, capsys, mo
         capsys, ["scan", "--config", cfgp, "--out", str(tmp_path), "--assert-clean"]
     )
     assert code == 1
-    assert "2 strict saddle endpoint(s)" in err
+    assert err == "assert-clean failed: 2 StrictSaddle\n"
     kv = dict(line.split("=", 1) for line in out.strip().split("\n"))
     assert kv["StrictSaddle"] == "2" and kv["GlobalMin"] == "0"
     code, out, err = _run(capsys, ["scan", "--config", cfgp, "--out", str(tmp_path)])
