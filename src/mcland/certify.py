@@ -154,7 +154,7 @@ class CertReport:
     rank1_norm_ok: bool | None = None
 
 
-def certify_point(X, cfg, gt=None, tols=None):
+def certify_point(X, cfg, gt=None, tols=None, eig=None):
     """Classify a candidate point.
 
     With ground truth: GlobalMin / StrictSaddle / SpuriousLocalMin /
@@ -167,10 +167,10 @@ def certify_point(X, cfg, gt=None, tols=None):
     NotStationary with lambda_min nan; no eigensolve or recovery check runs.
 
     Thresholds: the point is stationary when its gradient norm is at most
-    1e-6 * (1 + |f|).  The curvature slack tau is cfg.hyper.tau, or
-    1e-4 * (1 + ||H||) when that is 0, with ||H|| the eigensolve's norm
-    estimate; lambda_min < -tau marks a strict saddle.  `tols.global_rel`
-    sets the recovery radius.
+    1e-6 * (1 + |f|).  lambda_min < -tau marks a strict saddle, with tau
+    from `objective.curvature_slack`.  `tols.global_rel` sets the recovery
+    radius.  A given `eig`, the `min_hessian_eig(X, cfg)` a solver ran at X
+    (`SolveResult.eig`), is used instead of solving again.
     """
     X = np.asarray(X, dtype=float)
     tols = tols or CertTolerances()
@@ -185,8 +185,8 @@ def certify_point(X, cfg, gt=None, tols=None):
     )
     if not (np.isfinite(X).all() and math.isfinite(bdown.total) and math.isfinite(gn)):
         return rep
-    eig = obj.min_hessian_eig(X, cfg)
-    tau = cfg.hyper.tau if cfg.hyper.tau > 0 else 1e-4 * (1.0 + eig.op_norm)
+    eig = eig or obj.min_hessian_eig(X, cfg)
+    tau = obj.curvature_slack(cfg, eig.op_norm)
 
     recovery = {}
     if gt is not None:
@@ -282,7 +282,7 @@ def _scan_one(index, gt, obs, cfg, scfg, base_seed, tols):
     try:
         X0 = solvers.random_init(obs.d, gt.rank, obs, seed_k)
         res = solvers.solve(cfg, replace(scfg, seed=seed_k), X0)
-        rep = certify_point(res.X, cfg, gt, tols)
+        rep = certify_point(res.X, cfg, gt, tols, res.eig)
     except Exception as exc:
         # a failed start is reported, never allowed to abort the scan
         return ScanRow(

@@ -222,7 +222,7 @@ def cmd_solve(cfg, out_dir):
     X0 = solvers.random_init(spec.d, spec.r, obs, scfg.seed)
     res = solvers.solve(ocfg, scfg, X0)
     tols = CertTolerances(global_rel=default_global_rel(gt, obs, noiseless=1e-3))
-    rep = certify_point(res.X, ocfg, gt, tols)
+    rep = certify_point(res.X, ocfg, gt, tols, res.eig)
     with open(out_dir / "trace.csv", "w", newline="") as fh:
         solvers.trace_to_csv(res.trace, fh)
     print(f"status={res.status.value}")

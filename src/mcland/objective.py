@@ -322,6 +322,11 @@ class EigResult:
     op_norm: float  # largest |Ritz value| seen: a lower bound on ||H||
 
 
+def curvature_slack(cfg, op_norm):
+    """The curvature slack tau: cfg.hyper.tau, or 1e-4 * (1 + op_norm) when that is 0 (op_norm ~ ||H||)."""
+    return cfg.hyper.tau if cfg.hyper.tau > 0 else 1e-4 * (1.0 + op_norm)
+
+
 def min_hessian_eig(X, cfg):
     """Smallest Hessian eigenvalue at X by restarted Lanczos.
 

@@ -12,8 +12,11 @@ s = X_{k+1} - X_k and y = grad f(X_{k+1}) - grad f(X_k), and backtracks
 from there until the sufficient-decrease test passes, so every accepted
 step still decreases f.  It opens at twice the last accepted step instead
 when <s, y> <= 0 or when there is no last accepted move: at the first
-iteration, and right after a perturbation kick or a rollback, across which
-s and y say nothing about the curvature.
+iteration, and right after a perturbation kick, across which s and y say
+nothing about the curvature.
+
+Perturbed GD kicks only where `min_hessian_eig` leaves a saddle open at
+grad_tol, and returns that eigensolve for the certificate to reuse.
 """
 
 import math
@@ -87,15 +90,12 @@ class SgdParams:
 
 @dataclass(frozen=True)
 class PerturbParams:
-    radius: float | None = None            # default: 10 * grad_tol
-    trigger_grad_norm: float | None = None  # default: 10 * grad_tol
+    radius: float | None = None  # default: 10 * grad_tol
     cooldown_iters: int = 100
 
     def __post_init__(self):
         if self.radius is not None and self.radius <= 0:
             raise ValueError(f"radius must be positive, got {self.radius}")
-        if self.trigger_grad_norm is not None and self.trigger_grad_norm <= 0:
-            raise ValueError(f"trigger_grad_norm must be positive, got {self.trigger_grad_norm}")
         if self.cooldown_iters < 1:
             raise ValueError(f"cooldown_iters must be >= 1, got {self.cooldown_iters}")
 
@@ -154,6 +154,7 @@ class SolveResult:
     iterations: int  # iteration number of the last trace row
     trace: Trace
     entry_grads: int
+    eig: obj.EigResult | None = None  # min_hessian_eig at X, where the run computed one
 
 
 def trace_to_csv(trace, stream=None):
@@ -243,7 +244,7 @@ def _diverged(bdown, gn):
     return not (math.isfinite(bdown.total) and math.isfinite(gn))
 
 
-def _result(X, bdown, gn, grad_tol, trace, cum, stalled=False, probing=False):
+def _result(X, bdown, gn, grad_tol, trace, cum, stalled=False, probing=False, eig=None):
     """SolveResult at the final iterate, with the status rules all solvers share.
 
     A non-finite objective or gradient norm means the run diverged.  Else
@@ -267,6 +268,7 @@ def _result(X, bdown, gn, grad_tol, trace, cum, stalled=False, probing=False):
         iterations=trace.iters[-1],
         trace=trace,
         entry_grads=cum,
+        eig=eig,
     )
 
 
@@ -275,11 +277,9 @@ class _Probe(NamedTuple):
 
     X: np.ndarray
     bdown: obj.EvalBreakdown
-    G: np.ndarray
     grad_norm: float
-    step: float  # last accepted step at the point; seeds the next line search
+    eig: obj.EigResult  # the eigensolve at the point, which left a saddle open
     start: int  # iteration of the perturbation
-    final: bool  # the point met grad_tol, so a rollback to it ends the run
 
 
 def _descend(cfg, scfg, X0, perturb):
@@ -287,17 +287,18 @@ def _descend(cfg, scfg, X0, perturb):
 
     Each line search opens at the Barzilai-Borwein step of the last accepted
     move, or at twice the last accepted step when its <s, y> <= 0 or there
-    is none: at the first iteration (2 * step0), and right after a kick or
-    a rollback.
+    is none: at the first iteration (2 * step0), and right after a kick.
 
     Without a policy the run stops once the gradient norm reaches grad_tol.
-    With one, a point whose gradient norm is at most the trigger, at least
-    `cooldown_iters` iterations after the last probe ended, is saved and
-    kicked by a uniform ball perturbation; the probe then descends for the
-    rest of a window of `cooldown_iters` iterations.  A probe that has not
-    improved on the saved point when its window runs out or its line search
-    stalls is rolled back, with a trace row for the restored point; if the
-    saved point already met grad_tol the rollback ends the run.
+    With one, a point that reaches grad_tol with no probe open runs
+    `min_hessian_eig` once.  If that converged with lambda_min >= -tau the
+    run stops there and returns the eigensolve as `eig`; else (negative
+    curvature, or no convergence) the point is saved and kicked by a
+    uniform ball perturbation, and the probe descends for the rest of a
+    window of `cooldown_iters` iterations.  A probe that has not improved on
+    the saved point when its window runs out or its line search stalls is
+    rolled back, with a trace row for the restored point, and the run ends
+    there with the saved point's eigensolve.
     """
     n_pairs = cfg.n_pairs
     weight = cfg.hyper.reg_weight
@@ -311,58 +312,50 @@ def _descend(cfg, scfg, X0, perturb):
     t_bb = None  # the BB step of the last accepted move, if it gives one
     if perturb is not None:
         radius = perturb.radius if perturb.radius is not None else 10.0 * grad_tol
-        trigger = perturb.trigger_grad_norm
-        trigger = max(trigger if trigger is not None else 10.0 * grad_tol, grad_tol)
         cooldown = perturb.cooldown_iters
         rng = substream(scfg.seed, "perturb")
-    probe = None
-    last_end = -math.inf  # iteration the last probe ended
+    probe = eig = None
     stalled = False
-    it = 0
-    while it < scfg.max_iters:
-        it += 1
-        if perturb is None and gn <= grad_tol:
-            break
-        window_over = probe is not None and it - probe.start >= cooldown
-        if window_over and _escaped(probe.bdown.total, bdown.total):
-            probe, window_over = None, False  # escaped to a lower basin
-        if not window_over:
-            if perturb is not None and probe is None and gn <= trigger and it - last_end >= cooldown:
-                probe = _Probe(X, bdown, G, gn, t_prev, it, gn <= grad_tol)
-                X = X + _ball_perturbation(rng, X.shape, radius)
-                bdown, G = obj.value_and_gradient(X, cfg)
-                cum += n_pairs
-                gn = float(np.linalg.norm(G))
-                trace.append(it, bdown, weight, gn, 0.0, cum)
-                t_bb = None
-                continue
-            t_init = t_bb if t_bb is not None else 2.0 * t_prev
-            hit = _armijo_step(cfg, X, bdown, G, gn * gn, t_init, scfg.armijo)
-            if hit is not None:
-                t_prev, X_new, bdown, resid = hit
-                G_new = obj.residual_gradient(X_new, resid, cfg)
-                t_bb = _bb_step(X_new - X, G_new - G)
-                X, G = X_new, G_new
-                cum += n_pairs
-                gn = float(np.linalg.norm(G))
-                trace.append(it, bdown, weight, gn, t_prev, cum)
-                continue
+    for it in range(1, scfg.max_iters + 1):
+        if probe is not None and it - probe.start >= cooldown:
+            if not _escaped(probe.bdown.total, bdown.total):
+                break  # the probe's window ran out: roll back
+            probe = None  # escaped to a lower basin
+        if probe is None and gn <= grad_tol:
+            if perturb is None:
+                break
+            eig = obj.min_hessian_eig(X, cfg)
+            if eig.converged and eig.lambda_min >= -obj.curvature_slack(cfg, eig.op_norm):
+                break  # no negative curvature to escape along
+            probe, eig = _Probe(X, bdown, gn, eig, it), None
+            X = X + _ball_perturbation(rng, X.shape, radius)
+            bdown, G = obj.value_and_gradient(X, cfg)
+            cum += n_pairs
+            gn = float(np.linalg.norm(G))
+            trace.append(it, bdown, weight, gn, 0.0, cum)
+            t_bb = None
+            continue
+        t_init = t_bb if t_bb is not None else 2.0 * t_prev
+        hit = _armijo_step(cfg, X, bdown, G, gn * gn, t_init, scfg.armijo)
+        if hit is None:
             if probe is None or _escaped(probe.bdown.total, bdown.total):
                 # nothing to roll back to, or the probe found a lower basin and
                 # bottomed out there, where a rollback would discard the escape
                 stalled, probe = True, None
-                break
-        # roll back: the probe's window ran out, or its line search stalled
-        X, bdown, G, gn, t_prev = probe.X, probe.bdown, probe.G, probe.grad_norm, probe.step
-        t_bb = None
+            break  # else the probe's line search stalled: roll back
+        t_prev, X_new, bdown, resid = hit
+        G_new = obj.residual_gradient(X_new, resid, cfg)
+        t_bb = _bb_step(X_new - X, G_new - G)
+        X, G = X_new, G_new
+        cum += n_pairs
+        gn = float(np.linalg.norm(G))
+        trace.append(it, bdown, weight, gn, t_prev, cum)
+    else:  # out of iterations, with any probe still open
+        return _result(X, bdown, gn, grad_tol, trace, cum, probing=probe is not None)
+    if probe is not None:  # roll back to the saved point, which met grad_tol: the run ends there
+        X, bdown, gn, eig = probe.X, probe.bdown, probe.grad_norm, probe.eig
         trace.append(it, bdown, weight, gn, 0.0, cum)
-        last_end = it
-        final, probe = probe.final, None
-        if final:
-            break
-        if window_over:
-            it -= 1  # this rollback takes no iteration: descend from the restored point now
-    return _result(X, bdown, gn, grad_tol, trace, cum, stalled, probe is not None)
+    return _result(X, bdown, gn, grad_tol, trace, cum, stalled, eig=eig)
 
 
 def gradient_descent(cfg, scfg, X0):
@@ -371,7 +364,8 @@ def gradient_descent(cfg, scfg, X0):
 
 
 def perturbed_gd(cfg, scfg, X0):
-    """Gradient descent with saddle-escaping random perturbations (`scfg.perturb`)."""
+    """Gradient descent with saddle-escaping random perturbations (`scfg.perturb`),
+    kicking only where `min_hessian_eig` leaves a saddle open at grad_tol."""
     return _descend(cfg, scfg, X0, scfg.perturb)
 
 

@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from mcland import certify, solvers
+from mcland import certify, objective, solvers
 from mcland.certify import (
     CertTolerances,
     PointClass,
@@ -20,7 +20,7 @@ from mcland.certify import (
 )
 from mcland.csvio import cell
 from mcland.instance import HyperParams
-from mcland.objective import ObjectiveConfig, min_hessian_eig
+from mcland.objective import ObjectiveConfig, curvature_slack, min_hessian_eig
 from mcland.rng import derive_seed
 from mcland.solvers import Method, SolverConfig, gradient_descent, random_init
 
@@ -180,14 +180,17 @@ def test_stationary_tolerance_follows_the_value(rng):
 
 
 def test_certificate_takes_tau_from_the_hyperparameters():
+    # one rule for the certificate and perturbed GD's curvature gate
     gt, obs, cfg = make_problem(20, 2, seed=10, p=0.8)
     assert cfg.hyper.tau > 0
     for X in (gt.factor, np.zeros((20, 2))):
-        assert certify_point(X, cfg, gt).tau == cfg.hyper.tau
+        op = min_hessian_eig(X, cfg).op_norm
+        assert certify_point(X, cfg, gt).tau == curvature_slack(cfg, op) == cfg.hyper.tau
     # tau = 0 falls back to 1e-4 (1 + ||H||), with the eigensolve's estimate of ||H||
     flat = ObjectiveConfig(replace(cfg.hyper, tau=0.0), obs)
     for X in (gt.factor, np.zeros((20, 2))):
-        assert certify_point(X, flat, gt).tau == 1e-4 * (1.0 + min_hessian_eig(X, flat).op_norm)
+        op = min_hessian_eig(X, flat).op_norm
+        assert certify_point(X, flat, gt).tau == curvature_slack(flat, op) == 1e-4 * (1.0 + op)
 
 
 @pytest.mark.parametrize(
@@ -332,6 +335,58 @@ def test_scan_csv_cells_are_the_certificate_fields(monkeypatch):
             for col in SCAN_COLUMNS
         ]
         assert line.split(",") == expected
+
+
+@pytest.mark.parametrize("method", [Method.GD, Method.PERTURBED_GD])
+def test_scan_runs_one_eigensolve_per_start(monkeypatch, method):
+    # perturbed GD's curvature gate solves at the endpoint and the
+    # certificate reuses that eigensolve; plain GD leaves it to the certificate
+    gt, obs, cfg = make_problem(20, 2, seed=13, p=0.8)
+    where, in_solve = [], []
+    solve_eig, solve = objective.min_hessian_eig, solvers.solve
+
+    def recording_eig(X, cfg):
+        where.append("solve" if in_solve else "certify")
+        return solve_eig(X, cfg)
+
+    def recording_solve(*args):
+        in_solve.append(True)
+        try:
+            return solve(*args)
+        finally:
+            in_solve.pop()
+
+    monkeypatch.setattr(objective, "min_hessian_eig", recording_eig)
+    monkeypatch.setattr(solvers, "solve", recording_solve)
+    summary = _scan(gt, obs, cfg, n=4, seed=5, method=method)
+    assert summary.counts[PointClass.GLOBAL_MIN] == 4
+    assert where == ["solve" if method is Method.PERTURBED_GD else "certify"] * 4
+
+
+def _same_report(a, b):
+    assert type(a) is type(b)
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert x == y or (isinstance(x, float) and math.isnan(x) and math.isnan(y)), f.name
+
+
+def test_certificate_from_the_solvers_eigensolve_is_the_same():
+    # a minimum, and a strict saddle that a too-short probe window returns to
+    gt, obs, cfg = make_problem(20, 2, seed=13, p=0.8)
+    res = solvers.perturbed_gd(cfg, SolverConfig(method=Method.PERTURBED_GD, seed=1),
+                               random_init(20, 2, obs, 3))
+    assert res.eig is not None
+    rep = certify_point(res.X, cfg, gt, eig=res.eig)
+    assert rep.classification is PointClass.GLOBAL_MIN
+    _same_report(rep, certify_point(res.X, cfg, gt))
+    saddle = np.zeros((20, 2))
+    short = SolverConfig(method=Method.PERTURBED_GD, seed=1,
+                         perturb=solvers.PerturbParams(radius=1e-3, cooldown_iters=2))
+    res = solvers.perturbed_gd(cfg, short, saddle)
+    assert np.array_equal(res.X, saddle) and res.eig is not None
+    rep = certify_point(res.X, cfg, gt, eig=res.eig)
+    assert rep.classification is PointClass.STRICT_SADDLE
+    _same_report(rep, certify_point(res.X, cfg, gt))
 
 
 def test_scan_rejects_zero_starts():

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mcland import cli, solvers
+from mcland import cli, objective, solvers
 from mcland.certify import SCAN_COLUMNS
 from mcland.instance import InstanceSpec
 
@@ -155,6 +155,21 @@ def test_solve_recovers_and_writes_trace(tmp_path, capsys):
     assert len(lines) >= 3
 
 
+def test_perturbed_solve_runs_one_eigensolve(tmp_path, capsys, monkeypatch):
+    # the certificate reuses the eigensolve of perturbed GD's curvature gate
+    calls = []
+    solve_eig = objective.min_hessian_eig
+    monkeypatch.setattr(objective, "min_hessian_eig", lambda X, cfg: calls.append(X) or solve_eig(X, cfg))
+    cfgp = _write(
+        tmp_path,
+        {"instance": _instance_block(d=50), "solver": {"method": "perturbed_gd", "seed": 1}},
+    )
+    code, out, err = _run(capsys, ["solve", "--config", cfgp, "--out", str(tmp_path)])
+    assert code == 0, err
+    assert "classification=GlobalMin" in out.split("\n")
+    assert len(calls) == 1
+
+
 def test_solve_trace_depends_on_seed(tmp_path, capsys):
     base = {"instance": _instance_block(d=30, p=0.8)}
     out1, out2, out3 = tmp_path / "s1", tmp_path / "s2", tmp_path / "s3"
@@ -200,6 +215,15 @@ def test_solver_block_parses_from_dataclass_fields(tmp_path, capsys):
         code, out, err = _run(capsys, ["solve", "--config", cfgp, "--out", str(tmp_path)])
         assert code == 2
         assert f"solver.perturb.{key}" in err
+
+
+def test_perturb_trigger_is_no_longer_a_key(tmp_path, capsys):
+    # perturbed GD kicks only at grad_tol, where the curvature gate decides
+    cfgp = _write(tmp_path, {"instance": _instance_block(),
+                             "solver": {"method": "perturbed_gd", "perturb": {"trigger_grad_norm": 1e-6}}})
+    code, out, err = _run(capsys, ["solve", "--config", cfgp, "--out", str(tmp_path)])
+    assert code == 2
+    assert "unknown key 'solver.perturb.trigger_grad_norm'" in err
 
 
 @pytest.mark.parametrize("command", ["gen", "solve", "scan"])

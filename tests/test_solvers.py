@@ -4,9 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from mcland.instance import GroundTruth, HyperParams, observe
-from mcland import solvers
-from mcland.objective import ObjectiveConfig, operator_norm_estimate, pair_gradient_sum, value_and_gradient
+from mcland.instance import GroundTruth, HyperParams, InstanceSpec, default_hyperparams, observe
+from mcland import objective, solvers
+from mcland.objective import (
+    ObjectiveConfig,
+    curvature_slack,
+    operator_norm_estimate,
+    pair_gradient_sum,
+    value_and_gradient,
+)
 from mcland.solvers import (
     ArmijoParams,
     Method,
@@ -23,7 +29,7 @@ from mcland.solvers import (
     stochastic_gradient,
     trace_to_csv,
 )
-from mcland.rng import substream
+from mcland.rng import derive_seed, substream
 
 from conftest import dense_gram, full_mask, make_problem
 
@@ -134,16 +140,24 @@ def line_searches(monkeypatch):
     return calls
 
 
+def _kicked(trace, k):
+    # a kick row has step 0 and evaluated a gradient; a rollback row did not
+    return k > 0 and trace.step[k] == 0 and trace.cum_entry_grads[k] > trace.cum_entry_grads[k - 1]
+
+
+def _rolled_back(trace, k):
+    return k > 0 and trace.step[k] == 0 and trace.cum_entry_grads[k] == trace.cum_entry_grads[k - 1]
+
+
 def _expected_trials(calls, trace, step0):
     """Check each line search's first trial against the step rule, from the
     recorded searches and the trace alone; returns how often each case ran.
 
     A search that follows an accepted move opens at that move's BB step
     <s, s> / <s, y>, or at twice its step when <s, y> <= 0.  One that
-    follows trace row 0, a kick (a step-0 row that evaluated a gradient) or
-    a rollback (a step-0 row that did not) opens at twice the last step
-    accepted before that point, step0 if none; a rollback restores the
-    point saved just before its kick.
+    follows trace row 0 or a kick opens at twice the last step accepted
+    before that row, step0 if none.  A rollback restores the point saved
+    just before its kick and ends the run: no search follows it.
     """
     assert all(c[3] is not None for c in calls)  # so search m made the m-th accepted row
     rows = [k for k in range(len(trace)) if trace.step[k] > 0]
@@ -169,13 +183,15 @@ def _expected_trials(calls, trace, step0):
         elif prev == 0:
             assert t_init == 2.0 * step0
             cases["first"] += 1
-        elif trace.cum_entry_grads[prev] > trace.cum_entry_grads[prev - 1]:
+        else:
+            assert _kicked(trace, prev)
             assert t_init == 2.0 * last_step(prev)
             cases["kick"] += 1
-        else:
-            kick = max(k for k in range(prev) if trace.step[k] == 0 and k > 0
-                       and trace.cum_entry_grads[k] > trace.cum_entry_grads[k - 1])
-            assert t_init == 2.0 * last_step(kick)
+    for k in range(len(trace)):
+        if _rolled_back(trace, k):
+            kick = max(j for j in range(k) if _kicked(trace, j))
+            assert (trace.f[k], trace.grad_norm[k]) == (trace.f[kick - 1], trace.grad_norm[kick - 1])
+            assert k == len(trace) - 1
             cases["rollback"] += 1
     return cases
 
@@ -192,15 +208,24 @@ def test_gd_trials_fall_back_where_curvature_is_negative(line_searches):
     assert cases["first"] == 1 and cases["curvature"] >= 1 and cases["bb"] >= 1
 
 
+# a probe window of two iterations, one descent step, too short to escape the
+# strict saddle sqrt(0.5) Q[:, 1] of _spiked_rank2_problem(0.5)
+_SHORT_WINDOW = PerturbParams(radius=1e-3, cooldown_iters=2)
+
+
 def test_perturbed_gd_trials_fall_back_after_kicks_and_rollbacks(line_searches):
-    # a wide kick from every point within reach of the trigger, and windows
-    # too short to recover: kicks and rollbacks alternate with descent
-    gt, obs, cfg = make_problem(20, 2, seed=13, p=0.8)
-    perturb = PerturbParams(radius=0.5, trigger_grad_norm=1e3, cooldown_iters=4)
-    scfg = SolverConfig(method=Method.PERTURBED_GD, seed=1, max_iters=60, grad_tol=1e-12,
-                        armijo=ArmijoParams(step0=0.01), perturb=perturb)
-    res = perturbed_gd(cfg, scfg, random_init(20, 2, obs, 3))
-    cases = _expected_trials(line_searches, res.trace, 0.01)
+    # descent from starts on the saddle's stable line reaches the saddle,
+    # whose negative curvature opens a probe that fails; a run rolls back at
+    # most once, since a rollback ends it, so the cases come from three runs
+    Q, cfg = _spiked_rank2_problem(0.5)
+    scfg = SolverConfig(method=Method.PERTURBED_GD, seed=1, armijo=ArmijoParams(step0=0.01),
+                        perturb=_SHORT_WINDOW)
+    cases = dict(bb=0, curvature=0, first=0, kick=0, rollback=0)
+    for c in (0.5, 0.9, 1.2):
+        line_searches.clear()
+        res = perturbed_gd(cfg, scfg, c * Q[:, 1:2])
+        for case, n in _expected_trials(line_searches, res.trace, 0.01).items():
+            cases[case] += n
     assert cases["kick"] >= 2 and cases["rollback"] >= 2 and cases["bb"] >= 1
 
 
@@ -374,7 +399,6 @@ def test_perturbed_gd_deterministic_given_seed():
 
 @pytest.mark.parametrize("seed", range(20))
 def test_perturbed_gd_last_trace_row_is_the_result(seed):
-    # every one of these runs ends in a rollback to its saved point
     gt, obs, cfg = make_problem(30, 2, seed=seed, p=0.5)
     scfg = SolverConfig(method=Method.PERTURBED_GD, seed=seed)
     res = perturbed_gd(cfg, scfg, random_init(30, 2, obs, seed))
@@ -385,8 +409,9 @@ def test_perturbed_gd_last_trace_row_is_the_result(seed):
 
 
 def test_perturbed_gd_rollback_restores_saved_point():
-    gt, obs, cfg = make_problem(20, 2, seed=13, p=0.8)
-    res = perturbed_gd(cfg, SolverConfig(method=Method.PERTURBED_GD, seed=1), random_init(20, 2, obs, 3))
+    Q, cfg = _spiked_rank2_problem(0.5)
+    scfg = SolverConfig(method=Method.PERTURBED_GD, seed=1, perturb=_SHORT_WINDOW)
+    res = perturbed_gd(cfg, scfg, 0.9 * Q[:, 1:2])
     t = res.trace
     # the run ends on a rollback row (step 0) that repeats an earlier point
     # exactly, without a new gradient evaluation
@@ -394,6 +419,73 @@ def test_perturbed_gd_rollback_restores_saved_point():
     assert t.cum_entry_grads[-1] == t.cum_entry_grads[-2]
     earlier = [k for k in range(len(t) - 1) if (t.f[k], t.grad_norm[k]) == (t.f[-1], t.grad_norm[-1])]
     assert earlier
+
+
+@pytest.mark.parametrize("r, seed", [(1, 101), (2, 102), (3, 103)])
+def test_perturbed_gd_writes_gd_trace_where_it_ends_at_a_minimum(r, seed):
+    # C3 cells: every start descends to a minimum, where the curvature gate
+    # stops the run without a kick
+    p = min(1.0, max(0.2, 10.0 * r * math.log(100) / 100.0))
+    gt, obs = InstanceSpec(d=100, r=r, seed=seed, p=p).regenerate()
+    cfg = ObjectiveConfig(default_hyperparams(gt, p), obs)
+    for k in range(5):
+        seed_k = derive_seed(seed, "scan-start", k)
+        X0 = random_init(100, r, obs, seed_k)
+        plain = gradient_descent(cfg, SolverConfig(seed=seed_k), X0)
+        res = perturbed_gd(cfg, SolverConfig(method=Method.PERTURBED_GD, seed=seed_k), X0)
+        assert trace_to_csv(res.trace) == trace_to_csv(plain.trace)
+        assert res.status is Status.GRAD_TOL and res.eig.converged
+        assert res.eig.lambda_min >= -curvature_slack(cfg, res.eig.op_norm)
+        assert plain.eig is None  # plain GD runs no eigensolve
+
+
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """Record (X, EigResult) of every min_hessian_eig call."""
+    calls = []
+    solve_eig = objective.min_hessian_eig
+
+    def record(X, cfg):
+        calls.append((X.copy(), solve_eig(X, cfg)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(objective, "min_hessian_eig", record)
+    return calls
+
+
+@pytest.mark.parametrize("start", ["saddle", "origin"])
+def test_perturbed_gd_kicks_at_exact_saddle_and_escapes(eigensolves, start):
+    # the C4 geometry: the gradient vanishes at the rank-1 saddle
+    # sqrt(lam2) Q[:, 1] to rounding, and exactly at the origin
+    lam2 = 1e-4
+    Q, cfg = _spiked_rank2_problem(lam2)
+    X0 = np.sqrt(lam2) * Q[:, 1:2] if start == "saddle" else np.zeros((12, 1))
+    assert float(np.linalg.norm(value_and_gradient(X0, cfg)[1])) <= 1e-10
+    res = perturbed_gd(cfg, SolverConfig(method=Method.PERTURBED_GD, max_iters=4000, seed=9), X0)
+    X_first, eig_first = eigensolves[0]
+    assert np.array_equal(X_first, X0)
+    assert eig_first.lambda_min < -curvature_slack(cfg, eig_first.op_norm)
+    assert _kicked(res.trace, 1)
+    assert res.status is Status.GRAD_TOL
+    assert res.f <= 1e-8  # global value lam2^2 / 2 = 5e-9
+    # the run ends at the point of its last eigensolve, which rules out a saddle
+    X_last, eig_last = eigensolves[-1]
+    assert np.array_equal(X_last, res.X) and res.eig is eig_last
+    assert res.eig.converged and res.eig.lambda_min >= -curvature_slack(cfg, res.eig.op_norm)
+
+
+def test_unconverged_eigensolve_at_minimum_still_kicks_and_rolls_back(unconverged_eigensolves):
+    gt, obs, cfg = make_problem(20, 2, seed=13, p=0.8)
+    res = perturbed_gd(cfg, SolverConfig(method=Method.PERTURBED_GD, seed=1), random_init(20, 2, obs, 3))
+    t = res.trace
+    grad_tol = 1e-8 * (1.0 + t.f[0])
+    kicks = [k for k in range(len(t)) if _kicked(t, k)]
+    assert kicks and all(t.grad_norm[k - 1] <= grad_tol for k in kicks)
+    assert _rolled_back(t, len(t) - 1)
+    assert res.status is Status.GRAD_TOL and _recovery(res.X, gt) <= 1e-6
+    # lambda_min rules out a saddle, but an unconverged one proves nothing
+    assert not res.eig.converged
+    assert res.eig.lambda_min >= -curvature_slack(cfg, res.eig.op_norm)
 
 
 def test_solve_dispatches_by_method():
