@@ -12,17 +12,18 @@ s = X_{k+1} - X_k and y = grad f(X_{k+1}) - grad f(X_k), and backtracks
 from there until the sufficient-decrease test passes, so every accepted
 step still decreases f.  It opens at twice the last accepted step instead
 when <s, y> <= 0 or when there is no last accepted move: at the first
-iteration, and right after a perturbation kick, across which s and y say
-nothing about the curvature.
+iteration, and right after a witness step, across which s and y say nothing
+about the curvature along the gradient.
 
-Perturbed GD kicks only where `min_hessian_eig` leaves a saddle open at
-grad_tol, and returns that eigensolve for the certificate to reuse.
+Perturbed GD runs `min_hessian_eig` where it reaches grad_tol.  Where that
+shows a saddle it steps along the eigensolve's witness, the negative-curvature
+step of Royer & Wright (arXiv 1706.03131), under the same Armijo test; else
+it stops and returns the eigensolve for the certificate to reuse.
 """
 
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -32,13 +33,6 @@ from .rng import substream
 
 _STEP_UNDERFLOW = 1e-16
 _STEP0_LANCZOS = 8  # Lanczos steps of GD's default step0: the line search needs only its scale
-_ESCAPE_REL = 1e-6
-
-
-def _escaped(snap_f, f_now):
-    # relative margin: near-zero snapshots would make any absolute margin
-    # unbeatable on a nonnegative objective
-    return snap_f - f_now > _ESCAPE_REL * abs(snap_f)
 
 
 class Method(str, Enum):
@@ -89,26 +83,13 @@ class SgdParams:
 
 
 @dataclass(frozen=True)
-class PerturbParams:
-    radius: float | None = None  # default: 10 * grad_tol
-    cooldown_iters: int = 100
-
-    def __post_init__(self):
-        if self.radius is not None and self.radius <= 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
-        if self.cooldown_iters < 1:
-            raise ValueError(f"cooldown_iters must be >= 1, got {self.cooldown_iters}")
-
-
-@dataclass(frozen=True)
 class SolverConfig:
     method: Method = Method.GD
     max_iters: int = 20000
     grad_tol: float | None = None  # default: 1e-8 * (1 + f(X0))
-    seed: int = 0
+    seed: int = 0  # SGD draws its batches from it; GD and perturbed GD draw nothing from it
     armijo: ArmijoParams = field(default_factory=ArmijoParams)
     sgd: SgdParams = field(default_factory=SgdParams)
-    perturb: PerturbParams = field(default_factory=PerturbParams)
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -202,8 +183,9 @@ def _bb_step(s, y):
     return float(np.vdot(s, s)) / sy if sy > 0 else None
 
 
-def _armijo_step(cfg, X, bdown, G, gn2, t_init, params):
-    """Backtrack from t_init until the sufficient-decrease test passes.
+def _armijo_step(cfg, X, bdown, D, d2, t_init, params):
+    """Backtrack X - t D from t_init until f(X - t D) <= f(X) - c1 t d2,
+    d2 = ||D||^2, where D is the gradient or lambda_min times a signed witness.
 
     Returns (t, X_new, bdown_new, resid_new) or None when the step
     underflows; resid_new, the residuals of the accepted trial, gives the
@@ -212,10 +194,10 @@ def _armijo_step(cfg, X, bdown, G, gn2, t_init, params):
     t = t_init
     while t >= _STEP_UNDERFLOW:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowing trial is rejected
-            X_new = X - t * G
+            X_new = X - t * D
             resid = cfg.residuals(X_new)
             bdown_new = obj.breakdown(X_new, resid, cfg)
-        if bdown_new.total <= bdown.total - params.c1 * t * gn2:
+        if bdown_new.total <= bdown.total - params.c1 * t * d2:
             return t, X_new, bdown_new, resid
         t *= params.backtrack
     return None
@@ -244,17 +226,16 @@ def _diverged(bdown, gn):
     return not (math.isfinite(bdown.total) and math.isfinite(gn))
 
 
-def _result(X, bdown, gn, grad_tol, trace, cum, stalled=False, probing=False, eig=None):
+def _result(X, bdown, gn, grad_tol, trace, cum, stalled=False, eig=None):
     """SolveResult at the final iterate, with the status rules all solvers share.
 
     A non-finite objective or gradient norm means the run diverged.  Else
-    grad_tol reached wins unless a perturbation probe is still open; else a
-    run that ended in a stalled line search is stalled, any other ran out of
-    iterations.
+    grad_tol reached wins; else a run that ended in a stalled line search is
+    stalled, any other ran out of iterations.
     """
     if _diverged(bdown, gn):
         status = Status.DIVERGED
-    elif gn <= grad_tol and not probing:
+    elif gn <= grad_tol:
         status = Status.GRAD_TOL
     elif stalled:
         status = Status.LINE_SEARCH_STALLED
@@ -272,33 +253,23 @@ def _result(X, bdown, gn, grad_tol, trace, cum, stalled=False, probing=False, ei
     )
 
 
-class _Probe(NamedTuple):
-    """An open perturbation probe and the point it left, restored on rollback."""
-
-    X: np.ndarray
-    bdown: obj.EvalBreakdown
-    grad_norm: float
-    eig: obj.EigResult  # the eigensolve at the point, which left a saddle open
-    start: int  # iteration of the perturbation
-
-
-def _descend(cfg, scfg, X0, perturb):
-    """Armijo gradient descent, perturbed when a PerturbParams policy is given.
+def _descend(cfg, scfg, X0, witness_steps):
+    """Armijo gradient descent, with witness steps at saddles if asked.
 
     Each line search opens at the Barzilai-Borwein step of the last accepted
     move, or at twice the last accepted step when its <s, y> <= 0 or there
-    is none: at the first iteration (2 * step0), and right after a kick.
+    is none: at the first iteration (2 * step0), and right after a witness
+    step.
 
-    Without a policy the run stops once the gradient norm reaches grad_tol.
-    With one, a point that reaches grad_tol with no probe open runs
-    `min_hessian_eig` once.  If that converged with lambda_min >= -tau the
-    run stops there and returns the eigensolve as `eig`; else (negative
-    curvature, or no convergence) the point is saved and kicked by a
-    uniform ball perturbation, and the probe descends for the rest of a
-    window of `cooldown_iters` iterations.  A probe that has not improved on
-    the saved point when its window runs out or its line search stalls is
-    rolled back, with a trace row for the restored point, and the run ends
-    there with the saved point's eigensolve.
+    Without witness steps the run stops once the gradient norm reaches
+    grad_tol.  With them, such a point runs `min_hessian_eig`.  If that
+    shows no negative curvature (lambda_min >= -tau), converged or not, the
+    run stops there and returns it as `eig`.  Else the search moves along
+    D = lambda_min * v, with the unit witness v signed so <grad f, v> <= 0:
+    it opens at twice the last accepted step, and its Armijo test uses
+    ||D||^2 = lambda_min^2.  Every accepted step lowers f, so the run never
+    returns to the saddle.  A witness search that underflows ends the run
+    at the saddle, with its eigensolve.
     """
     n_pairs = cfg.n_pairs
     weight = cfg.hyper.reg_weight
@@ -310,63 +281,48 @@ def _descend(cfg, scfg, X0, perturb):
     if t_prev is None:
         t_prev = _inverse_norm(obj.operator_norm_estimate(X, cfg, _STEP0_LANCZOS))
     t_bb = None  # the BB step of the last accepted move, if it gives one
-    if perturb is not None:
-        radius = perturb.radius if perturb.radius is not None else 10.0 * grad_tol
-        cooldown = perturb.cooldown_iters
-        rng = substream(scfg.seed, "perturb")
-    probe = eig = None
+    eig = None  # the eigensolve at X, where the run computed one
     stalled = False
     for it in range(1, scfg.max_iters + 1):
-        if probe is not None and it - probe.start >= cooldown:
-            if not _escaped(probe.bdown.total, bdown.total):
-                break  # the probe's window ran out: roll back
-            probe = None  # escaped to a lower basin
-        if probe is None and gn <= grad_tol:
-            if perturb is None:
+        D, d2, t_init = G, gn * gn, (t_bb if t_bb is not None else 2.0 * t_prev)
+        if gn <= grad_tol:
+            if not witness_steps:
                 break
             eig = obj.min_hessian_eig(X, cfg)
-            if eig.converged and eig.lambda_min >= -obj.curvature_slack(cfg, eig.op_norm):
+            lam = eig.lambda_min
+            if lam >= -obj.curvature_slack(cfg, eig.op_norm):
                 break  # no negative curvature to escape along
-            probe, eig = _Probe(X, bdown, gn, eig, it), None
-            X = X + _ball_perturbation(rng, X.shape, radius)
-            bdown, G = obj.value_and_gradient(X, cfg)
-            cum += n_pairs
-            gn = float(np.linalg.norm(G))
-            trace.append(it, bdown, weight, gn, 0.0, cum)
-            t_bb = None
-            continue
-        t_init = t_bb if t_bb is not None else 2.0 * t_prev
-        hit = _armijo_step(cfg, X, bdown, G, gn * gn, t_init, scfg.armijo)
+            v = eig.witness if np.vdot(G, eig.witness) <= 0 else -eig.witness
+            D, d2, t_init = lam * v, lam * lam, 2.0 * t_prev
+        hit = _armijo_step(cfg, X, bdown, D, d2, t_init, scfg.armijo)
         if hit is None:
-            if probe is None or _escaped(probe.bdown.total, bdown.total):
-                # nothing to roll back to, or the probe found a lower basin and
-                # bottomed out there, where a rollback would discard the escape
-                stalled, probe = True, None
-            break  # else the probe's line search stalled: roll back
+            stalled = True
+            break
         t_prev, X_new, bdown, resid = hit
         G_new = obj.residual_gradient(X_new, resid, cfg)
-        t_bb = _bb_step(X_new - X, G_new - G)
-        X, G = X_new, G_new
+        # eig is set only when this was a witness step, whose s and y say
+        # nothing about the curvature along G
+        t_bb = _bb_step(X_new - X, G_new - G) if eig is None else None
+        X, G, eig = X_new, G_new, None
         cum += n_pairs
         gn = float(np.linalg.norm(G))
         trace.append(it, bdown, weight, gn, t_prev, cum)
-    else:  # out of iterations, with any probe still open
-        return _result(X, bdown, gn, grad_tol, trace, cum, probing=probe is not None)
-    if probe is not None:  # roll back to the saved point, which met grad_tol: the run ends there
-        X, bdown, gn, eig = probe.X, probe.bdown, probe.grad_norm, probe.eig
-        trace.append(it, bdown, weight, gn, 0.0, cum)
     return _result(X, bdown, gn, grad_tol, trace, cum, stalled, eig=eig)
 
 
 def gradient_descent(cfg, scfg, X0):
     """Armijo-backtracked gradient descent to the gradient-norm tolerance."""
-    return _descend(cfg, scfg, X0, None)
+    return _descend(cfg, scfg, X0, witness_steps=False)
 
 
 def perturbed_gd(cfg, scfg, X0):
-    """Gradient descent with saddle-escaping random perturbations (`scfg.perturb`),
-    kicking only where `min_hessian_eig` leaves a saddle open at grad_tol."""
-    return _descend(cfg, scfg, X0, scfg.perturb)
+    """Gradient descent that escapes saddles along the Hessian's witness.
+
+    Where the gradient norm reaches grad_tol it runs `min_hessian_eig`; a
+    negative curvature below -tau gives an Armijo step along the witness,
+    and anything else stops the run with that eigensolve as `eig`.
+    """
+    return _descend(cfg, scfg, X0, witness_steps=True)
 
 
 def stochastic_gradient(X, cfg, rng, batch):
@@ -425,16 +381,6 @@ def sgd(cfg, scfg, X0):
         if _diverged(bdown, gn):
             break
     return _result(X, bdown, gn, grad_tol, trace, cum)
-
-
-def _ball_perturbation(rng, shape, radius):
-    # uniform in the Frobenius ball of the given radius
-    G = rng.standard_normal(shape)
-    nrm = float(np.linalg.norm(G))
-    if nrm == 0.0:
-        return np.zeros(shape)
-    u = rng.random() ** (1.0 / (shape[0] * shape[1]))
-    return (radius * u / nrm) * G
 
 
 _SOLVERS = {

@@ -180,7 +180,7 @@ def test_stationary_tolerance_follows_the_value(rng):
 
 
 def test_certificate_takes_tau_from_the_hyperparameters():
-    # one rule for the certificate and perturbed GD's curvature gate
+    # one rule for the certificate and the saddle test of perturbed GD
     gt, obs, cfg = make_problem(20, 2, seed=10, p=0.8)
     assert cfg.hyper.tau > 0
     for X in (gt.factor, np.zeros((20, 2))):
@@ -339,8 +339,8 @@ def test_scan_csv_cells_are_the_certificate_fields(monkeypatch):
 
 @pytest.mark.parametrize("method", [Method.GD, Method.PERTURBED_GD])
 def test_scan_runs_one_eigensolve_per_start(monkeypatch, method):
-    # perturbed GD's curvature gate solves at the endpoint and the
-    # certificate reuses that eigensolve; plain GD leaves it to the certificate
+    # perturbed GD solves for lambda_min at the endpoint and the certificate
+    # reuses that eigensolve; plain GD leaves it to the certificate
     gt, obs, cfg = make_problem(20, 2, seed=13, p=0.8)
     where, in_solve = [], []
     solve_eig, solve = objective.min_hessian_eig, solvers.solve
@@ -371,7 +371,7 @@ def _same_report(a, b):
 
 
 def test_certificate_from_the_solvers_eigensolve_is_the_same():
-    # a minimum, and a strict saddle that a too-short probe window returns to
+    # a minimum, and the strict saddle at the origin
     gt, obs, cfg = make_problem(20, 2, seed=13, p=0.8)
     res = solvers.perturbed_gd(cfg, SolverConfig(method=Method.PERTURBED_GD, seed=1),
                                random_init(20, 2, obs, 3))
@@ -380,13 +380,9 @@ def test_certificate_from_the_solvers_eigensolve_is_the_same():
     assert rep.classification is PointClass.GLOBAL_MIN
     _same_report(rep, certify_point(res.X, cfg, gt))
     saddle = np.zeros((20, 2))
-    short = SolverConfig(method=Method.PERTURBED_GD, seed=1,
-                         perturb=solvers.PerturbParams(radius=1e-3, cooldown_iters=2))
-    res = solvers.perturbed_gd(cfg, short, saddle)
-    assert np.array_equal(res.X, saddle) and res.eig is not None
-    rep = certify_point(res.X, cfg, gt, eig=res.eig)
+    rep = certify_point(saddle, cfg, gt, eig=min_hessian_eig(saddle, cfg))
     assert rep.classification is PointClass.STRICT_SADDLE
-    _same_report(rep, certify_point(res.X, cfg, gt))
+    _same_report(rep, certify_point(saddle, cfg, gt))
 
 
 def test_scan_rejects_zero_starts():

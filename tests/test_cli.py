@@ -156,7 +156,7 @@ def test_solve_recovers_and_writes_trace(tmp_path, capsys):
 
 
 def test_perturbed_solve_runs_one_eigensolve(tmp_path, capsys, monkeypatch):
-    # the certificate reuses the eigensolve of perturbed GD's curvature gate
+    # the certificate reuses the eigensolve perturbed GD ran at its endpoint
     calls = []
     solve_eig = objective.min_hessian_eig
     monkeypatch.setattr(objective, "min_hessian_eig", lambda X, cfg: calls.append(X) or solve_eig(X, cfg))
@@ -208,22 +208,23 @@ def test_solve_rejects_unknown_solver_method(tmp_path, capsys):
 
 
 def test_solver_block_parses_from_dataclass_fields(tmp_path, capsys):
-    parsed = cli._parse_solver({"solver": {"armijo": {}, "sgd": {}, "perturb": {}}})
+    parsed = cli._parse_solver({"solver": {"armijo": {}, "sgd": {}}})
     assert parsed == solvers.SolverConfig()
-    for perturb, key in (({"cooldown_iters": True}, "cooldown_iters"), ({"bogus": 1}, "bogus")):
-        cfgp = _write(tmp_path, {"instance": _instance_block(), "solver": {"perturb": perturb}})
+    for solver, key in (({"sgd": {"batch": True}}, "sgd.batch"), ({"armijo": {"bogus": 1}}, "armijo.bogus")):
+        cfgp = _write(tmp_path, {"instance": _instance_block(), "solver": solver})
         code, out, err = _run(capsys, ["solve", "--config", cfgp, "--out", str(tmp_path)])
         assert code == 2
-        assert f"solver.perturb.{key}" in err
+        assert f"solver.{key}" in err
 
 
 def test_perturb_trigger_is_no_longer_a_key(tmp_path, capsys):
-    # perturbed GD kicks only at grad_tol, where the curvature gate decides
-    cfgp = _write(tmp_path, {"instance": _instance_block(),
-                             "solver": {"method": "perturbed_gd", "perturb": {"trigger_grad_norm": 1e-6}}})
-    code, out, err = _run(capsys, ["solve", "--config", cfgp, "--out", str(tmp_path)])
-    assert code == 2
-    assert "unknown key 'solver.perturb.trigger_grad_norm'" in err
+    # perturbed GD steps along the eigensolve's witness: it has no perturbation to configure
+    for perturb in ({}, {"trigger_grad_norm": 1e-6}):
+        cfgp = _write(tmp_path, {"instance": _instance_block(),
+                                 "solver": {"method": "perturbed_gd", "perturb": perturb}})
+        code, out, err = _run(capsys, ["solve", "--config", cfgp, "--out", str(tmp_path)])
+        assert code == 2
+        assert "unknown key 'solver.perturb'" in err
 
 
 @pytest.mark.parametrize("command", ["gen", "solve", "scan"])

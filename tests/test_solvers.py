@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from mcland.certify import PointClass, certify_point
 from mcland.instance import GroundTruth, HyperParams, InstanceSpec, default_hyperparams, observe
 from mcland import objective, solvers
 from mcland.objective import (
@@ -16,7 +17,6 @@ from mcland.objective import (
 from mcland.solvers import (
     ArmijoParams,
     Method,
-    PerturbParams,
     SgdParams,
     SolverConfig,
     Status,
@@ -104,13 +104,18 @@ def test_gd_solves_tiny_full_problem():
 
 def test_gd_trace_is_monotone_and_budgeted():
     gt, obs, cfg = make_problem(20, 2, seed=5, p=0.6)
-    res = gradient_descent(cfg, SolverConfig(max_iters=500), random_init(20, 2, obs, 1))
-    fs = np.array(res.trace.f)
-    assert np.all(np.diff(fs) <= 0.0)  # Armijo only accepts decrease
-    assert len(res.trace) == res.iterations + 1
-    assert res.entry_grads == cfg.n_pairs * (res.iterations + 1)
-    assert res.trace.cum_entry_grads[-1] == res.entry_grads
-    assert res.f == res.trace.f[-1]
+    runs = [(cfg, gradient_descent(cfg, SolverConfig(max_iters=500), random_init(20, 2, obs, 1)))]
+    # perturbed GD leaves the strict saddle of _spiked_rank2_problem(0.5) along its witness
+    Q, cfg = _spiked_rank2_problem(0.5)
+    scfg = SolverConfig(method=Method.PERTURBED_GD, max_iters=500)
+    runs.append((cfg, perturbed_gd(cfg, scfg, np.sqrt(0.5) * Q[:, 1:2])))
+    for cfg, res in runs:
+        fs = np.array(res.trace.f)
+        assert np.all(np.diff(fs) <= 0.0)  # Armijo only accepts decrease
+        assert len(res.trace) == res.iterations + 1
+        assert res.entry_grads == cfg.n_pairs * (res.iterations + 1)
+        assert res.trace.cum_entry_grads[-1] == res.entry_grads
+        assert res.f == res.trace.f[-1]
 
 
 def test_gd_recovers_across_starts():
@@ -140,59 +145,35 @@ def line_searches(monkeypatch):
     return calls
 
 
-def _kicked(trace, k):
-    # a kick row has step 0 and evaluated a gradient; a rollback row did not
-    return k > 0 and trace.step[k] == 0 and trace.cum_entry_grads[k] > trace.cum_entry_grads[k - 1]
-
-
-def _rolled_back(trace, k):
-    return k > 0 and trace.step[k] == 0 and trace.cum_entry_grads[k] == trace.cum_entry_grads[k - 1]
-
-
 def _expected_trials(calls, trace, step0):
     """Check each line search's first trial against the step rule, from the
     recorded searches and the trace alone; returns how often each case ran.
 
-    A search that follows an accepted move opens at that move's BB step
-    <s, s> / <s, y>, or at twice its step when <s, y> <= 0.  One that
-    follows trace row 0 or a kick opens at twice the last step accepted
-    before that row, step0 if none.  A rollback restores the point saved
-    just before its kick and ends the run: no search follows it.
+    The first search opens at twice step0.  A search from a point whose
+    gradient norm met the default grad_tol runs along the witness; it and
+    the search after it open at twice the last accepted step.  Any other
+    search opens at the BB step <s, s> / <s, y> of the last move, or at
+    twice its step when <s, y> <= 0.
     """
-    assert all(c[3] is not None for c in calls)  # so search m made the m-th accepted row
-    rows = [k for k in range(len(trace)) if trace.step[k] > 0]
-    assert len(rows) == len(calls)
-
-    def last_step(before):
-        steps = [trace.step[k] for k in range(before) if trace.step[k] > 0]
-        return steps[-1] if steps else step0
-
-    cases = dict(bb=0, curvature=0, first=0, kick=0, rollback=0)
-    for m, row in enumerate(rows):
-        t_init, prev = calls[m][2], row - 1
-        if trace.step[prev] > 0:
-            s = calls[m][0] - calls[m - 1][0]
-            y = calls[m][1] - calls[m - 1][1]
-            sy = float(np.vdot(s, y))
-            if sy > 0:
-                assert t_init == pytest.approx(float(np.vdot(s, s)) / sy, rel=1e-12)
-                cases["bb"] += 1
-            else:
-                assert t_init == 2.0 * calls[m - 1][3]
-                cases["curvature"] += 1
-        elif prev == 0:
-            assert t_init == 2.0 * step0
-            cases["first"] += 1
+    assert all(c[3] is not None for c in calls)  # so search m runs from trace row m
+    assert len(calls) == len(trace) - 1
+    grad_tol = 1e-8 * (1.0 + trace.f[0])
+    witness = [gn <= grad_tol for gn in trace.grad_norm]
+    cases = dict(bb=0, curvature=0, first=0, witness=0, after_witness=0)
+    for m, (X, G, t_init, _) in enumerate(calls):
+        if m == 0 or witness[m] or witness[m - 1]:
+            assert t_init == 2.0 * (calls[m - 1][3] if m else step0)
+            cases["witness" if witness[m] else "first" if m == 0 else "after_witness"] += 1
+            continue
+        s = X - calls[m - 1][0]
+        y = G - calls[m - 1][1]
+        sy = float(np.vdot(s, y))
+        if sy > 0:
+            assert t_init == pytest.approx(float(np.vdot(s, s)) / sy, rel=1e-12)
+            cases["bb"] += 1
         else:
-            assert _kicked(trace, prev)
-            assert t_init == 2.0 * last_step(prev)
-            cases["kick"] += 1
-    for k in range(len(trace)):
-        if _rolled_back(trace, k):
-            kick = max(j for j in range(k) if _kicked(trace, j))
-            assert (trace.f[k], trace.grad_norm[k]) == (trace.f[kick - 1], trace.grad_norm[kick - 1])
-            assert k == len(trace) - 1
-            cases["rollback"] += 1
+            assert t_init == 2.0 * calls[m - 1][3]
+            cases["curvature"] += 1
     return cases
 
 
@@ -208,25 +189,19 @@ def test_gd_trials_fall_back_where_curvature_is_negative(line_searches):
     assert cases["first"] == 1 and cases["curvature"] >= 1 and cases["bb"] >= 1
 
 
-# a probe window of two iterations, one descent step, too short to escape the
-# strict saddle sqrt(0.5) Q[:, 1] of _spiked_rank2_problem(0.5)
-_SHORT_WINDOW = PerturbParams(radius=1e-3, cooldown_iters=2)
-
-
-def test_perturbed_gd_trials_fall_back_after_kicks_and_rollbacks(line_searches):
-    # descent from starts on the saddle's stable line reaches the saddle,
-    # whose negative curvature opens a probe that fails; a run rolls back at
-    # most once, since a rollback ends it, so the cases come from three runs
+def test_perturbed_gd_trials_fall_back_after_witness_steps(line_searches):
+    # descent from starts on the saddle's stable line reaches the strict
+    # saddle sqrt(0.5) Q[:, 1], whose negative curvature gives a witness step
     Q, cfg = _spiked_rank2_problem(0.5)
-    scfg = SolverConfig(method=Method.PERTURBED_GD, seed=1, armijo=ArmijoParams(step0=0.01),
-                        perturb=_SHORT_WINDOW)
-    cases = dict(bb=0, curvature=0, first=0, kick=0, rollback=0)
+    scfg = SolverConfig(method=Method.PERTURBED_GD, armijo=ArmijoParams(step0=0.01))
+    cases = dict(bb=0, curvature=0, first=0, witness=0, after_witness=0)
     for c in (0.5, 0.9, 1.2):
         line_searches.clear()
         res = perturbed_gd(cfg, scfg, c * Q[:, 1:2])
+        assert res.status is Status.GRAD_TOL and res.f == pytest.approx(0.125, rel=1e-6)
         for case, n in _expected_trials(line_searches, res.trace, 0.01).items():
             cases[case] += n
-    assert cases["kick"] >= 2 and cases["rollback"] >= 2 and cases["bb"] >= 1
+    assert cases["witness"] >= 3 and cases["after_witness"] >= 3 and cases["bb"] >= 1
 
 
 def test_bb_step_needs_positive_curvature():
@@ -408,23 +383,10 @@ def test_perturbed_gd_last_trace_row_is_the_result(seed):
     assert trace.cum_entry_grads[-1] == res.entry_grads
 
 
-def test_perturbed_gd_rollback_restores_saved_point():
-    Q, cfg = _spiked_rank2_problem(0.5)
-    scfg = SolverConfig(method=Method.PERTURBED_GD, seed=1, perturb=_SHORT_WINDOW)
-    res = perturbed_gd(cfg, scfg, 0.9 * Q[:, 1:2])
-    t = res.trace
-    # the run ends on a rollback row (step 0) that repeats an earlier point
-    # exactly, without a new gradient evaluation
-    assert t.step[-1] == 0.0
-    assert t.cum_entry_grads[-1] == t.cum_entry_grads[-2]
-    earlier = [k for k in range(len(t) - 1) if (t.f[k], t.grad_norm[k]) == (t.f[-1], t.grad_norm[-1])]
-    assert earlier
-
-
 @pytest.mark.parametrize("r, seed", [(1, 101), (2, 102), (3, 103)])
 def test_perturbed_gd_writes_gd_trace_where_it_ends_at_a_minimum(r, seed):
-    # C3 cells: every start descends to a minimum, where the curvature gate
-    # stops the run without a kick
+    # C3 cells: every start descends to a minimum, where the eigensolve
+    # stops the run without a witness step
     p = min(1.0, max(0.2, 10.0 * r * math.log(100) / 100.0))
     gt, obs = InstanceSpec(d=100, r=r, seed=seed, p=p).regenerate()
     cfg = ObjectiveConfig(default_hyperparams(gt, p), obs)
@@ -453,39 +415,46 @@ def eigensolves(monkeypatch):
     return calls
 
 
+@pytest.mark.parametrize("lam2", [1e-4, 0.5])
 @pytest.mark.parametrize("start", ["saddle", "origin"])
-def test_perturbed_gd_kicks_at_exact_saddle_and_escapes(eigensolves, start):
+def test_perturbed_gd_steps_along_the_witness_at_exact_saddle(eigensolves, line_searches, start, lam2):
     # the C4 geometry: the gradient vanishes at the rank-1 saddle
     # sqrt(lam2) Q[:, 1] to rounding, and exactly at the origin
-    lam2 = 1e-4
     Q, cfg = _spiked_rank2_problem(lam2)
     X0 = np.sqrt(lam2) * Q[:, 1:2] if start == "saddle" else np.zeros((12, 1))
     assert float(np.linalg.norm(value_and_gradient(X0, cfg)[1])) <= 1e-10
-    res = perturbed_gd(cfg, SolverConfig(method=Method.PERTURBED_GD, max_iters=4000, seed=9), X0)
+    res = perturbed_gd(cfg, SolverConfig(method=Method.PERTURBED_GD, max_iters=4000), X0)
     X_first, eig_first = eigensolves[0]
     assert np.array_equal(X_first, X0)
     assert eig_first.lambda_min < -curvature_slack(cfg, eig_first.op_norm)
-    assert _kicked(res.trace, 1)
-    assert res.status is Status.GRAD_TOL
-    assert res.f <= 1e-8  # global value lam2^2 / 2 = 5e-9
+    # trace row 1 moves X0 along +-witness and lowers f
+    X, D, _, step = line_searches[0]
+    witness = eig_first.lambda_min * eig_first.witness
+    assert np.array_equal(X, X0) and (np.array_equal(D, witness) or np.array_equal(D, -witness))
+    t = res.trace
+    assert t.step[1] == step
+    assert t.f[1] == pytest.approx(value_and_gradient(X0 - step * D, cfg)[0].total, rel=1e-12)
+    assert np.all(np.diff(t.f) <= 0.0) and t.f[1] < t.f[0]
+    assert res.status is Status.GRAD_TOL and res.iterations <= 20
+    assert res.f <= 1e-8 if lam2 == 1e-4 else res.f == pytest.approx(lam2**2 / 2, rel=1e-6)
     # the run ends at the point of its last eigensolve, which rules out a saddle
     X_last, eig_last = eigensolves[-1]
     assert np.array_equal(X_last, res.X) and res.eig is eig_last
     assert res.eig.converged and res.eig.lambda_min >= -curvature_slack(cfg, res.eig.op_norm)
 
 
-def test_unconverged_eigensolve_at_minimum_still_kicks_and_rolls_back(unconverged_eigensolves):
+def test_unconverged_eigensolve_at_minimum_stops_there(unconverged_eigensolves, eigensolves):
+    # an eigensolve that shows no negative curvature ends the run, converged
+    # or not; the certificate then cannot call the endpoint a minimum
     gt, obs, cfg = make_problem(20, 2, seed=13, p=0.8)
-    res = perturbed_gd(cfg, SolverConfig(method=Method.PERTURBED_GD, seed=1), random_init(20, 2, obs, 3))
-    t = res.trace
-    grad_tol = 1e-8 * (1.0 + t.f[0])
-    kicks = [k for k in range(len(t)) if _kicked(t, k)]
-    assert kicks and all(t.grad_norm[k - 1] <= grad_tol for k in kicks)
-    assert _rolled_back(t, len(t) - 1)
-    assert res.status is Status.GRAD_TOL and _recovery(res.X, gt) <= 1e-6
-    # lambda_min rules out a saddle, but an unconverged one proves nothing
-    assert not res.eig.converged
+    X0 = random_init(20, 2, obs, 3)
+    plain = gradient_descent(cfg, SolverConfig(seed=1), X0)
+    res = perturbed_gd(cfg, SolverConfig(method=Method.PERTURBED_GD, seed=1), X0)
+    assert trace_to_csv(res.trace) == trace_to_csv(plain.trace)
+    assert len(eigensolves) == 1 and res.eig is eigensolves[0][1]
+    assert res.status is Status.GRAD_TOL and not res.eig.converged
     assert res.eig.lambda_min >= -curvature_slack(cfg, res.eig.op_norm)
+    assert certify_point(res.X, cfg, gt, eig=res.eig).classification is PointClass.UNCERTIFIED
 
 
 def test_solve_dispatches_by_method():
@@ -532,5 +501,3 @@ def test_config_validation():
         ArmijoParams(c1=2.0)
     with pytest.raises(ValueError):
         SgdParams(batch=0)
-    with pytest.raises(ValueError):
-        PerturbParams(cooldown_iters=0)
