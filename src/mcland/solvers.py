@@ -17,8 +17,8 @@ about the curvature along the gradient.
 
 Perturbed GD runs `min_hessian_eig` where it reaches grad_tol.  Where that
 shows a saddle it steps along the eigensolve's witness, the negative-curvature
-step of Royer & Wright (arXiv 1706.03131), under the same Armijo test; else
-it stops and returns the eigensolve for the certificate to reuse.
+step of Royer & Wright (arXiv 1706.03131), under a curvature decrease test;
+else it stops and returns the eigensolve for the certificate to reuse.
 """
 
 import math
@@ -183,9 +183,14 @@ def _bb_step(s, y):
     return float(np.vdot(s, s)) / sy if sy > 0 else None
 
 
-def _armijo_step(cfg, X, bdown, D, d2, t_init, params):
-    """Backtrack X - t D from t_init until f(X - t D) <= f(X) - c1 t d2,
-    d2 = ||D||^2, where D is the gradient or lambda_min times a signed witness.
+def _armijo_step(cfg, X, bdown, D, slope, curv, t_init, params):
+    """Backtrack X - t D from t_init until
+    f(X - t D) <= f(X) - c1 t (slope + t curv / 2).
+
+    Along the gradient G, slope = ||G||^2 and curv = 0: the Armijo test.
+    Along D = lambda_min v at a saddle, slope = 0 and curv = |lambda_min|^3:
+    the quadratic model's curvature decrease, which every small enough step
+    gives for any c1 < 1 even where G vanishes.
 
     Returns (t, X_new, bdown_new, resid_new) or None when the step
     underflows; resid_new, the residuals of the accepted trial, gives the
@@ -197,7 +202,7 @@ def _armijo_step(cfg, X, bdown, D, d2, t_init, params):
             X_new = X - t * D
             resid = cfg.residuals(X_new)
             bdown_new = obj.breakdown(X_new, resid, cfg)
-        if bdown_new.total <= bdown.total - params.c1 * t * d2:
+        if bdown_new.total <= bdown.total - params.c1 * t * (slope + 0.5 * t * curv):
             return t, X_new, bdown_new, resid
         t *= params.backtrack
     return None
@@ -266,10 +271,10 @@ def _descend(cfg, scfg, X0, witness_steps):
     shows no negative curvature (lambda_min >= -tau), converged or not, the
     run stops there and returns it as `eig`.  Else the search moves along
     D = lambda_min * v, with the unit witness v signed so <grad f, v> <= 0:
-    it opens at twice the last accepted step, and its Armijo test uses
-    ||D||^2 = lambda_min^2.  Every accepted step lowers f, so the run never
-    returns to the saddle.  A witness search that underflows ends the run
-    at the saddle, with its eigensolve.
+    it opens at twice the last accepted step and asks for a curvature
+    decrease.  Every accepted step lowers f, so the run never returns to
+    the saddle.  A witness search that underflows ends the run at the
+    saddle, with its eigensolve.
     """
     n_pairs = cfg.n_pairs
     weight = cfg.hyper.reg_weight
@@ -284,7 +289,7 @@ def _descend(cfg, scfg, X0, witness_steps):
     eig = None  # the eigensolve at X, where the run computed one
     stalled = False
     for it in range(1, scfg.max_iters + 1):
-        D, d2, t_init = G, gn * gn, (t_bb if t_bb is not None else 2.0 * t_prev)
+        D, slope, curv, t_init = G, gn * gn, 0.0, (t_bb if t_bb is not None else 2.0 * t_prev)
         if gn <= grad_tol:
             if not witness_steps:
                 break
@@ -293,8 +298,8 @@ def _descend(cfg, scfg, X0, witness_steps):
             if lam >= -obj.curvature_slack(cfg, eig.op_norm):
                 break  # no negative curvature to escape along
             v = eig.witness if np.vdot(G, eig.witness) <= 0 else -eig.witness
-            D, d2, t_init = lam * v, lam * lam, 2.0 * t_prev
-        hit = _armijo_step(cfg, X, bdown, D, d2, t_init, scfg.armijo)
+            D, slope, curv, t_init = lam * v, 0.0, -lam**3, 2.0 * t_prev
+        hit = _armijo_step(cfg, X, bdown, D, slope, curv, t_init, scfg.armijo)
         if hit is None:
             stalled = True
             break

@@ -22,7 +22,7 @@ from mcland.csvio import cell
 from mcland.instance import HyperParams
 from mcland.objective import ObjectiveConfig, curvature_slack, min_hessian_eig
 from mcland.rng import derive_seed
-from mcland.solvers import Method, SolverConfig, gradient_descent, random_init
+from mcland.solvers import ArmijoParams, Method, SolverConfig, Status, gradient_descent, random_init
 
 from conftest import dense_gram, make_problem
 
@@ -381,6 +381,24 @@ def test_certificate_from_the_solvers_eigensolve_is_the_same():
     _same_report(rep, certify_point(res.X, cfg, gt))
     saddle = np.zeros((20, 2))
     rep = certify_point(saddle, cfg, gt, eig=min_hessian_eig(saddle, cfg))
+    assert rep.classification is PointClass.STRICT_SADDLE
+    _same_report(rep, certify_point(saddle, cfg, gt))
+
+
+def test_certificate_from_a_stalled_witness_search_is_the_same():
+    # a witness search that opens below the underflow step ends the run at
+    # the strict saddle at the origin, with the eigensolve that found it
+    gt, obs, cfg = make_problem(20, 2, seed=13, p=0.8)
+    saddle = np.zeros((20, 2))
+    scfg = SolverConfig(method=Method.PERTURBED_GD, armijo=ArmijoParams(step0=1e-20))
+    res = solvers.perturbed_gd(cfg, scfg, saddle)
+    assert np.array_equal(res.X, saddle) and res.iterations == 0
+    assert res.status is Status.GRAD_TOL
+    eig = min_hessian_eig(saddle, cfg)
+    assert np.array_equal(res.eig.witness, eig.witness)
+    assert (res.eig.lambda_min, res.eig.converged, res.eig.iterations) == (
+        eig.lambda_min, eig.converged, eig.iterations)
+    rep = certify_point(res.X, cfg, gt, eig=res.eig)
     assert rep.classification is PointClass.STRICT_SADDLE
     _same_report(rep, certify_point(saddle, cfg, gt))
 

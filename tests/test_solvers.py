@@ -132,13 +132,13 @@ def test_gd_recovers_across_starts():
 
 @pytest.fixture
 def line_searches(monkeypatch):
-    """Record (X, G, t_init, accepted step or None) of every Armijo line search."""
+    """Record (X, D, t_init, accepted step or None) of every line search."""
     calls = []
     armijo = solvers._armijo_step
 
-    def record(cfg, X, bdown, G, gn2, t_init, params):
-        hit = armijo(cfg, X, bdown, G, gn2, t_init, params)
-        calls.append((X.copy(), G.copy(), t_init, None if hit is None else hit[0]))
+    def record(cfg, X, bdown, D, slope, curv, t_init, params):
+        hit = armijo(cfg, X, bdown, D, slope, curv, t_init, params)
+        calls.append((X.copy(), D.copy(), t_init, None if hit is None else hit[0]))
         return hit
 
     monkeypatch.setattr(solvers, "_armijo_step", record)
@@ -441,6 +441,22 @@ def test_perturbed_gd_steps_along_the_witness_at_exact_saddle(eigensolves, line_
     X_last, eig_last = eigensolves[-1]
     assert np.array_equal(X_last, res.X) and res.eig is eig_last
     assert res.eig.converged and res.eig.lambda_min >= -curvature_slack(cfg, res.eig.op_norm)
+
+
+@pytest.mark.parametrize("lam2", [1e-4, 0.5])
+@pytest.mark.parametrize("start", ["saddle", "origin"])
+def test_witness_step_escapes_under_a_large_c1(start, lam2):
+    # the witness search asks for c1 times the curvature decrease
+    # t^2 |lambda|^3 / 2, which every small enough step gives for any
+    # c1 < 1; the linear test f(X - tD) <= f(X) - c1 t lambda^2 asks for a
+    # move of at least 2 c1 and holds the run at the origin once c1 > 0.27
+    Q, cfg = _spiked_rank2_problem(lam2)
+    X0 = np.sqrt(lam2) * Q[:, 1:2] if start == "saddle" else np.zeros((12, 1))
+    scfg = SolverConfig(method=Method.PERTURBED_GD, max_iters=4000, armijo=ArmijoParams(c1=0.5))
+    res = perturbed_gd(cfg, scfg, X0)
+    fs = np.array(res.trace.f)
+    assert fs[1] < fs[0] and np.all(np.diff(fs) <= 0.0)
+    assert res.status is Status.GRAD_TOL and res.f == pytest.approx(lam2**2 / 2, rel=1e-6)
 
 
 def test_unconverged_eigensolve_at_minimum_stops_there(unconverged_eigensolves, eigensolves):
