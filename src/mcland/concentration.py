@@ -81,12 +81,6 @@ class TrialResult:
     def deviations(self):
         return np.array([rec.deviation for rec in self.records])
 
-    def quantiles(self):
-        """(q25, median, q75, max) of the deviations; non-decreasing by construction."""
-        devs = self.deviations()
-        q25, q50, q75 = np.quantile(devs, [0.25, 0.5, 0.75])
-        return float(q25), float(q50), float(q75), float(devs.max())
-
     @property
     def median_normalized(self):
         """Median of deviation / (sqrt(pd) * predicted): ~ c * (pd)^(-1/2) when the bound is tight."""

@@ -36,8 +36,9 @@ residuals of a point (an accepted line-search trial) reuse them.
 
 with the r x r blocks A = P [X_j X_j^T] once per point and B = P [X_j V_j^T]
 once per application, so an application gathers no pairs and builds no
-matrix.  `min_hessian_eig` and `operator_norm_estimate` run one Lanczos
-routine on it.
+matrix.  `min_hessian_eig` and `operator_norm_estimate` each make one run of
+one Lanczos routine on it, with no restart: the eigensolve for up to d * r
+steps, the norm estimate for _NORM_STEPS.
 """
 
 from dataclasses import dataclass
@@ -48,7 +49,7 @@ from scipy import sparse
 from .rng import substream
 
 _EIG_SEED = 31415001
-_BASIS = 20  # Lanczos steps per run of the eigensolver; the norm estimate's default
+_NORM_STEPS = 8  # Lanczos steps of the norm estimate: a first step needs only its scale
 _EIG_TOL = 1e-6  # min_hessian_eig converges at a residual of at most _EIG_TOL * (1 + ||H||)
 
 
@@ -269,24 +270,31 @@ def hessian_operator(X, cfg):
     return apply
 
 
-def _lanczos(H, v, steps, rel_tol, Hv=None):
+def _lanczos(H, v, steps, rel_tol):
     """Fully reorthogonalized Lanczos on H from v, for at most `steps` steps.
 
-    Returns the Ritz values in ascending order and the unit Ritz vectors as
-    the (flattened) columns of Y, one per step.  Each step costs one HVP,
-    except the first when `Hv` = H[v] is given.  Stops early once the
+    Returns the Ritz values in ascending order and the unit Ritz vector of
+    the smallest, flattened.  Each step costs one HVP.  Stops early once the
     residual estimate beta_k |s_k| of the smallest Ritz pair is at most
     rel_tol * (1 + max |Ritz value|), which includes an invariant Krylov
-    space (beta_k = 0).
+    space (beta_k = 0).  The basis Q and the tridiagonal T double in size
+    as the run needs them.
     """
     steps = min(steps, v.size)  # the Krylov space cannot outgrow the space
-    Q = np.empty((steps, v.size))
-    T = np.zeros((steps, steps))
+    Q = np.empty((0, v.size))
+    T = np.zeros((0, 0))
     w = v.ravel()
     beta = float(np.linalg.norm(w))
     for k in range(steps):
+        if k == Q.shape[0]:
+            size = min(max(2 * k, 8), steps)
+            Q = np.concatenate([Q, np.empty((size - k, v.size))])
+            T, T_old = np.zeros((size, size)), T
+            T[:k, :k] = T_old
+        if k:
+            T[k - 1, k] = T[k, k - 1] = beta
         Q[k] = w / beta
-        w = Hv.ravel() / beta if k == 0 and Hv is not None else H(Q[k].reshape(v.shape)).ravel()
+        w = H(Q[k].reshape(v.shape)).ravel()
         for _ in range(2):  # classical Gram-Schmidt twice: Q stays orthonormal to rounding
             h = Q[: k + 1] @ w
             w -= h @ Q[: k + 1]
@@ -294,8 +302,7 @@ def _lanczos(H, v, steps, rel_tol, Hv=None):
         beta = float(np.linalg.norm(w))
         theta, S = np.linalg.eigh(T[: k + 1, : k + 1])
         if k + 1 == steps or beta * abs(S[k, 0]) <= rel_tol * (1.0 + np.abs(theta).max()):
-            return theta, Q[: k + 1].T @ S
-        T[k, k + 1] = T[k + 1, k] = beta
+            return theta, (Q[: k + 1].T @ S)[:, 0]
 
 
 def _start(X):
@@ -303,13 +310,13 @@ def _start(X):
     return substream(_EIG_SEED, "lanczos", *X.shape).standard_normal(X.shape)
 
 
-def operator_norm_estimate(X, cfg, steps=_BASIS):
+def operator_norm_estimate(X, cfg):
     """Lower bound on the Hessian operator norm ||H|| at X: the largest
-    |Ritz value| of a Lanczos run of `steps` steps, never below the
+    |Ritz value| of a Lanczos run of _NORM_STEPS steps, never below the
     |Rayleigh quotient| of a power iteration of the same length from the
     same start."""
     X = _check_factor(X, cfg)
-    theta, _ = _lanczos(hessian_operator(X, cfg), _start(X), steps, 0.0)
+    theta, _ = _lanczos(hessian_operator(X, cfg), _start(X), _NORM_STEPS, 0.0)
     return float(np.abs(theta).max())
 
 
@@ -328,26 +335,22 @@ def curvature_slack(cfg, op_norm):
 
 
 def min_hessian_eig(X, cfg):
-    """Smallest Hessian eigenvalue at X by restarted Lanczos.
+    """Smallest Hessian eigenvalue at X by one Lanczos run.
 
-    Runs `_lanczos` on one `hessian_operator`, restarting from the smallest
-    Ritz vector v until the explicit residual ||H v - theta v|| is at most
-    tol = 1e-6 * (1 + op_norm); the H v of that check is the first step of
-    the restart.  If the cap of 50 * d * r Hessian-vector products is
-    reached first, the last v is returned with converged=False, and
-    lambda_min is only an upper bound.  lambda_min is the Rayleigh quotient
-    <v, H[v]> of the unit witness v.
+    Runs `_lanczos` on one `hessian_operator` for at most d * r steps, then
+    checks the smallest Ritz vector v explicitly: converged means
+    ||H v - theta v|| <= tol = 1e-6 * (1 + op_norm).  That puts lambda_min
+    within tol of some eigenvalue, not provably the smallest; a label holds
+    because tau is far above tol.  At most d * r + 1 Hessian-vector
+    products.  lambda_min is the Rayleigh quotient <v, H[v]> of the unit
+    witness v.
     """
     X = _check_factor(X, cfg)
     H = hessian_operator(X, cfg)
-    cap = 50 * X.size
-    v, Hv, used, op, converged = _start(X), None, 0, 0.0, False
-    while not converged and used < cap - 1:
-        theta, Y = _lanczos(H, v, min(_BASIS, cap - used - 1), _EIG_TOL, Hv)
-        op = max(op, float(np.abs(theta).max()))
-        used += Y.shape[1] - (Hv is not None) + 1
-        v = Y[:, 0].reshape(X.shape)
-        Hv = H(v)
-        lam = float(np.sum(v * Hv))
-        converged = float(np.linalg.norm(Hv - lam * v)) <= _EIG_TOL * (1.0 + op)
-    return EigResult(lambda_min=lam, witness=v, converged=converged, iterations=used, op_norm=op)
+    theta, v = _lanczos(H, _start(X), X.size, _EIG_TOL)
+    op = float(np.abs(theta).max())
+    v = v.reshape(X.shape)
+    Hv = H(v)
+    lam = float(np.sum(v * Hv))
+    converged = float(np.linalg.norm(Hv - lam * v)) <= _EIG_TOL * (1.0 + op)
+    return EigResult(lambda_min=lam, witness=v, converged=converged, iterations=theta.size + 1, op_norm=op)

@@ -13,7 +13,8 @@ from there until the sufficient-decrease test passes, so every accepted
 step still decreases f.  It opens at twice the last accepted step instead
 when <s, y> <= 0 or when there is no last accepted move: at the first
 iteration, and right after a witness step, across which s and y say nothing
-about the curvature along the gradient.
+about the curvature along the gradient.  The first trial is 2 * step0, with
+step0 = 1 / `operator_norm_estimate` at X0; SGD damps the same step0.
 
 Perturbed GD runs `min_hessian_eig` where it reaches grad_tol.  Where that
 shows a saddle it steps along the eigensolve's witness, the negative-curvature
@@ -32,7 +33,6 @@ from .csvio import write_csv
 from .rng import substream
 
 _STEP_UNDERFLOW = 1e-16
-_STEP0_LANCZOS = 8  # Lanczos steps of GD's default step0: the line search needs only its scale
 
 
 class Method(str, Enum):
@@ -52,32 +52,22 @@ class Status(str, Enum):
 class ArmijoParams:
     c1: float = 1e-4
     backtrack: float = 0.5
-    # seeds the first line search only, which opens at 2 * step0; later ones
-    # follow the last move.  Default: 1 / (Hessian norm estimate at X0)
-    step0: float | None = None
 
     def __post_init__(self):
         if not 0 < self.c1 < 1:
             raise ValueError(f"c1 must lie in (0, 1), got {self.c1}")
         if not 0 < self.backtrack < 1:
             raise ValueError(f"backtrack must lie in (0, 1), got {self.backtrack}")
-        if self.step0 is not None and self.step0 <= 0:
-            raise ValueError(f"step0 must be positive, got {self.step0}")
 
 
 @dataclass(frozen=True)
 class SgdParams:
     batch: int = 64
-    # default: sqrt(batch / pairs) / ||H||, ||H|| from a 20-step Lanczos
-    # estimate (GD's default step0 takes an 8-step one)
-    step_base: float | None = None
     step_decay: float = 1e-3
 
     def __post_init__(self):
         if self.batch < 1:
             raise ValueError(f"batch must be >= 1, got {self.batch}")
-        if self.step_base is not None and self.step_base <= 0:
-            raise ValueError(f"step_base must be positive, got {self.step_base}")
         if self.step_decay < 0:
             raise ValueError(f"step_decay must be non-negative, got {self.step_decay}")
 
@@ -263,8 +253,8 @@ def _descend(cfg, scfg, X0, witness_steps):
 
     Each line search opens at the Barzilai-Borwein step of the last accepted
     move, or at twice the last accepted step when its <s, y> <= 0 or there
-    is none: at the first iteration (2 * step0), and right after a witness
-    step.
+    is none: at the first iteration (2 * step0, with step0 = 1 / the Hessian
+    norm estimate at X0), and right after a witness step.
 
     Without witness steps the run stops once the gradient norm reaches
     grad_tol.  With them, such a point runs `min_hessian_eig`.  If that
@@ -282,9 +272,7 @@ def _descend(cfg, scfg, X0, witness_steps):
     cum = n_pairs
     if _diverged(bdown, gn):  # no step size can be estimated at a non-finite start
         return _result(X, bdown, gn, grad_tol, trace, cum)
-    t_prev = scfg.armijo.step0
-    if t_prev is None:
-        t_prev = _inverse_norm(obj.operator_norm_estimate(X, cfg, _STEP0_LANCZOS))
+    t_prev = _inverse_norm(obj.operator_norm_estimate(X, cfg))  # step0
     t_bb = None  # the BB step of the last accepted move, if it gives one
     eig = None  # the eigensolve at X, where the run computed one
     stalled = False
@@ -359,14 +347,12 @@ def sgd(cfg, scfg, X0):
     if _diverged(bdown, gn):  # no step size can be estimated at a non-finite start
         return _result(X, bdown, gn, grad_tol, trace, 0)
     batch = min(scfg.sgd.batch, cfg.n_pairs) if cfg.n_pairs else scfg.sgd.batch
-    base = scfg.sgd.step_base
-    if base is None:
-        # deterministic step damped by sqrt(batch fraction): the estimator is
-        # the (n/batch)-scaled pair sum, so the full-gradient step diverges
-        # on small batches; at batch == n this recovers the GD step
-        base = _inverse_norm(obj.operator_norm_estimate(X, cfg))
-        if cfg.n_pairs:
-            base *= math.sqrt(batch / cfg.n_pairs)
+    # GD's step0 damped by sqrt(batch fraction): the estimator is the
+    # (n/batch)-scaled pair sum, so the full-gradient step diverges on small
+    # batches; at batch == n this recovers the GD step
+    base = _inverse_norm(obj.operator_norm_estimate(X, cfg))
+    if cfg.n_pairs:
+        base *= math.sqrt(batch / cfg.n_pairs)
     decay = scfg.sgd.step_decay
     rng = substream(scfg.seed, "sgd")
     weight = cfg.hyper.reg_weight

@@ -169,6 +169,17 @@ def rng():
 
 
 @pytest.fixture
+def norm_estimate(monkeypatch):
+    """A setter for the Hessian norm estimate every solver takes its first
+    step from: GD's first trial is then 2 / value."""
+
+    def fix(value):
+        monkeypatch.setattr(objective, "operator_norm_estimate", lambda X, cfg: value)
+
+    return fix
+
+
+@pytest.fixture
 def unconverged_eigensolves(monkeypatch):
     """Make every min_hessian_eig report that it did not converge."""
     solve = objective.min_hessian_eig

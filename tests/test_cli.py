@@ -210,11 +210,17 @@ def test_solve_rejects_unknown_solver_method(tmp_path, capsys):
 def test_solver_block_parses_from_dataclass_fields(tmp_path, capsys):
     parsed = cli._parse_solver({"solver": {"armijo": {}, "sgd": {}}})
     assert parsed == solvers.SolverConfig()
-    for solver, key in (({"sgd": {"batch": True}}, "sgd.batch"), ({"armijo": {"bogus": 1}}, "armijo.bogus")):
+    # the first step comes from the norm estimate: step0 and step_base are no keys
+    for solver, message in (
+        ({"sgd": {"batch": True}}, "solver.sgd.batch"),
+        ({"armijo": {"bogus": 1}}, "unknown key 'solver.armijo.bogus'"),
+        ({"armijo": {"step0": 1e-3}}, "unknown key 'solver.armijo.step0'"),
+        ({"sgd": {"step_base": 1.0}}, "unknown key 'solver.sgd.step_base'"),
+    ):
         cfgp = _write(tmp_path, {"instance": _instance_block(), "solver": solver})
         code, out, err = _run(capsys, ["solve", "--config", cfgp, "--out", str(tmp_path)])
         assert code == 2
-        assert f"solver.{key}" in err
+        assert message in err
 
 
 def test_perturb_trigger_is_no_longer_a_key(tmp_path, capsys):
@@ -288,16 +294,22 @@ def test_solve_from_the_frobenius_estimate_start_is_global_min(tmp_path, capsys,
     assert kv["classification"] == "GlobalMin"
 
 
+# a norm estimate far below ||H|| gives SGD a step base that overflows it
+# within a few iterations
+_DIVERGING_NORM_ESTIMATE = 1e-2
+
+
 def _diverging_payload():
-    # a step base far above 1 / ||H|| makes SGD overflow within a few iterations
+    # run with the norm estimate set to _DIVERGING_NORM_ESTIMATE
     return {
         "instance": {"d": 20, "r": 2, "seed": 3, "p": 0.8},
-        "solver": {"method": "sgd", "max_iters": 300, "sgd": {"step_base": 50.0}},
+        "solver": {"method": "sgd", "max_iters": 300},
     }
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_diverged_sgd_is_reported_not_an_internal_error(tmp_path, capsys):
+def test_diverged_sgd_is_reported_not_an_internal_error(tmp_path, capsys, norm_estimate):
+    norm_estimate(_DIVERGING_NORM_ESTIMATE)
     payload = _diverging_payload()
     code, out, err = _run(capsys, ["solve", "--config", _write(tmp_path, payload), "--out", str(tmp_path)])
     assert code == 0, err
@@ -317,8 +329,13 @@ def test_diverged_solve_writes_no_overflow_warnings(tmp_path):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     cfgp = _write(tmp_path, _diverging_payload())
+    run = (
+        "import sys; from mcland import cli, objective; "
+        f"objective.operator_norm_estimate = lambda X, cfg: {_DIVERGING_NORM_ESTIMATE!r}; "
+        "sys.exit(cli.main(sys.argv[1:]))"
+    )
     proc = subprocess.run(
-        [sys.executable, "-m", "mcland.cli", "solve", "--config", cfgp, "--out", str(tmp_path)],
+        [sys.executable, "-c", run, "solve", "--config", cfgp, "--out", str(tmp_path)],
         capture_output=True, text=True, env=env, check=False,
     )
     assert proc.returncode == 0, proc.stderr
@@ -495,7 +512,8 @@ def test_scan_assert_clean_fails_on_uncertified_endpoints(tmp_path, capsys, unco
     assert all(row.split(",")[-3:-1] == ["Uncertified", "false"] for row in rows)
 
 
-def test_scan_assert_clean_fails_on_unstationary_endpoints(tmp_path, capsys):
+def test_scan_assert_clean_fails_on_unstationary_endpoints(tmp_path, capsys, norm_estimate):
+    norm_estimate(_DIVERGING_NORM_ESTIMATE)
     payload = _diverging_payload()
     payload["scan"] = {"n_starts": 3, "base_seed": 0}
     cfgp = _write(tmp_path, payload)

@@ -112,12 +112,6 @@ def test_deviation_shrinks_with_denser_observation():
     assert all(a > b for a, b in zip(meds, meds[1:]))
 
 
-def test_quantiles_are_sorted():
-    res = _cell(Kind.SPECTRAL, p=0.3, trials=25, seed=5)
-    q25, q50, q75, qmax = res.quantiles()
-    assert q25 <= q50 <= q75 <= qmax
-
-
 def test_runs_deterministic_in_seed():
     a = _cell(Kind.NOISE_INNER, p=0.4, trials=8, seed=6)
     b = _cell(Kind.NOISE_INNER, p=0.4, trials=8, seed=6)

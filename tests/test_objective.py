@@ -1,3 +1,4 @@
+import math
 import types
 
 import numpy as np
@@ -18,7 +19,8 @@ from mcland.objective import (
     residual_gradient,
     value_and_gradient,
 )
-from mcland.objective import _BASIS, _start
+from mcland.objective import _NORM_STEPS, _start
+from mcland.solvers import SolverConfig, gradient_descent, random_init
 
 from conftest import (
     brute_objective,
@@ -338,7 +340,7 @@ def test_min_eig_matches_dense_at_random_points():
         X = rng.normal(size=(10, 2)) * 1.5
         eig = min_hessian_eig(X, cfg)
         dense = dense_min_eig(X, cfg)
-        assert eig.converged
+        assert eig.converged and eig.iterations <= X.size + 1
         assert eig.lambda_min == pytest.approx(dense, abs=1e-5 * (1.0 + abs(dense)))
         assert hessian_quadratic(X, eig.witness, cfg) <= eig.lambda_min + 1e-6 * (1.0 + eig.op_norm)
 
@@ -354,8 +356,23 @@ def test_min_eig_converges_near_truth_at_scale():
     assert hessian_quadratic(X, eig.witness, cfg) <= eig.lambda_min + 1e-6 * (1.0 + eig.op_norm)
 
 
+def test_min_eig_converges_in_one_run_at_low_p():
+    # a GD endpoint at p = 1.5 ln d / d, where the bottom of the spectrum is
+    # clustered: a Lanczos that restarts from one Ritz vector stalls there.
+    # The two lowest eigenvalues lie about 1e-5 apart, below
+    # tol * (1 + ||H||), so lambda_min is not compared with the dense minimum
+    d, r, p = 100, 1, 1.5 * math.log(100) / 100
+    gt, obs, cfg = make_problem(d, r, seed=2, p=p)
+    res = gradient_descent(cfg, SolverConfig(max_iters=3000), random_init(d, r, obs, 3))
+    X = res.X
+    eig = min_hessian_eig(X, cfg)
+    assert eig.converged
+    assert eig.iterations <= d * r + 1
+    assert hessian_quadratic(X, eig.witness, cfg) <= eig.lambda_min + 1e-6 * (1.0 + eig.op_norm)
+
+
 def test_operator_norm_estimate_bounds():
-    d, r = 30, 2  # d * r > _BASIS: the run covers only part of the space
+    d, r = 30, 2  # d * r > _NORM_STEPS: the run covers only part of the space
     gt, obs, cfg = make_problem(d, r, seed=18, p=0.6, sigma=0.1)
     rng = np.random.default_rng(1)
     for _ in range(10):
@@ -364,7 +381,7 @@ def test_operator_norm_estimate_bounds():
         assert est <= np.linalg.norm(dense_hessian(X, cfg), 2) * (1.0 + 1e-12)
         # never below a power iteration of the same length from the same start
         H, v, power = hessian_operator(X, cfg), _start(X), 0.0
-        for _ in range(_BASIS):
+        for _ in range(_NORM_STEPS):
             v = v / np.linalg.norm(v)
             Hv = H(v)
             power = max(power, abs(float(np.sum(v * Hv))))

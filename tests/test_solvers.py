@@ -184,16 +184,17 @@ def test_gd_trials_fall_back_where_curvature_is_negative(line_searches):
     X0 = 1e-3 * Q[:, :1]
     res = gradient_descent(cfg, SolverConfig(), X0)
     assert res.status == Status.GRAD_TOL
-    step0 = 1.0 / operator_norm_estimate(X0, cfg, solvers._STEP0_LANCZOS)
+    step0 = 1.0 / operator_norm_estimate(X0, cfg)
     cases = _expected_trials(line_searches, res.trace, step0)
     assert cases["first"] == 1 and cases["curvature"] >= 1 and cases["bb"] >= 1
 
 
-def test_perturbed_gd_trials_fall_back_after_witness_steps(line_searches):
+def test_perturbed_gd_trials_fall_back_after_witness_steps(line_searches, norm_estimate):
     # descent from starts on the saddle's stable line reaches the strict
     # saddle sqrt(0.5) Q[:, 1], whose negative curvature gives a witness step
     Q, cfg = _spiked_rank2_problem(0.5)
-    scfg = SolverConfig(method=Method.PERTURBED_GD, armijo=ArmijoParams(step0=0.01))
+    norm_estimate(100.0)  # step0 = 0.01
+    scfg = SolverConfig(method=Method.PERTURBED_GD)
     cases = dict(bb=0, curvature=0, first=0, witness=0, after_witness=0)
     for c in (0.5, 0.9, 1.2):
         line_searches.clear()
@@ -211,19 +212,10 @@ def test_bb_step_needs_positive_curvature():
     assert solvers._bb_step(s, -s) is None
 
 
-def test_gd_explicit_step0_sets_the_first_trial(line_searches):
-    gt, obs, cfg = make_problem(20, 2, seed=5, p=0.6)
-    step0 = 3e-6  # small enough to pass the Armijo test at once
-    res = gradient_descent(cfg, SolverConfig(armijo=ArmijoParams(step0=step0)), random_init(20, 2, obs, 1))
-    assert line_searches[0][2] == 2.0 * step0
-    assert res.trace.step[1] == 2.0 * step0
-    assert res.status == Status.GRAD_TOL
-
-
-def test_gd_reports_stall_on_underflowing_step():
+def test_gd_reports_stall_on_underflowing_step(norm_estimate):
     gt, obs, cfg = make_problem(10, 1, seed=6, p=0.8)
-    scfg = SolverConfig(armijo=ArmijoParams(step0=1e-20))
-    res = gradient_descent(cfg, scfg, random_init(10, 1, obs, 2))
+    norm_estimate(1e20)  # step0 = 1e-20: every trial is below the underflow step
+    res = gradient_descent(cfg, SolverConfig(), random_init(10, 1, obs, 2))
     assert res.status == Status.LINE_SEARCH_STALLED
     assert res.iterations == 0
 
@@ -298,9 +290,10 @@ def test_sgd_matches_gd_on_equal_budget():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_sgd_stops_at_first_non_finite_iterate():
+def test_sgd_stops_at_first_non_finite_iterate(norm_estimate):
     gt, obs, cfg = make_problem(20, 2, seed=3, p=0.8)
-    scfg = SolverConfig(method=Method.SGD, max_iters=300, sgd=SgdParams(step_base=50.0))
+    norm_estimate(1e-2)  # a step base far above 1 / ||H||
+    scfg = SolverConfig(method=Method.SGD, max_iters=300)
     res = sgd(cfg, scfg, random_init(20, 2, obs, 0))
     assert res.status is Status.DIVERGED
     assert res.iterations < scfg.max_iters and res.iterations == len(res.trace) - 1
