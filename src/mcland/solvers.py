@@ -1,10 +1,12 @@
 """First-order solvers: Armijo gradient descent, minibatch SGD, perturbed GD.
 
-All solvers record a per-iteration trace (objective split, gradient norm,
-accepted step, cumulative per-entry gradient work) and are deterministic
-given their config seed.  Entry-gradient accounting counts |Omega| per full
-gradient and `batch` per stochastic step; trace diagnostics (objective and
-gradient norms recorded for inspection) are not charged to the budget.
+All solvers record a trace (objective split, gradient norm, accepted step,
+cumulative per-entry gradient work) and are deterministic given their config
+seed.  GD and perturbed GD write a row per iteration; SGD writes one per full
+pass, which it runs once per epoch of sampled entries (every
+ceil(|Omega| / batch) steps) and at its last iteration.  Entry-gradient
+accounting counts |Omega| per full gradient and `batch` per stochastic step;
+SGD's full passes (diagnostics and stop tests) are not charged to the budget.
 
 GD and perturbed GD share one Armijo loop.  Each line search opens at the
 Barzilai-Borwein step <s, s> / <s, y> of the last accepted move, with
@@ -92,7 +94,8 @@ TRACE_COLUMNS = ("iter", "f", "data_term", "reg_term", "grad_norm", "step", "cum
 
 
 class Trace:
-    """Columnar per-iteration history; `reg_term` is the weighted penalty."""
+    """Columnar history, one row per GD iteration or per SGD full pass;
+    `reg_term` is the weighted penalty."""
 
     def __init__(self):
         self.iters = []
@@ -337,11 +340,13 @@ def stochastic_gradient(X, cfg, rng, batch):
 def sgd(cfg, scfg, X0):
     """Minibatch SGD with step base / (1 + decay * iter).
 
-    Trace rows record the full objective and full gradient norm each
-    iteration for diagnostics; only the sampled batch counts toward
-    `cum_entry_grads`.  The run stops with status `diverged` at the first
-    iterate, the start included, whose objective or gradient norm is not
-    finite.
+    A full pass (objective, gradient norm, trace row, stop tests) runs once
+    per epoch of sampled entries, every P = ceil(|Omega| / batch) steps, and
+    at max_iters; between passes the loop only takes stochastic steps.  Only
+    the sampled batches count toward `cum_entry_grads`.  The run stops at
+    the first pass whose gradient norm reaches grad_tol, or with status
+    `diverged` at the first pass, the start included, whose objective or
+    gradient norm is not finite.
     """
     X, bdown, _, gn, grad_tol, trace = _start(cfg, scfg, X0, 0)
     if _diverged(bdown, gn):  # no step size can be estimated at a non-finite start
@@ -356,18 +361,20 @@ def sgd(cfg, scfg, X0):
     decay = scfg.sgd.step_decay
     rng = substream(scfg.seed, "sgd")
     weight = cfg.hyper.reg_weight
+    period = -(-cfg.n_pairs // batch) or 1  # ceil(|Omega| / batch): steps per epoch
 
     cum = 0
     for it in range(1, scfg.max_iters + 1):
         if gn <= grad_tol:
             break
         step = base / (1.0 + decay * (it - 1))
+        cum += batch
         with np.errstate(over="ignore", invalid="ignore"):  # a diverging run ends with status diverged
-            G = stochastic_gradient(X, cfg, rng, batch)
-            X = X - step * G
+            X = X - step * stochastic_gradient(X, cfg, rng, batch)
+            if it % period and it < scfg.max_iters:
+                continue  # the full pass runs once per epoch and at the last iteration
             bdown, G = obj.value_and_gradient(X, cfg)
             gn = float(np.linalg.norm(G))
-        cum += batch
         trace.append(it, bdown, weight, gn, step, cum)
         if _diverged(bdown, gn):
             break

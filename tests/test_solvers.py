@@ -289,6 +289,81 @@ def test_sgd_matches_gd_on_equal_budget():
     assert gd_res.f <= 10.0 * sgd_res.f
 
 
+def _sgd_period(cfg, scfg):
+    # SGD's full pass runs every ceil(|Omega| / batch) steps
+    return math.ceil(cfg.n_pairs / min(scfg.sgd.batch, cfg.n_pairs))
+
+
+def _reference_sgd_rows(cfg, scfg, X0):
+    """A naive SGD loop with a full pass after every step and no stop test:
+    the trace.csv line of every iteration, keyed by iter, and the gradient
+    norm of each."""
+    batch = min(scfg.sgd.batch, cfg.n_pairs)
+    base = (1.0 / operator_norm_estimate(X0, cfg)) * math.sqrt(batch / cfg.n_pairs)
+    rng = substream(scfg.seed, "sgd")
+    X = np.array(X0, dtype=float)
+    trace = solvers.Trace()
+    bdown, G = value_and_gradient(X, cfg)
+    trace.append(0, bdown, cfg.hyper.reg_weight, float(np.linalg.norm(G)), 0.0, 0)
+    for it in range(1, scfg.max_iters + 1):
+        step = base / (1.0 + scfg.sgd.step_decay * (it - 1))
+        X = X - step * stochastic_gradient(X, cfg, rng, batch)
+        bdown, G = value_and_gradient(X, cfg)
+        trace.append(it, bdown, cfg.hyper.reg_weight, float(np.linalg.norm(G)), step, it * batch)
+    lines = trace_to_csv(trace).splitlines()[1:]
+    return dict(zip(trace.iters, lines)), dict(zip(trace.iters, trace.grad_norm))
+
+
+def _sgd_rows(res):
+    return dict(zip(res.trace.iters, trace_to_csv(res.trace).splitlines()[1:]))
+
+
+@pytest.mark.parametrize("batch", [16, 64])
+def test_sgd_rows_are_the_reference_loop_rows_once_per_epoch(batch):
+    gt, obs, cfg = make_problem(20, 1, seed=1, p=0.8)
+    scfg = SolverConfig(method=Method.SGD, max_iters=3000, seed=2, sgd=SgdParams(batch=batch))
+    X0 = random_init(20, 1, obs, 3)
+    res = sgd(cfg, scfg, X0)
+    ref, ref_gn = _reference_sgd_rows(cfg, scfg, X0)
+    period = _sgd_period(cfg, scfg)
+    assert period > 1
+    assert res.status is Status.GRAD_TOL
+    grad_tol = 1e-8 * (1.0 + value_and_gradient(X0, cfg)[0].total)
+    # the run stops at the first pass whose full gradient norm reaches grad_tol
+    stop = next(it for it in range(period, scfg.max_iters + 1, period) if ref_gn[it] <= grad_tol)
+    assert res.trace.iters == list(range(0, stop + 1, period))
+    rows = _sgd_rows(res)
+    assert rows == {it: ref[it] for it in rows}
+
+
+def test_sgd_ends_with_a_full_pass_at_max_iters():
+    gt, obs, cfg = make_problem(20, 1, seed=1, p=0.8)
+    X0 = random_init(20, 1, obs, 3)
+    period = _sgd_period(cfg, SolverConfig(method=Method.SGD))
+    scfg = SolverConfig(method=Method.SGD, max_iters=3 * period + 2, seed=2)
+    res = sgd(cfg, scfg, X0)
+    assert res.status is Status.MAX_ITERS and res.iterations == scfg.max_iters
+    assert res.trace.iters == [0, period, 2 * period, 3 * period, scfg.max_iters]
+    rows = _sgd_rows(res)
+    ref, _ = _reference_sgd_rows(cfg, scfg, X0)
+    assert rows == {it: ref[it] for it in rows}
+    bdown, G = value_and_gradient(res.X, cfg)
+    assert res.f == bdown.total and res.grad_norm == float(np.linalg.norm(G))
+    assert res.entry_grads == scfg.max_iters * scfg.sgd.batch
+
+
+def test_sgd_with_a_batch_of_all_entries_writes_a_row_per_step():
+    gt, obs, cfg = make_problem(10, 1, seed=4, p=0.8)
+    scfg = SolverConfig(method=Method.SGD, max_iters=40, seed=2, sgd=SgdParams(batch=10 * cfg.n_pairs))
+    X0 = random_init(10, 1, obs, 3)
+    res = sgd(cfg, scfg, X0)
+    assert _sgd_period(cfg, scfg) == 1
+    assert res.trace.iters == list(range(res.iterations + 1))
+    assert res.iterations > 1
+    ref, _ = _reference_sgd_rows(cfg, scfg, X0)
+    assert _sgd_rows(res) == {it: ref[it] for it in res.trace.iters}
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_sgd_stops_at_first_non_finite_iterate(norm_estimate):
     gt, obs, cfg = make_problem(20, 2, seed=3, p=0.8)
@@ -296,7 +371,9 @@ def test_sgd_stops_at_first_non_finite_iterate(norm_estimate):
     scfg = SolverConfig(method=Method.SGD, max_iters=300)
     res = sgd(cfg, scfg, random_init(20, 2, obs, 0))
     assert res.status is Status.DIVERGED
-    assert res.iterations < scfg.max_iters and res.iterations == len(res.trace) - 1
+    assert res.iterations < scfg.max_iters and res.iterations == res.trace.iters[-1]
+    period = _sgd_period(cfg, scfg)
+    assert res.trace.iters == list(range(0, res.iterations + 1, period))
     finite = [math.isfinite(f) and math.isfinite(g) for f, g in zip(res.trace.f, res.trace.grad_norm)]
     assert finite == [True] * (len(finite) - 1) + [False]
     assert not math.isfinite(res.f) or not math.isfinite(res.grad_norm)
