@@ -22,11 +22,14 @@ mask, built from the stored pairs and filled from their values by a slot
 map; the same pattern with unit entries is the fixed 0/1 matrix P.
 Position k in [0, n_pairs) of the pattern, in row-major order, is one
 ordered entry: `pair_gradient_sum` takes such positions, so drawing them
-uniformly draws each stored pair in proportion to its weight.  A CSR matrix
-meets a d x r operand one column at a time, and `pair_gradient_sum`
-scatters with one `np.bincount` per column: each adds every sum in the
-order of scipy's multi-vector product and `np.add.at`, so the floats are
-theirs, in less time.
+uniformly draws each stored pair in proportion to its weight.  It reads a
+position's row and value from two tables indexed by position, 12 bytes a
+position (1.2 MB at d=1000, p=0.1), which the config builds on first use:
+only SGD uses them, and a config that GD uses would hold 7.7 MB more at
+d=4000, p=0.02.  A CSR matrix meets a d x r operand one column at a time,
+and `pair_gradient_sum` scatters with one `np.bincount` per column: each
+adds every sum in the order of scipy's multi-vector product and
+`np.add.at`, so the floats are theirs, in less time.
 `value_and_gradient` shares one residual pass between value and gradient,
 and `breakdown` and `residual_gradient` let a caller that already holds the
 residuals of a point (an accepted line-search trial) reuse them.
@@ -38,10 +41,13 @@ with the r x r blocks A = P [X_j X_j^T] once per point and B = P [X_j V_j^T]
 once per application, so an application gathers no pairs and builds no
 matrix.  `min_hessian_eig` and `operator_norm_estimate` each make one run of
 one Lanczos routine on it, with no restart: the eigensolve for up to d * r
-steps, the norm estimate for _NORM_STEPS.
+steps, the norm estimate for _NORM_STEPS.  A run solves its tridiagonal T
+for vectors (numpy's dense `eigh`) only at a step that may stop; importing
+scipy.linalg for a tridiagonal solver would add 7.5 MB to the resident set.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -50,14 +56,17 @@ from .rng import substream
 
 _EIG_SEED = 31415001
 _NORM_STEPS = 8  # Lanczos steps of the norm estimate: a first step needs only its scale
+_EPS = float(np.finfo(float).eps)
 _EIG_TOL = 1e-6  # min_hessian_eig converges at a residual of at most _EIG_TOL * (1 + ||H||)
 
 
 class ObjectiveConfig:
     """Hyperparameters bound to one observation, with precomputed mask layout.
 
-    Instances are immutable after construction and safe to share across
-    threads; all evaluation state is per-call.
+    Instances are safe to share across threads: all evaluation state is
+    per-call, and the per-position tables of `pair_gradient_sum`, the one
+    thing built after construction, come out the same whichever thread
+    builds them.
     """
 
     def __init__(self, hyper, obs):
@@ -83,6 +92,13 @@ class ObjectiveConfig:
         self._indptr = np.concatenate([[0], np.cumsum(pattern_counts)]).astype(idx)
         self._indices = cols[order].astype(idx)
         self._pattern = sparse.csr_matrix((np.ones(rows.size), self._indices, self._indptr), shape=(d, d))
+
+    @cached_property
+    def _position_tables(self):
+        # (row, value) of every position of the pattern, for `pair_gradient_sum`:
+        # built on first use, since only SGD reads them
+        rows = np.repeat(np.arange(self.d, dtype=self._indptr.dtype), np.diff(self._indptr))
+        return rows, self.obs.values[self._slot]
 
     def pair_gram(self, X):
         """<X_i, X_j> for every stored pair (i, j)."""
@@ -118,25 +134,36 @@ def _matmul_columns(A, Y):
     return out
 
 
-def _row_norms(X):
-    return np.sqrt((X * X).sum(axis=1))
-
-
 def _hinge(t, alpha):
     # excess over the threshold; zero rows stay inactive since alpha > 0
     return np.maximum(t - alpha, 0.0)
 
 
+def _row_excess(X, alpha):
+    """(t, e): the row norms and their excess over alpha, or None when no row
+    norm exceeds alpha, where every penalty term is zero.  The largest
+    squared norm decides that in one pass: sqrt is monotone and correctly
+    rounded, so its root is the largest row norm, and a row with a NaN norm
+    goes on to the per-row test."""
+    sq = (X * X).sum(axis=1)
+    if np.sqrt(sq.max(initial=0.0)) <= alpha:
+        return None
+    t = np.sqrt(sq)
+    return t, _hinge(t, alpha)
+
+
 def regularizer(X, alpha):
     """sum_i rho(||X_i||), unweighted."""
-    e = _hinge(_row_norms(X), alpha)
-    return float(np.sum(e**4))
+    excess = _row_excess(X, alpha)
+    return 0.0 if excess is None else float(np.sum(excess[1] ** 4))
 
 
-def reg_gradient(X, alpha):
-    """Gradient of the unweighted penalty: row i gets 4 (||X_i|| - alpha)^3 X_i / ||X_i||."""
-    t = _row_norms(X)
-    e = _hinge(t, alpha)
+def _active_reg_gradient(X, alpha):
+    # reg_gradient, or None where it is zero
+    excess = _row_excess(X, alpha)
+    if excess is None:
+        return None
+    t, e = excess
     G = np.zeros_like(X)
     act = e > 0.0
     if np.any(act):
@@ -145,11 +172,29 @@ def reg_gradient(X, alpha):
     return G
 
 
+def reg_gradient(X, alpha):
+    """Gradient of the unweighted penalty: row i gets 4 (||X_i|| - alpha)^3 X_i / ||X_i||.
+
+    Zeros, after one pass over the squared row norms, where no row norm
+    exceeds alpha."""
+    G = _active_reg_gradient(X, alpha)
+    return np.zeros_like(X) if G is None else G
+
+
+def penalty_gradient(X, cfg):
+    """The weighted penalty gradient reg_weight * reg_gradient(X, alpha), or
+    None where it is zero: a weight of 0, or no row norm above alpha."""
+    G = _active_reg_gradient(X, cfg.hyper.alpha) if cfg.hyper.reg_weight > 0 else None
+    return None if G is None else cfg.hyper.reg_weight * G
+
+
 def _reg_hess_terms(X, alpha):
     """Per-point setup of the penalty curvature: None when no row is active,
     else (active rows, unit rows u, d1/t, d2) on the active rows."""
-    t = _row_norms(X)
-    e = _hinge(t, alpha)
+    excess = _row_excess(X, alpha)
+    if excess is None:
+        return None
+    t, e = excess
     act = e > 0.0
     if not np.any(act):
         return None
@@ -219,19 +264,24 @@ def pair_gradient_sum(X, cfg, positions):
 
     Position k in [0, n_pairs) is the ordered entry (i, j) in row-major
     order, which contributes -(M_ij - <X_i, X_j>) * (e_i X_j^T + e_j X_i^T);
-    summing over every position reproduces the full data gradient.
+    summing over every position reproduces the full data gradient.  Row i
+    and M_ij come from the config's per-position tables, column j from the
+    pattern's column indices.
     """
-    pair = cfg._slot[positions]
-    j = cfg._indices[positions]  # the entry's column; its row is the pair's other index
-    i = cfg._i[pair] + cfg._j[pair] - j
+    rows, values = cfg._position_tables
+    i, j = rows.take(positions), cfg._indices.take(positions)
     Xi, Xj = X.take(i, axis=0), X.take(j, axis=0)  # a tenth of the time of X[i] at r=2
-    resid = cfg.obs.values[pair] - np.einsum("ij,ij->i", Xi, Xj)
+    # minus the residual: negation is exact, so each term below is -resid * x to the bit
+    neg_resid = np.einsum("ij,ij->i", Xi, Xj) - values.take(positions)
     # one bincount per column adds each row's terms in entry order, all the
     # i-side terms before the j-side ones, as np.add.at would: the same sums
     ij = np.concatenate([i, j])
+    b = i.size
+    w = np.empty(2 * b)
     G = np.empty(X.shape)
     for k in range(X.shape[1]):
-        w = np.concatenate([-resid * Xj[:, k], -resid * Xi[:, k]])
+        np.multiply(neg_resid, Xj[:, k], out=w[:b])
+        np.multiply(neg_resid, Xi[:, k], out=w[b:])
         G[:, k] = np.bincount(ij, weights=w, minlength=cfg.d)
     return G
 
@@ -279,12 +329,21 @@ def _lanczos(H, v, steps, rel_tol):
     rel_tol * (1 + max |Ritz value|), which includes an invariant Krylov
     space (beta_k = 0).  The basis Q and the tridiagonal T double in size
     as the run needs them.
+
+    Only a step that may stop solves T for its vectors (`np.linalg.eigh`),
+    and that solve decides the stop and gives the returned pair.  The other
+    steps skip it: with rel_tol = 0 every step before the last with
+    beta_k > 0, and else each step whose Ritz values alone (`eigvalsh`,
+    about half the cost of `eigh`) put beta_k |s_k| above twice the
+    tolerance, by Paige's identity (`_far_from_stop`); the factor 2 leaves
+    room for the rounding of eigh's own s_k, so no stop is skipped.
     """
     steps = min(steps, v.size)  # the Krylov space cannot outgrow the space
     Q = np.empty((0, v.size))
     T = np.zeros((0, 0))
     w = v.ravel()
     beta = float(np.linalg.norm(w))
+    theta = np.zeros(0)  # the Ritz values of the step before
     for k in range(steps):
         if k == Q.shape[0]:
             size = min(max(2 * k, 8), steps)
@@ -300,9 +359,42 @@ def _lanczos(H, v, steps, rel_tol):
             w -= h @ Q[: k + 1]
             T[k, k] += h[k]
         beta = float(np.linalg.norm(w))
+        if k + 1 < steps and beta > 0.0:
+            if rel_tol == 0.0:
+                continue
+            theta_prev, theta = theta, np.linalg.eigvalsh(T[: k + 1, : k + 1])
+            if _far_from_stop(theta, theta_prev, beta, rel_tol):
+                continue
         theta, S = np.linalg.eigh(T[: k + 1, : k + 1])
         if k + 1 == steps or beta * abs(S[k, 0]) <= rel_tol * (1.0 + np.abs(theta).max()):
             return theta, (Q[: k + 1].T @ S)[:, 0]
+
+
+def _far_from_stop(theta, theta_prev, beta, rel_tol):
+    """Whether beta |s| is above twice rel_tol * (1 + max |theta|), where s
+    is the last component of the smallest Ritz vector of T, from the Ritz
+    values alone: theta of T, and theta_prev of T less its last row and
+    column.
+
+    Paige's identity gives s^2 = prod_j (theta_prev_j - theta_0) /
+    (theta_{j+1} - theta_0), each ratio in [0, 1] by interlacing.  With
+    each Ritz value off by up to delta = (k + 1) eps (1 + max |theta|), a
+    ratio moves by at most 4 delta / g, g = theta_1 - theta_0 - 2 delta,
+    and the product by k times that, which is taken off s^2.  Where that
+    leaves nothing to test, as where Ritz values coincide, the answer is
+    no, and the caller solves T.
+    """
+    k = theta_prev.size
+    scale = 1.0 + np.abs(theta).max()
+    tol = rel_tol * scale
+    if k == 0:  # T is 1 x 1: s = 1
+        return beta > 2.0 * tol
+    delta = (k + 1) * _EPS * scale
+    g = theta[1] - theta[0] - 2.0 * delta
+    if not g > 4.0 * k * delta:
+        return False
+    s2 = float(np.prod((theta_prev - theta[0]) / (theta[1:] - theta[0])))
+    return beta * beta * (s2 - 4.0 * k * delta / g) > 4.0 * tol * tol
 
 
 def _start(X):

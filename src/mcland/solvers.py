@@ -327,13 +327,15 @@ def stochastic_gradient(X, cfg, rng, batch):
     The entries are uniform positions in [0, |Omega|) of the symmetric
     pattern, so a stored pair is drawn in proportion to its weight (2 off
     the diagonal, 1 on it); the estimate is (|Omega| / batch) * the sum of
-    their per-entry gradients, plus the exact weighted penalty gradient.
+    their per-entry gradients, plus the exact weighted penalty gradient,
+    which is skipped where it is zero (no row norm above alpha).
     """
     n = cfg.n_pairs
     idx = rng.integers(0, n, size=batch)
     G = obj.pair_gradient_sum(X, cfg, idx) * (n / batch)
-    if cfg.hyper.reg_weight > 0:
-        G += cfg.hyper.reg_weight * obj.reg_gradient(X, cfg.hyper.alpha)
+    penalty = obj.penalty_gradient(X, cfg)
+    if penalty is not None:
+        G += penalty
     return G
 
 

@@ -24,7 +24,7 @@ from mcland.objective import ObjectiveConfig, curvature_slack, min_hessian_eig
 from mcland.rng import derive_seed
 from mcland.solvers import Method, SolverConfig, Status, gradient_descent, random_init
 
-from conftest import dense_gram, make_problem
+from conftest import dense_gram, dense_min_eig, make_problem
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +157,24 @@ def test_tight_radius_marks_noise_floor_spurious():
     assert rep.classification is PointClass.SPURIOUS_LOCAL_MIN
     loose = certify_point(res.X, cfg, gt, CertTolerances(global_rel=1.0))
     assert loose.classification is PointClass.GLOBAL_MIN
+
+
+def test_perturbed_gd_reaches_the_spurious_minimum_of_the_d50_instance():
+    # the instance of test_gd_recovers_across_starts, at c = p d / (r ln d)
+    # = 6.4: of the 400 starts of a perturbed-GD scan with base seed 0, 399
+    # certify GlobalMin and start 143 ends at a strict spurious local minimum
+    gt, obs, cfg = make_problem(50, 1, seed=21, p=0.5)
+    seed = derive_seed(0, "scan-start", 143)
+    scfg = SolverConfig(method=Method.PERTURBED_GD, seed=seed)
+    res = solvers.solve(cfg, scfg, random_init(50, 1, obs, seed))
+    rep = certify_point(res.X, cfg, gt, CertTolerances(), res.eig)
+    assert res.status is Status.GRAD_TOL
+    assert rep.classification is PointClass.SPURIOUS_LOCAL_MIN
+    assert rep.eig_converged
+    assert rep.lambda_min == pytest.approx(0.046, abs=5e-4)
+    assert rep.recovery_fro == pytest.approx(15.6, abs=0.05)
+    # the dense Hessian agrees: a strict local minimum, not an eigensolve artefact
+    assert dense_min_eig(res.X, cfg) == pytest.approx(rep.lambda_min, abs=1e-6)
 
 
 def test_default_radius_follows_the_noise_floor():

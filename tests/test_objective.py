@@ -19,8 +19,9 @@ from mcland.objective import (
     residual_gradient,
     value_and_gradient,
 )
-from mcland.objective import _NORM_STEPS, _start
-from mcland.solvers import SolverConfig, gradient_descent, random_init
+from mcland.objective import _EIG_TOL, _NORM_STEPS, _far_from_stop, _lanczos, _start
+from mcland.rng import substream
+from mcland.solvers import SolverConfig, gradient_descent, random_init, stochastic_gradient
 
 from conftest import (
     brute_objective,
@@ -118,6 +119,38 @@ def test_reg_gradient_matches_fd(rng):
     X = rng.normal(size=(6, 2)) * 2.0
     fd = fd_gradient(lambda Y: regularizer(Y, 0.8), X)
     assert np.allclose(reg_gradient(X, 0.8), fd, atol=1e-6)
+
+
+def _per_row_penalty(X, alpha):
+    """The penalty value and gradient with every row's activity decided on
+    its own, rho(t) = max(t - alpha, 0)^4: the formulas the one-pass
+    inactivity check must not change."""
+    t = np.sqrt((X * X).sum(axis=1))
+    e = np.maximum(t - alpha, 0.0)
+    G = np.zeros_like(X)
+    act = e > 0.0
+    G[act] = (4.0 * e[act] ** 3 / t[act])[:, None] * X[act]
+    return float(np.sum(e**4)), G
+
+
+def test_penalty_activity_is_decided_per_row(rng):
+    X = rng.normal(size=(9, 2))
+    top = float(np.sqrt((X * X).sum(axis=1)).max())
+    nan_row = X.copy()
+    nan_row[3] = np.nan
+    cases = [
+        (X, top),  # the largest row norm equals alpha: no row active
+        (X, float(np.nextafter(top, 0.0))),  # one row a rounding step above alpha
+        (X, 0.5 * top),
+        (nan_row, 0.5 * top),  # a NaN row is inactive, and the other rows still count
+        (nan_row, 2.0 * top),
+        (np.zeros((4, 3)), 1.0),
+    ]
+    for Y, alpha in cases:
+        value, G = _per_row_penalty(Y, alpha)
+        assert np.array_equal(regularizer(Y, alpha), value, equal_nan=True)
+        assert np.array_equal(reg_gradient(Y, alpha), G, equal_nan=True)
+    assert not np.any(_per_row_penalty(X, top)[1]) and np.any(_per_row_penalty(X, cases[1][1])[1])
 
 
 def test_package_attribute_is_the_module():
@@ -553,3 +586,93 @@ def test_column_products_are_bit_identical_to_multivector(d, r, p, include_diago
     HV = hessian_operator(X, cfg)(V)
     monkeypatch.setattr(objective, "_matmul_columns", lambda A, Y: A @ Y)
     assert np.array_equal(HV, hessian_operator(X, cfg)(V))
+
+
+# the cases with an observed entry to draw
+@pytest.mark.parametrize("d,r,p,include_diagonal", [c for c in KERNEL_CASES if c[2] > 0 and (c[0] > 1 or c[3])])
+def test_stochastic_gradient_is_the_scaled_pair_sum_plus_the_penalty(d, r, p, include_diagonal):
+    # the penalty is skipped only where it adds zeros: the old formula, bit for bit
+    cfg, X, _ = _kernel_problem(d, r, p, include_diagonal)
+    n, batch = cfg.n_pairs, 7
+    hyper = cfg.hyper
+    for alpha in (hyper.alpha, 1e6):  # about half the rows active, then none
+        c = ObjectiveConfig(HyperParams(alpha=alpha, reg_weight=hyper.reg_weight, tau=0.0), cfg.obs)
+        penalty = reg_gradient(X, alpha)
+        assert np.any(penalty) == (alpha == hyper.alpha)
+        stream, replay = substream(d, "sg"), substream(d, "sg")
+        for _ in range(3):
+            expected = pair_gradient_sum(X, c, replay.integers(0, n, size=batch)) * (n / batch)
+            expected += hyper.reg_weight * penalty
+            assert np.array_equal(stochastic_gradient(X, c, stream, batch), expected)
+
+
+# ---------------------------------------------------------------------------
+# Lanczos solves T only where it may stop: the floats of one eigh per step
+
+
+def _eigh_every_step_lanczos(H, v, steps, rel_tol):
+    """The Lanczos loop with a full `np.linalg.eigh` of T at every step, which
+    tests each step's stop on the solved Ritz vector."""
+    steps = min(steps, v.size)
+    Q = np.empty((steps, v.size))
+    T = np.zeros((steps, steps))
+    w = v.ravel()
+    beta = float(np.linalg.norm(w))
+    for k in range(steps):
+        if k:
+            T[k - 1, k] = T[k, k - 1] = beta
+        Q[k] = w / beta
+        w = H(Q[k].reshape(v.shape)).ravel()
+        for _ in range(2):
+            h = Q[: k + 1] @ w
+            w -= h @ Q[: k + 1]
+            T[k, k] += h[k]
+        beta = float(np.linalg.norm(w))
+        theta, S = np.linalg.eigh(T[: k + 1, : k + 1])
+        if k + 1 == steps or beta * abs(S[k, 0]) <= rel_tol * (1.0 + np.abs(theta).max()):
+            return theta, (Q[: k + 1].T @ S)[:, 0]
+
+
+def _same_eig(a, b):
+    return (a.iterations == b.iterations and a.lambda_min == b.lambda_min and a.op_norm == b.op_norm
+            and a.converged == b.converged and np.array_equal(a.witness, b.witness))
+
+
+@pytest.mark.parametrize("d,r,p,include_diagonal", KERNEL_CASES)
+def test_lanczos_matches_an_eigh_at_every_step(d, r, p, include_diagonal, monkeypatch):
+    cfg, X, V = _kernel_problem(d, r, p, include_diagonal)
+    points = (X, 0.1 * X, X + 0.01 * V)
+    ours = [(min_hessian_eig(Y, cfg), operator_norm_estimate(Y, cfg)) for Y in points]
+    monkeypatch.setattr(objective, "_lanczos", _eigh_every_step_lanczos)
+    for Y, (eig, norm) in zip(points, ours):
+        assert _same_eig(eig, min_hessian_eig(Y, cfg))
+        assert norm == operator_norm_estimate(Y, cfg)
+
+
+@pytest.mark.parametrize("rel_tol", [_EIG_TOL, 0.0])
+def test_lanczos_stops_where_the_krylov_space_is_invariant(rel_tol):
+    # the start has entries 1/4, so every product and sum below is exact and
+    # beta vanishes exactly: at the first step for e_0, at the second for
+    # the all-ones start of an operator with two eigenvalues
+    d = 16
+    diag = np.repeat([1.0, 3.0], d // 2)
+    for v, size in ((np.eye(d)[0], 1), (np.ones(d), 2)):
+        theta, s = _lanczos(lambda u: diag * u, v, d, rel_tol)
+        ref_theta, ref_s = _eigh_every_step_lanczos(lambda u: diag * u, v, d, rel_tol)
+        assert theta.size == size
+        assert np.array_equal(theta, ref_theta) and np.array_equal(s, ref_s)
+
+
+def test_far_from_stop_reads_the_last_component_off_the_ritz_values():
+    rng = np.random.default_rng(3)
+    a, b = rng.normal(size=6), rng.uniform(0.5, 1.5, size=5)
+    T = np.diag(a) + np.diag(b, 1) + np.diag(b, -1)
+    theta, S = np.linalg.eigh(T)
+    theta_prev = np.linalg.eigvalsh(T[:-1, :-1])
+    s = abs(S[-1, 0])
+    tol = 1e-3 * (1.0 + np.abs(theta).max())
+    assert _far_from_stop(theta, theta_prev, 2.1 * tol / s, 1e-3)
+    assert not _far_from_stop(theta, theta_prev, 1.9 * tol / s, 1e-3)
+    # coinciding Ritz values leave no margin to test: never far from the stop
+    with np.errstate(all="raise"):
+        assert not _far_from_stop(np.array([1.0, 1.0, 2.0]), np.array([1.0, 1.5]), 1e9, 1e-6)

@@ -255,6 +255,18 @@ def test_stochastic_gradient_unbiased_cheaply(rng):
     assert np.all(np.abs(mean - full) <= 4.0 * se + 1e-12)
 
 
+def test_only_sgd_builds_the_per_position_tables():
+    # 12 B per position: a config that only GD uses must not hold them
+    gt, obs, cfg = make_problem(15, 1, seed=10, p=0.6)
+    X0 = random_init(15, 1, obs, 4)
+    gradient_descent(cfg, SolverConfig(), X0)
+    perturbed_gd(cfg, SolverConfig(method=Method.PERTURBED_GD), X0)
+    assert "_position_tables" not in vars(cfg)
+    sgd(cfg, SolverConfig(method=Method.SGD, max_iters=5), X0)
+    rows, values = vars(cfg)["_position_tables"]
+    assert rows.dtype == np.int32 and values.dtype == np.float64 and rows.size == values.size == cfg.n_pairs
+
+
 def test_sgd_deterministic_given_seed():
     gt, obs, cfg = make_problem(15, 1, seed=10, p=0.6, sigma=0.05)
     scfg = SolverConfig(method=Method.SGD, max_iters=200, seed=3)
