@@ -63,7 +63,6 @@ from .objective import (
 )
 from .rng import derive_seed, substream
 from .solvers import (
-    ArmijoParams,
     Method,
     SgdParams,
     SolveResult,
@@ -80,65 +79,3 @@ from .solvers import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ArmijoParams",
-    "CertReport",
-    "CertTolerances",
-    "ConcentrationTrial",
-    "EigResult",
-    "EvalBreakdown",
-    "GroundTruth",
-    "HyperParams",
-    "InstanceSpec",
-    "Kind",
-    "Method",
-    "ObjectiveConfig",
-    "Observation",
-    "ObservationMask",
-    "PointClass",
-    "ProcrustesResult",
-    "RecoveryError",
-    "ScalingFit",
-    "ScanRow",
-    "ScanSummary",
-    "SgdParams",
-    "SingularExtremes",
-    "SolveResult",
-    "SolverConfig",
-    "Status",
-    "Trace",
-    "TrialRecord",
-    "TrialResult",
-    "certify_point",
-    "default_hyperparams",
-    "derive_seed",
-    "fit_scaling",
-    "gradient_descent",
-    "hessian_operator",
-    "incoherence_certificate",
-    "landscape_scan",
-    "min_hessian_eig",
-    "norm_certificates",
-    "observe",
-    "operator_norm_estimate",
-    "perturbed_gd",
-    "procrustes_align",
-    "random_init",
-    "recovery_error",
-    "regularizer",
-    "reg_gradient",
-    "row_incoherence",
-    "run_concentration",
-    "sample_factor",
-    "sample_mask",
-    "scan_to_csv",
-    "sgd",
-    "singular_extremes",
-    "solve",
-    "stochastic_gradient",
-    "substream",
-    "trace_to_csv",
-    "trials_to_csv",
-    "value_and_gradient",
-]

@@ -1,7 +1,7 @@
 """Point certification and multi-start landscape scans.
 
 `certify_point` classifies a candidate factor by gradient norm, smallest
-Hessian eigenvalue, and (when ground truth is available) recovery error.
+Hessian eigenvalue, and recovery error against the ground truth.
 `landscape_scan` runs one solve and one `certify_point` from each of many
 random starts, optionally across a thread pool; each row it returns is the
 certificate of that start's endpoint plus the start's seed and solver
@@ -28,7 +28,6 @@ class PointClass(str, Enum):
     STRICT_SADDLE = "StrictSaddle"
     SPURIOUS_LOCAL_MIN = "SpuriousLocalMin"
     NOT_STATIONARY = "NotStationary"
-    SECOND_ORDER_STATIONARY = "SecondOrderStationary"  # no ground truth available
     UNCERTIFIED = "Uncertified"  # stationary, but the eigensolve did not converge
     CRASHED = "Crashed"  # the start raised; its row has status solver_error
 
@@ -60,8 +59,7 @@ def default_global_rel(gt, obs, noiseless):
     if obs.sigma == 0:
         return noiseless
     d = obs.d
-    gram_scale = float(np.linalg.norm(gt.factor.T @ gt.factor))  # = ||Z Z^T||_F
-    return max(1e-2, 2.0 * obs.sigma * math.sqrt(d * math.log(d) / obs.p) / gram_scale)
+    return max(1e-2, 2.0 * obs.sigma * math.sqrt(d * math.log(d) / obs.p) / gt.gram_fro)
 
 
 @dataclass(frozen=True)
@@ -122,8 +120,7 @@ def norm_certificates(X, gt):
     if X.shape != Z.shape:
         raise ValueError(f"dimension mismatch: X is {X.shape}, ground truth is {Z.shape}")
     _, smin_x = singular_extremes(X)
-    _, smin_z = singular_extremes(Z)
-    sigma_ok = bool(smin_x >= 0.25 * smin_z)
+    sigma_ok = bool(smin_x >= 0.25 * gt.sigma_min)
     rank1_ok = None
     if Z.shape[1] == 1:
         rank1_ok = bool(X[:, 0] @ X[:, 0] >= 0.25 * (Z[:, 0] @ Z[:, 0]))
@@ -134,9 +131,9 @@ def norm_certificates(X, gt):
 class CertReport:
     """The certificate of one point.
 
-    A field with no value is nan or None: the eigensolve fields where no
-    eigensolve ran (a non-finite point), the recovery fields without ground
-    truth, and every field but the class for a start that crashed.
+    A field with no value is nan or None: the eigensolve and recovery
+    fields where no eigensolve ran (a non-finite point), and every field but
+    the class for a start that crashed.
     """
 
     classification: PointClass
@@ -154,17 +151,16 @@ class CertReport:
     rank1_norm_ok: bool | None = None
 
 
-def certify_point(X, cfg, gt=None, tols=None, eig=None):
-    """Classify a candidate point.
+def certify_point(X, cfg, gt, tols=None, eig=None):
+    """Classify a candidate point against the ground truth `gt`.
 
-    With ground truth: GlobalMin / StrictSaddle / SpuriousLocalMin /
-    NotStationary.  Without it the positive classes collapse to
-    SecondOrderStationary and recovery fields are None.  A stationary point
-    whose eigensolve did not converge is Uncertified instead of a positive
-    class, since its lambda_min is only an upper bound; StrictSaddle stands
-    either way, its witness direction proving the negative curvature.  A
-    point with a non-finite entry, value or gradient (a diverged run) is
-    NotStationary with lambda_min nan; no eigensolve or recovery check runs.
+    GlobalMin / StrictSaddle / SpuriousLocalMin / NotStationary.  A
+    stationary point whose eigensolve did not converge is Uncertified
+    instead of GlobalMin or SpuriousLocalMin, since its lambda_min is only
+    an upper bound; StrictSaddle stands either way, its witness direction
+    proving the negative curvature.  A point with a non-finite entry, value
+    or gradient (a diverged run) is NotStationary with lambda_min nan; no
+    eigensolve or recovery check runs.
 
     Thresholds: the point is stationary when its gradient norm is at most
     1e-6 * (1 + |f|).  lambda_min < -tau marks a strict saddle, with tau
@@ -188,17 +184,8 @@ def certify_point(X, cfg, gt=None, tols=None, eig=None):
     eig = eig or obj.min_hessian_eig(X, cfg)
     tau = obj.curvature_slack(cfg, eig.op_norm)
 
-    recovery = {}
-    if gt is not None:
-        err = recovery_error(X, gt)
-        certs = norm_certificates(X, gt)
-        recovery = dict(
-            recovery_fro=err.gram_fro,
-            procrustes_residual=err.procrustes_residual,
-            incoherence_ok=incoherence_certificate(X, cfg, gt),
-            sigma_min_ok=certs.sigma_min_ok,
-            rank1_norm_ok=certs.rank1_norm_ok,
-        )
+    err = recovery_error(X, gt)
+    certs = norm_certificates(X, gt)
 
     if gn > rep.stationary_tol:
         cls = PointClass.NOT_STATIONARY
@@ -206,15 +193,10 @@ def certify_point(X, cfg, gt=None, tols=None, eig=None):
         cls = PointClass.STRICT_SADDLE
     elif not eig.converged:
         cls = PointClass.UNCERTIFIED
-    elif gt is None:
-        cls = PointClass.SECOND_ORDER_STATIONARY
+    elif err.gram_fro <= tols.global_rel * gt.gram_fro:
+        cls = PointClass.GLOBAL_MIN
     else:
-        gram_scale = float(np.linalg.norm(gt.factor.T @ gt.factor))  # = ||Z Z^T||_F
-        cls = (
-            PointClass.GLOBAL_MIN
-            if err.gram_fro <= tols.global_rel * gram_scale
-            else PointClass.SPURIOUS_LOCAL_MIN
-        )
+        cls = PointClass.SPURIOUS_LOCAL_MIN
 
     return replace(
         rep,
@@ -223,7 +205,11 @@ def certify_point(X, cfg, gt=None, tols=None, eig=None):
         eig_converged=eig.converged,
         eig_iterations=eig.iterations,
         tau=tau,
-        **recovery,
+        recovery_fro=err.gram_fro,
+        procrustes_residual=err.procrustes_residual,
+        incoherence_ok=incoherence_certificate(X, cfg, gt),
+        sigma_min_ok=certs.sigma_min_ok,
+        rank1_norm_ok=certs.rank1_norm_ok,
     )
 
 

@@ -47,9 +47,9 @@ def _type_name(spec):
 def _get(block, path, key, tp, default=MISSING):
     """Pop `key` from a JSON object and check it against the type annotation `tp`.
 
-    Ints are accepted for float, booleans only for bool, null only for
-    `T | None`; enums take their values and dataclasses recurse.  An absent
-    key gives `default`, or an error when there is none.
+    Ints are accepted for float, booleans only for bool; enums take their
+    values and dataclasses recurse.  An absent key gives `default`, or an
+    error when there is none.
     """
     if key not in block:
         if default is MISSING:
@@ -57,11 +57,6 @@ def _get(block, path, key, tp, default=MISSING):
         return default
     val = block.pop(key)
     path = f"{path}.{key}"
-    args = typing.get_args(tp)
-    if type(None) in args:
-        if val is None:
-            return None
-        (tp,) = [a for a in args if a is not type(None)]
     if dataclasses.is_dataclass(tp):
         return _construct(tp, path, _fields(tp, val, path))
     if issubclass(tp, Enum):
@@ -142,6 +137,14 @@ def _parse_instance(cfg):
     return _construct(InstanceSpec, "instance", _fields(InstanceSpec, block, "instance", required=("p",)))
 
 
+def _regenerate(spec):
+    """(gt, obs) of a parsed instance; a record that cannot be generated is a config error."""
+    try:
+        return spec.regenerate()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _default_hyper(gt, p):
     try:
         return default_hyperparams(gt, p)
@@ -194,10 +197,7 @@ def _parse_concentration(cfg):
 def cmd_gen(cfg, out_dir):
     spec = _parse_instance(cfg)
     _check_empty(cfg, "config")
-    try:
-        gt, obs = spec.regenerate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    gt, obs = _regenerate(spec)
     hyper = _default_hyper(gt, spec.p)
     (out_dir / "instance.json").write_text(spec.to_json())
     print(f"mu={cell(gt.incoherence)}")
@@ -211,10 +211,7 @@ def cmd_gen(cfg, out_dir):
 
 def cmd_solve(cfg, out_dir):
     spec = _parse_instance(cfg)
-    try:
-        gt, obs = spec.regenerate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    gt, obs = _regenerate(spec)
     hyper = _parse_hyper(cfg, gt, spec.p)
     scfg = _parse_solver(cfg)
     _check_empty(cfg, "config")
@@ -236,10 +233,7 @@ def cmd_solve(cfg, out_dir):
 
 def cmd_scan(cfg, out_dir, threads=1, assert_clean=False):
     spec = _parse_instance(cfg)
-    try:
-        gt, obs = spec.regenerate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    gt, obs = _regenerate(spec)
     hyper = _parse_hyper(cfg, gt, spec.p)
     scfg = _parse_solver(cfg)
     n_starts, base_seed, global_rel = _parse_scan(cfg)

@@ -78,9 +78,6 @@ class TrialResult:
     spec: ConcentrationTrial
     records: tuple
 
-    def deviations(self):
-        return np.array([rec.deviation for rec in self.records])
-
     @property
     def median_normalized(self):
         """Median of deviation / (sqrt(pd) * predicted): ~ c * (pd)^(-1/2) when the bound is tight."""

@@ -42,17 +42,19 @@ def _row_blocks(d):
 
 @dataclass(frozen=True, eq=False)
 class GroundTruth:
-    """A d x r factor Z of full rank and its conditioning constants, both
-    computed from Z.
+    """A d x r factor Z of full rank and the constants computed from it.
 
     `incoherence` is the tight row-spread constant sqrt(d) * max_i ||Z_i|| /
     ||Z||_F (always >= 1, equal to 1 iff all rows have equal norm);
-    `condition_number` is sigma_max(Z) / sigma_min(Z).
+    `condition_number` is sigma_max(Z) / sigma_min(Z); `gram_fro` is
+    ||Z Z^T||_F, computed as the r x r ||Z^T Z||_F.
     """
 
     factor: np.ndarray
     incoherence: float = field(init=False)
     condition_number: float = field(init=False)
+    sigma_min: float = field(init=False)
+    gram_fro: float = field(init=False)
 
     def __post_init__(self):
         Z = np.ascontiguousarray(self.factor, dtype=float)
@@ -68,6 +70,9 @@ class GroundTruth:
         object.__setattr__(self, "factor", Z)
         object.__setattr__(self, "incoherence", row_incoherence(Z))
         object.__setattr__(self, "condition_number", float(smax / smin))
+        object.__setattr__(self, "sigma_min", float(smin))
+        with np.errstate(over="ignore"):  # the norm of a huge factor's Gram overflows to inf
+            object.__setattr__(self, "gram_fro", float(np.linalg.norm(Z.T @ Z)))
 
     @property
     def d(self):
@@ -226,8 +231,7 @@ def default_hyperparams(gt, p):
         r = gt.rank
         alpha = 4.0 * mu * gt.condition_number * r / np.sqrt(d)
         weight = mu**2 * r * p / alpha**2
-    _, smin = singular_extremes(gt.factor)
-    tau = 0.01 * p * smin
+    tau = 0.01 * p * gt.sigma_min
     return HyperParams(alpha=float(alpha), reg_weight=float(weight), tau=float(tau))
 
 

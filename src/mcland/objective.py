@@ -181,11 +181,15 @@ def reg_gradient(X, alpha):
     return np.zeros_like(X) if G is None else G
 
 
-def penalty_gradient(X, cfg):
-    """The weighted penalty gradient reg_weight * reg_gradient(X, alpha), or
-    None where it is zero: a weight of 0, or no row norm above alpha."""
-    G = _active_reg_gradient(X, cfg.hyper.alpha) if cfg.hyper.reg_weight > 0 else None
-    return None if G is None else cfg.hyper.reg_weight * G
+def add_penalty_gradient(G, X, cfg):
+    """G += reg_weight * reg_gradient(X, alpha), in place, and returns G; the
+    add is skipped where that term is zero: a weight of 0, or no row norm
+    above alpha."""
+    weight = cfg.hyper.reg_weight
+    P = _active_reg_gradient(X, cfg.hyper.alpha) if weight > 0 else None
+    if P is not None:
+        G += weight * P
+    return G
 
 
 def _reg_hess_terms(X, alpha):
@@ -246,10 +250,7 @@ def breakdown(X, resid, cfg):
 def residual_gradient(X, resid, cfg):
     """d x r gradient from the residuals of X: -2 P_Omega(residual) X plus the
     weighted penalty gradient."""
-    G = -2.0 * cfg.masked_matmul(resid, X)
-    if cfg.hyper.reg_weight > 0:
-        G += cfg.hyper.reg_weight * reg_gradient(X, cfg.hyper.alpha)
-    return G
+    return add_penalty_gradient(-2.0 * cfg.masked_matmul(resid, X), X, cfg)
 
 
 def value_and_gradient(X, cfg):

@@ -8,15 +8,19 @@ ceil(|Omega| / batch) steps) and at its last iteration.  Entry-gradient
 accounting counts |Omega| per full gradient and `batch` per stochastic step;
 SGD's full passes (diagnostics and stop tests) are not charged to the budget.
 
-GD and perturbed GD share one Armijo loop.  Each line search opens at the
-Barzilai-Borwein step <s, s> / <s, y> of the last accepted move, with
-s = X_{k+1} - X_k and y = grad f(X_{k+1}) - grad f(X_k), and backtracks
-from there until the sufficient-decrease test passes, so every accepted
-step still decreases f.  It opens at twice the last accepted step instead
-when <s, y> <= 0 or when there is no last accepted move: at the first
-iteration, and right after a witness step, across which s and y say nothing
-about the curvature along the gradient.  The first trial is 2 * step0, with
-step0 = 1 / `operator_norm_estimate` at X0; SGD damps the same step0.
+A run stops once the gradient norm reaches grad_tol = 1e-8 * (1 + f(X0)).
+GD and perturbed GD share one Armijo loop with the textbook constants
+c1 = 1e-4 and halving (Nocedal & Wright, Numerical Optimization, Sec. 3.1).
+Each line search opens at the Barzilai-Borwein step <s, s> / <s, y> of the
+last accepted move, with s = X_{k+1} - X_k and y = grad f(X_{k+1}) -
+grad f(X_k), and backtracks from there until the sufficient-decrease test
+passes, so every accepted step still decreases f.  It opens at twice the
+last accepted step instead when <s, y> <= 0 or when there is no last
+accepted move: at the first iteration, and right after a witness step,
+across which s and y say nothing about the curvature along the gradient.
+The first trial is 2 * step0, with step0 = 1 / `operator_norm_estimate` at
+X0; SGD damps the same step0 by sqrt(batch / |Omega|) and divides it by
+1 + 1e-3 (k - 1) at step k.
 
 Perturbed GD runs `min_hessian_eig` where it reaches grad_tol.  Where that
 shows a saddle it steps along the eigensolve's witness, the negative-curvature
@@ -35,6 +39,9 @@ from .csvio import write_csv
 from .rng import substream
 
 _STEP_UNDERFLOW = 1e-16
+_C1 = 1e-4  # sufficient-decrease constant of every line search
+_BACKTRACK = 0.5  # factor a rejected trial step is multiplied by
+_STEP_DECAY = 1e-3  # SGD's step at iteration k is base / (1 + _STEP_DECAY * (k - 1))
 
 
 class Method(str, Enum):
@@ -51,43 +58,24 @@ class Status(str, Enum):
 
 
 @dataclass(frozen=True)
-class ArmijoParams:
-    c1: float = 1e-4
-    backtrack: float = 0.5
-
-    def __post_init__(self):
-        if not 0 < self.c1 < 1:
-            raise ValueError(f"c1 must lie in (0, 1), got {self.c1}")
-        if not 0 < self.backtrack < 1:
-            raise ValueError(f"backtrack must lie in (0, 1), got {self.backtrack}")
-
-
-@dataclass(frozen=True)
 class SgdParams:
     batch: int = 64
-    step_decay: float = 1e-3
 
     def __post_init__(self):
         if self.batch < 1:
             raise ValueError(f"batch must be >= 1, got {self.batch}")
-        if self.step_decay < 0:
-            raise ValueError(f"step_decay must be non-negative, got {self.step_decay}")
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     method: Method = Method.GD
     max_iters: int = 20000
-    grad_tol: float | None = None  # default: 1e-8 * (1 + f(X0))
     seed: int = 0  # SGD draws its batches from it; GD and perturbed GD draw nothing from it
-    armijo: ArmijoParams = field(default_factory=ArmijoParams)
     sgd: SgdParams = field(default_factory=SgdParams)
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.grad_tol is not None and self.grad_tol <= 0:
-            raise ValueError(f"grad_tol must be positive, got {self.grad_tol}")
 
 
 TRACE_COLUMNS = ("iter", "f", "data_term", "reg_term", "grad_norm", "step", "cum_entry_grads")
@@ -176,9 +164,9 @@ def _bb_step(s, y):
     return float(np.vdot(s, s)) / sy if sy > 0 else None
 
 
-def _armijo_step(cfg, X, bdown, D, slope, curv, t_init, params):
-    """Backtrack X - t D from t_init until
-    f(X - t D) <= f(X) - c1 t (slope + t curv / 2).
+def _armijo_step(cfg, X, bdown, D, slope, curv, t_init):
+    """Backtrack X - t D from t_init by _BACKTRACK until
+    f(X - t D) <= f(X) - c1 t (slope + t curv / 2), with c1 = _C1.
 
     Along the gradient G, slope = ||G||^2 and curv = 0: the Armijo test.
     Along D = lambda_min v at a saddle, slope = 0 and curv = |lambda_min|^3:
@@ -195,17 +183,17 @@ def _armijo_step(cfg, X, bdown, D, slope, curv, t_init, params):
             X_new = X - t * D
             resid = cfg.residuals(X_new)
             bdown_new = obj.breakdown(X_new, resid, cfg)
-        if bdown_new.total <= bdown.total - params.c1 * t * (slope + 0.5 * t * curv):
+        if bdown_new.total <= bdown.total - _C1 * t * (slope + 0.5 * t * curv):
             return t, X_new, bdown_new, resid
-        t *= params.backtrack
+        t *= _BACKTRACK
     return None
 
 
-def _start(cfg, scfg, X0, cum):
+def _start(cfg, X0, cum):
     """Set-up shared by all solvers.
 
-    Copies X0, evaluates f and the full gradient there once, derives grad_tol
-    (default 1e-8 * (1 + f(X0))) and writes trace row 0 charged with `cum`
+    Copies X0, evaluates f and the full gradient there once, derives
+    grad_tol = 1e-8 * (1 + f(X0)) and writes trace row 0 charged with `cum`
     entry gradients.  Returns (X, bdown, G, grad_norm, grad_tol, trace).  A
     start whose f or gradient norm overflows is returned as it is, without
     a warning; the caller ends the run there as diverged.
@@ -214,7 +202,7 @@ def _start(cfg, scfg, X0, cum):
     with np.errstate(over="ignore", invalid="ignore"):
         bdown, G = obj.value_and_gradient(X, cfg)
         gn = float(np.linalg.norm(G))
-    grad_tol = scfg.grad_tol if scfg.grad_tol is not None else 1e-8 * (1.0 + bdown.total)
+    grad_tol = 1e-8 * (1.0 + bdown.total)
     trace = Trace()
     trace.append(0, bdown, cfg.hyper.reg_weight, gn, 0.0, cum)
     return X, bdown, G, gn, grad_tol, trace
@@ -271,7 +259,7 @@ def _descend(cfg, scfg, X0, witness_steps):
     """
     n_pairs = cfg.n_pairs
     weight = cfg.hyper.reg_weight
-    X, bdown, G, gn, grad_tol, trace = _start(cfg, scfg, X0, n_pairs)
+    X, bdown, G, gn, grad_tol, trace = _start(cfg, X0, n_pairs)
     cum = n_pairs
     if _diverged(bdown, gn):  # no step size can be estimated at a non-finite start
         return _result(X, bdown, gn, grad_tol, trace, cum)
@@ -290,7 +278,7 @@ def _descend(cfg, scfg, X0, witness_steps):
                 break  # no negative curvature to escape along
             v = eig.witness if np.vdot(G, eig.witness) <= 0 else -eig.witness
             D, slope, curv, t_init = lam * v, 0.0, -lam**3, 2.0 * t_prev
-        hit = _armijo_step(cfg, X, bdown, D, slope, curv, t_init, scfg.armijo)
+        hit = _armijo_step(cfg, X, bdown, D, slope, curv, t_init)
         if hit is None:
             stalled = True
             break
@@ -332,15 +320,11 @@ def stochastic_gradient(X, cfg, rng, batch):
     """
     n = cfg.n_pairs
     idx = rng.integers(0, n, size=batch)
-    G = obj.pair_gradient_sum(X, cfg, idx) * (n / batch)
-    penalty = obj.penalty_gradient(X, cfg)
-    if penalty is not None:
-        G += penalty
-    return G
+    return obj.add_penalty_gradient(obj.pair_gradient_sum(X, cfg, idx) * (n / batch), X, cfg)
 
 
 def sgd(cfg, scfg, X0):
-    """Minibatch SGD with step base / (1 + decay * iter).
+    """Minibatch SGD with step base / (1 + _STEP_DECAY * (iter - 1)).
 
     A full pass (objective, gradient norm, trace row, stop tests) runs once
     per epoch of sampled entries, every P = ceil(|Omega| / batch) steps, and
@@ -350,7 +334,7 @@ def sgd(cfg, scfg, X0):
     `diverged` at the first pass, the start included, whose objective or
     gradient norm is not finite.
     """
-    X, bdown, _, gn, grad_tol, trace = _start(cfg, scfg, X0, 0)
+    X, bdown, _, gn, grad_tol, trace = _start(cfg, X0, 0)
     if _diverged(bdown, gn):  # no step size can be estimated at a non-finite start
         return _result(X, bdown, gn, grad_tol, trace, 0)
     batch = min(scfg.sgd.batch, cfg.n_pairs) if cfg.n_pairs else scfg.sgd.batch
@@ -360,7 +344,6 @@ def sgd(cfg, scfg, X0):
     base = _inverse_norm(obj.operator_norm_estimate(X, cfg))
     if cfg.n_pairs:
         base *= math.sqrt(batch / cfg.n_pairs)
-    decay = scfg.sgd.step_decay
     rng = substream(scfg.seed, "sgd")
     weight = cfg.hyper.reg_weight
     period = -(-cfg.n_pairs // batch) or 1  # ceil(|Omega| / batch): steps per epoch
@@ -369,7 +352,7 @@ def sgd(cfg, scfg, X0):
     for it in range(1, scfg.max_iters + 1):
         if gn <= grad_tol:
             break
-        step = base / (1.0 + decay * (it - 1))
+        step = base / (1.0 + _STEP_DECAY * (it - 1))
         cum += batch
         with np.errstate(over="ignore", invalid="ignore"):  # a diverging run ends with status diverged
             X = X - step * stochastic_gradient(X, cfg, rng, batch)

@@ -208,13 +208,17 @@ def test_solve_rejects_unknown_solver_method(tmp_path, capsys):
 
 
 def test_solver_block_parses_from_dataclass_fields(tmp_path, capsys):
-    parsed = cli._parse_solver({"solver": {"armijo": {}, "sgd": {}}})
+    parsed = cli._parse_solver({"solver": {"sgd": {}}})
     assert parsed == solvers.SolverConfig()
-    # the first step comes from the norm estimate: step0 and step_base are no keys
+    # the first step comes from the norm estimate, and the line-search
+    # constants, the SGD decay and grad_tol are fixed: none of them is a key
     for solver, message in (
         ({"sgd": {"batch": True}}, "solver.sgd.batch"),
-        ({"armijo": {"bogus": 1}}, "unknown key 'solver.armijo.bogus'"),
-        ({"armijo": {"step0": 1e-3}}, "unknown key 'solver.armijo.step0'"),
+        ({"armijo": {}}, "unknown key 'solver.armijo'"),
+        ({"armijo": {"step0": 1e-3}}, "unknown key 'solver.armijo'"),
+        ({"grad_tol": 1e-6}, "unknown key 'solver.grad_tol'"),
+        ({"grad_tol": None}, "unknown key 'solver.grad_tol'"),
+        ({"sgd": {"step_decay": 1e-3}}, "unknown key 'solver.sgd.step_decay'"),
         ({"sgd": {"step_base": 1.0}}, "unknown key 'solver.sgd.step_base'"),
     ):
         cfgp = _write(tmp_path, {"instance": _instance_block(), "solver": solver})

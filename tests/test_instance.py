@@ -46,6 +46,8 @@ def test_mu_kappa_recompute_exactly(rng):
     sv = np.linalg.svd(Z, compute_uv=False)
     assert gt.incoherence == pytest.approx(mu, abs=1e-12)
     assert gt.condition_number == pytest.approx(sv[0] / sv[-1], abs=1e-10)
+    assert gt.sigma_min == pytest.approx(sv[-1], rel=1e-12)
+    assert gt.gram_fro == pytest.approx(np.linalg.norm(Z @ Z.T), rel=1e-12)
     assert gt.incoherence >= 1.0
     assert gt.condition_number >= 1.0
 

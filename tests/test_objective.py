@@ -9,6 +9,7 @@ from mcland.instance import GroundTruth, HyperParams, InstanceSpec, observe
 from mcland import objective
 from mcland.objective import (
     ObjectiveConfig,
+    add_penalty_gradient,
     breakdown,
     hessian_operator,
     min_hessian_eig,
@@ -604,6 +605,20 @@ def test_stochastic_gradient_is_the_scaled_pair_sum_plus_the_penalty(d, r, p, in
             expected = pair_gradient_sum(X, c, replay.integers(0, n, size=batch)) * (n / batch)
             expected += hyper.reg_weight * penalty
             assert np.array_equal(stochastic_gradient(X, c, stream, batch), expected)
+
+
+def test_penalty_gradient_is_added_in_place_only_where_it_is_nonzero():
+    # the one penalty add of residual_gradient and stochastic_gradient
+    cfg, X, _ = _kernel_problem(12, 3, 0.6, True)
+    hyper = cfg.hyper
+    for alpha, weight in ((hyper.alpha, hyper.reg_weight), (1e6, hyper.reg_weight), (hyper.alpha, 0.0)):
+        c = ObjectiveConfig(HyperParams(alpha=alpha, reg_weight=weight, tau=0.0), cfg.obs)
+        G = np.full(X.shape, -0.0)
+        assert add_penalty_gradient(G, X, c) is G
+        if weight > 0 and alpha == hyper.alpha:  # about half the rows active
+            assert np.any(G) and np.array_equal(G, weight * reg_gradient(X, alpha))
+        else:  # skipped: an add of zeros would have turned every -0.0 into 0.0
+            assert np.all(np.signbit(G)) and not np.any(G)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from mcland.objective import (
     value_and_gradient,
 )
 from mcland.solvers import (
-    ArmijoParams,
     Method,
     SgdParams,
     SolverConfig,
@@ -136,8 +135,8 @@ def line_searches(monkeypatch):
     calls = []
     armijo = solvers._armijo_step
 
-    def record(cfg, X, bdown, D, slope, curv, t_init, params):
-        hit = armijo(cfg, X, bdown, D, slope, curv, t_init, params)
+    def record(cfg, X, bdown, D, slope, curv, t_init):
+        hit = armijo(cfg, X, bdown, D, slope, curv, t_init)
         calls.append((X.copy(), D.copy(), t_init, None if hit is None else hit[0]))
         return hit
 
@@ -318,7 +317,7 @@ def _reference_sgd_rows(cfg, scfg, X0):
     bdown, G = value_and_gradient(X, cfg)
     trace.append(0, bdown, cfg.hyper.reg_weight, float(np.linalg.norm(G)), 0.0, 0)
     for it in range(1, scfg.max_iters + 1):
-        step = base / (1.0 + scfg.sgd.step_decay * (it - 1))
+        step = base / (1.0 + solvers._STEP_DECAY * (it - 1))
         X = X - step * stochastic_gradient(X, cfg, rng, batch)
         bdown, G = value_and_gradient(X, cfg)
         trace.append(it, bdown, cfg.hyper.reg_weight, float(np.linalg.norm(G)), step, it * batch)
@@ -527,14 +526,15 @@ def test_perturbed_gd_steps_along_the_witness_at_exact_saddle(eigensolves, line_
 
 @pytest.mark.parametrize("lam2", [1e-4, 0.5])
 @pytest.mark.parametrize("start", ["saddle", "origin"])
-def test_witness_step_escapes_under_a_large_c1(start, lam2):
+def test_witness_step_escapes_under_a_large_c1(start, lam2, monkeypatch):
     # the witness search asks for c1 times the curvature decrease
     # t^2 |lambda|^3 / 2, which every small enough step gives for any
     # c1 < 1; the linear test f(X - tD) <= f(X) - c1 t lambda^2 asks for a
     # move of at least 2 c1 and holds the run at the origin once c1 > 0.27
+    monkeypatch.setattr(solvers, "_C1", 0.5)
     Q, cfg = _spiked_rank2_problem(lam2)
     X0 = np.sqrt(lam2) * Q[:, 1:2] if start == "saddle" else np.zeros((12, 1))
-    scfg = SolverConfig(method=Method.PERTURBED_GD, max_iters=4000, armijo=ArmijoParams(c1=0.5))
+    scfg = SolverConfig(method=Method.PERTURBED_GD, max_iters=4000)
     res = perturbed_gd(cfg, scfg, X0)
     fs = np.array(res.trace.f)
     assert fs[1] < fs[0] and np.all(np.diff(fs) <= 0.0)
@@ -593,9 +593,5 @@ def test_trace_csv_schema_and_roundtrip():
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        SolverConfig(grad_tol=-1.0)
-    with pytest.raises(ValueError):
-        ArmijoParams(c1=2.0)
     with pytest.raises(ValueError):
         SgdParams(batch=0)
