@@ -57,7 +57,6 @@ from .objective import (
     hessian_operator,
     min_hessian_eig,
     operator_norm_estimate,
-    reg_gradient,
     regularizer,
     value_and_gradient,
 )

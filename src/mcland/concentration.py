@@ -59,8 +59,8 @@ class ConcentrationTrial:
             raise ValueError(f"p must lie in [0, 1], got {self.p}")
         if not 1 <= self.r <= self.d:
             raise ValueError(f"need 1 <= r <= d, got r={self.r}")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be non-negative, got {self.sigma}")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be non-negative and finite, got {self.sigma}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
 

@@ -196,8 +196,9 @@ class HyperParams:
     """Regularizer threshold, penalty weight, and curvature slack.
 
     alpha: row norms below alpha are unpenalized.
-    reg_weight: multiplier on the row-norm penalty in the objective.
+    reg_weight: multiplier lambda on the row-norm penalty in the objective.
     tau: slack used when testing the smallest Hessian eigenvalue against 0.
+    All three are finite: a NaN or infinite one is a ValueError.
     """
 
     alpha: float
@@ -205,12 +206,12 @@ class HyperParams:
     tau: float
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.reg_weight < 0:
-            raise ValueError(f"reg_weight must be non-negative, got {self.reg_weight}")
-        if self.tau < 0:
-            raise ValueError(f"tau must be non-negative, got {self.tau}")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        if not 0 <= self.reg_weight < math.inf:
+            raise ValueError(f"reg_weight (lambda) must be non-negative and finite, got {self.reg_weight}")
+        if not 0 <= self.tau < math.inf:
+            raise ValueError(f"tau must be non-negative and finite, got {self.tau}")
 
 
 def default_hyperparams(gt, p):

@@ -6,7 +6,12 @@ The objective on a d x r factor X is
            + weight * sum_i rho(||X_i||)
 
 with rho(t) = (t - alpha)^4 for t >= alpha and 0 below: a quartic hinge on
-row norms that is twice continuously differentiable everywhere.  The data
+row norms that is twice continuously differentiable everywhere.  Its value,
+gradient and curvature each come from one pass over the rows,
+`_row_excess`; where no row norm exceeds alpha that pass ends at its first
+check and the gradient and HVP add nothing, else they add the weighted
+term on the active rows only.  `breakdown` weights the value once, so
+`EvalBreakdown.reg_term` is weight * sum_i rho(||X_i||).  The data
 sum runs over both orders of every observed entry, so an observed
 off-diagonal entry counts twice and a diagonal entry once; `n_pairs` is that
 count, |Omega|.  The kernels use the mask's one pair format: each observed
@@ -74,7 +79,8 @@ class ObjectiveConfig:
         self.obs = obs
         mask = obs.mask
         d = self.d = mask.d
-        i, j = self._i, self._j = mask.i, mask.j
+        i, j = mask.i, mask.j
+        self._j = j
         self._w = np.where(i == j, 1.0, 2.0)
         self.n_pairs = mask.n_pairs
         # the symmetric pattern: every stored pair, then the mirror of every
@@ -134,95 +140,47 @@ def _matmul_columns(A, Y):
     return out
 
 
-def _hinge(t, alpha):
-    # excess over the threshold; zero rows stay inactive since alpha > 0
-    return np.maximum(t - alpha, 0.0)
-
-
 def _row_excess(X, alpha):
-    """(t, e): the row norms and their excess over alpha, or None when no row
-    norm exceeds alpha, where every penalty term is zero.  The largest
-    squared norm decides that in one pass: sqrt is monotone and correctly
-    rounded, so its root is the largest row norm, and a row with a NaN norm
-    goes on to the per-row test."""
+    """The penalty's one pass over the rows of X: None where no row norm
+    exceeds alpha, where every penalty term is zero, else (e, act, t): the
+    excess max(||X_i|| - alpha, 0) of every row (NaN where the norm is NaN),
+    the active rows, those with e > 0, and their norms.  The largest squared
+    norm decides None: sqrt is monotone and correctly rounded, so its root is
+    the largest row norm, and a row with a NaN norm goes on to the per-row
+    test."""
     sq = (X * X).sum(axis=1)
     if np.sqrt(sq.max(initial=0.0)) <= alpha:
         return None
     t = np.sqrt(sq)
-    return t, _hinge(t, alpha)
+    e = np.maximum(t - alpha, 0.0)
+    act = np.flatnonzero(e > 0.0)
+    return e, act, t[act]
 
 
 def regularizer(X, alpha):
-    """sum_i rho(||X_i||), unweighted."""
+    """sum_i rho(||X_i||), unweighted; NaN where a row norm is NaN.  It sums
+    all d rows, inactive ones as zeros: np.sum over the active rows alone
+    would group the terms differently and can round differently."""
     excess = _row_excess(X, alpha)
-    return 0.0 if excess is None else float(np.sum(excess[1] ** 4))
-
-
-def _active_reg_gradient(X, alpha):
-    # reg_gradient, or None where it is zero
-    excess = _row_excess(X, alpha)
-    if excess is None:
-        return None
-    t, e = excess
-    G = np.zeros_like(X)
-    act = e > 0.0
-    if np.any(act):
-        coef = 4.0 * e[act] ** 3 / t[act]  # t >= alpha > 0 on active rows
-        G[act] = coef[:, None] * X[act]
-    return G
-
-
-def reg_gradient(X, alpha):
-    """Gradient of the unweighted penalty: row i gets 4 (||X_i|| - alpha)^3 X_i / ||X_i||.
-
-    Zeros, after one pass over the squared row norms, where no row norm
-    exceeds alpha."""
-    G = _active_reg_gradient(X, alpha)
-    return np.zeros_like(X) if G is None else G
+    return 0.0 if excess is None else float(np.sum(excess[0] ** 4))
 
 
 def add_penalty_gradient(G, X, cfg):
-    """G += reg_weight * reg_gradient(X, alpha), in place, and returns G; the
-    add is skipped where that term is zero: a weight of 0, or no row norm
-    above alpha."""
+    """G += the weighted penalty gradient, in place on the active rows only,
+    and returns G.  Active row i gets reg_weight * 4 (||X_i|| - alpha)^3 X_i /
+    ||X_i||; nothing is added at a weight of 0."""
     weight = cfg.hyper.reg_weight
-    P = _active_reg_gradient(X, cfg.hyper.alpha) if weight > 0 else None
-    if P is not None:
-        G += weight * P
+    excess = _row_excess(X, cfg.hyper.alpha) if weight > 0 else None
+    if excess is not None:
+        e, act, t = excess
+        G[act] += weight * ((4.0 * e[act] ** 3 / t)[:, None] * X[act])  # t > alpha > 0
     return G
-
-
-def _reg_hess_terms(X, alpha):
-    """Per-point setup of the penalty curvature: None when no row is active,
-    else (active rows, unit rows u, d1/t, d2) on the active rows."""
-    excess = _row_excess(X, alpha)
-    if excess is None:
-        return None
-    t, e = excess
-    act = e > 0.0
-    if not np.any(act):
-        return None
-    u = X[act] / t[act][:, None]
-    d1_over_t = 4.0 * e[act] ** 3 / t[act]
-    d2 = 12.0 * e[act] ** 2
-    return act, u, d1_over_t, d2
-
-
-def _reg_hess_apply(terms, V):
-    """(d^2 R)[V] rowwise from `_reg_hess_terms`: d2 on the radial component,
-    d1/t on the tangential."""
-    out = np.zeros_like(V)
-    if terms is not None:
-        act, u, d1_over_t, d2 = terms
-        proj = np.einsum("ij,ij->i", V[act], u)
-        out[act] = (d2 * proj)[:, None] * u + d1_over_t[:, None] * (V[act] - proj[:, None] * u)
-    return out
 
 
 @dataclass(frozen=True)
 class EvalBreakdown:
     data_term: float
-    reg_term: float  # unweighted penalty value
+    reg_term: float  # weighted penalty value: reg_weight * regularizer
     total: float
 
 
@@ -243,8 +201,10 @@ def _check_direction(V, X):
 def breakdown(X, resid, cfg):
     """Objective value split into data and penalty terms, from the residuals of X."""
     data = 0.5 * float((cfg._w * resid) @ resid)
-    reg = regularizer(X, cfg.hyper.alpha)
-    return EvalBreakdown(data_term=data, reg_term=reg, total=data + cfg.hyper.reg_weight * reg)
+    # the penalty is evaluated at a weight of 0 too: 0 * inf = NaN makes a
+    # non-finite row that no pair observes show as a non-finite total
+    reg = cfg.hyper.reg_weight * regularizer(X, cfg.hyper.alpha)
+    return EvalBreakdown(data_term=data, reg_term=reg, total=data + reg)
 
 
 def residual_gradient(X, resid, cfg):
@@ -308,14 +268,20 @@ def hessian_operator(X, cfg):
     R = cfg._masked_matrix(cfg.residuals(X))
     A = blocks(X)
     weight = cfg.hyper.reg_weight
-    reg_terms = _reg_hess_terms(X, cfg.hyper.alpha) if weight > 0 else None
+    excess = _row_excess(X, cfg.hyper.alpha) if weight > 0 else None
+    if excess is not None:  # on the active rows: rho'' radially, rho'(t) / t tangentially
+        e, act, t = excess
+        u = X[act] / t[:, None]
+        d1_over_t, d2 = 4.0 * e[act] ** 3 / t, 12.0 * e[act] ** 2
 
     def apply(V):
         V = _check_direction(V, X)
         HV = 2.0 * (np.einsum("iab,ib->ia", A, V) + np.einsum("iab,ib->ia", blocks(V), X))
         HV -= 2.0 * _matmul_columns(R, V)
-        if weight > 0:
-            HV += weight * _reg_hess_apply(reg_terms, V)
+        if excess is not None:
+            Va = V[act]
+            proj = np.einsum("ij,ij->i", Va, u)
+            HV[act] += weight * ((d2 * proj)[:, None] * u + d1_over_t[:, None] * (Va - proj[:, None] * u))
         return HV
 
     return apply

@@ -82,8 +82,7 @@ TRACE_COLUMNS = ("iter", "f", "data_term", "reg_term", "grad_norm", "step", "cum
 
 
 class Trace:
-    """Columnar history, one row per GD iteration or per SGD full pass;
-    `reg_term` is the weighted penalty."""
+    """Columnar history, one row per GD iteration or per SGD full pass."""
 
     def __init__(self):
         self.iters = []
@@ -94,11 +93,11 @@ class Trace:
         self.step = []
         self.cum_entry_grads = []
 
-    def append(self, it, bdown, weight, grad_norm, step, cum_entry_grads):
+    def append(self, it, bdown, grad_norm, step, cum_entry_grads):
         self.iters.append(it)
         self.f.append(bdown.total)
         self.data_term.append(bdown.data_term)
-        self.reg_term.append(weight * bdown.reg_term)
+        self.reg_term.append(bdown.reg_term)
         self.grad_norm.append(grad_norm)
         self.step.append(step)
         self.cum_entry_grads.append(cum_entry_grads)
@@ -204,7 +203,7 @@ def _start(cfg, X0, cum):
         gn = float(np.linalg.norm(G))
     grad_tol = 1e-8 * (1.0 + bdown.total)
     trace = Trace()
-    trace.append(0, bdown, cfg.hyper.reg_weight, gn, 0.0, cum)
+    trace.append(0, bdown, gn, 0.0, cum)
     return X, bdown, G, gn, grad_tol, trace
 
 
@@ -258,7 +257,6 @@ def _descend(cfg, scfg, X0, witness_steps):
     saddle, with its eigensolve.
     """
     n_pairs = cfg.n_pairs
-    weight = cfg.hyper.reg_weight
     X, bdown, G, gn, grad_tol, trace = _start(cfg, X0, n_pairs)
     cum = n_pairs
     if _diverged(bdown, gn):  # no step size can be estimated at a non-finite start
@@ -290,7 +288,7 @@ def _descend(cfg, scfg, X0, witness_steps):
         X, G, eig = X_new, G_new, None
         cum += n_pairs
         gn = float(np.linalg.norm(G))
-        trace.append(it, bdown, weight, gn, t_prev, cum)
+        trace.append(it, bdown, gn, t_prev, cum)
     return _result(X, bdown, gn, grad_tol, trace, cum, stalled, eig=eig)
 
 
@@ -316,7 +314,7 @@ def stochastic_gradient(X, cfg, rng, batch):
     pattern, so a stored pair is drawn in proportion to its weight (2 off
     the diagonal, 1 on it); the estimate is (|Omega| / batch) * the sum of
     their per-entry gradients, plus the exact weighted penalty gradient,
-    which is skipped where it is zero (no row norm above alpha).
+    which is added on the active rows only (row norm above alpha).
     """
     n = cfg.n_pairs
     idx = rng.integers(0, n, size=batch)
@@ -345,7 +343,6 @@ def sgd(cfg, scfg, X0):
     if cfg.n_pairs:
         base *= math.sqrt(batch / cfg.n_pairs)
     rng = substream(scfg.seed, "sgd")
-    weight = cfg.hyper.reg_weight
     period = -(-cfg.n_pairs // batch) or 1  # ceil(|Omega| / batch): steps per epoch
 
     cum = 0
@@ -360,7 +357,7 @@ def sgd(cfg, scfg, X0):
                 continue  # the full pass runs once per epoch and at the last iteration
             bdown, G = obj.value_and_gradient(X, cfg)
             gn = float(np.linalg.norm(G))
-        trace.append(it, bdown, weight, gn, step, cum)
+        trace.append(it, bdown, gn, step, cum)
         if _diverged(bdown, gn):
             break
     return _result(X, bdown, gn, grad_tol, trace, cum)

@@ -77,6 +77,33 @@ def dense_min_eig(X, cfg):
 # pair-sum second derivatives, independent of the matrix-free operator
 
 
+def per_row_penalty(X, alpha):
+    """The penalty value and gradient with every row's activity decided on
+    its own, rho(t) = max(t - alpha, 0)^4: the formulas the one-pass
+    inactivity check must not change."""
+    t = np.sqrt((X * X).sum(axis=1))
+    e = np.maximum(t - alpha, 0.0)
+    G = np.zeros_like(X)
+    act = e > 0.0
+    G[act] = (4.0 * e[act] ** 3 / t[act])[:, None] * X[act]
+    return float(np.sum(e**4)), G
+
+
+def per_row_penalty_hvp(X, V, alpha):
+    """d^2 R(X)[V] for the unweighted row penalty, each row's activity decided
+    on its own: rho''(t) on the radial part of V_i, rho'(t) / t on the rest."""
+    t = np.sqrt((X * X).sum(axis=1))
+    e = np.maximum(t - alpha, 0.0)
+    out = np.zeros_like(V)
+    act = e > 0.0
+    u = X[act] / t[act][:, None]
+    proj = np.einsum("ij,ij->i", V[act], u)
+    out[act] = (12.0 * e[act] ** 2 * proj)[:, None] * u + (4.0 * e[act] ** 3 / t[act])[:, None] * (
+        V[act] - proj[:, None] * u
+    )
+    return out
+
+
 def reg_hess_quad(X, V, alpha):
     """<V, d^2 R(X)[V]> for the unweighted row penalty, one row at a time:
     rho''(t) on the radial part of V_i and rho'(t) / t on the rest."""

@@ -430,3 +430,9 @@ def test_scan_csv_schema():
     assert float(cells[2]) == summary.rows[0].f_final  # repr round-trip
     assert cells[11] == "true"
     assert int(cells[12]) == summary.rows[0].eig_iterations > 0
+
+
+def test_norm_certificates_rejects_a_factor_of_another_shape():
+    gt, _, _ = make_problem(10, 2, seed=3)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        norm_certificates(np.zeros((10, 3)), gt)

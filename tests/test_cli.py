@@ -214,6 +214,7 @@ def test_solver_block_parses_from_dataclass_fields(tmp_path, capsys):
     # constants, the SGD decay and grad_tol are fixed: none of them is a key
     for solver, message in (
         ({"sgd": {"batch": True}}, "solver.sgd.batch"),
+        ({"sgd": 3}, "'solver.sgd' must be an object"),
         ({"armijo": {}}, "unknown key 'solver.armijo'"),
         ({"armijo": {"step0": 1e-3}}, "unknown key 'solver.armijo'"),
         ({"grad_tol": 1e-6}, "unknown key 'solver.grad_tol'"),
@@ -263,6 +264,42 @@ def test_non_finite_instance_is_config_error(tmp_path, capsys, command, field, v
     code, out, err = _run(capsys, [command, "--config", cfgp, "--out", str(tmp_path)])
     assert code == 2, err
     assert err.startswith("config error:")
+
+
+_SCAN = {"n_starts": 1, "base_seed": 0}
+_CONC = {"kind": "noise_inner", "d": 10, "p_grid": [0.5], "trials": 2}
+
+
+@pytest.mark.parametrize(
+    "command,payload,message",
+    [
+        ("gen", {"instance": _instance_block(d="100")}, "'instance.d' must be int, got str"),
+        ("scan", {"instance": _instance_block()}, "missing required block 'scan'"),
+        ("scan", {"instance": _instance_block(), "scan": [1]}, "'scan' must be an object"),
+        ("scan", {"instance": _instance_block(), "scan": {**_SCAN, "n_starts": 0}}, "'scan.n_starts' must be >= 1"),
+        ("solve", {"instance": _instance_block(), "hyper": 3}, "'hyper' must be an object"),
+        ("conc", {"concentration": {**_CONC, "p_grid": []}}, "'concentration.p_grid' must be a non-empty list"),
+        ("conc", {"concentration": {**_CONC, "p_grid": [0.5, "0.6"]}}, "'concentration.p_grid' must be a non-empty list"),
+    ]
+    # a non-finite hyperparameter: an infinite tau would certify stationary
+    # saddles as minima, and a NaN one would silently fall back to the default
+    + [
+        ("solve", {"instance": _instance_block(), "hyper": {key: value}}, field)
+        for key, field in (("alpha", "alpha"), ("lambda", "reg_weight (lambda)"), ("tau", "tau"))
+        for value in (math.nan, math.inf)
+    ]
+    # a non-finite noise level fails the SVD of noise_spectral and gives NaN rows in noise_inner
+    + [
+        ("conc", {"concentration": {**_CONC, "kind": kind, "sigma": value}}, "sigma must be non-negative and finite")
+        for kind in ("noise_spectral", "noise_inner")
+        for value in (math.nan, math.inf)
+    ],
+)
+def test_config_errors_name_their_key(tmp_path, capsys, command, payload, message):
+    code, out, err = _run(capsys, [command, "--config", _write(tmp_path, payload), "--out", str(tmp_path)])
+    assert code == 2, err
+    assert err.startswith("config error:") and message in err
+    assert not any(tmp_path.glob("*.csv"))
 
 
 def test_solve_noisy_endpoint_at_noise_floor_is_global_min(tmp_path, capsys):

@@ -145,6 +145,9 @@ def test_spec_validation():
         ConcentrationTrial(kind=Kind.SPECTRAL, d=10, p=0.5, r=11)
     with pytest.raises(ValueError):
         ConcentrationTrial(kind=Kind.SPECTRAL, d=10, p=0.5, trials=0)
+    for sigma in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="sigma"):
+            ConcentrationTrial(kind=Kind.NOISE_INNER, d=10, p=0.5, sigma=sigma)
 
 
 # ---------------------------------------------------------------------------

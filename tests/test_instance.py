@@ -57,6 +57,16 @@ def test_zero_factor_rejected():
         GroundTruth(np.zeros((4, 2)))
 
 
+def test_factor_input_checks():
+    with pytest.raises(ValueError, match="1 <= r <= d"):
+        GroundTruth(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="1 <= r <= d"):
+        sample_factor(3, 4, 1.0, seed=0)
+    for scale in (0.0, -1.0):
+        with pytest.raises(ValueError, match="scale must be positive"):
+            sample_factor(5, 2, scale, seed=0)
+
+
 def test_constants_are_computed_not_given():
     Z = np.full((4, 1), 0.5)
     with pytest.raises(TypeError):
@@ -133,6 +143,15 @@ def test_mask_count_binomial_bound():
 def test_mask_excludes_diagonal_when_asked():
     m = sample_mask(30, 0.8, False, seed=2)
     assert not np.any(m.i == m.j)
+
+
+def test_sample_mask_input_checks():
+    for d in (0, -2):
+        with pytest.raises(ValueError, match="d must be positive"):
+            sample_mask(d, 0.5, seed=0)
+    for p in (-0.1, 1.1):
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            sample_mask(5, p, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +232,14 @@ def test_overflowing_factor_scale_is_rejected():
         sample_factor(40, 2, 1e200, 3)
 
 
+def test_observe_input_checks():
+    gt = GroundTruth(np.ones((4, 1)))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        observe(gt, full_mask(5), 0.0, seed=0)
+    with pytest.raises(ValueError, match="sigma must be non-negative"):
+        observe(gt, full_mask(4), -0.1, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # default_hyperparams
 
@@ -261,6 +288,12 @@ def test_hyperparams_validation():
         HyperParams(alpha=1.0, reg_weight=-1.0, tau=0.0)
     with pytest.raises(ValueError):
         HyperParams(alpha=1.0, reg_weight=1.0, tau=-0.1)
+    # NaN fails every comparison, so each field is checked for finiteness:
+    # an infinite tau would certify every stationary saddle a local minimum
+    for field in ("alpha", "reg_weight", "tau"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{field}.*finite"):
+                HyperParams(**{"alpha": 1.0, "reg_weight": 1.0, "tau": 0.0, field: value})
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +426,12 @@ def test_spec_rejects_missing_fields():
     del payload["d"]
     with pytest.raises(ValueError, match="d"):
         InstanceSpec.from_json(json.dumps(payload))
+
+
+def test_spec_from_json_rejects_a_value_that_is_not_an_object():
+    for text in ("[1, 2]", "3", "null"):
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            InstanceSpec.from_json(text)
 
 
 def test_spec_validation():

@@ -205,3 +205,21 @@ def test_procrustes_residual_invariant_under_joint_rotation(rng):
     r1 = procrustes_align(X, Z).residual
     r2 = procrustes_align(X @ Q, Z @ Q).residual
     assert r1 == pytest.approx(r2, abs=1e-10)
+
+
+def test_input_checks():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        procrustes_align(rng.normal(size=(5, 2)), rng.normal(size=(5, 3)))
+    with pytest.raises(ValueError, match="2-d array"):
+        singular_extremes(np.ones(4))
+    with pytest.raises(ValueError, match="tall"):
+        singular_extremes(rng.normal(size=(2, 5)))
+    for d in (0, -1):
+        with pytest.raises(ValueError, match="dimension must be positive"):
+            ObservationMask(d=d, i=[], j=[], p=0.5)
+    for p in (-0.1, 1.5):
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            ObservationMask(d=3, i=[0], j=[1], p=p)
+    with pytest.raises(ValueError, match="equal length"):
+        ObservationMask(d=3, i=[0, 1], j=[1], p=0.5)

@@ -15,7 +15,6 @@ from mcland.objective import (
     min_hessian_eig,
     operator_norm_estimate,
     pair_gradient_sum,
-    reg_gradient,
     regularizer,
     residual_gradient,
     value_and_gradient,
@@ -35,6 +34,8 @@ from conftest import (
     full_mask,
     hessian_quadratic,
     make_problem,
+    per_row_penalty,
+    per_row_penalty_hvp,
     reg_hess_quad,
 )
 
@@ -43,11 +44,18 @@ from conftest import (
 # row penalty
 
 
+def _penalty_gradient(X, alpha):
+    """The library's unweighted penalty gradient: `add_penalty_gradient` at
+    weight 1 onto zeros."""
+    cfg = types.SimpleNamespace(hyper=HyperParams(alpha=alpha, reg_weight=1.0, tau=0.0))
+    return add_penalty_gradient(np.zeros_like(X), X, cfg)
+
+
 def _row_penalty(t, alpha):
     """rho(t) with its first two derivatives, read off a one-row factor [[t]]."""
     X = np.array([[t]])
     V = np.ones((1, 1))
-    return regularizer(X, alpha), float(reg_gradient(X, alpha)[0, 0]), reg_hess_quad(X, V, alpha)
+    return regularizer(X, alpha), float(_penalty_gradient(X, alpha)[0, 0]), reg_hess_quad(X, V, alpha)
 
 
 def test_reg_row_inactive_below_threshold():
@@ -97,13 +105,13 @@ def test_regularizer_rotation_invariant(rng):
 def test_reg_gradient_zero_inside_ball(rng):
     X = rng.normal(size=(8, 2))
     X *= 0.5 / max(np.linalg.norm(X, axis=1))
-    assert np.array_equal(reg_gradient(X, 1.0), np.zeros_like(X))
+    assert np.array_equal(_penalty_gradient(X, 1.0), np.zeros_like(X))
 
 
 def test_reg_gradient_single_row_value():
     X = np.zeros((4, 2))
     X[1] = (2.0, 0.0)
-    G = reg_gradient(X, 1.0)
+    G = _penalty_gradient(X, 1.0)
     expected = np.zeros_like(X)
     expected[1] = (4.0, 0.0)  # 4 (t - alpha)^3 x / t with t = 2
     assert np.allclose(G, expected, atol=1e-14)
@@ -112,26 +120,14 @@ def test_reg_gradient_single_row_value():
 def test_reg_gradient_points_outward(rng):
     # the penalty only pushes row norms down: <grad_i, x_i> >= 0
     X = rng.normal(size=(20, 3)) * 3.0
-    G = reg_gradient(X, 1.0)
+    G = _penalty_gradient(X, 1.0)
     assert np.all(np.einsum("ij,ij->i", G, X) >= 0.0)
 
 
 def test_reg_gradient_matches_fd(rng):
     X = rng.normal(size=(6, 2)) * 2.0
     fd = fd_gradient(lambda Y: regularizer(Y, 0.8), X)
-    assert np.allclose(reg_gradient(X, 0.8), fd, atol=1e-6)
-
-
-def _per_row_penalty(X, alpha):
-    """The penalty value and gradient with every row's activity decided on
-    its own, rho(t) = max(t - alpha, 0)^4: the formulas the one-pass
-    inactivity check must not change."""
-    t = np.sqrt((X * X).sum(axis=1))
-    e = np.maximum(t - alpha, 0.0)
-    G = np.zeros_like(X)
-    act = e > 0.0
-    G[act] = (4.0 * e[act] ** 3 / t[act])[:, None] * X[act]
-    return float(np.sum(e**4)), G
+    assert np.allclose(_penalty_gradient(X, 0.8), fd, atol=1e-6)
 
 
 def test_penalty_activity_is_decided_per_row(rng):
@@ -148,10 +144,10 @@ def test_penalty_activity_is_decided_per_row(rng):
         (np.zeros((4, 3)), 1.0),
     ]
     for Y, alpha in cases:
-        value, G = _per_row_penalty(Y, alpha)
+        value, G = per_row_penalty(Y, alpha)
         assert np.array_equal(regularizer(Y, alpha), value, equal_nan=True)
-        assert np.array_equal(reg_gradient(Y, alpha), G, equal_nan=True)
-    assert not np.any(_per_row_penalty(X, top)[1]) and np.any(_per_row_penalty(X, cases[1][1])[1])
+        assert np.array_equal(_penalty_gradient(Y, alpha), G, equal_nan=True)
+    assert not np.any(per_row_penalty(X, top)[1]) and np.any(per_row_penalty(X, cases[1][1])[1])
 
 
 def test_package_attribute_is_the_module():
@@ -193,11 +189,11 @@ def test_objective_matches_brute_force(rng):
 def test_breakdown_totals_consistently(rng):
     gt, obs, cfg = make_problem(10, 2, seed=4, p=0.5)
     X = rng.normal(size=(10, 2)) * 2.0
+    X[0] = (2.0 * cfg.hyper.alpha, 0.0)  # one row above alpha at least
     ev = value_and_gradient(X, cfg)[0]
-    assert ev.total == pytest.approx(
-        ev.data_term + cfg.hyper.reg_weight * ev.reg_term, rel=1e-14
-    )
-    assert ev.reg_term == pytest.approx(regularizer(X, cfg.hyper.alpha), rel=1e-14)
+    assert ev.reg_term > 0.0  # reg_term is the weighted penalty, and total its sum with the data term
+    assert ev.reg_term == cfg.hyper.reg_weight * regularizer(X, cfg.hyper.alpha)
+    assert ev.total == ev.data_term + ev.reg_term
 
 
 def test_objective_rejects_wrong_shape():
@@ -486,13 +482,13 @@ def test_kernels_match_oracles(d, r, p, include_diagonal):
     G = value_and_gradient(X, cfg)[1]
     R = ind * (M - X @ X.T)
     scale = 1.0 + float(np.abs(G).max())
-    assert np.allclose(G, -2.0 * R @ X + w * reg_gradient(X, cfg.hyper.alpha), rtol=0, atol=1e-12 * scale)
+    assert np.allclose(G, -2.0 * R @ X + w * per_row_penalty(X, cfg.hyper.alpha)[1], rtol=0, atol=1e-12 * scale)
     fd = fd_gradient(lambda Y: value_and_gradient(Y, cfg)[0].total, X)
     assert np.allclose(G, fd, rtol=0, atol=1e-5 * scale)
 
     HV = hessian_operator(X, cfg)(V)
     h = 1e-6
-    reg_part = (reg_gradient(X + h * V, cfg.hyper.alpha) - reg_gradient(X - h * V, cfg.hyper.alpha)) / (2 * h)
+    reg_part = (per_row_penalty(X + h * V, cfg.hyper.alpha)[1] - per_row_penalty(X - h * V, cfg.hyper.alpha)[1]) / (2 * h)
     dense = 2.0 * (ind * (V @ X.T + X @ V.T)) @ X - 2.0 * R @ V + w * reg_part
     assert np.allclose(HV, dense, rtol=0, atol=1e-6 * (1.0 + float(np.abs(dense).max())))
 
@@ -507,6 +503,19 @@ def test_fused_and_per_point_kernels_are_bit_identical(d, r, p, include_diagonal
     H = hessian_operator(X, cfg)
     for U in (V, 2.0 * V + 1.0):
         assert np.array_equal(H(U), hessian_operator(X, cfg)(U))
+
+
+@pytest.mark.parametrize("d,r,p,include_diagonal", KERNEL_CASES)
+def test_hessian_penalty_is_the_per_row_formula_added_to_the_data_part(d, r, p, include_diagonal):
+    # H[V] is the data part plus weight * the per-row penalty curvature, bit
+    # for bit; where no row is above alpha, it is the data part
+    cfg, X, V = _kernel_problem(d, r, p, include_diagonal)
+    hyper = cfg.hyper
+    data = hessian_operator(X, ObjectiveConfig(HyperParams(alpha=hyper.alpha, reg_weight=0.0, tau=0.0), cfg.obs))(V)
+    expected = data + hyper.reg_weight * per_row_penalty_hvp(X, V, hyper.alpha)
+    assert np.any(expected != data) and np.array_equal(hessian_operator(X, cfg)(V), expected)
+    far = ObjectiveConfig(HyperParams(alpha=1e6, reg_weight=hyper.reg_weight, tau=0.0), cfg.obs)
+    assert np.array_equal(hessian_operator(X, far)(V), data)
 
 
 def test_hessian_operator_rejects_wrong_direction_shape():
@@ -581,7 +590,7 @@ def test_column_products_are_bit_identical_to_multivector(d, r, p, include_diago
         assert out.flags.c_contiguous
         assert np.array_equal(out, cfg._masked_matrix(resid) @ Y)
     alpha, w = cfg.hyper.alpha, cfg.hyper.reg_weight
-    expected = -2.0 * (cfg._masked_matrix(resid) @ X) + w * reg_gradient(X, alpha)
+    expected = -2.0 * (cfg._masked_matrix(resid) @ X) + w * per_row_penalty(X, alpha)[1]
     assert np.array_equal(residual_gradient(X, resid, cfg), expected)
 
     HV = hessian_operator(X, cfg)(V)
@@ -598,7 +607,7 @@ def test_stochastic_gradient_is_the_scaled_pair_sum_plus_the_penalty(d, r, p, in
     hyper = cfg.hyper
     for alpha in (hyper.alpha, 1e6):  # about half the rows active, then none
         c = ObjectiveConfig(HyperParams(alpha=alpha, reg_weight=hyper.reg_weight, tau=0.0), cfg.obs)
-        penalty = reg_gradient(X, alpha)
+        penalty = per_row_penalty(X, alpha)[1]
         assert np.any(penalty) == (alpha == hyper.alpha)
         stream, replay = substream(d, "sg"), substream(d, "sg")
         for _ in range(3):
@@ -616,7 +625,7 @@ def test_penalty_gradient_is_added_in_place_only_where_it_is_nonzero():
         G = np.full(X.shape, -0.0)
         assert add_penalty_gradient(G, X, c) is G
         if weight > 0 and alpha == hyper.alpha:  # about half the rows active
-            assert np.any(G) and np.array_equal(G, weight * reg_gradient(X, alpha))
+            assert np.any(G) and np.array_equal(G, weight * per_row_penalty(X, alpha)[1])
         else:  # skipped: an add of zeros would have turned every -0.0 into 0.0
             assert np.all(np.signbit(G)) and not np.any(G)
 

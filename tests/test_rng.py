@@ -49,3 +49,11 @@ def test_negative_seed_rejected():
         substream(-3, "x")
     with pytest.raises(ValueError):
         derive_seed(1, -2)
+
+
+def test_input_checks():
+    with pytest.raises(TypeError, match="tag must be int or str, got float"):
+        substream(7, 1.0)
+    for seed in (7.0, "7"):
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            substream(seed, "init")

@@ -30,7 +30,7 @@ from mcland.solvers import (
 )
 from mcland.rng import derive_seed, substream
 
-from conftest import dense_gram, full_mask, make_problem
+from conftest import dense_gram, full_mask, make_problem, per_row_penalty
 
 
 def _recovery(X, gt):
@@ -232,12 +232,10 @@ def test_gd_converged_start_returns_immediately():
 
 
 def test_exhaustive_batch_equals_full_gradient(rng):
-    from mcland.objective import reg_gradient
-
     gt, obs, cfg = make_problem(12, 2, seed=8, p=0.7)
     X = rng.normal(size=(12, 2)) * 1.5
     G_sum = pair_gradient_sum(X, cfg, np.arange(cfg.n_pairs))
-    data_only = value_and_gradient(X, cfg)[1] - cfg.hyper.reg_weight * reg_gradient(X, cfg.hyper.alpha)
+    data_only = value_and_gradient(X, cfg)[1] - cfg.hyper.reg_weight * per_row_penalty(X, cfg.hyper.alpha)[1]
     assert np.allclose(G_sum, data_only, atol=1e-11 * (1 + np.abs(data_only).max()))
 
 
@@ -315,12 +313,12 @@ def _reference_sgd_rows(cfg, scfg, X0):
     X = np.array(X0, dtype=float)
     trace = solvers.Trace()
     bdown, G = value_and_gradient(X, cfg)
-    trace.append(0, bdown, cfg.hyper.reg_weight, float(np.linalg.norm(G)), 0.0, 0)
+    trace.append(0, bdown, float(np.linalg.norm(G)), 0.0, 0)
     for it in range(1, scfg.max_iters + 1):
         step = base / (1.0 + solvers._STEP_DECAY * (it - 1))
         X = X - step * stochastic_gradient(X, cfg, rng, batch)
         bdown, G = value_and_gradient(X, cfg)
-        trace.append(it, bdown, cfg.hyper.reg_weight, float(np.linalg.norm(G)), step, it * batch)
+        trace.append(it, bdown, float(np.linalg.norm(G)), step, it * batch)
     lines = trace_to_csv(trace).splitlines()[1:]
     return dict(zip(trace.iters, lines)), dict(zip(trace.iters, trace.grad_norm))
 
