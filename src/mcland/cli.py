@@ -145,6 +145,12 @@ def _regenerate(spec):
         raise ConfigError(str(exc)) from exc
 
 
+def _require_observations(obs):
+    """Solve and scan fit the observed entries; with none, the objective is the penalty alone."""
+    if obs.mask.n_pairs == 0:
+        raise ConfigError(f"the mask is empty: the instance observes no entries at p={cell(obs.p)}")
+
+
 def _default_hyper(gt, p):
     try:
         return default_hyperparams(gt, p)
@@ -213,6 +219,7 @@ def cmd_solve(cfg, out_dir):
     spec = _parse_instance(cfg)
     gt, obs = _regenerate(spec)
     hyper = _parse_hyper(cfg, gt, spec.p)
+    _require_observations(obs)
     scfg = _parse_solver(cfg)
     _check_empty(cfg, "config")
     ocfg = ObjectiveConfig(hyper, obs)
@@ -235,6 +242,7 @@ def cmd_scan(cfg, out_dir, threads=1, assert_clean=False):
     spec = _parse_instance(cfg)
     gt, obs = _regenerate(spec)
     hyper = _parse_hyper(cfg, gt, spec.p)
+    _require_observations(obs)
     scfg = _parse_solver(cfg)
     n_starts, base_seed, global_rel = _parse_scan(cfg)
     _check_empty(cfg, "config")

@@ -10,13 +10,12 @@ values are never serialized.
 
 Generation walks the d x d matrix in row blocks of at most `_BLOCK`
 elements, so it holds O(|Omega| + block) memory and takes O(d^2) time (the
-streams fix a d x d draw).  The blocks do not change the random bits:
-consecutive `(rows, d)` draws from one generator give the same numbers as
-one `(d, d)` draw, in the same row-major order, and each block keeps exactly
-the entries the whole matrix would.  Z Z^T is one BLAS product per block;
-up to d = 1024 that is the single whole-matrix product, and above it a BLAS
-may round a few entries differently by the shape of the call, as it already
-does by its thread count.
+streams fix a d x d draw).  Consecutive `(rows, d)` draws from one generator
+give the numbers of one `(d, d)` draw in order, and each block keeps exactly
+the entries the whole matrix would; the mask tests only the upper part.
+Z Z^T is one BLAS product per block; up to d = 1024 that is the whole-matrix
+product, and above it a BLAS may round a few entries differently by the
+shape of the call, as it already does by its thread count.
 """
 
 import json
@@ -146,10 +145,9 @@ def sample_mask(d, p, include_diagonal=True, *, seed):
     """Symmetric Bernoulli(p) mask from one d x d uniform draw U: pair (i, j),
     i <= j, is observed when U_ij < p (i = j only with `include_diagonal`).
 
-    U is drawn in row blocks from the one "mask" substream; the blocks hold
-    the same doubles as a single (d, d) draw, and `np.nonzero` of each block's
-    upper triangle, shifted by its first row, lists the same pairs in the
-    same order.
+    U is drawn in row blocks from the "mask" substream, the doubles of one
+    (d, d) draw.  Block [a, b) compares only its columns >= a + k with p (k = 1
+    without the diagonal) and keeps the hits with j >= i + k, in row-major order.
     """
     if d <= 0:
         raise ValueError(f"d must be positive, got {d}")
@@ -157,12 +155,14 @@ def sample_mask(d, p, include_diagonal=True, *, seed):
         raise ValueError(f"p must lie in [0, 1], got {p}")
     rng = substream(seed, "mask")
     k = 0 if include_diagonal else 1
-    i, j = [], []
+    pairs = []
     for a, b in _row_blocks(d):
-        bi, bj = np.nonzero(np.triu(rng.random((b - a, d)) < p, a + k))
-        i.append(bi + a)
-        j.append(bj)
-    return ObservationMask(d=d, i=np.concatenate(i), j=np.concatenate(j), p=float(p))
+        c = a + k  # the block's pairs lie in columns >= c
+        bi, bj = np.divmod(np.flatnonzero(rng.random((b - a, d))[:, c:] < p), d - c)
+        keep = bj >= bi  # column bj + c >= row bi + a + k
+        bi, bj = bi[keep] + a, bj[keep] + c  # rebound: no unfiltered hits outlive their block
+        pairs.append((bi, bj))
+    return ObservationMask(d, *map(np.concatenate, zip(*pairs)), p=float(p))
 
 
 def observe(gt, mask, sigma, seed):

@@ -15,6 +15,7 @@ from mcland.instance import InstanceSpec, default_hyperparams
 from mcland import objective
 from mcland.linalg import ObservationMask
 from mcland.objective import ObjectiveConfig, hessian_operator
+from mcland.rng import substream
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +143,14 @@ def full_mask(d, include_diagonal=True):
     """Mask containing every pair (optionally without the diagonal)."""
     i, j = np.triu_indices(d, k=0 if include_diagonal else 1)
     return ObservationMask(d=d, i=i, j=j, p=1.0)
+
+
+def whole_matrix_mask(d, p, include_diagonal, seed):
+    """(i, j) of `sample_mask` from one d x d draw of its "mask" substream:
+    the pairs on or above the diagonal (strictly above without it) whose
+    uniform is below p, in row-major order."""
+    U = substream(seed, "mask").random((d, d))
+    return np.nonzero(np.triu(U < p, 0 if include_diagonal else 1))
 
 
 def dense_gram(Z):

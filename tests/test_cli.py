@@ -249,6 +249,35 @@ def test_zero_observation_probability_is_config_error(tmp_path, capsys, command)
     assert "p must lie in (0, 1]" in err
 
 
+# p > 0, but no entry is observed: the objective would be the penalty alone,
+# minimized at the origin, and every start would be labelled SpuriousLocalMin
+_EMPTY_MASKS = [
+    {"d": 2, "r": 1, "seed": 1, "p": 0.01},
+    {"d": 5, "r": 2, "seed": 1, "p": 0.05, "include_diagonal": False},
+]
+
+
+@pytest.mark.parametrize("block", _EMPTY_MASKS)
+@pytest.mark.parametrize("command", ["solve", "scan"])
+def test_empty_mask_is_config_error(tmp_path, capsys, command, block):
+    payload, flags = {"instance": block}, []
+    if command == "scan":
+        payload["scan"] = {"n_starts": 4, "base_seed": 0}
+        flags = ["--assert-clean"]
+    cfgp = _write(tmp_path, payload)
+    code, out, err = _run(capsys, [command, "--config", cfgp, "--out", str(tmp_path), *flags])
+    assert code == 2, err
+    assert err.startswith("config error:") and "mask is empty" in err
+    assert not any(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("block", _EMPTY_MASKS)
+def test_gen_of_empty_mask_reports_no_pairs(tmp_path, capsys, block):
+    code, out, err = _run(capsys, ["gen", "--config", _write(tmp_path, {"instance": block}), "--out", str(tmp_path)])
+    assert code == 0, err
+    assert "observed_pairs=0" in out.split()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", ["gen", "solve", "scan"])
 @pytest.mark.parametrize(

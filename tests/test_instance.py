@@ -19,7 +19,7 @@ from mcland.instance import (
 )
 from mcland.linalg import ObservationMask
 
-from conftest import dense_gram, full_mask
+from conftest import dense_gram, full_mask, whole_matrix_mask
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +152,53 @@ def test_sample_mask_input_checks():
     for p in (-0.1, 1.1):
         with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
             sample_mask(5, p, seed=0)
+
+
+@pytest.mark.parametrize("block", [1, "7d+3", None])
+@pytest.mark.parametrize("include_diagonal", [True, False])
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 257])
+def test_mask_matches_whole_matrix_draw(monkeypatch, d, p, include_diagonal, block):
+    # one row per block, 7 rows and a ragged last block, or the default (one
+    # block); without the diagonal the last row has no column left to keep
+    if block is not None:
+        monkeypatch.setattr(instance, "_BLOCK", 1 if block == 1 else 7 * d + 3)
+    m = sample_mask(d, p, include_diagonal, seed=d)
+    i, j = whole_matrix_mask(d, p, include_diagonal, seed=d)
+    assert m.i.dtype == i.dtype and m.j.dtype == j.dtype
+    assert np.array_equal(m.i, i) and np.array_equal(m.j, j)
+
+
+def _pair_bytes(mask):
+    return np.ascontiguousarray(mask.i, "<i8").tobytes() + np.ascontiguousarray(mask.j, "<i8").tobytes()
+
+
+# Masks of several row blocks at the default block size, pinned by the SHA-256
+# of their pairs (int64 i, then int64 j, little-endian); the values are left
+# out, since above d = 1024 their BLAS rounding depends on the call shape.
+@pytest.mark.parametrize(
+    "d,p,include_diagonal,seed,n_stored,expected",
+    [
+        (4000, 0.02, True, 1, 159923, "e2e9ec4d16e033f3cb3af157d679ad3f1d02bf0fd1226fc6b0259039b590943f"),
+        (3000, 0.05, False, 4, 225472, "b867c9e344f3062983a9cea75200486f3bdc1da97aa486bd900f4de0e2a5fb17"),
+    ],
+)
+def test_multi_block_mask_is_pinned(d, p, include_diagonal, seed, n_stored, expected):
+    m = sample_mask(d, p, include_diagonal, seed=seed)
+    assert m.i.size == n_stored
+    assert hashlib.sha256(_pair_bytes(m)).hexdigest() == expected
+
+
+def test_mask_memory_is_bounded():
+    # the 8 MB uniform block, its comparison and the pairs found so far; a
+    # copy of the block's triangle, or a buffer held across blocks, exceeds it
+    tracemalloc.start()
+    try:
+        sample_mask(6000, 0.015, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16.5e6
 
 
 # ---------------------------------------------------------------------------
@@ -318,11 +365,7 @@ def _c3_spec(r, seed):
 
 
 def _payload(obs):
-    return (
-        np.ascontiguousarray(obs.mask.i, "<i8").tobytes()
-        + np.ascontiguousarray(obs.mask.j, "<i8").tobytes()
-        + np.ascontiguousarray(obs.values, "<f8").tobytes()
-    )
+    return _pair_bytes(obs.mask) + np.ascontiguousarray(obs.values, "<f8").tobytes()
 
 
 # SHA-256 of the (i, j, value) triples, i <= j in lexicographic order, as
