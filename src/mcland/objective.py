@@ -23,15 +23,16 @@ its j side is a gather.
 
 Evaluation touches only observed Gram entries (cost O(n_pairs * r + d * r)).
 Masked residuals are applied through the full symmetric CSR pattern of the
-mask, built from the stored pairs and filled from their values by a slot
-map; the same pattern with unit entries is the fixed 0/1 matrix P.
+mask, filled from the stored pairs' values by a slot map and handed to the
+compiled CSR kernels that scipy's `csr_matrix @ y` calls, with no matrix
+built or dispatched per call; with unit entries it is the fixed 0/1 matrix P.
 Position k in [0, n_pairs) of the pattern, in row-major order, is one
 ordered entry: `pair_gradient_sum` takes such positions, so drawing them
 uniformly draws each stored pair in proportion to its weight.  It reads a
 position's row and value from two tables indexed by position, 12 bytes a
 position (1.2 MB at d=1000, p=0.1), which the config builds on first use:
 only SGD uses them, and a config that GD uses would hold 7.7 MB more at
-d=4000, p=0.02.  A CSR matrix meets a d x r operand one column at a time,
+d=4000, p=0.02.  The kernel meets a d x r operand one column at a time,
 and `pair_gradient_sum` scatters with one `np.bincount` per column: each
 adds every sum in the order of scipy's multi-vector product and
 `np.add.at`, so the floats are theirs, in less time.
@@ -55,7 +56,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
+from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 
 from .rng import substream
 
@@ -90,14 +91,14 @@ class ObjectiveConfig:
         cols = np.concatenate([j, i[off]])
         order = np.argsort(rows * d + cols)
         self._slot = np.concatenate([np.arange(i.size), off])[order]
-        # 32-bit indices where they fit: scipy would otherwise downcast a copy per call
+        # one dtype for both index arrays, as the kernels take them; 32 bits halve the traffic
         idx = np.int32 if max(d, rows.size) < 2**31 else np.int64
         # the stored pairs are sorted by i, so x[i] is x[k] repeated _row_counts[k] times
         self._row_counts = np.bincount(i, minlength=d)
         pattern_counts = self._row_counts + np.bincount(j[off], minlength=d)
         self._indptr = np.concatenate([[0], np.cumsum(pattern_counts)]).astype(idx)
         self._indices = cols[order].astype(idx)
-        self._pattern = sparse.csr_matrix((np.ones(rows.size), self._indices, self._indptr), shape=(d, d))
+        self._unit = np.ones(rows.size)  # the data of P
 
     @cached_property
     def _position_tables(self):
@@ -119,25 +120,18 @@ class ObjectiveConfig:
         """M_ij - <X_i, X_j> on the stored pairs."""
         return self.obs.values - self.pair_gram(X)
 
-    def _masked_matrix(self, pair_values):
-        # symmetric CSR matrix carrying `pair_values` (one per stored pair) on the mask
-        return sparse.csr_matrix(
-            (np.take(pair_values, self._slot), self._indices, self._indptr), shape=(self.d, self.d)
-        )
+    def _csr_matmul(self, data, Y):
+        # S @ Y for S with `data` on the pattern, one single-vector kernel call per column: the multi-vector
+        # kernel sums each row in the same order, but takes 632 against 302 us at d=1000, r=2
+        out = np.zeros((Y.shape[1], self.d))  # the kernel adds into its output
+        for y, o in zip(np.ascontiguousarray(Y.T), out):
+            csr_matvec(self.d, self.d, self._indptr, self._indices, data, y, o)
+        return np.ascontiguousarray(out.T)
 
     def masked_matmul(self, pair_values, Y):
         """(P_Omega(A) @ Y) where symmetric A carries `pair_values` on the stored pairs."""
-        return _matmul_columns(self._masked_matrix(pair_values), Y)
-
-
-def _matmul_columns(A, Y):
-    """A @ Y for a sparse A and a dense d x r Y, one single-vector product per
-    column: scipy's multi-vector CSR kernel sums each row in the same order,
-    so the floats are the same, but it runs slower for a few columns."""
-    out = np.empty(Y.shape)
-    for k in range(Y.shape[1]):
-        out[:, k] = A @ Y[:, k]
-    return out
+        Y = _check_factor(Y, self)  # the kernel reads Y unchecked
+        return self._csr_matmul(np.take(pair_values, self._slot), Y)
 
 
 def _row_excess(X, alpha):
@@ -253,19 +247,25 @@ def hessian_operator(X, cfg):
     H[V] = 2 P_Omega(V X^T + X V^T) X - 2 P_Omega(residual) V + penalty part,
     with the first term applied rowwise as 2 (A_i V_i + B_i X_i) for the r x r
     blocks A_i = sum_j Omega_ij X_j X_j^T and B_i = sum_j Omega_ij X_j V_j^T:
-    A, the residual CSR matrix and the penalty setup are computed once here,
-    B is one product of the 0/1 pattern with the rows X_j V_j^T per
-    application (O(n_pairs r^2)); nothing is stored on `cfg`.  B takes its
-    r^2 columns in one multi-vector product, no slower than r^2 single-vector
-    ones; the residual matrix takes V one column at a time.  Self-adjoint.
+    A, the residual data and the penalty setup are computed once here, B is
+    one product of the 0/1 pattern with the rows X_j V_j^T per application
+    (O(n_pairs r^2)); nothing is stored on `cfg`.  B takes its r^2 columns in
+    one multi-vector kernel call, no slower than r^2 single-vector ones, but
+    at r = 1 the single-vector kernel, 3x faster (13.6 against 39.1 us at
+    d=100, 198 against 768 us at d=1000).  Self-adjoint.
     """
     X = _check_factor(X, cfg)
     d, r = X.shape
 
     def blocks(Y):  # the r x r blocks sum_j Omega_ij X_j Y_j^T
-        return (cfg._pattern @ (X[:, :, None] * Y[:, None, :]).reshape(d, r * r)).reshape(d, r, r)
+        XY = (X[:, :, None] * Y[:, None, :]).reshape(d, r * r)
+        if r == 1:
+            return cfg._csr_matmul(cfg._unit, XY).reshape(d, 1, 1)
+        out = np.zeros(d * r * r)  # the kernel adds into its output
+        csr_matvecs(d, d, r * r, cfg._indptr, cfg._indices, cfg._unit, XY.ravel(), out)
+        return out.reshape(d, r, r)
 
-    R = cfg._masked_matrix(cfg.residuals(X))
+    resid = np.take(cfg.residuals(X), cfg._slot)
     A = blocks(X)
     weight = cfg.hyper.reg_weight
     excess = _row_excess(X, cfg.hyper.alpha) if weight > 0 else None
@@ -277,7 +277,7 @@ def hessian_operator(X, cfg):
     def apply(V):
         V = _check_direction(V, X)
         HV = 2.0 * (np.einsum("iab,ib->ia", A, V) + np.einsum("iab,ib->ia", blocks(V), X))
-        HV -= 2.0 * _matmul_columns(R, V)
+        HV -= 2.0 * cfg._csr_matmul(resid, V)
         if excess is not None:
             Va = V[act]
             proj = np.einsum("ij,ij->i", Va, u)

@@ -1,11 +1,14 @@
+import copy
 import math
 import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
-from mcland.instance import GroundTruth, HyperParams, InstanceSpec, observe
+from mcland.certify import landscape_scan, scan_to_csv
+from mcland.instance import GroundTruth, HyperParams, InstanceSpec, default_hyperparams, observe
 from mcland import objective
 from mcland.objective import (
     ObjectiveConfig,
@@ -21,7 +24,16 @@ from mcland.objective import (
 )
 from mcland.objective import _EIG_TOL, _NORM_STEPS, _far_from_stop, _lanczos, _start
 from mcland.rng import substream
-from mcland.solvers import SolverConfig, gradient_descent, random_init, stochastic_gradient
+from mcland.solvers import (
+    Method,
+    SgdParams,
+    SolverConfig,
+    gradient_descent,
+    random_init,
+    solve,
+    stochastic_gradient,
+    trace_to_csv,
+)
 
 from conftest import (
     brute_objective,
@@ -518,6 +530,14 @@ def test_hessian_penalty_is_the_per_row_formula_added_to_the_data_part(d, r, p, 
     assert np.array_equal(hessian_operator(X, far)(V), data)
 
 
+def test_masked_matmul_rejects_an_operand_of_another_height():
+    # the compiled kernel would read past the end of a short operand
+    cfg, X, _ = _kernel_problem(12, 3, 0.6, True)
+    for Y in (X[:-1], np.vstack([X, X]), X[:, 0]):
+        with pytest.raises(ValueError, match="dimension"):
+            cfg.masked_matmul(cfg.residuals(X), Y)
+
+
 def test_hessian_operator_rejects_wrong_direction_shape():
     cfg, X, V = _kernel_problem(12, 3, 0.6, True)
     with pytest.raises(ValueError, match="dimension"):
@@ -576,26 +596,107 @@ def test_pair_gradient_scatter_is_bit_identical_to_add_at(d, r, p, include_diago
         assert np.array_equal(pair_gradient_sum(X, cfg, pos), _add_at_pair_gradient_sum(X, cfg, pos))
 
 
+def _oracle_matrix(cfg, pair_values):
+    """The symmetric d x d matrix carrying `pair_values` on the stored pairs,
+    built by public scipy from the mask's pairs in both orders, in canonical
+    CSR form (each row's columns sorted)."""
+    mask = cfg.obs.mask
+    off = mask.i != mask.j
+    rows = np.concatenate([mask.i, mask.j[off]])
+    cols = np.concatenate([mask.j, mask.i[off]])
+    A = sparse.csr_matrix((np.concatenate([pair_values, pair_values[off]]), (rows, cols)), shape=(cfg.d, cfg.d))
+    A.sort_indices()
+    assert A.has_canonical_format
+    return A
+
+
+def _oracle_hessian(X, V, cfg):
+    """H[V] by the formula of `hessian_operator`, with every sparse product
+    a public scipy product of an oracle matrix."""
+    d, r = X.shape
+    P = _oracle_matrix(cfg, np.ones(cfg.obs.mask.i.size))
+    R = _oracle_matrix(cfg, cfg.residuals(X))
+
+    def blocks(Y):
+        return (P @ (X[:, :, None] * Y[:, None, :]).reshape(d, r * r)).reshape(d, r, r)
+
+    HV = 2.0 * (np.einsum("iab,ib->ia", blocks(X), V) + np.einsum("iab,ib->ia", blocks(V), X))
+    HV -= 2.0 * (R @ V)
+    return HV + cfg.hyper.reg_weight * per_row_penalty_hvp(X, V, cfg.hyper.alpha)
+
+
 @pytest.mark.parametrize("d,r,p,include_diagonal", KERNEL_CASES)
-def test_column_products_are_bit_identical_to_multivector(d, r, p, include_diagonal, monkeypatch):
+def test_column_products_are_bit_identical_to_multivector(d, r, p, include_diagonal):
+    # the compiled-kernel products against scipy's public CSR products, whose
+    # multi-vector kernel sums each row in the same order: the same floats
     cfg, X, V = _kernel_problem(d, r, p, include_diagonal)
     mask = cfg.obs.mask
     cols = X.T
     gram = sum((x[mask.i] * x[mask.j] for x in cols[1:]), cols[0][mask.i] * cols[0][mask.j])
     assert np.array_equal(cfg.pair_gram(X), gram)
 
-    resid = cfg.residuals(X)
-    for Y in (X, np.asfortranarray(V), V[:, :1]):
-        out = cfg.masked_matmul(resid, Y)
-        assert out.flags.c_contiguous
-        assert np.array_equal(out, cfg._masked_matrix(resid) @ Y)
+    # 64-bit copies of the index arrays, the config of a pattern too large for 32
+    wide = copy.copy(cfg)
+    wide._indptr, wide._indices = cfg._indptr.astype(np.int64), cfg._indices.astype(np.int64)
     alpha, w = cfg.hyper.alpha, cfg.hyper.reg_weight
-    expected = -2.0 * (cfg._masked_matrix(resid) @ X) + w * per_row_penalty(X, alpha)[1]
-    assert np.array_equal(residual_gradient(X, resid, cfg), expected)
+    for c in (cfg, wide):
+        for Y in (X, np.asfortranarray(V), V[:, :1]):
+            resid = c.residuals(Y)
+            out = c.masked_matmul(resid, Y)
+            assert out.flags.c_contiguous
+            product = _oracle_matrix(cfg, resid) @ Y
+            assert np.array_equal(out, product)
+            expected = -2.0 * product + w * per_row_penalty(Y, alpha)[1]
+            assert np.array_equal(residual_gradient(Y, resid, c), expected)
+        for Y, U in ((X, V), (X, np.asfortranarray(V)), (X[:, :1], V[:, :1])):
+            assert np.array_equal(hessian_operator(Y, c)(U), _oracle_hessian(Y, U, cfg))
 
-    HV = hessian_operator(X, cfg)(V)
-    monkeypatch.setattr(objective, "_matmul_columns", lambda A, Y: A @ Y)
-    assert np.array_equal(HV, hessian_operator(X, cfg)(V))
+
+def _public_csr_matmul(cfg, data, Y):
+    """`ObjectiveConfig._csr_matmul` through public scipy: a CSR matrix built
+    per call, and its product with each column of Y."""
+    A = sparse.csr_matrix((data, cfg._indices, cfg._indptr), shape=(cfg.d, cfg.d))
+    out = np.empty(Y.shape)
+    for k in range(Y.shape[1]):
+        out[:, k] = A @ Y[:, k]
+    return out
+
+
+def _c3_problem(r, seed):
+    p = min(1.0, max(0.2, 10.0 * r * math.log(100) / 100.0))
+    gt, obs = InstanceSpec(d=100, r=r, seed=seed, p=p).regenerate()
+    return gt, obs, default_hyperparams(gt, p)
+
+
+def _scan_bytes(r, seed):
+    gt, obs, hyper = _c3_problem(r, seed)
+    scfg = SolverConfig(method=Method.PERTURBED_GD)
+    return scan_to_csv(landscape_scan(gt, obs, hyper, scfg, n_starts=4, base_seed=seed))
+
+
+def _trace_bytes(scfg):
+    gt, obs, hyper = _c3_problem(2, 102)
+    cfg = ObjectiveConfig(hyper, obs)
+    return trace_to_csv(solve(cfg, scfg, random_init(100, 2, obs, scfg.seed)).trace)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: _scan_bytes(1, 101),
+        lambda: _scan_bytes(2, 102),
+        lambda: _trace_bytes(SolverConfig(method=Method.GD, seed=5)),
+        lambda: _trace_bytes(SolverConfig(method=Method.SGD, max_iters=400, seed=5, sgd=SgdParams(batch=256))),
+    ],
+    ids=["scan-c3-101", "scan-c3-102", "gd-trace-d100", "sgd-trace-d100"],
+)
+def test_csv_bytes_are_those_of_public_csr_products(run, monkeypatch):
+    # every masked product of a scan or a solve but the pattern blocks at
+    # r > 1 goes through one seam; the CSV bytes through public scipy
+    # products there are the same
+    ours = run()
+    monkeypatch.setattr(ObjectiveConfig, "_csr_matmul", _public_csr_matmul)
+    assert run() == ours
 
 
 # the cases with an observed entry to draw
