@@ -330,20 +330,20 @@ def sgd(cfg, scfg, X0):
     the sampled batches count toward `cum_entry_grads`.  The run stops at
     the first pass whose gradient norm reaches grad_tol, or with status
     `diverged` at the first pass, the start included, whose objective or
-    gradient norm is not finite.
+    gradient norm is not finite.  An empty mask is a ValueError.
     """
+    if not cfg.n_pairs:
+        raise ValueError("SGD samples observed entries, but the mask is empty")
     X, bdown, _, gn, grad_tol, trace = _start(cfg, X0, 0)
     if _diverged(bdown, gn):  # no step size can be estimated at a non-finite start
         return _result(X, bdown, gn, grad_tol, trace, 0)
-    batch = min(scfg.sgd.batch, cfg.n_pairs) if cfg.n_pairs else scfg.sgd.batch
+    batch = min(scfg.sgd.batch, cfg.n_pairs)
     # GD's step0 damped by sqrt(batch fraction): the estimator is the
     # (n/batch)-scaled pair sum, so the full-gradient step diverges on small
     # batches; at batch == n this recovers the GD step
-    base = _inverse_norm(obj.operator_norm_estimate(X, cfg))
-    if cfg.n_pairs:
-        base *= math.sqrt(batch / cfg.n_pairs)
+    base = _inverse_norm(obj.operator_norm_estimate(X, cfg)) * math.sqrt(batch / cfg.n_pairs)
     rng = substream(scfg.seed, "sgd")
-    period = -(-cfg.n_pairs // batch) or 1  # ceil(|Omega| / batch): steps per epoch
+    period = -(-cfg.n_pairs // batch)  # ceil(|Omega| / batch): steps per epoch
 
     cum = 0
     for it in range(1, scfg.max_iters + 1):

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import types
 
@@ -596,6 +597,26 @@ def test_pair_gradient_scatter_is_bit_identical_to_add_at(d, r, p, include_diago
         assert np.array_equal(pair_gradient_sum(X, cfg, pos), _add_at_pair_gradient_sum(X, cfg, pos))
 
 
+def test_pair_gradient_sum_checks_its_operand_and_takes_64_bit_tables(monkeypatch):
+    cfg, X, _ = _kernel_problem(12, 3, 0.6, True)
+    pos = np.random.default_rng(3).integers(0, cfg.n_pairs, 50)
+    expected = pair_gradient_sum(X, cfg, pos)
+    # 64-bit copies of the index tables, the config of a pattern too large for 32
+    wide = copy.copy(cfg)
+    rows, values = cfg._position_tables
+    wide._indices, wide._position_tables = cfg._indices.astype(np.int64), (rows.astype(np.int64), values)
+    assert np.array_equal(pair_gradient_sum(X, wide, pos), expected)
+
+    # the compiled kernel would read and write past the end of a short operand
+    def kernel(*args):
+        raise AssertionError("the kernel was called")
+
+    monkeypatch.setattr(objective, "coo_matvec", kernel)
+    for Y in (X[:-1], np.vstack([X, X]), X[:, 0]):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            pair_gradient_sum(Y, cfg, pos)
+
+
 def _oracle_matrix(cfg, pair_values):
     """The symmetric d x d matrix carrying `pair_values` on the stored pairs,
     built by public scipy from the mask's pairs in both orders, in canonical
@@ -696,6 +717,109 @@ def test_csv_bytes_are_those_of_public_csr_products(run, monkeypatch):
     # products there are the same
     ours = run()
     monkeypatch.setattr(ObjectiveConfig, "_csr_matmul", _public_csr_matmul)
+    assert run() == ours
+
+
+def _bincount_pair_gradient_sum(X, cfg, positions):
+    """`pair_gradient_sum` with the scatter it had before the COO kernel:
+    one np.bincount per column, over the i-side terms then the j-side ones."""
+    rows, values = cfg._position_tables
+    i, j = rows.take(positions), cfg._indices.take(positions)
+    Xi, Xj = X.take(i, axis=0), X.take(j, axis=0)
+    neg_resid = np.einsum("ij,ij->i", Xi, Xj) - values.take(positions)
+    ij = np.concatenate([i, j])
+    b = i.size
+    w = np.empty(2 * b)
+    G = np.empty(X.shape)
+    for k in range(X.shape[1]):
+        np.multiply(neg_resid, Xj[:, k], out=w[:b])
+        np.multiply(neg_resid, Xi[:, k], out=w[b:])
+        G[:, k] = np.bincount(ij, weights=w, minlength=cfg.d)
+    return G
+
+
+@pytest.mark.parametrize("active", [False, True], ids=["default-alpha", "active-rows"])
+@pytest.mark.parametrize("batch", [7, 4096])
+@pytest.mark.parametrize("r,seed", [(1, 101), (2, 102), (3, 103)])
+def test_sgd_bytes_are_those_of_the_bincount_scatter(r, seed, batch, active, monkeypatch):
+    gt, obs, hyper = _c3_problem(r, seed)
+    X0 = random_init(100, r, obs, seed)
+    if active:  # the rows of X0 above their median norm are active
+        hyper = HyperParams(alpha=float(np.median(np.linalg.norm(X0, axis=1))), reg_weight=hyper.reg_weight, tau=0.0)
+    assert (regularizer(X0, hyper.alpha) > 0.0) == active
+    cfg = ObjectiveConfig(hyper, obs)
+    period = -(-cfg.n_pairs // min(batch, cfg.n_pairs))
+    scfg = SolverConfig(method=Method.SGD, max_iters=2 * period + 1, seed=seed, sgd=SgdParams(batch=batch))
+
+    def run():
+        res = solve(cfg, scfg, X0)
+        assert res.trace.iters == [0, period, 2 * period, 2 * period + 1]  # no stop before max_iters
+        return trace_to_csv(res.trace), res.X.tobytes()
+
+    ours = run()
+    monkeypatch.setattr(objective, "pair_gradient_sum", _bincount_pair_gradient_sum)
+    assert run() == ours
+
+
+def _single_pass_row_excess(X, alpha):
+    """`_row_excess` without the column-maxima test: the largest squared row
+    norm decides None."""
+    sq = (X * X).sum(axis=1)
+    if np.sqrt(sq.max(initial=0.0)) <= alpha:
+        return None
+    t = np.sqrt(sq)
+    e = np.maximum(t - alpha, 0.0)
+    act = np.flatnonzero(e > 0.0)
+    return e, act, t[act]
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("r", range(1, 11))
+def test_column_maxima_never_rule_out_an_active_row(r, order):
+    # row 0 holds every column maximum, so sum_k m_k^2 is its squared norm and
+    # the bound is tight; alpha at that norm, at the root of the column maxima's
+    # sum and at the edge of the margin, each with its neighbours.  The row
+    # sums of an F-ordered X with r >= 8 add in another order than the column
+    # maxima's, and can exceed them by an ulp; at a scale of 2^-540 the squares
+    # underflow, and round apart from the exact squares
+    eps = np.finfo(float).eps
+    rounded_above = 0
+    for draw, scale in itertools.product(range(20), (1.0, 2.0**-540)):
+        rng = np.random.default_rng([r, draw])
+        X = rng.uniform(-1.0, 1.0, size=(30, r))
+        X[0] = np.abs(X).max(axis=0) * rng.choice([-1.0, 1.0], size=r)
+        X = np.asarray(scale * X, order=order)
+        top = float(np.sqrt((X * X).sum(axis=1))[0])
+        m = np.abs(X).max(axis=0)
+        bound = float(np.sqrt((m * m).sum()))
+        rounded_above += top > bound and scale == 1.0
+        alphas = []
+        for base in (top, bound, bound / (1.0 - 4 * r * eps)):
+            alphas += [np.nextafter(base, -np.inf), base, np.nextafter(base, np.inf)]
+        assert _single_pass_row_excess(X, alphas[0]) is not None and _single_pass_row_excess(X, alphas[1]) is None
+        cases = [X]
+        for bad in (np.nan, np.inf, -np.inf):
+            Y = X.copy(order=order)
+            Y[1, -1] = bad
+            cases.append(Y)
+        for Y in cases:
+            for alpha in alphas:
+                ours, single = objective._row_excess(Y, alpha), _single_pass_row_excess(Y, alpha)
+                if single is None:
+                    assert ours is None
+                else:
+                    assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(ours, single))
+    assert rounded_above > 0 or not (r >= 8 and order == "F")
+
+
+@pytest.mark.parametrize(
+    "run",
+    [lambda: _scan_bytes(1, 101), lambda: _scan_bytes(2, 102), lambda: _trace_bytes(SolverConfig(method=Method.GD, seed=5))],
+    ids=["scan-c3-101", "scan-c3-102", "gd-trace-d100"],
+)
+def test_csv_bytes_are_those_of_the_single_row_pass(run, monkeypatch):
+    ours = run()
+    monkeypatch.setattr(objective, "_row_excess", _single_pass_row_excess)
     assert run() == ours
 
 

@@ -373,6 +373,16 @@ def test_sgd_with_a_batch_of_all_entries_writes_a_row_per_step():
     assert _sgd_rows(res) == {it: ref[it] for it in res.trace.iters}
 
 
+def test_sgd_on_an_empty_mask_is_a_value_error():
+    # no entry to sample; at this start the penalty alone is active
+    gt, obs = InstanceSpec(d=2, r=1, seed=1, p=0.01).regenerate()
+    cfg = ObjectiveConfig(default_hyperparams(gt, 0.01), obs)
+    X0 = np.full((2, 1), 50.0)
+    assert cfg.n_pairs == 0 and np.any(per_row_penalty(X0, cfg.hyper.alpha)[1])
+    with pytest.raises(ValueError, match="mask is empty"):
+        sgd(cfg, SolverConfig(method=Method.SGD), X0)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_sgd_stops_at_first_non_finite_iterate(norm_estimate):
     gt, obs, cfg = make_problem(20, 2, seed=3, p=0.8)
