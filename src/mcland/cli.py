@@ -3,8 +3,9 @@
 Four subcommands: `gen` materializes an instance record, `solve` runs one
 solver and certifies the endpoint, `scan` certifies endpoints from many
 random starts, `conc` sweeps a concentration experiment over a p grid.
-Configs are strict JSON (unknown keys are errors); outputs are CSV files
-with deterministic bytes, so a rerun of the same config is byte-identical;
+Configs are strict JSON (unknown and repeated keys are errors); the record
+`gen` writes is an `instance` block.  Outputs are CSV files with
+deterministic bytes, so a rerun of the same config is byte-identical;
 `scan` and `conc` take --threads, which changes only their wall time.
 
 Exit codes: 0 success, 1 failed --assert-clean, 2 config error, 3 internal
@@ -16,6 +17,7 @@ import dataclasses
 import json
 import sys
 import typing
+from contextlib import contextmanager
 from dataclasses import MISSING
 from enum import Enum
 from pathlib import Path
@@ -34,10 +36,21 @@ from .concentration import ConcentrationTrial, fit_scaling, run_concentration, t
 from .csvio import cell
 from .instance import InstanceSpec, default_hyperparams, HyperParams
 from .objective import ObjectiveConfig
+from .rng import check_seed
 
 
 class ConfigError(Exception):
     pass
+
+
+@contextmanager
+def _invalid(path):
+    """Report a ValueError raised in the body, a value the library rejects, as a
+    config error in `path`; the only place the CLI converts one."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"invalid {path}: {exc}") from exc
 
 
 def _type_name(spec):
@@ -58,7 +71,8 @@ def _get(block, path, key, tp, default=MISSING):
     val = block.pop(key)
     path = f"{path}.{key}"
     if dataclasses.is_dataclass(tp):
-        return _construct(tp, path, _fields(tp, val, path))
+        with _invalid(path):
+            return tp(**_fields(tp, val, path))
     if issubclass(tp, Enum):
         names = [m.value for m in tp]
         if val not in names:
@@ -101,13 +115,6 @@ def _fields(cls, block, path, required=(), skip=()):
     return kwargs
 
 
-def _construct(cls, path, kwargs):
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"invalid {path} block: {exc}") from exc
-
-
 def _block(cfg, name):
     """A required top-level block, as a copy."""
     block = cfg.pop(name, MISSING)
@@ -118,13 +125,23 @@ def _block(cfg, name):
     return dict(block)
 
 
+def _unique_keys(pairs):
+    """A JSON object's dict; a key named twice in one object is an error."""
+    obj = {}
+    for key, val in pairs:
+        if key in obj:
+            raise ConfigError(f"duplicate key '{key}'")
+        obj[key] = val
+    return obj
+
+
 def _load_config(path):
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     try:
-        cfg = json.loads(text)
+        cfg = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
@@ -133,36 +150,17 @@ def _load_config(path):
 
 
 def _parse_instance(cfg):
-    block = _block(cfg, "instance")
-    return _construct(InstanceSpec, "instance", _fields(InstanceSpec, block, "instance", required=("p",)))
+    """The instance record, its (gt, obs) and the hyperparameters derived from them."""
+    kwargs = _fields(InstanceSpec, _block(cfg, "instance"), "instance", required=("p",))
+    with _invalid("instance"):
+        spec = InstanceSpec(**kwargs)
+        gt, obs = spec.regenerate()
+        return spec, gt, obs, default_hyperparams(gt, spec.p)
 
 
-def _regenerate(spec):
-    """(gt, obs) of a parsed instance; a record that cannot be generated is a config error."""
-    try:
-        return spec.regenerate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _require_observations(obs):
-    """Solve and scan fit the observed entries; with none, the objective is the penalty alone."""
-    if obs.mask.n_pairs == 0:
-        raise ConfigError(f"the mask is empty: the instance observes no entries at p={cell(obs.p)}")
-
-
-def _default_hyper(gt, p):
-    try:
-        return default_hyperparams(gt, p)
-    except ValueError as exc:
-        raise ConfigError(f"invalid instance block: {exc}") from exc
-
-
-def _parse_hyper(cfg, gt, p):
-    block = cfg.pop("hyper", None)
-    base = _default_hyper(gt, p)
-    if block is None:
-        return base
+def _parse_hyper(cfg, base):
+    """The hyper block; an absent block or key keeps the instance's default."""
+    block = cfg.pop("hyper", {})
     if not isinstance(block, dict):
         raise ConfigError("'hyper' must be an object")
     block = dict(block)
@@ -170,17 +168,29 @@ def _parse_hyper(cfg, gt, p):
     weight = _get(block, "hyper", "lambda", float, default=base.reg_weight)
     tau = _get(block, "hyper", "tau", float, default=base.tau)
     _check_empty(block, "hyper")
-    return _construct(HyperParams, "hyper", dict(alpha=alpha, reg_weight=weight, tau=tau))
+    with _invalid("hyper"):
+        return HyperParams(alpha=alpha, reg_weight=weight, tau=tau)
 
 
 def _parse_solver(cfg):
-    block = cfg.pop("solver", None)
-    if block is None:
-        return solvers.SolverConfig()
-    return _construct(solvers.SolverConfig, "solver", _fields(solvers.SolverConfig, block, "solver"))
+    kwargs = _fields(solvers.SolverConfig, cfg.pop("solver", {}), "solver")
+    with _invalid("solver"):
+        return solvers.SolverConfig(**kwargs)
 
 
-def _parse_scan(cfg):
+def _parse_problem(cfg):
+    """(gt, obs, hyper, solver config) from the instance, hyper and solver blocks of
+    `solve` and `scan`.  Both fit the observed entries: with none, the objective
+    is the penalty alone, so an empty mask is an error."""
+    _, gt, obs, base = _parse_instance(cfg)
+    hyper = _parse_hyper(cfg, base)
+    if obs.mask.n_pairs == 0:
+        raise ConfigError(f"the mask is empty: the instance observes no entries at p={cell(obs.p)}")
+    return gt, obs, hyper, _parse_solver(cfg)
+
+
+def _parse_scan(cfg, gt, obs):
+    """(n_starts, base_seed, tolerances); without `global_rel` the radius is the instance's default."""
     block = _block(cfg, "scan")
     n_starts = _get(block, "scan", "n_starts", int)
     base_seed = _get(block, "scan", "base_seed", int)
@@ -188,7 +198,12 @@ def _parse_scan(cfg):
     _check_empty(block, "scan")
     if n_starts < 1:
         raise ConfigError("'scan.n_starts' must be >= 1")
-    return n_starts, base_seed, global_rel
+    with _invalid("scan.base_seed"):
+        check_seed(base_seed)
+    if global_rel is None:
+        global_rel = default_global_rel(gt, obs, noiseless=1e-2)
+    with _invalid("scan.global_rel"):
+        return n_starts, base_seed, CertTolerances(global_rel=global_rel)
 
 
 def _parse_concentration(cfg):
@@ -197,14 +212,13 @@ def _parse_concentration(cfg):
     if not p_grid or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in p_grid):
         raise ConfigError("'concentration.p_grid' must be a non-empty list of numbers")
     base = _fields(ConcentrationTrial, block, "concentration", skip=("p",))
-    return [_construct(ConcentrationTrial, "concentration", {**base, "p": float(p)}) for p in p_grid]
+    with _invalid("concentration"):
+        return [ConcentrationTrial(**base, p=float(p)) for p in p_grid]
 
 
 def cmd_gen(cfg, out_dir):
-    spec = _parse_instance(cfg)
+    spec, gt, obs, hyper = _parse_instance(cfg)
     _check_empty(cfg, "config")
-    gt, obs = _regenerate(spec)
-    hyper = _default_hyper(gt, spec.p)
     (out_dir / "instance.json").write_text(spec.to_json())
     print(f"mu={cell(gt.incoherence)}")
     print(f"kappa={cell(gt.condition_number)}")
@@ -216,14 +230,10 @@ def cmd_gen(cfg, out_dir):
 
 
 def cmd_solve(cfg, out_dir):
-    spec = _parse_instance(cfg)
-    gt, obs = _regenerate(spec)
-    hyper = _parse_hyper(cfg, gt, spec.p)
-    _require_observations(obs)
-    scfg = _parse_solver(cfg)
+    gt, obs, hyper, scfg = _parse_problem(cfg)
     _check_empty(cfg, "config")
     ocfg = ObjectiveConfig(hyper, obs)
-    X0 = solvers.random_init(spec.d, spec.r, obs, scfg.seed)
+    X0 = solvers.random_init(gt.d, gt.rank, obs, scfg.seed)
     res = solvers.solve(ocfg, scfg, X0)
     tols = CertTolerances(global_rel=default_global_rel(gt, obs, noiseless=1e-3))
     rep = certify_point(res.X, ocfg, gt, tols, res.eig)
@@ -239,19 +249,9 @@ def cmd_solve(cfg, out_dir):
 
 
 def cmd_scan(cfg, out_dir, threads=1, assert_clean=False):
-    spec = _parse_instance(cfg)
-    gt, obs = _regenerate(spec)
-    hyper = _parse_hyper(cfg, gt, spec.p)
-    _require_observations(obs)
-    scfg = _parse_solver(cfg)
-    n_starts, base_seed, global_rel = _parse_scan(cfg)
+    gt, obs, hyper, scfg = _parse_problem(cfg)
+    n_starts, base_seed, tols = _parse_scan(cfg, gt, obs)
     _check_empty(cfg, "config")
-    if global_rel is None:
-        global_rel = default_global_rel(gt, obs, noiseless=1e-2)
-    try:
-        tols = CertTolerances(global_rel=global_rel)
-    except ValueError as exc:
-        raise ConfigError(f"invalid 'scan.global_rel': {exc}") from exc
     summary = landscape_scan(
         gt, obs, hyper, scfg, n_starts=n_starts, base_seed=base_seed, tols=tols, threads=threads
     )
@@ -322,7 +322,10 @@ def main(argv=None):
             raise ConfigError(f"--threads must be >= 1, got {args['threads']}")
         cfg = _load_config(config)
         out_dir = Path(out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory: {exc}") from exc
         return _COMMANDS[command](cfg, out_dir, **args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

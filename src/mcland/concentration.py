@@ -27,7 +27,7 @@ import numpy as np
 from .csvio import write_csv
 from .instance import sample_mask
 from .linalg import row_incoherence
-from .rng import derive_seed, substream
+from .rng import check_seed, derive_seed, substream
 
 CONC_COLUMNS = ("kind", "d", "r", "p", "nu", "sigma", "trial", "deviation", "predicted_scale")
 
@@ -63,6 +63,7 @@ class ConcentrationTrial:
             raise ValueError(f"sigma must be non-negative and finite, got {self.sigma}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True, eq=False)

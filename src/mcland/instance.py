@@ -5,8 +5,10 @@ Gaussian noise) observed on a symmetric random set of entries.  The mask
 stores each observed pair once, as (i, j) with i <= j, and the observation
 holds one value per stored pair, so symmetry holds by construction; the
 mask's `n_pairs` still counts |Omega| with both orders.  Everything is
-regenerable bit-exactly from a small JSON-compatible record; masks and
-values are never serialized.
+regenerable bit-exactly from a small JSON-compatible record, `InstanceSpec`,
+which `to_json` writes and the CLI reads back as an `instance` block; masks
+and values are never serialized.  The factor is one Gaussian draw: a scale
+whose draw has no finite, positive-definite Gram matrix is a ValueError.
 
 Generation walks the d x d matrix in row blocks of at most `_BLOCK`
 elements, so it holds O(|Omega| + block) memory and takes O(d^2) time (the
@@ -25,9 +27,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .linalg import ObservationMask, row_incoherence, singular_extremes
-from .rng import substream
+from .rng import check_seed, substream
 
-_FACTOR_RETRIES = 10
 _BLOCK = 1 << 20  # elements per row block of a d x d draw (8 MB of float64)
 
 
@@ -119,26 +120,25 @@ class Observation:
 
 
 def sample_factor(d, r, scale, seed):
-    """Ground-truth factor with iid N(0, scale^2/d) entries.
+    """Ground-truth factor with iid N(0, scale^2/d) entries, one draw from the
+    ("factor", 0) substream.
 
-    Resamples from a perturbed substream if the draw is rank deficient
-    (essentially impossible for Gaussian draws, but guarded); fails after
-    a fixed number of retries.
+    A scale at which Z^T Z overflows, or underflows to a singular matrix, is
+    a ValueError naming the scale; a Gaussian draw at any other scale has
+    full rank with probability one.
     """
     if not 1 <= r <= d:
         raise ValueError(f"need 1 <= r <= d, got r={r}, d={d}")
     if not 0 < scale < math.inf:
         raise ValueError(f"scale must be positive and finite, got {scale}")
-    for attempt in range(_FACTOR_RETRIES):
-        rng = substream(seed, "factor", attempt)
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-            Z = rng.standard_normal((d, r)) * (scale / np.sqrt(d))
-            smax, smin = singular_extremes(Z)
-        if not math.isfinite(smax):
-            raise ValueError(f"scale {scale} overflows the factor (d={d}, r={r})")
-        if smin > 0.0:
-            return GroundTruth(Z)
-    raise RuntimeError(f"sample_factor: rank-deficient draw {_FACTOR_RETRIES} times in a row (d={d}, r={r})")
+    rng = substream(seed, "factor", 0)  # the stream every recorded instance was drawn from
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        Z = rng.standard_normal((d, r)) * (scale / np.sqrt(d))
+        smax, smin = singular_extremes(Z)
+    if not (math.isfinite(smax) and smin > 0.0):
+        flow = "underflows" if math.isfinite(smax) else "overflows"
+        raise ValueError(f"scale {scale} {flow} the factor's Gram matrix (d={d}, r={r})")
+    return GroundTruth(Z)
 
 
 def sample_mask(d, p, include_diagonal=True, *, seed):
@@ -257,23 +257,10 @@ class InstanceSpec:
             raise ValueError("need finite sigma and scale")
         if self.sigma < 0.0 or self.scale <= 0.0:
             raise ValueError("need sigma >= 0 and scale > 0")
+        check_seed(self.seed)
 
     def to_json(self):
         return json.dumps(asdict(self), sort_keys=True, separators=(", ", ": ")) + "\n"
-
-    @classmethod
-    def from_json(cls, text):
-        raw = json.loads(text)
-        if not isinstance(raw, dict):
-            raise ValueError("instance record must be a JSON object")
-        fields = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - fields
-        if unknown:
-            raise ValueError(f"unknown instance record field(s): {sorted(unknown)}")
-        missing = {"d", "r", "seed"} - set(raw)
-        if missing:
-            raise ValueError(f"instance record missing field(s): {sorted(missing)}")
-        return cls(**raw)
 
     def regenerate(self):
         """(GroundTruth, Observation) for this record.

@@ -3,7 +3,8 @@
 Every random draw in the package flows through `substream`, which derives an
 independent PCG64 generator from a user-facing integer seed plus a tuple of
 purpose tags (strings or ints).  Tags are hashed with SHA-256 so the mapping
-is stable across Python processes, platforms, and thread counts.
+is stable across Python processes, platforms, and thread counts.  A seed is
+an integer in [0, 2**64), the 64 bits a stream keys on (`check_seed`).
 """
 
 import hashlib
@@ -33,16 +34,21 @@ def _tag_words(tag):
     raise TypeError(f"rng tag must be int or str, got {type(tag).__name__}")
 
 
+def check_seed(seed):
+    """Raise unless `seed` is an integer in [0, 2**64), the seeds `substream` takes."""
+    if not isinstance(seed, (int, np.integer)):
+        raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+
+
 def substream(seed, *tags):
     """Generator keyed by (seed, *tags).
 
     Identical arguments always produce an identical stream; distinct tag
     tuples produce statistically independent streams.
     """
-    if not isinstance(seed, (int, np.integer)):
-        raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    check_seed(seed)
     words = [int(seed) & _MASK32, (int(seed) >> 32) & _MASK32]
     for tag in tags:
         words.extend(_tag_words(tag))

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import objective as obj
 from .csvio import write_csv
-from .rng import substream
+from .rng import check_seed, substream
 
 _STEP_UNDERFLOW = 1e-16
 _C1 = 1e-4  # sufficient-decrease constant of every line search
@@ -76,6 +76,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        check_seed(self.seed)
 
 
 TRACE_COLUMNS = ("iter", "f", "data_term", "reg_term", "grad_norm", "step", "cum_entry_grads")

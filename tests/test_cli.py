@@ -50,8 +50,7 @@ def test_gen_reports_rank1_alpha_formula(tmp_path, capsys):
         gt.incoherence**2 * 1.0 / float(kv["alpha"]) ** 2, rel=1e-12
     )
     assert int(kv["observed_pairs"]) == 40 * 40
-    record = (tmp_path / "instance.json").read_text()
-    assert InstanceSpec.from_json(record) == InstanceSpec(d=40, r=1, seed=3, p=1.0)
+    assert (tmp_path / "instance.json").read_text() == InstanceSpec(d=40, r=1, seed=3, p=1.0).to_json()
 
 
 def test_gen_rerun_is_byte_identical(tmp_path, capsys):
@@ -62,6 +61,24 @@ def test_gen_rerun_is_byte_identical(tmp_path, capsys):
     assert cli.main(["gen", "--config", cfgp, "--out", str(out2)]) == 0
     capsys.readouterr()
     assert (out1 / "instance.json").read_bytes() == (out2 / "instance.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "block",
+    [_instance_block(), _instance_block(r=2, p=0.5, sigma=0.1, scale=1.5, include_diagonal=False)],
+    ids=["defaults", "every-field"],
+)
+def test_gen_reads_back_its_own_record(tmp_path, capsys, block):
+    # the record gen writes is an instance block: gen on it writes the same record and prints the same
+    cfgp = _write(tmp_path, {"instance": block})
+    code, out1, err = _run(capsys, ["gen", "--config", cfgp, "--out", str(tmp_path / "a")])
+    assert code == 0, err
+    record = (tmp_path / "a" / "instance.json").read_bytes()
+    cfgp = _write(tmp_path, {"instance": json.loads(record)}, name="again.json")
+    code, out2, err = _run(capsys, ["gen", "--config", cfgp, "--out", str(tmp_path / "b")])
+    assert code == 0, err
+    assert (tmp_path / "b" / "instance.json").read_bytes() == record
+    assert out2 == out1
 
 
 def test_gen_missing_key_is_config_error(tmp_path, capsys):
@@ -96,6 +113,33 @@ def test_malformed_or_missing_config_is_config_error(tmp_path, capsys):
     listy.write_text("[1, 2]")
     assert cli.main(["gen", "--config", str(listy), "--out", str(tmp_path)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "text,key",
+    [
+        ('{"instance": {"d": 20, "r": 1, "seed": 1, "p": 0.8, "d": 30}}', "d"),
+        ('{"instance": {"d": 20, "r": 1, "seed": 1, "p": 0.8}, "instance": {"d": 30}}', "instance"),
+    ],
+    ids=["in-a-block", "at-the-root"],
+)
+def test_duplicate_key_is_config_error(tmp_path, capsys, text, key):
+    cfgp = tmp_path / "dup.json"
+    cfgp.write_text(text)
+    code, out, err = _run(capsys, ["gen", "--config", str(cfgp), "--out", str(tmp_path / "out")])
+    assert code == 2, err
+    assert err.startswith("config error:") and f"duplicate key '{key}'" in err
+    assert not any((tmp_path / "out").glob("*"))
+
+
+@pytest.mark.parametrize("out", ["taken", "taken/sub"])
+def test_out_that_cannot_be_a_directory_is_config_error(tmp_path, capsys, out):
+    (tmp_path / "taken").write_text("a file\n")
+    cfgp = _write(tmp_path, {"instance": _instance_block()})
+    code, _, err = _run(capsys, ["gen", "--config", cfgp, "--out", str(tmp_path / out)])
+    assert code == 2, err
+    assert err.startswith("config error:") and "cannot create output directory" in err
+    assert (tmp_path / "taken").read_text() == "a file\n"
 
 
 def test_bad_thread_count_is_config_error(tmp_path, capsys):
@@ -282,10 +326,12 @@ def test_gen_of_empty_mask_reports_no_pairs(tmp_path, capsys, block):
 @pytest.mark.parametrize("command", ["gen", "solve", "scan"])
 @pytest.mark.parametrize(
     "field,value",
-    [("sigma", math.nan), ("sigma", math.inf), ("scale", math.nan), ("scale", math.inf), ("scale", 1e200)],
+    [("sigma", math.nan), ("sigma", math.inf), ("scale", math.nan), ("scale", math.inf), ("scale", 1e200)]
+    + [("scale", 1e160), ("scale", 1e-200)],
 )
 def test_non_finite_instance_is_config_error(tmp_path, capsys, command, field, value):
-    # 1e200 is finite, but the factor's Gram matrix (and Z Z^T) overflow
+    # 1e200 and 1e160 are finite, but the factor's Gram matrix (and Z Z^T) overflow;
+    # at 1e-200 the Gram matrix underflows to zero
     payload = {"instance": _instance_block(**{field: value})}
     if command == "scan":
         payload["scan"] = {"n_starts": 1, "base_seed": 0}
@@ -293,6 +339,8 @@ def test_non_finite_instance_is_config_error(tmp_path, capsys, command, field, v
     code, out, err = _run(capsys, [command, "--config", cfgp, "--out", str(tmp_path)])
     assert code == 2, err
     assert err.startswith("config error:")
+    assert field in err
+    assert not any(tmp_path.glob("*.csv")) and not (tmp_path / "instance.json").exists()
 
 
 _SCAN = {"n_starts": 1, "base_seed": 0}
@@ -322,6 +370,19 @@ _CONC = {"kind": "noise_inner", "d": 10, "p_grid": [0.5], "trials": 2}
         ("conc", {"concentration": {**_CONC, "kind": kind, "sigma": value}}, "sigma must be non-negative and finite")
         for kind in ("noise_spectral", "noise_inner")
         for value in (math.nan, math.inf)
+    ]
+    + [("gen", {"instance": [1, 2]}, "'instance' must be an object")]
+    # every seed a config holds lies in [0, 2**64), the 64 bits a random stream keys on
+    + [
+        (command, payload(seed), f"invalid {path}: seed must lie in [0, 2**64), got {seed}")
+        for command, path, payload in (
+            ("gen", "instance", lambda seed: {"instance": _instance_block(seed=seed)}),
+            ("solve", "solver", lambda seed: {"instance": _instance_block(), "solver": {"seed": seed}}),
+            ("scan", "scan.base_seed", lambda seed: {"instance": _instance_block(),
+                                                     "scan": {**_SCAN, "base_seed": seed}}),
+            ("conc", "concentration", lambda seed: {"concentration": {**_CONC, "seed": seed}}),
+        )
+        for seed in (-1, 2**64)
     ],
 )
 def test_config_errors_name_their_key(tmp_path, capsys, command, payload, message):
@@ -329,6 +390,7 @@ def test_config_errors_name_their_key(tmp_path, capsys, command, payload, messag
     assert code == 2, err
     assert err.startswith("config error:") and message in err
     assert not any(tmp_path.glob("*.csv"))
+    assert not (tmp_path / "instance.json").exists()
 
 
 def test_solve_noisy_endpoint_at_noise_floor_is_global_min(tmp_path, capsys):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from mcland.rng import derive_seed, substream
+from mcland.concentration import ConcentrationTrial, Kind
+from mcland.instance import InstanceSpec
+from mcland.rng import check_seed, derive_seed, substream
+from mcland.solvers import SolverConfig
 
 
 def test_same_tags_same_stream():
@@ -57,3 +60,29 @@ def test_input_checks():
     for seed in (7.0, "7"):
         with pytest.raises(TypeError, match="seed must be an integer"):
             substream(seed, "init")
+
+
+def test_seeds_lie_below_two_to_the_64():
+    # the stream keys on 64 bits: 2**64 would alias seed 0
+    a = substream(2**64 - 1, "x").normal(size=4)
+    assert not np.array_equal(a, substream(0, "x").normal(size=4))
+    for seed in (-1, 2**64, 2**64 + 7):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            substream(seed, "x")
+    check_seed(np.uint64(2**64 - 1))
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        lambda seed: InstanceSpec(d=4, r=1, seed=seed, p=0.5),
+        lambda seed: SolverConfig(seed=seed),
+        lambda seed: ConcentrationTrial(kind=Kind.SPECTRAL, d=10, p=0.5, seed=seed),
+    ],
+    ids=["InstanceSpec", "SolverConfig", "ConcentrationTrial"],
+)
+def test_records_holding_a_seed_check_it_when_built(record):
+    assert record(2**64 - 1).seed == 2**64 - 1
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            record(seed)
