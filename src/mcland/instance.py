@@ -8,7 +8,8 @@ mask's `n_pairs` still counts |Omega| with both orders.  Everything is
 regenerable bit-exactly from a small JSON-compatible record, `InstanceSpec`,
 which `to_json` writes and the CLI reads back as an `instance` block; masks
 and values are never serialized.  The factor is one Gaussian draw: a scale
-whose draw has no finite, positive-definite Gram matrix is a ValueError.
+whose draw has an infinite Gram matrix, or one whose squares underflow, is
+a ValueError.
 
 Generation walks the d x d matrix in row blocks of at most `_BLOCK`
 elements, so it holds O(|Omega| + block) memory and takes O(d^2) time (the
@@ -22,6 +23,7 @@ shape of the call, as it already does by its thread count.
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -123,9 +125,11 @@ def sample_factor(d, r, scale, seed):
     """Ground-truth factor with iid N(0, scale^2/d) entries, one draw from the
     ("factor", 0) substream.
 
-    A scale at which Z^T Z overflows, or underflows to a singular matrix, is
-    a ValueError naming the scale; a Gaussian draw at any other scale has
-    full rank with probability one.
+    A scale at which Z^T Z overflows is a ValueError naming the scale, and
+    so is one at which sigma_min(Z)^4, the scale of the objective's squared
+    data terms, falls below the smallest normal double: there f and its
+    gradient round to 0 and any start would pass as a global minimum.  A
+    Gaussian draw at any other scale has full rank with probability one.
     """
     if not 1 <= r <= d:
         raise ValueError(f"need 1 <= r <= d, got r={r}, d={d}")
@@ -135,9 +139,10 @@ def sample_factor(d, r, scale, seed):
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
         Z = rng.standard_normal((d, r)) * (scale / np.sqrt(d))
         smax, smin = singular_extremes(Z)
-    if not (math.isfinite(smax) and smin > 0.0):
-        flow = "underflows" if math.isfinite(smax) else "overflows"
-        raise ValueError(f"scale {scale} {flow} the factor's Gram matrix (d={d}, r={r})")
+    if not math.isfinite(smax):
+        raise ValueError(f"scale {scale} overflows the factor's Gram matrix (d={d}, r={r})")
+    if not smin * smin * smin * smin >= sys.float_info.min:  # a product saturates where ** raises
+        raise ValueError(f"scale {scale} underflows the squares of the factor's Gram matrix (d={d}, r={r})")
     return GroundTruth(Z)
 
 

@@ -14,12 +14,14 @@ c1 = 1e-4 and halving (Nocedal & Wright, Numerical Optimization, Sec. 3.1).
 Each line search opens at the Barzilai-Borwein step <s, s> / <s, y> of the
 last accepted move, with s = X_{k+1} - X_k and y = grad f(X_{k+1}) -
 grad f(X_k), and backtracks from there until the sufficient-decrease test
-passes, so every accepted step still decreases f.  It opens at twice the
-last accepted step instead when <s, y> <= 0 or when there is no last
-accepted move: at the first iteration, and right after a witness step,
-across which s and y say nothing about the curvature along the gradient.
-The first trial is 2 * step0, with step0 = 1 / `operator_norm_estimate` at
-X0; SGD damps the same step0 by sqrt(batch / |Omega|) and divides it by
+passes, so every accepted step still decreases f.  The first search takes
+the BB step of an infinitesimal move along -G, ||G||^2 / <G, H[G]>: the
+minimiser of the quadratic model along -G, from one Hessian-vector product
+at X0.  A search opens at twice the last accepted step instead when its
+<s, y> <= 0 and right after a witness step, across which s and y say
+nothing about the curvature along the gradient.  Before the first move that
+is twice step0 = 1 / `operator_norm_estimate` at X0, which GD computes only
+there; SGD damps the same step0 by sqrt(batch / |Omega|) and divides it by
 1 + 1e-3 (k - 1) at step k.
 
 Perturbed GD runs `min_hessian_eig` where it reaches grad_tol.  Where that
@@ -243,9 +245,13 @@ def _descend(cfg, scfg, X0, witness_steps):
     """Armijo gradient descent, with witness steps at saddles if asked.
 
     Each line search opens at the Barzilai-Borwein step of the last accepted
-    move, or at twice the last accepted step when its <s, y> <= 0 or there
-    is none: at the first iteration (2 * step0, with step0 = 1 / the Hessian
-    norm estimate at X0), and right after a witness step.
+    move; the first at ||G||^2 / <G, H[G]>, that of an infinitesimal move
+    along -G.  It opens at twice the last accepted step where that
+    curvature is <= 0 and right after a witness step.  Before the first
+    move that step is step0 = 1 / the Hessian norm estimate at X0, computed
+    only there: where <G, H[G]> <= 0, or where X0 meets grad_tol and the
+    first search runs along the witness.  A start that meets grad_tol
+    runs no Hessian-vector product for its step.
 
     Without witness steps the run stops once the gradient norm reaches
     grad_tol.  With them, such a point runs `min_hessian_eig`.  If that
@@ -262,12 +268,14 @@ def _descend(cfg, scfg, X0, witness_steps):
     cum = n_pairs
     if _diverged(bdown, gn):  # no step size can be estimated at a non-finite start
         return _result(X, bdown, gn, grad_tol, trace, cum)
-    t_prev = _inverse_norm(obj.operator_norm_estimate(X, cfg))  # step0
-    t_bb = None  # the BB step of the last accepted move, if it gives one
+    # the BB step of the last accepted move, if it gives one; before the
+    # first move, that of an infinitesimal move along -G
+    t_bb = _bb_step(G, obj.hessian_operator(X, cfg)(G)) if gn > grad_tol else None
+    t_prev = None  # the last accepted step; step0 before the first move
     eig = None  # the eigensolve at X, where the run computed one
     stalled = False
     for it in range(1, scfg.max_iters + 1):
-        D, slope, curv, t_init = G, gn * gn, 0.0, (t_bb if t_bb is not None else 2.0 * t_prev)
+        D, slope, curv, t_init = G, gn * gn, 0.0, t_bb
         if gn <= grad_tol:
             if not witness_steps:
                 break
@@ -276,7 +284,11 @@ def _descend(cfg, scfg, X0, witness_steps):
             if lam >= -obj.curvature_slack(cfg, eig.op_norm):
                 break  # no negative curvature to escape along
             v = eig.witness if np.vdot(G, eig.witness) <= 0 else -eig.witness
-            D, slope, curv, t_init = lam * v, 0.0, -lam**3, 2.0 * t_prev
+            D, slope, curv, t_init = lam * v, 0.0, -lam**3, None
+        if t_init is None:
+            if t_prev is None:  # step0, only where no BB step opens the first search
+                t_prev = _inverse_norm(obj.operator_norm_estimate(X, cfg))
+            t_init = 2.0 * t_prev
         hit = _armijo_step(cfg, X, bdown, D, slope, curv, t_init)
         if hit is None:
             stalled = True

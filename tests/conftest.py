@@ -206,8 +206,9 @@ def rng():
 
 @pytest.fixture
 def norm_estimate(monkeypatch):
-    """A setter for the Hessian norm estimate every solver takes its first
-    step from: GD's first trial is then 2 / value."""
+    """A setter for the Hessian norm estimate: SGD's base step, and GD's
+    step0 where no BB step opens its first search (that trial is then
+    2 / value)."""
 
     def fix(value):
         monkeypatch.setattr(objective, "operator_norm_estimate", lambda X, cfg: value)

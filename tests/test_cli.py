@@ -327,11 +327,12 @@ def test_gen_of_empty_mask_reports_no_pairs(tmp_path, capsys, block):
 @pytest.mark.parametrize(
     "field,value",
     [("sigma", math.nan), ("sigma", math.inf), ("scale", math.nan), ("scale", math.inf), ("scale", 1e200)]
-    + [("scale", 1e160), ("scale", 1e-200)],
+    + [("scale", 1e160), ("scale", 1e-200), ("scale", 1e-150), ("scale", 1e-160)],
 )
 def test_non_finite_instance_is_config_error(tmp_path, capsys, command, field, value):
     # 1e200 and 1e160 are finite, but the factor's Gram matrix (and Z Z^T) overflow;
-    # at 1e-200 the Gram matrix underflows to zero
+    # at 1e-200 the Gram matrix underflows to zero, and at 1e-150 and 1e-160 the
+    # squared data terms of the objective do
     payload = {"instance": _instance_block(**{field: value})}
     if command == "scan":
         payload["scan"] = {"n_starts": 1, "base_seed": 0}

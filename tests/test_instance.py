@@ -286,6 +286,18 @@ def test_underflowing_factor_scale_is_rejected():
             sample_factor(40, r, 1e-200, 3)
 
 
+@pytest.mark.parametrize("scale", [1e-150, 1e-160])
+def test_scale_whose_data_squares_underflow_is_rejected(scale):
+    # Z^T Z is about scale^2, still nonzero, but the objective's squared data
+    # terms are about scale^4 = 0: f and its gradient would vanish at every
+    # start, and each would certify GlobalMin
+    for r in (1, 2):
+        with pytest.raises(ValueError, match=f"scale {scale} underflows the squares"):
+            sample_factor(40, r, scale, 3)
+    # just above the bound (sigma_min(Z)^4 about 1e-304) the factor still draws
+    assert sample_factor(40, 2, 1e-76, 3).factor.shape == (40, 2)
+
+
 def test_observe_input_checks():
     gt = GroundTruth(np.ones((4, 1)))
     with pytest.raises(ValueError, match="dimension mismatch"):
