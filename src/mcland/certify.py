@@ -171,7 +171,8 @@ def certify_point(X, cfg, gt, tols=None, eig=None):
     X = np.asarray(X, dtype=float)
     tols = tols or CertTolerances()
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged endpoint is NotStationary below
-        bdown, G = obj.value_and_gradient(X, cfg)
+        resid = cfg.residuals(X)  # one pass for the value, the gradient and the eigensolve
+        bdown, G = obj.breakdown(X, resid, cfg), obj.residual_gradient(X, resid, cfg)
         gn = float(np.linalg.norm(G))
     rep = CertReport(
         classification=PointClass.NOT_STATIONARY,
@@ -181,7 +182,7 @@ def certify_point(X, cfg, gt, tols=None, eig=None):
     )
     if not (np.isfinite(X).all() and math.isfinite(bdown.total) and math.isfinite(gn)):
         return rep
-    eig = eig or obj.min_hessian_eig(X, cfg)
+    eig = eig or obj.min_hessian_eig(X, cfg, resid)
     tau = obj.curvature_slack(cfg, eig.op_norm)
 
     err = recovery_error(X, gt)

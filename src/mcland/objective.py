@@ -22,23 +22,26 @@ are sorted by i, so its i side is a run-length repeat of the column and only
 its j side is a gather.
 
 Evaluation touches only observed Gram entries (cost O(n_pairs * r + d * r)).
-Masked residuals are applied through the full symmetric CSR pattern of the
-mask, filled from the stored pairs' values by a slot map and handed to the
-compiled CSR kernels that scipy's `csr_matrix @ y` calls, with no matrix
-built or dispatched per call; with unit entries it is the fixed 0/1 matrix P.
-Position k in [0, n_pairs) of the pattern, in row-major order, is one
-ordered entry: `pair_gradient_sum` takes such positions, so drawing them
+Every masked product S @ Y, for the symmetric S that carries one value per
+stored pair, reads the stored pairs directly, as the upper-triangular CSR
+matrix U of the mask, in two passes of scipy's compiled kernels into one
+output: a CSC pass over U read as U^T adds each row's mirrors, then a CSR
+pass over U adds its stored pairs.  Together they add each output entry's
+terms in the order of a CSR pass over the full symmetric pattern, so the
+floats are those of scipy's public `csr_matrix @ Y` on it; no matrix is built
+or dispatched per call, and no symmetric copy of the mask is kept.  With
+unit values S is the fixed 0/1 matrix P.
+Position k in [0, n_pairs) of the symmetric pattern, in row-major order, is
+one ordered entry: `pair_gradient_sum` takes such positions, so drawing them
 uniformly draws each stored pair in proportion to its weight.  It reads a
-position's row and value from two tables indexed by position, 12 bytes a
-position (1.2 MB at d=1000, p=0.1), which the config builds on first use:
-only SGD uses them, and a config that GD uses would hold 7.7 MB more at
-d=4000, p=0.02.  The kernels meet a d x r operand one column at a time:
-the CSR one sums in the order of scipy's multi-vector product, and the COO
-one, which `pair_gradient_sum` scatters with, in that of `np.add.at`, so
-the floats are theirs, in less time.
+position's row, column and value from three tables indexed by position, 16
+bytes a position (1.6 MB at d=1000, p=0.1), which the config builds on first
+use: only SGD uses them.  It scatters through scipy's compiled COO kernel,
+which adds in the order of `np.add.at`: the same floats, in less time.
 `value_and_gradient` shares one residual pass between value and gradient,
-and `breakdown` and `residual_gradient` let a caller that already holds the
-residuals of a point (an accepted line-search trial) reuse them.
+and `breakdown`, `residual_gradient`, `hessian_operator` and the two
+Lanczos probes let a caller that already holds the residuals of a point (a
+start, an accepted line-search trial, a point to certify) reuse them.
 `hessian_operator` applies the data curvature through P:
 
     sum_j Omega_ij (<V_i, X_j> + <X_i, V_j>) X_j = A_i V_i + B_i X_i,
@@ -57,7 +60,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse._sparsetools import coo_matvec, csr_matvec, csr_matvecs
+from scipy.sparse._sparsetools import coo_matvec, csc_matvec, csc_matvecs, csr_matvec, csr_matvecs
 
 from .rng import substream
 
@@ -70,6 +73,10 @@ _EIG_TOL = 1e-6  # min_hessian_eig converges at a residual of at most _EIG_TOL *
 class ObjectiveConfig:
     """Hyperparameters bound to one observation, with precomputed mask layout.
 
+    The layout is U, the upper-triangular CSR matrix of the stored pairs
+    (row pointers and columns), each pair's output row in the mirror pass
+    of a masked product, and the pair weights, built without a sort: 17.3
+    bytes a stored pair at the peak of the build at d=4000, p=0.02.
     Instances are safe to share across threads: all evaluation state is
     per-call, and the per-position tables of `pair_gradient_sum`, the one
     thing built after construction, come out the same whichever thread
@@ -83,30 +90,32 @@ class ObjectiveConfig:
         d = self.d = mask.d
         i, j = mask.i, mask.j
         self._j = j
-        self._w = np.where(i == j, 1.0, 2.0)
+        diag = i == j
+        self._w = np.where(diag, 1.0, 2.0)
         self.n_pairs = mask.n_pairs
-        # the symmetric pattern: every stored pair, then the mirror of every
-        # off-diagonal one, sorted row-major; position k holds pair _slot[k]
-        off = np.flatnonzero(i != j)
-        rows = np.concatenate([i, j[off]])
-        cols = np.concatenate([j, i[off]])
-        order = np.argsort(rows * d + cols)
-        self._slot = np.concatenate([np.arange(i.size), off])[order]
-        # one dtype for both index arrays, as the kernels take them; 32 bits halve the traffic
-        idx = np.int32 if max(d, rows.size) < 2**31 else np.int64
-        # the stored pairs are sorted by i, so x[i] is x[k] repeated _row_counts[k] times
+        # U, the upper-triangular CSR matrix of the stored pairs, in one dtype for every index
+        # array, as the kernels take them; 32 bits halve the traffic.  The stored pairs are
+        # sorted by i, so x[i] is x[k] repeated _row_counts[k] times
+        idx = np.int32 if max(d + 1, i.size) < 2**31 else np.int64
         self._row_counts = np.bincount(i, minlength=d)
-        pattern_counts = self._row_counts + np.bincount(j[off], minlength=d)
-        self._indptr = np.concatenate([[0], np.cumsum(pattern_counts)]).astype(idx)
-        self._indices = cols[order].astype(idx)
-        self._unit = np.ones(rows.size)  # the data of P
+        self._indptr = np.concatenate([[0], np.cumsum(self._row_counts)]).astype(idx)
+        self._cols = j.astype(idx)
+        # the output row of each pair's mirror (j, i) in the mirror pass; d, a sink row
+        # dropped after the pass, for a diagonal pair, which has no mirror
+        self._mirror_rows = self._cols.copy()
+        self._mirror_rows[diag] = d
 
     @cached_property
     def _position_tables(self):
-        # (row, value) of every position of the pattern, for `pair_gradient_sum`:
-        # built on first use, since only SGD reads them
-        rows = np.repeat(np.arange(self.d, dtype=self._indptr.dtype), np.diff(self._indptr))
-        return rows, self.obs.values[self._slot]
+        # (row, column, value) of every position of the symmetric pattern, row-major, for
+        # `pair_gradient_sum`: built on first use, since only SGD reads them
+        i, j = self.obs.mask.i, self.obs.mask.j
+        off = np.flatnonzero(i != j)
+        rows = np.concatenate([i, j[off]])
+        cols = np.concatenate([j, i[off]])
+        order = np.argsort(rows * self.d + cols)
+        values = np.concatenate([self.obs.values, self.obs.values[off]])
+        return rows[order].astype(self._indptr.dtype), cols[order].astype(self._indptr.dtype), values[order]
 
     def pair_gram(self, X):
         """<X_i, X_j> for every stored pair (i, j)."""
@@ -119,20 +128,31 @@ class ObjectiveConfig:
 
     def residuals(self, X):
         """M_ij - <X_i, X_j> on the stored pairs."""
-        return self.obs.values - self.pair_gram(X)
+        return self.obs.values - self.pair_gram(_check_factor(X, self))
 
-    def _csr_matmul(self, data, Y):
-        # S @ Y for S with `data` on the pattern, one single-vector kernel call per column: the multi-vector
-        # kernel sums each row in the same order, but takes 632 against 302 us at d=1000, r=2
-        out = np.zeros((Y.shape[1], self.d))  # the kernel adds into its output
+    def _matmul(self, data, Y):
+        # S @ Y for the symmetric S with `data` on the stored pairs.  Two passes add into one
+        # output: one over U read as U^T adds each row r's mirrors (r, i), i < r, then one over U
+        # its stored pairs (r, j), j >= r, both in ascending column order: the terms of a pass over
+        # S's row r, in its order.  The mirror pass sends diagonal pairs to row d, dropped after.
+        # Up to two columns, a pair of single-vector calls per column; else the multi-vector
+        # kernels, same order (at d=1000: 155 against 231 us for 2 columns, 280 against 390 for 4)
+        d, k = self.d, Y.shape[1]
+        if k > 2:
+            y, out = Y.ravel(), np.zeros((d + 1) * k)
+            csc_matvecs(d + 1, d, k, self._indptr, self._mirror_rows, data, y, out)
+            csr_matvecs(d, d, k, self._indptr, self._cols, data, y, out)
+            return out[: d * k].reshape(d, k)
+        out = np.zeros((k, d + 1))
         for y, o in zip(np.ascontiguousarray(Y.T), out):
-            csr_matvec(self.d, self.d, self._indptr, self._indices, data, y, o)
-        return np.ascontiguousarray(out.T)
+            csc_matvec(d + 1, d, self._indptr, self._mirror_rows, data, y, o)
+            csr_matvec(d, d, self._indptr, self._cols, data, y, o)
+        return np.ascontiguousarray(out[:, :d].T)
 
     def masked_matmul(self, pair_values, Y):
         """(P_Omega(A) @ Y) where symmetric A carries `pair_values` on the stored pairs."""
-        Y = _check_factor(Y, self)  # the kernel reads Y unchecked
-        return self._csr_matmul(np.take(pair_values, self._slot), Y)
+        # the kernels read both unchecked
+        return self._matmul(_check_pairs(pair_values, self), _check_factor(Y, self))
 
 
 def _row_excess(X, alpha):
@@ -190,6 +210,13 @@ def _check_factor(X, cfg):
     return X
 
 
+def _check_pairs(values, cfg):
+    values = np.ascontiguousarray(values, dtype=float)
+    if values.shape != cfg._cols.shape:
+        raise ValueError(f"dimension mismatch: {values.shape} pair values, the mask stores {cfg._cols.size} pairs")
+    return values
+
+
 def _check_direction(V, X):
     V = np.asarray(V, dtype=float)
     if V.shape != X.shape:
@@ -224,13 +251,12 @@ def pair_gradient_sum(X, cfg, positions):
 
     Position k in [0, n_pairs) is the ordered entry (i, j) in row-major
     order, which contributes -(M_ij - <X_i, X_j>) * (e_i X_j^T + e_j X_i^T);
-    summing over every position reproduces the full data gradient.  Row i
-    and M_ij come from the config's per-position tables, column j from the
-    pattern's column indices.
+    summing over every position reproduces the full data gradient.  Row i,
+    column j and M_ij come from the config's per-position tables.
     """
     X = _check_factor(X, cfg)  # the kernel reads and writes unchecked
-    rows, values = cfg._position_tables
-    i, j = rows.take(positions), cfg._indices.take(positions)
+    rows, cols, values = cfg._position_tables
+    i, j = rows.take(positions), cols.take(positions)
     Xi, Xj = X.take(i, axis=0), X.take(j, axis=0)  # a tenth of the time of X[i] at r=2
     # minus the residual: negation is exact, so each term below is -resid * x to the bit
     neg_resid = np.einsum("ij,ij->i", Xi, Xj) - values.take(positions)
@@ -243,31 +269,25 @@ def pair_gradient_sum(X, cfg, positions):
     return np.ascontiguousarray(G.T)
 
 
-def hessian_operator(X, cfg):
+def hessian_operator(X, cfg, resid=None):
     """The matrix-free Hessian at X, as a function V -> d^2 f(X)[V] (d x r).
 
     H[V] = 2 P_Omega(V X^T + X V^T) X - 2 P_Omega(residual) V + penalty part,
     with the first term applied rowwise as 2 (A_i V_i + B_i X_i) for the r x r
     blocks A_i = sum_j Omega_ij X_j X_j^T and B_i = sum_j Omega_ij X_j V_j^T:
-    A, the residual data and the penalty setup are computed once here, B is
-    one product of the 0/1 pattern with the rows X_j V_j^T per application
-    (O(n_pairs r^2)); nothing is stored on `cfg`.  B takes its r^2 columns in
-    one multi-vector kernel call, no slower than r^2 single-vector ones, but
-    at r = 1 the single-vector kernel, 3x faster (13.6 against 39.1 us at
-    d=100, 198 against 768 us at d=1000).  Self-adjoint.
+    A, the residuals and the penalty setup are computed once here, B is one
+    product of the 0/1 matrix P with the rows X_j V_j^T per application
+    (O(n_pairs r^2)); nothing is stored on `cfg`.  `resid`, the residuals of
+    X where the caller holds them, saves their pass.  Self-adjoint.
     """
     X = _check_factor(X, cfg)
     d, r = X.shape
+    resid = cfg.residuals(X) if resid is None else _check_pairs(resid, cfg)
+    unit = np.ones(resid.size)  # the data of P
 
     def blocks(Y):  # the r x r blocks sum_j Omega_ij X_j Y_j^T
-        XY = (X[:, :, None] * Y[:, None, :]).reshape(d, r * r)
-        if r == 1:
-            return cfg._csr_matmul(cfg._unit, XY).reshape(d, 1, 1)
-        out = np.zeros(d * r * r)  # the kernel adds into its output
-        csr_matvecs(d, d, r * r, cfg._indptr, cfg._indices, cfg._unit, XY.ravel(), out)
-        return out.reshape(d, r, r)
+        return cfg._matmul(unit, (X[:, :, None] * Y[:, None, :]).reshape(d, r * r)).reshape(d, r, r)
 
-    resid = np.take(cfg.residuals(X), cfg._slot)
     A = blocks(X)
     weight = cfg.hyper.reg_weight
     excess = _row_excess(X, cfg.hyper.alpha) if weight > 0 else None
@@ -279,7 +299,7 @@ def hessian_operator(X, cfg):
     def apply(V):
         V = _check_direction(V, X)
         HV = 2.0 * (np.einsum("iab,ib->ia", A, V) + np.einsum("iab,ib->ia", blocks(V), X))
-        HV -= 2.0 * cfg._csr_matmul(resid, V)
+        HV -= 2.0 * cfg._matmul(resid, V)
         if excess is not None:
             Va = V[act]
             proj = np.einsum("ij,ij->i", Va, u)
@@ -371,13 +391,13 @@ def _start(X):
     return substream(_EIG_SEED, "lanczos", *X.shape).standard_normal(X.shape)
 
 
-def operator_norm_estimate(X, cfg):
+def operator_norm_estimate(X, cfg, resid=None):
     """Lower bound on the Hessian operator norm ||H|| at X: the largest
     |Ritz value| of a Lanczos run of _NORM_STEPS steps, never below the
     |Rayleigh quotient| of a power iteration of the same length from the
-    same start."""
+    same start.  `resid` as for `hessian_operator`."""
     X = _check_factor(X, cfg)
-    theta, _ = _lanczos(hessian_operator(X, cfg), _start(X), _NORM_STEPS, 0.0)
+    theta, _ = _lanczos(hessian_operator(X, cfg, resid), _start(X), _NORM_STEPS, 0.0)
     return float(np.abs(theta).max())
 
 
@@ -395,7 +415,7 @@ def curvature_slack(cfg, op_norm):
     return cfg.hyper.tau if cfg.hyper.tau > 0 else 1e-4 * (1.0 + op_norm)
 
 
-def min_hessian_eig(X, cfg):
+def min_hessian_eig(X, cfg, resid=None):
     """Smallest Hessian eigenvalue at X by one Lanczos run.
 
     Runs `_lanczos` on one `hessian_operator` for at most d * r steps, then
@@ -404,10 +424,10 @@ def min_hessian_eig(X, cfg):
     within tol of some eigenvalue, not provably the smallest; a label holds
     because tau is far above tol.  At most d * r + 1 Hessian-vector
     products.  lambda_min is the Rayleigh quotient <v, H[v]> of the unit
-    witness v.
+    witness v.  `resid` as for `hessian_operator`.
     """
     X = _check_factor(X, cfg)
-    H = hessian_operator(X, cfg)
+    H = hessian_operator(X, cfg, resid)
     theta, v = _lanczos(H, _start(X), X.size, _EIG_TOL)
     op = float(np.abs(theta).max())
     v = v.reshape(X.shape)

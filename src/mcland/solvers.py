@@ -194,20 +194,22 @@ def _armijo_step(cfg, X, bdown, D, slope, curv, t_init):
 def _start(cfg, X0, cum):
     """Set-up shared by all solvers.
 
-    Copies X0, evaluates f and the full gradient there once, derives
-    grad_tol = 1e-8 * (1 + f(X0)) and writes trace row 0 charged with `cum`
-    entry gradients.  Returns (X, bdown, G, grad_norm, grad_tol, trace).  A
-    start whose f or gradient norm overflows is returned as it is, without
-    a warning; the caller ends the run there as diverged.
+    Copies X0, evaluates f and the full gradient there from one residual
+    pass, derives grad_tol = 1e-8 * (1 + f(X0)) and writes trace row 0
+    charged with `cum` entry gradients.  Returns (X, resid, bdown, G,
+    grad_norm, grad_tol, trace), resid the residuals of X.  A start whose f
+    or gradient norm overflows is returned as it is, without a warning; the
+    caller ends the run there as diverged.
     """
     X = np.array(X0, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        bdown, G = obj.value_and_gradient(X, cfg)
+        resid = cfg.residuals(X)
+        bdown, G = obj.breakdown(X, resid, cfg), obj.residual_gradient(X, resid, cfg)
         gn = float(np.linalg.norm(G))
     grad_tol = 1e-8 * (1.0 + bdown.total)
     trace = Trace()
     trace.append(0, bdown, gn, 0.0, cum)
-    return X, bdown, G, gn, grad_tol, trace
+    return X, resid, bdown, G, gn, grad_tol, trace
 
 
 def _diverged(bdown, gn):
@@ -264,13 +266,13 @@ def _descend(cfg, scfg, X0, witness_steps):
     saddle, with its eigensolve.
     """
     n_pairs = cfg.n_pairs
-    X, bdown, G, gn, grad_tol, trace = _start(cfg, X0, n_pairs)
+    X, resid, bdown, G, gn, grad_tol, trace = _start(cfg, X0, n_pairs)
     cum = n_pairs
     if _diverged(bdown, gn):  # no step size can be estimated at a non-finite start
         return _result(X, bdown, gn, grad_tol, trace, cum)
     # the BB step of the last accepted move, if it gives one; before the
     # first move, that of an infinitesimal move along -G
-    t_bb = _bb_step(G, obj.hessian_operator(X, cfg)(G)) if gn > grad_tol else None
+    t_bb = _bb_step(G, obj.hessian_operator(X, cfg, resid)(G)) if gn > grad_tol else None
     t_prev = None  # the last accepted step; step0 before the first move
     eig = None  # the eigensolve at X, where the run computed one
     stalled = False
@@ -279,7 +281,7 @@ def _descend(cfg, scfg, X0, witness_steps):
         if gn <= grad_tol:
             if not witness_steps:
                 break
-            eig = obj.min_hessian_eig(X, cfg)
+            eig = obj.min_hessian_eig(X, cfg, resid)
             lam = eig.lambda_min
             if lam >= -obj.curvature_slack(cfg, eig.op_norm):
                 break  # no negative curvature to escape along
@@ -287,7 +289,7 @@ def _descend(cfg, scfg, X0, witness_steps):
             D, slope, curv, t_init = lam * v, 0.0, -lam**3, None
         if t_init is None:
             if t_prev is None:  # step0, only where no BB step opens the first search
-                t_prev = _inverse_norm(obj.operator_norm_estimate(X, cfg))
+                t_prev = _inverse_norm(obj.operator_norm_estimate(X, cfg, resid))
             t_init = 2.0 * t_prev
         hit = _armijo_step(cfg, X, bdown, D, slope, curv, t_init)
         if hit is None:
@@ -347,14 +349,14 @@ def sgd(cfg, scfg, X0):
     """
     if not cfg.n_pairs:
         raise ValueError("SGD samples observed entries, but the mask is empty")
-    X, bdown, _, gn, grad_tol, trace = _start(cfg, X0, 0)
+    X, resid, bdown, _, gn, grad_tol, trace = _start(cfg, X0, 0)
     if _diverged(bdown, gn):  # no step size can be estimated at a non-finite start
         return _result(X, bdown, gn, grad_tol, trace, 0)
     batch = min(scfg.sgd.batch, cfg.n_pairs)
     # GD's step0 damped by sqrt(batch fraction): the estimator is the
     # (n/batch)-scaled pair sum, so the full-gradient step diverges on small
     # batches; at batch == n this recovers the GD step
-    base = _inverse_norm(obj.operator_norm_estimate(X, cfg)) * math.sqrt(batch / cfg.n_pairs)
+    base = _inverse_norm(obj.operator_norm_estimate(X, cfg, resid)) * math.sqrt(batch / cfg.n_pairs)
     rng = substream(scfg.seed, "sgd")
     period = -(-cfg.n_pairs // batch)  # ceil(|Omega| / batch): steps per epoch
 

@@ -211,7 +211,7 @@ def norm_estimate(monkeypatch):
     2 / value)."""
 
     def fix(value):
-        monkeypatch.setattr(objective, "operator_norm_estimate", lambda X, cfg: value)
+        monkeypatch.setattr(objective, "operator_norm_estimate", lambda X, cfg, resid=None: value)
 
     return fix
 
@@ -220,4 +220,6 @@ def norm_estimate(monkeypatch):
 def unconverged_eigensolves(monkeypatch):
     """Make every min_hessian_eig report that it did not converge."""
     solve = objective.min_hessian_eig
-    monkeypatch.setattr(objective, "min_hessian_eig", lambda X, cfg: replace(solve(X, cfg), converged=False))
+    monkeypatch.setattr(
+        objective, "min_hessian_eig", lambda X, cfg, resid=None: replace(solve(X, cfg, resid), converged=False)
+    )

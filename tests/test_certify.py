@@ -352,9 +352,9 @@ def test_scan_runs_one_eigensolve_per_start(monkeypatch, method):
     where, in_solve = [], []
     solve_eig, solve = objective.min_hessian_eig, solvers.solve
 
-    def recording_eig(X, cfg):
+    def recording_eig(X, cfg, resid=None):
         where.append("solve" if in_solve else "certify")
-        return solve_eig(X, cfg)
+        return solve_eig(X, cfg, resid)
 
     def recording_solve(*args):
         in_solve.append(True)

@@ -203,7 +203,7 @@ def test_perturbed_solve_runs_one_eigensolve(tmp_path, capsys, monkeypatch):
     # the certificate reuses the eigensolve perturbed GD ran at its endpoint
     calls = []
     solve_eig = objective.min_hessian_eig
-    monkeypatch.setattr(objective, "min_hessian_eig", lambda X, cfg: calls.append(X) or solve_eig(X, cfg))
+    monkeypatch.setattr(objective, "min_hessian_eig", lambda X, cfg, resid=None: calls.append(X) or solve_eig(X, cfg, resid))
     cfgp = _write(
         tmp_path,
         {"instance": _instance_block(d=50), "solver": {"method": "perturbed_gd", "seed": 1}},
@@ -464,7 +464,7 @@ def test_diverged_solve_writes_no_overflow_warnings(tmp_path):
     cfgp = _write(tmp_path, _diverging_payload())
     run = (
         "import sys; from mcland import cli, objective; "
-        f"objective.operator_norm_estimate = lambda X, cfg: {_DIVERGING_NORM_ESTIMATE!r}; "
+        f"objective.operator_norm_estimate = lambda X, cfg, resid=None: {_DIVERGING_NORM_ESTIMATE!r}; "
         "sys.exit(cli.main(sys.argv[1:]))"
     )
     proc = subprocess.run(

@@ -533,10 +533,17 @@ def test_hessian_penalty_is_the_per_row_formula_added_to_the_data_part(d, r, p, 
 
 def test_masked_matmul_rejects_an_operand_of_another_height():
     # the compiled kernel would read past the end of a short operand
-    cfg, X, _ = _kernel_problem(12, 3, 0.6, True)
+    cfg, X, V = _kernel_problem(12, 3, 0.6, True)
     for Y in (X[:-1], np.vstack([X, X]), X[:, 0]):
         with pytest.raises(ValueError, match="dimension"):
             cfg.masked_matmul(cfg.residuals(X), Y)
+    # and past the end of short pair values, which it reads as U's data
+    resid = cfg.residuals(X)
+    for values in (resid[:-1], np.concatenate([resid, resid]), resid[:, None]):
+        with pytest.raises(ValueError, match="dimension"):
+            cfg.masked_matmul(values, X)
+        with pytest.raises(ValueError, match="dimension"):
+            hessian_operator(X, cfg, values)
 
 
 def test_hessian_operator_rejects_wrong_direction_shape():
@@ -603,8 +610,8 @@ def test_pair_gradient_sum_checks_its_operand_and_takes_64_bit_tables(monkeypatc
     expected = pair_gradient_sum(X, cfg, pos)
     # 64-bit copies of the index tables, the config of a pattern too large for 32
     wide = copy.copy(cfg)
-    rows, values = cfg._position_tables
-    wide._indices, wide._position_tables = cfg._indices.astype(np.int64), (rows.astype(np.int64), values)
+    rows, cols, values = cfg._position_tables
+    wide._position_tables = rows.astype(np.int64), cols.astype(np.int64), values
     assert np.array_equal(pair_gradient_sum(X, wide, pos), expected)
 
     # the compiled kernel would read and write past the end of a short operand
@@ -631,12 +638,13 @@ def _oracle_matrix(cfg, pair_values):
     return A
 
 
-def _oracle_hessian(X, V, cfg):
+def _oracle_hessian(X, V, cfg, resid=None):
     """H[V] by the formula of `hessian_operator`, with every sparse product
-    a public scipy product of an oracle matrix."""
+    a public scipy product of an oracle matrix; `resid` stands in for the
+    residuals of X where given."""
     d, r = X.shape
     P = _oracle_matrix(cfg, np.ones(cfg.obs.mask.i.size))
-    R = _oracle_matrix(cfg, cfg.residuals(X))
+    R = _oracle_matrix(cfg, cfg.residuals(X) if resid is None else resid)
 
     def blocks(Y):
         return (P @ (X[:, :, None] * Y[:, None, :]).reshape(d, r * r)).reshape(d, r, r)
@@ -656,9 +664,11 @@ def test_column_products_are_bit_identical_to_multivector(d, r, p, include_diago
     gram = sum((x[mask.i] * x[mask.j] for x in cols[1:]), cols[0][mask.i] * cols[0][mask.j])
     assert np.array_equal(cfg.pair_gram(X), gram)
 
-    # 64-bit copies of the index arrays, the config of a pattern too large for 32
+    # 64-bit copies of the index arrays (U's row pointers and columns, and the mirror-pass
+    # rows), the config of a pattern too large for 32
     wide = copy.copy(cfg)
-    wide._indptr, wide._indices = cfg._indptr.astype(np.int64), cfg._indices.astype(np.int64)
+    for name in ("_indptr", "_cols", "_mirror_rows"):
+        setattr(wide, name, getattr(cfg, name).astype(np.int64))
     alpha, w = cfg.hyper.alpha, cfg.hyper.reg_weight
     for c in (cfg, wide):
         for Y in (X, np.asfortranarray(V), V[:, :1]):
@@ -673,10 +683,36 @@ def test_column_products_are_bit_identical_to_multivector(d, r, p, include_diago
             assert np.array_equal(hessian_operator(Y, c)(U), _oracle_hessian(Y, U, cfg))
 
 
-def _public_csr_matmul(cfg, data, Y):
-    """`ObjectiveConfig._csr_matmul` through public scipy: a CSR matrix built
-    per call, and its product with each column of Y."""
-    A = sparse.csr_matrix((data, cfg._indices, cfg._indptr), shape=(cfg.d, cfg.d))
+@pytest.mark.parametrize("d,r,p,include_diagonal", KERNEL_CASES)
+def test_infinite_entries_on_a_row_with_a_diagonal_pair_give_the_oracle_bits(d, r, p, include_diagonal):
+    # the mirror pass sends a diagonal pair to a sink row; multiplying it by
+    # zero instead would make 0 * inf = NaN where the oracle has +-inf
+    cfg, X, V = _kernel_problem(d, r, p, include_diagonal)
+    mask = cfg.obs.mask
+    diag = np.flatnonzero(mask.i == mask.j)
+    k = diag[0] if diag.size else 0  # a diagonal pair where the mask holds one
+    row = mask.i[k] if mask.i.size else 0
+    resid = cfg.residuals(X)
+    for operand, value in ((np.inf, None), (None, np.inf), (-np.inf, np.inf), (np.inf, -np.inf)):
+        values, Y, U = resid.copy(), X.copy(), V.copy()
+        if operand is not None:
+            Y[row, 0] = U[row, -1] = operand
+        if value is not None and values.size:
+            values[k] = value
+        with np.errstate(invalid="ignore"):  # inf - inf is the NaN under test
+            out, expected = cfg.masked_matmul(values, Y), _oracle_matrix(cfg, values) @ Y
+            HV, expected_HV = hessian_operator(X, cfg, values)(U), _oracle_hessian(X, U, cfg, values)
+        assert out.tobytes() == expected.tobytes()
+        assert np.array_equal(HV, expected_HV, equal_nan=True)
+        if diag.size:  # the row with the diagonal pair is not finite
+            assert not np.isfinite(out[row]).all() and not np.isfinite(HV[row]).all()
+
+
+def _public_matmul(cfg, data, Y):
+    """`ObjectiveConfig._matmul` through public scipy: the canonical symmetric
+    CSR matrix built per call from the pairs in both orders, and its product
+    with each column of Y."""
+    A = _oracle_matrix(cfg, data)
     out = np.empty(Y.shape)
     for k in range(Y.shape[1]):
         out[:, k] = A @ Y[:, k]
@@ -712,19 +748,19 @@ def _trace_bytes(scfg):
     ids=["scan-c3-101", "scan-c3-102", "gd-trace-d100", "sgd-trace-d100"],
 )
 def test_csv_bytes_are_those_of_public_csr_products(run, monkeypatch):
-    # every masked product of a scan or a solve but the pattern blocks at
-    # r > 1 goes through one seam; the CSV bytes through public scipy
+    # every masked product of a scan or a solve, the Hessian's r x r blocks
+    # included, goes through one seam; the CSV bytes through public scipy
     # products there are the same
     ours = run()
-    monkeypatch.setattr(ObjectiveConfig, "_csr_matmul", _public_csr_matmul)
+    monkeypatch.setattr(ObjectiveConfig, "_matmul", _public_matmul)
     assert run() == ours
 
 
 def _bincount_pair_gradient_sum(X, cfg, positions):
     """`pair_gradient_sum` with the scatter it had before the COO kernel:
     one np.bincount per column, over the i-side terms then the j-side ones."""
-    rows, values = cfg._position_tables
-    i, j = rows.take(positions), cfg._indices.take(positions)
+    rows, cols, values = cfg._position_tables
+    i, j = rows.take(positions), cols.take(positions)
     Xi, Xj = X.take(i, axis=0), X.take(j, axis=0)
     neg_resid = np.einsum("ij,ij->i", Xi, Xj) - values.take(positions)
     ij = np.concatenate([i, j])

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,8 +234,8 @@ def test_gd_reports_stall_on_underflowing_step(monkeypatch):
     gt, obs, cfg = make_problem(10, 1, seed=6, p=0.8)
     hessian = objective.hessian_operator
 
-    def steep(X, cfg):  # 1e20 H: the first trial ||G||^2 / <G, H G> falls 1e20-fold
-        H = hessian(X, cfg)
+    def steep(X, cfg, resid=None):  # 1e20 H: the first trial ||G||^2 / <G, H G> falls 1e20-fold
+        H = hessian(X, cfg, resid)
         return lambda V: 1e20 * H(V)
 
     monkeypatch.setattr(objective, "hessian_operator", steep)
@@ -248,9 +249,9 @@ def probes(monkeypatch):
     """Count the calls of operator_norm_estimate and hessian_operator."""
     counts = dict(operator_norm_estimate=0, hessian_operator=0)
     for name in counts:
-        def spy(X, cfg, name=name, real=getattr(objective, name)):
+        def spy(X, cfg, resid=None, *, name=name, real=getattr(objective, name)):
             counts[name] += 1
-            return real(X, cfg)
+            return real(X, cfg, resid)
 
         monkeypatch.setattr(objective, name, spy)
     return counts
@@ -310,15 +311,64 @@ def test_stochastic_gradient_unbiased_cheaply(rng):
 
 
 def test_only_sgd_builds_the_per_position_tables():
-    # 12 B per position: a config that only GD uses must not hold them
+    # 16 B per position: a config that only GD uses must not hold them
     gt, obs, cfg = make_problem(15, 1, seed=10, p=0.6)
     X0 = random_init(15, 1, obs, 4)
     gradient_descent(cfg, SolverConfig(), X0)
     perturbed_gd(cfg, SolverConfig(method=Method.PERTURBED_GD), X0)
     assert "_position_tables" not in vars(cfg)
     sgd(cfg, SolverConfig(method=Method.SGD, max_iters=5), X0)
-    rows, values = vars(cfg)["_position_tables"]
-    assert rows.dtype == np.int32 and values.dtype == np.float64 and rows.size == values.size == cfg.n_pairs
+    rows, cols, values = vars(cfg)["_position_tables"]
+    assert rows.dtype == cols.dtype == np.int32 and values.dtype == np.float64
+    assert rows.size == cols.size == values.size == cfg.n_pairs
+
+
+def test_objective_config_peaks_at_32_bytes_a_stored_pair_and_gd_builds_no_position_tables():
+    # the config holds U's column and mirror-pass row indices (int32) and the pair weights:
+    # no symmetric pattern, slot map or sort
+    spec = InstanceSpec(d=4000, r=2, seed=1, p=0.02)
+    gt, obs = spec.regenerate()
+    hyper = default_hyperparams(gt, spec.p)
+    tracemalloc.start()
+    try:
+        cfg = ObjectiveConfig(hyper, obs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * obs.mask.i.size
+    for method in (Method.GD, Method.PERTURBED_GD):
+        res = solve(cfg, SolverConfig(method=method), random_init(4000, 2, obs, 0))
+        assert certify_point(res.X, cfg, gt, None, res.eig).classification is PointClass.GLOBAL_MIN
+    assert "_position_tables" not in vars(cfg)
+
+
+def test_gd_and_its_certificate_reuse_the_residuals_they_hold(monkeypatch):
+    # the residuals of X0 serve the first step's Hessian product, and the
+    # certificate's one pass serves its value, gradient and eigensolve
+    gt, obs, cfg = make_problem(20, 2, seed=13, p=0.8)
+    X0 = random_init(20, 2, obs, 3)
+    points = []
+    residuals = ObjectiveConfig.residuals
+
+    def counting(self, X):
+        points.append(np.asarray(X).tobytes())
+        return residuals(self, X)
+
+    def run():
+        points.clear()
+        res = gradient_descent(cfg, SolverConfig(), X0)
+        return trace_to_csv(res.trace), repr(certify_point(res.X, cfg, gt))
+
+    monkeypatch.setattr(ObjectiveConfig, "residuals", counting)
+    ours, n = run(), len(points)
+    # one pass at X0 and one per line-search trial; the certificate's pass
+    # meets the last accepted trial again
+    assert len(set(points)) == n - 1
+    # the same run with the residuals dropped on the way to the Hessian: the
+    # first step and the eigensolve each make a pass of their own
+    for name in ("hessian_operator", "min_hessian_eig"):
+        monkeypatch.setattr(objective, name, lambda X, cfg, resid=None, real=getattr(objective, name): real(X, cfg))
+    assert run() == ours and len(points) == n + 2
 
 
 def test_sgd_deterministic_given_seed():
@@ -553,8 +603,8 @@ def eigensolves(monkeypatch):
     calls = []
     solve_eig = objective.min_hessian_eig
 
-    def record(X, cfg):
-        calls.append((X.copy(), solve_eig(X, cfg)))
+    def record(X, cfg, resid=None):
+        calls.append((X.copy(), solve_eig(X, cfg, resid)))
         return calls[-1][1]
 
     monkeypatch.setattr(objective, "min_hessian_eig", record)
