@@ -56,7 +56,6 @@ from .objective import (
     ObjectiveConfig,
     hessian_operator,
     min_hessian_eig,
-    operator_norm_estimate,
     regularizer,
     value_and_gradient,
 )

@@ -188,8 +188,8 @@ def fit_scaling(points):
 
     `points` is a sequence of (pd, deviation) with deviations already
     normalized by the non-(pd) factors.  Requires at least 4 grid points
-    spanning a factor of 8 in pd.  Non-positive or flat data is flagged
-    degenerate instead of fitted.
+    spanning a factor of 8 in pd.  Non-positive, NaN or flat data is
+    flagged degenerate instead of fitted.
     """
     pts = [(float(a), float(b)) for a, b in points]
     if not pts:
@@ -199,8 +199,9 @@ def fit_scaling(points):
     if xs.min() <= 0:
         raise ValueError("pd values must be positive")
     # Degenerate data dominates the grid preconditions: a single all-zero
-    # point is reported as degenerate, not as a too-small grid.
-    if np.any(ys <= 0):
+    # point is reported as degenerate, not as a too-small grid.  NaN, a
+    # median normalized by a predicted scale of 0, fails the test too.
+    if not np.all(ys > 0):
         return ScalingFit(slope=None, intercept=None, r2=None, degenerate=True)
     lx, ly = np.log(xs), np.log(ys)
     if float(np.var(ly)) < 1e-24:

@@ -39,8 +39,8 @@ bytes a position (1.6 MB at d=1000, p=0.1), which the config builds on first
 use: only SGD uses them.  It scatters through scipy's compiled COO kernel,
 which adds in the order of `np.add.at`: the same floats, in less time.
 `value_and_gradient` shares one residual pass between value and gradient,
-and `breakdown`, `residual_gradient`, `hessian_operator` and the two
-Lanczos probes let a caller that already holds the residuals of a point (a
+and `breakdown`, `residual_gradient`, `hessian_operator` and
+`min_hessian_eig` let a caller that already holds the residuals of a point (a
 start, an accepted line-search trial, a point to certify) reuse them.
 `hessian_operator` applies the data curvature through P:
 
@@ -48,11 +48,11 @@ start, an accepted line-search trial, a point to certify) reuse them.
 
 with the r x r blocks A = P [X_j X_j^T] once per point and B = P [X_j V_j^T]
 once per application, so an application gathers no pairs and builds no
-matrix.  `min_hessian_eig` and `operator_norm_estimate` each make one run of
-one Lanczos routine on it, with no restart: the eigensolve for up to d * r
-steps, the norm estimate for _NORM_STEPS.  A run solves its tridiagonal T
-for vectors (numpy's dense `eigh`) only at a step that may stop; importing
-scipy.linalg for a tridiagonal solver would add 7.5 MB to the resident set.
+matrix.  `min_hessian_eig` makes one Lanczos run on it, with no restart, for
+up to d * r steps: the one spectral probe, whose largest |Ritz value| is also
+the norm estimate of a point.  A run solves its tridiagonal T for vectors
+(numpy's dense `eigh`) only at a step that may stop; importing scipy.linalg
+for a tridiagonal solver would add 7.5 MB to the resident set.
 """
 
 import math
@@ -65,7 +65,6 @@ from scipy.sparse._sparsetools import coo_matvec, csc_matvec, csc_matvecs, csr_m
 from .rng import substream
 
 _EIG_SEED = 31415001
-_NORM_STEPS = 8  # Lanczos steps of the norm estimate: a first step needs only its scale
 _EPS = float(np.finfo(float).eps)
 _EIG_TOL = 1e-6  # min_hessian_eig converges at a residual of at most _EIG_TOL * (1 + ||H||)
 
@@ -309,25 +308,25 @@ def hessian_operator(X, cfg, resid=None):
     return apply
 
 
-def _lanczos(H, v, steps, rel_tol):
-    """Fully reorthogonalized Lanczos on H from v, for at most `steps` steps.
+def _lanczos(H, v):
+    """Fully reorthogonalized Lanczos on H from v, for at most v.size steps.
 
     Returns the Ritz values in ascending order and the unit Ritz vector of
     the smallest, flattened.  Each step costs one HVP.  Stops early once the
     residual estimate beta_k |s_k| of the smallest Ritz pair is at most
-    rel_tol * (1 + max |Ritz value|), which includes an invariant Krylov
+    _EIG_TOL * (1 + max |Ritz value|), which includes an invariant Krylov
     space (beta_k = 0).  The basis Q and the tridiagonal T double in size
     as the run needs them.
 
     Only a step that may stop solves T for its vectors (`np.linalg.eigh`),
     and that solve decides the stop and gives the returned pair.  The other
-    steps skip it: with rel_tol = 0 every step before the last with
-    beta_k > 0, and else each step whose Ritz values alone (`eigvalsh`,
-    about half the cost of `eigh`) put beta_k |s_k| above twice the
-    tolerance, by Paige's identity (`_far_from_stop`); the factor 2 leaves
-    room for the rounding of eigh's own s_k, so no stop is skipped.
+    steps skip it: each step before the last with beta_k > 0 whose Ritz
+    values alone (`eigvalsh`, about half the cost of `eigh`) put
+    beta_k |s_k| above twice the tolerance, by Paige's identity
+    (`_far_from_stop`); the factor 2 leaves room for the rounding of eigh's
+    own s_k, so no stop is skipped.
     """
-    steps = min(steps, v.size)  # the Krylov space cannot outgrow the space
+    steps = v.size  # the Krylov space cannot outgrow the space
     Q = np.empty((0, v.size))
     T = np.zeros((0, 0))
     w = v.ravel()
@@ -349,13 +348,11 @@ def _lanczos(H, v, steps, rel_tol):
             T[k, k] += h[k]
         beta = float(np.linalg.norm(w))
         if k + 1 < steps and beta > 0.0:
-            if rel_tol == 0.0:
-                continue
             theta_prev, theta = theta, np.linalg.eigvalsh(T[: k + 1, : k + 1])
-            if _far_from_stop(theta, theta_prev, beta, rel_tol):
+            if _far_from_stop(theta, theta_prev, beta, _EIG_TOL):
                 continue
         theta, S = np.linalg.eigh(T[: k + 1, : k + 1])
-        if k + 1 == steps or beta * abs(S[k, 0]) <= rel_tol * (1.0 + np.abs(theta).max()):
+        if k + 1 == steps or beta * abs(S[k, 0]) <= _EIG_TOL * (1.0 + np.abs(theta).max()):
             return theta, (Q[: k + 1].T @ S)[:, 0]
 
 
@@ -387,18 +384,8 @@ def _far_from_stop(theta, theta_prev, beta, rel_tol):
 
 
 def _start(X):
-    # the seeded start vector of both spectral probes at a point of this shape
+    # the seeded start vector of the eigensolve at a point of this shape
     return substream(_EIG_SEED, "lanczos", *X.shape).standard_normal(X.shape)
-
-
-def operator_norm_estimate(X, cfg, resid=None):
-    """Lower bound on the Hessian operator norm ||H|| at X: the largest
-    |Ritz value| of a Lanczos run of _NORM_STEPS steps, never below the
-    |Rayleigh quotient| of a power iteration of the same length from the
-    same start.  `resid` as for `hessian_operator`."""
-    X = _check_factor(X, cfg)
-    theta, _ = _lanczos(hessian_operator(X, cfg, resid), _start(X), _NORM_STEPS, 0.0)
-    return float(np.abs(theta).max())
 
 
 @dataclass(frozen=True)
@@ -428,7 +415,7 @@ def min_hessian_eig(X, cfg, resid=None):
     """
     X = _check_factor(X, cfg)
     H = hessian_operator(X, cfg, resid)
-    theta, v = _lanczos(H, _start(X), X.size, _EIG_TOL)
+    theta, v = _lanczos(H, _start(X))
     op = float(np.abs(theta).max())
     v = v.reshape(X.shape)
     Hv = H(v)

@@ -14,15 +14,17 @@ c1 = 1e-4 and halving (Nocedal & Wright, Numerical Optimization, Sec. 3.1).
 Each line search opens at the Barzilai-Borwein step <s, s> / <s, y> of the
 last accepted move, with s = X_{k+1} - X_k and y = grad f(X_{k+1}) -
 grad f(X_k), and backtracks from there until the sufficient-decrease test
-passes, so every accepted step still decreases f.  The first search takes
-the BB step of an infinitesimal move along -G, ||G||^2 / <G, H[G]>: the
-minimiser of the quadratic model along -G, from one Hessian-vector product
-at X0.  A search opens at twice the last accepted step instead when its
+passes, so every accepted step still decreases f.  Every solver sizes its
+first step from one Hessian-vector product at X0: t0 = ||G||^2 /
+|<G, H[G]>|, 1 where that product is 0.  Where the curvature along G is
+positive, t0 is the BB step of an infinitesimal move along -G, the
+minimiser of the quadratic model along -G.  GD's first search opens at t0;
+SGD damps it by sqrt(batch / |Omega|) and divides it by 1 + 1e-3 (k - 1)
+at step k.  A search opens at twice the last accepted step instead when its
 <s, y> <= 0 and right after a witness step, across which s and y say
-nothing about the curvature along the gradient.  Before the first move that
-is twice step0 = 1 / `operator_norm_estimate` at X0, which GD computes only
-there; SGD damps the same step0 by sqrt(batch / |Omega|) and divides it by
-1 + 1e-3 (k - 1) at step k.
+nothing about the curvature along the gradient.  A witness search before
+the first move opens at 2 / ||H||, from the norm estimate of the
+eigensolve that found the saddle.
 
 Perturbed GD runs `min_hessian_eig` where it reaches grad_tol.  Where that
 shows a saddle it steps along the eigensolve's witness, the negative-curvature
@@ -154,9 +156,12 @@ def random_init(d, r, obs, seed):
     return rng.standard_normal((d, r)) * np.sqrt(s2 / (d * r))
 
 
-def _inverse_norm(op):
-    # the step 1 / ||H|| from a norm estimate, 1 where the estimate is 0
-    return 1.0 / op if op > 0 else 1.0
+def _first_step(cfg, X, resid, G):
+    """t0 = ||G||^2 / |<G, H[G]>| from one Hessian-vector product at X, 1
+    where that product is 0 (or NaN): the first step of every solver.  Where
+    the curvature is positive it is `_bb_step(G, H[G])`, to the bit."""
+    curv = float(np.vdot(G, obj.hessian_operator(X, cfg, resid)(G)))
+    return float(np.vdot(G, G)) / abs(curv) if abs(curv) > 0 else 1.0
 
 
 def _bb_step(s, y):
@@ -247,13 +252,11 @@ def _descend(cfg, scfg, X0, witness_steps):
     """Armijo gradient descent, with witness steps at saddles if asked.
 
     Each line search opens at the Barzilai-Borwein step of the last accepted
-    move; the first at ||G||^2 / <G, H[G]>, that of an infinitesimal move
-    along -G.  It opens at twice the last accepted step where that
-    curvature is <= 0 and right after a witness step.  Before the first
-    move that step is step0 = 1 / the Hessian norm estimate at X0, computed
-    only there: where <G, H[G]> <= 0, or where X0 meets grad_tol and the
-    first search runs along the witness.  A start that meets grad_tol
-    runs no Hessian-vector product for its step.
+    move; the first at `_first_step` t0, that of an infinitesimal move along
+    -G where <G, H[G]> > 0.  It opens at twice the last accepted step where
+    <s, y> <= 0 and right after a witness step; a witness search before the
+    first move opens at 2 / `eig.op_norm` (2 where that is 0).  A start
+    that meets grad_tol runs no Hessian-vector product for its step.
 
     Without witness steps the run stops once the gradient norm reaches
     grad_tol.  With them, such a point runs `min_hessian_eig`.  If that
@@ -270,10 +273,9 @@ def _descend(cfg, scfg, X0, witness_steps):
     cum = n_pairs
     if _diverged(bdown, gn):  # no step size can be estimated at a non-finite start
         return _result(X, bdown, gn, grad_tol, trace, cum)
-    # the BB step of the last accepted move, if it gives one; before the
-    # first move, that of an infinitesimal move along -G
-    t_bb = _bb_step(G, obj.hessian_operator(X, cfg, resid)(G)) if gn > grad_tol else None
-    t_prev = None  # the last accepted step; step0 before the first move
+    # the BB step of the last accepted move, if it gives one; before the first move, t0
+    t_bb = _first_step(cfg, X, resid, G) if gn > grad_tol else None
+    t_prev = None  # the last accepted step
     eig = None  # the eigensolve at X, where the run computed one
     stalled = False
     for it in range(1, scfg.max_iters + 1):
@@ -288,8 +290,8 @@ def _descend(cfg, scfg, X0, witness_steps):
             v = eig.witness if np.vdot(G, eig.witness) <= 0 else -eig.witness
             D, slope, curv, t_init = lam * v, 0.0, -lam**3, None
         if t_init is None:
-            if t_prev is None:  # step0, only where no BB step opens the first search
-                t_prev = _inverse_norm(obj.operator_norm_estimate(X, cfg, resid))
+            if t_prev is None:  # a witness search before the first move: 1 / ||H||, 1 where that is 0
+                t_prev = 1.0 / eig.op_norm if eig.op_norm > 0 else 1.0
             t_init = 2.0 * t_prev
         hit = _armijo_step(cfg, X, bdown, D, slope, curv, t_init)
         if hit is None:
@@ -349,14 +351,14 @@ def sgd(cfg, scfg, X0):
     """
     if not cfg.n_pairs:
         raise ValueError("SGD samples observed entries, but the mask is empty")
-    X, resid, bdown, _, gn, grad_tol, trace = _start(cfg, X0, 0)
+    X, resid, bdown, G, gn, grad_tol, trace = _start(cfg, X0, 0)
     if _diverged(bdown, gn):  # no step size can be estimated at a non-finite start
         return _result(X, bdown, gn, grad_tol, trace, 0)
     batch = min(scfg.sgd.batch, cfg.n_pairs)
-    # GD's step0 damped by sqrt(batch fraction): the estimator is the
+    # GD's first step t0 damped by sqrt(batch fraction): the estimator is the
     # (n/batch)-scaled pair sum, so the full-gradient step diverges on small
-    # batches; at batch == n this recovers the GD step
-    base = _inverse_norm(obj.operator_norm_estimate(X, cfg, resid)) * math.sqrt(batch / cfg.n_pairs)
+    # batches; at batch == n this is GD's first trial step
+    base = _first_step(cfg, X, resid, G) * math.sqrt(batch / cfg.n_pairs)
     rng = substream(scfg.seed, "sgd")
     period = -(-cfg.n_pairs // batch)  # ceil(|Omega| / batch): steps per epoch
 

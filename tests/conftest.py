@@ -205,15 +205,21 @@ def rng():
 
 
 @pytest.fixture
-def norm_estimate(monkeypatch):
-    """A setter for the Hessian norm estimate: SGD's base step, and GD's
-    step0 where no BB step opens its first search (that trial is then
-    2 / value)."""
+def hessian_scale(monkeypatch):
+    """A setter that scales every `objective.hessian_operator` by a factor:
+    a solver's first step t0 = ||G||^2 / |<G, H[G]>|, and so SGD's base
+    step, is then divided by it."""
 
-    def fix(value):
-        monkeypatch.setattr(objective, "operator_norm_estimate", lambda X, cfg, resid=None: value)
+    def scale(factor):
+        hessian = objective.hessian_operator
 
-    return fix
+        def scaled(X, cfg, resid=None):
+            H = hessian(X, cfg, resid)
+            return lambda V: factor * H(V)
+
+        monkeypatch.setattr(objective, "hessian_operator", scaled)
+
+    return scale
 
 
 @pytest.fixture

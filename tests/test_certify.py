@@ -392,12 +392,15 @@ def test_certificate_from_the_solvers_eigensolve_is_the_same():
     _same_report(rep, certify_point(saddle, cfg, gt))
 
 
-def test_certificate_from_a_stalled_witness_search_is_the_same(norm_estimate):
+def test_certificate_from_a_stalled_witness_search_is_the_same(monkeypatch):
     # a witness search that opens below the underflow step ends the run at
     # the strict saddle at the origin, with the eigensolve that found it
     gt, obs, cfg = make_problem(20, 2, seed=13, p=0.8)
     saddle = np.zeros((20, 2))
-    norm_estimate(1e20)  # step0 = 1e-20
+    solve = objective.min_hessian_eig  # an op_norm of 1e20 opens the search at 2e-20
+    monkeypatch.setattr(
+        objective, "min_hessian_eig", lambda X, cfg, resid=None: replace(solve(X, cfg, resid), op_norm=1e20)
+    )
     res = solvers.perturbed_gd(cfg, SolverConfig(method=Method.PERTURBED_GD), saddle)
     assert np.array_equal(res.X, saddle) and res.iterations == 0
     assert res.status is Status.GRAD_TOL

@@ -254,7 +254,7 @@ def test_solve_rejects_unknown_solver_method(tmp_path, capsys):
 def test_solver_block_parses_from_dataclass_fields(tmp_path, capsys):
     parsed = cli._parse_solver({"solver": {"sgd": {}}})
     assert parsed == solvers.SolverConfig()
-    # the first step comes from the norm estimate, and the line-search
+    # the first step comes from one Hessian-vector product, and the line-search
     # constants, the SGD decay and grad_tol are fixed: none of them is a key
     for solver, message in (
         ({"sgd": {"batch": True}}, "solver.sgd.batch"),
@@ -427,13 +427,13 @@ def test_solve_from_the_frobenius_estimate_start_is_global_min(tmp_path, capsys,
     assert kv["classification"] == "GlobalMin"
 
 
-# a norm estimate far below ||H|| gives SGD a step base that overflows it
-# within a few iterations
-_DIVERGING_NORM_ESTIMATE = 1e-2
+# a Hessian scaled this far down gives SGD a step base about 1000 times t0,
+# which overflows the run within a few iterations
+_DIVERGING_HESSIAN_SCALE = 1e-3
 
 
 def _diverging_payload():
-    # run with the norm estimate set to _DIVERGING_NORM_ESTIMATE
+    # run with the Hessian scaled by _DIVERGING_HESSIAN_SCALE
     return {
         "instance": {"d": 20, "r": 2, "seed": 3, "p": 0.8},
         "solver": {"method": "sgd", "max_iters": 300},
@@ -441,8 +441,8 @@ def _diverging_payload():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_diverged_sgd_is_reported_not_an_internal_error(tmp_path, capsys, norm_estimate):
-    norm_estimate(_DIVERGING_NORM_ESTIMATE)
+def test_diverged_sgd_is_reported_not_an_internal_error(tmp_path, capsys, hessian_scale):
+    hessian_scale(_DIVERGING_HESSIAN_SCALE)
     payload = _diverging_payload()
     code, out, err = _run(capsys, ["solve", "--config", _write(tmp_path, payload), "--out", str(tmp_path)])
     assert code == 0, err
@@ -463,8 +463,9 @@ def test_diverged_solve_writes_no_overflow_warnings(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     cfgp = _write(tmp_path, _diverging_payload())
     run = (
-        "import sys; from mcland import cli, objective; "
-        f"objective.operator_norm_estimate = lambda X, cfg, resid=None: {_DIVERGING_NORM_ESTIMATE!r}; "
+        "import sys; from mcland import cli, objective; hessian = objective.hessian_operator; "
+        "objective.hessian_operator = lambda X, cfg, resid=None: "
+        f"(lambda H: lambda V: {_DIVERGING_HESSIAN_SCALE!r} * H(V))(hessian(X, cfg, resid)); "
         "sys.exit(cli.main(sys.argv[1:]))"
     )
     proc = subprocess.run(
@@ -645,8 +646,8 @@ def test_scan_assert_clean_fails_on_uncertified_endpoints(tmp_path, capsys, unco
     assert all(row.split(",")[-3:-1] == ["Uncertified", "false"] for row in rows)
 
 
-def test_scan_assert_clean_fails_on_unstationary_endpoints(tmp_path, capsys, norm_estimate):
-    norm_estimate(_DIVERGING_NORM_ESTIMATE)
+def test_scan_assert_clean_fails_on_unstationary_endpoints(tmp_path, capsys, hessian_scale):
+    hessian_scale(_DIVERGING_HESSIAN_SCALE)
     payload = _diverging_payload()
     payload["scan"] = {"n_starts": 3, "base_seed": 0}
     cfgp = _write(tmp_path, payload)

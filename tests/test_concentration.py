@@ -171,6 +171,9 @@ def test_fit_flags_flat_data_degenerate():
 def test_fit_flags_zero_data_degenerate_before_grid_checks():
     # a single all-zero point: degenerate, not "grid too small"
     assert fit_scaling([(200.0, 0.0)]).degenerate
+    # a NaN median, where every predicted scale is 0, is no point to fit either
+    assert fit_scaling([(4, math.nan), (8, math.nan), (16, math.nan), (64, math.nan)]).degenerate
+    assert fit_scaling([(4, 1.0), (8, 0.7), (16, math.nan), (64, 0.2)]).degenerate
 
 
 def test_fit_rejects_bad_grids():

@@ -11,7 +11,7 @@ from mcland import objective, solvers
 from mcland.objective import (
     ObjectiveConfig,
     curvature_slack,
-    operator_norm_estimate,
+    hessian_operator,
     pair_gradient_sum,
     value_and_gradient,
 )
@@ -153,17 +153,17 @@ def line_searches(monkeypatch):
     return calls
 
 
-def _expected_trials(calls, trace, step0):
+def _expected_trials(calls, trace):
     """Check each line search's first trial against the step rule, from the
     recorded searches and the trace alone; returns how often each case ran.
 
     A search from a point whose gradient norm met the default grad_tol runs
     along the witness; it and the search after it open at twice the last
-    accepted step, step0 before the first move.  The first search along
-    the gradient G opens at ||G||^2 / <G, H G>, with the curvature from
-    `hessian_quadratic`, or at twice step0 when that curvature is <= 0.
-    Any other search opens at the BB step <s, s> / <s, y> of the last move,
-    or at twice its step when <s, y> <= 0.
+    accepted step, before the first move at twice 1 / the op_norm of the
+    eigensolve there.  The first search along the gradient G opens at
+    ||G||^2 / |<G, H G>|, with the curvature from `hessian_quadratic`, of
+    either sign.  Any other search opens at the BB step <s, s> / <s, y> of
+    the last move, or at twice its step when <s, y> <= 0.
     """
     assert all(c[3] is not None for c in calls)  # so search m runs from trace row m
     assert len(calls) == len(trace) - 1
@@ -172,15 +172,13 @@ def _expected_trials(calls, trace, step0):
     cases = dict(bb=0, curvature=0, first=0, witness=0, after_witness=0)
     for m, (X, G, t_init, _) in enumerate(calls):
         if witness[m] or (m and witness[m - 1]):
-            assert t_init == 2.0 * (calls[m - 1][3] if m else step0)
+            prev = calls[m - 1][3] if m else 1.0 / objective.min_hessian_eig(X, calls.cfg).op_norm
+            assert t_init == 2.0 * prev
             cases["witness" if witness[m] else "after_witness"] += 1
             continue
         if m == 0:
             curv = hessian_quadratic(X, G, calls.cfg)
-            if curv > 0:
-                assert t_init == pytest.approx(float(np.vdot(G, G)) / curv, rel=1e-12)
-            else:
-                assert t_init == 2.0 * step0
+            assert t_init == pytest.approx(float(np.vdot(G, G)) / abs(curv), rel=1e-12)
             cases["first"] += 1
             continue
         s = X - calls[m - 1][0]
@@ -202,23 +200,23 @@ def test_gd_trials_fall_back_where_curvature_is_negative(line_searches):
     X0 = 1e-3 * Q[:, :1]
     res = gradient_descent(cfg, SolverConfig(), X0)
     assert res.status == Status.GRAD_TOL
-    step0 = 1.0 / operator_norm_estimate(X0, cfg)
-    cases = _expected_trials(line_searches, res.trace, step0)
+    # <G, H G> = (6e-6 - 2) ||G||^2 there, so the first search opens at 1 / (2 - 6e-6)
+    assert line_searches[0][2] == pytest.approx(0.5, rel=1e-5)
+    cases = _expected_trials(line_searches, res.trace)
     assert cases["first"] == 1 and cases["curvature"] >= 1 and cases["bb"] >= 1
 
 
-def test_perturbed_gd_trials_fall_back_after_witness_steps(line_searches, norm_estimate):
+def test_perturbed_gd_trials_fall_back_after_witness_steps(line_searches):
     # descent from starts on the saddle's stable line reaches the strict
     # saddle sqrt(0.5) Q[:, 1], whose negative curvature gives a witness step
     Q, cfg = _spiked_rank2_problem(0.5)
-    norm_estimate(100.0)  # step0 = 0.01, should a first search open at 2 * step0
     scfg = SolverConfig(method=Method.PERTURBED_GD)
     cases = dict(bb=0, curvature=0, first=0, witness=0, after_witness=0)
     for c in (0.5, 0.9, 1.2):
         line_searches.clear()
         res = perturbed_gd(cfg, scfg, c * Q[:, 1:2])
         assert res.status is Status.GRAD_TOL and res.f == pytest.approx(0.125, rel=1e-6)
-        for case, n in _expected_trials(line_searches, res.trace, 0.01).items():
+        for case, n in _expected_trials(line_searches, res.trace).items():
             cases[case] += n
     assert cases["witness"] >= 3 and cases["after_witness"] >= 3 and cases["bb"] >= 1
 
@@ -230,15 +228,9 @@ def test_bb_step_needs_positive_curvature():
     assert solvers._bb_step(s, -s) is None
 
 
-def test_gd_reports_stall_on_underflowing_step(monkeypatch):
+def test_gd_reports_stall_on_underflowing_step(hessian_scale):
     gt, obs, cfg = make_problem(10, 1, seed=6, p=0.8)
-    hessian = objective.hessian_operator
-
-    def steep(X, cfg, resid=None):  # 1e20 H: the first trial ||G||^2 / <G, H G> falls 1e20-fold
-        H = hessian(X, cfg, resid)
-        return lambda V: 1e20 * H(V)
-
-    monkeypatch.setattr(objective, "hessian_operator", steep)
+    hessian_scale(1e20)  # the first trial ||G||^2 / <G, H G> falls 1e20-fold
     res = gradient_descent(cfg, SolverConfig(), random_init(10, 1, obs, 2))
     assert res.status == Status.LINE_SEARCH_STALLED
     assert res.iterations == 0
@@ -246,35 +238,39 @@ def test_gd_reports_stall_on_underflowing_step(monkeypatch):
 
 @pytest.fixture
 def probes(monkeypatch):
-    """Count the calls of operator_norm_estimate and hessian_operator."""
-    counts = dict(operator_norm_estimate=0, hessian_operator=0)
+    """Count the calls of hessian_operator, min_hessian_eig and _lanczos."""
+    counts = dict(hessian_operator=0, min_hessian_eig=0, _lanczos=0)
     for name in counts:
-        def spy(X, cfg, resid=None, *, name=name, real=getattr(objective, name)):
-            counts[name] += 1
-            return real(X, cfg, resid)
+        def spy(*args, _name=name, _real=getattr(objective, name)):
+            counts[_name] += 1
+            return _real(*args)
 
         monkeypatch.setattr(objective, name, spy)
     return counts
 
 
-def test_only_sgd_takes_its_step_from_the_norm_estimate(probes):
+def test_one_hvp_sizes_each_start_and_every_lanczos_run_is_an_eigensolve(probes):
     gt, obs, cfg = make_problem(20, 2, seed=13, p=0.8)
     X0 = random_init(20, 2, obs, 3)
-    # GD's first search opens at ||G||^2 / <G, H G>: one Hessian operator, no norm estimate
-    gradient_descent(cfg, SolverConfig(), X0)
-    assert probes == dict(operator_norm_estimate=0, hessian_operator=1)
-    res = perturbed_gd(cfg, SolverConfig(method=Method.PERTURBED_GD), X0)
-    assert res.eig is not None and probes["operator_norm_estimate"] == 0
-    # a start that meets grad_tol takes no step, so plain GD probes nothing,
-    # and perturbed GD only runs the eigensolve that ends it
-    probes.update(operator_norm_estimate=0, hessian_operator=0)
-    res = gradient_descent(cfg, SolverConfig(), gt.factor)
-    assert res.iterations == 0 and probes == dict(operator_norm_estimate=0, hessian_operator=0)
-    res = perturbed_gd(cfg, SolverConfig(method=Method.PERTURBED_GD), gt.factor)
-    assert res.iterations == 0 and res.eig is not None
-    assert probes == dict(operator_norm_estimate=0, hessian_operator=1)
-    sgd(cfg, SolverConfig(method=Method.SGD, max_iters=5), X0)
-    assert probes["operator_norm_estimate"] == 1
+    gd, pgd = SolverConfig(), SolverConfig(method=Method.PERTURBED_GD)
+    runs = [  # (solver, config, start, starts whose first step the run sizes)
+        (gradient_descent, gd, X0, 1),
+        (perturbed_gd, pgd, X0, 1),
+        (sgd, SolverConfig(method=Method.SGD, max_iters=5), X0, 1),
+        # a start that meets grad_tol sizes no step: plain GD probes nothing, and perturbed GD
+        # runs only eigensolves, whose norm opens a witness search at the saddle at the origin
+        (gradient_descent, gd, gt.factor, 0),
+        (perturbed_gd, pgd, gt.factor, 0),
+        (perturbed_gd, pgd, np.zeros((20, 2)), 0),
+    ]
+    for solver, scfg, start, sized in runs:
+        probes.update(hessian_operator=0, min_hessian_eig=0, _lanczos=0)
+        res = solver(cfg, scfg, start)
+        eigs = probes["min_hessian_eig"]
+        assert (eigs > 0) == (res.eig is not None) == (solver is perturbed_gd)
+        # every Hessian operator is either the one step-sizing probe or an eigensolve's
+        assert probes["hessian_operator"] == sized + eigs
+        assert probes["_lanczos"] == eigs
 
 
 def test_gd_converged_start_returns_immediately():
@@ -415,11 +411,13 @@ def _reference_sgd_rows(cfg, scfg, X0):
     the trace.csv line of every iteration, keyed by iter, and the gradient
     norm of each."""
     batch = min(scfg.sgd.batch, cfg.n_pairs)
-    base = (1.0 / operator_norm_estimate(X0, cfg)) * math.sqrt(batch / cfg.n_pairs)
     rng = substream(scfg.seed, "sgd")
     X = np.array(X0, dtype=float)
     trace = solvers.Trace()
     bdown, G = value_and_gradient(X, cfg)
+    # GD's first step ||G||^2 / |<G, H G>|, damped by sqrt(batch fraction)
+    curv = float(np.vdot(G, hessian_operator(X, cfg)(G)))
+    base = float(np.vdot(G, G)) / abs(curv) * math.sqrt(batch / cfg.n_pairs)
     trace.append(0, bdown, float(np.linalg.norm(G)), 0.0, 0)
     for it in range(1, scfg.max_iters + 1):
         step = base / (1.0 + solvers._STEP_DECAY * (it - 1))
@@ -491,9 +489,9 @@ def test_sgd_on_an_empty_mask_is_a_value_error():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_sgd_stops_at_first_non_finite_iterate(norm_estimate):
+def test_sgd_stops_at_first_non_finite_iterate(hessian_scale):
     gt, obs, cfg = make_problem(20, 2, seed=3, p=0.8)
-    norm_estimate(1e-2)  # a step base far above 1 / ||H||
+    hessian_scale(1e-3)  # a step base about 1000 times t0, far above 1 / ||H||
     scfg = SolverConfig(method=Method.SGD, max_iters=300)
     res = sgd(cfg, scfg, random_init(20, 2, obs, 0))
     assert res.status is Status.DIVERGED
