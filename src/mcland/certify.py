@@ -141,7 +141,7 @@ class CertReport:
     grad_norm: float = math.nan
     lambda_min: float = math.nan
     eig_converged: bool | None = None
-    eig_iterations: int | None = None  # Hessian-vector products of the eigensolve
+    eig_iterations: int | None = None  # Hessian-vector products of the eigensolve (1 on the dense route)
     stationary_tol: float = math.nan
     tau: float = math.nan
     recovery_fro: float | None = None
@@ -167,6 +167,13 @@ def certify_point(X, cfg, gt, tols=None, eig=None):
     from `objective.curvature_slack`.  `tols.global_rel` sets the recovery
     radius.  A given `eig`, the `min_hessian_eig(X, cfg)` a solver ran at X
     (`SolveResult.eig`), is used instead of solving again.
+
+    The curvature guarantee follows the eigensolve's route.  Up to
+    d * r = `objective._DENSE_MAX` it is one dense solve of the assembled
+    Hessian: a converged lambda_min is the smallest eigenvalue to rounding,
+    and `eig_iterations` is 1.  Above it a Lanczos run puts lambda_min
+    within 1e-6 * (1 + ||H||) of some eigenvalue, not provably the
+    smallest, and the labels rest on tau being far above that tolerance.
     """
     X = np.asarray(X, dtype=float)
     tols = tols or CertTolerances()

@@ -48,11 +48,18 @@ start, an accepted line-search trial, a point to certify) reuse them.
 
 with the r x r blocks A = P [X_j X_j^T] once per point and B = P [X_j V_j^T]
 once per application, so an application gathers no pairs and builds no
-matrix.  `min_hessian_eig` makes one Lanczos run on it, with no restart, for
-up to d * r steps: the one spectral probe, whose largest |Ritz value| is also
-the norm estimate of a point.  A run solves its tridiagonal T for vectors
-(numpy's dense `eigh`) only at a step that may stop; importing scipy.linalg
-for a tridiagonal solver would add 7.5 MB to the resident set.
+matrix.  From the same A, residuals and penalty terms it also assembles the
+d r x d r matrix, in O(n_pairs r^2 + (d r)^2).  `min_hessian_eig` is the
+one spectral probe of a point, and its largest |eigenvalue| is also the
+point's norm estimate.  Up to d * r = _DENSE_MAX it solves that matrix
+densely: its eigenvalues (`eigvalsh`), then the smallest one's eigenvector
+by one step of inverse iteration.  At d = 100, r = 1 the bottom of the
+spectrum is not isolated and Lanczos takes 27 to 37 steps, against about
+0.5 ms for the dense solve of a 100 x 100 matrix.  Above it, it makes one
+Lanczos run on the operator, with no restart, for up to d * r steps.  A
+run solves its tridiagonal T for vectors (numpy's dense `eigh`) only at a
+step that may stop; importing scipy.linalg for a tridiagonal or partial
+dense solver would add 7.5 MB to the resident set.
 """
 
 import math
@@ -67,6 +74,12 @@ from .rng import substream
 _EIG_SEED = 31415001
 _EPS = float(np.finfo(float).eps)
 _EIG_TOL = 1e-6  # min_hessian_eig converges at a residual of at most _EIG_TOL * (1 + ||H||)
+# min_hessian_eig assembles H and solves it densely up to this d * r, and runs Lanczos above it.
+# Per eigensolve at GD endpoints, one BLAS thread on a 2-core Xeon VM: at r = 1 dense takes 1.0-1.2
+# against 2.3-3.2 ms for Lanczos at d * r = 100, and about as long at 200; at r = 2 Lanczos stops in
+# 7 steps and is the faster from d * r = 100 up (0.6-1.1 against 0.9-1.6 ms), and at the r = 2 C3
+# cells, d * r = 200, it takes 2.0 against 4.2-4.8 ms
+_DENSE_MAX = 100
 
 
 class ObjectiveConfig:
@@ -268,8 +281,73 @@ def pair_gradient_sum(X, cfg, positions):
     return np.ascontiguousarray(G.T)
 
 
+class _Hessian:
+    """The Hessian at X: `H(V)` applies it, `H.matrix()` assembles it.
+
+    The pieces that do not depend on V are computed once, here, for both: the
+    residuals of X (`resid` where the caller holds them, else one pass), the
+    r x r blocks A_i = sum_j Omega_ij X_j X_j^T, and the penalty's curvature
+    on the active rows.
+    """
+
+    def __init__(self, X, cfg, resid):
+        self.X, self.cfg = X, cfg
+        self.resid = cfg.residuals(X) if resid is None else _check_pairs(resid, cfg)
+        self.unit = np.ones(self.resid.size)  # the data of P
+        self.A = self._blocks(X)
+        self.weight = cfg.hyper.reg_weight
+        excess = _row_excess(X, cfg.hyper.alpha) if self.weight > 0 else None
+        self.active = None
+        if excess is not None:  # on the active rows: rho'' radially, rho'(t) / t tangentially
+            e, self.active, t = excess
+            self.u = X[self.active] / t[:, None]
+            self.d1_over_t, self.d2 = 4.0 * e[self.active] ** 3 / t, 12.0 * e[self.active] ** 2
+
+    def _blocks(self, Y):  # the r x r blocks sum_j Omega_ij X_j Y_j^T
+        X, (d, r) = self.X, self.X.shape
+        return self.cfg._matmul(self.unit, (X[:, :, None] * Y[:, None, :]).reshape(d, r * r)).reshape(d, r, r)
+
+    def _penalty(self, Va):  # the weighted penalty curvature of the active rows along their directions Va
+        u = self.u
+        proj = np.einsum("ij,ij->i", Va, u)
+        return self.weight * ((self.d2 * proj)[:, None] * u + self.d1_over_t[:, None] * (Va - proj[:, None] * u))
+
+    def __call__(self, V):
+        X = self.X
+        V = _check_direction(V, X)
+        HV = 2.0 * (np.einsum("iab,ib->ia", self.A, V) + np.einsum("iab,ib->ia", self._blocks(V), X))
+        HV -= 2.0 * self.cfg._matmul(self.resid, V)
+        if self.active is not None:
+            HV[self.active] += self._penalty(V[self.active])
+        return HV
+
+    def matrix(self):
+        """The d r x d r matrix of H, indexed as X.ravel(), in O(n_pairs r^2 + (d r)^2).
+
+        A stored pair (i, j) puts 2 X_j X_i^T - 2 R_ij I at block (i, j) and,
+        off the diagonal, its transpose at (j, i); each diagonal block (i, i)
+        adds 2 A_i and, on an active row, the penalty's r x r block, the
+        penalty curvature along each unit direction.  Symmetric to rounding:
+        the penalty block's products round in another order on each side.
+        """
+        X, (d, r) = self.X, self.X.shape
+        i, j = self.cfg.obs.mask.i, self.cfg.obs.mask.j
+        H = np.zeros((d, r, d, r))
+        pair = 2.0 * X[j][:, :, None] * X[i][:, None, :]
+        pair[:, np.arange(r), np.arange(r)] -= 2.0 * self.resid[:, None]
+        H[i, :, j, :] = pair
+        off = i != j
+        H[j[off], :, i[off], :] = pair[off].transpose(0, 2, 1)
+        rows = np.arange(d)
+        H[rows, :, rows, :] += 2.0 * self.A
+        act = self.active
+        if act is not None:
+            H[act, :, act, :] += np.stack([self._penalty(np.broadcast_to(e, (act.size, r))) for e in np.eye(r)], axis=2)
+        return H.reshape(d * r, d * r)
+
+
 def hessian_operator(X, cfg, resid=None):
-    """The matrix-free Hessian at X, as a function V -> d^2 f(X)[V] (d x r).
+    """The Hessian at X, as a function V -> d^2 f(X)[V] (d x r).
 
     H[V] = 2 P_Omega(V X^T + X V^T) X - 2 P_Omega(residual) V + penalty part,
     with the first term applied rowwise as 2 (A_i V_i + B_i X_i) for the r x r
@@ -277,35 +355,10 @@ def hessian_operator(X, cfg, resid=None):
     A, the residuals and the penalty setup are computed once here, B is one
     product of the 0/1 matrix P with the rows X_j V_j^T per application
     (O(n_pairs r^2)); nothing is stored on `cfg`.  `resid`, the residuals of
-    X where the caller holds them, saves their pass.  Self-adjoint.
+    X where the caller holds them, saves their pass.  Self-adjoint.  The
+    returned operator's `matrix()` assembles H from the same pieces.
     """
-    X = _check_factor(X, cfg)
-    d, r = X.shape
-    resid = cfg.residuals(X) if resid is None else _check_pairs(resid, cfg)
-    unit = np.ones(resid.size)  # the data of P
-
-    def blocks(Y):  # the r x r blocks sum_j Omega_ij X_j Y_j^T
-        return cfg._matmul(unit, (X[:, :, None] * Y[:, None, :]).reshape(d, r * r)).reshape(d, r, r)
-
-    A = blocks(X)
-    weight = cfg.hyper.reg_weight
-    excess = _row_excess(X, cfg.hyper.alpha) if weight > 0 else None
-    if excess is not None:  # on the active rows: rho'' radially, rho'(t) / t tangentially
-        e, act, t = excess
-        u = X[act] / t[:, None]
-        d1_over_t, d2 = 4.0 * e[act] ** 3 / t, 12.0 * e[act] ** 2
-
-    def apply(V):
-        V = _check_direction(V, X)
-        HV = 2.0 * (np.einsum("iab,ib->ia", A, V) + np.einsum("iab,ib->ia", blocks(V), X))
-        HV -= 2.0 * cfg._matmul(resid, V)
-        if excess is not None:
-            Va = V[act]
-            proj = np.einsum("ij,ij->i", Va, u)
-            HV[act] += weight * ((d2 * proj)[:, None] * u + d1_over_t[:, None] * (Va - proj[:, None] * u))
-        return HV
-
-    return apply
+    return _Hessian(_check_factor(X, cfg), cfg, resid)
 
 
 def _lanczos(H, v):
@@ -390,11 +443,15 @@ def _start(X):
 
 @dataclass(frozen=True)
 class EigResult:
-    lambda_min: float  # Rayleigh quotient of the witness
+    """The eigensolve of `min_hessian_eig`.  Up to d * r = _DENSE_MAX the
+    witness is the smallest eigenvector of the assembled H and op_norm is
+    ||H|| (max |eigenvalue|); above, they come from the Lanczos run."""
+
+    lambda_min: float  # Rayleigh quotient of the witness, by one Hessian-vector product
     witness: np.ndarray  # d x r, unit Frobenius norm
     converged: bool  # ||H witness - lambda_min witness|| <= _EIG_TOL * (1 + op_norm)
-    iterations: int  # Hessian-vector products used
-    op_norm: float  # largest |Ritz value| seen: a lower bound on ||H||
+    iterations: int  # Hessian-vector products used: 1 on the dense route, Lanczos steps + 1 above it
+    op_norm: float  # max |eigenvalue| on the dense route; above it the largest |Ritz value|, a lower bound on ||H||
 
 
 def curvature_slack(cfg, op_norm):
@@ -403,22 +460,38 @@ def curvature_slack(cfg, op_norm):
 
 
 def min_hessian_eig(X, cfg, resid=None):
-    """Smallest Hessian eigenvalue at X by one Lanczos run.
+    """Smallest Hessian eigenvalue at X, by one dense solve or one Lanczos run.
 
-    Runs `_lanczos` on one `hessian_operator` for at most d * r steps, then
-    checks the smallest Ritz vector v explicitly: converged means
-    ||H v - theta v|| <= tol = 1e-6 * (1 + op_norm).  That puts lambda_min
-    within tol of some eigenvalue, not provably the smallest; a label holds
-    because tau is far above tol.  At most d * r + 1 Hessian-vector
-    products.  lambda_min is the Rayleigh quotient <v, H[v]> of the unit
-    witness v.  `resid` as for `hessian_operator`.
+    The route follows the size, d * r: up to _DENSE_MAX, the matrix of one
+    `hessian_operator` is assembled and solved densely, and the witness v
+    is the eigenvector of its smallest eigenvalue; above it, `_lanczos` runs
+    on the operator for at most d * r steps and v is its smallest Ritz
+    vector.  Either way lambda_min is the Rayleigh quotient <v, H[v]> of the unit
+    witness, from one more Hessian-vector product, and v is checked
+    explicitly: converged means ||H v - lambda_min v|| <= tol = 1e-6 *
+    (1 + op_norm).  On the dense route lambda_min is then the smallest
+    eigenvalue to rounding; after Lanczos it is within tol of some
+    eigenvalue, not provably the smallest, and a label holds because tau is
+    far above tol.  1 Hessian-vector product on the dense route, at most
+    d * r + 1 above it.  `resid` as for `hessian_operator`.
     """
     X = _check_factor(X, cfg)
     H = hessian_operator(X, cfg, resid)
-    theta, v = _lanczos(H, _start(X))
+    if X.size <= _DENSE_MAX:
+        M = H.matrix()
+        theta = np.linalg.eigvalsh(M)
+        # one step of inverse iteration from the seeded start, shifted by n eps (1 + ||H||) below
+        # the smallest eigenvalue, so M - shift I is positive definite: its eigenvector, at half
+        # the cost of eigh's whole set (0.53 against 0.97 ms at d * r = 100)
+        shift = theta[0] - X.size * _EPS * (1.0 + np.abs(theta).max())
+        v, steps = np.linalg.solve(M - shift * np.eye(X.size), _start(X).ravel()), 0
+        v /= np.linalg.norm(v)
+    else:
+        theta, v = _lanczos(H, _start(X))
+        steps = theta.size
     op = float(np.abs(theta).max())
     v = v.reshape(X.shape)
     Hv = H(v)
     lam = float(np.sum(v * Hv))
     converged = float(np.linalg.norm(Hv - lam * v)) <= _EIG_TOL * (1.0 + op)
-    return EigResult(lambda_min=lam, witness=v, converged=converged, iterations=theta.size + 1, op_norm=op)
+    return EigResult(lambda_min=lam, witness=v, converged=converged, iterations=steps + 1, op_norm=op)

@@ -223,6 +223,13 @@ def hessian_scale(monkeypatch):
 
 
 @pytest.fixture
+def lanczos_only(monkeypatch):
+    """Make every min_hessian_eig run Lanczos, at any d * r: the dense route
+    would otherwise take the small problems that test the Lanczos run."""
+    monkeypatch.setattr(objective, "_DENSE_MAX", 0)
+
+
+@pytest.fixture
 def unconverged_eigensolves(monkeypatch):
     """Make every min_hessian_eig report that it did not converge."""
     solve = objective.min_hessian_eig

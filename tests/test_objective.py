@@ -375,7 +375,7 @@ def test_min_eig_detects_saddle(rng_local=np.random.default_rng(5)):
     assert np.linalg.norm(eig.witness) == pytest.approx(1.0, rel=1e-10)
 
 
-def test_min_eig_matches_dense_at_random_points():
+def test_min_eig_matches_dense_at_random_points(lanczos_only):
     gt, obs, cfg = make_problem(10, 2, seed=18, p=0.6, sigma=0.1)
     rng = np.random.default_rng(0)
     for _ in range(200):
@@ -398,7 +398,7 @@ def test_min_eig_converges_near_truth_at_scale():
     assert hessian_quadratic(X, eig.witness, cfg) <= eig.lambda_min + 1e-6 * (1.0 + eig.op_norm)
 
 
-def test_min_eig_converges_in_one_run_at_low_p():
+def test_min_eig_converges_in_one_run_at_low_p(lanczos_only):
     # a GD endpoint at p = 1.5 ln d / d, where the bottom of the spectrum is
     # clustered: a Lanczos that restarts from one Ritz vector stalls there.
     # The two lowest eigenvalues lie about 1e-5 apart, below
@@ -510,6 +510,22 @@ def test_hessian_penalty_is_the_per_row_formula_added_to_the_data_part(d, r, p, 
     assert np.any(expected != data) and np.array_equal(hessian_operator(X, cfg)(V), expected)
     far = ObjectiveConfig(HyperParams(alpha=1e6, reg_weight=hyper.reg_weight, tau=0.0), cfg.obs)
     assert np.array_equal(hessian_operator(X, far)(V), data)
+
+
+@pytest.mark.parametrize("d,r,p,include_diagonal", KERNEL_CASES)
+def test_hessian_matrix_is_the_operator_on_the_unit_vectors(d, r, p, include_diagonal):
+    # the assembly against the operator applied to each unit vector, on noisy residuals
+    # (sigma = 0.1) with about half the rows above alpha; every case is below _DENSE_MAX,
+    # where the eigensolve is the smallest eigenpair of the assembled matrix
+    cfg, X, _ = _kernel_problem(d, r, p, include_diagonal)
+    assert X.size <= objective._DENSE_MAX
+    H, dense = hessian_operator(X, cfg).matrix(), dense_hessian(X, cfg)
+    scale = 1.0 + float(np.abs(dense).max())
+    assert np.allclose(H, dense, rtol=0, atol=1e-13 * scale)
+    eig = min_hessian_eig(X, cfg)
+    assert eig.converged and eig.iterations == 1
+    assert eig.lambda_min == pytest.approx(dense_min_eig(X, cfg), abs=1e-12 * scale)
+    assert eig.op_norm == pytest.approx(float(np.abs(np.linalg.eigvalsh(dense)).max()), rel=1e-12)
 
 
 def test_masked_matmul_rejects_an_operand_of_another_height():
@@ -905,7 +921,7 @@ def _same_eig(a, b):
 
 
 @pytest.mark.parametrize("d,r,p,include_diagonal", KERNEL_CASES)
-def test_lanczos_matches_an_eigh_at_every_step(d, r, p, include_diagonal, monkeypatch):
+def test_lanczos_matches_an_eigh_at_every_step(d, r, p, include_diagonal, monkeypatch, lanczos_only):
     cfg, X, V = _kernel_problem(d, r, p, include_diagonal)
     points = (X, 0.1 * X, X + 0.01 * V)
     ours = [min_hessian_eig(Y, cfg) for Y in points]

@@ -249,7 +249,7 @@ def probes(monkeypatch):
     return counts
 
 
-def test_one_hvp_sizes_each_start_and_every_lanczos_run_is_an_eigensolve(probes):
+def test_one_hvp_sizes_each_start_and_every_lanczos_run_is_an_eigensolve(probes, monkeypatch):
     gt, obs, cfg = make_problem(20, 2, seed=13, p=0.8)
     X0 = random_init(20, 2, obs, 3)
     gd, pgd = SolverConfig(), SolverConfig(method=Method.PERTURBED_GD)
@@ -263,14 +263,17 @@ def test_one_hvp_sizes_each_start_and_every_lanczos_run_is_an_eigensolve(probes)
         (perturbed_gd, pgd, gt.factor, 0),
         (perturbed_gd, pgd, np.zeros((20, 2)), 0),
     ]
-    for solver, scfg, start, sized in runs:
-        probes.update(hessian_operator=0, min_hessian_eig=0, _lanczos=0)
-        res = solver(cfg, scfg, start)
-        eigs = probes["min_hessian_eig"]
-        assert (eigs > 0) == (res.eig is not None) == (solver is perturbed_gd)
-        # every Hessian operator is either the one step-sizing probe or an eigensolve's
-        assert probes["hessian_operator"] == sized + eigs
-        assert probes["_lanczos"] == eigs
+    # d * r = 40: every eigensolve is one dense solve, then with the threshold at 0 one Lanczos run
+    for dense_max in (objective._DENSE_MAX, 0):
+        monkeypatch.setattr(objective, "_DENSE_MAX", dense_max)
+        for solver, scfg, start, sized in runs:
+            probes.update(hessian_operator=0, min_hessian_eig=0, _lanczos=0)
+            res = solver(cfg, scfg, start)
+            eigs = probes["min_hessian_eig"]
+            assert (eigs > 0) == (res.eig is not None) == (solver is perturbed_gd)
+            # every Hessian operator is either the one step-sizing probe or an eigensolve's
+            assert probes["hessian_operator"] == sized + eigs
+            assert probes["_lanczos"] == (0 if start.size <= dense_max else eigs)
 
 
 def test_gd_converged_start_returns_immediately():
