@@ -15,7 +15,10 @@ Generation walks the d x d matrix in row blocks of at most `_BLOCK`
 elements, so it holds O(|Omega| + block) memory and takes O(d^2) time (the
 streams fix a d x d draw).  Consecutive `(rows, d)` draws from one generator
 give the numbers of one `(d, d)` draw in order, and each block keeps exactly
-the entries the whole matrix would; the mask tests only the upper part.
+the entries the whole matrix would; the mask tests only the upper part.  The
+mask draws its first block whole, then for each later row only the doubles
+the whole draw puts on and right of the diagonal, jumping the stream over
+the rest: the first block plus the upper triangle, about d^2 / 2 draws.
 Z Z^T is one BLAS product per block; up to d = 1024 that is the whole-matrix
 product, and above it a BLAS may round a few entries differently by the
 shape of the call, as it already does by its thread count.
@@ -146,6 +149,24 @@ def sample_factor(d, r, scale, seed):
     return GroundTruth(Z)
 
 
+def _mask_block(rng, a, b, d, k):
+    """Columns >= a + k of rows [a, b) of the (d, d) uniform draw from `rng`.
+
+    The first block (a = 0) is drawn whole.  In a later block row i jumps the
+    stream over its columns < i + k and draws the rest in place, so its cells
+    left of column i + k, the strict lower triangle of the block's leading
+    square, are never drawn; they hold 1.0, which is never < p.
+    """
+    if a == 0:
+        return rng.random((b, d))[:, k:]
+    U = np.empty((b - a, d - a - k))
+    U[:, : b - a] = 1.0
+    for r in range(b - a):
+        rng.bit_generator.advance(a + r + k)  # one PCG64 step per double
+        rng.random(out=U[r, r:])
+    return U
+
+
 def sample_mask(d, p, include_diagonal=True, *, seed):
     """Symmetric Bernoulli(p) mask from one d x d uniform draw U: pair (i, j),
     i <= j, is observed when U_ij < p (i = j only with `include_diagonal`).
@@ -153,6 +174,9 @@ def sample_mask(d, p, include_diagonal=True, *, seed):
     U is drawn in row blocks from the "mask" substream, the doubles of one
     (d, d) draw.  Block [a, b) compares only its columns >= a + k with p (k = 1
     without the diagonal) and keeps the hits with j >= i + k, in row-major order.
+    The first block is drawn whole; past it, each row i draws only the doubles
+    the (d, d) draw puts in its columns >= i + k (`_mask_block`): the first
+    block plus the upper triangle, about d^2 / 2 draws.
     """
     if d <= 0:
         raise ValueError(f"d must be positive, got {d}")
@@ -163,7 +187,7 @@ def sample_mask(d, p, include_diagonal=True, *, seed):
     pairs = []
     for a, b in _row_blocks(d):
         c = a + k  # the block's pairs lie in columns >= c
-        bi, bj = np.divmod(np.flatnonzero(rng.random((b - a, d))[:, c:] < p), d - c)
+        bi, bj = np.divmod(np.flatnonzero(_mask_block(rng, a, b, d, k) < p), d - c)
         keep = bj >= bi  # column bj + c >= row bi + a + k
         bi, bj = bi[keep] + a, bj[keep] + c  # rebound: no unfiltered hits outlive their block
         pairs.append((bi, bj))

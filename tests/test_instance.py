@@ -157,10 +157,12 @@ def test_sample_mask_input_checks():
 @pytest.mark.parametrize("block", [1, "7d+3", None])
 @pytest.mark.parametrize("include_diagonal", [True, False])
 @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
-@pytest.mark.parametrize("d", [1, 2, 3, 7, 257])
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 257, 1100, 2100])
 def test_mask_matches_whole_matrix_draw(monkeypatch, d, p, include_diagonal, block):
-    # one row per block, 7 rows and a ragged last block, or the default (one
-    # block); without the diagonal the last row has no column left to keep
+    # one row per block, 7 rows and a ragged last block, or the default: one
+    # block up to d = 1024, 2 at d = 1100 and 5 at d = 2100, where every row
+    # past the first block draws only its upper part; without the diagonal the
+    # last row has no column left to keep
     if block is not None:
         monkeypatch.setattr(instance, "_BLOCK", 1 if block == 1 else 7 * d + 3)
     m = sample_mask(d, p, include_diagonal, seed=d)
@@ -187,6 +189,47 @@ def test_multi_block_mask_is_pinned(d, p, include_diagonal, seed, n_stored, expe
     m = sample_mask(d, p, include_diagonal, seed=seed)
     assert m.i.size == n_stored
     assert hashlib.sha256(_pair_bytes(m)).hexdigest() == expected
+
+
+class _CountingDraws:
+    """A mask generator that counts the doubles `random` draws."""
+
+    def __init__(self, rng):
+        self.rng, self.drawn = rng, 0
+
+    @property
+    def bit_generator(self):
+        return self.rng.bit_generator
+
+    def random(self, size=None, out=None):
+        x = self.rng.random(size, out=out)
+        self.drawn += x.size
+        return x
+
+
+@pytest.mark.parametrize(
+    "d,include_diagonal,expected",
+    [
+        # 349 rows a block: 349 * 3000 doubles in the first, then d - i for each
+        # later row i, or d - i - 1 without the diagonal
+        (3000, True, 4_562_226),
+        (3000, False, 4_559_575),
+        (1000, True, 1_000_000),  # one block, drawn whole
+        (1000, False, 1_000_000),
+    ],
+)
+def test_multi_block_mask_draws_only_its_upper_triangle(monkeypatch, d, include_diagonal, expected):
+    streams, real_substream = [], instance.substream
+
+    def counting_substream(*args):
+        streams.append(_CountingDraws(real_substream(*args)))
+        return streams[-1]
+
+    monkeypatch.setattr(instance, "substream", counting_substream)
+    m = sample_mask(d, 0.01, include_diagonal, seed=2)
+    assert [s.drawn for s in streams] == [expected]
+    i, j = whole_matrix_mask(d, 0.01, include_diagonal, seed=2)
+    assert np.array_equal(m.i, i) and np.array_equal(m.j, j)
 
 
 def test_mask_memory_is_bounded():
