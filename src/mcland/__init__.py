@@ -57,7 +57,6 @@ from .objective import (
     hessian_operator,
     min_hessian_eig,
     regularizer,
-    value_and_gradient,
 )
 from .rng import derive_seed, substream
 from .solvers import (

@@ -177,10 +177,8 @@ def certify_point(X, cfg, gt, tols=None, eig=None):
     """
     X = np.asarray(X, dtype=float)
     tols = tols or CertTolerances()
-    with np.errstate(over="ignore", invalid="ignore"):  # a diverged endpoint is NotStationary below
-        resid = cfg.residuals(X)  # one pass for the value, the gradient and the eigensolve
-        bdown, G = obj.breakdown(X, resid, cfg), obj.residual_gradient(X, resid, cfg)
-        gn = float(np.linalg.norm(G))
+    # one residual pass for the value, gradient and eigensolve; a diverged point is NotStationary below
+    resid, bdown, _, gn = obj.evaluate(X, cfg)
     rep = CertReport(
         classification=PointClass.NOT_STATIONARY,
         f_value=bdown.total,

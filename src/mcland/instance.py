@@ -27,7 +27,8 @@ shape of the call, as it already does by its thread count.
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -267,7 +268,8 @@ def default_hyperparams(gt, p):
 
 @dataclass(frozen=True)
 class InstanceSpec:
-    """Plain record from which a full instance regenerates bit-exactly."""
+    """Plain record from which a full instance regenerates bit-exactly.  Each field is stored as
+    its annotated type, the JSON type `mcland gen` reads back; a bool is no int or float."""
 
     d: int
     r: int
@@ -278,6 +280,12 @@ class InstanceSpec:
     include_diagonal: bool = True
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            accepted = {int: Integral, float: Real, bool: (bool, np.bool_)}[f.type]
+            if (isinstance(value, bool) and f.type is not bool) or not isinstance(value, accepted):
+                raise TypeError(f"{f.name} must be {f.type.__name__}, got {type(value).__name__}")
+            object.__setattr__(self, f.name, f.type(value))
         if self.d < 1 or not 1 <= self.r <= self.d:
             raise ValueError("need d >= 1 and 1 <= r <= d")
         if not 0.0 <= self.p <= 1.0:

@@ -35,8 +35,8 @@ def _tag_words(tag):
 
 
 def check_seed(seed):
-    """Raise unless `seed` is an integer in [0, 2**64), the seeds `substream` takes."""
-    if not isinstance(seed, (int, np.integer)):
+    """Raise unless `seed` is an integer in [0, 2**64), the seeds `substream` takes; a bool is not one."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
         raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")

@@ -113,11 +113,13 @@ class Trace:
 
 @dataclass(frozen=True, eq=False)
 class SolveResult:
+    """The final iterate X; f, grad_norm, iterations and entry_grads come from the last trace row, X's."""
+
     X: np.ndarray
     f: float
     grad_norm: float
     status: Status
-    iterations: int  # iteration number of the last trace row
+    iterations: int
     trace: Trace
     entry_grads: int
     eig: obj.EigResult | None = None  # min_hessian_eig at X, where the run computed one
@@ -199,36 +201,34 @@ def _armijo_step(cfg, X, bdown, D, slope, curv, t_init):
 def _start(cfg, X0, cum):
     """Set-up shared by all solvers.
 
-    Copies X0, evaluates f and the full gradient there from one residual
-    pass, derives grad_tol = 1e-8 * (1 + f(X0)) and writes trace row 0
-    charged with `cum` entry gradients.  Returns (X, resid, bdown, G,
-    grad_norm, grad_tol, trace), resid the residuals of X.  A start whose f
-    or gradient norm overflows is returned as it is, without a warning; the
-    caller ends the run there as diverged.
+    Copies X0, evaluates it (`objective.evaluate`), derives grad_tol =
+    1e-8 * (1 + f(X0)) and writes trace row 0 charged with `cum` entry
+    gradients.  Returns (X, resid, bdown, G, grad_norm, grad_tol, trace),
+    resid the residuals of X.  A start whose f or gradient norm overflows
+    is returned as it is; the caller ends the run there as diverged.
     """
     X = np.array(X0, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        resid = cfg.residuals(X)
-        bdown, G = obj.breakdown(X, resid, cfg), obj.residual_gradient(X, resid, cfg)
-        gn = float(np.linalg.norm(G))
+    resid, bdown, G, gn = obj.evaluate(X, cfg)
     grad_tol = 1e-8 * (1.0 + bdown.total)
     trace = Trace()
     trace.append(0, bdown, gn, 0.0, cum)
     return X, resid, bdown, G, gn, grad_tol, trace
 
 
-def _diverged(bdown, gn):
-    return not (math.isfinite(bdown.total) and math.isfinite(gn))
+def _diverged(trace):  # the last row's objective or gradient norm is not finite
+    return not (math.isfinite(trace.f[-1]) and math.isfinite(trace.grad_norm[-1]))
 
 
-def _result(X, bdown, gn, grad_tol, trace, cum, stalled=False, eig=None):
-    """SolveResult at the final iterate, with the status rules all solvers share.
+def _result(X, trace, grad_tol, stalled=False, eig=None):
+    """SolveResult at the final iterate X, read from the last trace row, with
+    the status rules all solvers share.
 
     A non-finite objective or gradient norm means the run diverged.  Else
     grad_tol reached wins; else a run that ended in a stalled line search is
     stalled, any other ran out of iterations.
     """
-    if _diverged(bdown, gn):
+    gn = trace.grad_norm[-1]
+    if _diverged(trace):
         status = Status.DIVERGED
     elif gn <= grad_tol:
         status = Status.GRAD_TOL
@@ -236,16 +236,8 @@ def _result(X, bdown, gn, grad_tol, trace, cum, stalled=False, eig=None):
         status = Status.LINE_SEARCH_STALLED
     else:
         status = Status.MAX_ITERS
-    return SolveResult(
-        X=X,
-        f=bdown.total,
-        grad_norm=gn,
-        status=status,
-        iterations=trace.iters[-1],
-        trace=trace,
-        entry_grads=cum,
-        eig=eig,
-    )
+    return SolveResult(X=X, f=trace.f[-1], grad_norm=gn, status=status, iterations=trace.iters[-1], trace=trace,
+                       entry_grads=trace.cum_entry_grads[-1], eig=eig)
 
 
 def _descend(cfg, scfg, X0, witness_steps):
@@ -270,9 +262,8 @@ def _descend(cfg, scfg, X0, witness_steps):
     """
     n_pairs = cfg.n_pairs
     X, resid, bdown, G, gn, grad_tol, trace = _start(cfg, X0, n_pairs)
-    cum = n_pairs
-    if _diverged(bdown, gn):  # no step size can be estimated at a non-finite start
-        return _result(X, bdown, gn, grad_tol, trace, cum)
+    if _diverged(trace):  # no step size can be estimated at a non-finite start
+        return _result(X, trace, grad_tol)
     # the BB step of the last accepted move, if it gives one; before the first move, t0
     t_bb = _first_step(cfg, X, resid, G) if gn > grad_tol else None
     t_prev = None  # the last accepted step
@@ -303,10 +294,9 @@ def _descend(cfg, scfg, X0, witness_steps):
         # nothing about the curvature along G
         t_bb = _bb_step(X_new - X, G_new - G) if eig is None else None
         X, G, eig = X_new, G_new, None
-        cum += n_pairs
         gn = float(np.linalg.norm(G))
-        trace.append(it, bdown, gn, t_prev, cum)
-    return _result(X, bdown, gn, grad_tol, trace, cum, stalled, eig=eig)
+        trace.append(it, bdown, gn, t_prev, n_pairs * (it + 1))
+    return _result(X, trace, grad_tol, stalled, eig)
 
 
 def gradient_descent(cfg, scfg, X0):
@@ -351,9 +341,9 @@ def sgd(cfg, scfg, X0):
     """
     if not cfg.n_pairs:
         raise ValueError("SGD samples observed entries, but the mask is empty")
-    X, resid, bdown, G, gn, grad_tol, trace = _start(cfg, X0, 0)
-    if _diverged(bdown, gn):  # no step size can be estimated at a non-finite start
-        return _result(X, bdown, gn, grad_tol, trace, 0)
+    X, resid, _, G, gn, grad_tol, trace = _start(cfg, X0, 0)
+    if _diverged(trace):  # no step size can be estimated at a non-finite start
+        return _result(X, trace, grad_tol)
     batch = min(scfg.sgd.batch, cfg.n_pairs)
     # GD's first step t0 damped by sqrt(batch fraction): the estimator is the
     # (n/batch)-scaled pair sum, so the full-gradient step diverges on small
@@ -362,22 +352,19 @@ def sgd(cfg, scfg, X0):
     rng = substream(scfg.seed, "sgd")
     period = -(-cfg.n_pairs // batch)  # ceil(|Omega| / batch): steps per epoch
 
-    cum = 0
     for it in range(1, scfg.max_iters + 1):
         if gn <= grad_tol:
             break
         step = base / (1.0 + _STEP_DECAY * (it - 1))
-        cum += batch
         with np.errstate(over="ignore", invalid="ignore"):  # a diverging run ends with status diverged
             X = X - step * stochastic_gradient(X, cfg, rng, batch)
-            if it % period and it < scfg.max_iters:
-                continue  # the full pass runs once per epoch and at the last iteration
-            bdown, G = obj.value_and_gradient(X, cfg)
-            gn = float(np.linalg.norm(G))
-        trace.append(it, bdown, gn, step, cum)
-        if _diverged(bdown, gn):
+        if it % period and it < scfg.max_iters:
+            continue  # the full pass runs once per epoch and at the last iteration
+        _, bdown, _, gn = obj.evaluate(X, cfg)
+        trace.append(it, bdown, gn, step, batch * it)
+        if _diverged(trace):
             break
-    return _result(X, bdown, gn, grad_tol, trace, cum)
+    return _result(X, trace, grad_tol)
 
 
 _SOLVERS = {

@@ -31,9 +31,9 @@ from mcland.instance import (
 )
 from mcland.objective import (
     ObjectiveConfig,
+    evaluate,
     hessian_operator,
     min_hessian_eig,
-    value_and_gradient,
 )
 from mcland.rng import substream
 from mcland.solvers import (
@@ -92,8 +92,8 @@ def test_c1_gradient_oracle():
         )
         cfg = ObjectiveConfig(hyper, obs)
         X = gt.factor + 0.5 * rng.standard_normal((d, r))
-        G = value_and_gradient(X, cfg)[1]
-        G_fd = fd_gradient(lambda Y: value_and_gradient(Y, cfg)[0].total, X)
+        G = evaluate(X, cfg)[2]
+        G_fd = fd_gradient(lambda Y: evaluate(Y, cfg)[1].total, X)
         rel = float(np.linalg.norm(G - G_fd)) / (1.0 + float(np.linalg.norm(G)))
         worst = max(worst, rel)
     elapsed = time.perf_counter() - t0
@@ -122,7 +122,7 @@ def test_c2_hessian_oracle():
         for _ in range(3):
             V = rng.standard_normal(X.shape)
             quad = hessian_quadratic(X, V, cfg)
-            fd = fd_second_directional(lambda Y: value_and_gradient(Y, cfg)[0].total, X, V)
+            fd = fd_second_directional(lambda Y: evaluate(Y, cfg)[1].total, X, V)
             worst_quad = max(worst_quad, abs(quad - fd) / (1.0 + abs(quad)))
             via = float(np.sum(V * hessian_operator(X, cfg)(V)))
             worst_pair = max(worst_pair, abs(quad - via) / (1.0 + abs(quad)))
@@ -136,7 +136,7 @@ def test_c2_hessian_oracle():
         H = dense_hessian(X, cfg)
         scale = 1.0 + float(np.abs(H).max())
         worst_sym = max(worst_sym, float(np.abs(H - H.T).max()) / scale)
-        H_fd = fd_hessian(lambda Y: value_and_gradient(Y, cfg)[1], X)
+        H_fd = fd_hessian(lambda Y: evaluate(Y, cfg)[2], X)
         worst_entry = max(worst_entry, float(np.abs(H - H_fd).max()) / scale)
 
     elapsed = time.perf_counter() - t0
@@ -236,7 +236,7 @@ def test_c4_strict_saddle_escape():
     cfg = ObjectiveConfig(HyperParams(alpha=1e6, reg_weight=0.0, tau=0.0), obs)
 
     x_saddle = math.sqrt(lam2) * Q[:, 1:2]
-    gn = float(np.linalg.norm(value_and_gradient(x_saddle, cfg)[1]))
+    gn = float(np.linalg.norm(evaluate(x_saddle, cfg)[2]))
     eig = min_hessian_eig(x_saddle, cfg)
     H = dense_hessian(x_saddle, cfg)
     dense_min = float(np.linalg.eigvalsh(0.5 * (H + H.T))[0])
@@ -408,7 +408,7 @@ def test_c9_sgd_unbiased():
         gt, obs = spec.regenerate()
         cfg = ObjectiveConfig(default_hyperparams(gt, 1.0), obs)
         X = random_init(d, r, obs, base * 100 + 50 + k)
-        G = value_and_gradient(X, cfg)[1]
+        G = evaluate(X, cfg)[2]
         stream = substream(base, "unbiased", k)
         draws = np.stack(
             [stochastic_gradient(X, cfg, stream, 1) for _ in range(n_draws)]

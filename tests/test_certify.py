@@ -264,10 +264,16 @@ def test_scan_deterministic_in_base_seed():
 
 
 def test_scan_independent_of_thread_count():
-    gt, obs, cfg = make_problem(25, 1, seed=19, p=0.7)
-    a = _scan(gt, obs, cfg, n=6, seed=11, threads=1)
-    b = _scan(gt, obs, cfg, n=6, seed=11, threads=4)
-    assert scan_to_csv(a) == scan_to_csv(b)
+    runs = [
+        ((25, 1, 19, 0.7), SolverConfig(method=Method.PERTURBED_GD)),  # d r = 25: dense eigensolves
+        ((60, 2, 17, 0.4), SolverConfig(method=Method.PERTURBED_GD)),  # d r = 120: Lanczos runs
+        # the threads share the config's position tables, built on first use
+        ((25, 1, 19, 0.7), SolverConfig(method=Method.SGD, max_iters=500)),
+    ]
+    for (d, r, seed, p), scfg in runs:
+        gt, obs, cfg = make_problem(d, r, seed=seed, p=p)
+        a, b = (landscape_scan(gt, obs, cfg.hyper, scfg, n_starts=6, base_seed=11, threads=t) for t in (1, 4))
+        assert scan_to_csv(a) == scan_to_csv(b), (d, r, scfg.method)
 
 
 def test_scan_survives_failing_starts(monkeypatch):

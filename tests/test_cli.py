@@ -81,6 +81,14 @@ def test_gen_reads_back_its_own_record(tmp_path, capsys, block):
     assert out2 == out1
 
 
+def test_gen_reads_back_the_record_of_a_spec_built_from_numpy_scalars(tmp_path, capsys):
+    spec = InstanceSpec(d=np.int64(20), r=np.int32(1), seed=np.uint64(3), p=1, include_diagonal=np.bool_(True))
+    cfgp = _write(tmp_path, {"instance": json.loads(spec.to_json())})
+    code, out, err = _run(capsys, ["gen", "--config", cfgp, "--out", str(tmp_path)])
+    assert code == 0, err
+    assert (tmp_path / "instance.json").read_text() == spec.to_json()
+
+
 def test_gen_missing_key_is_config_error(tmp_path, capsys):
     block = _instance_block()
     del block["d"]

@@ -496,6 +496,22 @@ def test_block_size_keeps_mask_and_streams(monkeypatch, block, spec, n_pairs, ex
         assert np.all(np.abs(obs.values - ref.values) <= tol)
 
 
+@pytest.mark.parametrize("include_diagonal", [True, False])
+@pytest.mark.parametrize("d", [1100, 2100])  # 2 and 5 row blocks
+def test_masks_nest_in_p(d, include_diagonal):
+    # one uniform draw decides the mask at every p: a pair observed at p is observed at every
+    # p' > p, and the noise draw does not depend on p either, so it keeps its value
+    for sigma in (0.0, 0.1):
+        small, large = (
+            InstanceSpec(d=d, r=2, seed=5, p=p, sigma=sigma, include_diagonal=include_diagonal).regenerate()[1]
+            for p in (0.01, 0.03)
+        )
+        ks, kl = (obs.mask.i.astype(np.int64) * d + obs.mask.j for obs in (small, large))  # sorted: row-major
+        at = np.searchsorted(kl, ks)
+        assert 0 < ks.size < kl.size and np.array_equal(kl[np.minimum(at, kl.size - 1)], ks)
+        assert np.array_equal(large.values[at], small.values)
+
+
 @pytest.mark.parametrize("sigma", [0.0, 0.2])
 def test_generation_memory_is_bounded(sigma):
     # a dense 6000 x 6000 draw alone is 288 MB; the row blocks need about 18 MB
@@ -530,3 +546,24 @@ def test_spec_validation():
 def test_spec_rejects_non_finite_fields(field, value):
     with pytest.raises(ValueError, match="finite"):
         InstanceSpec(d=4, r=1, seed=1, p=0.5, **{field: value})
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("seed", True), ("p", True), ("d", True), ("r", True), ("scale", True), ("sigma", False),
+     ("include_diagonal", 1), ("d", 5.0), ("seed", 3.0)],
+)
+def test_spec_rejects_values_its_record_would_misstate(field, value):
+    # a bool would be written as true and an int flag as 1, in a record `mcland gen` rejects
+    with pytest.raises(TypeError, match=field):
+        InstanceSpec(**{"d": 5, "r": 1, "seed": 3, "p": 0.5, field: value})
+
+
+def test_spec_stores_numpy_scalars_as_the_json_types_gen_reads():
+    spec = InstanceSpec(d=np.int64(5), r=np.int32(1), seed=np.uint64(3), scale=np.float32(1.5), p=np.float64(0.5),
+                        sigma=np.int64(0), include_diagonal=np.bool_(False))
+    plain = InstanceSpec(d=5, r=1, seed=3, scale=1.5, p=0.5, sigma=0.0, include_diagonal=False)
+    assert spec == plain and spec.to_json() == plain.to_json()
+    assert [type(getattr(spec, f)) for f in ("d", "r", "seed", "scale", "p", "sigma", "include_diagonal")] == [
+        int, int, int, float, float, float, bool]
+    assert json.loads(InstanceSpec(d=4, r=1, seed=2, p=1).to_json())["p"] == 1.0

@@ -15,12 +15,12 @@ from mcland.objective import (
     ObjectiveConfig,
     add_penalty_gradient,
     breakdown,
+    evaluate,
     hessian_operator,
     min_hessian_eig,
     pair_gradient_sum,
     regularizer,
     residual_gradient,
-    value_and_gradient,
 )
 from mcland.objective import _EIG_TOL, _far_from_stop, _lanczos
 from mcland.rng import substream
@@ -176,14 +176,14 @@ def test_package_attribute_is_the_module():
 
 def test_objective_zero_at_truth():
     gt, obs, cfg = make_problem(15, 2, seed=1)
-    ev = value_and_gradient(gt.factor, cfg)[0]
+    ev = evaluate(gt.factor, cfg)[1]
     assert ev.data_term == pytest.approx(0.0, abs=1e-20)
     assert ev.total <= 1e-18
 
 
 def test_objective_at_origin_is_half_masked_energy():
     gt, obs, cfg = make_problem(12, 2, seed=2, p=0.6)
-    ev = value_and_gradient(np.zeros((12, 2)), cfg)[0]
+    ev = evaluate(np.zeros((12, 2)), cfg)[1]
     M = np.zeros((12, 12))  # P_Omega(M), both orders of every observed pair
     M[obs.mask.i, obs.mask.j] = obs.values
     M[obs.mask.j, obs.mask.i] = obs.values
@@ -195,14 +195,14 @@ def test_objective_matches_brute_force(rng):
     gt, obs, cfg = make_problem(8, 2, seed=3, p=0.7, sigma=0.1)
     for _ in range(5):
         X = rng.normal(size=(8, 2)) * 1.5
-        assert value_and_gradient(X, cfg)[0].total == pytest.approx(brute_objective(X, cfg), rel=1e-12)
+        assert evaluate(X, cfg)[1].total == pytest.approx(brute_objective(X, cfg), rel=1e-12)
 
 
 def test_breakdown_totals_consistently(rng):
     gt, obs, cfg = make_problem(10, 2, seed=4, p=0.5)
     X = rng.normal(size=(10, 2)) * 2.0
     X[0] = (2.0 * cfg.hyper.alpha, 0.0)  # one row above alpha at least
-    ev = value_and_gradient(X, cfg)[0]
+    ev = evaluate(X, cfg)[1]
     assert ev.reg_term > 0.0  # reg_term is the weighted penalty, and total its sum with the data term
     assert ev.reg_term == cfg.hyper.reg_weight * regularizer(X, cfg.hyper.alpha)
     assert ev.total == ev.data_term + ev.reg_term
@@ -211,7 +211,7 @@ def test_breakdown_totals_consistently(rng):
 def test_objective_rejects_wrong_shape():
     gt, obs, cfg = make_problem(10, 2, seed=4)
     with pytest.raises(ValueError, match="dimension"):
-        value_and_gradient(np.zeros((9, 2)), cfg)
+        evaluate(np.zeros((9, 2)), cfg)
 
 
 def test_quartic_scaling_with_zero_target(rng):
@@ -222,9 +222,9 @@ def test_quartic_scaling_with_zero_target(rng):
     obs = Observation(mask=mask, values=np.zeros(mask.i.size), sigma=0.0)
     cfg = ObjectiveConfig(HyperParams(alpha=1.0, reg_weight=0.0, tau=0.0), obs)
     X = rng.normal(size=(7, 2))
-    base = value_and_gradient(X, cfg)[0].total
+    base = evaluate(X, cfg)[1].total
     for t in (2.0, 3.0):
-        assert value_and_gradient(t * X, cfg)[0].total == pytest.approx(t**4 * base, rel=1e-12)
+        assert evaluate(t * X, cfg)[1].total == pytest.approx(t**4 * base, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +233,7 @@ def test_quartic_scaling_with_zero_target(rng):
 
 def test_gradient_zero_at_noiseless_truth():
     gt, obs, cfg = make_problem(15, 2, seed=5, p=0.8)
-    G = value_and_gradient(gt.factor, cfg)[1]
+    G = evaluate(gt.factor, cfg)[2]
     assert float(np.abs(G).max()) <= 1e-12
 
 
@@ -241,8 +241,8 @@ def test_gradient_matches_fd(rng):
     gt, obs, cfg = make_problem(9, 2, seed=6, p=0.7, sigma=0.05)
     for _ in range(3):
         X = rng.normal(size=(9, 2)) * 1.5
-        fd = fd_gradient(lambda Y: value_and_gradient(Y, cfg)[0].total, X)
-        G = value_and_gradient(X, cfg)[1]
+        fd = fd_gradient(lambda Y: evaluate(Y, cfg)[1].total, X)
+        G = evaluate(X, cfg)[2]
         assert np.allclose(G, fd, atol=1e-5 * (1.0 + float(np.abs(G).max())))
 
 
@@ -257,7 +257,7 @@ def test_rank1_stationary_points_are_eigenvectors(rng):
     for _ in range(4):
         x = rng.normal(size=(10, 1))
         lhs = float(np.linalg.norm(M @ x - float(x[:, 0] @ x[:, 0]) * x))
-        rhs = 0.5 * float(np.linalg.norm(value_and_gradient(x, cfg)[1]))
+        rhs = 0.5 * float(np.linalg.norm(evaluate(x, cfg)[2]))
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
 
@@ -288,7 +288,7 @@ def test_hessian_quadratic_matches_fd(rng):
     for _ in range(3):
         V = rng.normal(size=(8, 2))
         quad = hessian_quadratic(X, V, cfg)
-        fd = fd_second_directional(lambda Y: value_and_gradient(Y, cfg)[0].total, X, V)
+        fd = fd_second_directional(lambda Y: evaluate(Y, cfg)[1].total, X, V)
         assert quad == pytest.approx(fd, rel=1e-4, abs=1e-4)
 
 
@@ -326,7 +326,7 @@ def test_dense_hessian_matches_fd_oracle(rng):
     X = rng.normal(size=(6, 2)) * 1.5
     H = dense_hessian(X, cfg)
     assert np.allclose(H, H.T, atol=1e-10 * (1.0 + float(np.abs(H).max())))
-    H_fd = fd_hessian(lambda Y: value_and_gradient(Y, cfg)[1], X)
+    H_fd = fd_hessian(lambda Y: evaluate(Y, cfg)[2], X)
     assert np.allclose(H, H_fd, atol=1e-5 * (1.0 + float(np.abs(H).max())))
 
 
@@ -339,8 +339,8 @@ def test_penalty_inactive_rows_do_not_change_derivatives(rng):
     X = rng.normal(size=(10, 2))
     X *= 0.9 * alpha / max(np.linalg.norm(X, axis=1))  # every row inside the ball
     V = rng.normal(size=(10, 2))
-    assert value_and_gradient(X, on)[0].total == value_and_gradient(X, off)[0].total
-    assert np.array_equal(value_and_gradient(X, on)[1], value_and_gradient(X, off)[1])
+    assert evaluate(X, on)[1].total == evaluate(X, off)[1].total
+    assert np.array_equal(evaluate(X, on)[2], evaluate(X, off)[2])
     assert np.array_equal(hessian_operator(X, on)(V), hessian_operator(X, off)(V))
 
 
@@ -366,7 +366,7 @@ def test_min_eig_detects_saddle(rng_local=np.random.default_rng(5)):
     obs = observe(gt, mask, 0.0, seed=17)
     cfg = ObjectiveConfig(HyperParams(alpha=1e6, reg_weight=0.0, tau=0.0), obs)
     x = np.sqrt(0.5) * Q[:, 1:2]
-    assert float(np.linalg.norm(value_and_gradient(x, cfg)[1])) <= 1e-12
+    assert float(np.linalg.norm(evaluate(x, cfg)[2])) <= 1e-12
     eig = min_hessian_eig(x, cfg)
     assert eig.lambda_min == pytest.approx(-1.0, abs=1e-4)
     assert eig.lambda_min == pytest.approx(dense_min_eig(x, cfg), abs=1e-6)
@@ -471,13 +471,13 @@ def test_kernels_match_oracles(d, r, p, include_diagonal):
     cfg, X, V = _kernel_problem(d, r, p, include_diagonal)
     w = cfg.hyper.reg_weight
     ind, M = _dense_masked(cfg, X)
-    assert value_and_gradient(X, cfg)[0].total == pytest.approx(brute_objective(X, cfg), rel=1e-12, abs=1e-14)
+    assert evaluate(X, cfg)[1].total == pytest.approx(brute_objective(X, cfg), rel=1e-12, abs=1e-14)
 
-    G = value_and_gradient(X, cfg)[1]
+    G = evaluate(X, cfg)[2]
     R = ind * (M - X @ X.T)
     scale = 1.0 + float(np.abs(G).max())
     assert np.allclose(G, -2.0 * R @ X + w * per_row_penalty(X, cfg.hyper.alpha)[1], rtol=0, atol=1e-12 * scale)
-    fd = fd_gradient(lambda Y: value_and_gradient(Y, cfg)[0].total, X)
+    fd = fd_gradient(lambda Y: evaluate(Y, cfg)[1].total, X)
     assert np.allclose(G, fd, rtol=0, atol=1e-5 * scale)
 
     HV = hessian_operator(X, cfg)(V)
@@ -490,7 +490,7 @@ def test_kernels_match_oracles(d, r, p, include_diagonal):
 @pytest.mark.parametrize("d,r,p,include_diagonal", KERNEL_CASES)
 def test_fused_and_per_point_kernels_are_bit_identical(d, r, p, include_diagonal):
     cfg, X, V = _kernel_problem(d, r, p, include_diagonal)
-    bdown, G = value_and_gradient(X, cfg)
+    _, bdown, G, _ = evaluate(X, cfg)
     resid = cfg.residuals(X)  # the per-point pieces an accepted line-search trial reuses
     assert bdown == breakdown(X, resid, cfg)
     assert np.array_equal(G, residual_gradient(X, resid, cfg))

@@ -57,7 +57,7 @@ def test_negative_seed_rejected():
 def test_input_checks():
     with pytest.raises(TypeError, match="tag must be int or str, got float"):
         substream(7, 1.0)
-    for seed in (7.0, "7"):
+    for seed in (7.0, "7", True, False, np.bool_(True)):  # a bool is no seed, as it is no tag
         with pytest.raises(TypeError, match="seed must be an integer"):
             substream(seed, "init")
 
@@ -86,3 +86,5 @@ def test_records_holding_a_seed_check_it_when_built(record):
     for seed in (-1, 2**64):
         with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
             record(seed)
+    with pytest.raises(TypeError, match="seed must be"):
+        record(True)

@@ -11,9 +11,9 @@ from mcland import objective, solvers
 from mcland.objective import (
     ObjectiveConfig,
     curvature_slack,
+    evaluate,
     hessian_operator,
     pair_gradient_sum,
-    value_and_gradient,
 )
 from mcland.solvers import (
     Method,
@@ -81,7 +81,7 @@ def test_random_init_leaves_the_origin_when_noise_cancels_the_diagonal(seed):
     assert obs.values[obs.mask.i == obs.mask.j].sum() <= 0
     X0 = random_init(20, 1, obs, 0)
     assert np.isfinite(X0).all() and np.any(X0 != 0.0)
-    assert float(np.linalg.norm(value_and_gradient(X0, cfg)[1])) > 0.0
+    assert float(np.linalg.norm(evaluate(X0, cfg)[2])) > 0.0
 
 
 def test_random_init_validates_rank():
@@ -292,14 +292,14 @@ def test_exhaustive_batch_equals_full_gradient(rng):
     gt, obs, cfg = make_problem(12, 2, seed=8, p=0.7)
     X = rng.normal(size=(12, 2)) * 1.5
     G_sum = pair_gradient_sum(X, cfg, np.arange(cfg.n_pairs))
-    data_only = value_and_gradient(X, cfg)[1] - cfg.hyper.reg_weight * per_row_penalty(X, cfg.hyper.alpha)[1]
+    data_only = evaluate(X, cfg)[2] - cfg.hyper.reg_weight * per_row_penalty(X, cfg.hyper.alpha)[1]
     assert np.allclose(G_sum, data_only, atol=1e-11 * (1 + np.abs(data_only).max()))
 
 
 def test_stochastic_gradient_unbiased_cheaply(rng):
     gt, obs, cfg = make_problem(8, 1, seed=9, p=1.0)
     X = rng.normal(size=(8, 1))
-    full = value_and_gradient(X, cfg)[1]
+    full = evaluate(X, cfg)[2]
     stream = substream(123, "sgdtest")
     draws = np.stack(
         [stochastic_gradient(X, cfg, stream, 4) for _ in range(4000)]
@@ -417,7 +417,7 @@ def _reference_sgd_rows(cfg, scfg, X0):
     rng = substream(scfg.seed, "sgd")
     X = np.array(X0, dtype=float)
     trace = solvers.Trace()
-    bdown, G = value_and_gradient(X, cfg)
+    _, bdown, G, _ = evaluate(X, cfg)
     # GD's first step ||G||^2 / |<G, H G>|, damped by sqrt(batch fraction)
     curv = float(np.vdot(G, hessian_operator(X, cfg)(G)))
     base = float(np.vdot(G, G)) / abs(curv) * math.sqrt(batch / cfg.n_pairs)
@@ -425,7 +425,7 @@ def _reference_sgd_rows(cfg, scfg, X0):
     for it in range(1, scfg.max_iters + 1):
         step = base / (1.0 + solvers._STEP_DECAY * (it - 1))
         X = X - step * stochastic_gradient(X, cfg, rng, batch)
-        bdown, G = value_and_gradient(X, cfg)
+        _, bdown, G, _ = evaluate(X, cfg)
         trace.append(it, bdown, float(np.linalg.norm(G)), step, it * batch)
     lines = trace_to_csv(trace).splitlines()[1:]
     return dict(zip(trace.iters, lines)), dict(zip(trace.iters, trace.grad_norm))
@@ -445,7 +445,7 @@ def test_sgd_rows_are_the_reference_loop_rows_once_per_epoch(batch):
     period = _sgd_period(cfg, scfg)
     assert period > 1
     assert res.status is Status.GRAD_TOL
-    grad_tol = 1e-8 * (1.0 + value_and_gradient(X0, cfg)[0].total)
+    grad_tol = 1e-8 * (1.0 + evaluate(X0, cfg)[1].total)
     # the run stops at the first pass whose full gradient norm reaches grad_tol
     stop = next(it for it in range(period, scfg.max_iters + 1, period) if ref_gn[it] <= grad_tol)
     assert res.trace.iters == list(range(0, stop + 1, period))
@@ -464,7 +464,7 @@ def test_sgd_ends_with_a_full_pass_at_max_iters():
     rows = _sgd_rows(res)
     ref, _ = _reference_sgd_rows(cfg, scfg, X0)
     assert rows == {it: ref[it] for it in rows}
-    bdown, G = value_and_gradient(res.X, cfg)
+    _, bdown, G, _ = evaluate(res.X, cfg)
     assert res.f == bdown.total and res.grad_norm == float(np.linalg.norm(G))
     assert res.entry_grads == scfg.max_iters * scfg.sgd.batch
 
@@ -515,8 +515,8 @@ def test_reported_gradient_norm_is_that_of_the_endpoint(method):
     for k in range(1, 11):
         res = solve(cfg, SolverConfig(method=method, max_iters=k, seed=4), X0)
         assert res.iterations == k
-        assert res.grad_norm == float(np.linalg.norm(value_and_gradient(res.X, cfg)[1]))
-        assert res.f == value_and_gradient(res.X, cfg)[0].total
+        assert res.grad_norm == float(np.linalg.norm(evaluate(res.X, cfg)[2]))
+        assert res.f == evaluate(res.X, cfg)[1].total
 
 
 # ---------------------------------------------------------------------------
@@ -527,11 +527,11 @@ def test_perturbed_gd_escapes_origin_where_gd_stays():
     lam2 = 1e-4
     Q, cfg = _spiked_rank2_problem(lam2)
     X0 = np.zeros((12, 1))
-    assert float(np.linalg.norm(value_and_gradient(X0, cfg)[1])) == 0.0
+    assert float(np.linalg.norm(evaluate(X0, cfg)[2])) == 0.0
 
     plain = gradient_descent(cfg, SolverConfig(), X0)
     assert plain.iterations == 0
-    assert plain.f == value_and_gradient(X0, cfg)[0].total  # stuck at the stationary origin
+    assert plain.f == evaluate(X0, cfg)[1].total  # stuck at the stationary origin
 
     res = perturbed_gd(cfg, SolverConfig(method=Method.PERTURBED_GD, max_iters=4000, seed=9), X0)
     assert res.status == Status.GRAD_TOL
@@ -541,7 +541,7 @@ def test_perturbed_gd_escapes_origin_where_gd_stays():
 def test_perturbed_gd_escapes_strict_saddle():
     Q, cfg = _spiked_rank2_problem(0.5)
     x_saddle = np.sqrt(0.5) * Q[:, 1:2]
-    assert float(np.linalg.norm(value_and_gradient(x_saddle, cfg)[1])) <= 1e-10
+    assert float(np.linalg.norm(evaluate(x_saddle, cfg)[2])) <= 1e-10
     res = perturbed_gd(
         cfg, SolverConfig(method=Method.PERTURBED_GD, max_iters=4000, seed=2), x_saddle
     )
@@ -619,7 +619,7 @@ def test_perturbed_gd_steps_along_the_witness_at_exact_saddle(eigensolves, line_
     # sqrt(lam2) Q[:, 1] to rounding, and exactly at the origin
     Q, cfg = _spiked_rank2_problem(lam2)
     X0 = np.sqrt(lam2) * Q[:, 1:2] if start == "saddle" else np.zeros((12, 1))
-    assert float(np.linalg.norm(value_and_gradient(X0, cfg)[1])) <= 1e-10
+    assert float(np.linalg.norm(evaluate(X0, cfg)[2])) <= 1e-10
     res = perturbed_gd(cfg, SolverConfig(method=Method.PERTURBED_GD, max_iters=4000), X0)
     X_first, eig_first = eigensolves[0]
     assert np.array_equal(X_first, X0)
@@ -630,7 +630,7 @@ def test_perturbed_gd_steps_along_the_witness_at_exact_saddle(eigensolves, line_
     assert np.array_equal(X, X0) and (np.array_equal(D, witness) or np.array_equal(D, -witness))
     t = res.trace
     assert t.step[1] == step
-    assert t.f[1] == pytest.approx(value_and_gradient(X0 - step * D, cfg)[0].total, rel=1e-12)
+    assert t.f[1] == pytest.approx(evaluate(X0 - step * D, cfg)[1].total, rel=1e-12)
     assert np.all(np.diff(t.f) <= 0.0) and t.f[1] < t.f[0]
     assert res.status is Status.GRAD_TOL and res.iterations <= 20
     assert res.f <= 1e-8 if lam2 == 1e-4 else res.f == pytest.approx(lam2**2 / 2, rel=1e-6)
