@@ -65,11 +65,8 @@ from .solvers import (
     SolveResult,
     SolverConfig,
     Status,
-    Trace,
-    gradient_descent,
-    perturbed_gd,
+    TraceRow,
     random_init,
-    sgd,
     solve,
     stochastic_gradient,
     trace_to_csv,

@@ -38,7 +38,8 @@ class CertTolerances:
 
     global_rel: an endpoint within global_rel * ||Z Z^T||_F of the truth
     counts as global, default 1e-2; positive and finite, else a ValueError.
-    The stationarity and curvature thresholds come from `certify_point`.
+    The stationarity and curvature thresholds come from `certify_point`,
+    and so does the instance's default radius where no tolerances are given.
     """
 
     global_rel: float = 1e-2
@@ -52,11 +53,12 @@ class CertTolerances:
 def default_global_rel(gt, obs, noiseless):
     """Relative recovery radius counted as global on this instance.
 
-    `noiseless` when sigma = 0; with noise the endpoint can only be as close
-    as the noise floor allows, so the radius is
+    `noiseless` when sigma = 0 or p = 0 (no entry, so no noise, is
+    observed); with noise the endpoint can only be as close as the noise
+    floor allows, so the radius is
     max(1e-2, 2 sigma sqrt(d ln d / p) / ||Z Z^T||_F).
     """
-    if obs.sigma == 0:
+    if obs.sigma == 0 or obs.p == 0:
         return noiseless
     d = obs.d
     return max(1e-2, 2.0 * obs.sigma * math.sqrt(d * math.log(d) / obs.p) / gt.gram_fro)
@@ -165,7 +167,9 @@ def certify_point(X, cfg, gt, tols=None, eig=None):
     Thresholds: the point is stationary when its gradient norm is at most
     1e-6 * (1 + |f|).  lambda_min < -tau marks a strict saddle, with tau
     from `objective.curvature_slack`.  `tols.global_rel` sets the recovery
-    radius.  A given `eig`, the `min_hessian_eig(X, cfg)` a solver ran at X
+    radius; without `tols` it is `default_global_rel(gt, cfg.obs, 1e-2)`,
+    1e-2 on a noiseless instance and the noise floor's radius on a noisy
+    one.  A given `eig`, the `min_hessian_eig(X, cfg)` a solver ran at X
     (`SolveResult.eig`), is used instead of solving again.
 
     The curvature guarantee follows the eigensolve's route.  Up to
@@ -176,7 +180,7 @@ def certify_point(X, cfg, gt, tols=None, eig=None):
     smallest, and the labels rest on tau being far above that tolerance.
     """
     X = np.asarray(X, dtype=float)
-    tols = tols or CertTolerances()
+    tols = tols or CertTolerances(default_global_rel(gt, cfg.obs, noiseless=1e-2))
     # one residual pass for the value, gradient and eigensolve; a diverged point is NotStationary below
     resid, bdown, _, gn = obj.evaluate(X, cfg)
     rep = CertReport(
@@ -292,11 +296,12 @@ def landscape_scan(gt, obs, hyper, scfg, n_starts, base_seed, tols=None, threads
 
     Start k uses a seed derived from (base_seed, k), so the outcome is a pure
     function of the arguments; the thread count only changes wall time.
+    `tols` goes to `certify_point`, which takes the instance's default
+    radius where it is None.
     """
     if n_starts < 1:
         raise ValueError(f"n_starts must be >= 1, got {n_starts}")
     cfg = obj.ObjectiveConfig(hyper, obs)
-    tols = tols or CertTolerances()
     rows = map_in_order(
         lambda k: _scan_one(k, gt, obs, cfg, scfg, base_seed, tols), range(n_starts), threads
     )

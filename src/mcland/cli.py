@@ -189,8 +189,9 @@ def _parse_problem(cfg):
     return gt, obs, hyper, _parse_solver(cfg)
 
 
-def _parse_scan(cfg, gt, obs):
-    """(n_starts, base_seed, tolerances); without `global_rel` the radius is the instance's default."""
+def _parse_scan(cfg):
+    """(n_starts, base_seed, tolerances); without `global_rel` the tolerances are None, and
+    `certify_point` takes the instance's default radius."""
     block = _block(cfg, "scan")
     n_starts = _get(block, "scan", "n_starts", int)
     base_seed = _get(block, "scan", "base_seed", int)
@@ -201,7 +202,7 @@ def _parse_scan(cfg, gt, obs):
     with _invalid("scan.base_seed"):
         check_seed(base_seed)
     if global_rel is None:
-        global_rel = default_global_rel(gt, obs, noiseless=1e-2)
+        return n_starts, base_seed, None
     with _invalid("scan.global_rel"):
         return n_starts, base_seed, CertTolerances(global_rel=global_rel)
 
@@ -250,7 +251,7 @@ def cmd_solve(cfg, out_dir):
 
 def cmd_scan(cfg, out_dir, threads=1, assert_clean=False):
     gt, obs, hyper, scfg = _parse_problem(cfg)
-    n_starts, base_seed, tols = _parse_scan(cfg, gt, obs)
+    n_starts, base_seed, tols = _parse_scan(cfg)
     _check_empty(cfg, "config")
     summary = landscape_scan(
         gt, obs, hyper, scfg, n_starts=n_starts, base_seed=base_seed, tols=tols, threads=threads

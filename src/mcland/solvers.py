@@ -1,12 +1,14 @@
 """First-order solvers: Armijo gradient descent, minibatch SGD, perturbed GD.
 
-All solvers record a trace (objective split, gradient norm, accepted step,
-cumulative per-entry gradient work) and are deterministic given their config
-seed.  GD and perturbed GD write a row per iteration; SGD writes one per full
-pass, which it runs once per epoch of sampled entries (every
-ceil(|Omega| / batch) steps) and at its last iteration.  Entry-gradient
-accounting counts |Omega| per full gradient and `batch` per stochastic step;
-SGD's full passes (diagnostics and stop tests) are not charged to the budget.
+`solve` is the one entry: it runs the method its config names.  Every
+solver records a trace, a list of `TraceRow`s (objective split, gradient
+norm, accepted step, cumulative per-entry gradient work), and is
+deterministic given its config seed.  GD and perturbed GD write a row per
+iteration; SGD writes one per full pass, which it runs once per epoch of
+sampled entries (every ceil(|Omega| / batch) steps) and at its last
+iteration.  Entry-gradient accounting counts |Omega| per full gradient and
+`batch` per stochastic step; SGD's full passes (diagnostics and stop tests)
+are not charged to the budget.
 
 A run stops once the gradient norm reaches grad_tol = 1e-8 * (1 + f(X0)).
 GD and perturbed GD share one Armijo loop with the textbook constants
@@ -35,6 +37,7 @@ else it stops and returns the eigensolve for the certificate to reuse.
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,32 +86,23 @@ class SolverConfig:
         check_seed(self.seed)
 
 
-TRACE_COLUMNS = ("iter", "f", "data_term", "reg_term", "grad_norm", "step", "cum_entry_grads")
+class TraceRow(NamedTuple):
+    """One trace row, per GD iteration or per SGD full pass; the fields are trace.csv's header."""
+
+    iter: int
+    f: float
+    data_term: float
+    reg_term: float
+    grad_norm: float
+    step: float
+    cum_entry_grads: int
 
 
-class Trace:
-    """Columnar history, one row per GD iteration or per SGD full pass."""
+TRACE_COLUMNS = TraceRow._fields
 
-    def __init__(self):
-        self.iters = []
-        self.f = []
-        self.data_term = []
-        self.reg_term = []
-        self.grad_norm = []
-        self.step = []
-        self.cum_entry_grads = []
 
-    def append(self, it, bdown, grad_norm, step, cum_entry_grads):
-        self.iters.append(it)
-        self.f.append(bdown.total)
-        self.data_term.append(bdown.data_term)
-        self.reg_term.append(bdown.reg_term)
-        self.grad_norm.append(grad_norm)
-        self.step.append(step)
-        self.cum_entry_grads.append(cum_entry_grads)
-
-    def __len__(self):
-        return len(self.iters)
+def _row(it, bdown, grad_norm, step, cum_entry_grads):
+    return TraceRow(it, bdown.total, bdown.data_term, bdown.reg_term, grad_norm, step, cum_entry_grads)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,16 +114,14 @@ class SolveResult:
     grad_norm: float
     status: Status
     iterations: int
-    trace: Trace
+    trace: list  # of TraceRow
     entry_grads: int
     eig: obj.EigResult | None = None  # min_hessian_eig at X, where the run computed one
 
 
 def trace_to_csv(trace, stream=None):
     """Write the trace as CSV; returns the text when no stream is given."""
-    columns = (trace.iters, trace.f, trace.data_term, trace.reg_term, trace.grad_norm, trace.step,
-               trace.cum_entry_grads)
-    return write_csv(TRACE_COLUMNS, zip(*columns), stream)
+    return write_csv(TRACE_COLUMNS, trace, stream)
 
 
 def random_init(d, r, obs, seed):
@@ -210,13 +202,12 @@ def _start(cfg, X0, cum):
     X = np.array(X0, dtype=float)
     resid, bdown, G, gn = obj.evaluate(X, cfg)
     grad_tol = 1e-8 * (1.0 + bdown.total)
-    trace = Trace()
-    trace.append(0, bdown, gn, 0.0, cum)
+    trace = [_row(0, bdown, gn, 0.0, cum)]
     return X, resid, bdown, G, gn, grad_tol, trace
 
 
 def _diverged(trace):  # the last row's objective or gradient norm is not finite
-    return not (math.isfinite(trace.f[-1]) and math.isfinite(trace.grad_norm[-1]))
+    return not (math.isfinite(trace[-1].f) and math.isfinite(trace[-1].grad_norm))
 
 
 def _result(X, trace, grad_tol, stalled=False, eig=None):
@@ -227,17 +218,17 @@ def _result(X, trace, grad_tol, stalled=False, eig=None):
     grad_tol reached wins; else a run that ended in a stalled line search is
     stalled, any other ran out of iterations.
     """
-    gn = trace.grad_norm[-1]
+    last = trace[-1]
     if _diverged(trace):
         status = Status.DIVERGED
-    elif gn <= grad_tol:
+    elif last.grad_norm <= grad_tol:
         status = Status.GRAD_TOL
     elif stalled:
         status = Status.LINE_SEARCH_STALLED
     else:
         status = Status.MAX_ITERS
-    return SolveResult(X=X, f=trace.f[-1], grad_norm=gn, status=status, iterations=trace.iters[-1], trace=trace,
-                       entry_grads=trace.cum_entry_grads[-1], eig=eig)
+    return SolveResult(X=X, f=last.f, grad_norm=last.grad_norm, status=status, iterations=last.iter, trace=trace,
+                       entry_grads=last.cum_entry_grads, eig=eig)
 
 
 def _descend(cfg, scfg, X0, witness_steps):
@@ -295,23 +286,8 @@ def _descend(cfg, scfg, X0, witness_steps):
         t_bb = _bb_step(X_new - X, G_new - G) if eig is None else None
         X, G, eig = X_new, G_new, None
         gn = float(np.linalg.norm(G))
-        trace.append(it, bdown, gn, t_prev, n_pairs * (it + 1))
+        trace.append(_row(it, bdown, gn, t_prev, n_pairs * (it + 1)))
     return _result(X, trace, grad_tol, stalled, eig)
-
-
-def gradient_descent(cfg, scfg, X0):
-    """Armijo-backtracked gradient descent to the gradient-norm tolerance."""
-    return _descend(cfg, scfg, X0, witness_steps=False)
-
-
-def perturbed_gd(cfg, scfg, X0):
-    """Gradient descent that escapes saddles along the Hessian's witness.
-
-    Where the gradient norm reaches grad_tol it runs `min_hessian_eig`; a
-    negative curvature below -tau gives an Armijo step along the witness,
-    and anything else stops the run with that eigensolve as `eig`.
-    """
-    return _descend(cfg, scfg, X0, witness_steps=True)
 
 
 def stochastic_gradient(X, cfg, rng, batch):
@@ -328,7 +304,7 @@ def stochastic_gradient(X, cfg, rng, batch):
     return obj.add_penalty_gradient(obj.pair_gradient_sum(X, cfg, idx) * (n / batch), X, cfg)
 
 
-def sgd(cfg, scfg, X0):
+def _sgd(cfg, scfg, X0):
     """Minibatch SGD with step base / (1 + _STEP_DECAY * (iter - 1)).
 
     A full pass (objective, gradient norm, trace row, stop tests) runs once
@@ -337,10 +313,8 @@ def sgd(cfg, scfg, X0):
     the sampled batches count toward `cum_entry_grads`.  The run stops at
     the first pass whose gradient norm reaches grad_tol, or with status
     `diverged` at the first pass, the start included, whose objective or
-    gradient norm is not finite.  An empty mask is a ValueError.
+    gradient norm is not finite.
     """
-    if not cfg.n_pairs:
-        raise ValueError("SGD samples observed entries, but the mask is empty")
     X, resid, _, G, gn, grad_tol, trace = _start(cfg, X0, 0)
     if _diverged(trace):  # no step size can be estimated at a non-finite start
         return _result(X, trace, grad_tol)
@@ -361,20 +335,21 @@ def sgd(cfg, scfg, X0):
         if it % period and it < scfg.max_iters:
             continue  # the full pass runs once per epoch and at the last iteration
         _, bdown, _, gn = obj.evaluate(X, cfg)
-        trace.append(it, bdown, gn, step, batch * it)
+        trace.append(_row(it, bdown, gn, step, batch * it))
         if _diverged(trace):
             break
     return _result(X, trace, grad_tol)
 
 
-_SOLVERS = {
-    Method.GD: gradient_descent,
-    Method.SGD: sgd,
-    Method.PERTURBED_GD: perturbed_gd,
-}
-
-
 def solve(cfg, scfg, X0):
-    """Dispatch on scfg.method."""
+    """Run the method scfg.method names from X0; the one entry to every solver.
+
+    An empty mask is a ValueError: with no entry to fit, the objective is
+    the penalty alone, whose minima say nothing about the truth.
+    """
     method = Method(scfg.method)
-    return _SOLVERS[method](cfg, scfg, X0)
+    if not cfg.n_pairs:
+        raise ValueError("the mask is empty: the objective is the penalty alone, with no entry to fit")
+    if method is Method.SGD:
+        return _sgd(cfg, scfg, X0)
+    return _descend(cfg, scfg, X0, witness_steps=method is Method.PERTURBED_GD)

@@ -39,8 +39,6 @@ from mcland.rng import substream
 from mcland.solvers import (
     Method,
     SolverConfig,
-    gradient_descent,
-    perturbed_gd,
     random_init,
     solve,
     stochastic_gradient,
@@ -244,8 +242,8 @@ def test_c4_strict_saddle_escape():
     agree = abs(eig.lambda_min - dense_min)
 
     scfg = SolverConfig(method=Method.PERTURBED_GD, max_iters=4000, seed=9)
-    from_saddle = perturbed_gd(cfg, scfg, x_saddle)
-    from_origin = perturbed_gd(cfg, scfg, np.zeros((d, 1)))
+    from_saddle = solve(cfg, scfg, x_saddle)
+    from_origin = solve(cfg, scfg, np.zeros((d, 1)))
 
     ok = (
         gn <= 1e-10

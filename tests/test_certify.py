@@ -22,7 +22,7 @@ from mcland.csvio import cell
 from mcland.instance import HyperParams
 from mcland.objective import ObjectiveConfig, curvature_slack, min_hessian_eig
 from mcland.rng import derive_seed
-from mcland.solvers import Method, SolverConfig, Status, gradient_descent, random_init
+from mcland.solvers import Method, SolverConfig, Status, random_init, solve
 
 from conftest import dense_gram, dense_min_eig, make_problem
 
@@ -67,7 +67,7 @@ def test_recovery_rejects_shape_mismatch():
 def test_incoherence_holds_at_truth_and_converged_points():
     gt, obs, cfg = make_problem(30, 2, seed=5, p=0.7)
     assert incoherence_certificate(gt.factor, cfg, gt)
-    res = gradient_descent(cfg, SolverConfig(), random_init(30, 2, obs, 1))
+    res = solve(cfg, SolverConfig(), random_init(30, 2, obs, 1))
     assert incoherence_certificate(res.X, cfg, gt)
 
 
@@ -141,7 +141,7 @@ def test_tight_radius_marks_noise_floor_spurious():
     # heavy noise moves the minimizer away from the noiseless truth; with a
     # tiny recovery radius the (perfectly good) endpoint is reported spurious
     gt, obs, cfg = make_problem(30, 1, seed=14, sigma=0.05)
-    res = gradient_descent(cfg, SolverConfig(), random_init(30, 1, obs, 3))
+    res = solve(cfg, SolverConfig(), random_init(30, 1, obs, 3))
     rep = certify_point(res.X, cfg, gt, CertTolerances(global_rel=1e-9))
     assert rep.classification is PointClass.SPURIOUS_LOCAL_MIN
     loose = certify_point(res.X, cfg, gt, CertTolerances(global_rel=1.0))
@@ -386,8 +386,7 @@ def _same_report(a, b):
 def test_certificate_from_the_solvers_eigensolve_is_the_same():
     # a minimum, and the strict saddle at the origin
     gt, obs, cfg = make_problem(20, 2, seed=13, p=0.8)
-    res = solvers.perturbed_gd(cfg, SolverConfig(method=Method.PERTURBED_GD, seed=1),
-                               random_init(20, 2, obs, 3))
+    res = solvers.solve(cfg, SolverConfig(method=Method.PERTURBED_GD, seed=1), random_init(20, 2, obs, 3))
     assert res.eig is not None
     rep = certify_point(res.X, cfg, gt, eig=res.eig)
     assert rep.classification is PointClass.GLOBAL_MIN
@@ -407,7 +406,7 @@ def test_certificate_from_a_stalled_witness_search_is_the_same(monkeypatch):
     monkeypatch.setattr(
         objective, "min_hessian_eig", lambda X, cfg, resid=None: replace(solve(X, cfg, resid), op_norm=1e20)
     )
-    res = solvers.perturbed_gd(cfg, SolverConfig(method=Method.PERTURBED_GD), saddle)
+    res = solvers.solve(cfg, SolverConfig(method=Method.PERTURBED_GD), saddle)
     assert np.array_equal(res.X, saddle) and res.iterations == 0
     assert res.status is Status.GRAD_TOL
     eig = min_hessian_eig(saddle, cfg)

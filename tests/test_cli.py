@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from mcland import cli, objective, solvers
-from mcland.certify import SCAN_COLUMNS
-from mcland.instance import InstanceSpec
+from mcland.certify import SCAN_COLUMNS, PointClass, landscape_scan, scan_to_csv
+from mcland.instance import InstanceSpec, default_hyperparams
 
 
 def _write(tmp_path, payload, name="config.json"):
@@ -584,19 +584,19 @@ def test_scan_assert_clean_fails_on_spurious_report(tmp_path, capsys):
 
 def test_scan_solves_each_start_once(tmp_path, capsys, monkeypatch):
     # every endpoint of this config is SpuriousLocalMin; each start still
-    # runs one solve and no second descent
+    # runs one solve and one descent, which `solve` looks up at call time
     calls = []
 
     def counted(name):
         fn = getattr(solvers, name)
 
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls.append(name)
-            return fn(*args)
+            return fn(*args, **kwargs)
 
         return wrapper
 
-    for name in ("solve", "gradient_descent"):
+    for name in ("solve", "_descend"):
         monkeypatch.setattr(solvers, name, counted(name))
     payload = _scan_payload(global_rel=1e-12)
     payload["instance"]["sigma"] = 0.05
@@ -605,7 +605,23 @@ def test_scan_solves_each_start_once(tmp_path, capsys, monkeypatch):
     kv = dict(line.split("=", 1) for line in out.strip().split("\n"))
     n_starts = payload["scan"]["n_starts"]
     assert kv["SpuriousLocalMin"] == str(n_starts)
-    assert calls == ["solve"] * n_starts
+    assert calls == ["solve", "_descend"] * n_starts
+
+
+def test_library_scan_takes_the_cli_default_radius(tmp_path, capsys):
+    # with noise the default radius is the noise floor's, here 1.498: every
+    # endpoint is GlobalMin, where a flat 1e-2 calls all four SpuriousLocalMin
+    # (recovery_fro 0.896 of ||Z Z^T||_F = 1.155)
+    instance = {"d": 20, "r": 1, "seed": 1, "p": 0.8, "sigma": 0.1}
+    payload = {"instance": instance, "solver": {"method": "gd"}, "scan": {"n_starts": 4, "base_seed": 0}}
+    code, out, err = _run(capsys, ["scan", "--config", _write(tmp_path, payload), "--out", str(tmp_path)])
+    assert code == 0, err
+    assert "GlobalMin=4" in out.split("\n")
+    gt, obs = InstanceSpec(**instance).regenerate()
+    scfg = solvers.SolverConfig(method=solvers.Method.GD)
+    summary = landscape_scan(gt, obs, default_hyperparams(gt, obs.p), scfg, n_starts=4, base_seed=0)
+    assert summary.counts[PointClass.GLOBAL_MIN] == 4
+    assert scan_to_csv(summary) == (tmp_path / "scan.csv").read_text()
 
 
 @pytest.mark.parametrize("global_rel", [-1, 0, 1e400])

@@ -28,7 +28,6 @@ from mcland.solvers import (
     Method,
     SgdParams,
     SolverConfig,
-    gradient_descent,
     random_init,
     solve,
     stochastic_gradient,
@@ -405,7 +404,7 @@ def test_min_eig_converges_in_one_run_at_low_p(lanczos_only):
     # tol * (1 + ||H||), so lambda_min is not compared with the dense minimum
     d, r, p = 100, 1, 1.5 * math.log(100) / 100
     gt, obs, cfg = make_problem(d, r, seed=2, p=p)
-    res = gradient_descent(cfg, SolverConfig(max_iters=3000), random_init(d, r, obs, 3))
+    res = solve(cfg, SolverConfig(max_iters=3000), random_init(d, r, obs, 3))
     X = res.X
     eig = min_hessian_eig(X, cfg)
     assert eig.converged
@@ -786,7 +785,7 @@ def test_sgd_bytes_are_those_of_the_bincount_scatter(r, seed, batch, active, mon
 
     def run():
         res = solve(cfg, scfg, X0)
-        assert res.trace.iters == [0, period, 2 * period, 2 * period + 1]  # no stop before max_iters
+        assert [row.iter for row in res.trace] == [0, period, 2 * period, 2 * period + 1]  # no stop before max_iters
         return trace_to_csv(res.trace), res.X.tobytes()
 
     ours = run()

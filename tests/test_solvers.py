@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mcland.certify import PointClass, certify_point
+from mcland.certify import PointClass, certify_point, landscape_scan
 from mcland.instance import GroundTruth, HyperParams, InstanceSpec, default_hyperparams, observe
 from mcland import objective, solvers
 from mcland.objective import (
@@ -21,10 +21,8 @@ from mcland.solvers import (
     SolverConfig,
     Status,
     TRACE_COLUMNS,
-    gradient_descent,
-    perturbed_gd,
+    TraceRow,
     random_init,
-    sgd,
     solve,
     stochastic_gradient,
     trace_to_csv,
@@ -97,25 +95,25 @@ def test_random_init_validates_rank():
 def test_gd_solves_tiny_full_problem():
     gt, obs, cfg = make_problem(2, 1, seed=4)
     cfg = ObjectiveConfig(HyperParams(alpha=1e6, reg_weight=0.0, tau=0.0), obs)
-    res = gradient_descent(cfg, SolverConfig(), random_init(2, 1, obs, 0))
+    res = solve(cfg, SolverConfig(), random_init(2, 1, obs, 0))
     assert res.status == Status.GRAD_TOL
     assert res.f <= 1e-10
 
 
 def test_gd_trace_is_monotone_and_budgeted():
     gt, obs, cfg = make_problem(20, 2, seed=5, p=0.6)
-    runs = [(cfg, gradient_descent(cfg, SolverConfig(max_iters=500), random_init(20, 2, obs, 1)))]
+    runs = [(cfg, solve(cfg, SolverConfig(max_iters=500), random_init(20, 2, obs, 1)))]
     # perturbed GD leaves the strict saddle of _spiked_rank2_problem(0.5) along its witness
     Q, cfg = _spiked_rank2_problem(0.5)
     scfg = SolverConfig(method=Method.PERTURBED_GD, max_iters=500)
-    runs.append((cfg, perturbed_gd(cfg, scfg, np.sqrt(0.5) * Q[:, 1:2])))
+    runs.append((cfg, solve(cfg, scfg, np.sqrt(0.5) * Q[:, 1:2])))
     for cfg, res in runs:
-        fs = np.array(res.trace.f)
+        fs = np.array([row.f for row in res.trace])
         assert np.all(np.diff(fs) <= 0.0)  # Armijo only accepts decrease
         assert len(res.trace) == res.iterations + 1
         assert res.entry_grads == cfg.n_pairs * (res.iterations + 1)
-        assert res.trace.cum_entry_grads[-1] == res.entry_grads
-        assert res.f == res.trace.f[-1]
+        assert res.trace[-1].cum_entry_grads == res.entry_grads
+        assert res.f == res.trace[-1].f
 
 
 def test_gd_recovers_across_starts():
@@ -125,7 +123,7 @@ def test_gd_recovers_across_starts():
     gt, obs, cfg = make_problem(50, 1, seed=22, p=0.5)
     worst, worst_iters = 0.0, 0
     for s in range(20):
-        res = gradient_descent(cfg, SolverConfig(seed=s), random_init(50, 1, obs, 1000 + s))
+        res = solve(cfg, SolverConfig(seed=s), random_init(50, 1, obs, 1000 + s))
         assert res.status == Status.GRAD_TOL
         worst = max(worst, _recovery(res.X, gt))
         worst_iters = max(worst_iters, res.iterations)
@@ -167,8 +165,8 @@ def _expected_trials(calls, trace):
     """
     assert all(c[3] is not None for c in calls)  # so search m runs from trace row m
     assert len(calls) == len(trace) - 1
-    grad_tol = 1e-8 * (1.0 + trace.f[0])
-    witness = [gn <= grad_tol for gn in trace.grad_norm]
+    grad_tol = 1e-8 * (1.0 + trace[0].f)
+    witness = [row.grad_norm <= grad_tol for row in trace]
     cases = dict(bb=0, curvature=0, first=0, witness=0, after_witness=0)
     for m, (X, G, t_init, _) in enumerate(calls):
         if witness[m] or (m and witness[m - 1]):
@@ -198,7 +196,7 @@ def test_gd_trials_fall_back_where_curvature_is_negative(line_searches):
     # negative curvature, where <s, y> < 0
     Q, cfg = _spiked_rank2_problem(0.5)
     X0 = 1e-3 * Q[:, :1]
-    res = gradient_descent(cfg, SolverConfig(), X0)
+    res = solve(cfg, SolverConfig(), X0)
     assert res.status == Status.GRAD_TOL
     # <G, H G> = (6e-6 - 2) ||G||^2 there, so the first search opens at 1 / (2 - 6e-6)
     assert line_searches[0][2] == pytest.approx(0.5, rel=1e-5)
@@ -214,7 +212,7 @@ def test_perturbed_gd_trials_fall_back_after_witness_steps(line_searches):
     cases = dict(bb=0, curvature=0, first=0, witness=0, after_witness=0)
     for c in (0.5, 0.9, 1.2):
         line_searches.clear()
-        res = perturbed_gd(cfg, scfg, c * Q[:, 1:2])
+        res = solve(cfg, scfg, c * Q[:, 1:2])
         assert res.status is Status.GRAD_TOL and res.f == pytest.approx(0.125, rel=1e-6)
         for case, n in _expected_trials(line_searches, res.trace).items():
             cases[case] += n
@@ -231,7 +229,7 @@ def test_bb_step_needs_positive_curvature():
 def test_gd_reports_stall_on_underflowing_step(hessian_scale):
     gt, obs, cfg = make_problem(10, 1, seed=6, p=0.8)
     hessian_scale(1e20)  # the first trial ||G||^2 / <G, H G> falls 1e20-fold
-    res = gradient_descent(cfg, SolverConfig(), random_init(10, 1, obs, 2))
+    res = solve(cfg, SolverConfig(), random_init(10, 1, obs, 2))
     assert res.status == Status.LINE_SEARCH_STALLED
     assert res.iterations == 0
 
@@ -253,24 +251,24 @@ def test_one_hvp_sizes_each_start_and_every_lanczos_run_is_an_eigensolve(probes,
     gt, obs, cfg = make_problem(20, 2, seed=13, p=0.8)
     X0 = random_init(20, 2, obs, 3)
     gd, pgd = SolverConfig(), SolverConfig(method=Method.PERTURBED_GD)
-    runs = [  # (solver, config, start, starts whose first step the run sizes)
-        (gradient_descent, gd, X0, 1),
-        (perturbed_gd, pgd, X0, 1),
-        (sgd, SolverConfig(method=Method.SGD, max_iters=5), X0, 1),
+    runs = [  # (config, start, starts whose first step the run sizes)
+        (gd, X0, 1),
+        (pgd, X0, 1),
+        (SolverConfig(method=Method.SGD, max_iters=5), X0, 1),
         # a start that meets grad_tol sizes no step: plain GD probes nothing, and perturbed GD
         # runs only eigensolves, whose norm opens a witness search at the saddle at the origin
-        (gradient_descent, gd, gt.factor, 0),
-        (perturbed_gd, pgd, gt.factor, 0),
-        (perturbed_gd, pgd, np.zeros((20, 2)), 0),
+        (gd, gt.factor, 0),
+        (pgd, gt.factor, 0),
+        (pgd, np.zeros((20, 2)), 0),
     ]
     # d * r = 40: every eigensolve is one dense solve, then with the threshold at 0 one Lanczos run
     for dense_max in (objective._DENSE_MAX, 0):
         monkeypatch.setattr(objective, "_DENSE_MAX", dense_max)
-        for solver, scfg, start, sized in runs:
+        for scfg, start, sized in runs:
             probes.update(hessian_operator=0, min_hessian_eig=0, _lanczos=0)
-            res = solver(cfg, scfg, start)
+            res = solve(cfg, scfg, start)
             eigs = probes["min_hessian_eig"]
-            assert (eigs > 0) == (res.eig is not None) == (solver is perturbed_gd)
+            assert (eigs > 0) == (res.eig is not None) == (scfg.method is Method.PERTURBED_GD)
             # every Hessian operator is either the one step-sizing probe or an eigensolve's
             assert probes["hessian_operator"] == sized + eigs
             assert probes["_lanczos"] == (0 if start.size <= dense_max else eigs)
@@ -278,7 +276,7 @@ def test_one_hvp_sizes_each_start_and_every_lanczos_run_is_an_eigensolve(probes,
 
 def test_gd_converged_start_returns_immediately():
     gt, obs, cfg = make_problem(12, 2, seed=7)
-    res = gradient_descent(cfg, SolverConfig(), gt.factor)
+    res = solve(cfg, SolverConfig(), gt.factor)
     assert res.status == Status.GRAD_TOL
     assert res.iterations == 0
     assert np.array_equal(res.X, gt.factor)
@@ -313,10 +311,10 @@ def test_only_sgd_builds_the_per_position_tables():
     # 16 B per position: a config that only GD uses must not hold them
     gt, obs, cfg = make_problem(15, 1, seed=10, p=0.6)
     X0 = random_init(15, 1, obs, 4)
-    gradient_descent(cfg, SolverConfig(), X0)
-    perturbed_gd(cfg, SolverConfig(method=Method.PERTURBED_GD), X0)
+    solve(cfg, SolverConfig(), X0)
+    solve(cfg, SolverConfig(method=Method.PERTURBED_GD), X0)
     assert "_position_tables" not in vars(cfg)
-    sgd(cfg, SolverConfig(method=Method.SGD, max_iters=5), X0)
+    solve(cfg, SolverConfig(method=Method.SGD, max_iters=5), X0)
     rows, cols, values = vars(cfg)["_position_tables"]
     assert rows.dtype == cols.dtype == np.int32 and values.dtype == np.float64
     assert rows.size == cols.size == values.size == cfg.n_pairs
@@ -355,7 +353,7 @@ def test_gd_and_its_certificate_reuse_the_residuals_they_hold(monkeypatch):
 
     def run():
         points.clear()
-        res = gradient_descent(cfg, SolverConfig(), X0)
+        res = solve(cfg, SolverConfig(), X0)
         return trace_to_csv(res.trace), repr(certify_point(res.X, cfg, gt))
 
     monkeypatch.setattr(ObjectiveConfig, "residuals", counting)
@@ -374,16 +372,16 @@ def test_sgd_deterministic_given_seed():
     gt, obs, cfg = make_problem(15, 1, seed=10, p=0.6, sigma=0.05)
     scfg = SolverConfig(method=Method.SGD, max_iters=200, seed=3)
     X0 = random_init(15, 1, obs, 4)
-    a = sgd(cfg, scfg, X0)
-    b = sgd(cfg, scfg, X0)
+    a = solve(cfg, scfg, X0)
+    b = solve(cfg, scfg, X0)
     assert np.array_equal(a.X, b.X)
-    assert a.trace.f == b.trace.f
+    assert [row.f for row in a.trace] == [row.f for row in b.trace]
 
 
 def test_sgd_budget_counts_sampled_pairs_only():
     gt, obs, cfg = make_problem(15, 1, seed=11, p=0.6, sigma=0.05)
     scfg = SolverConfig(method=Method.SGD, max_iters=50, seed=3, sgd=SgdParams(batch=16))
-    res = sgd(cfg, scfg, random_init(15, 1, obs, 4))
+    res = solve(cfg, scfg, random_init(15, 1, obs, 4))
     assert res.entry_grads == 16 * res.iterations
 
 
@@ -392,10 +390,10 @@ def test_sgd_matches_gd_on_equal_budget():
     # achieved objectives agree within an order of magnitude either way
     gt, obs, cfg = make_problem(50, 1, seed=12, p=0.5, sigma=0.02)
     X0 = random_init(50, 1, obs, 5)
-    gd_res = gradient_descent(cfg, SolverConfig(max_iters=2000), X0)
+    gd_res = solve(cfg, SolverConfig(max_iters=2000), X0)
     batch = 64
     iters = max(1, gd_res.entry_grads // batch)
-    sgd_res = sgd(
+    sgd_res = solve(
         cfg,
         SolverConfig(method=Method.SGD, max_iters=iters, seed=6, sgd=SgdParams(batch=batch)),
         X0,
@@ -416,23 +414,29 @@ def _reference_sgd_rows(cfg, scfg, X0):
     batch = min(scfg.sgd.batch, cfg.n_pairs)
     rng = substream(scfg.seed, "sgd")
     X = np.array(X0, dtype=float)
-    trace = solvers.Trace()
-    _, bdown, G, _ = evaluate(X, cfg)
+    def row(it, X, step):
+        _, bdown, G, _ = evaluate(X, cfg)
+        return TraceRow(it, bdown.total, bdown.data_term, bdown.reg_term, float(np.linalg.norm(G)), step, it * batch)
+
+    trace = [row(0, X, 0.0)]
+    G = evaluate(X, cfg)[2]
     # GD's first step ||G||^2 / |<G, H G>|, damped by sqrt(batch fraction)
     curv = float(np.vdot(G, hessian_operator(X, cfg)(G)))
     base = float(np.vdot(G, G)) / abs(curv) * math.sqrt(batch / cfg.n_pairs)
-    trace.append(0, bdown, float(np.linalg.norm(G)), 0.0, 0)
     for it in range(1, scfg.max_iters + 1):
         step = base / (1.0 + solvers._STEP_DECAY * (it - 1))
         X = X - step * stochastic_gradient(X, cfg, rng, batch)
-        _, bdown, G, _ = evaluate(X, cfg)
-        trace.append(it, bdown, float(np.linalg.norm(G)), step, it * batch)
+        trace.append(row(it, X, step))
     lines = trace_to_csv(trace).splitlines()[1:]
-    return dict(zip(trace.iters, lines)), dict(zip(trace.iters, trace.grad_norm))
+    return {r.iter: line for r, line in zip(trace, lines)}, {r.iter: r.grad_norm for r in trace}
+
+
+def _iters(res):
+    return [row.iter for row in res.trace]
 
 
 def _sgd_rows(res):
-    return dict(zip(res.trace.iters, trace_to_csv(res.trace).splitlines()[1:]))
+    return dict(zip(_iters(res), trace_to_csv(res.trace).splitlines()[1:]))
 
 
 @pytest.mark.parametrize("batch", [16, 64])
@@ -440,7 +444,7 @@ def test_sgd_rows_are_the_reference_loop_rows_once_per_epoch(batch):
     gt, obs, cfg = make_problem(20, 1, seed=1, p=0.8)
     scfg = SolverConfig(method=Method.SGD, max_iters=3000, seed=2, sgd=SgdParams(batch=batch))
     X0 = random_init(20, 1, obs, 3)
-    res = sgd(cfg, scfg, X0)
+    res = solve(cfg, scfg, X0)
     ref, ref_gn = _reference_sgd_rows(cfg, scfg, X0)
     period = _sgd_period(cfg, scfg)
     assert period > 1
@@ -448,7 +452,7 @@ def test_sgd_rows_are_the_reference_loop_rows_once_per_epoch(batch):
     grad_tol = 1e-8 * (1.0 + evaluate(X0, cfg)[1].total)
     # the run stops at the first pass whose full gradient norm reaches grad_tol
     stop = next(it for it in range(period, scfg.max_iters + 1, period) if ref_gn[it] <= grad_tol)
-    assert res.trace.iters == list(range(0, stop + 1, period))
+    assert _iters(res) == list(range(0, stop + 1, period))
     rows = _sgd_rows(res)
     assert rows == {it: ref[it] for it in rows}
 
@@ -458,9 +462,9 @@ def test_sgd_ends_with_a_full_pass_at_max_iters():
     X0 = random_init(20, 1, obs, 3)
     period = _sgd_period(cfg, SolverConfig(method=Method.SGD))
     scfg = SolverConfig(method=Method.SGD, max_iters=3 * period + 2, seed=2)
-    res = sgd(cfg, scfg, X0)
+    res = solve(cfg, scfg, X0)
     assert res.status is Status.MAX_ITERS and res.iterations == scfg.max_iters
-    assert res.trace.iters == [0, period, 2 * period, 3 * period, scfg.max_iters]
+    assert _iters(res) == [0, period, 2 * period, 3 * period, scfg.max_iters]
     rows = _sgd_rows(res)
     ref, _ = _reference_sgd_rows(cfg, scfg, X0)
     assert rows == {it: ref[it] for it in rows}
@@ -473,22 +477,30 @@ def test_sgd_with_a_batch_of_all_entries_writes_a_row_per_step():
     gt, obs, cfg = make_problem(10, 1, seed=4, p=0.8)
     scfg = SolverConfig(method=Method.SGD, max_iters=40, seed=2, sgd=SgdParams(batch=10 * cfg.n_pairs))
     X0 = random_init(10, 1, obs, 3)
-    res = sgd(cfg, scfg, X0)
+    res = solve(cfg, scfg, X0)
     assert _sgd_period(cfg, scfg) == 1
-    assert res.trace.iters == list(range(res.iterations + 1))
+    assert _iters(res) == list(range(res.iterations + 1))
     assert res.iterations > 1
     ref, _ = _reference_sgd_rows(cfg, scfg, X0)
-    assert _sgd_rows(res) == {it: ref[it] for it in res.trace.iters}
+    assert _sgd_rows(res) == {it: ref[it] for it in _iters(res)}
 
 
-def test_sgd_on_an_empty_mask_is_a_value_error():
-    # no entry to sample; at this start the penalty alone is active
+def test_every_solver_on_an_empty_mask_is_a_value_error():
+    # no entry to fit: at the first start the penalty alone is active; the
+    # second, the origin, is random_init's start here, where GD would stop
+    # at once with grad_tol_reached and certify a spurious minimum
     gt, obs = InstanceSpec(d=2, r=1, seed=1, p=0.01).regenerate()
     cfg = ObjectiveConfig(default_hyperparams(gt, 0.01), obs)
-    X0 = np.full((2, 1), 50.0)
-    assert cfg.n_pairs == 0 and np.any(per_row_penalty(X0, cfg.hyper.alpha)[1])
-    with pytest.raises(ValueError, match="mask is empty"):
-        sgd(cfg, SolverConfig(method=Method.SGD), X0)
+    penalized, origin = np.full((2, 1), 50.0), random_init(2, 1, obs, 0)
+    assert cfg.n_pairs == 0 and np.any(per_row_penalty(penalized, cfg.hyper.alpha)[1])
+    assert not np.any(origin)
+    for method in Method:
+        for X0 in (penalized, origin):
+            with pytest.raises(ValueError, match="mask is empty"):
+                solve(cfg, SolverConfig(method=method), X0)
+    # a scan reports such starts as crashed, not as spurious minima at the origin
+    summary = landscape_scan(gt, obs, cfg.hyper, SolverConfig(), n_starts=2, base_seed=0)
+    assert summary.counts[PointClass.CRASHED] == 2
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -496,12 +508,12 @@ def test_sgd_stops_at_first_non_finite_iterate(hessian_scale):
     gt, obs, cfg = make_problem(20, 2, seed=3, p=0.8)
     hessian_scale(1e-3)  # a step base about 1000 times t0, far above 1 / ||H||
     scfg = SolverConfig(method=Method.SGD, max_iters=300)
-    res = sgd(cfg, scfg, random_init(20, 2, obs, 0))
+    res = solve(cfg, scfg, random_init(20, 2, obs, 0))
     assert res.status is Status.DIVERGED
-    assert res.iterations < scfg.max_iters and res.iterations == res.trace.iters[-1]
+    assert res.iterations < scfg.max_iters and res.iterations == res.trace[-1].iter
     period = _sgd_period(cfg, scfg)
-    assert res.trace.iters == list(range(0, res.iterations + 1, period))
-    finite = [math.isfinite(f) and math.isfinite(g) for f, g in zip(res.trace.f, res.trace.grad_norm)]
+    assert _iters(res) == list(range(0, res.iterations + 1, period))
+    finite = [math.isfinite(row.f) and math.isfinite(row.grad_norm) for row in res.trace]
     assert finite == [True] * (len(finite) - 1) + [False]
     assert not math.isfinite(res.f) or not math.isfinite(res.grad_norm)
 
@@ -529,11 +541,11 @@ def test_perturbed_gd_escapes_origin_where_gd_stays():
     X0 = np.zeros((12, 1))
     assert float(np.linalg.norm(evaluate(X0, cfg)[2])) == 0.0
 
-    plain = gradient_descent(cfg, SolverConfig(), X0)
+    plain = solve(cfg, SolverConfig(), X0)
     assert plain.iterations == 0
     assert plain.f == evaluate(X0, cfg)[1].total  # stuck at the stationary origin
 
-    res = perturbed_gd(cfg, SolverConfig(method=Method.PERTURBED_GD, max_iters=4000, seed=9), X0)
+    res = solve(cfg, SolverConfig(method=Method.PERTURBED_GD, max_iters=4000, seed=9), X0)
     assert res.status == Status.GRAD_TOL
     assert res.f <= 1e-8  # global value is lam2^2 / 2 = 5e-9
 
@@ -542,7 +554,7 @@ def test_perturbed_gd_escapes_strict_saddle():
     Q, cfg = _spiked_rank2_problem(0.5)
     x_saddle = np.sqrt(0.5) * Q[:, 1:2]
     assert float(np.linalg.norm(evaluate(x_saddle, cfg)[2])) <= 1e-10
-    res = perturbed_gd(
+    res = solve(
         cfg, SolverConfig(method=Method.PERTURBED_GD, max_iters=4000, seed=2), x_saddle
     )
     assert res.status == Status.GRAD_TOL
@@ -553,7 +565,7 @@ def test_perturbed_gd_escapes_strict_saddle():
 def test_perturbed_gd_confirms_true_minimum():
     gt, obs, cfg = make_problem(20, 2, seed=13, p=0.8)
     scfg = SolverConfig(method=Method.PERTURBED_GD, seed=1)
-    res = perturbed_gd(cfg, scfg, random_init(20, 2, obs, 3))
+    res = solve(cfg, scfg, random_init(20, 2, obs, 3))
     assert res.status == Status.GRAD_TOL
     assert _recovery(res.X, gt) <= 1e-6
 
@@ -562,10 +574,10 @@ def test_perturbed_gd_deterministic_given_seed():
     gt, obs, cfg = make_problem(15, 2, seed=14, p=0.7)
     scfg = SolverConfig(method=Method.PERTURBED_GD, seed=11)
     X0 = random_init(15, 2, obs, 6)
-    a = perturbed_gd(cfg, scfg, X0)
-    b = perturbed_gd(cfg, scfg, X0)
+    a = solve(cfg, scfg, X0)
+    b = solve(cfg, scfg, X0)
     assert np.array_equal(a.X, b.X)
-    assert a.trace.f == b.trace.f
+    assert [row.f for row in a.trace] == [row.f for row in b.trace]
     assert a.iterations == b.iterations
 
 
@@ -573,11 +585,11 @@ def test_perturbed_gd_deterministic_given_seed():
 def test_perturbed_gd_last_trace_row_is_the_result(seed):
     gt, obs, cfg = make_problem(30, 2, seed=seed, p=0.5)
     scfg = SolverConfig(method=Method.PERTURBED_GD, seed=seed)
-    res = perturbed_gd(cfg, scfg, random_init(30, 2, obs, seed))
-    trace = res.trace
-    assert trace.f[-1] == res.f
-    assert trace.grad_norm[-1] == res.grad_norm
-    assert trace.cum_entry_grads[-1] == res.entry_grads
+    res = solve(cfg, scfg, random_init(30, 2, obs, seed))
+    last = res.trace[-1]
+    assert last.f == res.f
+    assert last.grad_norm == res.grad_norm
+    assert last.cum_entry_grads == res.entry_grads
 
 
 @pytest.mark.parametrize("r, seed", [(1, 101), (2, 102), (3, 103)])
@@ -590,8 +602,8 @@ def test_perturbed_gd_writes_gd_trace_where_it_ends_at_a_minimum(r, seed):
     for k in range(5):
         seed_k = derive_seed(seed, "scan-start", k)
         X0 = random_init(100, r, obs, seed_k)
-        plain = gradient_descent(cfg, SolverConfig(seed=seed_k), X0)
-        res = perturbed_gd(cfg, SolverConfig(method=Method.PERTURBED_GD, seed=seed_k), X0)
+        plain = solve(cfg, SolverConfig(seed=seed_k), X0)
+        res = solve(cfg, SolverConfig(method=Method.PERTURBED_GD, seed=seed_k), X0)
         assert trace_to_csv(res.trace) == trace_to_csv(plain.trace)
         assert res.status is Status.GRAD_TOL and res.eig.converged
         assert res.eig.lambda_min >= -curvature_slack(cfg, res.eig.op_norm)
@@ -620,7 +632,7 @@ def test_perturbed_gd_steps_along_the_witness_at_exact_saddle(eigensolves, line_
     Q, cfg = _spiked_rank2_problem(lam2)
     X0 = np.sqrt(lam2) * Q[:, 1:2] if start == "saddle" else np.zeros((12, 1))
     assert float(np.linalg.norm(evaluate(X0, cfg)[2])) <= 1e-10
-    res = perturbed_gd(cfg, SolverConfig(method=Method.PERTURBED_GD, max_iters=4000), X0)
+    res = solve(cfg, SolverConfig(method=Method.PERTURBED_GD, max_iters=4000), X0)
     X_first, eig_first = eigensolves[0]
     assert np.array_equal(X_first, X0)
     assert eig_first.lambda_min < -curvature_slack(cfg, eig_first.op_norm)
@@ -628,10 +640,10 @@ def test_perturbed_gd_steps_along_the_witness_at_exact_saddle(eigensolves, line_
     X, D, _, step = line_searches[0]
     witness = eig_first.lambda_min * eig_first.witness
     assert np.array_equal(X, X0) and (np.array_equal(D, witness) or np.array_equal(D, -witness))
-    t = res.trace
-    assert t.step[1] == step
-    assert t.f[1] == pytest.approx(evaluate(X0 - step * D, cfg)[1].total, rel=1e-12)
-    assert np.all(np.diff(t.f) <= 0.0) and t.f[1] < t.f[0]
+    fs = [row.f for row in res.trace]
+    assert res.trace[1].step == step
+    assert fs[1] == pytest.approx(evaluate(X0 - step * D, cfg)[1].total, rel=1e-12)
+    assert np.all(np.diff(fs) <= 0.0) and fs[1] < fs[0]
     assert res.status is Status.GRAD_TOL and res.iterations <= 20
     assert res.f <= 1e-8 if lam2 == 1e-4 else res.f == pytest.approx(lam2**2 / 2, rel=1e-6)
     # the run ends at the point of its last eigensolve, which rules out a saddle
@@ -651,8 +663,8 @@ def test_witness_step_escapes_under_a_large_c1(start, lam2, monkeypatch):
     Q, cfg = _spiked_rank2_problem(lam2)
     X0 = np.sqrt(lam2) * Q[:, 1:2] if start == "saddle" else np.zeros((12, 1))
     scfg = SolverConfig(method=Method.PERTURBED_GD, max_iters=4000)
-    res = perturbed_gd(cfg, scfg, X0)
-    fs = np.array(res.trace.f)
+    res = solve(cfg, scfg, X0)
+    fs = np.array([row.f for row in res.trace])
     assert fs[1] < fs[0] and np.all(np.diff(fs) <= 0.0)
     assert res.status is Status.GRAD_TOL and res.f == pytest.approx(lam2**2 / 2, rel=1e-6)
 
@@ -662,8 +674,8 @@ def test_unconverged_eigensolve_at_minimum_stops_there(unconverged_eigensolves, 
     # or not; the certificate then cannot call the endpoint a minimum
     gt, obs, cfg = make_problem(20, 2, seed=13, p=0.8)
     X0 = random_init(20, 2, obs, 3)
-    plain = gradient_descent(cfg, SolverConfig(seed=1), X0)
-    res = perturbed_gd(cfg, SolverConfig(method=Method.PERTURBED_GD, seed=1), X0)
+    plain = solve(cfg, SolverConfig(seed=1), X0)
+    res = solve(cfg, SolverConfig(method=Method.PERTURBED_GD, seed=1), X0)
     assert trace_to_csv(res.trace) == trace_to_csv(plain.trace)
     assert len(eigensolves) == 1 and res.eig is eigensolves[0][1]
     assert res.status is Status.GRAD_TOL and not res.eig.converged
@@ -675,9 +687,9 @@ def test_solve_dispatches_by_method():
     gt, obs, cfg = make_problem(10, 1, seed=15, p=0.8)
     X0 = random_init(10, 1, obs, 7)
     for method, direct in (
-        (Method.GD, gradient_descent),
-        (Method.SGD, sgd),
-        (Method.PERTURBED_GD, perturbed_gd),
+        (Method.GD, lambda *args: solvers._descend(*args, witness_steps=False)),
+        (Method.SGD, solvers._sgd),
+        (Method.PERTURBED_GD, lambda *args: solvers._descend(*args, witness_steps=True)),
     ):
         scfg = SolverConfig(method=method, max_iters=50, seed=2)
         assert np.array_equal(solve(cfg, scfg, X0).X, direct(cfg, scfg, X0).X)
@@ -691,14 +703,14 @@ def test_solve_dispatches_by_method():
 
 def test_trace_csv_schema_and_roundtrip():
     gt, obs, cfg = make_problem(10, 1, seed=16, p=0.8)
-    res = gradient_descent(cfg, SolverConfig(max_iters=30), random_init(10, 1, obs, 8))
+    res = solve(cfg, SolverConfig(max_iters=30), random_init(10, 1, obs, 8))
     text = trace_to_csv(res.trace)
     lines = text.strip().split("\n")
     assert lines[0] == ",".join(TRACE_COLUMNS)
     assert len(lines) == len(res.trace) + 1
     first = lines[1].split(",")
     assert int(first[0]) == 0
-    assert float(first[1]) == res.trace.f[0]  # repr round-trips exactly
+    assert float(first[1]) == res.trace[0].f  # repr round-trips exactly
     assert int(first[6]) == cfg.n_pairs
 
     buf = io.StringIO()
