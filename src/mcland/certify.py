@@ -37,29 +37,32 @@ class CertTolerances:
     """The recovery radius of a classification.
 
     global_rel: an endpoint within global_rel * ||Z Z^T||_F of the truth
-    counts as global, default 1e-2; positive and finite, else a ValueError.
-    The stationarity and curvature thresholds come from `certify_point`,
-    and so does the instance's default radius where no tolerances are given.
+    counts as global; positive and finite, else a ValueError.  None, the
+    default, is the instance's rule, so `CertTolerances()` and no tolerances
+    certify alike.  Stationarity and curvature thresholds are `certify_point`'s.
     """
 
-    global_rel: float = 1e-2
+    global_rel: float | None = None
 
     def __post_init__(self):
         # a bad threshold would silently relabel endpoints; `not x > 0` also catches nan
-        if not (math.isfinite(self.global_rel) and self.global_rel > 0):
+        if self.global_rel is not None and not (math.isfinite(self.global_rel) and self.global_rel > 0):
             raise ValueError(f"global_rel must be positive and finite, got {self.global_rel}")
 
+    def radius(self, gt, obs):
+        """The relative recovery radius that decides a label on this instance."""
+        return default_global_rel(gt, obs) if self.global_rel is None else self.global_rel
 
-def default_global_rel(gt, obs, noiseless):
+
+def default_global_rel(gt, obs):
     """Relative recovery radius counted as global on this instance.
 
-    `noiseless` when sigma = 0 or p = 0 (no entry, so no noise, is
-    observed); with noise the endpoint can only be as close as the noise
-    floor allows, so the radius is
-    max(1e-2, 2 sigma sqrt(d ln d / p) / ||Z Z^T||_F).
+    max(1e-2, 2 sigma sqrt(d ln d / p) / ||Z Z^T||_F): 1e-2 without noise,
+    and with noise the noise floor, since the endpoint can only be as close
+    as the noise allows.  At p = 0 no entry, so no noise, is observed.
     """
-    if obs.sigma == 0 or obs.p == 0:
-        return noiseless
+    if obs.p == 0:
+        return 1e-2
     d = obs.d
     return max(1e-2, 2.0 * obs.sigma * math.sqrt(d * math.log(d) / obs.p) / gt.gram_fro)
 
@@ -151,6 +154,7 @@ class CertReport:
     incoherence_ok: bool | None = None
     sigma_min_ok: bool | None = None
     rank1_norm_ok: bool | None = None
+    global_rel: float = math.nan  # the recovery radius the label was decided by
 
 
 def certify_point(X, cfg, gt, tols=None, eig=None):
@@ -166,11 +170,10 @@ def certify_point(X, cfg, gt, tols=None, eig=None):
 
     Thresholds: the point is stationary when its gradient norm is at most
     1e-6 * (1 + |f|).  lambda_min < -tau marks a strict saddle, with tau
-    from `objective.curvature_slack`.  `tols.global_rel` sets the recovery
-    radius; without `tols` it is `default_global_rel(gt, cfg.obs, 1e-2)`,
-    1e-2 on a noiseless instance and the noise floor's radius on a noisy
-    one.  A given `eig`, the `min_hessian_eig(X, cfg)` a solver ran at X
-    (`SolveResult.eig`), is used instead of solving again.
+    from `objective.curvature_slack`.  The recovery radius is
+    `CertTolerances.radius` (no `tols` is `CertTolerances()`), kept as the
+    report's `global_rel`.  A given `eig`, the `min_hessian_eig(X, cfg)` a
+    solver ran at X (`SolveResult.eig`), is used instead of solving again.
 
     The curvature guarantee follows the eigensolve's route.  Up to
     d * r = `objective._DENSE_MAX` it is one dense solve of the assembled
@@ -180,7 +183,7 @@ def certify_point(X, cfg, gt, tols=None, eig=None):
     smallest, and the labels rest on tau being far above that tolerance.
     """
     X = np.asarray(X, dtype=float)
-    tols = tols or CertTolerances(default_global_rel(gt, cfg.obs, noiseless=1e-2))
+    global_rel = (tols or CertTolerances()).radius(gt, cfg.obs)
     # one residual pass for the value, gradient and eigensolve; a diverged point is NotStationary below
     resid, bdown, _, gn = obj.evaluate(X, cfg)
     rep = CertReport(
@@ -188,6 +191,7 @@ def certify_point(X, cfg, gt, tols=None, eig=None):
         f_value=bdown.total,
         grad_norm=gn,
         stationary_tol=1e-6 * (1.0 + abs(bdown.total)),
+        global_rel=global_rel,
     )
     if not (np.isfinite(X).all() and math.isfinite(bdown.total) and math.isfinite(gn)):
         return rep
@@ -203,7 +207,7 @@ def certify_point(X, cfg, gt, tols=None, eig=None):
         cls = PointClass.STRICT_SADDLE
     elif not eig.converged:
         cls = PointClass.UNCERTIFIED
-    elif err.gram_fro <= tols.global_rel * gt.gram_fro:
+    elif err.gram_fro <= global_rel * gt.gram_fro:
         cls = PointClass.GLOBAL_MIN
     else:
         cls = PointClass.SPURIOUS_LOCAL_MIN

@@ -22,12 +22,13 @@ from dataclasses import MISSING
 from enum import Enum
 from pathlib import Path
 
+import numpy as np
+
 from . import solvers
 from .certify import (
     CertTolerances,
     PointClass,
     certify_point,
-    default_global_rel,
     landscape_scan,
     map_in_order,
     scan_to_csv,
@@ -190,8 +191,8 @@ def _parse_problem(cfg):
 
 
 def _parse_scan(cfg):
-    """(n_starts, base_seed, tolerances); without `global_rel` the tolerances are None, and
-    `certify_point` takes the instance's default radius."""
+    """(n_starts, base_seed, tolerances); without `global_rel` the tolerances are
+    `CertTolerances()`, the instance's radius rule."""
     block = _block(cfg, "scan")
     n_starts = _get(block, "scan", "n_starts", int)
     base_seed = _get(block, "scan", "base_seed", int)
@@ -201,8 +202,6 @@ def _parse_scan(cfg):
         raise ConfigError("'scan.n_starts' must be >= 1")
     with _invalid("scan.base_seed"):
         check_seed(base_seed)
-    if global_rel is None:
-        return n_starts, base_seed, None
     with _invalid("scan.global_rel"):
         return n_starts, base_seed, CertTolerances(global_rel=global_rel)
 
@@ -217,6 +216,26 @@ def _parse_concentration(cfg):
         return [ConcentrationTrial(**base, p=float(p)) for p in p_grid]
 
 
+def _underobserved_rows(obs, r):
+    """The number of rows with fewer than r off-diagonal observations, rows of Z
+    that the mask cannot determine from the others."""
+    off = obs.mask.i != obs.mask.j
+    counts = np.bincount(np.concatenate([obs.mask.i[off], obs.mask.j[off]]), minlength=obs.d)
+    return int((counts < r).sum())
+
+
+def _print_radius(global_rel, classes):
+    """The recovery radius line; where it is 1 or more and decided one of `classes`, a
+    note on stderr."""
+    print(f"global_rel={cell(global_rel)}")
+    if global_rel >= 1 and {PointClass.GLOBAL_MIN, PointClass.SPURIOUS_LOCAL_MIN}.intersection(classes):
+        print(
+            "note: global_rel >= 1 puts the origin inside the recovery radius, so only an "
+            "endpoint farther from Z Z^T than X = 0 can be labelled SpuriousLocalMin",
+            file=sys.stderr,
+        )
+
+
 def cmd_gen(cfg, out_dir):
     spec, gt, obs, hyper = _parse_instance(cfg)
     _check_empty(cfg, "config")
@@ -227,6 +246,7 @@ def cmd_gen(cfg, out_dir):
     print(f"lambda={cell(hyper.reg_weight)}")
     print(f"tau={cell(hyper.tau)}")
     print(f"observed_pairs={obs.mask.n_pairs}")
+    print(f"underobserved_rows={_underobserved_rows(obs, gt.rank)}")
     return 0
 
 
@@ -236,8 +256,7 @@ def cmd_solve(cfg, out_dir):
     ocfg = ObjectiveConfig(hyper, obs)
     X0 = solvers.random_init(gt.d, gt.rank, obs, scfg.seed)
     res = solvers.solve(ocfg, scfg, X0)
-    tols = CertTolerances(global_rel=default_global_rel(gt, obs, noiseless=1e-3))
-    rep = certify_point(res.X, ocfg, gt, tols, res.eig)
+    rep = certify_point(res.X, ocfg, gt, eig=res.eig)
     with open(out_dir / "trace.csv", "w", newline="") as fh:
         solvers.trace_to_csv(res.trace, fh)
     print(f"status={res.status.value}")
@@ -246,6 +265,7 @@ def cmd_solve(cfg, out_dir):
     print(f"lambda_min={cell(rep.lambda_min)}")
     print(f"recovery_fro={cell(rep.recovery_fro)}")
     print(f"classification={rep.classification.value}")
+    _print_radius(rep.global_rel, [rep.classification])
     return 0
 
 
@@ -261,6 +281,8 @@ def cmd_scan(cfg, out_dir, threads=1, assert_clean=False):
     for cls in PointClass:
         print(f"{cls.value}={summary.counts[cls]}")
     print(f"worst_recovery={cell(summary.worst_recovery)}")
+    _print_radius(tols.radius(gt, obs), [cls for cls, n in summary.counts.items() if n])
+    print(f"underobserved_rows={_underobserved_rows(obs, gt.rank)}")
     for row in summary.rows:
         if row.error is not None:
             print(f"start {row.start_seed} crashed: {row.error}", file=sys.stderr)

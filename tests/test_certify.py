@@ -19,7 +19,7 @@ from mcland.certify import (
     scan_to_csv,
 )
 from mcland.csvio import cell
-from mcland.instance import HyperParams
+from mcland.instance import HyperParams, InstanceSpec
 from mcland.objective import ObjectiveConfig, curvature_slack, min_hessian_eig
 from mcland.rng import derive_seed
 from mcland.solvers import Method, SolverConfig, Status, random_init, solve
@@ -168,14 +168,35 @@ def test_perturbed_gd_reaches_the_spurious_minimum_of_the_d50_instance():
 
 def test_default_radius_follows_the_noise_floor():
     gt, obs, _ = make_problem(100, 3, seed=7, p=0.5)
-    assert default_global_rel(gt, obs, noiseless=1e-3) == 1e-3
+    assert default_global_rel(gt, obs) == 1e-2
     scale = float(np.linalg.norm(dense_gram(gt.factor)))  # ||Z Z^T||_F
     _, noisy, _ = make_problem(100, 3, seed=7, p=0.5, sigma=0.01)
     floor = 2.0 * 0.01 * np.sqrt(100 * np.log(100) / 0.5) / scale
     assert floor > 0.3
-    assert default_global_rel(gt, noisy, noiseless=1e-3) == pytest.approx(floor, rel=1e-12)
+    assert default_global_rel(gt, noisy) == pytest.approx(floor, rel=1e-12)
     _, faint, _ = make_problem(100, 3, seed=7, p=0.5, sigma=1e-6)
-    assert default_global_rel(gt, faint, noiseless=1e-3) == 1e-2
+    assert default_global_rel(gt, faint) == 1e-2
+    # no entry, so no noise, is observed at p = 0
+    _, empty = InstanceSpec(d=100, r=3, seed=7, p=0.0, sigma=0.01).regenerate()
+    assert empty.mask.n_pairs == 0
+    assert default_global_rel(gt, empty) == 1e-2
+
+
+def test_no_tolerances_and_default_tolerances_certify_alike():
+    # the noise floor's radius, 1.498 here, and no other: a flat 1e-2 would
+    # call this endpoint (recovery_fro 0.896 of ||Z Z^T||_F = 1.155) spurious
+    gt, obs, cfg = make_problem(20, 1, seed=1, p=0.8, sigma=0.1)
+    res = solve(cfg, SolverConfig(method=Method.GD), random_init(20, 1, obs, 0))
+    rep = certify_point(res.X, cfg, gt)
+    assert rep.classification is PointClass.GLOBAL_MIN
+    assert rep.global_rel == CertTolerances().radius(gt, obs) == default_global_rel(gt, obs)
+    assert rep.global_rel == pytest.approx(1.498, abs=5e-4)
+    _same_report(rep, certify_point(res.X, cfg, gt, CertTolerances()))
+    _same_report(rep, certify_point(res.X, cfg, gt, CertTolerances(global_rel=None)))
+    # a given radius decides the label and is the report's
+    tight = certify_point(res.X, cfg, gt, CertTolerances(global_rel=1e-2))
+    assert tight.classification is PointClass.SPURIOUS_LOCAL_MIN
+    assert tight.global_rel == 1e-2
 
 
 def test_stationary_tolerance_follows_the_value(rng):
@@ -222,6 +243,7 @@ def test_bad_tolerances_are_rejected(kwargs):
 
 def test_edge_tolerances_are_accepted():
     CertTolerances(global_rel=1e-300)
+    assert CertTolerances().global_rel is None
     assert [f.name for f in fields(CertTolerances)] == ["global_rel"]
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from mcland import cli, objective, solvers
-from mcland.certify import SCAN_COLUMNS, PointClass, landscape_scan, scan_to_csv
+from mcland.certify import SCAN_COLUMNS, CertTolerances, PointClass, certify_point, landscape_scan, scan_to_csv
 from mcland.instance import InstanceSpec, default_hyperparams
 
 
@@ -51,6 +51,34 @@ def test_gen_reports_rank1_alpha_formula(tmp_path, capsys):
     )
     assert int(kv["observed_pairs"]) == 40 * 40
     assert (tmp_path / "instance.json").read_text() == InstanceSpec(d=40, r=1, seed=3, p=1.0).to_json()
+
+
+@pytest.mark.parametrize("command", ["gen", "scan"])
+def test_rows_without_r_off_diagonal_observations_are_counted(tmp_path, capsys, command):
+    # stored pairs (0, 0), (1, 1), (1, 3): rows 0 and 2 have no off-diagonal
+    # observation, so the 4 observed entries do not identify Z Z^T
+    payload = {"instance": {"d": 4, "r": 1, "seed": 2, "p": 0.3}}
+    if command == "scan":
+        payload["scan"] = {"n_starts": 1, "base_seed": 0}
+    code, out, err = _run(capsys, [command, "--config", _write(tmp_path, payload), "--out", str(tmp_path)])
+    assert code == 0, err
+    assert "underobserved_rows=2" in out.split("\n")
+    _, obs = InstanceSpec(d=4, r=1, seed=2, p=0.3).regenerate()
+    assert list(zip(obs.mask.i.tolist(), obs.mask.j.tolist())) == [(0, 0), (1, 1), (1, 3)]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_gen_counts_rows_short_of_r_off_diagonal_observations(tmp_path, capsys, seed, r):
+    block = {"d": 8, "r": r, "seed": seed, "p": 0.3}
+    code, out, err = _run(capsys, ["gen", "--config", _write(tmp_path, {"instance": block}), "--out", str(tmp_path)])
+    assert code == 0, err
+    kv = dict(line.split("=", 1) for line in out.strip().split("\n"))
+    _, obs = InstanceSpec(**block).regenerate()
+    observed = np.zeros((8, 8), dtype=bool)
+    observed[obs.mask.i, obs.mask.j] = observed[obs.mask.j, obs.mask.i] = True
+    short = sum(sum(observed[row, col] for col in range(8) if col != row) < r for row in range(8))
+    assert int(kv["underobserved_rows"]) == short
 
 
 def test_gen_rerun_is_byte_identical(tmp_path, capsys):
@@ -418,6 +446,32 @@ def test_solve_noisy_endpoint_at_noise_floor_is_global_min(tmp_path, capsys):
     assert kv["classification"] == "GlobalMin"
 
 
+@pytest.mark.parametrize(
+    "instance, global_rel",
+    [
+        ({"d": 20, "r": 1, "seed": 1, "p": 0.8}, "0.01"),
+        # the noisy scan's instance: the noise floor's radius, 1.498
+        ({"d": 20, "r": 1, "seed": 1, "p": 0.8, "sigma": 0.1}, "1.4979523416388438"),
+    ],
+    ids=["noiseless", "noisy"],
+)
+def test_solve_prints_the_librarys_label_and_radius(tmp_path, capsys, instance, global_rel):
+    payload = {"instance": instance, "solver": {"method": "gd"}}
+    code, out, err = _run(capsys, ["solve", "--config", _write(tmp_path, payload), "--out", str(tmp_path)])
+    assert code == 0, err
+    kv = dict(line.split("=", 1) for line in out.strip().split("\n"))
+    assert list(kv)[-2:] == ["classification", "global_rel"]
+    gt, obs = InstanceSpec(**instance).regenerate()
+    cfg = objective.ObjectiveConfig(default_hyperparams(gt, obs.p), obs)
+    scfg = solvers.SolverConfig(method=solvers.Method.GD)
+    res = solvers.solve(cfg, scfg, solvers.random_init(gt.d, gt.rank, obs, scfg.seed))
+    rep = certify_point(res.X, cfg, gt, eig=res.eig)
+    assert kv["classification"] == rep.classification.value == "GlobalMin"
+    assert kv["global_rel"] == repr(rep.global_rel) == repr(CertTolerances().radius(gt, obs)) == global_rel
+    # a radius of 1 or more puts the origin inside it, which stderr says
+    assert ("note: global_rel >= 1" in err) == (rep.global_rel >= 1)
+
+
 @pytest.mark.parametrize("seed", [1, 2, 4, 5])
 def test_solve_from_the_frobenius_estimate_start_is_global_min(tmp_path, capsys, seed):
     # noise drives the observed diagonal sum of these instances to <= 0, so
@@ -617,6 +671,8 @@ def test_library_scan_takes_the_cli_default_radius(tmp_path, capsys):
     code, out, err = _run(capsys, ["scan", "--config", _write(tmp_path, payload), "--out", str(tmp_path)])
     assert code == 0, err
     assert "GlobalMin=4" in out.split("\n")
+    assert "global_rel=1.4979523416388438" in out.split("\n")
+    assert "note: global_rel >= 1" in err
     gt, obs = InstanceSpec(**instance).regenerate()
     scfg = solvers.SolverConfig(method=solvers.Method.GD)
     summary = landscape_scan(gt, obs, default_hyperparams(gt, obs.p), scfg, n_starts=4, base_seed=0)
