@@ -18,7 +18,7 @@ import numpy as np
 
 from . import objective as obj
 from . import solvers
-from .csvio import write_csv
+from .csvio import field_value, store_fields, write_csv
 from .linalg import procrustes_align, singular_extremes
 from .rng import derive_seed
 
@@ -45,6 +45,7 @@ class CertTolerances:
     global_rel: float | None = None
 
     def __post_init__(self):
+        store_fields(self)
         # a bad threshold would silently relabel endpoints; `not x > 0` also catches nan
         if self.global_rel is not None and not (math.isfinite(self.global_rel) and self.global_rel > 0):
             raise ValueError(f"global_rel must be positive and finite, got {self.global_rel}")
@@ -264,14 +265,23 @@ class ScanSummary:
     rows: tuple
 
 
+def _count(name, value):
+    """`value` as a count: an int field's value by `csvio.field_value`, at least 1."""
+    value = field_value(name, value, int)
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return value
+
+
 def map_in_order(fn, items, threads):
     """[fn(x) for x in items], computed by up to `threads` worker threads.
 
     Results keep the order of `items`, so output never depends on the
     thread count.  With one thread this is a plain loop on the calling
     thread, where signal handlers (a timing probe's SIGALRM) still run.
+    A `threads` that is no count (`_count`) raises before any call.
     """
-    if threads > 1:
+    if _count("threads", threads) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, items))
     return [fn(x) for x in items]
@@ -301,10 +311,10 @@ def landscape_scan(gt, obs, hyper, scfg, n_starts, base_seed, tols=None, threads
     Start k uses a seed derived from (base_seed, k), so the outcome is a pure
     function of the arguments; the thread count only changes wall time.
     `tols` goes to `certify_point`, which takes the instance's default
-    radius where it is None.
+    radius where it is None.  An `n_starts` or `threads` that is no count
+    (`_count`) raises before any start runs.
     """
-    if n_starts < 1:
-        raise ValueError(f"n_starts must be >= 1, got {n_starts}")
+    n_starts = _count("n_starts", n_starts)
     cfg = obj.ObjectiveConfig(hyper, obs)
     rows = map_in_order(
         lambda k: _scan_one(k, gt, obs, cfg, scfg, base_seed, tols), range(n_starts), threads

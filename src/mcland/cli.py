@@ -16,10 +16,8 @@ import argparse
 import dataclasses
 import json
 import sys
-import typing
 from contextlib import contextmanager
 from dataclasses import MISSING
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +32,7 @@ from .certify import (
     scan_to_csv,
 )
 from .concentration import ConcentrationTrial, fit_scaling, run_concentration, trials_to_csv
-from .csvio import cell
+from .csvio import cell, field_value
 from .instance import InstanceSpec, default_hyperparams, HyperParams
 from .objective import ObjectiveConfig
 from .rng import check_seed
@@ -54,16 +52,13 @@ def _invalid(path):
         raise ConfigError(f"invalid {path}: {exc}") from exc
 
 
-def _type_name(spec):
-    return " or ".join(t.__name__ for t in spec)
-
-
 def _get(block, path, key, tp, default=MISSING):
     """Pop `key` from a JSON object and check it against the type annotation `tp`.
 
-    Ints are accepted for float, booleans only for bool; enums take their
-    values and dataclasses recurse.  An absent key gives `default`, or an
-    error when there is none.
+    A dataclass recurses; any other value is checked and stored by the
+    records' own rule, `csvio.field_value`, whose error this reports as a
+    config error naming the key path (`'instance.d' must be int, got str`).
+    An absent key gives `default`, or an error when there is none.
     """
     if key not in block:
         if default is MISSING:
@@ -74,17 +69,10 @@ def _get(block, path, key, tp, default=MISSING):
     if dataclasses.is_dataclass(tp):
         with _invalid(path):
             return tp(**_fields(tp, val, path))
-    if issubclass(tp, Enum):
-        names = [m.value for m in tp]
-        if val not in names:
-            raise ConfigError(f"'{path}' must be one of: {', '.join(names)}")
-        return tp(val)
-    allowed = (int, float) if tp is float else (tp,)
-    if isinstance(val, bool) and tp is not bool:
-        raise ConfigError(f"'{path}' must be {_type_name(allowed)}, got a boolean")
-    if not isinstance(val, allowed):
-        raise ConfigError(f"'{path}' must be {_type_name(allowed)}, got {type(val).__name__}")
-    return float(val) if tp is float else val
+    try:
+        return field_value(f"'{path}'", val, tp)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _check_empty(block, path):
@@ -103,7 +91,6 @@ def _fields(cls, block, path, required=(), skip=()):
     if not isinstance(block, dict):
         raise ConfigError(f"'{path}' must be an object")
     block = dict(block)
-    hints = typing.get_type_hints(cls)
     kwargs = {}
     for f in dataclasses.fields(cls):
         if f.name in skip:
@@ -111,7 +98,7 @@ def _fields(cls, block, path, required=(), skip=()):
         default = f.default if f.default_factory is MISSING else f.default_factory()
         if f.name in required:
             default = MISSING
-        kwargs[f.name] = _get(block, path, f.name, hints[f.name], default)
+        kwargs[f.name] = _get(block, path, f.name, f.type, default)
     _check_empty(block, path)
     return kwargs
 

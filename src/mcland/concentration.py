@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .csvio import write_csv
+from .csvio import store_fields, write_csv
 from .instance import sample_mask
 from .linalg import row_incoherence
 from .rng import check_seed, derive_seed, substream
@@ -53,6 +53,7 @@ class ConcentrationTrial:
     seed: int = 0
 
     def __post_init__(self):
+        store_fields(self)
         if self.d <= 0:
             raise ValueError(f"d must be positive, got {self.d}")
         if not 0.0 <= self.p <= 1.0:
@@ -131,8 +132,7 @@ def _sqrt_per_budget(x, p, d):
 
 def run_concentration(spec):
     """Run the Monte-Carlo cell; deterministic in spec.seed."""
-    kind = Kind(spec.kind)
-    d, r, p, sigma = spec.d, spec.r, spec.p, spec.sigma
+    kind, d, r, p, sigma = spec.kind, spec.d, spec.r, spec.p, spec.sigma
     logd = math.log(d)
     records = []
     for t in range(spec.trials):
@@ -222,7 +222,7 @@ def trials_to_csv(results, stream=None):
     """Per-trial rows for a list of TrialResult, in given order."""
     rows = (
         [
-            Kind(res.spec.kind),
+            res.spec.kind,
             res.spec.d,
             res.spec.r,
             float(res.spec.p),

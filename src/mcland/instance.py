@@ -27,11 +27,11 @@ shape of the call, as it already does by its thread count.
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields
-from numbers import Integral, Real
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .csvio import store_fields
 from .linalg import ObservationMask, row_incoherence, singular_extremes
 from .rng import check_seed, substream
 
@@ -236,6 +236,7 @@ class HyperParams:
     tau: float
 
     def __post_init__(self):
+        store_fields(self)
         if not 0 < self.alpha < math.inf:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if not 0 <= self.reg_weight < math.inf:
@@ -280,12 +281,7 @@ class InstanceSpec:
     include_diagonal: bool = True
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            accepted = {int: Integral, float: Real, bool: (bool, np.bool_)}[f.type]
-            if (isinstance(value, bool) and f.type is not bool) or not isinstance(value, accepted):
-                raise TypeError(f"{f.name} must be {f.type.__name__}, got {type(value).__name__}")
-            object.__setattr__(self, f.name, f.type(value))
+        store_fields(self)
         if self.d < 1 or not 1 <= self.r <= self.d:
             raise ValueError("need d >= 1 and 1 <= r <= d")
         if not 0.0 <= self.p <= 1.0:

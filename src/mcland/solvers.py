@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import objective as obj
-from .csvio import write_csv
+from .csvio import store_fields, write_csv
 from .rng import check_seed, substream
 
 _STEP_UNDERFLOW = 1e-16
@@ -69,6 +69,7 @@ class SgdParams:
     batch: int = 64
 
     def __post_init__(self):
+        store_fields(self)
         if self.batch < 1:
             raise ValueError(f"batch must be >= 1, got {self.batch}")
 
@@ -81,6 +82,7 @@ class SolverConfig:
     sgd: SgdParams = field(default_factory=SgdParams)
 
     def __post_init__(self):
+        store_fields(self)
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         check_seed(self.seed)
@@ -347,9 +349,8 @@ def solve(cfg, scfg, X0):
     An empty mask is a ValueError: with no entry to fit, the objective is
     the penalty alone, whose minima say nothing about the truth.
     """
-    method = Method(scfg.method)
     if not cfg.n_pairs:
         raise ValueError("the mask is empty: the objective is the penalty alone, with no entry to fit")
-    if method is Method.SGD:
+    if scfg.method is Method.SGD:
         return _sgd(cfg, scfg, X0)
-    return _descend(cfg, scfg, X0, witness_steps=method is Method.PERTURBED_GD)
+    return _descend(cfg, scfg, X0, witness_steps=scfg.method is Method.PERTURBED_GD)

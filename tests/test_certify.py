@@ -233,11 +233,15 @@ def test_certificate_takes_tau_from_the_hyperparameters():
         dict(stationary=-1e-6),
         dict(tau=-1e-9),
         dict(tau=math.nan),
+        # a bool is no radius: True once certified at radius 1.0
+        dict(global_rel=True),
     ],
 )
 def test_bad_tolerances_are_rejected(kwargs):
-    key = next(iter(kwargs))
-    with pytest.raises(ValueError if key == "global_rel" else TypeError, match=key):
+    (key, value), = kwargs.items()
+    # a value of the wrong type is a TypeError, as in every config record
+    error = ValueError if key == "global_rel" and not isinstance(value, bool) else TypeError
+    with pytest.raises(error, match=key):
         CertTolerances(**kwargs)
 
 
@@ -444,6 +448,29 @@ def test_scan_rejects_zero_starts():
     gt, obs, cfg = make_problem(10, 1, seed=21)
     with pytest.raises(ValueError):
         landscape_scan(gt, obs, cfg.hyper, SolverConfig(), n_starts=0, base_seed=1)
+
+
+@pytest.mark.parametrize(
+    "key,value,error",
+    [("n_starts", True, TypeError), ("n_starts", 2.0, TypeError), ("threads", 0, ValueError),
+     ("threads", -3, ValueError), ("threads", True, TypeError), ("threads", 2.0, TypeError)],
+)
+def test_scan_rejects_counts_before_any_start(monkeypatch, key, value, error):
+    # n_starts=True once ran one start, and threads 0, -3 or True one thread
+    gt, obs, cfg = make_problem(10, 1, seed=21)
+    starts = []
+    monkeypatch.setattr(certify, "_scan_one", lambda *args: starts.append(args))
+    with pytest.raises(error, match=key):
+        landscape_scan(gt, obs, cfg.hyper, SolverConfig(), **{"n_starts": 2, "base_seed": 1, key: value})
+    assert starts == []
+
+
+@pytest.mark.parametrize("threads,error", [(0, ValueError), (-3, ValueError), (True, TypeError), (2.0, TypeError)])
+def test_map_in_order_rejects_thread_counts_before_any_call(threads, error):
+    calls = []
+    with pytest.raises(error, match="threads"):
+        certify.map_in_order(calls.append, [1, 2], threads)
+    assert calls == []
 
 
 def test_scan_csv_schema():

@@ -148,6 +148,14 @@ def test_spec_validation():
     for sigma in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="sigma"):
             ConcentrationTrial(kind=Kind.NOISE_INNER, d=10, p=0.5, sigma=sigma)
+    with pytest.raises(ValueError, match="kind"):
+        ConcentrationTrial(kind="bogus", d=10, p=0.5)
+    with pytest.raises(TypeError, match="d must be int"):
+        ConcentrationTrial(kind=Kind.SPECTRAL, d=10.0, p=0.5)
+
+
+def test_spec_stores_the_kind_member():
+    assert ConcentrationTrial(kind="spectral", d=10, p=0.5).kind is Kind.SPECTRAL
 
 
 # ---------------------------------------------------------------------------

@@ -403,6 +403,9 @@ def test_hyperparams_validation():
         for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=f"{field}.*finite"):
                 HyperParams(**{"alpha": 1.0, "reg_weight": 1.0, "tau": 0.0, field: value})
+    # a bool is no real: alpha=True once gave a threshold of 1
+    with pytest.raises(TypeError, match="alpha"):
+        HyperParams(alpha=True, reg_weight=1.0, tau=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -723,3 +723,23 @@ def test_config_validation():
         SolverConfig(max_iters=0)
     with pytest.raises(ValueError):
         SgdParams(batch=0)
+
+
+@pytest.mark.parametrize(
+    "record,kwargs,error",
+    [
+        (SolverConfig, dict(method="bogus"), ValueError),
+        # True once ended every start NotStationary after one step
+        (SolverConfig, dict(max_iters=True), TypeError),
+        (SolverConfig, dict(max_iters=2.5), TypeError),
+        (SgdParams, dict(batch=2.5), TypeError),
+    ],
+)
+def test_solver_records_reject_values_of_the_wrong_type(record, kwargs, error):
+    with pytest.raises(error, match=next(iter(kwargs))):
+        record(**kwargs)
+
+
+def test_solver_records_store_their_annotated_types():
+    assert SolverConfig(method="gd").method is Method.GD
+    assert type(SgdParams(batch=np.int64(8)).batch) is int
