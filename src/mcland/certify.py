@@ -2,11 +2,11 @@
 
 `certify_point` classifies a candidate factor by gradient norm, smallest
 Hessian eigenvalue, and recovery error against the ground truth.
-`landscape_scan` runs one solve and one `certify_point` from each of many
-random starts, optionally across a thread pool; each row it returns is the
-certificate of that start's endpoint plus the start's seed and solver
-status.  Results are deterministic in the base seed regardless of thread
-count.
+`solve_and_certify`, the one path from a seeded random start to a row, solves
+and certifies it; `mcland solve` runs it once and `landscape_scan` once per
+start, optionally across a thread pool.  A row is the certificate of the
+endpoint plus the start's seed and solver status.  Scan results are
+deterministic in the base seed regardless of thread count.
 """
 
 import math
@@ -287,12 +287,18 @@ def map_in_order(fn, items, threads):
     return [fn(x) for x in items]
 
 
-def _scan_one(index, gt, obs, cfg, scfg, base_seed, tols):
+def solve_and_certify(cfg, gt, scfg, tols=None):
+    """(SolveResult, ScanRow) of one start: `solve` from `random_init` at scfg.seed, then
+    `certify_point` with the solver's eigensolve.  What the start raises propagates."""
+    res = solvers.solve(cfg, scfg, solvers.random_init(gt.d, gt.rank, cfg.obs, scfg.seed))
+    rep = certify_point(res.X, cfg, gt, tols, res.eig)
+    return res, ScanRow(**vars(rep), start_seed=scfg.seed, status=res.status.value)
+
+
+def _scan_one(index, gt, cfg, scfg, base_seed, tols):
     seed_k = derive_seed(base_seed, "scan-start", index)
     try:
-        X0 = solvers.random_init(obs.d, gt.rank, obs, seed_k)
-        res = solvers.solve(cfg, replace(scfg, seed=seed_k), X0)
-        rep = certify_point(res.X, cfg, gt, tols, res.eig)
+        return solve_and_certify(cfg, gt, replace(scfg, seed=seed_k), tols)[1]
     except Exception as exc:
         # a failed start is reported, never allowed to abort the scan
         return ScanRow(
@@ -301,15 +307,14 @@ def _scan_one(index, gt, obs, cfg, scfg, base_seed, tols):
             status="solver_error",
             error=f"{type(exc).__name__}: {exc}",
         )
-    return ScanRow(**vars(rep), start_seed=seed_k, status=res.status.value)
 
 
 def landscape_scan(gt, obs, hyper, scfg, n_starts, base_seed, tols=None, threads=1):
     """Solve from n_starts random inits of the ground-truth rank and certify
     every endpoint.
 
-    Start k uses a seed derived from (base_seed, k), so the outcome is a pure
-    function of the arguments; the thread count only changes wall time.
+    Start k is `solve_and_certify` at a seed derived from (base_seed, k), not scfg.seed,
+    so the outcome is a pure function of the arguments; threads change only wall time.
     `tols` goes to `certify_point`, which takes the instance's default
     radius where it is None.  An `n_starts` or `threads` that is no count
     (`_count`) raises before any start runs.
@@ -317,7 +322,7 @@ def landscape_scan(gt, obs, hyper, scfg, n_starts, base_seed, tols=None, threads
     n_starts = _count("n_starts", n_starts)
     cfg = obj.ObjectiveConfig(hyper, obs)
     rows = map_in_order(
-        lambda k: _scan_one(k, gt, obs, cfg, scfg, base_seed, tols), range(n_starts), threads
+        lambda k: _scan_one(k, gt, cfg, scfg, base_seed, tols), range(n_starts), threads
     )
 
     counts = {c: 0 for c in PointClass}

@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Four subcommands: `gen` materializes an instance record, `solve` runs one
-solver and certifies the endpoint, `scan` certifies endpoints from many
-random starts, `conc` sweeps a concentration experiment over a p grid.
+Four subcommands: `gen` materializes an instance record, `solve` solves and
+certifies one start, `scan` runs that start (`certify.solve_and_certify`) at
+seeds derived from `scan.base_seed`, so `solver.seed` is an error there, and
+`conc` sweeps a concentration experiment over a p grid.
 Configs are strict JSON (unknown and repeated keys are errors); the record
 `gen` writes is an `instance` block.  Outputs are CSV files with
 deterministic bytes, so a rerun of the same config is byte-identical;
@@ -26,10 +27,10 @@ from . import solvers
 from .certify import (
     CertTolerances,
     PointClass,
-    certify_point,
     landscape_scan,
     map_in_order,
     scan_to_csv,
+    solve_and_certify,
 )
 from .concentration import ConcentrationTrial, fit_scaling, run_concentration, trials_to_csv
 from .csvio import cell, field_value
@@ -130,7 +131,7 @@ def _load_config(path):
         raise ConfigError(f"cannot read config file: {exc}") from exc
     try:
         cfg = json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past Python's digit limit
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
@@ -200,7 +201,7 @@ def _parse_concentration(cfg):
         raise ConfigError("'concentration.p_grid' must be a non-empty list of numbers")
     base = _fields(ConcentrationTrial, block, "concentration", skip=("p",))
     with _invalid("concentration"):
-        return [ConcentrationTrial(**base, p=float(p)) for p in p_grid]
+        return [ConcentrationTrial(**base, p=p) for p in p_grid]
 
 
 def _underobserved_rows(obs, r):
@@ -240,23 +241,22 @@ def cmd_gen(cfg, out_dir):
 def cmd_solve(cfg, out_dir):
     gt, obs, hyper, scfg = _parse_problem(cfg)
     _check_empty(cfg, "config")
-    ocfg = ObjectiveConfig(hyper, obs)
-    X0 = solvers.random_init(gt.d, gt.rank, obs, scfg.seed)
-    res = solvers.solve(ocfg, scfg, X0)
-    rep = certify_point(res.X, ocfg, gt, eig=res.eig)
+    res, row = solve_and_certify(ObjectiveConfig(hyper, obs), gt, scfg)
     with open(out_dir / "trace.csv", "w", newline="") as fh:
         solvers.trace_to_csv(res.trace, fh)
-    print(f"status={res.status.value}")
-    print(f"f={cell(res.f)}")
-    print(f"grad_norm={cell(res.grad_norm)}")
-    print(f"lambda_min={cell(rep.lambda_min)}")
-    print(f"recovery_fro={cell(rep.recovery_fro)}")
-    print(f"classification={rep.classification.value}")
-    _print_radius(rep.global_rel, [rep.classification])
+    print(f"status={row.status}")
+    print(f"f={cell(row.f_final)}")
+    print(f"grad_norm={cell(row.grad_norm)}")
+    print(f"lambda_min={cell(row.lambda_min)}")
+    print(f"recovery_fro={cell(row.recovery_fro)}")
+    print(f"classification={row.classification.value}")
+    _print_radius(row.global_rel, [row.classification])
     return 0
 
 
 def cmd_scan(cfg, out_dir, threads=1, assert_clean=False):
+    if isinstance(cfg.get("solver"), dict) and "seed" in cfg["solver"]:
+        raise ConfigError("'solver.seed' is not a scan key: scan.base_seed seeds every start")
     gt, obs, hyper, scfg = _parse_problem(cfg)
     n_starts, base_seed, tols = _parse_scan(cfg)
     _check_empty(cfg, "config")

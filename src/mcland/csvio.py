@@ -56,8 +56,9 @@ def field_value(name, value, tp):
     store the Python type, so numpy scalars become Python ones.  An enum
     field takes a member's value and stores the member; a `T | None` field
     also takes None; any other type (a nested record, a list) takes its
-    instances.  A wrong type is a TypeError, and an enum value no member
-    has a ValueError listing the members; both name `name`.
+    instances.  A wrong type is a TypeError; an enum value no member has is
+    a ValueError listing the members, and a real too large for a float a
+    ValueError too; all name `name`.
     """
     if type(None) in typing.get_args(tp):  # T | None
         if value is None:
@@ -72,7 +73,10 @@ def field_value(name, value, tp):
     if is_bool != (tp is bool) or not isinstance(value, _SCALARS.get(tp, tp)):
         got = "a boolean" if is_bool else type(value).__name__
         raise TypeError(f"{name} must be {'int or float' if tp is float else tp.__name__}, got {got}")
-    return tp(value) if tp in _SCALARS else value
+    try:
+        return tp(value) if tp in _SCALARS else value
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float") from None
 
 
 def store_fields(record):

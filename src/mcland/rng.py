@@ -16,9 +16,7 @@ _MASK32 = 0xFFFFFFFF
 
 def _tag_words(tag):
     """Map a tag to a list of 32-bit words for SeedSequence entropy."""
-    if isinstance(tag, (bool, float)):
-        raise TypeError(f"rng tag must be int or str, got {type(tag).__name__}")
-    if isinstance(tag, (int, np.integer)):
+    if isinstance(tag, (int, np.integer)) and not isinstance(tag, bool):
         v = int(tag)
         if v < 0:
             raise ValueError(f"rng tag must be non-negative, got {v}")

@@ -78,7 +78,7 @@ class SgdParams:
 class SolverConfig:
     method: Method = Method.GD
     max_iters: int = 20000
-    seed: int = 0  # SGD draws its batches from it; GD and perturbed GD draw nothing from it
+    seed: int = 0  # seeds the start (random_init in certify.solve_and_certify) and SGD's batches
     sgd: SgdParams = field(default_factory=SgdParams)
 
     def __post_init__(self):

@@ -9,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mcland import cli, objective, solvers
+from mcland import certify, cli, objective, solvers
 from mcland.certify import SCAN_COLUMNS, CertTolerances, PointClass, certify_point, landscape_scan, scan_to_csv
 from mcland.instance import InstanceSpec, default_hyperparams
+from mcland.rng import derive_seed
 
 
 def _write(tmp_path, payload, name="config.json"):
@@ -148,6 +149,11 @@ def test_malformed_or_missing_config_is_config_error(tmp_path, capsys):
     listy = tmp_path / "list.json"
     listy.write_text("[1, 2]")
     assert cli.main(["gen", "--config", str(listy), "--out", str(tmp_path)]) == 2
+    # json reads an integer past Python's digit limit (4300 by default) as a ValueError
+    digits = tmp_path / "digits.json"
+    digits.write_text('{"instance": {"d": 20, "r": 1, "seed": 1, "p": 0.8, "sigma": 1' + "0" * 5000 + "}}")
+    assert cli.main(["gen", "--config", str(digits), "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "instance.json").exists()
     capsys.readouterr()
 
 
@@ -420,6 +426,18 @@ _CONC = {"kind": "noise_inner", "d": 10, "p_grid": [0.5], "trials": 2}
             ("conc", "concentration", lambda seed: {"concentration": {**_CONC, "seed": seed}}),
         )
         for seed in (-1, 2**64)
+    ]
+    # a JSON integer no float holds once exited 3 with "internal error: OverflowError"
+    + [
+        ("gen", {"instance": _instance_block(sigma=10**400)}, "'instance.sigma' is too large for a float"),
+        ("solve", {"instance": _instance_block(), "hyper": {"alpha": 10**400}}, "'hyper.alpha' is too large for a float"),
+        ("conc", {"concentration": {**_CONC, "p_grid": [0.5, 10**400]}}, "invalid concentration: p is too large for a float"),
+    ]
+    # scan.base_seed seeds every start: two scans that differed only in solver.seed once wrote the same bytes
+    + [
+        ("scan", {"instance": _instance_block(), "solver": {"method": "sgd", "seed": seed}, "scan": _SCAN},
+         "'solver.seed' is not a scan key")
+        for seed in (0, 5)
     ],
 )
 def test_config_errors_name_their_key(tmp_path, capsys, command, payload, message):
@@ -660,6 +678,53 @@ def test_scan_solves_each_start_once(tmp_path, capsys, monkeypatch):
     n_starts = payload["scan"]["n_starts"]
     assert kv["SpuriousLocalMin"] == str(n_starts)
     assert calls == ["solve", "_descend"] * n_starts
+
+
+_RERUN_CELLS = ("status", "f", "grad_norm", "lambda_min", "recovery_fro", "classification", "global_rel")
+
+
+@pytest.mark.parametrize("method", ["gd", "perturbed_gd", "sgd"])
+def test_a_scan_row_reruns_with_solve_at_its_start_seed(tmp_path, capsys, method):
+    # solve and every scan start run certify.solve_and_certify, so `mcland solve` at a
+    # row's start_seed prints the row's cells (and the scan's radius)
+    instance = {"d": 20, "r": 1, "seed": 1, "p": 0.8}
+    payload = {"instance": instance, "solver": {"method": method}, "scan": {"n_starts": 3, "base_seed": 0}}
+    code, out, err = _run(capsys, ["scan", "--config", _write(tmp_path, payload), "--out", str(tmp_path)])
+    assert code == 0, err
+    global_rel = next(line for line in out.split("\n") if line.startswith("global_rel="))
+    header, *lines = (tmp_path / "scan.csv").read_text().strip().split("\n")
+    assert len(lines) == 3
+    for k, line in enumerate(lines):
+        row = dict(zip(header.split(","), line.split(",")))
+        rerun = {"instance": instance, "solver": {"method": method, "seed": int(row["start_seed"])}}
+        argv = ["solve", "--config", _write(tmp_path, rerun, f"rerun{k}.json"), "--out", str(tmp_path / f"rerun{k}")]
+        code, out, err = _run(capsys, argv)
+        assert code == 0, err
+        kv = dict(line.split("=", 1) for line in out.strip().split("\n"))
+        assert list(kv) == list(_RERUN_CELLS)
+        cells = [row[col] for col in ("status", "f_final", "grad_norm", "lambda_min", "recovery_fro", "classification")]
+        assert [kv[key] for key in _RERUN_CELLS] == cells + [global_rel.split("=", 1)[1]]
+        assert (tmp_path / f"rerun{k}" / "trace.csv").stat().st_size > 0
+
+
+def test_solve_and_every_scan_start_run_the_one_start_path(tmp_path, capsys, monkeypatch):
+    seeds = []
+    shared = certify.solve_and_certify
+
+    def counted(cfg, gt, scfg, tols=None):
+        seeds.append(scfg.seed)
+        return shared(cfg, gt, scfg, tols)
+
+    monkeypatch.setattr(certify, "solve_and_certify", counted)
+    monkeypatch.setattr(cli, "solve_and_certify", counted)
+    code, out, err = _run(capsys, ["scan", "--config", _write(tmp_path, _scan_payload(n_starts=3)), "--out", str(tmp_path)])
+    assert code == 0, err
+    assert seeds == [derive_seed(5, "scan-start", k) for k in range(3)]
+    seeds.clear()
+    payload = {"instance": _instance_block(d=20), "solver": {"seed": 7}}
+    code, out, err = _run(capsys, ["solve", "--config", _write(tmp_path, payload), "--out", str(tmp_path)])
+    assert code == 0, err
+    assert seeds == [7]
 
 
 def test_library_scan_takes_the_cli_default_radius(tmp_path, capsys):

@@ -34,6 +34,9 @@ def test_rejects_non_integer_non_string_tags():
         substream(1, 2.5)
     with pytest.raises(TypeError):
         substream(1, True)
+    for tag in (True, None, b"init"):  # one message for every type that is no tag
+        with pytest.raises(TypeError, match=f"tag must be int or str, got {type(tag).__name__}"):
+            substream(1, tag)
 
 
 def test_derive_seed_range_and_determinism():
