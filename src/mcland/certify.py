@@ -5,8 +5,8 @@ Hessian eigenvalue, and recovery error against the ground truth.
 `solve_and_certify`, the one path from a seeded random start to a row, solves
 and certifies it; `mcland solve` runs it once and `landscape_scan` once per
 start, optionally across a thread pool.  A row is the certificate of the
-endpoint plus the start's seed and solver status.  Scan results are
-deterministic in the base seed regardless of thread count.
+endpoint plus the start's seed and solver status.  A scan's base seed seeds
+every start, so its results are deterministic in it at any thread count.
 """
 
 import math
@@ -20,7 +20,7 @@ from . import objective as obj
 from . import solvers
 from .csvio import field_value, store_fields, write_csv
 from .linalg import procrustes_align, singular_extremes
-from .rng import derive_seed
+from .rng import check_seed, derive_seed
 
 
 class PointClass(str, Enum):
@@ -313,13 +313,16 @@ def landscape_scan(gt, obs, hyper, scfg, n_starts, base_seed, tols=None, threads
     """Solve from n_starts random inits of the ground-truth rank and certify
     every endpoint.
 
-    Start k is `solve_and_certify` at a seed derived from (base_seed, k), not scfg.seed,
-    so the outcome is a pure function of the arguments; threads change only wall time.
-    `tols` goes to `certify_point`, which takes the instance's default
-    radius where it is None.  An `n_starts` or `threads` that is no count
-    (`_count`) raises before any start runs.
+    Start k is `solve_and_certify` at a seed derived from (base_seed, k), so the outcome
+    is a pure function of the arguments; threads change only wall time.  `tols` goes to
+    `certify_point`, which takes the instance's default radius where it is None.  An
+    `n_starts` or `threads` that is no count (`_count`), a `base_seed` that `check_seed`
+    refuses or an scfg.seed other than 0, which no start would use, raises before any start.
     """
     n_starts = _count("n_starts", n_starts)
+    check_seed(base_seed)
+    if scfg.seed != 0:
+        raise ValueError(f"seed must be 0 in a scan, got {scfg.seed}: base_seed seeds every start")
     cfg = obj.ObjectiveConfig(hyper, obs)
     rows = map_in_order(
         lambda k: _scan_one(k, gt, cfg, scfg, base_seed, tols), range(n_starts), threads

@@ -2,12 +2,12 @@
 
 Four subcommands: `gen` materializes an instance record, `solve` solves and
 certifies one start, `scan` runs that start (`certify.solve_and_certify`) at
-seeds derived from `scan.base_seed`, so `solver.seed` is an error there, and
-`conc` sweeps a concentration experiment over a p grid.
-Configs are strict JSON (unknown and repeated keys are errors); the record
-`gen` writes is an `instance` block.  Outputs are CSV files with
-deterministic bytes, so a rerun of the same config is byte-identical;
-`scan` and `conc` take --threads, which changes only their wall time.
+seeds derived from `scan.base_seed`, so its solver block has no `seed` key,
+and `conc` sweeps a concentration experiment over a p grid.
+Configs are strict JSON, each block and key read by `_block` and `_fields`
+(unknown and repeated keys are errors); `gen` writes an `instance` block.
+Outputs are CSV files with deterministic bytes, so a rerun of the same config
+is byte-identical; `scan` and `conc` take --threads, which change only wall time.
 
 Exit codes: 0 success, 1 failed --assert-clean, 2 config error, 3 internal
 error.
@@ -104,9 +104,9 @@ def _fields(cls, block, path, required=(), skip=()):
     return kwargs
 
 
-def _block(cfg, name):
-    """A required top-level block, as a copy."""
-    block = cfg.pop(name, MISSING)
+def _block(cfg, name, default=MISSING):
+    """A top-level block, as a copy; an absent block is `default`, or an error when there is none."""
+    block = cfg.pop(name, default)
     if block is MISSING:
         raise ConfigError(f"missing required block '{name}'")
     if not isinstance(block, dict):
@@ -149,10 +149,7 @@ def _parse_instance(cfg):
 
 def _parse_hyper(cfg, base):
     """The hyper block; an absent block or key keeps the instance's default."""
-    block = cfg.pop("hyper", {})
-    if not isinstance(block, dict):
-        raise ConfigError("'hyper' must be an object")
-    block = dict(block)
+    block = _block(cfg, "hyper", {})
     alpha = _get(block, "hyper", "alpha", float, default=base.alpha)
     weight = _get(block, "hyper", "lambda", float, default=base.reg_weight)
     tau = _get(block, "hyper", "tau", float, default=base.tau)
@@ -161,21 +158,21 @@ def _parse_hyper(cfg, base):
         return HyperParams(alpha=alpha, reg_weight=weight, tau=tau)
 
 
-def _parse_solver(cfg):
-    kwargs = _fields(solvers.SolverConfig, cfg.pop("solver", {}), "solver")
+def _parse_solver(cfg, skip=()):
+    kwargs = _fields(solvers.SolverConfig, _block(cfg, "solver", {}), "solver", skip=skip)
     with _invalid("solver"):
         return solvers.SolverConfig(**kwargs)
 
 
-def _parse_problem(cfg):
+def _parse_problem(cfg, skip=()):
     """(gt, obs, hyper, solver config) from the instance, hyper and solver blocks of
-    `solve` and `scan`.  Both fit the observed entries: with none, the objective
-    is the penalty alone, so an empty mask is an error."""
+    `solve` and `scan`; a solver field in `skip` is no key.  Both fit the observed
+    entries: with none, the objective is the penalty alone, so an empty mask is an error."""
     _, gt, obs, base = _parse_instance(cfg)
     hyper = _parse_hyper(cfg, base)
     if obs.mask.n_pairs == 0:
         raise ConfigError(f"the mask is empty: the instance observes no entries at p={cell(obs.p)}")
-    return gt, obs, hyper, _parse_solver(cfg)
+    return gt, obs, hyper, _parse_solver(cfg, skip)
 
 
 def _parse_scan(cfg):
@@ -255,9 +252,7 @@ def cmd_solve(cfg, out_dir):
 
 
 def cmd_scan(cfg, out_dir, threads=1, assert_clean=False):
-    if isinstance(cfg.get("solver"), dict) and "seed" in cfg["solver"]:
-        raise ConfigError("'solver.seed' is not a scan key: scan.base_seed seeds every start")
-    gt, obs, hyper, scfg = _parse_problem(cfg)
+    gt, obs, hyper, scfg = _parse_problem(cfg, skip=("seed",))  # scan.base_seed seeds every start
     n_starts, base_seed, tols = _parse_scan(cfg)
     _check_empty(cfg, "config")
     summary = landscape_scan(

@@ -78,7 +78,7 @@ class SgdParams:
 class SolverConfig:
     method: Method = Method.GD
     max_iters: int = 20000
-    seed: int = 0  # seeds the start (random_init in certify.solve_and_certify) and SGD's batches
+    seed: int = 0  # seeds the start and SGD's batches (certify.solve_and_certify); a scan requires 0
     sgd: SgdParams = field(default_factory=SgdParams)
 
     def __post_init__(self):

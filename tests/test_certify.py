@@ -10,6 +10,7 @@ from mcland.certify import (
     CertTolerances,
     PointClass,
     SCAN_COLUMNS,
+    ScanRow,
     certify_point,
     default_global_rel,
     incoherence_certificate,
@@ -19,7 +20,7 @@ from mcland.certify import (
     scan_to_csv,
 )
 from mcland.csvio import cell
-from mcland.instance import HyperParams, InstanceSpec
+from mcland.instance import HyperParams, InstanceSpec, default_hyperparams
 from mcland.objective import ObjectiveConfig, curvature_slack, min_hessian_eig
 from mcland.rng import derive_seed
 from mcland.solvers import Method, SolverConfig, Status, random_init, solve
@@ -423,6 +424,23 @@ def test_certificate_from_the_solvers_eigensolve_is_the_same():
     _same_report(rep, certify_point(saddle, cfg, gt))
 
 
+@pytest.mark.parametrize("method", [Method.GD, Method.PERTURBED_GD, Method.SGD])
+@pytest.mark.parametrize(
+    "instance",
+    [{"d": 20, "r": 2, "seed": 13, "p": 0.8}, {"d": 30, "r": 1, "seed": 4, "p": 0.5},
+     {"d": 40, "r": 2, "seed": 3, "p": 1.0, "scale": 1e100}],  # the last start overflows: f(X0) = inf
+)
+def test_a_certificate_rereads_the_endpoint_the_solver_ended_on(method, instance):
+    # one evaluation of a point: a row's value and gradient norm are the trace's last, bit for bit
+    spec = InstanceSpec(**instance)
+    gt, obs = spec.regenerate()
+    cfg = ObjectiveConfig(default_hyperparams(gt, spec.p), obs)
+    for seed in range(4):
+        res, row = certify.solve_and_certify(cfg, gt, SolverConfig(method=method, seed=seed))
+        assert repr(row.f_final) == repr(res.trace[-1].f)
+        assert repr(row.grad_norm) == repr(res.trace[-1].grad_norm)
+
+
 def test_certificate_from_a_stalled_witness_search_is_the_same(monkeypatch):
     # a witness search that opens below the underflow step ends the run at
     # the strict saddle at the origin, with the eigensolve that found it
@@ -453,16 +471,36 @@ def test_scan_rejects_zero_starts():
 @pytest.mark.parametrize(
     "key,value,error",
     [("n_starts", True, TypeError), ("n_starts", 2.0, TypeError), ("threads", 0, ValueError),
-     ("threads", -3, ValueError), ("threads", True, TypeError), ("threads", 2.0, TypeError)],
+     ("threads", -3, ValueError), ("threads", True, TypeError), ("threads", 2.0, TypeError),
+     ("base_seed", -1, ValueError), ("base_seed", 2**64, ValueError)],
 )
 def test_scan_rejects_counts_before_any_start(monkeypatch, key, value, error):
-    # n_starts=True once ran one start, and threads 0, -3 or True one thread
+    # n_starts=True once ran one start, threads 0, -3 or True one thread, and a
+    # base_seed outside [0, 2**64) raised only when a start derived its seed
     gt, obs, cfg = make_problem(10, 1, seed=21)
     starts = []
     monkeypatch.setattr(certify, "_scan_one", lambda *args: starts.append(args))
-    with pytest.raises(error, match=key):
+    match = rf"seed must lie in \[0, 2\*\*64\), got {value}" if key == "base_seed" else key
+    with pytest.raises(error, match=match):
         landscape_scan(gt, obs, cfg.hyper, SolverConfig(), **{"n_starts": 2, "base_seed": 1, key: value})
     assert starts == []
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_scan_refuses_a_solver_seed_it_would_drop(monkeypatch, threads):
+    # every start runs at a seed derived from base_seed, so a scan at SolverConfig(seed=5)
+    # once wrote the same rows as one at seed 0
+    gt, obs, cfg = make_problem(10, 1, seed=21)
+    starts, built = [], []
+    crashed = ScanRow(classification=PointClass.CRASHED, start_seed=0, status="solver_error")
+    monkeypatch.setattr(certify, "_scan_one", lambda *args: starts.append(args) or crashed)
+    monkeypatch.setattr(certify.obj, "ObjectiveConfig", lambda *args: built.append(args))
+    with pytest.raises(ValueError, match="seed must be 0 in a scan, got 5: base_seed seeds every start"):
+        landscape_scan(gt, obs, cfg.hyper, SolverConfig(seed=5), 2, 1, threads=threads)
+    assert starts == [] and built == []
+    summary = landscape_scan(gt, obs, cfg.hyper, SolverConfig(seed=0), 2, 1, threads=threads)
+    assert len(starts) == 2 and len(built) == 1
+    assert summary.counts[PointClass.CRASHED] == 2
 
 
 @pytest.mark.parametrize("threads,error", [(0, ValueError), (-3, ValueError), (True, TypeError), (2.0, TypeError)])

@@ -433,12 +433,14 @@ _CONC = {"kind": "noise_inner", "d": 10, "p_grid": [0.5], "trials": 2}
         ("solve", {"instance": _instance_block(), "hyper": {"alpha": 10**400}}, "'hyper.alpha' is too large for a float"),
         ("conc", {"concentration": {**_CONC, "p_grid": [0.5, 10**400]}}, "invalid concentration: p is too large for a float"),
     ]
-    # scan.base_seed seeds every start: two scans that differed only in solver.seed once wrote the same bytes
+    # scan.base_seed seeds every start, so a scan reads its solver block without seed: two scans
+    # that differed only in solver.seed once wrote the same bytes
     + [
         ("scan", {"instance": _instance_block(), "solver": {"method": "sgd", "seed": seed}, "scan": _SCAN},
-         "'solver.seed' is not a scan key")
+         "unknown key 'solver.seed'")
         for seed in (0, 5)
-    ],
+    ]
+    + [("scan", {"instance": _instance_block(), "solver": 3, "scan": _SCAN}, "'solver' must be an object")],
 )
 def test_config_errors_name_their_key(tmp_path, capsys, command, payload, message):
     code, out, err = _run(capsys, [command, "--config", _write(tmp_path, payload), "--out", str(tmp_path)])
