@@ -320,7 +320,7 @@ def landscape_scan(gt, obs, hyper, scfg, n_starts, base_seed, tols=None, threads
     refuses or an scfg.seed other than 0, which no start would use, raises before any start.
     """
     n_starts = _count("n_starts", n_starts)
-    check_seed(base_seed)
+    check_seed(base_seed, "base_seed")
     if scfg.seed != 0:
         raise ValueError(f"seed must be 0 in a scan, got {scfg.seed}: base_seed seeds every start")
     cfg = obj.ObjectiveConfig(hyper, obs)

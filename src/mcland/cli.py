@@ -36,7 +36,6 @@ from .concentration import ConcentrationTrial, fit_scaling, run_concentration, t
 from .csvio import cell, field_value
 from .instance import InstanceSpec, default_hyperparams, HyperParams
 from .objective import ObjectiveConfig
-from .rng import check_seed
 
 
 class ConfigError(Exception):
@@ -177,16 +176,12 @@ def _parse_problem(cfg, skip=()):
 
 def _parse_scan(cfg):
     """(n_starts, base_seed, tolerances); without `global_rel` the tolerances are
-    `CertTolerances()`, the instance's radius rule."""
+    `CertTolerances()`, the instance's radius rule; `landscape_scan` checks n_starts and base_seed."""
     block = _block(cfg, "scan")
     n_starts = _get(block, "scan", "n_starts", int)
     base_seed = _get(block, "scan", "base_seed", int)
     global_rel = _get(block, "scan", "global_rel", float, default=None)
     _check_empty(block, "scan")
-    if n_starts < 1:
-        raise ConfigError("'scan.n_starts' must be >= 1")
-    with _invalid("scan.base_seed"):
-        check_seed(base_seed)
     with _invalid("scan.global_rel"):
         return n_starts, base_seed, CertTolerances(global_rel=global_rel)
 
@@ -255,9 +250,10 @@ def cmd_scan(cfg, out_dir, threads=1, assert_clean=False):
     gt, obs, hyper, scfg = _parse_problem(cfg, skip=("seed",))  # scan.base_seed seeds every start
     n_starts, base_seed, tols = _parse_scan(cfg)
     _check_empty(cfg, "config")
-    summary = landscape_scan(
-        gt, obs, hyper, scfg, n_starts=n_starts, base_seed=base_seed, tols=tols, threads=threads
-    )
+    with _invalid("scan"):  # the library checks n_starts and base_seed before any start
+        summary = landscape_scan(
+            gt, obs, hyper, scfg, n_starts=n_starts, base_seed=base_seed, tols=tols, threads=threads
+        )
     with open(out_dir / "scan.csv", "w", newline="") as fh:
         scan_to_csv(summary, fh)
     for cls in PointClass:

@@ -32,12 +32,12 @@ def _tag_words(tag):
     raise TypeError(f"rng tag must be int or str, got {type(tag).__name__}")
 
 
-def check_seed(seed):
-    """Raise unless `seed` is an integer in [0, 2**64), the seeds `substream` takes; a bool is not one."""
+def check_seed(seed, name="seed"):
+    """Raise, naming `name`, unless `seed` is an integer in [0, 2**64), the seeds `substream` takes (a bool is not)."""
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
+        raise TypeError(f"{name} must be an integer, got {type(seed).__name__}")
     if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+        raise ValueError(f"{name} must lie in [0, 2**64), got {seed}")
 
 
 def substream(seed, *tags):

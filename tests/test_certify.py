@@ -480,7 +480,7 @@ def test_scan_rejects_counts_before_any_start(monkeypatch, key, value, error):
     gt, obs, cfg = make_problem(10, 1, seed=21)
     starts = []
     monkeypatch.setattr(certify, "_scan_one", lambda *args: starts.append(args))
-    match = rf"seed must lie in \[0, 2\*\*64\), got {value}" if key == "base_seed" else key
+    match = rf"^base_seed must lie in \[0, 2\*\*64\), got {value}$" if key == "base_seed" else key
     with pytest.raises(error, match=match):
         landscape_scan(gt, obs, cfg.hyper, SolverConfig(), **{"n_starts": 2, "base_seed": 1, key: value})
     assert starts == []

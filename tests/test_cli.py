@@ -396,7 +396,7 @@ _CONC = {"kind": "noise_inner", "d": 10, "p_grid": [0.5], "trials": 2}
         ("gen", {"instance": _instance_block(d="100")}, "'instance.d' must be int, got str"),
         ("scan", {"instance": _instance_block()}, "missing required block 'scan'"),
         ("scan", {"instance": _instance_block(), "scan": [1]}, "'scan' must be an object"),
-        ("scan", {"instance": _instance_block(), "scan": {**_SCAN, "n_starts": 0}}, "'scan.n_starts' must be >= 1"),
+        ("scan", {"instance": _instance_block(), "scan": {**_SCAN, "n_starts": 0}}, "invalid scan: n_starts must be >= 1"),
         ("solve", {"instance": _instance_block(), "hyper": 3}, "'hyper' must be an object"),
         ("conc", {"concentration": {**_CONC, "p_grid": []}}, "'concentration.p_grid' must be a non-empty list"),
         ("conc", {"concentration": {**_CONC, "p_grid": [0.5, "0.6"]}}, "'concentration.p_grid' must be a non-empty list"),
@@ -417,13 +417,13 @@ _CONC = {"kind": "noise_inner", "d": 10, "p_grid": [0.5], "trials": 2}
     + [("gen", {"instance": [1, 2]}, "'instance' must be an object")]
     # every seed a config holds lies in [0, 2**64), the 64 bits a random stream keys on
     + [
-        (command, payload(seed), f"invalid {path}: seed must lie in [0, 2**64), got {seed}")
-        for command, path, payload in (
-            ("gen", "instance", lambda seed: {"instance": _instance_block(seed=seed)}),
-            ("solve", "solver", lambda seed: {"instance": _instance_block(), "solver": {"seed": seed}}),
-            ("scan", "scan.base_seed", lambda seed: {"instance": _instance_block(),
-                                                     "scan": {**_SCAN, "base_seed": seed}}),
-            ("conc", "concentration", lambda seed: {"concentration": {**_CONC, "seed": seed}}),
+        (command, payload(seed), f"invalid {key} must lie in [0, 2**64), got {seed}")
+        for command, key, payload in (
+            ("gen", "instance: seed", lambda seed: {"instance": _instance_block(seed=seed)}),
+            ("solve", "solver: seed", lambda seed: {"instance": _instance_block(), "solver": {"seed": seed}}),
+            ("scan", "scan: base_seed", lambda seed: {"instance": _instance_block(),
+                                                      "scan": {**_SCAN, "base_seed": seed}}),
+            ("conc", "concentration: seed", lambda seed: {"concentration": {**_CONC, "seed": seed}}),
         )
         for seed in (-1, 2**64)
     ]

@@ -620,6 +620,32 @@ def test_pair_gradient_sum_checks_its_operand_and_takes_64_bit_tables(monkeypatc
             pair_gradient_sum(Y, cfg, pos)
 
 
+def _column_gram(cfg, X):
+    """<X_i, X_j> on the stored pairs by the plain formula: x[i] * x[j] for
+    each column x, summed in column order."""
+    mask = cfg.obs.mask
+    cols = X.T
+    return sum((x[mask.i] * x[mask.j] for x in cols[1:]), cols[0][mask.i] * cols[0][mask.j])
+
+
+def test_pair_gram_checks_its_operand_before_the_kernel(monkeypatch):
+    cfg, X, _ = _kernel_problem(12, 3, 0.6, True)
+    # a float32 factor is cast to float64 first: the bits of its float64 copy
+    X32 = X.astype(np.float32)
+    assert np.array_equal(cfg.pair_gram(X32), cfg.pair_gram(X32.astype(np.float64)))
+    assert np.array_equal(cfg.residuals(X32), cfg.residuals(X32.astype(np.float64)))
+
+    # the compiled kernel would read past the end of a short column
+    def kernel(*args):
+        raise AssertionError("the kernel was called")
+
+    monkeypatch.setattr(objective, "csr_scale_columns", kernel)
+    for Y in (X[:-1], np.vstack([X, X]), X[:, 0]):
+        for method in (cfg.pair_gram, cfg.residuals):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                method(Y)
+
+
 def _oracle_matrix(cfg, pair_values):
     """The symmetric d x d matrix carrying `pair_values` on the stored pairs,
     built by public scipy from the mask's pairs in both orders, in canonical
@@ -655,11 +681,6 @@ def test_column_products_are_bit_identical_to_multivector(d, r, p, include_diago
     # the compiled-kernel products against scipy's public CSR products, whose
     # multi-vector kernel sums each row in the same order: the same floats
     cfg, X, V = _kernel_problem(d, r, p, include_diagonal)
-    mask = cfg.obs.mask
-    cols = X.T
-    gram = sum((x[mask.i] * x[mask.j] for x in cols[1:]), cols[0][mask.i] * cols[0][mask.j])
-    assert np.array_equal(cfg.pair_gram(X), gram)
-
     # 64-bit copies of the index arrays (U's row pointers and columns, and the mirror-pass
     # rows), the config of a pattern too large for 32
     wide = copy.copy(cfg)
@@ -668,7 +689,9 @@ def test_column_products_are_bit_identical_to_multivector(d, r, p, include_diago
     alpha, w = cfg.hyper.alpha, cfg.hyper.reg_weight
     for c in (cfg, wide):
         for Y in (X, np.asfortranarray(V), V[:, :1]):
-            resid = c.residuals(Y)
+            gram, resid = _column_gram(cfg, Y), c.residuals(Y)
+            assert np.array_equal(c.pair_gram(Y), gram)
+            assert np.array_equal(resid, cfg.obs.values - gram)
             out = c.masked_matmul(resid, Y)
             assert out.flags.c_contiguous
             product = _oracle_matrix(cfg, resid) @ Y
@@ -697,8 +720,10 @@ def test_infinite_entries_on_a_row_with_a_diagonal_pair_give_the_oracle_bits(d, 
             values[k] = value
         with np.errstate(invalid="ignore"):  # inf - inf is the NaN under test
             out, expected = cfg.masked_matmul(values, Y), _oracle_matrix(cfg, values) @ Y
+            gram, expected_gram = cfg.pair_gram(Y), _column_gram(cfg, Y)
             HV, expected_HV = hessian_operator(X, cfg, values)(U), _oracle_hessian(X, U, cfg, values)
         assert out.tobytes() == expected.tobytes()
+        assert np.array_equal(gram, expected_gram, equal_nan=True)
         assert np.array_equal(HV, expected_HV, equal_nan=True)
         if diag.size:  # the row with the diagonal pair is not finite
             assert not np.isfinite(out[row]).all() and not np.isfinite(HV[row]).all()
