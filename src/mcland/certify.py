@@ -314,15 +314,19 @@ def landscape_scan(gt, obs, hyper, scfg, n_starts, base_seed, tols=None, threads
     every endpoint.
 
     Start k is `solve_and_certify` at a seed derived from (base_seed, k), so the outcome
-    is a pure function of the arguments; threads change only wall time.  `tols` goes to
-    `certify_point`, which takes the instance's default radius where it is None.  An
-    `n_starts` or `threads` that is no count (`_count`), a `base_seed` that `check_seed`
-    refuses or an scfg.seed other than 0, which no start would use, raises before any start.
+    is a pure function of the arguments; threads change only wall time.  `tols` (None: the
+    instance's radius) goes to `certify_point`.  Before any start it refuses an `n_starts` or
+    `threads` that is no count (`_count`), a `base_seed` that `check_seed` refuses, an scfg.seed
+    other than 0, which no start would use, a `tols` of another type, a `gt` of another d than
+    `obs`, and an empty mask (`ObjectiveConfig`).
     """
     n_starts = _count("n_starts", n_starts)
     check_seed(base_seed, "base_seed")
     if scfg.seed != 0:
         raise ValueError(f"seed must be 0 in a scan, got {scfg.seed}: base_seed seeds every start")
+    tols = field_value("tols", tols, CertTolerances | None)
+    if gt.d != obs.d:
+        raise ValueError(f"dimension mismatch: factor has d={gt.d}, instance has d={obs.d}")
     cfg = obj.ObjectiveConfig(hyper, obs)
     rows = map_in_order(
         lambda k: _scan_one(k, gt, cfg, scfg, base_seed, tols), range(n_starts), threads

@@ -69,6 +69,11 @@ def _get(block, path, key, tp, default=MISSING):
     if dataclasses.is_dataclass(tp):
         with _invalid(path):
             return tp(**_fields(tp, val, path))
+    return _value(path, val, tp)
+
+
+def _value(path, val, tp):
+    """`val` by `csvio.field_value`, whose error is a config error naming `path`."""
     try:
         return field_value(f"'{path}'", val, tp)
     except (TypeError, ValueError) as exc:
@@ -164,14 +169,10 @@ def _parse_solver(cfg, skip=()):
 
 
 def _parse_problem(cfg, skip=()):
-    """(gt, obs, hyper, solver config) from the instance, hyper and solver blocks of
-    `solve` and `scan`; a solver field in `skip` is no key.  Both fit the observed
-    entries: with none, the objective is the penalty alone, so an empty mask is an error."""
+    """(gt, obs, hyper, solver config) from the instance, hyper and solver blocks of `solve`
+    and `scan`; a solver field in `skip` is no key.  `ObjectiveConfig` refuses an empty mask."""
     _, gt, obs, base = _parse_instance(cfg)
-    hyper = _parse_hyper(cfg, base)
-    if obs.mask.n_pairs == 0:
-        raise ConfigError(f"the mask is empty: the instance observes no entries at p={cell(obs.p)}")
-    return gt, obs, hyper, _parse_solver(cfg, skip)
+    return gt, obs, _parse_hyper(cfg, base), _parse_solver(cfg, skip)
 
 
 def _parse_scan(cfg):
@@ -189,8 +190,9 @@ def _parse_scan(cfg):
 def _parse_concentration(cfg):
     block = _block(cfg, "concentration")
     p_grid = _get(block, "concentration", "p_grid", list)
-    if not p_grid or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in p_grid):
-        raise ConfigError("'concentration.p_grid' must be a non-empty list of numbers")
+    if not p_grid:
+        raise ConfigError("'concentration.p_grid' must be a non-empty list")
+    p_grid = [_value(f"concentration.p_grid[{k}]", p, float) for k, p in enumerate(p_grid)]
     base = _fields(ConcentrationTrial, block, "concentration", skip=("p",))
     with _invalid("concentration"):
         return [ConcentrationTrial(**base, p=p) for p in p_grid]
@@ -233,7 +235,9 @@ def cmd_gen(cfg, out_dir):
 def cmd_solve(cfg, out_dir):
     gt, obs, hyper, scfg = _parse_problem(cfg)
     _check_empty(cfg, "config")
-    res, row = solve_and_certify(ObjectiveConfig(hyper, obs), gt, scfg)
+    with _invalid("instance"):  # ObjectiveConfig refuses an empty mask
+        objective = ObjectiveConfig(hyper, obs)
+    res, row = solve_and_certify(objective, gt, scfg)
     with open(out_dir / "trace.csv", "w", newline="") as fh:
         solvers.trace_to_csv(res.trace, fh)
     print(f"status={row.status}")
@@ -250,7 +254,7 @@ def cmd_scan(cfg, out_dir, threads=1, assert_clean=False):
     gt, obs, hyper, scfg = _parse_problem(cfg, skip=("seed",))  # scan.base_seed seeds every start
     n_starts, base_seed, tols = _parse_scan(cfg)
     _check_empty(cfg, "config")
-    with _invalid("scan"):  # the library checks n_starts and base_seed before any start
+    with _invalid("scan"):  # the library checks n_starts, base_seed and the mask before any start
         summary = landscape_scan(
             gt, obs, hyper, scfg, n_starts=n_starts, base_seed=base_seed, tols=tols, threads=threads
         )

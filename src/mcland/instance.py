@@ -7,9 +7,9 @@ holds one value per stored pair, so symmetry holds by construction; the
 mask's `n_pairs` still counts |Omega| with both orders.  Everything is
 regenerable bit-exactly from a small JSON-compatible record, `InstanceSpec`,
 which `to_json` writes and the CLI reads back as an `instance` block; masks
-and values are never serialized.  The factor is one Gaussian draw: a scale
-whose draw has an infinite Gram matrix, or one whose squares underflow, is
-a ValueError.
+and values are never serialized.  The factor is one Gaussian draw, and
+`GroundTruth`, which every certificate takes, refuses a factor whose Gram
+matrix overflows or whose squares underflow, a ValueError about its scale.
 
 Generation walks the d x d matrix in row blocks of at most `_BLOCK`
 elements, so it holds O(|Omega| + block) memory and takes O(d^2) time (the
@@ -50,6 +50,9 @@ def _row_blocks(d):
 class GroundTruth:
     """A d x r factor Z of full rank and the constants computed from it.
 
+    Z^T Z must be finite and sigma_min(Z)^4 (0 where Z is rank deficient) a
+    normal double, else a ValueError: f and its gradient would round to 0.
+
     `incoherence` is the tight row-spread constant sqrt(d) * max_i ||Z_i|| /
     ||Z||_F (always >= 1, equal to 1 iff all rows have equal norm);
     `condition_number` is sigma_max(Z) / sigma_min(Z); `gram_fro` is
@@ -69,16 +72,21 @@ class GroundTruth:
         d, r = Z.shape
         if not 1 <= r <= d:
             raise ValueError(f"factor must satisfy 1 <= r <= d, got shape {Z.shape}")
-        smax, smin = singular_extremes(Z)
-        if not smin > 0.0:
-            raise ValueError("factor is rank deficient (sigma_min = 0)")
+        with np.errstate(over="ignore", invalid="ignore"):  # out of float range: refused below
+            smax, smin = singular_extremes(Z)
+            gram_fro = float(np.linalg.norm(Z.T @ Z))  # may overflow to inf where Z^T Z is finite
+        if not math.isfinite(smax):
+            raise ValueError(f"the factor's Gram matrix Z^T Z is not finite: its scale overflows or an entry "
+                             f"is inf or nan (shape {Z.shape})")
+        if not smin * smin * smin * smin >= sys.float_info.min:  # a product saturates where ** raises
+            raise ValueError(f"factor is rank deficient or its scale underflows: sigma_min(Z)^4 is below the "
+                             f"smallest normal double (sigma_min = {smin!r}, shape {Z.shape})")
         Z.setflags(write=False)
         object.__setattr__(self, "factor", Z)
         object.__setattr__(self, "incoherence", row_incoherence(Z))
         object.__setattr__(self, "condition_number", float(smax / smin))
         object.__setattr__(self, "sigma_min", float(smin))
-        with np.errstate(over="ignore"):  # the norm of a huge factor's Gram overflows to inf
-            object.__setattr__(self, "gram_fro", float(np.linalg.norm(Z.T @ Z)))
+        object.__setattr__(self, "gram_fro", gram_fro)
 
     @property
     def d(self):
@@ -127,26 +135,14 @@ class Observation:
 
 def sample_factor(d, r, scale, seed):
     """Ground-truth factor with iid N(0, scale^2/d) entries, one draw from the
-    ("factor", 0) substream.
-
-    A scale at which Z^T Z overflows is a ValueError naming the scale, and
-    so is one at which sigma_min(Z)^4, the scale of the objective's squared
-    data terms, falls below the smallest normal double: there f and its
-    gradient round to 0 and any start would pass as a global minimum.  A
-    Gaussian draw at any other scale has full rank with probability one.
-    """
+    ("factor", 0) substream; a scale whose draw `GroundTruth` refuses is its ValueError."""
     if not 1 <= r <= d:
         raise ValueError(f"need 1 <= r <= d, got r={r}, d={d}")
     if not 0 < scale < math.inf:
         raise ValueError(f"scale must be positive and finite, got {scale}")
     rng = substream(seed, "factor", 0)  # the stream every recorded instance was drawn from
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+    with np.errstate(over="ignore"):  # an entry past float range is refused by GroundTruth
         Z = rng.standard_normal((d, r)) * (scale / np.sqrt(d))
-        smax, smin = singular_extremes(Z)
-    if not math.isfinite(smax):
-        raise ValueError(f"scale {scale} overflows the factor's Gram matrix (d={d}, r={r})")
-    if not smin * smin * smin * smin >= sys.float_info.min:  # a product saturates where ** raises
-        raise ValueError(f"scale {scale} underflows the squares of the factor's Gram matrix (d={d}, r={r})")
     return GroundTruth(Z)
 
 
@@ -207,8 +203,6 @@ def observe(gt, mask, sigma, seed):
     """
     if gt.d != mask.d:
         raise ValueError(f"dimension mismatch: factor has d={gt.d}, mask has d={mask.d}")
-    if not sigma >= 0:
-        raise ValueError(f"sigma must be non-negative, got {sigma}")
     Z = gt.factor
     noise = substream(seed, "noise") if sigma > 0 else None
     values = np.empty(mask.i.size)

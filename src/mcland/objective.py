@@ -97,13 +97,15 @@ class ObjectiveConfig:
     Instances are safe to share across threads: all evaluation state is
     per-call, and the per-position tables of `pair_gradient_sum`, the one
     thing built after construction, come out the same whichever thread
-    builds them.
+    builds them.  An empty mask, whose objective is the penalty alone, is a ValueError.
     """
 
     def __init__(self, hyper, obs):
+        mask = obs.mask
+        if not mask.n_pairs:
+            raise ValueError(f"the mask is empty: the instance observes no entries at p={mask.p}")
         self.hyper = hyper
         self.obs = obs
-        mask = obs.mask
         d = self.d = mask.d
         i, j = mask.i, mask.j
         diag = i == j

@@ -344,13 +344,7 @@ def _sgd(cfg, scfg, X0):
 
 
 def solve(cfg, scfg, X0):
-    """Run the method scfg.method names from X0; the one entry to every solver.
-
-    An empty mask is a ValueError: with no entry to fit, the objective is
-    the penalty alone, whose minima say nothing about the truth.
-    """
-    if not cfg.n_pairs:
-        raise ValueError("the mask is empty: the objective is the penalty alone, with no entry to fit")
+    """Run the method scfg.method names from X0; the one entry to every solver."""
     if scfg.method is Method.SGD:
         return _sgd(cfg, scfg, X0)
     return _descend(cfg, scfg, X0, witness_steps=scfg.method is Method.PERTURBED_GD)

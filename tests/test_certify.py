@@ -20,7 +20,8 @@ from mcland.certify import (
     scan_to_csv,
 )
 from mcland.csvio import cell
-from mcland.instance import HyperParams, InstanceSpec, default_hyperparams
+from mcland.instance import GroundTruth, HyperParams, InstanceSpec, Observation, default_hyperparams
+from mcland.linalg import ObservationMask
 from mcland.objective import ObjectiveConfig, curvature_slack, min_hessian_eig
 from mcland.rng import derive_seed
 from mcland.solvers import Method, SolverConfig, Status, random_init, solve
@@ -472,18 +473,46 @@ def test_scan_rejects_zero_starts():
     "key,value,error",
     [("n_starts", True, TypeError), ("n_starts", 2.0, TypeError), ("threads", 0, ValueError),
      ("threads", -3, ValueError), ("threads", True, TypeError), ("threads", 2.0, TypeError),
-     ("base_seed", -1, ValueError), ("base_seed", 2**64, ValueError)],
+     ("base_seed", -1, ValueError), ("base_seed", 2**64, ValueError), ("tols", 0.01, TypeError),
+     ("gt", GroundTruth(np.ones((20, 1))), ValueError)],
 )
 def test_scan_rejects_counts_before_any_start(monkeypatch, key, value, error):
-    # n_starts=True once ran one start, threads 0, -3 or True one thread, and a
-    # base_seed outside [0, 2**64) raised only when a start derived its seed
+    # n_starts=True once ran one start, threads 0, -3 or True one thread; a base_seed
+    # outside [0, 2**64) raised only when a start derived its seed, and a float tols or
+    # a ground truth of another d gave one Crashed row per start
     gt, obs, cfg = make_problem(10, 1, seed=21)
     starts = []
     monkeypatch.setattr(certify, "_scan_one", lambda *args: starts.append(args))
-    match = rf"^base_seed must lie in \[0, 2\*\*64\), got {value}$" if key == "base_seed" else key
+    match = {
+        "base_seed": rf"^base_seed must lie in \[0, 2\*\*64\), got {value}$",
+        "tols": r"^tols must be CertTolerances, got float$",
+        "gt": r"^dimension mismatch: factor has d=20, instance has d=10$",
+    }.get(key, key)
+    args = {"gt": gt, "obs": obs, "hyper": cfg.hyper, "scfg": SolverConfig(), "n_starts": 2, "base_seed": 1}
     with pytest.raises(error, match=match):
-        landscape_scan(gt, obs, cfg.hyper, SolverConfig(), **{"n_starts": 2, "base_seed": 1, key: value})
+        landscape_scan(**{**args, key: value})
     assert starts == []
+
+
+def test_an_empty_mask_builds_no_objective(monkeypatch):
+    # with no entry to fit, the objective is the penalty alone: certify_point once labelled
+    # X = 0 and Z / 2 on this instance SpuriousLocalMin (f = 0, ||grad f|| = 0, lambda_min = 0),
+    # and every solver ran from an objective no claim can rest on.  No objective is built, so
+    # neither certify_point nor a solver can be reached, and a scan refuses before any start
+    gt, obs = InstanceSpec(d=2, r=1, seed=1, p=0.01).regenerate()
+    hyper = default_hyperparams(gt, 0.01)
+    assert obs.mask.n_pairs == 0
+    with pytest.raises(ValueError, match=r"^the mask is empty: the instance observes no entries at p=0\.01$"):
+        ObjectiveConfig(hyper, obs)
+    starts = []
+    monkeypatch.setattr(certify, "_scan_one", lambda *args: starts.append(args))
+    with pytest.raises(ValueError, match="mask is empty"):
+        landscape_scan(gt, obs, hyper, SolverConfig(), n_starts=3, base_seed=0)
+    assert starts == []
+    # a mask given no pairs at p = 0, whose Hessian was once the zero operator
+    mask = ObservationMask(d=5, i=[], j=[], p=0.0)
+    with pytest.raises(ValueError, match=r"^the mask is empty: .* at p=0\.0$"):
+        ObjectiveConfig(HyperParams(alpha=10.0, reg_weight=1.0, tau=0.0), Observation(mask, np.zeros(0), 0.0))
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -353,8 +353,21 @@ def test_empty_mask_is_config_error(tmp_path, capsys, command, block):
     cfgp = _write(tmp_path, payload)
     code, out, err = _run(capsys, [command, "--config", cfgp, "--out", str(tmp_path), *flags])
     assert code == 2, err
-    assert err.startswith("config error:") and "mask is empty" in err
+    assert err.startswith("config error:") and "mask is empty" in err and f"p={block['p']}" in err
     assert not any(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command", ["solve", "scan"])
+def test_empty_mask_is_reported_after_the_config_is_read(tmp_path, capsys, command):
+    # ObjectiveConfig refuses the mask once every block is read, so an unknown key comes first
+    payload = {"instance": _EMPTY_MASKS[0], "solver": {"max_iter": 5}, "extra": 1}
+    if command == "scan":
+        payload["scan"] = {"n_starts": 4, "base_seed": 0}
+    code, _, err = _run(capsys, [command, "--config", _write(tmp_path, payload), "--out", str(tmp_path)])
+    assert (code, err) == (2, "config error: unknown key 'solver.max_iter'\n")
+    del payload["solver"]
+    code, _, err = _run(capsys, [command, "--config", _write(tmp_path, payload), "--out", str(tmp_path)])
+    assert (code, err) == (2, "config error: unknown key 'config.extra'\n")
 
 
 @pytest.mark.parametrize("block", _EMPTY_MASKS)
@@ -399,7 +412,7 @@ _CONC = {"kind": "noise_inner", "d": 10, "p_grid": [0.5], "trials": 2}
         ("scan", {"instance": _instance_block(), "scan": {**_SCAN, "n_starts": 0}}, "invalid scan: n_starts must be >= 1"),
         ("solve", {"instance": _instance_block(), "hyper": 3}, "'hyper' must be an object"),
         ("conc", {"concentration": {**_CONC, "p_grid": []}}, "'concentration.p_grid' must be a non-empty list"),
-        ("conc", {"concentration": {**_CONC, "p_grid": [0.5, "0.6"]}}, "'concentration.p_grid' must be a non-empty list"),
+        ("conc", {"concentration": {**_CONC, "p_grid": [0.5, "0.6"]}}, "'concentration.p_grid[1]' must be int or float, got str"),
     ]
     # a non-finite hyperparameter: an infinite tau would certify stationary
     # saddles as minima, and a NaN one would silently fall back to the default
@@ -431,7 +444,7 @@ _CONC = {"kind": "noise_inner", "d": 10, "p_grid": [0.5], "trials": 2}
     + [
         ("gen", {"instance": _instance_block(sigma=10**400)}, "'instance.sigma' is too large for a float"),
         ("solve", {"instance": _instance_block(), "hyper": {"alpha": 10**400}}, "'hyper.alpha' is too large for a float"),
-        ("conc", {"concentration": {**_CONC, "p_grid": [0.5, 10**400]}}, "invalid concentration: p is too large for a float"),
+        ("conc", {"concentration": {**_CONC, "p_grid": [0.5, 10**400]}}, "'concentration.p_grid[1]' is too large for a float"),
     ]
     # scan.base_seed seeds every start, so a scan reads its solver block without seed: two scans
     # that differed only in solver.seed once wrote the same bytes
@@ -440,7 +453,9 @@ _CONC = {"kind": "noise_inner", "d": 10, "p_grid": [0.5], "trials": 2}
          "unknown key 'solver.seed'")
         for seed in (0, 5)
     ]
-    + [("scan", {"instance": _instance_block(), "solver": 3, "scan": _SCAN}, "'solver' must be an object")],
+    + [("scan", {"instance": _instance_block(), "solver": 3, "scan": _SCAN}, "'solver' must be an object")]
+    # each p_grid entry is read by the records' field rule, which refuses a boolean
+    + [("conc", {"concentration": {**_CONC, "p_grid": [True]}}, "'concentration.p_grid[0]' must be int or float, got a boolean")],
 )
 def test_config_errors_name_their_key(tmp_path, capsys, command, payload, message):
     code, out, err = _run(capsys, [command, "--config", _write(tmp_path, payload), "--out", str(tmp_path)])

@@ -318,14 +318,18 @@ def test_observation_rate_is_the_masks():
 
 
 def test_overflowing_factor_scale_is_rejected():
-    with pytest.raises(ValueError, match="overflows"):
+    with pytest.raises(ValueError, match=r"^the factor's Gram matrix Z\^T Z is not finite: its scale overflows or an "
+                                         r"entry is inf or nan \(shape \(40, 2\)\)$"):
         sample_factor(40, 2, 1e200, 3)
+
+
+_UNDERFLOWS = r"^factor is rank deficient or its scale underflows: sigma_min\(Z\)\^4 is below the smallest normal double"
 
 
 def test_underflowing_factor_scale_is_rejected():
     # Z^T Z is about scale^2 = 1e-400: the zero matrix, for any rank
     for r in (1, 2):
-        with pytest.raises(ValueError, match="scale 1e-200 underflows"):
+        with pytest.raises(ValueError, match=_UNDERFLOWS + rf" \(sigma_min = 0\.0, shape \(40, {r}\)\)$"):
             sample_factor(40, r, 1e-200, 3)
 
 
@@ -335,18 +339,43 @@ def test_scale_whose_data_squares_underflow_is_rejected(scale):
     # terms are about scale^4 = 0: f and its gradient would vanish at every
     # start, and each would certify GlobalMin
     for r in (1, 2):
-        with pytest.raises(ValueError, match=f"scale {scale} underflows the squares"):
+        with pytest.raises(ValueError, match=_UNDERFLOWS):
             sample_factor(40, r, scale, 3)
     # just above the bound (sigma_min(Z)^4 about 1e-304) the factor still draws
     assert sample_factor(40, 2, 1e-76, 3).factor.shape == (40, 2)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ground_truth_refuses_a_factor_outside_float_range():
+    # the range rule lived in sample_factor alone: built directly, the factor at 1e-79 once
+    # certified X = 0 and 3 Z SpuriousLocalMin at f about 1e-314 with a zero gradient, and at
+    # 1e-85, where ||Z Z^T||_F rounds to 0, default_global_rel raised ZeroDivisionError
+    z = np.random.default_rng(0).standard_normal((20, 1))
+    for scale in (1e-79, 1e-85):
+        with pytest.raises(ValueError, match=_UNDERFLOWS):
+            GroundTruth(scale * z)
+    assert GroundTruth(1e-76 * z).sigma_min > 0
+    for Z in (1e200 * z, np.full((4, 2), math.inf), np.full((4, 2), math.nan)):
+        with pytest.raises(ValueError, match=r"Z\^T Z is not finite: its scale overflows"):
+            GroundTruth(Z)
+
+
+def test_sample_factor_computes_the_singular_values_once(monkeypatch):
+    calls = []
+    extremes = instance.singular_extremes
+    monkeypatch.setattr(instance, "singular_extremes", lambda Z: calls.append(Z.shape) or extremes(Z))
+    sample_factor(40, 2, 1.0, 3)
+    assert calls == [(40, 2)]
 
 
 def test_observe_input_checks():
     gt = GroundTruth(np.ones((4, 1)))
     with pytest.raises(ValueError, match="dimension mismatch"):
         observe(gt, full_mask(5), 0.0, seed=0)
-    with pytest.raises(ValueError, match="sigma must be non-negative"):
-        observe(gt, full_mask(4), -0.1, seed=0)
+    # the sigma rule is Observation's
+    for sigma in (-0.1, math.nan):
+        with pytest.raises(ValueError, match=f"^sigma must be non-negative, got {sigma}$"):
+            observe(gt, full_mask(4), sigma, seed=0)
 
 
 # ---------------------------------------------------------------------------
