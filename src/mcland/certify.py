@@ -4,13 +4,12 @@
 Hessian eigenvalue, and recovery error against the ground truth.
 `solve_and_certify`, the one path from a seeded random start to a row, solves
 and certifies it; `mcland solve` runs it once and `landscape_scan` once per
-start, optionally across a thread pool.  A row is the certificate of the
+start, in one loop on the calling thread.  A row is the certificate of the
 endpoint plus the start's seed and solver status.  A scan's base seed seeds
-every start, so its results are deterministic in it at any thread count.
+every start, so its results are deterministic in it.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -273,20 +272,6 @@ def _count(name, value):
     return value
 
 
-def map_in_order(fn, items, threads):
-    """[fn(x) for x in items], computed by up to `threads` worker threads.
-
-    Results keep the order of `items`, so output never depends on the
-    thread count.  With one thread this is a plain loop on the calling
-    thread, where signal handlers (a timing probe's SIGALRM) still run.
-    A `threads` that is no count (`_count`) raises before any call.
-    """
-    if _count("threads", threads) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
 def solve_and_certify(cfg, gt, scfg, tols=None):
     """(SolveResult, ScanRow) of one start: `solve` from `random_init` at scfg.seed, then
     `certify_point` with the solver's eigensolve.  What the start raises propagates."""
@@ -314,13 +299,18 @@ def landscape_scan(gt, obs, hyper, scfg, n_starts, base_seed, tols=None, threads
     every endpoint.
 
     Start k is `solve_and_certify` at a seed derived from (base_seed, k), so the outcome
-    is a pure function of the arguments; threads change only wall time.  `tols` (None: the
-    instance's radius) goes to `certify_point`.  Before any start it refuses an `n_starts` or
-    `threads` that is no count (`_count`), a `base_seed` that `check_seed` refuses, an scfg.seed
-    other than 0, which no start would use, a `tols` of another type, a `gt` of another d than
-    `obs`, and an empty mask (`ObjectiveConfig`).
+    is a pure function of the arguments.  The starts run in order on the calling thread.
+    `tols` (None: the instance's radius) goes to `certify_point`.  Before any start it refuses
+    an `n_starts` that is no count (`_count`), a `threads` other than 1, a `base_seed` that
+    `check_seed` refuses, an scfg.seed other than 0, which no start would use, a `tols` of
+    another type, a `gt` of another d than `obs`, and an empty mask (`ObjectiveConfig`).
+
+    `threads` selects nothing: it is kept because `perfbench/workloads.py` passes
+    `threads=1`, and goes with that argument in ROADMAP direction 4's benchmark change.
     """
     n_starts = _count("n_starts", n_starts)
+    if _count("threads", threads) != 1:
+        raise ValueError(f"threads must be 1, got {threads}: a scan runs its starts on the calling thread")
     check_seed(base_seed, "base_seed")
     if scfg.seed != 0:
         raise ValueError(f"seed must be 0 in a scan, got {scfg.seed}: base_seed seeds every start")
@@ -328,9 +318,7 @@ def landscape_scan(gt, obs, hyper, scfg, n_starts, base_seed, tols=None, threads
     if gt.d != obs.d:
         raise ValueError(f"dimension mismatch: factor has d={gt.d}, instance has d={obs.d}")
     cfg = obj.ObjectiveConfig(hyper, obs)
-    rows = map_in_order(
-        lambda k: _scan_one(k, gt, cfg, scfg, base_seed, tols), range(n_starts), threads
-    )
+    rows = [_scan_one(k, gt, cfg, scfg, base_seed, tols) for k in range(n_starts)]
 
     counts = {c: 0 for c in PointClass}
     worst = float("nan")

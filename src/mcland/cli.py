@@ -7,7 +7,7 @@ and `conc` sweeps a concentration experiment over a p grid.
 Configs are strict JSON, each block and key read by `_block` and `_fields`
 (unknown and repeated keys are errors); `gen` writes an `instance` block.
 Outputs are CSV files with deterministic bytes, so a rerun of the same config
-is byte-identical; `scan` and `conc` take --threads, which change only wall time.
+is byte-identical; `conc` alone takes --threads, which change only wall time.
 
 Exit codes: 0 success, 1 failed --assert-clean, 2 config error, 3 internal
 error.
@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import MISSING
 from pathlib import Path
@@ -24,14 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import solvers
-from .certify import (
-    CertTolerances,
-    PointClass,
-    landscape_scan,
-    map_in_order,
-    scan_to_csv,
-    solve_and_certify,
-)
+from .certify import CertTolerances, PointClass, landscape_scan, scan_to_csv, solve_and_certify
 from .concentration import ConcentrationTrial, fit_scaling, run_concentration, trials_to_csv
 from .csvio import cell, field_value
 from .instance import InstanceSpec, default_hyperparams, HyperParams
@@ -250,14 +244,12 @@ def cmd_solve(cfg, out_dir):
     return 0
 
 
-def cmd_scan(cfg, out_dir, threads=1, assert_clean=False):
+def cmd_scan(cfg, out_dir, assert_clean=False):
     gt, obs, hyper, scfg = _parse_problem(cfg, skip=("seed",))  # scan.base_seed seeds every start
     n_starts, base_seed, tols = _parse_scan(cfg)
     _check_empty(cfg, "config")
     with _invalid("scan"):  # the library checks n_starts, base_seed and the mask before any start
-        summary = landscape_scan(
-            gt, obs, hyper, scfg, n_starts=n_starts, base_seed=base_seed, tols=tols, threads=threads
-        )
+        summary = landscape_scan(gt, obs, hyper, scfg, n_starts=n_starts, base_seed=base_seed, tols=tols)
     with open(out_dir / "scan.csv", "w", newline="") as fh:
         scan_to_csv(summary, fh)
     for cls in PointClass:
@@ -280,7 +272,9 @@ def cmd_scan(cfg, out_dir, threads=1, assert_clean=False):
 def cmd_conc(cfg, out_dir, threads=1):
     specs = _parse_concentration(cfg)
     _check_empty(cfg, "config")
-    results = map_in_order(run_concentration, specs, threads)
+    # results keep the order of specs, so conc.csv does not depend on the thread count
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(run_concentration, specs))
     with open(out_dir / "conc.csv", "w", newline="") as fh:
         trials_to_csv(results, fh)
     points = [(res.spec.p * res.spec.d, res.median_normalized) for res in results]
@@ -307,7 +301,7 @@ def _build_parser():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to a JSON config file")
         p.add_argument("--out", default=".", help="output directory (created if absent)")
-        if name in ("scan", "conc"):
+        if name == "conc":
             p.add_argument("--threads", type=int, default=1, help="worker threads (results unchanged)")
         if name == "scan":
             p.add_argument(

@@ -6,7 +6,11 @@ asserts, so a red run still shows which claim broke and by how much.
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -348,7 +352,8 @@ def test_c7_concentration_scaling():
 
 
 # ---------------------------------------------------------------------------
-# C8: thread count never changes output bytes
+# C8: thread count never changes output bytes: the BLAS threads of a scan, the
+# --threads of a concentration sweep
 
 
 def test_c8_threaded_runs_byte_identical(tmp_path):
@@ -377,15 +382,28 @@ def test_c8_threaded_runs_byte_identical(tmp_path):
             }
         )
     )
+    # a scan runs on the calling thread, so its one thread count is BLAS's, fixed when a
+    # process loads it: one fresh interpreter per count, started one at a time
+    src = str(Path(cli.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    scans = {}
+    for blas in (1, 2):
+        out = tmp_path / f"blas{blas}"
+        env = dict(os.environ, PYTHONPATH=pythonpath, OPENBLAS_NUM_THREADS=str(blas))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mcland.cli", "scan", "--config", str(scan_cfg), "--out", str(out)],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        scans[blas] = (out / "scan.csv").read_bytes()
     outs = {n: tmp_path / f"out{n}" for n in (1, 8)}
     for n, out in outs.items():
-        assert cli.main(["scan", "--config", str(scan_cfg), "--out", str(out), "--threads", str(n)]) == 0
         assert cli.main(["conc", "--config", str(conc_cfg), "--out", str(out), "--threads", str(n)]) == 0
-    same_scan = (outs[1] / "scan.csv").read_bytes() == (outs[8] / "scan.csv").read_bytes()
+    same_scan = scans[1] == scans[2]
     same_conc = (outs[1] / "conc.csv").read_bytes() == (outs[8] / "conc.csv").read_bytes()
     _report(
         "C8",
-        "scan and concentration CSVs byte-identical at 1 and 8 threads",
+        "d=25 scan CSV byte-identical at 1 and 2 BLAS threads, concentration CSV at 1 and 8 --threads",
         same_scan and same_conc,
         f"scan match {same_scan}, conc match {same_conc}",
     )

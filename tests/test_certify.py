@@ -209,6 +209,49 @@ def test_stationary_tolerance_follows_the_value(rng):
         assert (rep.classification is PointClass.NOT_STATIONARY) == (rep.grad_norm > rep.stationary_tol)
 
 
+def _certified_endpoint():
+    """A GD endpoint that certifies GlobalMin at a nonzero recovery error, and its eigensolve."""
+    gt, obs, cfg = make_problem(20, 2, seed=10, p=0.8)
+    X = solve(cfg, SolverConfig(method=Method.GD), random_init(20, 2, obs, 0)).X
+    eig = min_hessian_eig(X, cfg)
+    rep = certify_point(X, cfg, gt, eig=eig)
+    assert rep.classification is PointClass.GLOBAL_MIN and rep.recovery_fro > 0
+    return gt, cfg, X, eig, rep
+
+
+# Each threshold of certify_point is pinned from both sides, at 0.5x its tolerance and
+# at 1.5x to 3x it: a threshold moved by a factor of 2 or 10 relabels one of the points.
+
+
+def test_saddle_threshold_is_minus_tau():
+    gt, cfg, X, eig, rep = _certified_endpoint()
+    assert rep.tau == cfg.hyper.tau > 0
+    for k, cls in ((1.5, PointClass.STRICT_SADDLE), (0.5, PointClass.GLOBAL_MIN)):
+        assert certify_point(X, cfg, gt, eig=replace(eig, lambda_min=-k * rep.tau)).classification is cls, k
+
+
+def test_stationarity_threshold_is_the_stationary_tolerance():
+    gt, cfg, X, _, _ = _certified_endpoint()
+    E = np.random.default_rng(0).normal(size=X.shape)
+    for lo, hi, cls in ((1.5, 3.0, PointClass.NOT_STATIONARY), (0.2, 0.5, PointClass.GLOBAL_MIN)):
+        s = 1e-6
+        for _ in range(20):  # the gradient is about linear in s: rescale s to the band's middle
+            rep = certify_point(X + s * E, cfg, gt)
+            ratio = rep.grad_norm / rep.stationary_tol
+            if lo <= ratio <= hi:
+                break
+            s *= 0.5 * (lo + hi) / ratio
+        assert lo <= ratio <= hi, ratio
+        assert rep.classification is cls, ratio
+
+
+def test_recovery_threshold_is_the_radius():
+    gt, cfg, X, eig, rep = _certified_endpoint()
+    for k, cls in ((1.5, PointClass.SPURIOUS_LOCAL_MIN), (0.5, PointClass.GLOBAL_MIN)):
+        tols = CertTolerances(global_rel=rep.recovery_fro / (k * gt.gram_fro))
+        assert certify_point(X, cfg, gt, tols, eig).classification is cls, k
+
+
 def test_certificate_takes_tau_from_the_hyperparameters():
     # one rule for the certificate and the saddle test of perturbed GD
     gt, obs, cfg = make_problem(20, 2, seed=10, p=0.8)
@@ -257,11 +300,8 @@ def test_edge_tolerances_are_accepted():
 # landscape scans
 
 
-def _scan(gt, obs, cfg, n=8, seed=0, threads=1, method=Method.PERTURBED_GD):
-    scfg = SolverConfig(method=method)
-    return landscape_scan(
-        gt, obs, cfg.hyper, scfg, n_starts=n, base_seed=seed, threads=threads
-    )
+def _scan(gt, obs, cfg, n=8, seed=0, method=Method.PERTURBED_GD):
+    return landscape_scan(gt, obs, cfg.hyper, SolverConfig(method=method), n_starts=n, base_seed=seed)
 
 
 def test_scan_finds_only_global_minima():
@@ -289,19 +329,6 @@ def test_scan_deterministic_in_base_seed():
     assert [r.classification for r in a.rows] == [r.classification for r in b.rows]
     c = _scan(gt, obs, cfg, n=5, seed=10)
     assert [r.start_seed for r in a.rows] != [r.start_seed for r in c.rows]
-
-
-def test_scan_independent_of_thread_count():
-    runs = [
-        ((25, 1, 19, 0.7), SolverConfig(method=Method.PERTURBED_GD)),  # d r = 25: dense eigensolves
-        ((60, 2, 17, 0.4), SolverConfig(method=Method.PERTURBED_GD)),  # d r = 120: Lanczos runs
-        # the threads share the config's position tables, built on first use
-        ((25, 1, 19, 0.7), SolverConfig(method=Method.SGD, max_iters=500)),
-    ]
-    for (d, r, seed, p), scfg in runs:
-        gt, obs, cfg = make_problem(d, r, seed=seed, p=p)
-        a, b = (landscape_scan(gt, obs, cfg.hyper, scfg, n_starts=6, base_seed=11, threads=t) for t in (1, 4))
-        assert scan_to_csv(a) == scan_to_csv(b), (d, r, scfg.method)
 
 
 def test_scan_survives_failing_starts(monkeypatch):
@@ -474,12 +501,12 @@ def test_scan_rejects_zero_starts():
     [("n_starts", True, TypeError), ("n_starts", 2.0, TypeError), ("threads", 0, ValueError),
      ("threads", -3, ValueError), ("threads", True, TypeError), ("threads", 2.0, TypeError),
      ("base_seed", -1, ValueError), ("base_seed", 2**64, ValueError), ("tols", 0.01, TypeError),
-     ("gt", GroundTruth(np.ones((20, 1))), ValueError)],
+     ("gt", GroundTruth(np.ones((20, 1))), ValueError), ("threads", 2, ValueError)],
 )
 def test_scan_rejects_counts_before_any_start(monkeypatch, key, value, error):
-    # n_starts=True once ran one start, threads 0, -3 or True one thread; a base_seed
-    # outside [0, 2**64) raised only when a start derived its seed, and a float tols or
-    # a ground truth of another d gave one Crashed row per start
+    # n_starts=True once ran one start, threads 0, -3 or True one thread, and threads 2 a
+    # pool of two; a base_seed outside [0, 2**64) raised only when a start derived its seed,
+    # and a float tols or a ground truth of another d gave one Crashed row per start
     gt, obs, cfg = make_problem(10, 1, seed=21)
     starts = []
     monkeypatch.setattr(certify, "_scan_one", lambda *args: starts.append(args))
@@ -515,8 +542,7 @@ def test_an_empty_mask_builds_no_objective(monkeypatch):
         ObjectiveConfig(HyperParams(alpha=10.0, reg_weight=1.0, tau=0.0), Observation(mask, np.zeros(0), 0.0))
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_scan_refuses_a_solver_seed_it_would_drop(monkeypatch, threads):
+def test_scan_refuses_a_solver_seed_it_would_drop(monkeypatch):
     # every start runs at a seed derived from base_seed, so a scan at SolverConfig(seed=5)
     # once wrote the same rows as one at seed 0
     gt, obs, cfg = make_problem(10, 1, seed=21)
@@ -525,19 +551,11 @@ def test_scan_refuses_a_solver_seed_it_would_drop(monkeypatch, threads):
     monkeypatch.setattr(certify, "_scan_one", lambda *args: starts.append(args) or crashed)
     monkeypatch.setattr(certify.obj, "ObjectiveConfig", lambda *args: built.append(args))
     with pytest.raises(ValueError, match="seed must be 0 in a scan, got 5: base_seed seeds every start"):
-        landscape_scan(gt, obs, cfg.hyper, SolverConfig(seed=5), 2, 1, threads=threads)
+        landscape_scan(gt, obs, cfg.hyper, SolverConfig(seed=5), 2, 1)
     assert starts == [] and built == []
-    summary = landscape_scan(gt, obs, cfg.hyper, SolverConfig(seed=0), 2, 1, threads=threads)
+    summary = landscape_scan(gt, obs, cfg.hyper, SolverConfig(seed=0), 2, 1)
     assert len(starts) == 2 and len(built) == 1
     assert summary.counts[PointClass.CRASHED] == 2
-
-
-@pytest.mark.parametrize("threads,error", [(0, ValueError), (-3, ValueError), (True, TypeError), (2.0, TypeError)])
-def test_map_in_order_rejects_thread_counts_before_any_call(threads, error):
-    calls = []
-    with pytest.raises(error, match="threads"):
-        certify.map_in_order(calls.append, [1, 2], threads)
-    assert calls == []
 
 
 def test_scan_csv_schema():
