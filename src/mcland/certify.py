@@ -18,7 +18,7 @@ import numpy as np
 from . import objective as obj
 from . import solvers
 from .csvio import field_value, store_fields, write_csv
-from .linalg import procrustes_align, singular_extremes
+from .linalg import singular_extremes
 from .rng import check_seed, derive_seed
 
 
@@ -70,7 +70,7 @@ def default_global_rel(gt, obs):
 @dataclass(frozen=True)
 class RecoveryError:
     gram_fro: float             # ||X X^T - Z Z^T||_F
-    procrustes_residual: float  # min_R ||X - Z R||_F
+    procrustes_residual: float  # min_R ||X - Z R||_F over orthonormal R
 
 
 def recovery_error(X, gt):
@@ -79,7 +79,10 @@ def recovery_error(X, gt):
     X X^T - Z Z^T = B C B^T for B = [X  Z] and C = diag(I_r, -I_r); with
     B = Q R the Frobenius norm equals ||R C R^T||_F, a (2r) x (2r)
     computation.  No d x d product is formed, and the small-matrix
-    subtraction stays accurate when the difference is tiny.
+    subtraction stays accurate when the difference is tiny.  The Procrustes
+    residual takes R = U V^T, the polar factor of Z^T X = U S V^T from its
+    full SVD; where Z^T X is rank deficient, the SVD's orthonormal
+    completion attains the same minimum.
     """
     X = np.asarray(X, dtype=float)
     Z = gt.factor
@@ -92,44 +95,8 @@ def recovery_error(X, gt):
     C[r:] = -1.0
     S = (R * C) @ R.T
     gram_fro = float(np.linalg.norm(S))
-    return RecoveryError(gram_fro=gram_fro, procrustes_residual=procrustes_align(X, Z).residual)
-
-
-def incoherence_certificate(X, cfg, gt):
-    """Row-norm bound every first-order stationary point must satisfy.
-
-    max_i ||X_i|| <= 4 * max(alpha, mu * sqrt(r * p / weight)); trivially true
-    when the penalty weight is 0 (the bound degenerates).
-    """
-    X = np.asarray(X, dtype=float)
-    hyper = cfg.hyper
-    if hyper.reg_weight == 0:
-        return True
-    r = X.shape[1]
-    p = cfg.obs.p
-    bound = 4.0 * max(hyper.alpha, gt.incoherence * math.sqrt(r * p / hyper.reg_weight))
-    max_row = float(np.sqrt((X * X).sum(axis=1).max()))
-    return max_row <= bound
-
-
-@dataclass(frozen=True)
-class NormCertificates:
-    rank1_norm_ok: bool | None  # ||x||^2 >= ||z||^2 / 4; None unless r == 1
-    sigma_min_ok: bool          # sigma_min(X) >= sigma_min(Z) / 4
-
-
-def norm_certificates(X, gt):
-    """Scale lower bounds expected of approximate second-order points."""
-    X = np.asarray(X, dtype=float)
-    Z = gt.factor
-    if X.shape != Z.shape:
-        raise ValueError(f"dimension mismatch: X is {X.shape}, ground truth is {Z.shape}")
-    _, smin_x = singular_extremes(X)
-    sigma_ok = bool(smin_x >= 0.25 * gt.sigma_min)
-    rank1_ok = None
-    if Z.shape[1] == 1:
-        rank1_ok = bool(X[:, 0] @ X[:, 0] >= 0.25 * (Z[:, 0] @ Z[:, 0]))
-    return NormCertificates(rank1_norm_ok=rank1_ok, sigma_min_ok=sigma_ok)
+    U, _, Vt = np.linalg.svd(Z.T @ X)
+    return RecoveryError(gram_fro=gram_fro, procrustes_residual=float(np.linalg.norm(X - Z @ (U @ Vt))))
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)
@@ -181,8 +148,19 @@ def certify_point(X, cfg, gt, tols=None, eig=None):
     and `eig_iterations` is 1.  Above it a Lanczos run puts lambda_min
     within 1e-6 * (1 + ||H||) of some eigenvalue, not provably the
     smallest, and the labels rest on tau being far above that tolerance.
+
+    Three columns check the paper's lemmas and decide no label:
+    `incoherence_ok`, max_i ||X_i|| <= 4 * max(alpha, mu * sqrt(r * p /
+    lambda)), the row-norm bound of every stationary point, true at
+    lambda = 0, where the bound degenerates; `sigma_min_ok`, sigma_min(X) >=
+    sigma_min(Z) / 4; and `rank1_norm_ok`, ||x||^2 >= ||z||^2 / 4 at r = 1,
+    else None.  A point of another shape than Z raises a ValueError before
+    any evaluation.
     """
     X = np.asarray(X, dtype=float)
+    Z = gt.factor
+    if X.shape != Z.shape:
+        raise ValueError(f"dimension mismatch: X is {X.shape}, ground truth is {Z.shape}")
     global_rel = (tols or CertTolerances()).radius(gt, cfg.obs)
     # one residual pass for the value, gradient and eigensolve; a diverged point is NotStationary below
     resid, bdown, _, gn = obj.evaluate(X, cfg)
@@ -197,9 +175,7 @@ def certify_point(X, cfg, gt, tols=None, eig=None):
         return rep
     eig = eig or obj.min_hessian_eig(X, cfg, resid)
     tau = obj.curvature_slack(cfg, eig.op_norm)
-
     err = recovery_error(X, gt)
-    certs = norm_certificates(X, gt)
 
     if gn > rep.stationary_tol:
         cls = PointClass.NOT_STATIONARY
@@ -212,6 +188,7 @@ def certify_point(X, cfg, gt, tols=None, eig=None):
     else:
         cls = PointClass.SPURIOUS_LOCAL_MIN
 
+    hyper, r = cfg.hyper, Z.shape[1]
     return replace(
         rep,
         classification=cls,
@@ -221,9 +198,10 @@ def certify_point(X, cfg, gt, tols=None, eig=None):
         tau=tau,
         recovery_fro=err.gram_fro,
         procrustes_residual=err.procrustes_residual,
-        incoherence_ok=incoherence_certificate(X, cfg, gt),
-        sigma_min_ok=certs.sigma_min_ok,
-        rank1_norm_ok=certs.rank1_norm_ok,
+        incoherence_ok=hyper.reg_weight == 0 or float(np.sqrt((X * X).sum(axis=1).max())) <= 4.0 * max(
+            hyper.alpha, gt.incoherence * math.sqrt(r * cfg.obs.p / hyper.reg_weight)),
+        sigma_min_ok=bool(singular_extremes(X).sigma_min >= 0.25 * gt.sigma_min),
+        rank1_norm_ok=bool(X[:, 0] @ X[:, 0] >= 0.25 * (Z[:, 0] @ Z[:, 0])) if r == 1 else None,
     )
 
 

@@ -169,6 +169,12 @@ def _parse_problem(cfg, skip=()):
     return gt, obs, _parse_hyper(cfg, base), _parse_solver(cfg, skip)
 
 
+def _objective(hyper, obs):
+    """`ObjectiveConfig(hyper, obs)`; the empty mask it refuses is a fault of the instance block."""
+    with _invalid("instance"):
+        return ObjectiveConfig(hyper, obs)
+
+
 def _parse_scan(cfg):
     """(n_starts, base_seed, tolerances); without `global_rel` the tolerances are
     `CertTolerances()`, the instance's radius rule; `landscape_scan` checks n_starts and base_seed."""
@@ -229,9 +235,7 @@ def cmd_gen(cfg, out_dir):
 def cmd_solve(cfg, out_dir):
     gt, obs, hyper, scfg = _parse_problem(cfg)
     _check_empty(cfg, "config")
-    with _invalid("instance"):  # ObjectiveConfig refuses an empty mask
-        objective = ObjectiveConfig(hyper, obs)
-    res, row = solve_and_certify(objective, gt, scfg)
+    res, row = solve_and_certify(_objective(hyper, obs), gt, scfg)
     with open(out_dir / "trace.csv", "w", newline="") as fh:
         solvers.trace_to_csv(res.trace, fh)
     print(f"status={row.status}")
@@ -248,7 +252,8 @@ def cmd_scan(cfg, out_dir, assert_clean=False):
     gt, obs, hyper, scfg = _parse_problem(cfg, skip=("seed",))  # scan.base_seed seeds every start
     n_starts, base_seed, tols = _parse_scan(cfg)
     _check_empty(cfg, "config")
-    with _invalid("scan"):  # the library checks n_starts, base_seed and the mask before any start
+    _objective(hyper, obs)  # landscape_scan builds it again, then checks the scan block
+    with _invalid("scan"):
         summary = landscape_scan(gt, obs, hyper, scfg, n_starts=n_starts, base_seed=base_seed, tols=tols)
     with open(out_dir / "scan.csv", "w", newline="") as fh:
         scan_to_csv(summary, fh)

@@ -1,11 +1,11 @@
 """Dense matrix primitives shared by the rest of the package.
 
-Row incoherence, extreme singular values of factor matrices, and
-orthogonal (Procrustes) alignment.  Everything operates on plain float64
-numpy arrays; `ObservationMask` is the one shared container, holding the
-symmetric set of observed index pairs in the one pair format every module
-uses: each pair once, as (i, j) with i <= j in lexicographic order.  Its
-`n_pairs` counts |Omega| with both orders of an off-diagonal pair.
+Row incoherence and the extreme singular values of factor matrices.
+Everything operates on plain float64 numpy arrays; `ObservationMask` is
+the one shared container, holding the symmetric set of observed index pairs
+in the one pair format every module uses: each pair once, as (i, j) with
+i <= j in lexicographic order.  Its `n_pairs` counts |Omega| with both
+orders of an off-diagonal pair.
 """
 
 from dataclasses import dataclass
@@ -97,26 +97,3 @@ def singular_extremes(X):
     evals = np.linalg.eigvalsh(X.T @ X)
     evals = np.clip(evals, 0.0, None)
     return SingularExtremes(float(np.sqrt(evals[-1])), float(np.sqrt(evals[0])))
-
-
-@dataclass(frozen=True)
-class ProcrustesResult:
-    rotation: np.ndarray  # r x r orthonormal
-    residual: float       # ||X - Z @ rotation||_F
-
-
-def procrustes_align(X, Z):
-    """Orthonormal R minimizing ||X - Z R||_F.
-
-    R is the polar factor of Z^T X, computed from its full SVD; when Z^T X is
-    rank deficient the SVD supplies an orthonormal completion on the null
-    space, and any completion attains the same residual.
-    """
-    X = np.asarray(X, dtype=float)
-    Z = np.asarray(Z, dtype=float)
-    if X.shape != Z.shape:
-        raise ValueError(f"dimension mismatch: X is {X.shape}, Z is {Z.shape}")
-    U, _, Vt = np.linalg.svd(Z.T @ X)
-    R = U @ Vt
-    residual = float(np.linalg.norm(X - Z @ R))
-    return ProcrustesResult(rotation=R, residual=residual)

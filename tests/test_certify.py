@@ -13,9 +13,7 @@ from mcland.certify import (
     ScanRow,
     certify_point,
     default_global_rel,
-    incoherence_certificate,
     landscape_scan,
-    norm_certificates,
     recovery_error,
     scan_to_csv,
 )
@@ -68,38 +66,62 @@ def test_recovery_rejects_shape_mismatch():
 
 def test_incoherence_holds_at_truth_and_converged_points():
     gt, obs, cfg = make_problem(30, 2, seed=5, p=0.7)
-    assert incoherence_certificate(gt.factor, cfg, gt)
+    assert certify_point(gt.factor, cfg, gt).incoherence_ok is True
     res = solve(cfg, SolverConfig(), random_init(30, 2, obs, 1))
-    assert incoherence_certificate(res.X, cfg, gt)
+    assert certify_point(res.X, cfg, gt, eig=res.eig).incoherence_ok is True
 
 
 def test_incoherence_fails_on_huge_row():
     gt, obs, cfg = make_problem(30, 2, seed=6, p=0.7)
     X = gt.factor.copy()
     X[0] *= 1e4 / max(1e-12, np.linalg.norm(X[0]))
-    assert not incoherence_certificate(X, cfg, gt)
+    assert certify_point(X, cfg, gt).incoherence_ok is False
+
+
+def test_incoherence_bound_is_four_times_the_larger_scale():
+    # one row at 0.5x and at 2x the bound 4 max(alpha, mu sqrt(r p / lambda)); the other rows of Z
+    # sit below alpha, so the scaled row decides
+    gt, obs, cfg = make_problem(30, 2, seed=5, p=0.7)
+    hyper = cfg.hyper
+    bound = 4.0 * max(hyper.alpha, gt.incoherence * math.sqrt(2 * obs.p / hyper.reg_weight))
+    assert np.linalg.norm(gt.factor, axis=1).max() <= hyper.alpha
+    for k in (0.5, 2.0):
+        X = gt.factor.copy()
+        X[3] *= k * bound / np.linalg.norm(X[3])
+        assert certify_point(X, cfg, gt).incoherence_ok is (k < 1), k
 
 
 def test_incoherence_trivial_without_penalty():
     gt, obs, cfg0 = make_problem(10, 1, seed=7)
     cfg = ObjectiveConfig(HyperParams(alpha=1.0, reg_weight=0.0, tau=0.0), cfg0.obs)
     X = 1e8 * np.ones((10, 1))
-    assert incoherence_certificate(X, cfg, gt)
+    assert certify_point(X, cfg, gt).incoherence_ok is True
 
 
 def test_norm_certificates_at_truth_and_shrunken_copy():
     gt, obs, cfg = make_problem(15, 1, seed=8)
-    at_truth = norm_certificates(gt.factor, gt)
-    assert at_truth.sigma_min_ok and at_truth.rank1_norm_ok
-    shrunk = norm_certificates(0.1 * gt.factor, gt)
-    assert not shrunk.sigma_min_ok and not shrunk.rank1_norm_ok
+    at_truth = certify_point(gt.factor, cfg, gt)
+    assert at_truth.sigma_min_ok is True and at_truth.rank1_norm_ok is True
+    shrunk = certify_point(0.1 * gt.factor, cfg, gt)
+    assert shrunk.sigma_min_ok is False and shrunk.rank1_norm_ok is False
+
+
+def test_norm_bounds_are_a_quarter_of_the_truths():
+    # X = c Z at 0.5x and 2x each bound: sigma_min(X) = c sigma_min(Z) against sigma_min(Z) / 4,
+    # and at r = 1, ||x||^2 = c^2 ||z||^2 against ||z||^2 / 4
+    for r in (1, 2):
+        gt, obs, cfg = make_problem(15, r, seed=8)
+        for k in (0.5, 2.0):
+            assert certify_point(k * 0.25 * gt.factor, cfg, gt).sigma_min_ok is (k > 1), (r, k)
+            if r == 1:
+                assert certify_point(math.sqrt(k * 0.25) * gt.factor, cfg, gt).rank1_norm_ok is (k > 1), k
 
 
 def test_rank1_certificate_absent_above_rank_one():
     gt, obs, cfg = make_problem(15, 2, seed=9)
-    certs = norm_certificates(gt.factor, gt)
-    assert certs.rank1_norm_ok is None
-    assert certs.sigma_min_ok
+    rep = certify_point(gt.factor, cfg, gt)
+    assert rep.rank1_norm_ok is None
+    assert rep.sigma_min_ok is True
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +272,53 @@ def test_recovery_threshold_is_the_radius():
     for k, cls in ((1.5, PointClass.SPURIOUS_LOCAL_MIN), (0.5, PointClass.GLOBAL_MIN)):
         tols = CertTolerances(global_rel=rep.recovery_fro / (k * gt.gram_fro))
         assert certify_point(X, cfg, gt, tols, eig).classification is cls, k
+
+
+def _long_lanczos_endpoint():
+    """A GD endpoint of the CI config lowp200 (d=200, p=0.0397, start 2 of base seed 1), whose
+    eigensolve is a Lanczos run of 44 steps, and its objective."""
+    gt, obs, cfg = make_problem(200, 1, seed=2, p=0.0397)
+    res = solve(cfg, SolverConfig(method=Method.GD), random_init(200, 1, obs, derive_seed(1, "scan-start", 2)))
+    assert res.status is Status.GRAD_TOL
+    return cfg, res.X
+
+
+def _witness_residual(X, cfg, eig):
+    """||H v - lambda_min v|| / (1e-6 (1 + op_norm)): the witness residual in units of the tolerance."""
+    v = eig.witness
+    residual = float(np.linalg.norm(objective.hessian_operator(X, cfg)(v) - eig.lambda_min * v))
+    return residual / (1e-6 * (1.0 + eig.op_norm))
+
+
+def test_lanczos_stops_at_the_eigensolve_tolerance():
+    # here the witness residual falls about 1.6x per step, so a run to 2x the tolerance stops
+    # a step early (ratio 1.29) and one to 0.5x a step late (0.49)
+    cfg, X = _long_lanczos_endpoint()
+    eig = min_hessian_eig(X, cfg)
+    assert eig.converged and eig.iterations == 45
+    assert 0.5 < _witness_residual(X, cfg, eig) <= 1.0
+
+
+def test_converged_means_a_witness_residual_within_the_tolerance(monkeypatch):
+    # the Lanczos witness replaced by the exact eigenvector turned by t toward a direction u
+    # orthogonal to it: the residual is about sin(t) ||(H - lambda) u||, set to 0.5x and 2x
+    # the tolerance 1e-6 (1 + op_norm)
+    cfg, X = _long_lanczos_endpoint()
+    H = objective.hessian_operator(X, cfg)
+    lam, vecs = np.linalg.eigh(H.matrix())
+    v0 = vecs[:, 0]
+    u = np.random.default_rng(0).normal(size=v0.size)
+    u -= (u @ v0) * v0
+    u /= np.linalg.norm(u)
+    theta = objective._lanczos(H, objective._start(X))[0]
+    tol = 1e-6 * (1.0 + np.abs(theta).max())
+    spread = np.linalg.norm(H(u.reshape(X.shape)).ravel() - lam[0] * u)
+    for k, converged in ((0.5, True), (2.0, False)):
+        t = math.asin(k * tol / spread)
+        monkeypatch.setattr(objective, "_lanczos", lambda H, v, t=t: (theta, math.cos(t) * v0 + math.sin(t) * u))
+        eig = min_hessian_eig(X, cfg)
+        assert _witness_residual(X, cfg, eig) == pytest.approx(k, rel=0.01)
+        assert eig.converged is converged, k
 
 
 def test_certificate_takes_tau_from_the_hyperparameters():
@@ -574,7 +643,16 @@ def test_scan_csv_schema():
     assert int(cells[12]) == summary.rows[0].eig_iterations > 0
 
 
-def test_norm_certificates_rejects_a_factor_of_another_shape():
-    gt, _, _ = make_problem(10, 2, seed=3)
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        norm_certificates(np.zeros((10, 3)), gt)
+def test_certify_point_refuses_a_point_of_another_shape_before_any_hvp(monkeypatch):
+    # the shape is refused before the eigensolve, which takes 40 HVPs at this rank-3 point
+    gt, obs = InstanceSpec(d=1000, r=2, seed=1, p=0.1).regenerate()
+    cfg = ObjectiveConfig(default_hyperparams(gt, 0.1), obs)
+    hvps = []
+    apply = objective._Hessian.__call__
+    monkeypatch.setattr(objective._Hessian, "__call__", lambda H, V: hvps.append(1) or apply(H, V))
+    X = random_init(1000, 3, obs, 0)
+    with pytest.raises(ValueError, match=r"^dimension mismatch: X is \(1000, 3\), ground truth is \(1000, 2\)$"):
+        certify_point(X, cfg, gt)
+    assert hvps == []
+    objective.hessian_operator(X[:, :2], cfg)(X[:, :2])
+    assert hvps == [1]  # the counter sees an HVP

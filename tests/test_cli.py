@@ -350,7 +350,8 @@ def test_empty_mask_is_config_error(tmp_path, capsys, command, block):
     cfgp = _write(tmp_path, payload)
     code, out, err = _run(capsys, [command, "--config", cfgp, "--out", str(tmp_path), *flags])
     assert code == 2, err
-    assert err.startswith("config error:") and "mask is empty" in err and f"p={block['p']}" in err
+    # the fault is the instance block's in both commands
+    assert err.startswith("config error: invalid instance: the mask is empty:") and f"p={block['p']}" in err
     assert not any(tmp_path.glob("*.csv"))
 
 

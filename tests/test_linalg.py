@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mcland.certify import recovery_error
+from mcland.instance import GroundTruth
 from mcland.linalg import (
     ObservationMask,
-    procrustes_align,
     singular_extremes,
 )
 
@@ -153,39 +154,39 @@ def test_singular_matches_dense_oracle(rng):
 # procrustes
 
 
+def _residual(X, Z):
+    # the Procrustes residual min_R ||X - Z R||_F over orthonormal R, as recovery_error reports it
+    return recovery_error(X, GroundTruth(Z)).procrustes_residual
+
+
 def test_procrustes_self_alignment(rng):
     Z = rng.normal(size=(10, 2))
-    res = procrustes_align(Z, Z)
-    assert np.allclose(res.rotation, np.eye(2), atol=1e-10)
-    assert res.residual <= 1e-10
+    assert _residual(Z, Z) <= 1e-10
 
 
 def test_procrustes_recovers_rotation(rng):
     Z = rng.normal(size=(10, 3))
     R0 = random_orthonormal(3, rng)
-    res = procrustes_align(Z @ R0, Z)
-    assert res.residual <= 1e-10
-    assert np.allclose(res.rotation, R0, atol=1e-10)
+    assert _residual(Z @ R0, Z) <= 1e-10
 
 
 def test_procrustes_beats_sampled_rotations(rng):
     X = rng.normal(size=(10, 2))
     Z = rng.normal(size=(10, 2))
-    res = procrustes_align(X, Z)
+    residual = _residual(X, Z)
     gen = np.random.default_rng(99)
     for _ in range(10000):
         Q = np.linalg.qr(gen.normal(size=(2, 2)))[0]
-        assert res.residual <= np.linalg.norm(X - Z @ Q) + 1e-10
+        assert residual <= np.linalg.norm(X - Z @ Q) + 1e-10
 
 
-def test_procrustes_rotation_is_orthonormal_even_rank_deficient():
-    Z = np.zeros((6, 3))
-    Z[:, 0] = 1.0  # rank-1 Z makes Z^T X rank deficient
+def test_procrustes_residual_holds_even_rank_deficient():
+    # a rank-1 X makes Z^T X rank deficient; the minimum is ||X||^2 + ||Z||^2 - 2 ||Z^T X||_*
+    Z = np.random.default_rng(5).normal(size=(6, 3))
     X = np.ones((6, 3))
-    res = procrustes_align(X, Z)
-    R = res.rotation
-    assert np.allclose(R.T @ R, np.eye(3), atol=1e-10)
-    assert res.residual == pytest.approx(np.linalg.norm(X - Z @ R), abs=1e-12)
+    nuclear = np.linalg.svd(Z.T @ X, compute_uv=False).sum()
+    expected = np.sqrt(np.linalg.norm(X) ** 2 + np.linalg.norm(Z) ** 2 - 2.0 * nuclear)
+    assert _residual(X, Z) == pytest.approx(expected, abs=1e-12)
 
 
 def test_rotation_preserves_row_norms_and_fro(rng):
@@ -202,15 +203,15 @@ def test_procrustes_residual_invariant_under_joint_rotation(rng):
     X = rng.normal(size=(9, 2))
     Z = rng.normal(size=(9, 2))
     Q = random_orthonormal(2, rng)
-    r1 = procrustes_align(X, Z).residual
-    r2 = procrustes_align(X @ Q, Z @ Q).residual
+    r1 = _residual(X, Z)
+    r2 = _residual(X @ Q, Z @ Q)
     assert r1 == pytest.approx(r2, abs=1e-10)
 
 
 def test_input_checks():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="dimension mismatch"):
-        procrustes_align(rng.normal(size=(5, 2)), rng.normal(size=(5, 3)))
+        recovery_error(rng.normal(size=(5, 2)), GroundTruth(rng.normal(size=(5, 3))))
     with pytest.raises(ValueError, match="2-d array"):
         singular_extremes(np.ones(4))
     with pytest.raises(ValueError, match="tall"):
