@@ -124,7 +124,7 @@ class CertReport:
     global_rel: float = math.nan  # the recovery radius the label was decided by
 
 
-def certify_point(X, cfg, gt, tols=None, eig=None):
+def certify_point(X, cfg, gt, tols=None, eig=None, evaluation=None):
     """Classify a candidate point against the ground truth `gt`.
 
     GlobalMin / StrictSaddle / SpuriousLocalMin / NotStationary.  A
@@ -140,7 +140,10 @@ def certify_point(X, cfg, gt, tols=None, eig=None):
     from `objective.curvature_slack`.  The recovery radius is
     `CertTolerances.radius` (no `tols` is `CertTolerances()`), kept as the
     report's `global_rel`.  A given `eig`, the `min_hessian_eig(X, cfg)` a
-    solver ran at X (`SolveResult.eig`), is used instead of solving again.
+    solver ran at X (`SolveResult.eig`), is used instead of solving again,
+    and a given `evaluation`, the `objective.evaluate(X, cfg)` a solver ran
+    at X (`SolveResult.evaluation`: residuals, value, gradient and its
+    norm), instead of evaluating again; the report is the same, to the bit.
 
     The curvature guarantee follows the eigensolve's route.  Up to
     d * r = `objective._DENSE_MAX` it is one dense solve of the assembled
@@ -162,8 +165,9 @@ def certify_point(X, cfg, gt, tols=None, eig=None):
     if X.shape != Z.shape:
         raise ValueError(f"dimension mismatch: X is {X.shape}, ground truth is {Z.shape}")
     global_rel = (tols or CertTolerances()).radius(gt, cfg.obs)
-    # one residual pass for the value, gradient and eigensolve; a diverged point is NotStationary below
-    resid, bdown, _, gn = obj.evaluate(X, cfg)
+    # the solver's evaluation of X, else one residual pass, for the value, gradient and eigensolve; a
+    # diverged point is NotStationary below
+    resid, bdown, _, gn = evaluation or obj.evaluate(X, cfg)
     rep = CertReport(
         classification=PointClass.NOT_STATIONARY,
         f_value=bdown.total,
@@ -252,9 +256,10 @@ def _count(name, value):
 
 def solve_and_certify(cfg, gt, scfg, tols=None):
     """(SolveResult, ScanRow) of one start: `solve` from `random_init` at scfg.seed, then
-    `certify_point` with the solver's eigensolve.  What the start raises propagates."""
+    `certify_point` with the solver's eigensolve and endpoint evaluation.  What the start
+    raises propagates."""
     res = solvers.solve(cfg, scfg, solvers.random_init(gt.d, gt.rank, cfg.obs, scfg.seed))
-    rep = certify_point(res.X, cfg, gt, tols, res.eig)
+    rep = certify_point(res.X, cfg, gt, tols, res.eig, res.evaluation)
     return res, ScanRow(**vars(rep), start_seed=scfg.seed, status=res.status.value)
 
 

@@ -7,10 +7,12 @@ The objective on a d x r factor X is
 
 with rho(t) = (t - alpha)^4 for t >= alpha and 0 below: a quartic hinge on
 row norms that is twice continuously differentiable everywhere.  Its value,
-gradient and curvature each come from one pass over the rows,
+gradient and curvature at a point share one pass over the rows,
 `_row_excess`, which the column maxima of |X| may rule out: where no row
 norm exceeds alpha the gradient and HVP add nothing, else they add the
-weighted term on the active rows only.  `breakdown` weights the value once, so
+weighted term on the active rows only.  The pass runs once per point:
+`evaluate` and the solvers hand it on as the `excess` argument of the
+functions that read it.  `breakdown` weights the value once, so
 `EvalBreakdown.reg_term` is weight * sum_i rho(||X_i||).  The data
 sum runs over both orders of every observed entry, so an observed
 off-diagonal entry counts twice and a diagonal entry once; `n_pairs` is that
@@ -47,6 +49,8 @@ value, gradient and gradient norm, and an overflow gives inf or NaN, never a
 warning.  `breakdown`, `residual_gradient`, `hessian_operator` and
 `min_hessian_eig` let a caller that already holds the residuals of a point (a
 start, an accepted line-search trial, a point to certify) reuse them.
+Every eigensolve at a point of shape (d, r) starts from one seeded vector,
+drawn on first use and kept read-only.
 `hessian_operator` applies the data curvature through P:
 
     sum_j Omega_ij (<V_i, X_j> + <X_i, V_j>) X_j = A_i V_i + B_i X_i,
@@ -69,7 +73,7 @@ dense solver would add 7.5 MB to the resident set.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from scipy.sparse._sparsetools import coo_matvec, csc_matvec, csc_matvecs, csr_matvec, csr_matvecs, csr_scale_columns
@@ -141,7 +145,7 @@ class ObjectiveConfig:
         # compiled kernel, which reads x unchecked; the columns' products are added in order
         g = None
         for x in np.ascontiguousarray(_check_factor(X, self).T):
-            t = np.repeat(x, self._row_counts)
+            t = x.repeat(self._row_counts)
             csr_scale_columns(self.d, self.d, self._indptr, self._cols, t, x)
             g = t if g is None else np.add(g, t, out=g)
         return g
@@ -197,23 +201,36 @@ def _row_excess(X, alpha):
     return e, act, t[act]
 
 
-def regularizer(X, alpha):
+# the default of every `excess` argument: not given, so the callee runs `_row_excess` itself.
+# None cannot serve, as the pass returns it where no row is active
+_UNSET = object()
+
+
+def _weighted_excess(X, cfg, excess):
+    # the row pass the penalty's gradient and curvature read: None at a weight of 0, where they add nothing
+    if not cfg.hyper.reg_weight > 0:
+        return None
+    return _row_excess(X, cfg.hyper.alpha) if excess is _UNSET else excess
+
+
+def regularizer(X, alpha, excess=_UNSET):
     """sum_i rho(||X_i||), unweighted; NaN where a row norm is NaN.  It sums
     all d rows, inactive ones as zeros: np.sum over the active rows alone
-    would group the terms differently and can round differently."""
-    excess = _row_excess(X, alpha)
+    would group the terms differently and can round differently.  `excess`
+    as for `breakdown`."""
+    if excess is _UNSET:
+        excess = _row_excess(X, alpha)
     return 0.0 if excess is None else float(np.sum(excess[0] ** 4))
 
 
-def add_penalty_gradient(G, X, cfg):
+def add_penalty_gradient(G, X, cfg, excess=_UNSET):
     """G += the weighted penalty gradient, in place on the active rows only,
     and returns G.  Active row i gets reg_weight * 4 (||X_i|| - alpha)^3 X_i /
-    ||X_i||; nothing is added at a weight of 0."""
-    weight = cfg.hyper.reg_weight
-    excess = _row_excess(X, cfg.hyper.alpha) if weight > 0 else None
+    ||X_i||; nothing is added at a weight of 0.  `excess` as for `breakdown`."""
+    excess = _weighted_excess(X, cfg, excess)
     if excess is not None:
         e, act, t = excess
-        G[act] += weight * ((4.0 * e[act] ** 3 / t)[:, None] * X[act])  # t > alpha > 0
+        G[act] += cfg.hyper.reg_weight * ((4.0 * e[act] ** 3 / t)[:, None] * X[act])  # t > alpha > 0
     return G
 
 
@@ -245,29 +262,33 @@ def _check_direction(V, X):
     return V
 
 
-def breakdown(X, resid, cfg):
-    """Objective value split into data and penalty terms, from the residuals of X."""
+def breakdown(X, resid, cfg, excess=_UNSET):
+    """Objective value split into data and penalty terms, from the residuals
+    of X.  `excess`, the `_row_excess(X, cfg.hyper.alpha)` a caller holds,
+    saves the penalty's row pass."""
     data = 0.5 * float((cfg._w * resid) @ resid)
     # the penalty is evaluated at a weight of 0 too: 0 * inf = NaN makes a
     # non-finite row that no pair observes show as a non-finite total
-    reg = cfg.hyper.reg_weight * regularizer(X, cfg.hyper.alpha)
+    reg = cfg.hyper.reg_weight * regularizer(X, cfg.hyper.alpha, excess)
     return EvalBreakdown(data_term=data, reg_term=reg, total=data + reg)
 
 
-def residual_gradient(X, resid, cfg):
+def residual_gradient(X, resid, cfg, excess=_UNSET):
     """d x r gradient from the residuals of X: -2 P_Omega(residual) X plus the
-    weighted penalty gradient."""
-    return add_penalty_gradient(-2.0 * cfg.masked_matmul(resid, X), X, cfg)
+    weighted penalty gradient.  `excess` as for `breakdown`."""
+    return add_penalty_gradient(-2.0 * cfg.masked_matmul(resid, X), X, cfg, excess)
 
 
 def evaluate(X, cfg):
-    """(resid, EvalBreakdown, G, ||G||_F) at X from one residual pass; an
-    overflow gives an inf or NaN value or norm, never a warning."""
+    """(resid, EvalBreakdown, G, ||G||_F) at X from one residual pass and one
+    row pass; an overflow gives an inf or NaN value or norm, never a warning."""
     X = _check_factor(X, cfg)
     with np.errstate(over="ignore", invalid="ignore"):  # the caller reports such a point as diverged
         resid = cfg.residuals(X)
-        G = residual_gradient(X, resid, cfg)
-        return resid, breakdown(X, resid, cfg), G, float(np.linalg.norm(G))
+        excess = _row_excess(X, cfg.hyper.alpha)
+        G = residual_gradient(X, resid, cfg, excess)
+        # the floats of np.linalg.norm(G), sqrt of the dot of the flat G with itself, without its checks
+        return resid, breakdown(X, resid, cfg, excess), G, math.sqrt(np.vdot(G, G))
 
 
 def pair_gradient_sum(X, cfg, positions):
@@ -299,16 +320,17 @@ class _Hessian:
     The pieces that do not depend on V are computed once, here, for both: the
     residuals of X (`resid` where the caller holds them, else one pass), the
     r x r blocks A_i = sum_j Omega_ij X_j X_j^T, and the penalty's curvature
-    on the active rows.
+    on the active rows (from `excess` where the caller holds it, else one
+    row pass).
     """
 
-    def __init__(self, X, cfg, resid):
+    def __init__(self, X, cfg, resid, excess):
         self.X, self.cfg = X, cfg
         self.resid = cfg.residuals(X) if resid is None else _check_pairs(resid, cfg)
         self.unit = np.ones(self.resid.size)  # the data of P
         self.A = self._blocks(X)
         self.weight = cfg.hyper.reg_weight
-        excess = _row_excess(X, cfg.hyper.alpha) if self.weight > 0 else None
+        excess = _weighted_excess(X, cfg, excess)
         self.active = None
         if excess is not None:  # on the active rows: rho'' radially, rho'(t) / t tangentially
             e, self.active, t = excess
@@ -358,7 +380,7 @@ class _Hessian:
         return H.reshape(d * r, d * r)
 
 
-def hessian_operator(X, cfg, resid=None):
+def hessian_operator(X, cfg, resid=None, excess=_UNSET):
     """The Hessian at X, as a function V -> d^2 f(X)[V] (d x r).
 
     H[V] = 2 P_Omega(V X^T + X V^T) X - 2 P_Omega(residual) V + penalty part,
@@ -367,10 +389,11 @@ def hessian_operator(X, cfg, resid=None):
     A, the residuals and the penalty setup are computed once here, B is one
     product of the 0/1 matrix P with the rows X_j V_j^T per application
     (O(n_pairs r^2)); nothing is stored on `cfg`.  `resid`, the residuals of
-    X where the caller holds them, saves their pass.  Self-adjoint.  The
-    returned operator's `matrix()` assembles H from the same pieces.
+    X where the caller holds them, saves their pass, and `excess` (as for
+    `breakdown`) the penalty's.  Self-adjoint.  The returned operator's
+    `matrix()` assembles H from the same pieces.
     """
-    return _Hessian(_check_factor(X, cfg), cfg, resid)
+    return _Hessian(_check_factor(X, cfg), cfg, resid, excess)
 
 
 def _lanczos(H, v):
@@ -396,7 +419,7 @@ def _lanczos(H, v):
     Q = np.empty((0, v.size))
     T = np.zeros((0, 0))
     w = v.ravel()
-    beta = float(np.linalg.norm(w))
+    beta = math.sqrt(w.dot(w))  # np.linalg.norm(w), to the bit: sqrt(w.dot(w)), without its checks
     theta = np.zeros(0)  # the Ritz values of the step before
     for k in range(steps):
         if k == Q.shape[0]:
@@ -412,7 +435,7 @@ def _lanczos(H, v):
             h = Q[: k + 1] @ w
             w -= h @ Q[: k + 1]
             T[k, k] += h[k]
-        beta = float(np.linalg.norm(w))
+        beta = math.sqrt(w.dot(w))
         if k + 1 < steps and beta > 0.0:
             theta_prev, theta = theta, np.linalg.eigvalsh(T[: k + 1, : k + 1])
             if _far_from_stop(theta, theta_prev, beta, _EIG_TOL):
@@ -449,9 +472,13 @@ def _far_from_stop(theta, theta_prev, beta, rel_tol):
     return beta * beta * (s2 - 4.0 * k * delta / g) > 4.0 * tol * tol
 
 
-def _start(X):
-    # the seeded start vector of the eigensolve at a point of this shape
-    return substream(_EIG_SEED, "lanczos", *X.shape).standard_normal(X.shape)
+@cache
+def _start(shape):
+    # the seeded start vector of the eigensolve at a point of this shape, drawn once per shape
+    # (d, r) and read-only, as every eigensolve of the shape shares it
+    v = substream(_EIG_SEED, "lanczos", *shape).standard_normal(shape)
+    v.flags.writeable = False
+    return v
 
 
 @dataclass(frozen=True)
@@ -472,7 +499,7 @@ def curvature_slack(cfg, op_norm):
     return cfg.hyper.tau if cfg.hyper.tau > 0 else 1e-4 * (1.0 + op_norm)
 
 
-def min_hessian_eig(X, cfg, resid=None):
+def min_hessian_eig(X, cfg, resid=None, excess=_UNSET):
     """Smallest Hessian eigenvalue at X, by one dense solve or one Lanczos run.
 
     The route follows the size, d * r: up to _DENSE_MAX, the matrix of one
@@ -486,10 +513,10 @@ def min_hessian_eig(X, cfg, resid=None):
     eigenvalue to rounding; after Lanczos it is within tol of some
     eigenvalue, not provably the smallest, and a label holds because tau is
     far above tol.  1 Hessian-vector product on the dense route, at most
-    d * r + 1 above it.  `resid` as for `hessian_operator`.
+    d * r + 1 above it.  `resid` and `excess` as for `hessian_operator`.
     """
     X = _check_factor(X, cfg)
-    H = hessian_operator(X, cfg, resid)
+    H = hessian_operator(X, cfg, resid, excess)
     if X.size <= _DENSE_MAX:
         M = H.matrix()
         theta = np.linalg.eigvalsh(M)
@@ -497,10 +524,10 @@ def min_hessian_eig(X, cfg, resid=None):
         # the smallest eigenvalue, so M - shift I is positive definite: its eigenvector, at half
         # the cost of eigh's whole set (0.53 against 0.97 ms at d * r = 100)
         shift = theta[0] - X.size * _EPS * (1.0 + np.abs(theta).max())
-        v, steps = np.linalg.solve(M - shift * np.eye(X.size), _start(X).ravel()), 0
+        v, steps = np.linalg.solve(M - shift * np.eye(X.size), _start(X.shape).ravel()), 0
         v /= np.linalg.norm(v)
     else:
-        theta, v = _lanczos(H, _start(X))
+        theta, v = _lanczos(H, _start(X.shape))
         steps = theta.size
     op = float(np.abs(theta).max())
     v = v.reshape(X.shape)

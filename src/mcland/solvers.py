@@ -109,7 +109,12 @@ def _row(it, bdown, grad_norm, step, cum_entry_grads):
 
 @dataclass(frozen=True, eq=False)
 class SolveResult:
-    """The final iterate X; f, grad_norm, iterations and entry_grads come from the last trace row, X's."""
+    """The final iterate X; f, grad_norm, iterations and entry_grads come from the last trace row, X's.
+
+    `evaluation` is the run's last evaluation, X's: the value of `objective.evaluate(X, cfg)`,
+    (resid, EvalBreakdown, G, grad_norm), to the bit, which `certify.certify_point` takes
+    in place of evaluating X again.
+    """
 
     X: np.ndarray
     f: float
@@ -118,6 +123,7 @@ class SolveResult:
     iterations: int
     trace: list  # of TraceRow
     entry_grads: int
+    evaluation: tuple
     eig: obj.EigResult | None = None  # min_hessian_eig at X, where the run computed one
 
 
@@ -152,11 +158,11 @@ def random_init(d, r, obs, seed):
     return rng.standard_normal((d, r)) * np.sqrt(s2 / (d * r))
 
 
-def _first_step(cfg, X, resid, G):
+def _first_step(cfg, X, resid, excess, G):
     """t0 = ||G||^2 / |<G, H[G]>| from one Hessian-vector product at X, 1
     where that product is 0 (or NaN): the first step of every solver.  Where
     the curvature is positive it is `_bb_step(G, H[G])`, to the bit."""
-    curv = float(np.vdot(G, obj.hessian_operator(X, cfg, resid)(G)))
+    curv = float(np.vdot(G, obj.hessian_operator(X, cfg, resid, excess)(G)))
     return float(np.vdot(G, G)) / abs(curv) if abs(curv) > 0 else 1.0
 
 
@@ -165,6 +171,15 @@ def _bb_step(s, y):
     changed by y; None when <s, y> <= 0, where it gives no step."""
     sy = float(np.vdot(s, y))
     return float(np.vdot(s, s)) / sy if sy > 0 else None
+
+
+def _value(cfg, X):
+    """(resid, excess, bdown) at X: its residuals, its penalty row pass
+    (`objective._row_excess`) and its objective value from both, which the
+    point's gradient and Hessian reuse."""
+    resid = cfg.residuals(X)
+    excess = obj._row_excess(X, cfg.hyper.alpha)
+    return resid, excess, obj.breakdown(X, resid, cfg, excess)
 
 
 def _armijo_step(cfg, X, bdown, D, slope, curv, t_init):
@@ -176,18 +191,18 @@ def _armijo_step(cfg, X, bdown, D, slope, curv, t_init):
     the quadratic model's curvature decrease, which every small enough step
     gives for any c1 < 1 even where G vanishes.
 
-    Returns (t, X_new, bdown_new, resid_new) or None when the step
-    underflows; resid_new, the residuals of the accepted trial, gives the
-    gradient at X_new without a second residual pass.
+    Returns (t, X_new, resid, excess, bdown_new) or None when the step
+    underflows: resid and excess, the residuals and row pass of the
+    accepted trial (`_value`), give the gradient at X_new without a second
+    pass of either.
     """
     t = t_init
     while t >= _STEP_UNDERFLOW:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowing trial is rejected
             X_new = X - t * D
-            resid = cfg.residuals(X_new)
-            bdown_new = obj.breakdown(X_new, resid, cfg)
+            resid, excess, bdown_new = _value(cfg, X_new)
         if bdown_new.total <= bdown.total - _C1 * t * (slope + 0.5 * t * curv):
-            return t, X_new, bdown_new, resid
+            return t, X_new, resid, excess, bdown_new
         t *= _BACKTRACK
     return None
 
@@ -195,26 +210,30 @@ def _armijo_step(cfg, X, bdown, D, slope, curv, t_init):
 def _start(cfg, X0, cum):
     """Set-up shared by all solvers.
 
-    Copies X0, evaluates it (`objective.evaluate`), derives grad_tol =
+    Copies X0, evaluates it as `objective.evaluate` does, derives grad_tol =
     1e-8 * (1 + f(X0)) and writes trace row 0 charged with `cum` entry
-    gradients.  Returns (X, resid, bdown, G, grad_norm, grad_tol, trace),
-    resid the residuals of X.  A start whose f or gradient norm overflows
-    is returned as it is; the caller ends the run there as diverged.
+    gradients.  Returns (X, resid, excess, bdown, G, grad_norm, grad_tol,
+    trace), resid and excess the residuals and row pass of X (`_value`).  A
+    start whose f or gradient norm overflows is returned as it is; the
+    caller ends the run there as diverged.
     """
     X = np.array(X0, dtype=float)
-    resid, bdown, G, gn = obj.evaluate(X, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller reports such a start as diverged
+        resid, excess, bdown = _value(cfg, X)
+        G = obj.residual_gradient(X, resid, cfg, excess)
+        gn = math.sqrt(np.vdot(G, G))  # the floats of np.linalg.norm(G), without its checks
     grad_tol = 1e-8 * (1.0 + bdown.total)
     trace = [_row(0, bdown, gn, 0.0, cum)]
-    return X, resid, bdown, G, gn, grad_tol, trace
+    return X, resid, excess, bdown, G, gn, grad_tol, trace
 
 
 def _diverged(trace):  # the last row's objective or gradient norm is not finite
     return not (math.isfinite(trace[-1].f) and math.isfinite(trace[-1].grad_norm))
 
 
-def _result(X, trace, grad_tol, stalled=False, eig=None):
+def _result(X, evaluation, trace, grad_tol, stalled=False, eig=None):
     """SolveResult at the final iterate X, read from the last trace row, with
-    the status rules all solvers share.
+    the status rules all solvers share; `evaluation` is X's (`SolveResult`).
 
     A non-finite objective or gradient norm means the run diverged.  Else
     grad_tol reached wins; else a run that ended in a stalled line search is
@@ -230,7 +249,7 @@ def _result(X, trace, grad_tol, stalled=False, eig=None):
     else:
         status = Status.MAX_ITERS
     return SolveResult(X=X, f=last.f, grad_norm=last.grad_norm, status=status, iterations=last.iter, trace=trace,
-                       entry_grads=last.cum_entry_grads, eig=eig)
+                       entry_grads=last.cum_entry_grads, evaluation=evaluation, eig=eig)
 
 
 def _descend(cfg, scfg, X0, witness_steps):
@@ -254,11 +273,11 @@ def _descend(cfg, scfg, X0, witness_steps):
     saddle, with its eigensolve.
     """
     n_pairs = cfg.n_pairs
-    X, resid, bdown, G, gn, grad_tol, trace = _start(cfg, X0, n_pairs)
+    X, resid, excess, bdown, G, gn, grad_tol, trace = _start(cfg, X0, n_pairs)
     if _diverged(trace):  # no step size can be estimated at a non-finite start
-        return _result(X, trace, grad_tol)
+        return _result(X, (resid, bdown, G, gn), trace, grad_tol)
     # the BB step of the last accepted move, if it gives one; before the first move, t0
-    t_bb = _first_step(cfg, X, resid, G) if gn > grad_tol else None
+    t_bb = _first_step(cfg, X, resid, excess, G) if gn > grad_tol else None
     t_prev = None  # the last accepted step
     eig = None  # the eigensolve at X, where the run computed one
     stalled = False
@@ -267,7 +286,7 @@ def _descend(cfg, scfg, X0, witness_steps):
         if gn <= grad_tol:
             if not witness_steps:
                 break
-            eig = obj.min_hessian_eig(X, cfg, resid)
+            eig = obj.min_hessian_eig(X, cfg, resid, excess)
             lam = eig.lambda_min
             if lam >= -obj.curvature_slack(cfg, eig.op_norm):
                 break  # no negative curvature to escape along
@@ -281,15 +300,15 @@ def _descend(cfg, scfg, X0, witness_steps):
         if hit is None:
             stalled = True
             break
-        t_prev, X_new, bdown, resid = hit
-        G_new = obj.residual_gradient(X_new, resid, cfg)
+        t_prev, X_new, resid, excess, bdown = hit
+        G_new = obj.residual_gradient(X_new, resid, cfg, excess)
         # eig is set only when this was a witness step, whose s and y say
         # nothing about the curvature along G
         t_bb = _bb_step(X_new - X, G_new - G) if eig is None else None
         X, G, eig = X_new, G_new, None
-        gn = float(np.linalg.norm(G))
+        gn = math.sqrt(np.vdot(G, G))
         trace.append(_row(it, bdown, gn, t_prev, n_pairs * (it + 1)))
-    return _result(X, trace, grad_tol, stalled, eig)
+    return _result(X, (resid, bdown, G, gn), trace, grad_tol, stalled, eig)
 
 
 def stochastic_gradient(X, cfg, rng, batch):
@@ -317,14 +336,15 @@ def _sgd(cfg, scfg, X0):
     `diverged` at the first pass, the start included, whose objective or
     gradient norm is not finite.
     """
-    X, resid, _, G, gn, grad_tol, trace = _start(cfg, X0, 0)
+    X, resid, excess, bdown, G, gn, grad_tol, trace = _start(cfg, X0, 0)
+    evaluation = resid, bdown, G, gn
     if _diverged(trace):  # no step size can be estimated at a non-finite start
-        return _result(X, trace, grad_tol)
+        return _result(X, evaluation, trace, grad_tol)
     batch = min(scfg.sgd.batch, cfg.n_pairs)
     # GD's first step t0 damped by sqrt(batch fraction): the estimator is the
     # (n/batch)-scaled pair sum, so the full-gradient step diverges on small
     # batches; at batch == n this is GD's first trial step
-    base = _first_step(cfg, X, resid, G) * math.sqrt(batch / cfg.n_pairs)
+    base = _first_step(cfg, X, resid, excess, G) * math.sqrt(batch / cfg.n_pairs)
     rng = substream(scfg.seed, "sgd")
     period = -(-cfg.n_pairs // batch)  # ceil(|Omega| / batch): steps per epoch
 
@@ -336,11 +356,12 @@ def _sgd(cfg, scfg, X0):
             X = X - step * stochastic_gradient(X, cfg, rng, batch)
         if it % period and it < scfg.max_iters:
             continue  # the full pass runs once per epoch and at the last iteration
-        _, bdown, _, gn = obj.evaluate(X, cfg)
+        evaluation = obj.evaluate(X, cfg)
+        _, bdown, _, gn = evaluation
         trace.append(_row(it, bdown, gn, step, batch * it))
         if _diverged(trace):
             break
-    return _result(X, trace, grad_tol)
+    return _result(X, evaluation, trace, grad_tol)
 
 
 def solve(cfg, scfg, X0):

@@ -191,6 +191,15 @@ def brute_objective(X, cfg):
 # instance helpers
 
 
+# instances whose random start already overflows the objective
+OVERFLOWING_INSTANCES = [
+    {"d": 40, "r": 2, "seed": 3, "p": 1.0, "scale": 1e100},  # f(X0) = inf
+    {"d": 20, "r": 2, "seed": 3, "p": 1.0, "sigma": 1e200},
+    {"d": 20, "r": 2, "seed": 3, "p": 1.0, "sigma": 1e150},  # f(X0) finite, its gradient norm inf
+    {"d": 20, "r": 2, "seed": 3, "p": 0.9, "sigma": 1e200, "include_diagonal": False},  # X0 infinite
+]
+
+
 def make_problem(d, r, seed, p=1.0, sigma=0.0):
     """Ground truth, observation, and objective config in one call."""
     spec = InstanceSpec(d=d, r=r, seed=seed, p=p, sigma=sigma)
@@ -213,8 +222,8 @@ def hessian_scale(monkeypatch):
     def scale(factor):
         hessian = objective.hessian_operator
 
-        def scaled(X, cfg, resid=None):
-            H = hessian(X, cfg, resid)
+        def scaled(X, cfg, *pieces):
+            H = hessian(X, cfg, *pieces)
             return lambda V: factor * H(V)
 
         monkeypatch.setattr(objective, "hessian_operator", scaled)
@@ -234,5 +243,5 @@ def unconverged_eigensolves(monkeypatch):
     """Make every min_hessian_eig report that it did not converge."""
     solve = objective.min_hessian_eig
     monkeypatch.setattr(
-        objective, "min_hessian_eig", lambda X, cfg, resid=None: replace(solve(X, cfg, resid), converged=False)
+        objective, "min_hessian_eig", lambda X, cfg, *pieces: replace(solve(X, cfg, *pieces), converged=False)
     )

@@ -24,7 +24,7 @@ from mcland.objective import ObjectiveConfig, curvature_slack, min_hessian_eig
 from mcland.rng import derive_seed
 from mcland.solvers import Method, SolverConfig, Status, random_init, solve
 
-from conftest import dense_gram, dense_min_eig, make_problem
+from conftest import OVERFLOWING_INSTANCES, dense_gram, dense_min_eig, make_problem
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +310,7 @@ def test_converged_means_a_witness_residual_within_the_tolerance(monkeypatch):
     u = np.random.default_rng(0).normal(size=v0.size)
     u -= (u @ v0) * v0
     u /= np.linalg.norm(u)
-    theta = objective._lanczos(H, objective._start(X))[0]
+    theta = objective._lanczos(H, objective._start(X.shape))[0]
     tol = 1e-6 * (1.0 + np.abs(theta).max())
     spread = np.linalg.norm(H(u.reshape(X.shape)).ravel() - lam[0] * u)
     for k, converged in ((0.5, True), (2.0, False)):
@@ -482,9 +482,9 @@ def test_scan_runs_one_eigensolve_per_start(monkeypatch, method):
     where, in_solve = [], []
     solve_eig, solve = objective.min_hessian_eig, solvers.solve
 
-    def recording_eig(X, cfg, resid=None):
+    def recording_eig(X, cfg, *pieces):
         where.append("solve" if in_solve else "certify")
-        return solve_eig(X, cfg, resid)
+        return solve_eig(X, cfg, *pieces)
 
     def recording_solve(*args):
         in_solve.append(True)
@@ -538,6 +538,52 @@ def test_a_certificate_rereads_the_endpoint_the_solver_ended_on(method, instance
         assert repr(row.grad_norm) == repr(res.trace[-1].grad_norm)
 
 
+@pytest.mark.parametrize("method", list(Method))
+@pytest.mark.parametrize(
+    "start", ["random", "truth", "origin"] + [f"overflowing{k}" for k in range(len(OVERFLOWING_INSTANCES))]
+)
+def test_a_certificate_from_the_solvers_evaluation_is_the_same(method, start, monkeypatch):
+    # solve_and_certify hands the solver's endpoint evaluation to certify_point, which then makes
+    # no residual pass of its own; its row is, field for field and bit for bit, the certificate
+    # that evaluates the endpoint again.  A C3 cell from a random start, from the truth and the
+    # origin, both already within grad_tol, and every overflowing start, each diverged at once
+    if start.startswith("overflowing"):
+        spec = InstanceSpec(**OVERFLOWING_INSTANCES[int(start.removeprefix("overflowing"))])
+    else:
+        spec = InstanceSpec(d=100, r=2, seed=102, p=min(1.0, max(0.2, 20.0 * math.log(100) / 100.0)))
+    gt, obs = spec.regenerate()
+    cfg = ObjectiveConfig(default_hyperparams(gt, spec.p), obs)
+    if start in ("truth", "origin"):
+        X0 = gt.factor if start == "truth" else np.zeros_like(gt.factor)
+        monkeypatch.setattr(solvers, "random_init", lambda d, r, obs, seed: X0.copy())
+    passes = {"solve": 0, "certify": 0}
+    in_solve, residuals, solve = [], ObjectiveConfig.residuals, solvers.solve
+
+    def counting(self, X):
+        passes["solve" if in_solve else "certify"] += 1
+        return residuals(self, X)
+
+    def recording_solve(*args):
+        in_solve.append(True)
+        try:
+            return solve(*args)
+        finally:
+            in_solve.pop()
+
+    monkeypatch.setattr(ObjectiveConfig, "residuals", counting)
+    monkeypatch.setattr(solvers, "solve", recording_solve)
+    res, row = certify.solve_and_certify(cfg, gt, SolverConfig(method=method, max_iters=500, seed=1))
+    assert passes["certify"] == 0 and passes["solve"] > 0
+    if start in ("truth", "origin"):
+        assert res.trace[0].grad_norm <= 1e-8 * (1.0 + res.trace[0].f)
+    if start.startswith("overflowing"):
+        assert res.status is Status.DIVERGED and row.classification is PointClass.NOT_STATIONARY
+    again = certify_point(res.X, cfg, gt, None, res.eig)
+    assert passes["certify"] > 0
+    for f in fields(again):
+        assert repr(getattr(row, f.name)) == repr(getattr(again, f.name)), f.name
+
+
 def test_certificate_from_a_stalled_witness_search_is_the_same(monkeypatch):
     # a witness search that opens below the underflow step ends the run at
     # the strict saddle at the origin, with the eigensolve that found it
@@ -545,7 +591,7 @@ def test_certificate_from_a_stalled_witness_search_is_the_same(monkeypatch):
     saddle = np.zeros((20, 2))
     solve = objective.min_hessian_eig  # an op_norm of 1e20 opens the search at 2e-20
     monkeypatch.setattr(
-        objective, "min_hessian_eig", lambda X, cfg, resid=None: replace(solve(X, cfg, resid), op_norm=1e20)
+        objective, "min_hessian_eig", lambda X, cfg, *pieces: replace(solve(X, cfg, *pieces), op_norm=1e20)
     )
     res = solvers.solve(cfg, SolverConfig(method=Method.PERTURBED_GD), saddle)
     assert np.array_equal(res.X, saddle) and res.iterations == 0

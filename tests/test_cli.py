@@ -14,6 +14,8 @@ from mcland.certify import SCAN_COLUMNS, CertTolerances, PointClass, certify_poi
 from mcland.instance import InstanceSpec, default_hyperparams
 from mcland.rng import derive_seed
 
+from conftest import OVERFLOWING_INSTANCES
+
 
 def _write(tmp_path, payload, name="config.json"):
     path = tmp_path / name
@@ -242,7 +244,7 @@ def test_perturbed_solve_runs_one_eigensolve(tmp_path, capsys, monkeypatch):
     # the certificate reuses the eigensolve perturbed GD ran at its endpoint
     calls = []
     solve_eig = objective.min_hessian_eig
-    monkeypatch.setattr(objective, "min_hessian_eig", lambda X, cfg, resid=None: calls.append(X) or solve_eig(X, cfg, resid))
+    monkeypatch.setattr(objective, "min_hessian_eig", lambda X, cfg, *pieces: calls.append(X) or solve_eig(X, cfg, *pieces))
     cfgp = _write(
         tmp_path,
         {"instance": _instance_block(d=50), "solver": {"method": "perturbed_gd", "seed": 1}},
@@ -559,8 +561,8 @@ def test_diverged_solve_writes_no_overflow_warnings(tmp_path):
     cfgp = _write(tmp_path, _diverging_payload())
     run = (
         "import sys; from mcland import cli, objective; hessian = objective.hessian_operator; "
-        "objective.hessian_operator = lambda X, cfg, resid=None: "
-        f"(lambda H: lambda V: {_DIVERGING_HESSIAN_SCALE!r} * H(V))(hessian(X, cfg, resid)); "
+        "objective.hessian_operator = lambda X, cfg, *pieces: "
+        f"(lambda H: lambda V: {_DIVERGING_HESSIAN_SCALE!r} * H(V))(hessian(X, cfg, *pieces)); "
         "sys.exit(cli.main(sys.argv[1:]))"
     )
     proc = subprocess.run(
@@ -570,15 +572,6 @@ def test_diverged_solve_writes_no_overflow_warnings(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "RuntimeWarning" not in proc.stderr
     assert "status=diverged" in proc.stdout.splitlines()
-
-
-# instances whose random start already overflows the objective
-OVERFLOWING_INSTANCES = [
-    {"d": 40, "r": 2, "seed": 3, "p": 1.0, "scale": 1e100},  # f(X0) = inf
-    {"d": 20, "r": 2, "seed": 3, "p": 1.0, "sigma": 1e200},
-    {"d": 20, "r": 2, "seed": 3, "p": 1.0, "sigma": 1e150},  # f(X0) finite, its gradient norm inf
-    {"d": 20, "r": 2, "seed": 3, "p": 0.9, "sigma": 1e200, "include_diagonal": False},  # X0 infinite
-]
 
 
 @pytest.mark.parametrize("instance", OVERFLOWING_INSTANCES)

@@ -477,11 +477,15 @@ def test_fused_and_per_point_kernels_are_bit_identical(d, r, p, include_diagonal
     cfg, X, V = _kernel_problem(d, r, p, include_diagonal)
     _, bdown, G, _ = evaluate(X, cfg)
     resid = cfg.residuals(X)  # the per-point pieces an accepted line-search trial reuses
-    assert bdown == breakdown(X, resid, cfg)
+    excess = objective._row_excess(X, cfg.hyper.alpha)
+    assert excess is not None
+    assert bdown == breakdown(X, resid, cfg) == breakdown(X, resid, cfg, excess)
     assert np.array_equal(G, residual_gradient(X, resid, cfg))
+    assert np.array_equal(G, residual_gradient(X, resid, cfg, excess))
     H = hessian_operator(X, cfg)
     for U in (V, 2.0 * V + 1.0):
         assert np.array_equal(H(U), hessian_operator(X, cfg)(U))
+        assert np.array_equal(H(U), hessian_operator(X, cfg, resid, excess)(U))
 
 
 @pytest.mark.parametrize("d,r,p,include_diagonal", KERNEL_CASES)
@@ -937,6 +941,22 @@ def test_lanczos_matches_an_eigh_at_every_step(d, r, p, include_diagonal, monkey
     monkeypatch.setattr(objective, "_lanczos", _eigh_every_step_lanczos)
     for Y, eig in zip(points, ours):
         assert _same_eig(eig, min_hessian_eig(Y, cfg))
+
+
+def test_eigensolves_of_one_shape_share_one_read_only_start(monkeypatch, lanczos_only):
+    cfg, X, V = _kernel_problem(12, 3, 0.6, True)
+    starts = []
+    lanczos = objective._lanczos
+    monkeypatch.setattr(objective, "_lanczos", lambda H, v: starts.append(v) or lanczos(H, v))
+    min_hessian_eig(X, cfg)
+    min_hessian_eig(X + 0.01 * V, cfg)
+    assert len(starts) == 2 and starts[0] is starts[1]
+    v = starts[0]
+    assert np.array_equal(v, substream(objective._EIG_SEED, "lanczos", 12, 3).standard_normal((12, 3)))
+    with pytest.raises(ValueError, match="read-only"):
+        v[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        v.ravel()[0] = 1.0
 
 
 def test_lanczos_stops_where_the_krylov_space_is_invariant():

@@ -364,8 +364,29 @@ def test_gd_and_its_certificate_reuse_the_residuals_they_hold(monkeypatch):
     # the same run with the residuals dropped on the way to the Hessian: the
     # first step and the eigensolve each make a pass of their own
     for name in ("hessian_operator", "min_hessian_eig"):
-        monkeypatch.setattr(objective, name, lambda X, cfg, resid=None, real=getattr(objective, name): real(X, cfg))
+        monkeypatch.setattr(objective, name, lambda X, cfg, *_, real=getattr(objective, name): real(X, cfg))
     assert run() == ours and len(points) == n + 2
+
+
+@pytest.mark.parametrize(
+    "method,start", [(Method.GD, "random"), (Method.PERTURBED_GD, "random"), (Method.PERTURBED_GD, "origin")]
+)
+def test_a_descent_makes_one_row_pass_per_point(method, start, monkeypatch):
+    # the penalty's row pass at a point serves its value, its gradient, the first step's Hessian
+    # product and the eigensolve where perturbed GD reaches grad_tol: a run makes one row pass per
+    # residual pass, at the same point.  From the origin perturbed GD solves at X0 and steps away
+    gt, obs, cfg = make_problem(20, 2, seed=13, p=0.8)
+    assert cfg.hyper.reg_weight > 0
+    X0 = random_init(20, 2, obs, 3) if start == "random" else np.zeros((20, 2))
+    rows, points, eigs = [], [], []
+    row_excess, residuals, eig = objective._row_excess, ObjectiveConfig.residuals, objective.min_hessian_eig
+    monkeypatch.setattr(objective, "_row_excess", lambda X, alpha: rows.append(X.tobytes()) or row_excess(X, alpha))
+    monkeypatch.setattr(ObjectiveConfig, "residuals", lambda self, X: points.append(X.tobytes()) or residuals(self, X))
+    monkeypatch.setattr(objective, "min_hessian_eig", lambda *args: eigs.append(1) or eig(*args))
+    res = solve(cfg, SolverConfig(method=method), X0)
+    assert res.status is Status.GRAD_TOL and len(points) > 2
+    assert (len(eigs) > 0) == (method is Method.PERTURBED_GD)
+    assert rows == points
 
 
 def test_sgd_deterministic_given_seed():
@@ -598,8 +619,8 @@ def eigensolves(monkeypatch):
     calls = []
     solve_eig = objective.min_hessian_eig
 
-    def record(X, cfg, resid=None):
-        calls.append((X.copy(), solve_eig(X, cfg, resid)))
+    def record(X, cfg, *pieces):
+        calls.append((X.copy(), solve_eig(X, cfg, *pieces)))
         return calls[-1][1]
 
     monkeypatch.setattr(objective, "min_hessian_eig", record)
