@@ -124,7 +124,7 @@ class CertReport:
     global_rel: float = math.nan  # the recovery radius the label was decided by
 
 
-def certify_point(X, cfg, gt, tols=None, eig=None, evaluation=None):
+def certify_point(X, cfg, gt, tols=None, eig=None, point=None):
     """Classify a candidate point against the ground truth `gt`.
 
     GlobalMin / StrictSaddle / SpuriousLocalMin / NotStationary.  A
@@ -139,11 +139,11 @@ def certify_point(X, cfg, gt, tols=None, eig=None, evaluation=None):
     1e-6 * (1 + |f|).  lambda_min < -tau marks a strict saddle, with tau
     from `objective.curvature_slack`.  The recovery radius is
     `CertTolerances.radius` (no `tols` is `CertTolerances()`), kept as the
-    report's `global_rel`.  A given `eig`, the `min_hessian_eig(X, cfg)` a
-    solver ran at X (`SolveResult.eig`), is used instead of solving again,
-    and a given `evaluation`, the `objective.evaluate(X, cfg)` a solver ran
-    at X (`SolveResult.evaluation`: residuals, value, gradient and its
-    norm), instead of evaluating again; the report is the same, to the bit.
+    report's `global_rel`.  A given `eig`, the `min_hessian_eig` a solver
+    ran at X (`SolveResult.eig`), is used instead of solving again, and a
+    given `point`, the `objective.Point` at X on `cfg` (`SolveResult.point`),
+    instead of evaluating X again; the report is the same, to the bit.  A
+    point of another X or config is a ValueError.
 
     The curvature guarantee follows the eigensolve's route.  Up to
     d * r = `objective._DENSE_MAX` it is one dense solve of the assembled
@@ -158,26 +158,30 @@ def certify_point(X, cfg, gt, tols=None, eig=None, evaluation=None):
     lambda = 0, where the bound degenerates; `sigma_min_ok`, sigma_min(X) >=
     sigma_min(Z) / 4; and `rank1_norm_ok`, ||x||^2 >= ||z||^2 / 4 at r = 1,
     else None.  A point of another shape than Z raises a ValueError before
-    any evaluation.
+    any evaluation, and a `point` of another X or config before any
+    eigensolve.
     """
     X = np.asarray(X, dtype=float)
     Z = gt.factor
     if X.shape != Z.shape:
         raise ValueError(f"dimension mismatch: X is {X.shape}, ground truth is {Z.shape}")
+    if point is not None and (point.cfg is not cfg or not np.array_equal(point.X, X, equal_nan=True)):
+        raise ValueError("the point given is not X's: its factor or its objective config differs")
     global_rel = (tols or CertTolerances()).radius(gt, cfg.obs)
-    # the solver's evaluation of X, else one residual pass, for the value, gradient and eigensolve; a
+    # the solver's point, else one residual pass, for the value, gradient and eigensolve; a
     # diverged point is NotStationary below
-    resid, bdown, _, gn = evaluation or obj.evaluate(X, cfg)
+    pt = point or obj.evaluate(X, cfg)
+    f, gn = pt.value.total, pt.grad_norm()
     rep = CertReport(
         classification=PointClass.NOT_STATIONARY,
-        f_value=bdown.total,
+        f_value=f,
         grad_norm=gn,
-        stationary_tol=1e-6 * (1.0 + abs(bdown.total)),
+        stationary_tol=1e-6 * (1.0 + abs(f)),
         global_rel=global_rel,
     )
-    if not (np.isfinite(X).all() and math.isfinite(bdown.total) and math.isfinite(gn)):
+    if not (np.isfinite(X).all() and math.isfinite(f) and math.isfinite(gn)):
         return rep
-    eig = eig or obj.min_hessian_eig(X, cfg, resid)
+    eig = eig or obj.min_hessian_eig(pt)
     tau = obj.curvature_slack(cfg, eig.op_norm)
     err = recovery_error(X, gt)
 
@@ -256,10 +260,10 @@ def _count(name, value):
 
 def solve_and_certify(cfg, gt, scfg, tols=None):
     """(SolveResult, ScanRow) of one start: `solve` from `random_init` at scfg.seed, then
-    `certify_point` with the solver's eigensolve and endpoint evaluation.  What the start
+    `certify_point` with the solver's eigensolve and endpoint point.  What the start
     raises propagates."""
     res = solvers.solve(cfg, scfg, solvers.random_init(gt.d, gt.rank, cfg.obs, scfg.seed))
-    rep = certify_point(res.X, cfg, gt, tols, res.eig, res.evaluation)
+    rep = certify_point(res.X, cfg, gt, tols, res.eig, res.point)
     return res, ScanRow(**vars(rep), start_seed=scfg.seed, status=res.status.value)
 
 

@@ -10,9 +10,8 @@ row norms that is twice continuously differentiable everywhere.  Its value,
 gradient and curvature at a point share one pass over the rows,
 `_row_excess`, which the column maxima of |X| may rule out: where no row
 norm exceeds alpha the gradient and HVP add nothing, else they add the
-weighted term on the active rows only.  The pass runs once per point:
-`evaluate` and the solvers hand it on as the `excess` argument of the
-functions that read it.  `breakdown` weights the value once, so
+weighted term on the active rows only.  The pass runs once per point, in
+its `Point`.  The value weights the penalty once, so
 `EvalBreakdown.reg_term` is weight * sum_i rho(||X_i||).  The data
 sum runs over both orders of every observed entry, so an observed
 off-diagonal entry counts twice and a diagonal entry once; `n_pairs` is that
@@ -44,11 +43,13 @@ position's row, column and value from three tables indexed by position, 16
 bytes a position (1.6 MB at d=1000, p=0.1), which the config builds on first
 use: only SGD uses them.  It scatters through scipy's compiled COO kernel,
 which adds in the order of `np.add.at`: the same floats, in less time.
-`evaluate` is the one evaluation of a point: one residual pass gives its
-value, gradient and gradient norm, and an overflow gives inf or NaN, never a
-warning.  `breakdown`, `residual_gradient`, `hessian_operator` and
-`min_hessian_eig` let a caller that already holds the residuals of a point (a
-start, an accepted line-search trial, a point to certify) reuse them.
+A `Point` is the record of one evaluated point, and what every function
+that reads a point takes.  Its construction makes one residual pass and one
+row pass and gives the value from both; the gradient and its norm follow on
+first request, once, so a rejected line-search trial never computes them.
+`hessian_operator` and `min_hessian_eig` read its residuals and row pass.
+`evaluate` is the guarded construction: a point with its gradient, where an
+overflow gives inf or NaN, never a warning.
 Every eigensolve at a point of shape (d, r) starts from one seeded vector,
 drawn on first use and kept read-only.
 `hessian_operator` applies the data curvature through P:
@@ -201,34 +202,13 @@ def _row_excess(X, alpha):
     return e, act, t[act]
 
 
-# the default of every `excess` argument: not given, so the callee runs `_row_excess` itself.
-# None cannot serve, as the pass returns it where no row is active
-_UNSET = object()
-
-
-def _weighted_excess(X, cfg, excess):
-    # the row pass the penalty's gradient and curvature read: None at a weight of 0, where they add nothing
-    if not cfg.hyper.reg_weight > 0:
-        return None
-    return _row_excess(X, cfg.hyper.alpha) if excess is _UNSET else excess
-
-
-def regularizer(X, alpha, excess=_UNSET):
-    """sum_i rho(||X_i||), unweighted; NaN where a row norm is NaN.  It sums
-    all d rows, inactive ones as zeros: np.sum over the active rows alone
-    would group the terms differently and can round differently.  `excess`
-    as for `breakdown`."""
-    if excess is _UNSET:
-        excess = _row_excess(X, alpha)
-    return 0.0 if excess is None else float(np.sum(excess[0] ** 4))
-
-
-def add_penalty_gradient(G, X, cfg, excess=_UNSET):
+def add_penalty_gradient(G, X, cfg, excess):
     """G += the weighted penalty gradient, in place on the active rows only,
-    and returns G.  Active row i gets reg_weight * 4 (||X_i|| - alpha)^3 X_i /
-    ||X_i||; nothing is added at a weight of 0.  `excess` as for `breakdown`."""
-    excess = _weighted_excess(X, cfg, excess)
-    if excess is not None:
+    and returns G.  `excess` is the row pass of X, `_row_excess(X,
+    cfg.hyper.alpha)`.  Active row i gets reg_weight * 4 (||X_i|| - alpha)^3
+    X_i / ||X_i||; nothing is added at a weight of 0 or where no row is
+    active."""
+    if excess is not None and cfg.hyper.reg_weight > 0:
         e, act, t = excess
         G[act] += cfg.hyper.reg_weight * ((4.0 * e[act] ** 3 / t)[:, None] * X[act])  # t > alpha > 0
     return G
@@ -237,7 +217,7 @@ def add_penalty_gradient(G, X, cfg, excess=_UNSET):
 @dataclass(frozen=True)
 class EvalBreakdown:
     data_term: float
-    reg_term: float  # weighted penalty value: reg_weight * regularizer
+    reg_term: float  # weighted penalty value: reg_weight * sum_i rho(||X_i||)
     total: float
 
 
@@ -262,33 +242,55 @@ def _check_direction(V, X):
     return V
 
 
-def breakdown(X, resid, cfg, excess=_UNSET):
-    """Objective value split into data and penalty terms, from the residuals
-    of X.  `excess`, the `_row_excess(X, cfg.hyper.alpha)` a caller holds,
-    saves the penalty's row pass."""
-    data = 0.5 * float((cfg._w * resid) @ resid)
-    # the penalty is evaluated at a weight of 0 too: 0 * inf = NaN makes a
-    # non-finite row that no pair observes show as a non-finite total
-    reg = cfg.hyper.reg_weight * regularizer(X, cfg.hyper.alpha, excess)
-    return EvalBreakdown(data_term=data, reg_term=reg, total=data + reg)
+class Point:
+    """The factor X on `cfg`, with what was computed at it.
 
+    Construction makes the residual pass (`cfg.residuals`, which checks X),
+    kept as `resid`, and the penalty's row pass (`_row_excess`), kept as
+    `excess`, and splits the objective value from both into `value`, an
+    `EvalBreakdown`: every line-search trial needs all three.  `gradient()`
+    and `grad_norm()` compute the gradient and its norm on the first request
+    of either, once.  Nothing here guards against overflow: `evaluate` is
+    the guarded construction, and a solver guards its own trials.
+    """
 
-def residual_gradient(X, resid, cfg, excess=_UNSET):
-    """d x r gradient from the residuals of X: -2 P_Omega(residual) X plus the
-    weighted penalty gradient.  `excess` as for `breakdown`."""
-    return add_penalty_gradient(-2.0 * cfg.masked_matmul(resid, X), X, cfg, excess)
+    def __init__(self, X, cfg):
+        self.resid = resid = cfg.residuals(X)
+        self.X = X = np.asarray(X, dtype=float)  # the residual pass checked its shape
+        self.cfg = cfg
+        self.excess = excess = _row_excess(X, cfg.hyper.alpha)
+        data = 0.5 * float((cfg._w * resid) @ resid)
+        # sum_i rho(||X_i||) over all d rows, inactive ones as zeros: np.sum over the active rows
+        # alone would group the terms differently and can round differently.  It is weighted at a
+        # weight of 0 too: 0 * inf = NaN makes a non-finite row that no pair observes show as a
+        # non-finite total
+        reg = cfg.hyper.reg_weight * (0.0 if excess is None else float(np.sum(excess[0] ** 4)))
+        self.value = EvalBreakdown(data_term=data, reg_term=reg, total=data + reg)
+        self._G = None
+
+    def gradient(self):
+        """The d x r gradient: -2 P_Omega(residual) X plus the weighted penalty gradient."""
+        if self._G is None:
+            X, cfg = self.X, self.cfg
+            self._G = G = add_penalty_gradient(-2.0 * cfg.masked_matmul(self.resid, X), X, cfg, self.excess)
+            # the floats of np.linalg.norm(G), sqrt of the dot of the flat G with itself, without its checks
+            self._grad_norm = math.sqrt(np.vdot(G, G))
+        return self._G
+
+    def grad_norm(self):
+        """||gradient()||_F."""
+        self.gradient()
+        return self._grad_norm
 
 
 def evaluate(X, cfg):
-    """(resid, EvalBreakdown, G, ||G||_F) at X from one residual pass and one
-    row pass; an overflow gives an inf or NaN value or norm, never a warning."""
-    X = _check_factor(X, cfg)
+    """The `Point` at X with its gradient and gradient norm, from one residual
+    pass and one row pass; an overflow gives an inf or NaN value or norm,
+    never a warning."""
     with np.errstate(over="ignore", invalid="ignore"):  # the caller reports such a point as diverged
-        resid = cfg.residuals(X)
-        excess = _row_excess(X, cfg.hyper.alpha)
-        G = residual_gradient(X, resid, cfg, excess)
-        # the floats of np.linalg.norm(G), sqrt of the dot of the flat G with itself, without its checks
-        return resid, breakdown(X, resid, cfg, excess), G, math.sqrt(np.vdot(G, G))
+        pt = Point(X, cfg)
+        pt.gradient()
+    return pt
 
 
 def pair_gradient_sum(X, cfg, positions):
@@ -315,25 +317,23 @@ def pair_gradient_sum(X, cfg, positions):
 
 
 class _Hessian:
-    """The Hessian at X: `H(V)` applies it, `H.matrix()` assembles it.
+    """The Hessian at the point `pt`: `H(V)` applies it, `H.matrix()` assembles it.
 
-    The pieces that do not depend on V are computed once, here, for both: the
-    residuals of X (`resid` where the caller holds them, else one pass), the
-    r x r blocks A_i = sum_j Omega_ij X_j X_j^T, and the penalty's curvature
-    on the active rows (from `excess` where the caller holds it, else one
-    row pass).
+    The pieces that do not depend on V are set up once, here, for both: the
+    point's residuals, the r x r blocks A_i = sum_j Omega_ij X_j X_j^T, and
+    the penalty's curvature on the active rows of the point's row pass.
     """
 
-    def __init__(self, X, cfg, resid, excess):
-        self.X, self.cfg = X, cfg
-        self.resid = cfg.residuals(X) if resid is None else _check_pairs(resid, cfg)
+    def __init__(self, pt):
+        X, cfg = self.X, self.cfg = pt.X, pt.cfg
+        self.resid = pt.resid
         self.unit = np.ones(self.resid.size)  # the data of P
         self.A = self._blocks(X)
         self.weight = cfg.hyper.reg_weight
-        excess = _weighted_excess(X, cfg, excess)
         self.active = None
-        if excess is not None:  # on the active rows: rho'' radially, rho'(t) / t tangentially
-            e, self.active, t = excess
+        # on the active rows, none at a weight of 0: rho'' radially, rho'(t) / t tangentially
+        if pt.excess is not None and self.weight > 0:
+            e, self.active, t = pt.excess
             self.u = X[self.active] / t[:, None]
             self.d1_over_t, self.d2 = 4.0 * e[self.active] ** 3 / t, 12.0 * e[self.active] ** 2
 
@@ -380,20 +380,19 @@ class _Hessian:
         return H.reshape(d * r, d * r)
 
 
-def hessian_operator(X, cfg, resid=None, excess=_UNSET):
-    """The Hessian at X, as a function V -> d^2 f(X)[V] (d x r).
+def hessian_operator(pt):
+    """The Hessian at the `Point` pt, as a function V -> d^2 f(X)[V] (d x r).
 
     H[V] = 2 P_Omega(V X^T + X V^T) X - 2 P_Omega(residual) V + penalty part,
     with the first term applied rowwise as 2 (A_i V_i + B_i X_i) for the r x r
     blocks A_i = sum_j Omega_ij X_j X_j^T and B_i = sum_j Omega_ij X_j V_j^T:
     A, the residuals and the penalty setup are computed once here, B is one
     product of the 0/1 matrix P with the rows X_j V_j^T per application
-    (O(n_pairs r^2)); nothing is stored on `cfg`.  `resid`, the residuals of
-    X where the caller holds them, saves their pass, and `excess` (as for
-    `breakdown`) the penalty's.  Self-adjoint.  The returned operator's
-    `matrix()` assembles H from the same pieces.
+    (O(n_pairs r^2)); nothing is stored on `cfg`.  The residuals and the
+    penalty's row pass are the point's.  Self-adjoint.  The returned
+    operator's `matrix()` assembles H from the same pieces.
     """
-    return _Hessian(_check_factor(X, cfg), cfg, resid, excess)
+    return _Hessian(pt)
 
 
 def _lanczos(H, v):
@@ -499,8 +498,8 @@ def curvature_slack(cfg, op_norm):
     return cfg.hyper.tau if cfg.hyper.tau > 0 else 1e-4 * (1.0 + op_norm)
 
 
-def min_hessian_eig(X, cfg, resid=None, excess=_UNSET):
-    """Smallest Hessian eigenvalue at X, by one dense solve or one Lanczos run.
+def min_hessian_eig(pt):
+    """Smallest Hessian eigenvalue at the `Point` pt, by one dense solve or one Lanczos run.
 
     The route follows the size, d * r: up to _DENSE_MAX, the matrix of one
     `hessian_operator` is assembled and solved densely, and the witness v
@@ -513,10 +512,10 @@ def min_hessian_eig(X, cfg, resid=None, excess=_UNSET):
     eigenvalue to rounding; after Lanczos it is within tol of some
     eigenvalue, not provably the smallest, and a label holds because tau is
     far above tol.  1 Hessian-vector product on the dense route, at most
-    d * r + 1 above it.  `resid` and `excess` as for `hessian_operator`.
+    d * r + 1 above it.
     """
-    X = _check_factor(X, cfg)
-    H = hessian_operator(X, cfg, resid, excess)
+    X = pt.X
+    H = hessian_operator(pt)
     if X.size <= _DENSE_MAX:
         M = H.matrix()
         theta = np.linalg.eigvalsh(M)

@@ -32,6 +32,12 @@ Perturbed GD runs `min_hessian_eig` where it reaches grad_tol.  Where that
 shows a saddle it steps along the eigensolve's witness, the negative-curvature
 step of Royer & Wright (arXiv 1706.03131), under a curvature decrease test;
 else it stops and returns the eigensolve for the certificate to reuse.
+
+GD and perturbed GD carry one `objective.Point` per iterate: the start's,
+then each accepted line-search trial's, whose residuals and row pass serve
+its value, its gradient, the first step's Hessian product and the
+eigensolve.  Every run returns its endpoint's point with its gradient, for
+the certificate to reuse.
 """
 
 import math
@@ -103,17 +109,17 @@ class TraceRow(NamedTuple):
 TRACE_COLUMNS = TraceRow._fields
 
 
-def _row(it, bdown, grad_norm, step, cum_entry_grads):
-    return TraceRow(it, bdown.total, bdown.data_term, bdown.reg_term, grad_norm, step, cum_entry_grads)
+def _row(it, pt, step, cum_entry_grads):  # the trace row of the point pt
+    return TraceRow(it, pt.value.total, pt.value.data_term, pt.value.reg_term, pt.grad_norm(), step, cum_entry_grads)
 
 
 @dataclass(frozen=True, eq=False)
 class SolveResult:
     """The final iterate X; f, grad_norm, iterations and entry_grads come from the last trace row, X's.
 
-    `evaluation` is the run's last evaluation, X's: the value of `objective.evaluate(X, cfg)`,
-    (resid, EvalBreakdown, G, grad_norm), to the bit, which `certify.certify_point` takes
-    in place of evaluating X again.
+    `point` is the `objective.Point` at X with its gradient, to the bit the value of
+    `objective.evaluate(X, cfg)`, which `certify.certify_point` takes in place of
+    evaluating X again.
     """
 
     X: np.ndarray
@@ -123,7 +129,7 @@ class SolveResult:
     iterations: int
     trace: list  # of TraceRow
     entry_grads: int
-    evaluation: tuple
+    point: obj.Point
     eig: obj.EigResult | None = None  # min_hessian_eig at X, where the run computed one
 
 
@@ -158,11 +164,13 @@ def random_init(d, r, obs, seed):
     return rng.standard_normal((d, r)) * np.sqrt(s2 / (d * r))
 
 
-def _first_step(cfg, X, resid, excess, G):
-    """t0 = ||G||^2 / |<G, H[G]>| from one Hessian-vector product at X, 1
-    where that product is 0 (or NaN): the first step of every solver.  Where
-    the curvature is positive it is `_bb_step(G, H[G])`, to the bit."""
-    curv = float(np.vdot(G, obj.hessian_operator(X, cfg, resid, excess)(G)))
+def _first_step(pt):
+    """t0 = ||G||^2 / |<G, H[G]>| from one Hessian-vector product at the
+    point pt, G its gradient, 1 where that product is 0 (or NaN): the first
+    step of every solver.  Where the curvature is positive it is
+    `_bb_step(G, H[G])`, to the bit."""
+    G = pt.gradient()
+    curv = float(np.vdot(G, obj.hessian_operator(pt)(G)))
     return float(np.vdot(G, G)) / abs(curv) if abs(curv) > 0 else 1.0
 
 
@@ -173,17 +181,8 @@ def _bb_step(s, y):
     return float(np.vdot(s, s)) / sy if sy > 0 else None
 
 
-def _value(cfg, X):
-    """(resid, excess, bdown) at X: its residuals, its penalty row pass
-    (`objective._row_excess`) and its objective value from both, which the
-    point's gradient and Hessian reuse."""
-    resid = cfg.residuals(X)
-    excess = obj._row_excess(X, cfg.hyper.alpha)
-    return resid, excess, obj.breakdown(X, resid, cfg, excess)
-
-
-def _armijo_step(cfg, X, bdown, D, slope, curv, t_init):
-    """Backtrack X - t D from t_init by _BACKTRACK until
+def _armijo_step(pt, D, slope, curv, t_init):
+    """Backtrack X - t D from the point pt at X, from t_init by _BACKTRACK, until
     f(X - t D) <= f(X) - c1 t (slope + t curv / 2), with c1 = _C1.
 
     Along the gradient G, slope = ||G||^2 and curv = 0: the Armijo test.
@@ -191,18 +190,15 @@ def _armijo_step(cfg, X, bdown, D, slope, curv, t_init):
     the quadratic model's curvature decrease, which every small enough step
     gives for any c1 < 1 even where G vanishes.
 
-    Returns (t, X_new, resid, excess, bdown_new) or None when the step
-    underflows: resid and excess, the residuals and row pass of the
-    accepted trial (`_value`), give the gradient at X_new without a second
-    pass of either.
+    Returns (t, trial), the accepted trial's `objective.Point`, or None when
+    the step underflows.
     """
-    t = t_init
+    X, f, t = pt.X, pt.value.total, t_init
     while t >= _STEP_UNDERFLOW:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowing trial is rejected
-            X_new = X - t * D
-            resid, excess, bdown_new = _value(cfg, X_new)
-        if bdown_new.total <= bdown.total - _C1 * t * (slope + 0.5 * t * curv):
-            return t, X_new, resid, excess, bdown_new
+            trial = obj.Point(X - t * D, pt.cfg)
+        if trial.value.total <= f - _C1 * t * (slope + 0.5 * t * curv):
+            return t, trial
         t *= _BACKTRACK
     return None
 
@@ -210,30 +206,24 @@ def _armijo_step(cfg, X, bdown, D, slope, curv, t_init):
 def _start(cfg, X0, cum):
     """Set-up shared by all solvers.
 
-    Copies X0, evaluates it as `objective.evaluate` does, derives grad_tol =
+    Evaluates a copy of X0 (`objective.evaluate`), derives grad_tol =
     1e-8 * (1 + f(X0)) and writes trace row 0 charged with `cum` entry
-    gradients.  Returns (X, resid, excess, bdown, G, grad_norm, grad_tol,
-    trace), resid and excess the residuals and row pass of X (`_value`).  A
-    start whose f or gradient norm overflows is returned as it is; the
-    caller ends the run there as diverged.
+    gradients.  Returns (pt, grad_tol, trace), pt the start's
+    `objective.Point`.  A start whose f or gradient norm overflows is
+    returned as it is; the caller ends the run there as diverged.
     """
-    X = np.array(X0, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):  # the caller reports such a start as diverged
-        resid, excess, bdown = _value(cfg, X)
-        G = obj.residual_gradient(X, resid, cfg, excess)
-        gn = math.sqrt(np.vdot(G, G))  # the floats of np.linalg.norm(G), without its checks
-    grad_tol = 1e-8 * (1.0 + bdown.total)
-    trace = [_row(0, bdown, gn, 0.0, cum)]
-    return X, resid, excess, bdown, G, gn, grad_tol, trace
+    pt = obj.evaluate(np.array(X0, dtype=float), cfg)
+    grad_tol = 1e-8 * (1.0 + pt.value.total)
+    return pt, grad_tol, [_row(0, pt, 0.0, cum)]
 
 
 def _diverged(trace):  # the last row's objective or gradient norm is not finite
     return not (math.isfinite(trace[-1].f) and math.isfinite(trace[-1].grad_norm))
 
 
-def _result(X, evaluation, trace, grad_tol, stalled=False, eig=None):
-    """SolveResult at the final iterate X, read from the last trace row, with
-    the status rules all solvers share; `evaluation` is X's (`SolveResult`).
+def _result(pt, trace, grad_tol, stalled=False, eig=None):
+    """SolveResult at the final iterate's point pt, read from the last trace
+    row, with the status rules all solvers share.
 
     A non-finite objective or gradient norm means the run diverged.  Else
     grad_tol reached wins; else a run that ended in a stalled line search is
@@ -248,8 +238,8 @@ def _result(X, evaluation, trace, grad_tol, stalled=False, eig=None):
         status = Status.LINE_SEARCH_STALLED
     else:
         status = Status.MAX_ITERS
-    return SolveResult(X=X, f=last.f, grad_norm=last.grad_norm, status=status, iterations=last.iter, trace=trace,
-                       entry_grads=last.cum_entry_grads, evaluation=evaluation, eig=eig)
+    return SolveResult(X=pt.X, f=last.f, grad_norm=last.grad_norm, status=status, iterations=last.iter, trace=trace,
+                       entry_grads=last.cum_entry_grads, point=pt, eig=eig)
 
 
 def _descend(cfg, scfg, X0, witness_steps):
@@ -273,20 +263,21 @@ def _descend(cfg, scfg, X0, witness_steps):
     saddle, with its eigensolve.
     """
     n_pairs = cfg.n_pairs
-    X, resid, excess, bdown, G, gn, grad_tol, trace = _start(cfg, X0, n_pairs)
+    pt, grad_tol, trace = _start(cfg, X0, n_pairs)
     if _diverged(trace):  # no step size can be estimated at a non-finite start
-        return _result(X, (resid, bdown, G, gn), trace, grad_tol)
+        return _result(pt, trace, grad_tol)
     # the BB step of the last accepted move, if it gives one; before the first move, t0
-    t_bb = _first_step(cfg, X, resid, excess, G) if gn > grad_tol else None
+    t_bb = _first_step(pt) if pt.grad_norm() > grad_tol else None
     t_prev = None  # the last accepted step
-    eig = None  # the eigensolve at X, where the run computed one
+    eig = None  # the eigensolve at pt, where the run computed one
     stalled = False
     for it in range(1, scfg.max_iters + 1):
+        G, gn = pt.gradient(), pt.grad_norm()
         D, slope, curv, t_init = G, gn * gn, 0.0, t_bb
         if gn <= grad_tol:
             if not witness_steps:
                 break
-            eig = obj.min_hessian_eig(X, cfg, resid, excess)
+            eig = obj.min_hessian_eig(pt)
             lam = eig.lambda_min
             if lam >= -obj.curvature_slack(cfg, eig.op_norm):
                 break  # no negative curvature to escape along
@@ -296,19 +287,17 @@ def _descend(cfg, scfg, X0, witness_steps):
             if t_prev is None:  # a witness search before the first move: 1 / ||H||, 1 where that is 0
                 t_prev = 1.0 / eig.op_norm if eig.op_norm > 0 else 1.0
             t_init = 2.0 * t_prev
-        hit = _armijo_step(cfg, X, bdown, D, slope, curv, t_init)
+        hit = _armijo_step(pt, D, slope, curv, t_init)
         if hit is None:
             stalled = True
             break
-        t_prev, X_new, resid, excess, bdown = hit
-        G_new = obj.residual_gradient(X_new, resid, cfg, excess)
+        t_prev, trial = hit
         # eig is set only when this was a witness step, whose s and y say
         # nothing about the curvature along G
-        t_bb = _bb_step(X_new - X, G_new - G) if eig is None else None
-        X, G, eig = X_new, G_new, None
-        gn = math.sqrt(np.vdot(G, G))
-        trace.append(_row(it, bdown, gn, t_prev, n_pairs * (it + 1)))
-    return _result(X, (resid, bdown, G, gn), trace, grad_tol, stalled, eig)
+        t_bb = _bb_step(trial.X - pt.X, trial.gradient() - G) if eig is None else None
+        pt, eig = trial, None
+        trace.append(_row(it, pt, t_prev, n_pairs * (it + 1)))
+    return _result(pt, trace, grad_tol, stalled, eig)
 
 
 def stochastic_gradient(X, cfg, rng, batch):
@@ -322,7 +311,8 @@ def stochastic_gradient(X, cfg, rng, batch):
     """
     n = cfg.n_pairs
     idx = rng.integers(0, n, size=batch)
-    return obj.add_penalty_gradient(obj.pair_gradient_sum(X, cfg, idx) * (n / batch), X, cfg)
+    G = obj.pair_gradient_sum(X, cfg, idx) * (n / batch)
+    return obj.add_penalty_gradient(G, X, cfg, obj._row_excess(X, cfg.hyper.alpha))
 
 
 def _sgd(cfg, scfg, X0):
@@ -336,32 +326,31 @@ def _sgd(cfg, scfg, X0):
     `diverged` at the first pass, the start included, whose objective or
     gradient norm is not finite.
     """
-    X, resid, excess, bdown, G, gn, grad_tol, trace = _start(cfg, X0, 0)
-    evaluation = resid, bdown, G, gn
+    pt, grad_tol, trace = _start(cfg, X0, 0)
     if _diverged(trace):  # no step size can be estimated at a non-finite start
-        return _result(X, evaluation, trace, grad_tol)
+        return _result(pt, trace, grad_tol)
     batch = min(scfg.sgd.batch, cfg.n_pairs)
     # GD's first step t0 damped by sqrt(batch fraction): the estimator is the
     # (n/batch)-scaled pair sum, so the full-gradient step diverges on small
     # batches; at batch == n this is GD's first trial step
-    base = _first_step(cfg, X, resid, excess, G) * math.sqrt(batch / cfg.n_pairs)
+    base = _first_step(pt) * math.sqrt(batch / cfg.n_pairs)
+    X = pt.X
     rng = substream(scfg.seed, "sgd")
     period = -(-cfg.n_pairs // batch)  # ceil(|Omega| / batch): steps per epoch
 
     for it in range(1, scfg.max_iters + 1):
-        if gn <= grad_tol:
+        if pt.grad_norm() <= grad_tol:  # the last full pass's
             break
         step = base / (1.0 + _STEP_DECAY * (it - 1))
         with np.errstate(over="ignore", invalid="ignore"):  # a diverging run ends with status diverged
             X = X - step * stochastic_gradient(X, cfg, rng, batch)
         if it % period and it < scfg.max_iters:
             continue  # the full pass runs once per epoch and at the last iteration
-        evaluation = obj.evaluate(X, cfg)
-        _, bdown, _, gn = evaluation
-        trace.append(_row(it, bdown, gn, step, batch * it))
+        pt = obj.evaluate(X, cfg)
+        trace.append(_row(it, pt, step, batch * it))
         if _diverged(trace):
             break
-    return _result(X, evaluation, trace, grad_tol)
+    return _result(pt, trace, grad_tol)
 
 
 def solve(cfg, scfg, X0):

@@ -14,7 +14,7 @@ import pytest
 from mcland.instance import InstanceSpec, default_hyperparams
 from mcland import objective
 from mcland.linalg import ObservationMask
-from mcland.objective import ObjectiveConfig, hessian_operator
+from mcland.objective import ObjectiveConfig, Point, hessian_operator
 from mcland.rng import substream
 
 
@@ -60,7 +60,7 @@ def dense_hessian(X, cfg):
     n = d * r
     H = np.zeros((n, n))
     E = np.zeros((d, r))
-    apply = hessian_operator(X, cfg)
+    apply = hessian_operator(Point(X, cfg))
     for k in range(n):
         E.flat[k] = 1.0
         H[:, k] = apply(E).ravel()
@@ -222,8 +222,8 @@ def hessian_scale(monkeypatch):
     def scale(factor):
         hessian = objective.hessian_operator
 
-        def scaled(X, cfg, *pieces):
-            H = hessian(X, cfg, *pieces)
+        def scaled(pt):
+            H = hessian(pt)
             return lambda V: factor * H(V)
 
         monkeypatch.setattr(objective, "hessian_operator", scaled)
@@ -243,5 +243,5 @@ def unconverged_eigensolves(monkeypatch):
     """Make every min_hessian_eig report that it did not converge."""
     solve = objective.min_hessian_eig
     monkeypatch.setattr(
-        objective, "min_hessian_eig", lambda X, cfg, *pieces: replace(solve(X, cfg, *pieces), converged=False)
+        objective, "min_hessian_eig", lambda pt: replace(solve(pt), converged=False)
     )

@@ -35,6 +35,7 @@ from mcland.instance import (
 )
 from mcland.objective import (
     ObjectiveConfig,
+    Point,
     evaluate,
     hessian_operator,
     min_hessian_eig,
@@ -94,8 +95,8 @@ def test_c1_gradient_oracle():
         )
         cfg = ObjectiveConfig(hyper, obs)
         X = gt.factor + 0.5 * rng.standard_normal((d, r))
-        G = evaluate(X, cfg)[2]
-        G_fd = fd_gradient(lambda Y: evaluate(Y, cfg)[1].total, X)
+        G = evaluate(X, cfg).gradient()
+        G_fd = fd_gradient(lambda Y: evaluate(Y, cfg).value.total, X)
         rel = float(np.linalg.norm(G - G_fd)) / (1.0 + float(np.linalg.norm(G)))
         worst = max(worst, rel)
     elapsed = time.perf_counter() - t0
@@ -124,9 +125,9 @@ def test_c2_hessian_oracle():
         for _ in range(3):
             V = rng.standard_normal(X.shape)
             quad = hessian_quadratic(X, V, cfg)
-            fd = fd_second_directional(lambda Y: evaluate(Y, cfg)[1].total, X, V)
+            fd = fd_second_directional(lambda Y: evaluate(Y, cfg).value.total, X, V)
             worst_quad = max(worst_quad, abs(quad - fd) / (1.0 + abs(quad)))
-            via = float(np.sum(V * hessian_operator(X, cfg)(V)))
+            via = float(np.sum(V * hessian_operator(Point(X, cfg))(V)))
             worst_pair = max(worst_pair, abs(quad - via) / (1.0 + abs(quad)))
 
     worst_sym = worst_entry = 0.0
@@ -138,7 +139,7 @@ def test_c2_hessian_oracle():
         H = dense_hessian(X, cfg)
         scale = 1.0 + float(np.abs(H).max())
         worst_sym = max(worst_sym, float(np.abs(H - H.T).max()) / scale)
-        H_fd = fd_hessian(lambda Y: evaluate(Y, cfg)[2], X)
+        H_fd = fd_hessian(lambda Y: evaluate(Y, cfg).gradient(), X)
         worst_entry = max(worst_entry, float(np.abs(H - H_fd).max()) / scale)
 
     elapsed = time.perf_counter() - t0
@@ -238,8 +239,8 @@ def test_c4_strict_saddle_escape():
     cfg = ObjectiveConfig(HyperParams(alpha=1e6, reg_weight=0.0, tau=0.0), obs)
 
     x_saddle = math.sqrt(lam2) * Q[:, 1:2]
-    gn = float(np.linalg.norm(evaluate(x_saddle, cfg)[2]))
-    eig = min_hessian_eig(x_saddle, cfg)
+    gn = float(np.linalg.norm(evaluate(x_saddle, cfg).gradient()))
+    eig = min_hessian_eig(Point(x_saddle, cfg))
     H = dense_hessian(x_saddle, cfg)
     dense_min = float(np.linalg.eigvalsh(0.5 * (H + H.T))[0])
     c = -dense_min / (lam1 - lam2)
@@ -424,7 +425,7 @@ def test_c9_sgd_unbiased():
         gt, obs = spec.regenerate()
         cfg = ObjectiveConfig(default_hyperparams(gt, 1.0), obs)
         X = random_init(d, r, obs, base * 100 + 50 + k)
-        G = evaluate(X, cfg)[2]
+        G = evaluate(X, cfg).gradient()
         stream = substream(base, "unbiased", k)
         draws = np.stack(
             [stochastic_gradient(X, cfg, stream, 1) for _ in range(n_draws)]

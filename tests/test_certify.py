@@ -20,7 +20,7 @@ from mcland.certify import (
 from mcland.csvio import cell
 from mcland.instance import GroundTruth, HyperParams, InstanceSpec, Observation, default_hyperparams
 from mcland.linalg import ObservationMask
-from mcland.objective import ObjectiveConfig, curvature_slack, min_hessian_eig
+from mcland.objective import ObjectiveConfig, Point, curvature_slack, min_hessian_eig
 from mcland.rng import derive_seed
 from mcland.solvers import Method, SolverConfig, Status, random_init, solve
 
@@ -235,7 +235,7 @@ def _certified_endpoint():
     """A GD endpoint that certifies GlobalMin at a nonzero recovery error, and its eigensolve."""
     gt, obs, cfg = make_problem(20, 2, seed=10, p=0.8)
     X = solve(cfg, SolverConfig(method=Method.GD), random_init(20, 2, obs, 0)).X
-    eig = min_hessian_eig(X, cfg)
+    eig = min_hessian_eig(Point(X, cfg))
     rep = certify_point(X, cfg, gt, eig=eig)
     assert rep.classification is PointClass.GLOBAL_MIN and rep.recovery_fro > 0
     return gt, cfg, X, eig, rep
@@ -286,7 +286,7 @@ def _long_lanczos_endpoint():
 def _witness_residual(X, cfg, eig):
     """||H v - lambda_min v|| / (1e-6 (1 + op_norm)): the witness residual in units of the tolerance."""
     v = eig.witness
-    residual = float(np.linalg.norm(objective.hessian_operator(X, cfg)(v) - eig.lambda_min * v))
+    residual = float(np.linalg.norm(objective.hessian_operator(Point(X, cfg))(v) - eig.lambda_min * v))
     return residual / (1e-6 * (1.0 + eig.op_norm))
 
 
@@ -294,7 +294,7 @@ def test_lanczos_stops_at_the_eigensolve_tolerance():
     # here the witness residual falls about 1.6x per step, so a run to 2x the tolerance stops
     # a step early (ratio 1.29) and one to 0.5x a step late (0.49)
     cfg, X = _long_lanczos_endpoint()
-    eig = min_hessian_eig(X, cfg)
+    eig = min_hessian_eig(Point(X, cfg))
     assert eig.converged and eig.iterations == 45
     assert 0.5 < _witness_residual(X, cfg, eig) <= 1.0
 
@@ -304,7 +304,7 @@ def test_converged_means_a_witness_residual_within_the_tolerance(monkeypatch):
     # orthogonal to it: the residual is about sin(t) ||(H - lambda) u||, set to 0.5x and 2x
     # the tolerance 1e-6 (1 + op_norm)
     cfg, X = _long_lanczos_endpoint()
-    H = objective.hessian_operator(X, cfg)
+    H = objective.hessian_operator(Point(X, cfg))
     lam, vecs = np.linalg.eigh(H.matrix())
     v0 = vecs[:, 0]
     u = np.random.default_rng(0).normal(size=v0.size)
@@ -316,7 +316,7 @@ def test_converged_means_a_witness_residual_within_the_tolerance(monkeypatch):
     for k, converged in ((0.5, True), (2.0, False)):
         t = math.asin(k * tol / spread)
         monkeypatch.setattr(objective, "_lanczos", lambda H, v, t=t: (theta, math.cos(t) * v0 + math.sin(t) * u))
-        eig = min_hessian_eig(X, cfg)
+        eig = min_hessian_eig(Point(X, cfg))
         assert _witness_residual(X, cfg, eig) == pytest.approx(k, rel=0.01)
         assert eig.converged is converged, k
 
@@ -326,12 +326,12 @@ def test_certificate_takes_tau_from_the_hyperparameters():
     gt, obs, cfg = make_problem(20, 2, seed=10, p=0.8)
     assert cfg.hyper.tau > 0
     for X in (gt.factor, np.zeros((20, 2))):
-        op = min_hessian_eig(X, cfg).op_norm
+        op = min_hessian_eig(Point(X, cfg)).op_norm
         assert certify_point(X, cfg, gt).tau == curvature_slack(cfg, op) == cfg.hyper.tau
     # tau = 0 falls back to 1e-4 (1 + ||H||), with the eigensolve's estimate of ||H||
     flat = ObjectiveConfig(replace(cfg.hyper, tau=0.0), obs)
     for X in (gt.factor, np.zeros((20, 2))):
-        op = min_hessian_eig(X, flat).op_norm
+        op = min_hessian_eig(Point(X, flat)).op_norm
         assert certify_point(X, flat, gt).tau == curvature_slack(flat, op) == 1e-4 * (1.0 + op)
 
 
@@ -482,9 +482,9 @@ def test_scan_runs_one_eigensolve_per_start(monkeypatch, method):
     where, in_solve = [], []
     solve_eig, solve = objective.min_hessian_eig, solvers.solve
 
-    def recording_eig(X, cfg, *pieces):
+    def recording_eig(pt):
         where.append("solve" if in_solve else "certify")
-        return solve_eig(X, cfg, *pieces)
+        return solve_eig(pt)
 
     def recording_solve(*args):
         in_solve.append(True)
@@ -516,7 +516,7 @@ def test_certificate_from_the_solvers_eigensolve_is_the_same():
     assert rep.classification is PointClass.GLOBAL_MIN
     _same_report(rep, certify_point(res.X, cfg, gt))
     saddle = np.zeros((20, 2))
-    rep = certify_point(saddle, cfg, gt, eig=min_hessian_eig(saddle, cfg))
+    rep = certify_point(saddle, cfg, gt, eig=min_hessian_eig(Point(saddle, cfg)))
     assert rep.classification is PointClass.STRICT_SADDLE
     _same_report(rep, certify_point(saddle, cfg, gt))
 
@@ -543,10 +543,11 @@ def test_a_certificate_rereads_the_endpoint_the_solver_ended_on(method, instance
     "start", ["random", "truth", "origin"] + [f"overflowing{k}" for k in range(len(OVERFLOWING_INSTANCES))]
 )
 def test_a_certificate_from_the_solvers_evaluation_is_the_same(method, start, monkeypatch):
-    # solve_and_certify hands the solver's endpoint evaluation to certify_point, which then makes
+    # solve_and_certify hands the solver's endpoint point to certify_point, which then makes
     # no residual pass of its own; its row is, field for field and bit for bit, the certificate
-    # that evaluates the endpoint again.  A C3 cell from a random start, from the truth and the
-    # origin, both already within grad_tol, and every overflowing start, each diverged at once
+    # that evaluates the endpoint again, and so is the certificate given the point alone.  A C3
+    # cell from a random start, from the truth and the origin, both already within grad_tol, and
+    # every overflowing start, each diverged at once
     if start.startswith("overflowing"):
         spec = InstanceSpec(**OVERFLOWING_INSTANCES[int(start.removeprefix("overflowing"))])
     else:
@@ -582,6 +583,10 @@ def test_a_certificate_from_the_solvers_evaluation_is_the_same(method, start, mo
     assert passes["certify"] > 0
     for f in fields(again):
         assert repr(getattr(row, f.name)) == repr(getattr(again, f.name)), f.name
+    assert res.point.X is res.X and res.point.cfg is cfg
+    alone, plain = certify_point(res.X, cfg, gt, point=res.point), certify_point(res.X, cfg, gt)
+    for f in fields(plain):
+        assert repr(getattr(alone, f.name)) == repr(getattr(plain, f.name)), f.name
 
 
 def test_certificate_from_a_stalled_witness_search_is_the_same(monkeypatch):
@@ -591,12 +596,12 @@ def test_certificate_from_a_stalled_witness_search_is_the_same(monkeypatch):
     saddle = np.zeros((20, 2))
     solve = objective.min_hessian_eig  # an op_norm of 1e20 opens the search at 2e-20
     monkeypatch.setattr(
-        objective, "min_hessian_eig", lambda X, cfg, *pieces: replace(solve(X, cfg, *pieces), op_norm=1e20)
+        objective, "min_hessian_eig", lambda pt: replace(solve(pt), op_norm=1e20)
     )
     res = solvers.solve(cfg, SolverConfig(method=Method.PERTURBED_GD), saddle)
     assert np.array_equal(res.X, saddle) and res.iterations == 0
     assert res.status is Status.GRAD_TOL
-    eig = min_hessian_eig(saddle, cfg)
+    eig = min_hessian_eig(Point(saddle, cfg))
     assert np.array_equal(res.eig.witness, eig.witness)
     assert (res.eig.lambda_min, res.eig.converged, res.eig.iterations) == (
         eig.lambda_min, eig.converged, eig.iterations)
@@ -700,5 +705,27 @@ def test_certify_point_refuses_a_point_of_another_shape_before_any_hvp(monkeypat
     with pytest.raises(ValueError, match=r"^dimension mismatch: X is \(1000, 3\), ground truth is \(1000, 2\)$"):
         certify_point(X, cfg, gt)
     assert hvps == []
-    objective.hessian_operator(X[:, :2], cfg)(X[:, :2])
+    objective.hessian_operator(Point(X[:, :2], cfg))(X[:, :2])
     assert hvps == [1]  # the counter sees an HVP
+
+
+def test_certify_point_refuses_the_point_of_another_factor_or_config_before_any_eigensolve(monkeypatch):
+    # the endpoint's point read for 3 X would certify 3 X by the endpoint's value and gradient
+    # norm; evaluated, 3 X is far from stationary.  A point of an equal config that is another
+    # object is refused too: the point's residuals are its config's
+    gt, obs, cfg = make_problem(20, 2, seed=13, p=0.8)
+    res = solve(cfg, SolverConfig(), random_init(20, 2, obs, 3))
+    assert res.status is Status.GRAD_TOL
+    rep = certify_point(3 * res.X, cfg, gt)
+    assert rep.classification is PointClass.NOT_STATIONARY and rep.grad_norm > 1.0
+    twin = ObjectiveConfig(cfg.hyper, obs)
+    eigs = []
+    monkeypatch.setattr(objective, "min_hessian_eig", lambda pt: eigs.append(pt))
+    for X, c in ((3 * res.X, cfg), (res.X, twin)):
+        with pytest.raises(ValueError, match="not X's"):
+            certify_point(X, c, gt, point=res.point)
+    assert eigs == []
+    # an equal copy of X is X
+    monkeypatch.undo()
+    rep = certify_point(res.X.copy(), cfg, gt, point=res.point)
+    assert rep.classification is PointClass.GLOBAL_MIN and rep.grad_norm == res.grad_norm

@@ -244,7 +244,7 @@ def test_perturbed_solve_runs_one_eigensolve(tmp_path, capsys, monkeypatch):
     # the certificate reuses the eigensolve perturbed GD ran at its endpoint
     calls = []
     solve_eig = objective.min_hessian_eig
-    monkeypatch.setattr(objective, "min_hessian_eig", lambda X, cfg, *pieces: calls.append(X) or solve_eig(X, cfg, *pieces))
+    monkeypatch.setattr(objective, "min_hessian_eig", lambda pt: calls.append(pt.X) or solve_eig(pt))
     cfgp = _write(
         tmp_path,
         {"instance": _instance_block(d=50), "solver": {"method": "perturbed_gd", "seed": 1}},
@@ -561,8 +561,8 @@ def test_diverged_solve_writes_no_overflow_warnings(tmp_path):
     cfgp = _write(tmp_path, _diverging_payload())
     run = (
         "import sys; from mcland import cli, objective; hessian = objective.hessian_operator; "
-        "objective.hessian_operator = lambda X, cfg, *pieces: "
-        f"(lambda H: lambda V: {_DIVERGING_HESSIAN_SCALE!r} * H(V))(hessian(X, cfg, *pieces)); "
+        "objective.hessian_operator = lambda pt: "
+        f"(lambda H: lambda V: {_DIVERGING_HESSIAN_SCALE!r} * H(V))(hessian(pt)); "
         "sys.exit(cli.main(sys.argv[1:]))"
     )
     proc = subprocess.run(

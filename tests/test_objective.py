@@ -13,14 +13,12 @@ from mcland.instance import GroundTruth, HyperParams, InstanceSpec, default_hype
 from mcland import objective
 from mcland.objective import (
     ObjectiveConfig,
+    Point,
     add_penalty_gradient,
-    breakdown,
     evaluate,
     hessian_operator,
     min_hessian_eig,
     pair_gradient_sum,
-    regularizer,
-    residual_gradient,
 )
 from mcland.objective import _EIG_TOL, _far_from_stop, _lanczos
 from mcland.rng import substream
@@ -55,18 +53,26 @@ from conftest import (
 # row penalty
 
 
+def _penalty_value(X, alpha):
+    """The library's unweighted penalty sum_i rho(||X_i||): the `reg_term` of
+    a `Point` at weight 1, on a full mask of X's height."""
+    d = X.shape[0]
+    obs = observe(GroundTruth(np.ones((d, 1))), full_mask(d, include_diagonal=True), 0.0, seed=0)
+    return Point(X, ObjectiveConfig(HyperParams(alpha=alpha, reg_weight=1.0, tau=0.0), obs)).value.reg_term
+
+
 def _penalty_gradient(X, alpha):
     """The library's unweighted penalty gradient: `add_penalty_gradient` at
-    weight 1 onto zeros."""
+    weight 1 onto zeros, from the row pass of X."""
     cfg = types.SimpleNamespace(hyper=HyperParams(alpha=alpha, reg_weight=1.0, tau=0.0))
-    return add_penalty_gradient(np.zeros_like(X), X, cfg)
+    return add_penalty_gradient(np.zeros_like(X), X, cfg, objective._row_excess(X, alpha))
 
 
 def _row_penalty(t, alpha):
     """rho(t) with its first two derivatives, read off a one-row factor [[t]]."""
     X = np.array([[t]])
     V = np.ones((1, 1))
-    return regularizer(X, alpha), float(_penalty_gradient(X, alpha)[0, 0]), reg_hess_quad(X, V, alpha)
+    return _penalty_value(X, alpha), float(_penalty_gradient(X, alpha)[0, 0]), reg_hess_quad(X, V, alpha)
 
 
 def test_reg_row_inactive_below_threshold():
@@ -98,19 +104,19 @@ def test_reg_row_first_derivative_matches_fd(t, alpha):
 def test_regularizer_zero_inside_ball(rng):
     X = rng.normal(size=(10, 3))
     X *= 0.9 / max(np.linalg.norm(X, axis=1))
-    assert regularizer(X, 1.0) == 0.0
+    assert _penalty_value(X, 1.0) == 0.0
 
 
 def test_regularizer_single_active_row():
     X = np.zeros((5, 2))
     X[2] = (2.0, 0.0)  # norm 2, alpha 1 -> (2 - 1)^4 = 1
-    assert regularizer(X, 1.0) == pytest.approx(1.0, abs=1e-14)
+    assert _penalty_value(X, 1.0) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_regularizer_rotation_invariant(rng):
     X = rng.normal(size=(12, 3)) * 2.0
     Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-    assert regularizer(X @ Q, 0.7) == pytest.approx(regularizer(X, 0.7), rel=1e-12)
+    assert _penalty_value(X @ Q, 0.7) == pytest.approx(_penalty_value(X, 0.7), rel=1e-12)
 
 
 def test_reg_gradient_zero_inside_ball(rng):
@@ -137,7 +143,7 @@ def test_reg_gradient_points_outward(rng):
 
 def test_reg_gradient_matches_fd(rng):
     X = rng.normal(size=(6, 2)) * 2.0
-    fd = fd_gradient(lambda Y: regularizer(Y, 0.8), X)
+    fd = fd_gradient(lambda Y: _penalty_value(Y, 0.8), X)
     assert np.allclose(_penalty_gradient(X, 0.8), fd, atol=1e-6)
 
 
@@ -156,7 +162,7 @@ def test_penalty_activity_is_decided_per_row(rng):
     ]
     for Y, alpha in cases:
         value, G = per_row_penalty(Y, alpha)
-        assert np.array_equal(regularizer(Y, alpha), value, equal_nan=True)
+        assert np.array_equal(_penalty_value(Y, alpha), value, equal_nan=True)
         assert np.array_equal(_penalty_gradient(Y, alpha), G, equal_nan=True)
     assert not np.any(per_row_penalty(X, top)[1]) and np.any(per_row_penalty(X, cases[1][1])[1])
 
@@ -175,14 +181,14 @@ def test_package_attribute_is_the_module():
 
 def test_objective_zero_at_truth():
     gt, obs, cfg = make_problem(15, 2, seed=1)
-    ev = evaluate(gt.factor, cfg)[1]
+    ev = evaluate(gt.factor, cfg).value
     assert ev.data_term == pytest.approx(0.0, abs=1e-20)
     assert ev.total <= 1e-18
 
 
 def test_objective_at_origin_is_half_masked_energy():
     gt, obs, cfg = make_problem(12, 2, seed=2, p=0.6)
-    ev = evaluate(np.zeros((12, 2)), cfg)[1]
+    ev = evaluate(np.zeros((12, 2)), cfg).value
     M = np.zeros((12, 12))  # P_Omega(M), both orders of every observed pair
     M[obs.mask.i, obs.mask.j] = obs.values
     M[obs.mask.j, obs.mask.i] = obs.values
@@ -194,16 +200,16 @@ def test_objective_matches_brute_force(rng):
     gt, obs, cfg = make_problem(8, 2, seed=3, p=0.7, sigma=0.1)
     for _ in range(5):
         X = rng.normal(size=(8, 2)) * 1.5
-        assert evaluate(X, cfg)[1].total == pytest.approx(brute_objective(X, cfg), rel=1e-12)
+        assert evaluate(X, cfg).value.total == pytest.approx(brute_objective(X, cfg), rel=1e-12)
 
 
 def test_breakdown_totals_consistently(rng):
     gt, obs, cfg = make_problem(10, 2, seed=4, p=0.5)
     X = rng.normal(size=(10, 2)) * 2.0
     X[0] = (2.0 * cfg.hyper.alpha, 0.0)  # one row above alpha at least
-    ev = evaluate(X, cfg)[1]
+    ev = evaluate(X, cfg).value
     assert ev.reg_term > 0.0  # reg_term is the weighted penalty, and total its sum with the data term
-    assert ev.reg_term == cfg.hyper.reg_weight * regularizer(X, cfg.hyper.alpha)
+    assert ev.reg_term == cfg.hyper.reg_weight * _penalty_value(X, cfg.hyper.alpha)
     assert ev.total == ev.data_term + ev.reg_term
 
 
@@ -221,9 +227,9 @@ def test_quartic_scaling_with_zero_target(rng):
     obs = Observation(mask=mask, values=np.zeros(mask.i.size), sigma=0.0)
     cfg = ObjectiveConfig(HyperParams(alpha=1.0, reg_weight=0.0, tau=0.0), obs)
     X = rng.normal(size=(7, 2))
-    base = evaluate(X, cfg)[1].total
+    base = evaluate(X, cfg).value.total
     for t in (2.0, 3.0):
-        assert evaluate(t * X, cfg)[1].total == pytest.approx(t**4 * base, rel=1e-12)
+        assert evaluate(t * X, cfg).value.total == pytest.approx(t**4 * base, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +238,7 @@ def test_quartic_scaling_with_zero_target(rng):
 
 def test_gradient_zero_at_noiseless_truth():
     gt, obs, cfg = make_problem(15, 2, seed=5, p=0.8)
-    G = evaluate(gt.factor, cfg)[2]
+    G = evaluate(gt.factor, cfg).gradient()
     assert float(np.abs(G).max()) <= 1e-12
 
 
@@ -240,8 +246,8 @@ def test_gradient_matches_fd(rng):
     gt, obs, cfg = make_problem(9, 2, seed=6, p=0.7, sigma=0.05)
     for _ in range(3):
         X = rng.normal(size=(9, 2)) * 1.5
-        fd = fd_gradient(lambda Y: evaluate(Y, cfg)[1].total, X)
-        G = evaluate(X, cfg)[2]
+        fd = fd_gradient(lambda Y: evaluate(Y, cfg).value.total, X)
+        G = evaluate(X, cfg).gradient()
         assert np.allclose(G, fd, atol=1e-5 * (1.0 + float(np.abs(G).max())))
 
 
@@ -256,7 +262,7 @@ def test_rank1_stationary_points_are_eigenvectors(rng):
     for _ in range(4):
         x = rng.normal(size=(10, 1))
         lhs = float(np.linalg.norm(M @ x - float(x[:, 0] @ x[:, 0]) * x))
-        rhs = 0.5 * float(np.linalg.norm(evaluate(x, cfg)[2]))
+        rhs = 0.5 * float(np.linalg.norm(evaluate(x, cfg).gradient()))
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
 
@@ -287,7 +293,7 @@ def test_hessian_quadratic_matches_fd(rng):
     for _ in range(3):
         V = rng.normal(size=(8, 2))
         quad = hessian_quadratic(X, V, cfg)
-        fd = fd_second_directional(lambda Y: evaluate(Y, cfg)[1].total, X, V)
+        fd = fd_second_directional(lambda Y: evaluate(Y, cfg).value.total, X, V)
         assert quad == pytest.approx(fd, rel=1e-4, abs=1e-4)
 
 
@@ -305,7 +311,7 @@ def test_vecprod_consistent_with_quadratic(rng):
     for _ in range(5):
         V = rng.normal(size=(9, 2))
         quad = hessian_quadratic(X, V, cfg)
-        via_prod = float(np.sum(V * hessian_operator(X, cfg)(V)))
+        via_prod = float(np.sum(V * hessian_operator(Point(X, cfg))(V)))
         assert via_prod == pytest.approx(quad, rel=1e-10, abs=1e-12)
 
 
@@ -315,8 +321,8 @@ def test_vecprod_self_adjoint(rng):
     for _ in range(3):
         U = rng.normal(size=(9, 2))
         V = rng.normal(size=(9, 2))
-        uhv = float(np.sum(U * hessian_operator(X, cfg)(V)))
-        vhu = float(np.sum(V * hessian_operator(X, cfg)(U)))
+        uhv = float(np.sum(U * hessian_operator(Point(X, cfg))(V)))
+        vhu = float(np.sum(V * hessian_operator(Point(X, cfg))(U)))
         assert uhv == pytest.approx(vhu, rel=1e-10, abs=1e-12)
 
 
@@ -325,7 +331,7 @@ def test_dense_hessian_matches_fd_oracle(rng):
     X = rng.normal(size=(6, 2)) * 1.5
     H = dense_hessian(X, cfg)
     assert np.allclose(H, H.T, atol=1e-10 * (1.0 + float(np.abs(H).max())))
-    H_fd = fd_hessian(lambda Y: evaluate(Y, cfg)[2], X)
+    H_fd = fd_hessian(lambda Y: evaluate(Y, cfg).gradient(), X)
     assert np.allclose(H, H_fd, atol=1e-5 * (1.0 + float(np.abs(H).max())))
 
 
@@ -338,9 +344,9 @@ def test_penalty_inactive_rows_do_not_change_derivatives(rng):
     X = rng.normal(size=(10, 2))
     X *= 0.9 * alpha / max(np.linalg.norm(X, axis=1))  # every row inside the ball
     V = rng.normal(size=(10, 2))
-    assert evaluate(X, on)[1].total == evaluate(X, off)[1].total
-    assert np.array_equal(evaluate(X, on)[2], evaluate(X, off)[2])
-    assert np.array_equal(hessian_operator(X, on)(V), hessian_operator(X, off)(V))
+    assert evaluate(X, on).value.total == evaluate(X, off).value.total
+    assert np.array_equal(evaluate(X, on).gradient(), evaluate(X, off).gradient())
+    assert np.array_equal(hessian_operator(Point(X, on))(V), hessian_operator(Point(X, off))(V))
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +355,7 @@ def test_penalty_inactive_rows_do_not_change_derivatives(rng):
 
 def test_min_eig_nonnegative_at_noiseless_truth():
     gt, obs, cfg = make_problem(20, 2, seed=16)
-    eig = min_hessian_eig(gt.factor, cfg)
+    eig = min_hessian_eig(Point(gt.factor, cfg))
     assert eig.converged
     assert eig.lambda_min >= -1e-5 * (1.0 + eig.op_norm)
 
@@ -365,8 +371,8 @@ def test_min_eig_detects_saddle(rng_local=np.random.default_rng(5)):
     obs = observe(gt, mask, 0.0, seed=17)
     cfg = ObjectiveConfig(HyperParams(alpha=1e6, reg_weight=0.0, tau=0.0), obs)
     x = np.sqrt(0.5) * Q[:, 1:2]
-    assert float(np.linalg.norm(evaluate(x, cfg)[2])) <= 1e-12
-    eig = min_hessian_eig(x, cfg)
+    assert float(np.linalg.norm(evaluate(x, cfg).gradient())) <= 1e-12
+    eig = min_hessian_eig(Point(x, cfg))
     assert eig.lambda_min == pytest.approx(-1.0, abs=1e-4)
     assert eig.lambda_min == pytest.approx(dense_min_eig(x, cfg), abs=1e-6)
     # the witness achieves its advertised curvature
@@ -379,7 +385,7 @@ def test_min_eig_matches_dense_at_random_points(lanczos_only):
     rng = np.random.default_rng(0)
     for _ in range(200):
         X = rng.normal(size=(10, 2)) * 1.5
-        eig = min_hessian_eig(X, cfg)
+        eig = min_hessian_eig(Point(X, cfg))
         dense = dense_min_eig(X, cfg)
         assert eig.converged and eig.iterations <= X.size + 1
         assert eig.lambda_min == pytest.approx(dense, abs=1e-5 * (1.0 + abs(dense)))
@@ -391,7 +397,7 @@ def test_min_eig_converges_near_truth_at_scale():
     # after 3,000 iterations here
     gt, obs, cfg = make_problem(1000, 3, seed=1, p=0.1)
     X = gt.factor + 1e-3 * np.random.default_rng(0).standard_normal(gt.factor.shape)
-    eig = min_hessian_eig(X, cfg)
+    eig = min_hessian_eig(Point(X, cfg))
     assert eig.converged
     assert eig.iterations <= 100
     assert hessian_quadratic(X, eig.witness, cfg) <= eig.lambda_min + 1e-6 * (1.0 + eig.op_norm)
@@ -406,7 +412,7 @@ def test_min_eig_converges_in_one_run_at_low_p(lanczos_only):
     gt, obs, cfg = make_problem(d, r, seed=2, p=p)
     res = solve(cfg, SolverConfig(max_iters=3000), random_init(d, r, obs, 3))
     X = res.X
-    eig = min_hessian_eig(X, cfg)
+    eig = min_hessian_eig(Point(X, cfg))
     assert eig.converged
     assert eig.iterations <= d * r + 1
     assert hessian_quadratic(X, eig.witness, cfg) <= eig.lambda_min + 1e-6 * (1.0 + eig.op_norm)
@@ -456,16 +462,16 @@ def test_kernels_match_oracles(d, r, p, include_diagonal):
     cfg, X, V = _kernel_problem(d, r, p, include_diagonal)
     w = cfg.hyper.reg_weight
     ind, M = _dense_masked(cfg, X)
-    assert evaluate(X, cfg)[1].total == pytest.approx(brute_objective(X, cfg), rel=1e-12, abs=1e-14)
+    assert evaluate(X, cfg).value.total == pytest.approx(brute_objective(X, cfg), rel=1e-12, abs=1e-14)
 
-    G = evaluate(X, cfg)[2]
+    G = evaluate(X, cfg).gradient()
     R = ind * (M - X @ X.T)
     scale = 1.0 + float(np.abs(G).max())
     assert np.allclose(G, -2.0 * R @ X + w * per_row_penalty(X, cfg.hyper.alpha)[1], rtol=0, atol=1e-12 * scale)
-    fd = fd_gradient(lambda Y: evaluate(Y, cfg)[1].total, X)
+    fd = fd_gradient(lambda Y: evaluate(Y, cfg).value.total, X)
     assert np.allclose(G, fd, rtol=0, atol=1e-5 * scale)
 
-    HV = hessian_operator(X, cfg)(V)
+    HV = hessian_operator(Point(X, cfg))(V)
     h = 1e-6
     reg_part = (per_row_penalty(X + h * V, cfg.hyper.alpha)[1] - per_row_penalty(X - h * V, cfg.hyper.alpha)[1]) / (2 * h)
     dense = 2.0 * (ind * (V @ X.T + X @ V.T)) @ X - 2.0 * R @ V + w * reg_part
@@ -473,19 +479,25 @@ def test_kernels_match_oracles(d, r, p, include_diagonal):
 
 
 @pytest.mark.parametrize("d,r,p,include_diagonal", KERNEL_CASES)
-def test_fused_and_per_point_kernels_are_bit_identical(d, r, p, include_diagonal):
+def test_fused_and_per_point_kernels_are_bit_identical(d, r, p, include_diagonal, monkeypatch):
+    # `evaluate`, which computes the gradient with the value, against a Point whose gradient
+    # follows on request, as an accepted line-search trial's does; and the Hessian on that point
+    # against the Hessian on `evaluate`'s and on a fresh point
     cfg, X, V = _kernel_problem(d, r, p, include_diagonal)
-    _, bdown, G, _ = evaluate(X, cfg)
-    resid = cfg.residuals(X)  # the per-point pieces an accepted line-search trial reuses
-    excess = objective._row_excess(X, cfg.hyper.alpha)
-    assert excess is not None
-    assert bdown == breakdown(X, resid, cfg) == breakdown(X, resid, cfg, excess)
-    assert np.array_equal(G, residual_gradient(X, resid, cfg))
-    assert np.array_equal(G, residual_gradient(X, resid, cfg, excess))
-    H = hessian_operator(X, cfg)
+    products = []
+    matmul = ObjectiveConfig.masked_matmul
+    monkeypatch.setattr(ObjectiveConfig, "masked_matmul", lambda c, *a: products.append(1) or matmul(c, *a))
+    fused = evaluate(X, cfg)
+    assert len(products) == 1
+    pt = Point(X, cfg)
+    assert pt.excess is not None and len(products) == 1  # about half the rows active; no gradient yet
+    assert pt.value == fused.value and np.array_equal(pt.resid, fused.resid)
+    assert pt.grad_norm() == fused.grad_norm() and np.array_equal(pt.gradient(), fused.gradient())
+    assert pt.gradient() is pt.gradient() and len(products) == 2  # computed once
+    H = hessian_operator(pt)
     for U in (V, 2.0 * V + 1.0):
-        assert np.array_equal(H(U), hessian_operator(X, cfg)(U))
-        assert np.array_equal(H(U), hessian_operator(X, cfg, resid, excess)(U))
+        assert np.array_equal(H(U), hessian_operator(fused)(U))
+        assert np.array_equal(H(U), hessian_operator(Point(X, cfg))(U))
 
 
 @pytest.mark.parametrize("d,r,p,include_diagonal", KERNEL_CASES)
@@ -494,11 +506,12 @@ def test_hessian_penalty_is_the_per_row_formula_added_to_the_data_part(d, r, p, 
     # for bit; where no row is above alpha, it is the data part
     cfg, X, V = _kernel_problem(d, r, p, include_diagonal)
     hyper = cfg.hyper
-    data = hessian_operator(X, ObjectiveConfig(HyperParams(alpha=hyper.alpha, reg_weight=0.0, tau=0.0), cfg.obs))(V)
+    unweighted = ObjectiveConfig(HyperParams(alpha=hyper.alpha, reg_weight=0.0, tau=0.0), cfg.obs)
+    data = hessian_operator(Point(X, unweighted))(V)
     expected = data + hyper.reg_weight * per_row_penalty_hvp(X, V, hyper.alpha)
-    assert np.any(expected != data) and np.array_equal(hessian_operator(X, cfg)(V), expected)
+    assert np.any(expected != data) and np.array_equal(hessian_operator(Point(X, cfg))(V), expected)
     far = ObjectiveConfig(HyperParams(alpha=1e6, reg_weight=hyper.reg_weight, tau=0.0), cfg.obs)
-    assert np.array_equal(hessian_operator(X, far)(V), data)
+    assert np.array_equal(hessian_operator(Point(X, far))(V), data)
 
 
 @pytest.mark.parametrize("d,r,p,include_diagonal", KERNEL_CASES)
@@ -508,10 +521,10 @@ def test_hessian_matrix_is_the_operator_on_the_unit_vectors(d, r, p, include_dia
     # where the eigensolve is the smallest eigenpair of the assembled matrix
     cfg, X, _ = _kernel_problem(d, r, p, include_diagonal)
     assert X.size <= objective._DENSE_MAX
-    H, dense = hessian_operator(X, cfg).matrix(), dense_hessian(X, cfg)
+    H, dense = hessian_operator(Point(X, cfg)).matrix(), dense_hessian(X, cfg)
     scale = 1.0 + float(np.abs(dense).max())
     assert np.allclose(H, dense, rtol=0, atol=1e-13 * scale)
-    eig = min_hessian_eig(X, cfg)
+    eig = min_hessian_eig(Point(X, cfg))
     assert eig.converged and eig.iterations == 1
     assert eig.lambda_min == pytest.approx(dense_min_eig(X, cfg), abs=1e-12 * scale)
     assert eig.op_norm == pytest.approx(float(np.abs(np.linalg.eigvalsh(dense)).max()), rel=1e-12)
@@ -528,14 +541,12 @@ def test_masked_matmul_rejects_an_operand_of_another_height():
     for values in (resid[:-1], np.concatenate([resid, resid]), resid[:, None]):
         with pytest.raises(ValueError, match="dimension"):
             cfg.masked_matmul(values, X)
-        with pytest.raises(ValueError, match="dimension"):
-            hessian_operator(X, cfg, values)
 
 
 def test_hessian_operator_rejects_wrong_direction_shape():
     cfg, X, V = _kernel_problem(12, 3, 0.6, True)
     with pytest.raises(ValueError, match="dimension"):
-        hessian_operator(X, cfg)(V[:, :2])
+        hessian_operator(Point(X, cfg))(V[:, :2])
 
 
 @pytest.mark.parametrize("d,r,p,include_diagonal", KERNEL_CASES)
@@ -650,6 +661,13 @@ def _oracle_matrix(cfg, pair_values):
     return A
 
 
+def _point_with_residuals(X, cfg, values):
+    """The `Point` at X with `values` in place of its residuals, which its Hessian reads."""
+    pt = copy.copy(Point(X, cfg))
+    pt.resid = values
+    return pt
+
+
 def _oracle_hessian(X, V, cfg, resid=None):
     """H[V] by the formula of `hessian_operator`, with every sparse product
     a public scipy product of an oracle matrix; `resid` stands in for the
@@ -687,9 +705,9 @@ def test_column_products_are_bit_identical_to_multivector(d, r, p, include_diago
             product = _oracle_matrix(cfg, resid) @ Y
             assert np.array_equal(out, product)
             expected = -2.0 * product + w * per_row_penalty(Y, alpha)[1]
-            assert np.array_equal(residual_gradient(Y, resid, c), expected)
+            assert np.array_equal(Point(Y, c).gradient(), expected)
         for Y, U in ((X, V), (X, np.asfortranarray(V)), (X[:, :1], V[:, :1])):
-            assert np.array_equal(hessian_operator(Y, c)(U), _oracle_hessian(Y, U, cfg))
+            assert np.array_equal(hessian_operator(Point(Y, c))(U), _oracle_hessian(Y, U, cfg))
 
 
 @pytest.mark.parametrize("d,r,p,include_diagonal", KERNEL_CASES)
@@ -711,7 +729,8 @@ def test_infinite_entries_on_a_row_with_a_diagonal_pair_give_the_oracle_bits(d, 
         with np.errstate(invalid="ignore"):  # inf - inf is the NaN under test
             out, expected = cfg.masked_matmul(values, Y), _oracle_matrix(cfg, values) @ Y
             gram, expected_gram = cfg.pair_gram(Y), _column_gram(cfg, Y)
-            HV, expected_HV = hessian_operator(X, cfg, values)(U), _oracle_hessian(X, U, cfg, values)
+            HV = hessian_operator(_point_with_residuals(X, cfg, values))(U)
+            expected_HV = _oracle_hessian(X, U, cfg, values)
         assert out.tobytes() == expected.tobytes()
         assert np.array_equal(gram, expected_gram, equal_nan=True)
         assert np.array_equal(HV, expected_HV, equal_nan=True)
@@ -793,7 +812,7 @@ def test_sgd_bytes_are_those_of_the_bincount_scatter(r, seed, batch, active, mon
     X0 = random_init(100, r, obs, seed)
     if active:  # the rows of X0 above their median norm are active
         hyper = HyperParams(alpha=float(np.median(np.linalg.norm(X0, axis=1))), reg_weight=hyper.reg_weight, tau=0.0)
-    assert (regularizer(X0, hyper.alpha) > 0.0) == active
+    assert (_penalty_value(X0, hyper.alpha) > 0.0) == active
     cfg = ObjectiveConfig(hyper, obs)
     period = -(-cfg.n_pairs // min(batch, cfg.n_pairs))
     scfg = SolverConfig(method=Method.SGD, max_iters=2 * period + 1, seed=seed, sgd=SgdParams(batch=batch))
@@ -888,13 +907,13 @@ def test_stochastic_gradient_is_the_scaled_pair_sum_plus_the_penalty(d, r, p, in
 
 
 def test_penalty_gradient_is_added_in_place_only_where_it_is_nonzero():
-    # the one penalty add of residual_gradient and stochastic_gradient
+    # the one penalty add of Point.gradient and stochastic_gradient
     cfg, X, _ = _kernel_problem(12, 3, 0.6, True)
     hyper = cfg.hyper
     for alpha, weight in ((hyper.alpha, hyper.reg_weight), (1e6, hyper.reg_weight), (hyper.alpha, 0.0)):
         c = ObjectiveConfig(HyperParams(alpha=alpha, reg_weight=weight, tau=0.0), cfg.obs)
         G = np.full(X.shape, -0.0)
-        assert add_penalty_gradient(G, X, c) is G
+        assert add_penalty_gradient(G, X, c, objective._row_excess(X, alpha)) is G
         if weight > 0 and alpha == hyper.alpha:  # about half the rows active
             assert np.any(G) and np.array_equal(G, weight * per_row_penalty(X, alpha)[1])
         else:  # skipped: an add of zeros would have turned every -0.0 into 0.0
@@ -937,10 +956,10 @@ def _same_eig(a, b):
 def test_lanczos_matches_an_eigh_at_every_step(d, r, p, include_diagonal, monkeypatch, lanczos_only):
     cfg, X, V = _kernel_problem(d, r, p, include_diagonal)
     points = (X, 0.1 * X, X + 0.01 * V)
-    ours = [min_hessian_eig(Y, cfg) for Y in points]
+    ours = [min_hessian_eig(Point(Y, cfg)) for Y in points]
     monkeypatch.setattr(objective, "_lanczos", _eigh_every_step_lanczos)
     for Y, eig in zip(points, ours):
-        assert _same_eig(eig, min_hessian_eig(Y, cfg))
+        assert _same_eig(eig, min_hessian_eig(Point(Y, cfg)))
 
 
 def test_eigensolves_of_one_shape_share_one_read_only_start(monkeypatch, lanczos_only):
@@ -948,8 +967,8 @@ def test_eigensolves_of_one_shape_share_one_read_only_start(monkeypatch, lanczos
     starts = []
     lanczos = objective._lanczos
     monkeypatch.setattr(objective, "_lanczos", lambda H, v: starts.append(v) or lanczos(H, v))
-    min_hessian_eig(X, cfg)
-    min_hessian_eig(X + 0.01 * V, cfg)
+    min_hessian_eig(Point(X, cfg))
+    min_hessian_eig(Point(X + 0.01 * V, cfg))
     assert len(starts) == 2 and starts[0] is starts[1]
     v = starts[0]
     assert np.array_equal(v, substream(objective._EIG_SEED, "lanczos", 12, 3).standard_normal((12, 3)))

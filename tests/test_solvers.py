@@ -10,6 +10,7 @@ from mcland.instance import GroundTruth, HyperParams, InstanceSpec, default_hype
 from mcland import objective, solvers
 from mcland.objective import (
     ObjectiveConfig,
+    Point,
     curvature_slack,
     evaluate,
     hessian_operator,
@@ -79,7 +80,7 @@ def test_random_init_leaves_the_origin_when_noise_cancels_the_diagonal(seed):
     assert obs.values[obs.mask.i == obs.mask.j].sum() <= 0
     X0 = random_init(20, 1, obs, 0)
     assert np.isfinite(X0).all() and np.any(X0 != 0.0)
-    assert float(np.linalg.norm(evaluate(X0, cfg)[2])) > 0.0
+    assert float(np.linalg.norm(evaluate(X0, cfg).gradient())) > 0.0
 
 
 def test_random_init_validates_rank():
@@ -141,10 +142,10 @@ def line_searches(monkeypatch):
     calls = _Searches()
     armijo = solvers._armijo_step
 
-    def record(cfg, X, bdown, D, slope, curv, t_init):
-        hit = armijo(cfg, X, bdown, D, slope, curv, t_init)
-        calls.append((X.copy(), D.copy(), t_init, None if hit is None else hit[0]))
-        calls.cfg = cfg
+    def record(pt, D, slope, curv, t_init):
+        hit = armijo(pt, D, slope, curv, t_init)
+        calls.append((pt.X.copy(), D.copy(), t_init, None if hit is None else hit[0]))
+        calls.cfg = pt.cfg
         return hit
 
     monkeypatch.setattr(solvers, "_armijo_step", record)
@@ -170,7 +171,7 @@ def _expected_trials(calls, trace):
     cases = dict(bb=0, curvature=0, first=0, witness=0, after_witness=0)
     for m, (X, G, t_init, _) in enumerate(calls):
         if witness[m] or (m and witness[m - 1]):
-            prev = calls[m - 1][3] if m else 1.0 / objective.min_hessian_eig(X, calls.cfg).op_norm
+            prev = calls[m - 1][3] if m else 1.0 / objective.min_hessian_eig(Point(X, calls.cfg)).op_norm
             assert t_init == 2.0 * prev
             cases["witness" if witness[m] else "after_witness"] += 1
             continue
@@ -290,14 +291,14 @@ def test_exhaustive_batch_equals_full_gradient(rng):
     gt, obs, cfg = make_problem(12, 2, seed=8, p=0.7)
     X = rng.normal(size=(12, 2)) * 1.5
     G_sum = pair_gradient_sum(X, cfg, np.arange(cfg.n_pairs))
-    data_only = evaluate(X, cfg)[2] - cfg.hyper.reg_weight * per_row_penalty(X, cfg.hyper.alpha)[1]
+    data_only = evaluate(X, cfg).gradient() - cfg.hyper.reg_weight * per_row_penalty(X, cfg.hyper.alpha)[1]
     assert np.allclose(G_sum, data_only, atol=1e-11 * (1 + np.abs(data_only).max()))
 
 
 def test_stochastic_gradient_unbiased_cheaply(rng):
     gt, obs, cfg = make_problem(8, 1, seed=9, p=1.0)
     X = rng.normal(size=(8, 1))
-    full = evaluate(X, cfg)[2]
+    full = evaluate(X, cfg).gradient()
     stream = substream(123, "sgdtest")
     draws = np.stack(
         [stochastic_gradient(X, cfg, stream, 4) for _ in range(4000)]
@@ -361,10 +362,10 @@ def test_gd_and_its_certificate_reuse_the_residuals_they_hold(monkeypatch):
     # one pass at X0 and one per line-search trial; the certificate's pass
     # meets the last accepted trial again
     assert len(set(points)) == n - 1
-    # the same run with the residuals dropped on the way to the Hessian: the
-    # first step and the eigensolve each make a pass of their own
-    for name in ("hessian_operator", "min_hessian_eig"):
-        monkeypatch.setattr(objective, name, lambda X, cfg, *_, real=getattr(objective, name): real(X, cfg))
+    # the same run with a fresh point for every Hessian: the first step and
+    # the eigensolve each make a pass of their own
+    hessian = objective.hessian_operator
+    monkeypatch.setattr(objective, "hessian_operator", lambda pt: hessian(Point(pt.X, pt.cfg)))
     assert run() == ours and len(points) == n + 2
 
 
@@ -436,13 +437,15 @@ def _reference_sgd_rows(cfg, scfg, X0):
     rng = substream(scfg.seed, "sgd")
     X = np.array(X0, dtype=float)
     def row(it, X, step):
-        _, bdown, G, _ = evaluate(X, cfg)
-        return TraceRow(it, bdown.total, bdown.data_term, bdown.reg_term, float(np.linalg.norm(G)), step, it * batch)
+        pt = evaluate(X, cfg)
+        bdown = pt.value
+        return TraceRow(it, bdown.total, bdown.data_term, bdown.reg_term, float(np.linalg.norm(pt.gradient())), step,
+                        it * batch)
 
     trace = [row(0, X, 0.0)]
-    G = evaluate(X, cfg)[2]
+    G = evaluate(X, cfg).gradient()
     # GD's first step ||G||^2 / |<G, H G>|, damped by sqrt(batch fraction)
-    curv = float(np.vdot(G, hessian_operator(X, cfg)(G)))
+    curv = float(np.vdot(G, hessian_operator(Point(X, cfg))(G)))
     base = float(np.vdot(G, G)) / abs(curv) * math.sqrt(batch / cfg.n_pairs)
     for it in range(1, scfg.max_iters + 1):
         step = base / (1.0 + solvers._STEP_DECAY * (it - 1))
@@ -470,7 +473,7 @@ def test_sgd_rows_are_the_reference_loop_rows_once_per_epoch(batch):
     period = _sgd_period(cfg, scfg)
     assert period > 1
     assert res.status is Status.GRAD_TOL
-    grad_tol = 1e-8 * (1.0 + evaluate(X0, cfg)[1].total)
+    grad_tol = 1e-8 * (1.0 + evaluate(X0, cfg).value.total)
     # the run stops at the first pass whose full gradient norm reaches grad_tol
     stop = next(it for it in range(period, scfg.max_iters + 1, period) if ref_gn[it] <= grad_tol)
     assert _iters(res) == list(range(0, stop + 1, period))
@@ -489,8 +492,8 @@ def test_sgd_ends_with_a_full_pass_at_max_iters():
     rows = _sgd_rows(res)
     ref, _ = _reference_sgd_rows(cfg, scfg, X0)
     assert rows == {it: ref[it] for it in rows}
-    _, bdown, G, _ = evaluate(res.X, cfg)
-    assert res.f == bdown.total and res.grad_norm == float(np.linalg.norm(G))
+    pt = evaluate(res.X, cfg)
+    assert res.f == pt.value.total and res.grad_norm == float(np.linalg.norm(pt.gradient()))
     assert res.entry_grads == scfg.max_iters * scfg.sgd.batch
 
 
@@ -530,8 +533,8 @@ def test_reported_gradient_norm_is_that_of_the_endpoint(method):
     for k in range(1, 11):
         res = solve(cfg, SolverConfig(method=method, max_iters=k, seed=4), X0)
         assert res.iterations == k
-        assert res.grad_norm == float(np.linalg.norm(evaluate(res.X, cfg)[2]))
-        assert res.f == evaluate(res.X, cfg)[1].total
+        assert res.grad_norm == float(np.linalg.norm(evaluate(res.X, cfg).gradient()))
+        assert res.f == evaluate(res.X, cfg).value.total
 
 
 # ---------------------------------------------------------------------------
@@ -542,11 +545,11 @@ def test_perturbed_gd_escapes_origin_where_gd_stays():
     lam2 = 1e-4
     Q, cfg = _spiked_rank2_problem(lam2)
     X0 = np.zeros((12, 1))
-    assert float(np.linalg.norm(evaluate(X0, cfg)[2])) == 0.0
+    assert float(np.linalg.norm(evaluate(X0, cfg).gradient())) == 0.0
 
     plain = solve(cfg, SolverConfig(), X0)
     assert plain.iterations == 0
-    assert plain.f == evaluate(X0, cfg)[1].total  # stuck at the stationary origin
+    assert plain.f == evaluate(X0, cfg).value.total  # stuck at the stationary origin
 
     res = solve(cfg, SolverConfig(method=Method.PERTURBED_GD, max_iters=4000, seed=9), X0)
     assert res.status == Status.GRAD_TOL
@@ -556,7 +559,7 @@ def test_perturbed_gd_escapes_origin_where_gd_stays():
 def test_perturbed_gd_escapes_strict_saddle():
     Q, cfg = _spiked_rank2_problem(0.5)
     x_saddle = np.sqrt(0.5) * Q[:, 1:2]
-    assert float(np.linalg.norm(evaluate(x_saddle, cfg)[2])) <= 1e-10
+    assert float(np.linalg.norm(evaluate(x_saddle, cfg).gradient())) <= 1e-10
     res = solve(
         cfg, SolverConfig(method=Method.PERTURBED_GD, max_iters=4000, seed=2), x_saddle
     )
@@ -619,8 +622,8 @@ def eigensolves(monkeypatch):
     calls = []
     solve_eig = objective.min_hessian_eig
 
-    def record(X, cfg, *pieces):
-        calls.append((X.copy(), solve_eig(X, cfg, *pieces)))
+    def record(pt):
+        calls.append((pt.X.copy(), solve_eig(pt)))
         return calls[-1][1]
 
     monkeypatch.setattr(objective, "min_hessian_eig", record)
@@ -634,7 +637,7 @@ def test_perturbed_gd_steps_along_the_witness_at_exact_saddle(eigensolves, line_
     # sqrt(lam2) Q[:, 1] to rounding, and exactly at the origin
     Q, cfg = _spiked_rank2_problem(lam2)
     X0 = np.sqrt(lam2) * Q[:, 1:2] if start == "saddle" else np.zeros((12, 1))
-    assert float(np.linalg.norm(evaluate(X0, cfg)[2])) <= 1e-10
+    assert float(np.linalg.norm(evaluate(X0, cfg).gradient())) <= 1e-10
     res = solve(cfg, SolverConfig(method=Method.PERTURBED_GD, max_iters=4000), X0)
     X_first, eig_first = eigensolves[0]
     assert np.array_equal(X_first, X0)
@@ -645,7 +648,7 @@ def test_perturbed_gd_steps_along_the_witness_at_exact_saddle(eigensolves, line_
     assert np.array_equal(X, X0) and (np.array_equal(D, witness) or np.array_equal(D, -witness))
     fs = [row.f for row in res.trace]
     assert res.trace[1].step == step
-    assert fs[1] == pytest.approx(evaluate(X0 - step * D, cfg)[1].total, rel=1e-12)
+    assert fs[1] == pytest.approx(evaluate(X0 - step * D, cfg).value.total, rel=1e-12)
     assert np.all(np.diff(fs) <= 0.0) and fs[1] < fs[0]
     assert res.status is Status.GRAD_TOL and res.iterations <= 20
     assert res.f <= 1e-8 if lam2 == 1e-4 else res.f == pytest.approx(lam2**2 / 2, rel=1e-6)
