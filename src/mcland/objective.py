@@ -39,10 +39,15 @@ unit values S is the fixed 0/1 matrix P.
 Position k in [0, n_pairs) of the symmetric pattern, in row-major order, is
 one ordered entry: `pair_gradient_sum` takes such positions, so drawing them
 uniformly draws each stored pair in proportion to its weight.  It reads a
-position's row, column and value from three tables indexed by position, 16
-bytes a position (1.6 MB at d=1000, p=0.1), which the config builds on first
-use: only SGD uses them.  It scatters through scipy's compiled COO kernel,
-which adds in the order of `np.add.at`: the same floats, in less time.
+position's row, column and value from one packed table of (i, j, v) records
+indexed by position, 16 bytes a position (1.6 MB at d=1000, p=0.1), which
+the config builds on first use: only SGD uses it.  One `take` of the records
+replaces three gathers (8-11 against 11-18 us at batch 4096, d=1000, r=2, one
+BLAS thread, 2-core VM).  Up to r = 2 the row dot <X_i, X_j> is an in-place
+product and one column add, the floats of `einsum`'s sums (7-8 against 23-34
+us there); from r = 3 it is `einsum`, whose lanes add (p0 + p2) + p1.  It
+scatters through scipy's compiled COO kernel, which adds in the order of
+`np.add.at`: the same floats, in less time.
 A `Point` is the record of one evaluated point, and what every function
 that reads a point takes.  Its construction makes one residual pass and one
 row pass and gives the value from both; the gradient and its norm follow on
@@ -100,9 +105,9 @@ class ObjectiveConfig:
     of a masked product, and the pair weights, built without a sort: 17.3
     bytes a stored pair at the peak of the build at d=4000, p=0.02.
     Instances are safe to share across threads: all evaluation state is
-    per-call, and the per-position tables of `pair_gradient_sum`, the one
-    thing built after construction, come out the same whichever thread
-    builds them.  An empty mask, whose objective is the penalty alone, is a ValueError.
+    per-call, and the per-position table of `pair_gradient_sum`, the one
+    thing built after construction, comes out the same whichever thread
+    builds it.  An empty mask, whose objective is the penalty alone, is a ValueError.
     """
 
     def __init__(self, hyper, obs):
@@ -129,16 +134,18 @@ class ObjectiveConfig:
         self._mirror_rows[diag] = d
 
     @cached_property
-    def _position_tables(self):
-        # (row, column, value) of every position of the symmetric pattern, row-major, for
-        # `pair_gradient_sum`: built on first use, since only SGD reads them
-        i, j = self.obs.mask.i, self.obs.mask.j
-        off = np.flatnonzero(i != j)
-        rows = np.concatenate([i, j[off]])
-        cols = np.concatenate([j, i[off]])
-        order = np.argsort(rows * self.d + cols)
-        values = np.concatenate([self.obs.values, self.obs.values[off]])
-        return rows[order].astype(self._indptr.dtype), cols[order].astype(self._indptr.dtype), values[order]
+    def _positions(self):
+        # one (i, j, v) record, row, column and value, for every position of the symmetric
+        # pattern, row-major, for `pair_gradient_sum`: built on first use, since only SGD reads it
+        i, j, v, d = self.obs.mask.i, self.obs.mask.j, self.obs.values, self.d
+        off = i != j  # a boolean mask: an eighth of the memory of its indices, held while the table fills
+        # the stored pairs, then the mirrors of the off-diagonal ones, by row-major key
+        order = np.argsort(np.concatenate([i * d + j, j[off] * d + i[off]]))
+        idx = self._indptr.dtype
+        table = np.empty(order.size, dtype=[("i", idx), ("j", idx), ("v", np.float64)])
+        for name, stored, mirror in (("i", i, j), ("j", j, i), ("v", v, v)):
+            table[name] = np.concatenate([stored, mirror[off]])[order]
+        return table
 
     def pair_gram(self, X):
         """<X_i, X_j> for every stored pair (i, j)."""
@@ -299,14 +306,21 @@ def pair_gradient_sum(X, cfg, positions):
     Position k in [0, n_pairs) is the ordered entry (i, j) in row-major
     order, which contributes -(M_ij - <X_i, X_j>) * (e_i X_j^T + e_j X_i^T);
     summing over every position reproduces the full data gradient.  Row i,
-    column j and M_ij come from the config's per-position tables.
+    column j and M_ij come from the config's per-position table.
     """
     X = _check_factor(X, cfg)  # the kernel reads and writes unchecked
-    rows, cols, values = cfg._position_tables
-    i, j = rows.take(positions), cols.take(positions)
+    rec = cfg._positions.take(positions)
+    i, j = np.ascontiguousarray(rec["i"]), np.ascontiguousarray(rec["j"])  # the kernel takes contiguous indices
     Xi, Xj = X.take(i, axis=0), X.take(j, axis=0)  # a tenth of the time of X[i] at r=2
+    if X.shape[1] > 2:
+        dot = np.einsum("ij,ij->i", Xi, Xj)
+    else:
+        # einsum's sums from 0.0: they differ only where a -0.0 turns +0.0, which the scatter's
+        # +0.0 accumulators absorb
+        Xi *= Xj
+        dot = Xi[:, 0] if X.shape[1] == 1 else Xi[:, 0] + Xi[:, 1]
     # minus the residual: negation is exact, so each term below is -resid * x to the bit
-    neg_resid = np.einsum("ij,ij->i", Xi, Xj) - values.take(positions)
+    neg_resid = dot - rec["v"]
     # per column x, g[i] += neg_resid * x[j] then g[j] += neg_resid * x[i], in entry order: np.add.at's
     # sums.  Two calls, as one on both sides concatenated takes 50 against 43 us at batch 4096, r=2
     G = np.zeros((X.shape[1], cfg.d))  # the kernel adds into its output

@@ -6,9 +6,12 @@ norm, accepted step, cumulative per-entry gradient work), and is
 deterministic given its config seed.  GD and perturbed GD write a row per
 iteration; SGD writes one per full pass, which it runs once per epoch of
 sampled entries (every ceil(|Omega| / batch) steps) and at its last
-iteration.  Entry-gradient accounting counts |Omega| per full gradient and
-`batch` per stochastic step; SGD's full passes (diagnostics and stop tests)
-are not charged to the budget.
+iteration.  SGD draws the positions of an epoch's steps, or of the steps
+left before max_iters, in one call, and gives each step its slice: numpy's
+bounded sampler keeps its unused 32-bit halves in the bit generator, so the
+positions are those of one draw per step.  Entry-gradient accounting counts
+|Omega| per full gradient and `batch` per stochastic step; SGD's full passes
+(diagnostics and stop tests) are not charged to the budget.
 
 A run stops once the gradient norm reaches grad_tol = 1e-8 * (1 + f(X0)).
 GD and perturbed GD share one Armijo loop with the textbook constants
@@ -300,18 +303,16 @@ def _descend(cfg, scfg, X0, witness_steps):
     return _result(pt, trace, grad_tol, stalled, eig)
 
 
-def stochastic_gradient(X, cfg, rng, batch):
-    """Unbiased gradient estimate from `batch` entries drawn with replacement.
+def stochastic_gradient(X, cfg, positions):
+    """Unbiased gradient estimate from the entries at `positions`, drawn with replacement.
 
-    The entries are uniform positions in [0, |Omega|) of the symmetric
-    pattern, so a stored pair is drawn in proportion to its weight (2 off
-    the diagonal, 1 on it); the estimate is (|Omega| / batch) * the sum of
-    their per-entry gradients, plus the exact weighted penalty gradient,
-    which is added on the active rows only (row norm above alpha).
+    Drawn uniformly from [0, |Omega|), positions of the symmetric pattern
+    draw a stored pair in proportion to its weight (2 off the diagonal, 1 on
+    it); the estimate is (|Omega| / batch) * the sum of their per-entry
+    gradients, batch = positions.size, plus the exact weighted penalty
+    gradient, which is added on the active rows only (row norm above alpha).
     """
-    n = cfg.n_pairs
-    idx = rng.integers(0, n, size=batch)
-    G = obj.pair_gradient_sum(X, cfg, idx) * (n / batch)
+    G = obj.pair_gradient_sum(X, cfg, positions) * (cfg.n_pairs / positions.size)
     return obj.add_penalty_gradient(G, X, cfg, obj._row_excess(X, cfg.hyper.alpha))
 
 
@@ -320,11 +321,12 @@ def _sgd(cfg, scfg, X0):
 
     A full pass (objective, gradient norm, trace row, stop tests) runs once
     per epoch of sampled entries, every P = ceil(|Omega| / batch) steps, and
-    at max_iters; between passes the loop only takes stochastic steps.  Only
-    the sampled batches count toward `cum_entry_grads`.  The run stops at
-    the first pass whose gradient norm reaches grad_tol, or with status
-    `diverged` at the first pass, the start included, whose objective or
-    gradient norm is not finite.
+    at max_iters; between passes the loop only takes stochastic steps, whose
+    positions it draws in one call per epoch.  Only the sampled batches
+    count toward `cum_entry_grads`.  The run stops at the first pass whose
+    gradient norm reaches grad_tol, or with status `diverged` at the first
+    pass, the start included, whose objective or gradient norm is not
+    finite.
     """
     pt, grad_tol, trace = _start(cfg, X0, 0)
     if _diverged(trace):  # no step size can be estimated at a non-finite start
@@ -337,15 +339,16 @@ def _sgd(cfg, scfg, X0):
     X = pt.X
     rng = substream(scfg.seed, "sgd")
     period = -(-cfg.n_pairs // batch)  # ceil(|Omega| / batch): steps per epoch
-
-    for it in range(1, scfg.max_iters + 1):
-        if pt.grad_norm() <= grad_tol:  # the last full pass's
-            break
-        step = base / (1.0 + _STEP_DECAY * (it - 1))
+    it = 0
+    while it < scfg.max_iters and pt.grad_norm() > grad_tol:  # the last full pass's
+        # the positions of the epoch's steps, or of those left before max_iters, in one draw in the
+        # default int64 dtype, whose stream the tests check against one draw per step
+        steps = min(period, scfg.max_iters - it)
         with np.errstate(over="ignore", invalid="ignore"):  # a diverging run ends with status diverged
-            X = X - step * stochastic_gradient(X, cfg, rng, batch)
-        if it % period and it < scfg.max_iters:
-            continue  # the full pass runs once per epoch and at the last iteration
+            for positions in rng.integers(0, cfg.n_pairs, size=steps * batch).reshape(steps, batch):
+                it += 1
+                step = base / (1.0 + _STEP_DECAY * (it - 1))
+                X = X - step * stochastic_gradient(X, cfg, positions)
         pt = obj.evaluate(X, cfg)
         trace.append(_row(it, pt, step, batch * it))
         if _diverged(trace):

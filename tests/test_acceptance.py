@@ -428,7 +428,7 @@ def test_c9_sgd_unbiased():
         G = evaluate(X, cfg).gradient()
         stream = substream(base, "unbiased", k)
         draws = np.stack(
-            [stochastic_gradient(X, cfg, stream, 1) for _ in range(n_draws)]
+            [stochastic_gradient(X, cfg, stream.integers(0, cfg.n_pairs, size=1)) for _ in range(n_draws)]
         )
         se = draws.std(axis=0, ddof=1) / math.sqrt(n_draws)
         dev = np.abs(draws.mean(axis=0) - G)

@@ -605,10 +605,9 @@ def test_pair_gradient_sum_checks_its_operand_and_takes_64_bit_tables(monkeypatc
     cfg, X, _ = _kernel_problem(12, 3, 0.6, True)
     pos = np.random.default_rng(3).integers(0, cfg.n_pairs, 50)
     expected = pair_gradient_sum(X, cfg, pos)
-    # 64-bit copies of the index tables, the config of a pattern too large for 32
+    # a table with 64-bit index fields, the config of a pattern too large for 32
     wide = copy.copy(cfg)
-    rows, cols, values = cfg._position_tables
-    wide._position_tables = rows.astype(np.int64), cols.astype(np.int64), values
+    wide._positions = cfg._positions.astype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
     assert np.array_equal(pair_gradient_sum(X, wide, pos), expected)
 
     # the compiled kernel would read and write past the end of a short operand
@@ -788,11 +787,12 @@ def test_csv_bytes_are_those_of_public_csr_products(run, monkeypatch):
 
 def _bincount_pair_gradient_sum(X, cfg, positions):
     """`pair_gradient_sum` with the scatter it had before the COO kernel:
-    one np.bincount per column, over the i-side terms then the j-side ones."""
-    rows, cols, values = cfg._position_tables
-    i, j = rows.take(positions), cols.take(positions)
-    Xi, Xj = X.take(i, axis=0), X.take(j, axis=0)
-    neg_resid = np.einsum("ij,ij->i", Xi, Xj) - values.take(positions)
+    one np.bincount per column, over the i-side terms then the j-side ones,
+    and the row dot by `einsum` at every r."""
+    rec = cfg._positions[positions]
+    i, j = rec["i"], rec["j"]
+    Xi, Xj = X[i], X[j]
+    neg_resid = np.einsum("ij,ij->i", Xi, Xj) - rec["v"]
     ij = np.concatenate([i, j])
     b = i.size
     w = np.empty(2 * b)
@@ -823,8 +823,16 @@ def test_sgd_bytes_are_those_of_the_bincount_scatter(r, seed, batch, active, mon
         return trace_to_csv(res.trace), res.X.tobytes()
 
     ours = run()
-    monkeypatch.setattr(objective, "pair_gradient_sum", _bincount_pair_gradient_sum)
+    calls = []
+
+    def oracle(X, cfg, positions):
+        calls.append(positions.size)
+        return _bincount_pair_gradient_sum(X, cfg, positions)
+
+    # the solver calls the kernel through the module once per step: else the oracle would not run
+    monkeypatch.setattr(objective, "pair_gradient_sum", oracle)
     assert run() == ours
+    assert calls == [min(batch, cfg.n_pairs)] * scfg.max_iters
 
 
 def _single_pass_row_excess(X, alpha):
@@ -899,11 +907,12 @@ def test_stochastic_gradient_is_the_scaled_pair_sum_plus_the_penalty(d, r, p, in
         c = ObjectiveConfig(HyperParams(alpha=alpha, reg_weight=hyper.reg_weight, tau=0.0), cfg.obs)
         penalty = per_row_penalty(X, alpha)[1]
         assert np.any(penalty) == (alpha == hyper.alpha)
-        stream, replay = substream(d, "sg"), substream(d, "sg")
+        stream = substream(d, "sg")
         for _ in range(3):
-            expected = pair_gradient_sum(X, c, replay.integers(0, n, size=batch)) * (n / batch)
+            positions = stream.integers(0, n, size=batch)
+            expected = pair_gradient_sum(X, c, positions) * (n / batch)
             expected += hyper.reg_weight * penalty
-            assert np.array_equal(stochastic_gradient(X, c, stream, batch), expected)
+            assert np.array_equal(stochastic_gradient(X, c, positions), expected)
 
 
 def test_penalty_gradient_is_added_in_place_only_where_it_is_nonzero():

@@ -91,3 +91,16 @@ def test_records_holding_a_seed_check_it_when_built(record):
             record(seed)
     with pytest.raises(TypeError, match="seed must be"):
         record(True)
+
+
+@pytest.mark.parametrize("n", [3, 9_226, 199_863, 2**31 + 5, 2**32 - 1, 2**32 + 7])
+def test_one_bounded_draw_is_the_draws_of_its_parts(n):
+    # SGD draws an epoch's positions in one call: numpy's bounded sampler keeps the unused 32-bit
+    # half of a 64-bit output in the bit generator, not in the call, so below 2**32 an odd-sized
+    # draw leaves the stream where consecutive draws of its parts would
+    for sizes in ([1, 7], [13, 4095, 3], [4097, 1, 1, 5], [9] * 25):
+        whole, parts = substream(n, "epoch"), substream(n, "epoch")
+        joined = np.concatenate([parts.integers(0, n, size=k) for k in sizes])
+        assert np.array_equal(whole.integers(0, n, size=sum(sizes)), joined)
+        assert joined.dtype == np.int64
+        assert whole.integers(0, n) == parts.integers(0, n)  # both streams are at the same state

@@ -301,7 +301,7 @@ def test_stochastic_gradient_unbiased_cheaply(rng):
     full = evaluate(X, cfg).gradient()
     stream = substream(123, "sgdtest")
     draws = np.stack(
-        [stochastic_gradient(X, cfg, stream, 4) for _ in range(4000)]
+        [stochastic_gradient(X, cfg, stream.integers(0, cfg.n_pairs, size=4)) for _ in range(4000)]
     )
     mean = draws.mean(axis=0)
     se = draws.std(axis=0, ddof=1) / math.sqrt(draws.shape[0])
@@ -309,16 +309,37 @@ def test_stochastic_gradient_unbiased_cheaply(rng):
 
 
 def test_only_sgd_builds_the_per_position_tables():
-    # 16 B per position: a config that only GD uses must not hold them
+    # 16 B per position: a config that only GD uses must not hold them, and SGD holds one packed
+    # table of (i, j, v) records and nothing else per position
     gt, obs, cfg = make_problem(15, 1, seed=10, p=0.6)
     X0 = random_init(15, 1, obs, 4)
+    before = set(vars(cfg))
     solve(cfg, SolverConfig(), X0)
     solve(cfg, SolverConfig(method=Method.PERTURBED_GD), X0)
-    assert "_position_tables" not in vars(cfg)
+    assert set(vars(cfg)) == before
     solve(cfg, SolverConfig(method=Method.SGD, max_iters=5), X0)
-    rows, cols, values = vars(cfg)["_position_tables"]
-    assert rows.dtype == cols.dtype == np.int32 and values.dtype == np.float64
-    assert rows.size == cols.size == values.size == cfg.n_pairs
+    assert set(vars(cfg)) - before == {"_positions"}
+    table = cfg._positions
+    assert table.dtype == np.dtype([("i", np.int32), ("j", np.int32), ("v", np.float64)])
+    assert table.shape == (cfg.n_pairs,) and table.nbytes == 16 * cfg.n_pairs
+
+
+def test_first_sgd_solve_peaks_below_the_three_position_arrays():
+    # on the sgd-d1000 benchmark instance the first SGD solve, which builds the packed table, peaked
+    # at 56.7 B a position (5.66 MB of 99,863 positions) with the table's three fields held as
+    # three separate arrays; keeping those next to the table would add 16 B a position
+    spec = InstanceSpec(d=1000, r=2, seed=1, p=0.1)
+    gt, obs = spec.regenerate()
+    cfg = ObjectiveConfig(default_hyperparams(gt, spec.p), obs)
+    X0 = random_init(1000, 2, obs, 0)
+    scfg = SolverConfig(method=Method.SGD, max_iters=30, sgd=SgdParams(batch=4096))
+    tracemalloc.start()
+    try:
+        solve(cfg, scfg, X0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 56.7 * cfg.n_pairs
 
 
 def test_objective_config_peaks_at_32_bytes_a_stored_pair_and_gd_builds_no_position_tables():
@@ -337,7 +358,7 @@ def test_objective_config_peaks_at_32_bytes_a_stored_pair_and_gd_builds_no_posit
     for method in (Method.GD, Method.PERTURBED_GD):
         res = solve(cfg, SolverConfig(method=method), random_init(4000, 2, obs, 0))
         assert certify_point(res.X, cfg, gt, None, res.eig).classification is PointClass.GLOBAL_MIN
-    assert "_position_tables" not in vars(cfg)
+    assert "_positions" not in vars(cfg)
 
 
 def test_gd_and_its_certificate_reuse_the_residuals_they_hold(monkeypatch):
@@ -430,9 +451,9 @@ def _sgd_period(cfg, scfg):
 
 
 def _reference_sgd_rows(cfg, scfg, X0):
-    """A naive SGD loop with a full pass after every step and no stop test:
-    the trace.csv line of every iteration, keyed by iter, and the gradient
-    norm of each."""
+    """A naive SGD loop with a full pass after every step, no stop test and
+    one draw of positions per step: the trace.csv line of every iteration,
+    keyed by iter, and the gradient norm of each."""
     batch = min(scfg.sgd.batch, cfg.n_pairs)
     rng = substream(scfg.seed, "sgd")
     X = np.array(X0, dtype=float)
@@ -449,7 +470,7 @@ def _reference_sgd_rows(cfg, scfg, X0):
     base = float(np.vdot(G, G)) / abs(curv) * math.sqrt(batch / cfg.n_pairs)
     for it in range(1, scfg.max_iters + 1):
         step = base / (1.0 + solvers._STEP_DECAY * (it - 1))
-        X = X - step * stochastic_gradient(X, cfg, rng, batch)
+        X = X - step * stochastic_gradient(X, cfg, rng.integers(0, cfg.n_pairs, size=batch))
         trace.append(row(it, X, step))
     lines = trace_to_csv(trace).splitlines()[1:]
     return {r.iter: line for r, line in zip(trace, lines)}, {r.iter: r.grad_norm for r in trace}
@@ -463,20 +484,31 @@ def _sgd_rows(res):
     return dict(zip(_iters(res), trace_to_csv(res.trace).splitlines()[1:]))
 
 
-@pytest.mark.parametrize("batch", [16, 64])
-def test_sgd_rows_are_the_reference_loop_rows_once_per_epoch(batch):
-    gt, obs, cfg = make_problem(20, 1, seed=1, p=0.8)
-    scfg = SolverConfig(method=Method.SGD, max_iters=3000, seed=2, sgd=SgdParams(batch=batch))
-    X0 = random_init(20, 1, obs, 3)
+@pytest.mark.parametrize(
+    "r,batch,max_iters",
+    [(1, 16, 3000), (1, 64, 3000), (2, 64, 3000), (3, 64, 3000), (2, 37, 3000), (2, 163, 3000), (3, 37, 22)],
+    ids=["16", "64", "r2-64", "r3-64", "r2-37", "r2-163", "r3-37-stop22"],
+)
+def test_sgd_rows_are_the_reference_loop_rows_once_per_epoch(r, batch, max_iters):
+    # the solver draws an epoch's positions in one call, the reference one step's at a time; |Omega|
+    # = 326, which 163 divides and 16, 37 and 64 do not, and max_iters = 22 ends the third epoch of
+    # 9 steps after 4 of them
+    gt, obs, cfg = make_problem(20, r, seed=1, p=0.8)
+    assert cfg.n_pairs == 326
+    scfg = SolverConfig(method=Method.SGD, max_iters=max_iters, seed=2, sgd=SgdParams(batch=batch))
+    X0 = random_init(20, r, obs, 3)
     res = solve(cfg, scfg, X0)
     ref, ref_gn = _reference_sgd_rows(cfg, scfg, X0)
     period = _sgd_period(cfg, scfg)
     assert period > 1
-    assert res.status is Status.GRAD_TOL
     grad_tol = 1e-8 * (1.0 + evaluate(X0, cfg).value.total)
-    # the run stops at the first pass whose full gradient norm reaches grad_tol
-    stop = next(it for it in range(period, scfg.max_iters + 1, period) if ref_gn[it] <= grad_tol)
-    assert _iters(res) == list(range(0, stop + 1, period))
+    # the run stops at the first pass whose full gradient norm reaches grad_tol, or at max_iters
+    passes = [*range(period, max_iters, period), max_iters]
+    stop = next((it for it in passes if ref_gn[it] <= grad_tol), max_iters)
+    reached = ref_gn[stop] <= grad_tol
+    assert reached == (max_iters == 3000)  # every full-length run reaches grad_tol; the cut one does not
+    assert res.status is (Status.GRAD_TOL if reached else Status.MAX_ITERS)
+    assert _iters(res) == [0, *(it for it in passes if it <= stop)]
     rows = _sgd_rows(res)
     assert rows == {it: ref[it] for it in rows}
 
