@@ -75,11 +75,23 @@ Lanczos run on the operator, with no restart, for up to d * r steps.  A
 run solves its tridiagonal T for vectors (numpy's dense `eigh`) only at a
 step that may stop; importing scipy.linalg for a tridiagonal or partial
 dense solver would add 7.5 MB to the resident set.
+
+A mask of at least _SPLIT_MIN stored pairs, on a process that may run on
+more than one CPU, takes the split route, chosen once per config: two
+passes that release the GIL run at once, one on the caller's thread and one
+on a module-level helper thread (`_submit`).  A two-column masked product,
+every gradient's, hands column 1 to the helper and makes column 0 itself;
+an HVP hands it the residual product R V and makes the pattern product B
+and the blocks' sums itself.  Each pass writes its own output, so every
+float is the serial route's.
 """
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import cache, cached_property
+from queue import SimpleQueue
 
 import numpy as np
 from scipy.sparse._sparsetools import coo_matvec, csc_matvec, csc_matvecs, csr_matvec, csr_matvecs, csr_scale_columns
@@ -95,6 +107,80 @@ _EIG_TOL = 1e-6  # min_hessian_eig converges at a residual of at most _EIG_TOL *
 # 7 steps and is the faster from d * r = 100 up (0.6-1.1 against 0.9-1.6 ms), and at the r = 2 C3
 # cells, d * r = 200, it takes 2.0 against 4.2-4.8 ms
 _DENSE_MAX = 100
+# A mask of at least this many stored pairs takes the split route where the process may run on two
+# CPUs.  A two-column masked product, split against serial, one BLAS thread on a 2-core VM, medians
+# of 15 alternating rounds: 111 against 78 us at 20k stored pairs, 148 against 126 at 35k, about
+# even from 50k to 57k (152-217 against 164-210), 181 against 324 at 70k and 514 against 631 at
+# 160k.  An HVP gains at every size (232 against 266 us at 20k, 1,266 against 1,755 at 160k), but
+# the product's crossover sets the bound, which keeps d=1000, p=0.1 (50k) serial
+_SPLIT_MIN = 60_000
+
+
+def _cpu_count():
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+class _Handoff:
+    """fn(*args), run on the helper thread; `result()` waits for it and
+    returns what it returned or raises what it raised."""
+
+    __slots__ = ("_fn", "_args", "_done", "_value", "_error")
+
+    def __init__(self, fn, args):
+        self._fn, self._args, self._error = fn, args, None
+        self._done = threading.Lock()
+        self._done.acquire()
+
+    def _run(self):
+        try:
+            self._value = self._fn(*self._args)
+        except BaseException as exc:  # raised again by `result()`: the helper lives on, the caller is released
+            self._error = exc
+        self._done.release()
+
+    def result(self):
+        self._done.acquire()
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+
+_helper_lock = threading.Lock()
+_helper_queue = None  # the helper thread's queue, made on first use
+
+
+def _serve(queue):
+    while True:
+        queue.get()._run()
+
+
+def _submit(fn, *args):
+    """Start fn(*args) on the one helper thread and return its `_Handoff`.
+
+    fn is a pass that releases the GIL, writes only its own output, calls
+    nothing the caller could trace and submits nothing, so callers on any
+    number of threads, each waiting for its own handoff, cannot deadlock.
+    The helper is a daemon thread and never keeps the process alive.
+    """
+    global _helper_queue
+    task = _Handoff(fn, args)
+    with _helper_lock:
+        if _helper_queue is None:
+            _helper_queue = SimpleQueue()
+            threading.Thread(target=_serve, args=(_helper_queue,), name="mcland-objective", daemon=True).start()
+        _helper_queue.put(task)
+    return task
+
+
+def _forget_helper():
+    # a forked child has no helper thread, and the lock may have been held at the fork
+    global _helper_lock, _helper_queue
+    _helper_lock, _helper_queue = threading.Lock(), None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
 
 
 class ObjectiveConfig:
@@ -107,7 +193,9 @@ class ObjectiveConfig:
     Instances are safe to share across threads: all evaluation state is
     per-call, and the per-position table of `pair_gradient_sum`, the one
     thing built after construction, comes out the same whichever thread
-    builds it.  An empty mask, whose objective is the penalty alone, is a ValueError.
+    builds it.  On the split route the callers share the one helper
+    thread, whose passes queue in turn and never wait, so none deadlocks.
+    An empty mask, whose objective is the penalty alone, is a ValueError.
     """
 
     def __init__(self, hyper, obs):
@@ -132,6 +220,8 @@ class ObjectiveConfig:
         # dropped after the pass, for a diagonal pair, which has no mirror
         self._mirror_rows = self._cols.copy()
         self._mirror_rows[diag] = d
+        # the split route: a large mask on two or more CPUs runs two passes at once (`_submit`)
+        self._split = self._cols.size >= _SPLIT_MIN and _cpu_count() > 1
 
     @cached_property
     def _positions(self):
@@ -163,7 +253,7 @@ class ObjectiveConfig:
         g = self.pair_gram(X)
         return np.subtract(self.obs.values, g, out=g)
 
-    def _matmul(self, data, Y):
+    def _matmul(self, data, Y, split=True):
         # S @ Y for the symmetric S with `data` on the stored pairs.  Two passes add into one
         # output: one over U read as U^T adds each row r's mirrors (r, i), i < r, then one over U
         # its stored pairs (r, j), j >= r, both in ascending column order: the terms of a pass over
@@ -176,11 +266,22 @@ class ObjectiveConfig:
             csc_matvecs(d + 1, d, k, self._indptr, self._mirror_rows, data, y, out)
             csr_matvecs(d, d, k, self._indptr, self._cols, data, y, out)
             return out[: d * k].reshape(d, k)
-        out = np.zeros((k, d + 1))
-        for y, o in zip(np.ascontiguousarray(Y.T), out):
+        out, Yt = np.zeros((k, d + 1)), np.ascontiguousarray(Y.T)
+        if k == 2 and split and self._split:
+            # the helper thread makes column 1's passes while this one makes column 0's, each into
+            # its own output row; split=False keeps the product on the calling thread
+            second = _submit(self._columns, data, Yt[1:], out[1:])
+            self._columns(data, Yt[:1], out)
+            second.result()
+        else:
+            self._columns(data, Yt, out)
+        return np.ascontiguousarray(out[:, :d].T)
+
+    def _columns(self, data, Yt, out):  # the two passes of each row y of Yt into its row of out
+        d = self.d
+        for y, o in zip(Yt, out):
             csc_matvec(d + 1, d, self._indptr, self._mirror_rows, data, y, o)
             csr_matvec(d, d, self._indptr, self._cols, data, y, o)
-        return np.ascontiguousarray(out[:, :d].T)
 
     def masked_matmul(self, pair_values, Y):
         """(P_Omega(A) @ Y) where symmetric A carries `pair_values` on the stored pairs."""
@@ -361,10 +462,13 @@ class _Hessian:
         return self.weight * ((self.d2 * proj)[:, None] * u + self.d1_over_t[:, None] * (Va - proj[:, None] * u))
 
     def __call__(self, V):
-        X = self.X
+        X, cfg = self.X, self.cfg
         V = _check_direction(V, X)
+        # on the split route the helper thread makes the residual product R V while this one makes
+        # the pattern product of `_blocks(V)`
+        rv = _submit(cfg._matmul, self.resid, V, False) if cfg._split else None
         HV = 2.0 * (np.einsum("iab,ib->ia", self.A, V) + np.einsum("iab,ib->ia", self._blocks(V), X))
-        HV -= 2.0 * self.cfg._matmul(self.resid, V)
+        HV -= 2.0 * (cfg._matmul(self.resid, V) if rv is None else rv.result())
         if self.active is not None:
             HV[self.active] += self._penalty(V[self.active])
         return HV

@@ -1,6 +1,11 @@
 import copy
 import itertools
 import math
+import os
+import signal
+import sys
+import threading
+import time
 import types
 
 import numpy as np
@@ -8,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
-from mcland.certify import landscape_scan, scan_to_csv
+from mcland.certify import landscape_scan, scan_to_csv, solve_and_certify
 from mcland.instance import GroundTruth, HyperParams, InstanceSpec, default_hyperparams, observe
 from mcland import objective
 from mcland.objective import (
@@ -1013,3 +1018,130 @@ def test_far_from_stop_reads_the_last_component_off_the_ritz_values():
     # coinciding Ritz values leave no margin to test: never far from the stop
     with np.errstate(all="raise"):
         assert not _far_from_stop(np.array([1.0, 1.0, 2.0]), np.array([1.0, 1.5]), 1e9, 1e-6)
+
+
+# ---------------------------------------------------------------------------
+# the split route: a large mask on two CPUs runs two passes at once
+
+
+@pytest.fixture(scope="module")
+def d4000():
+    """The benchmark's d=4000 instance, whose mask is on the split route wherever two CPUs are."""
+    gt, _, cfg = make_problem(4000, 2, seed=1, p=0.02)
+    return gt, cfg
+
+
+def _route_outputs(gt, cfg, X, V):
+    """The bytes of every caller of the two split sites on cfg's route: the masked product, one
+    HVP, the trace and certificate of a GD and a perturbed-GD start, and every field of the
+    eigensolve at the perturbed-GD endpoint."""
+    out = [cfg.masked_matmul(cfg.residuals(X), X).tobytes(), hessian_operator(Point(X, cfg))(V).tobytes()]
+    for method in (Method.GD, Method.PERTURBED_GD):
+        res, row = solve_and_certify(cfg, gt, SolverConfig(method=method, seed=3))
+        out += [trace_to_csv(res.trace), repr(row)]
+    eig = min_hessian_eig(res.point)
+    return out + [v.tobytes() if isinstance(v, np.ndarray) else repr(v) for v in vars(eig).values()]
+
+
+@pytest.mark.parametrize("case", ["d4000", "d40-r1", "d40-r2", "d40-r3"])
+def test_split_and_serial_routes_give_the_same_bytes(case, d4000, monkeypatch):
+    # each split pass writes its own output, so the route changes no float; the small instances
+    # take the split route by their flag, and at r = 3 the HVP's residual product is multi-vector
+    if case == "d4000":
+        gt, cfg = d4000
+        assert cfg._split == (objective._cpu_count() > 1)
+    else:
+        gt, _, cfg = make_problem(40, int(case[-1]), seed=3, p=0.6)
+        assert not cfg._split
+    rng = np.random.default_rng(7)
+    X, V = rng.normal(size=(2, cfg.d, gt.rank))
+    outputs = {}
+    for split in (False, True):
+        monkeypatch.setattr(cfg, "_split", split)
+        outputs[split] = _route_outputs(gt, cfg, X, V)
+    assert outputs[True] == outputs[False]
+
+
+def test_small_masks_and_one_cpu_never_use_the_helper(d4000, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a pass was handed to the helper thread")
+
+    monkeypatch.setattr(objective, "_submit", refuse)
+    # a scan-sized mask: a C3 cell at d=100, about 5k stored pairs
+    gt, obs, hyper = _c3_problem(2, 102)
+    cfg = ObjectiveConfig(hyper, obs)
+    assert cfg._cols.size < objective._SPLIT_MIN and not cfg._split
+    solve_and_certify(cfg, gt, SolverConfig(method=Method.PERTURBED_GD, seed=3))
+    # the d=4000 mask, on a process that may run on one CPU
+    gt, big = d4000
+    monkeypatch.setattr(objective.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    one_cpu = ObjectiveConfig(big.hyper, big.obs)
+    assert not one_cpu._split
+    solve_and_certify(one_cpu, gt, SolverConfig(method=Method.GD, seed=3))
+    # and on two, the split route
+    monkeypatch.setattr(objective.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert ObjectiveConfig(big.hyper, big.obs)._split
+
+
+def test_the_helper_raises_what_its_pass_raised_and_is_a_daemon():
+    def fail():
+        raise KeyError("pass")
+
+    with pytest.raises(KeyError, match="pass"):
+        objective._submit(fail).result()
+    assert objective._submit(lambda a, b: a + b, 2, 3).result() == 5
+    (helper,) = [t for t in threading.enumerate() if t.name == "mcland-objective"]
+    assert helper.daemon
+
+
+def test_callers_on_many_threads_share_the_helper(monkeypatch):
+    # more callers than cores, switching often: each product and HVP of a shared split-route
+    # config is the serial one, and no caller waits for a pass that is not its own
+    cfg, X, V = _kernel_problem(12, 2, 0.6, True)
+    resid = cfg.residuals(X)
+    H = hessian_operator(Point(X, cfg))
+    expected = (cfg.masked_matmul(resid, X).tobytes(), H(V).tobytes())
+    monkeypatch.setattr(cfg, "_split", True)
+    results = []
+
+    def caller():
+        results.extend((cfg.masked_matmul(resid, X).tobytes(), H(V).tobytes()) for _ in range(200))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected] * 1200
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork is POSIX-only")
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")  # Python 3.12 warns on a fork with threads running
+def test_a_forked_child_completes_a_split_product(monkeypatch):
+    # a child inherits no helper thread: without a fresh one it would wait for column 1 forever
+    cfg, X, _ = _kernel_problem(12, 2, 0.6, True)
+    monkeypatch.setattr(cfg, "_split", True)
+    resid = cfg.residuals(X)
+    expected = cfg.masked_matmul(resid, X)  # the helper thread has started
+    assert np.array_equal(expected, _oracle_matrix(cfg, resid) @ X)
+    pid = os.fork()
+    if pid == 0:  # the child: exit 0 only on the same product, skipping pytest's exit handlers
+        code = 1
+        try:
+            code = 0 if cfg.masked_matmul(resid, X).tobytes() == expected.tobytes() else 3
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60.0
+    while (status := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child did not finish a split product within 60 s")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(status[1]) == 0
